@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the substrates MILR is built on: conv/matmul
 //! forward, LU/QR solving, plus — per [`WeightSubstrate`] — encode,
-//! scrub, and decode throughput, and serial-vs-parallel detection.
+//! scrub, and decode throughput, and one full detection pass.
 //!
 //! The harness prints a JSON summary after the human-readable rows; set
 //! `CRITERION_JSON=BENCH_substrates.json` to also write it to a file.
@@ -84,25 +84,16 @@ fn bench_substrate_matrix(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs parallel detection over the reduced MNIST twin — the
-/// speedup the layer-parallel detection path buys.
-fn bench_detection_parallelism(c: &mut Criterion) {
+/// One full detection pass over the reduced MNIST twin (probe-only
+/// conv checks, serial by design).
+fn bench_detection(c: &mut Criterion) {
     let prep = prepare(NetChoice::Mnist, Scale::Reduced, 0xBE7C);
+    let milr = Milr::protect(&prep.model, MilrConfig::default()).expect("protect");
     let mut group = c.benchmark_group("detection");
     group.sample_size(10);
-    for (label, parallel) in [("serial", false), ("parallel", true)] {
-        let milr = Milr::protect(
-            &prep.model,
-            MilrConfig {
-                parallel,
-                ..MilrConfig::default()
-            },
-        )
-        .expect("protect");
-        group.bench_with_input(BenchmarkId::from_parameter(label), &milr, |b, m| {
-            b.iter(|| m.detect(&prep.model).expect("detect"))
-        });
-    }
+    group.bench_function(BenchmarkId::from_parameter("full"), |b| {
+        b.iter(|| milr.detect(&prep.model).expect("detect"))
+    });
     group.finish();
 }
 
@@ -110,6 +101,6 @@ criterion_group!(
     benches,
     bench_kernels,
     bench_substrate_matrix,
-    bench_detection_parallelism
+    bench_detection
 );
 criterion_main!(benches);

@@ -1,14 +1,15 @@
-//! `kernel_bench`: measures the optimized raw-space kernels against
-//! their scalar reference implementations — the proof that the chunked
-//! rewrites (slice-by-8 CRC32, table-driven CRC16/CRC8, word-parallel
-//! SECDED, T-table AES, single-pass CRC2D) actually buy throughput on
-//! the machine at hand, not just in theory.
+//! `kernel_bench`: measures the optimized raw-space and forward kernels
+//! against their scalar reference implementations — the proof that the
+//! chunked rewrites (slice-by-8 CRC32, table-driven CRC16/CRC8,
+//! word-parallel SECDED, T-table AES, single-pass CRC2D, register-tiled
+//! GEMM and patch-walker conv2d) actually buy throughput on the machine
+//! at hand, not just in theory.
 //!
 //! Every optimized kernel is proptested bit-equivalent to its scalar
 //! twin in its home crate; this binary only measures. With `--check`
 //! it exits non-zero when any optimized kernel fails its speedup floor
 //! (1× for all, 3× for the SECDED scrub, 2× for the CRC2D full-grid
-//! encode) — the CI regression gate.
+//! encode and for conv2d) — the CI regression gate.
 //!
 //! ```text
 //! cargo run --release -p milr-bench --bin kernel_bench -- \
@@ -17,6 +18,8 @@
 
 use milr_bench::json::{array, write_summary, JsonObject};
 use milr_ecc::{crc16, crc32, crc8, scalar, Crc2d, DecodeOutcome, Secded, SecdedMemory};
+use milr_tensor::scalar as tensor_scalar;
+use milr_tensor::{conv2d, matmul, ConvSpec, Padding, Tensor};
 use milr_xts::Aes128;
 use std::hint::black_box;
 use std::time::Instant;
@@ -118,6 +121,14 @@ fn deterministic_f32(n: usize) -> Vec<f32> {
     deterministic_bytes(n)
         .into_iter()
         .map(|b| b as f32 * 0.01 - 1.28)
+        .collect()
+}
+
+/// `max(0, x)` over [`deterministic_f32`]: about half exact zeros.
+fn relu_f32(n: usize) -> Vec<f32> {
+    deterministic_f32(n)
+        .into_iter()
+        .map(|x| x.max(0.0))
         .collect()
 }
 
@@ -311,8 +322,54 @@ fn main() {
         floor: 2.0,
     });
 
+    // ---- Forward kernels: register-tiled GEMM and conv2d. ----
+    // Left operands are ReLU-like (about half exact zeros), as they are
+    // in a served forward; the reference loop skips those terms.
+    for (name, m, n, p) in [
+        ("gemm_dense1", 8usize, 384usize, 32usize),
+        ("gemm_conv2", 256, 72, 8),
+    ] {
+        let a = Tensor::from_vec(relu_f32(m * n), &[m, n]).expect("shape");
+        let b = Tensor::from_vec(deterministic_f32(n * p), &[n, p]).expect("shape");
+        assert_eq!(
+            matmul(&a, &b).expect("gemm"),
+            tensor_scalar::matmul(&a, &b).expect("gemm"),
+            "{name}: tiled GEMM diverged from the reference"
+        );
+        kernels.push(Kernel {
+            name,
+            items: (m * n * p) as u64,
+            scalar_ns: best_ns(trials, || {
+                black_box(tensor_scalar::matmul(black_box(&a), black_box(&b)).expect("gemm"));
+            }),
+            optimized_ns: best_ns(trials, || {
+                black_box(matmul(black_box(&a), black_box(&b)).expect("gemm"));
+            }),
+            floor: 1.0,
+        });
+    }
+    let input = Tensor::from_vec(relu_f32(8 * 16 * 16 * 8), &[8, 16, 16, 8]).expect("shape");
+    let filters = Tensor::from_vec(deterministic_f32(3 * 3 * 8 * 8), &[3, 3, 8, 8]).expect("shape");
+    let spec = ConvSpec::new(3, 1, Padding::Same).expect("spec");
+    assert_eq!(
+        conv2d(&input, &filters, &spec).expect("conv"),
+        tensor_scalar::conv2d(&input, &filters, &spec).expect("conv"),
+        "conv2d diverged from the reference"
+    );
+    kernels.push(Kernel {
+        name: "conv2d",
+        items: (8 * 16 * 16 * 8 * 3 * 3 * 8) as u64,
+        scalar_ns: best_ns(trials, || {
+            black_box(tensor_scalar::conv2d(black_box(&input), &filters, &spec).expect("conv"));
+        }),
+        optimized_ns: best_ns(trials, || {
+            black_box(conv2d(black_box(&input), &filters, &spec).expect("conv"));
+        }),
+        floor: 2.0,
+    });
+
     // ---- Report. ----
-    println!("# kernel_bench — optimized vs scalar raw-space kernels");
+    println!("# kernel_bench — optimized vs scalar raw-space and forward kernels");
     println!("trials: {trials} (best-of)");
     println!(
         "{:>14} {:>12} {:>12} {:>9} {:>12} {:>7}",

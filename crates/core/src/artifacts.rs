@@ -6,7 +6,7 @@ use crate::semantics::milr_forward;
 use crate::{MilrConfig, MilrError, Result};
 use milr_ecc::{Crc2d, Crc2dCodes};
 use milr_nn::{Layer, Sequential};
-use milr_tensor::{conv2d, Tensor, TensorRng};
+use milr_tensor::{conv2d, conv2d_at, ConvSpec, Tensor, TensorRng};
 use std::collections::BTreeMap;
 
 /// All stored recovery/detection data for one protected network.
@@ -71,6 +71,23 @@ pub(crate) fn inversion_dummy_params(config: &MilrConfig, layer: usize, dims: &[
 /// border so every filter weight influences the stored value.
 pub(crate) fn conv_probe_location(gh: usize, gw: usize) -> (usize, usize) {
     (gh / 2, gw / 2)
+}
+
+/// Conv layer `i`'s probe: its `Y` outputs at [`conv_probe_location`]
+/// on its private detection input. Only that pixel's receptive field is
+/// computed ([`conv2d_at`]), bit-identical to the full forward there.
+pub(crate) fn conv_probe(
+    model: &Sequential,
+    config: &MilrConfig,
+    i: usize,
+    filters: &Tensor,
+    spec: &ConvSpec,
+) -> Result<Vec<f32>> {
+    let det = detection_input(model, config, i);
+    let (gh, _) = spec.output_dim(det.shape().dim(1))?;
+    let (gw, _) = spec.output_dim(det.shape().dim(2))?;
+    let (ci, cj) = conv_probe_location(gh, gw);
+    Ok(conv2d_at(&det, filters, spec, [0, ci, cj])?)
 }
 
 impl Artifacts {
@@ -143,15 +160,8 @@ impl Artifacts {
                         artifacts.conv_dummy_outputs.insert(i, out);
                     }
                     // Partial checkpoint: center output per filter.
-                    let det = detection_input(model, config, i);
-                    let out = milr_forward(layer, &det)?;
-                    let (gh, gw) = (out.shape().dim(1), out.shape().dim(2));
-                    let (ci, cj) = conv_probe_location(gh, gw);
-                    let y = out.shape().dim(3);
-                    let values: Vec<f32> = (0..y)
-                        .map(|k| out.at(&[0, ci, cj, k]).expect("in range"))
-                        .collect();
-                    artifacts.partial_checkpoints.insert(i, values);
+                    let probe = conv_probe(model, config, i, filters, spec)?;
+                    artifacts.partial_checkpoints.insert(i, probe);
                 }
                 Layer::Bias { bias } => {
                     artifacts.bias_sums.insert(i, bias.sum());

@@ -119,13 +119,13 @@ pub struct MilrConfig {
     /// dense layer (`B = 1` by default) and removes the multi-error
     /// coupling for dense layers. Default `false` (paper-faithful).
     pub dense_self_recovery: bool,
-    /// Run detection checks and per-segment recovery in parallel across
-    /// layers. Per-layer checks are independent by construction (each
-    /// layer replays its own seeded input), and checkpoint segments are
-    /// independent given their anchors, so the parallel paths return
-    /// **bit-identical** results to the serial ones — `false` only
-    /// forces the serial reference path (used by the determinism tests
-    /// and single-core profiling).
+    /// Run per-segment recovery in parallel across checkpoint segments.
+    /// Segments are independent given their anchors, so the parallel
+    /// path returns **bit-identical** results to the serial one —
+    /// `false` only forces the serial reference path (used by the
+    /// determinism tests and single-core profiling). Detection always
+    /// runs serially: a probe-only check costs less than a thread
+    /// hand-off (DESIGN.md §16).
     pub parallel: bool,
     /// The representable-value grid the protected weights live on. Set
     /// to [`WeightGrid::Int8`] / [`WeightGrid::Fp16`] when the model is

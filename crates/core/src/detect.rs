@@ -11,11 +11,10 @@
 //! the layer" (§V-B). The tolerance lives in
 //! [`MilrConfig`](crate::MilrConfig).
 
-use crate::artifacts::{conv_probe_location, detection_input, Artifacts};
+use crate::artifacts::{conv_probe, detection_input, Artifacts};
 use crate::semantics::milr_forward;
 use crate::{MilrConfig, MilrError, Result};
 use milr_nn::{Layer, Sequential};
-use rayon::prelude::*;
 use std::time::Duration;
 
 /// Result of checking one layer.
@@ -53,9 +52,8 @@ impl DetectionReport {
 /// Checks one parameterized layer against its stored artifact.
 ///
 /// Pure in the model: reads only layer `i`'s parameters, its private
-/// seeded detection input, and the stored artifacts — which is what
-/// makes per-layer checks freely parallelizable with bit-identical
-/// results.
+/// seeded detection input, and the stored artifacts, so any chunking of
+/// the checks flags what one full pass would.
 fn check_layer(
     model: &Sequential,
     artifacts: &Artifacts,
@@ -64,24 +62,20 @@ fn check_layer(
 ) -> Result<LayerCheck> {
     let layer = &model.layers()[i];
     match layer {
-        Layer::Conv2D { .. } => {
+        Layer::Conv2D { filters, spec } => {
             let stored = artifacts.partial_checkpoints.get(&i).ok_or_else(|| {
                 MilrError::CorruptArtifacts(format!("missing partial checkpoint {i}"))
             })?;
-            let det = detection_input(model, config, i);
-            let out = milr_forward(layer, &det)?;
-            let (gh, gw) = (out.shape().dim(1), out.shape().dim(2));
-            let (ci, cj) = conv_probe_location(gh, gw);
-            let y = out.shape().dim(3);
-            if y != stored.len() {
+            let probe = conv_probe(model, config, i, filters, spec)?;
+            if probe.len() != stored.len() {
                 return Err(MilrError::ModelMismatch(format!(
-                    "layer {i}: {y} filters but {} stored probes",
+                    "layer {i}: {} filters but {} stored probes",
+                    probe.len(),
                     stored.len()
                 )));
             }
             let mut dev = 0.0f32;
-            for (k, &golden) in stored.iter().enumerate() {
-                let now = out.at(&[0, ci, cj, k])?;
+            for (&now, &golden) in probe.iter().zip(stored.iter()) {
                 dev = dev.max(relative_deviation(now, golden));
             }
             Ok(make_check(i, layer, dev, config))
@@ -124,9 +118,9 @@ fn check_layer(
 
 /// Runs the detection phase against the (possibly corrupted) model.
 ///
-/// With `config.parallel` the per-layer checks run concurrently across
-/// layers; results (flags, deviations, ordering) are bit-identical to
-/// the serial path because every check only reads its own layer.
+/// Checks run serially in ascending layer order: a probe-only conv
+/// check costs a few microseconds, less than handing it to another
+/// thread, so `config.parallel` governs recovery segments only.
 pub(crate) fn run_detection(
     model: &Sequential,
     artifacts: &Artifacts,
@@ -167,23 +161,10 @@ pub(crate) fn run_detection_subset(
             model.len()
         )));
     }
-    let results: Vec<Result<LayerCheck>> = if config.parallel && checked.len() > 1 {
-        checked
-            .par_iter()
-            .map(|&i| check_layer(model, artifacts, config, i))
-            .collect()
-    } else {
-        checked
-            .iter()
-            .map(|&i| check_layer(model, artifacts, config, i))
-            .collect()
-    };
-    let mut checks = Vec::with_capacity(results.len());
+    let mut checks = Vec::with_capacity(checked.len());
     let mut flagged = Vec::new();
-    // Errors surface in ascending layer order, matching the serial
-    // short-circuit behaviour.
-    for result in results {
-        let check = result?;
+    for &i in &checked {
+        let check = check_layer(model, artifacts, config, i)?;
         if check.flagged {
             flagged.push(check.layer);
         }

@@ -1,7 +1,9 @@
-//! Serial-vs-parallel determinism: the rayon-parallel detection and
-//! recovery paths must return **bit-identical** results to the serial
-//! reference paths — same flags, same deviations, same outcomes, same
-//! healed parameter bits.
+//! Serial-vs-parallel determinism: the rayon-parallel recovery path
+//! must return **bit-identical** results to the serial reference path —
+//! same outcomes, same healed parameter bits. Detection runs serially
+//! whatever `MilrConfig::parallel` says (DESIGN.md §16); its half of
+//! this suite pins that the flag still leaves flags and deviations
+//! bit-identical, so reintroducing a detection fan-out stays safe.
 
 use milr_core::{Milr, MilrConfig};
 use milr_fault::{corrupt_layer, inject_rber, inject_whole_weight, FaultRng};

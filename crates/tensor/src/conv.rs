@@ -1,4 +1,5 @@
-use crate::{matmul, Result, Tensor, TensorError};
+use crate::gemm::Gemm;
+use crate::{Result, Tensor, TensorError};
 use serde::{Deserialize, Serialize};
 
 /// Spatial padding policy for convolution and pooling, mirroring the two
@@ -57,9 +58,14 @@ impl ConvSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidGeometry`] when a valid-padding
-    /// filter does not fit in the input.
+    /// Returns [`TensorError::InvalidGeometry`] for a zero-length input
+    /// and when a valid-padding filter does not fit in the input.
     pub fn output_dim(&self, input: usize) -> Result<(usize, usize)> {
+        if input == 0 {
+            return Err(TensorError::InvalidGeometry(
+                "convolution input must have positive length".into(),
+            ));
+        }
         match self.padding {
             Padding::Valid => {
                 if input < self.filter {
@@ -102,102 +108,232 @@ pub fn im2col(input: &Tensor, spec: &ConvSpec) -> Result<Tensor> {
             actual: input.ndim(),
         });
     }
-    let (h, w, c) = (
-        input.shape().dim(0),
-        input.shape().dim(1),
-        input.shape().dim(2),
-    );
-    let (gh, pad_h) = spec.output_dim(h)?;
-    let (gw, pad_w) = spec.output_dim(w)?;
-    let f = spec.filter;
-    let s = spec.stride;
-    let cols = f * f * c;
-    let mut out = vec![0.0f32; gh * gw * cols];
-    let data = input.data();
-    for i in 0..gh {
-        for j in 0..gw {
-            let row_base = (i * gw + j) * cols;
-            for f1 in 0..f {
-                // Signed arithmetic: padding can place the filter off the
-                // image edge, where the contribution is zero.
-                let y = (i * s + f1) as isize - pad_h as isize;
-                if y < 0 || y >= h as isize {
-                    continue;
-                }
-                for f2 in 0..f {
-                    let x = (j * s + f2) as isize - pad_w as isize;
-                    if x < 0 || x >= w as isize {
-                        continue;
-                    }
-                    let src = ((y as usize * w) + x as usize) * c;
-                    let dst = row_base + (f1 * f + f2) * c;
-                    out[dst..dst + c].copy_from_slice(&data[src..src + c]);
-                }
+    let dims = input.shape().dims();
+    let walker = PatchWalker::new(dims[0], dims[1], dims[2], spec)?;
+    let mut out = vec![0.0f32; walker.locations() * walker.patch_len()];
+    walker.fill(input.data(), &mut out);
+    Tensor::from_vec(out, &[walker.locations(), walker.patch_len()])
+}
+
+/// Where each output location's receptive field lies in one `(H, W, C)`
+/// image: the geometry half of `im2col`, shared by [`im2col`],
+/// [`conv2d`] and [`conv2d_at`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PatchWalker {
+    h: usize,
+    w: usize,
+    c: usize,
+    f: usize,
+    s: usize,
+    gh: usize,
+    gw: usize,
+    pad_h: usize,
+    pad_w: usize,
+}
+
+impl PatchWalker {
+    fn new(h: usize, w: usize, c: usize, spec: &ConvSpec) -> Result<Self> {
+        let (gh, pad_h) = spec.output_dim(h)?;
+        let (gw, pad_w) = spec.output_dim(w)?;
+        Ok(PatchWalker {
+            h,
+            w,
+            c,
+            f: spec.filter,
+            s: spec.stride,
+            gh,
+            gw,
+            pad_h,
+            pad_w,
+        })
+    }
+
+    /// Output locations `G_h·G_w` (rows of the patch matrix).
+    fn locations(&self) -> usize {
+        self.gh * self.gw
+    }
+
+    /// Patch length `F·F·C` (columns of the patch matrix).
+    pub(crate) fn patch_len(&self) -> usize {
+        self.f * self.f * self.c
+    }
+
+    /// Writes the patch matrix of `image` into `dst`, row `i·G_w + j`
+    /// per output location.
+    fn fill(&self, image: &[f32], dst: &mut [f32]) {
+        let len = self.patch_len();
+        for loc in 0..self.locations() {
+            let row = &mut dst[loc * len..][..len];
+            self.write_patch(image, loc / self.gw, loc % self.gw, row);
+        }
+    }
+
+    /// Writes the receptive field of output location `(i, j)` into
+    /// `dst` in `(f1, f2, z)` order, zero where the filter overhangs
+    /// the padded border. Each filter row is one contiguous copy.
+    fn write_patch(&self, image: &[f32], i: usize, j: usize, dst: &mut [f32]) {
+        let (c, f) = (self.c, self.f);
+        if c == 0 {
+            return;
+        }
+        // Signed arithmetic: padding can place the filter off the image
+        // edge, where the contribution is zero.
+        let x0 = (j * self.s) as isize - self.pad_w as isize;
+        let lo = (-x0).clamp(0, f as isize) as usize;
+        let hi = (self.w as isize - x0).clamp(lo as isize, f as isize) as usize;
+        for (f1, row) in dst.chunks_exact_mut(f * c).enumerate() {
+            let y = (i * self.s + f1) as isize - self.pad_h as isize;
+            if y < 0 || y >= self.h as isize {
+                row.fill(0.0);
+                continue;
+            }
+            row[..lo * c].fill(0.0);
+            row[hi * c..].fill(0.0);
+            if hi > lo {
+                let src = (y as usize * self.w + (x0 + lo as isize) as usize) * c;
+                row[lo * c..hi * c].copy_from_slice(&image[src..src + (hi - lo) * c]);
             }
         }
     }
-    Tensor::from_vec(out, &[gh * gw, cols])
+}
+
+/// Validated `conv2d` operands: batch size, patch geometry and filter
+/// count.
+pub(crate) struct ConvOperands {
+    pub(crate) batch: usize,
+    pub(crate) walker: PatchWalker,
+    pub(crate) y: usize,
+}
+
+impl ConvOperands {
+    /// Checks an input `(B, H, W, C)` against filters `(F, F, C, Y)`.
+    pub(crate) fn check(input: &Tensor, filters: &Tensor, spec: &ConvSpec) -> Result<Self> {
+        if input.ndim() != 4 {
+            return Err(TensorError::RankMismatch {
+                op: "conv2d",
+                expected: 4,
+                actual: input.ndim(),
+            });
+        }
+        if filters.ndim() != 4 {
+            return Err(TensorError::RankMismatch {
+                op: "conv2d filters",
+                expected: 4,
+                actual: filters.ndim(),
+            });
+        }
+        let &[b, h, w, c] = input.shape().dims() else {
+            unreachable!("rank checked")
+        };
+        let &[f1, f2, z, y] = filters.shape().dims() else {
+            unreachable!("rank checked")
+        };
+        if f1 != spec.filter || f2 != spec.filter {
+            return Err(TensorError::InvalidGeometry(format!(
+                "filter tensor is {f1}x{f2} but spec says {0}x{0}",
+                spec.filter
+            )));
+        }
+        if z != c {
+            return Err(TensorError::ShapeMismatch {
+                op: "conv2d channels",
+                lhs: input.shape().dims().to_vec(),
+                rhs: filters.shape().dims().to_vec(),
+            });
+        }
+        Ok(ConvOperands {
+            batch: b,
+            walker: PatchWalker::new(h, w, c, spec)?,
+            y,
+        })
+    }
+
+    /// Output shape `(B, G_h, G_w, Y)`.
+    pub(crate) fn out_dims(&self) -> [usize; 4] {
+        [self.batch, self.walker.gh, self.walker.gw, self.y]
+    }
+
+    /// Elements of one input image.
+    fn image_len(&self) -> usize {
+        self.walker.h * self.walker.w * self.walker.c
+    }
 }
 
 /// 2-D convolution over a batch: input `(B, H, W, C)`, filters
 /// `(F, F, C, Y)`, output `(B, G_h, G_w, Y)`.
 ///
-/// Implements the paper's Equation 4 via `im2col` + matmul per image.
+/// Implements the paper's Equation 4 as patch matrix × filter bank per
+/// image: a patch walker fills one `im2col` scratch, reused across the
+/// batch, and the register-tiled GEMM writes straight into the output.
+/// A row-major `(F, F, C, Y)` filter tensor already is the `(F·F·C, Y)`
+/// matrix, so it is used in place. Bit-identical to
+/// [`scalar::conv2d`](crate::scalar::conv2d) (DESIGN.md §16).
 ///
 /// # Errors
 ///
 /// Returns an error for rank/channel mismatches or impossible geometry.
 pub fn conv2d(input: &Tensor, filters: &Tensor, spec: &ConvSpec) -> Result<Tensor> {
-    if input.ndim() != 4 {
-        return Err(TensorError::RankMismatch {
-            op: "conv2d",
-            expected: 4,
-            actual: input.ndim(),
+    let ops = ConvOperands::check(input, filters, spec)?;
+    let (rows, cols) = (ops.walker.locations(), ops.walker.patch_len());
+    let gemm = Gemm::for_weights(filters.data());
+    let mut out = vec![0.0f32; ops.out_dims().iter().product()];
+    let mut patches = vec![0.0f32; rows * cols];
+    for img in 0..ops.batch {
+        let image = &input.data()[img * ops.image_len()..][..ops.image_len()];
+        ops.walker.fill(image, &mut patches);
+        let dst = &mut out[img * rows * ops.y..][..rows * ops.y];
+        gemm.run(&patches, rows, cols, filters.data(), ops.y, dst);
+    }
+    Tensor::from_vec(out, &ops.out_dims())
+}
+
+/// The `Y` outputs of [`conv2d`] at one location `[image, row, col]`,
+/// computed from that location's receptive field alone.
+///
+/// Bit-identical to the full convolution there, at `O(Y·F²·C)` instead
+/// of `O(G_h·G_w·Y·F²·C)`: MILR's conv detection check reads a single
+/// probe pixel.
+///
+/// # Errors
+///
+/// As [`conv2d`], plus [`TensorError::IndexOutOfBounds`] when the
+/// location lies outside the `(B, G_h, G_w)` output.
+///
+/// ```
+/// use milr_tensor::{conv2d, conv2d_at, ConvSpec, Padding, TensorRng};
+///
+/// let mut rng = TensorRng::new(1);
+/// let input = rng.uniform_tensor(&[1, 6, 6, 2]);
+/// let filters = rng.uniform_tensor(&[3, 3, 2, 4]);
+/// let spec = ConvSpec::new(3, 1, Padding::Same)?;
+/// let full = conv2d(&input, &filters, &spec)?;
+/// let probe = conv2d_at(&input, &filters, &spec, [0, 3, 2])?;
+/// for (k, v) in probe.iter().enumerate() {
+///     assert_eq!(v.to_bits(), full.at(&[0, 3, 2, k])?.to_bits());
+/// }
+/// # Ok::<(), milr_tensor::TensorError>(())
+/// ```
+pub fn conv2d_at(
+    input: &Tensor,
+    filters: &Tensor,
+    spec: &ConvSpec,
+    at: [usize; 3],
+) -> Result<Vec<f32>> {
+    let ops = ConvOperands::check(input, filters, spec)?;
+    let [img, i, j] = at;
+    let [b, gh, gw, y] = ops.out_dims();
+    if img >= b || i >= gh || j >= gw {
+        return Err(TensorError::IndexOutOfBounds {
+            index: at.to_vec(),
+            shape: vec![b, gh, gw],
         });
     }
-    if filters.ndim() != 4 {
-        return Err(TensorError::RankMismatch {
-            op: "conv2d filters",
-            expected: 4,
-            actual: filters.ndim(),
-        });
-    }
-    let (b, h, w, c) = (
-        input.shape().dim(0),
-        input.shape().dim(1),
-        input.shape().dim(2),
-        input.shape().dim(3),
-    );
-    let (f1, f2, z, y) = (
-        filters.shape().dim(0),
-        filters.shape().dim(1),
-        filters.shape().dim(2),
-        filters.shape().dim(3),
-    );
-    if f1 != spec.filter || f2 != spec.filter {
-        return Err(TensorError::InvalidGeometry(format!(
-            "filter tensor is {f1}x{f2} but spec says {0}x{0}",
-            spec.filter
-        )));
-    }
-    if z != c {
-        return Err(TensorError::ShapeMismatch {
-            op: "conv2d channels",
-            lhs: input.shape().dims().to_vec(),
-            rhs: filters.shape().dims().to_vec(),
-        });
-    }
-    let (gh, _) = spec.output_dim(h)?;
-    let (gw, _) = spec.output_dim(w)?;
-    let filter_mat = filters.reshape(&[f1 * f2 * z, y])?;
-    let mut out = Vec::with_capacity(b * gh * gw * y);
-    for img in 0..b {
-        let image = slice_batch(input, img)?;
-        let cols = im2col(&image, spec)?;
-        let prod = matmul(&cols, &filter_mat)?;
-        out.extend_from_slice(prod.data());
-    }
-    Tensor::from_vec(out, &[b, gh, gw, y])
+    let image = &input.data()[img * ops.image_len()..][..ops.image_len()];
+    let mut patch = vec![0.0f32; ops.walker.patch_len()];
+    ops.walker.write_patch(image, i, j, &mut patch);
+    let mut out = vec![0.0f32; y];
+    Gemm::for_weights(filters.data()).run(&patch, 1, patch.len(), filters.data(), y, &mut out);
+    Ok(out)
 }
 
 /// Reassembles per-patch values into an image, averaging overlapping
@@ -272,37 +408,80 @@ pub fn col2im_accumulate(
     Tensor::from_vec(data, &[h, w, c])
 }
 
-/// Extracts image `index` from a batched `(B, …)` tensor as a rank-(n−1)
-/// tensor.
-///
-/// # Errors
-///
-/// Returns an error for rank-0 tensors or out-of-range indices.
-pub(crate) fn slice_batch(batch: &Tensor, index: usize) -> Result<Tensor> {
-    if batch.ndim() == 0 {
-        return Err(TensorError::RankMismatch {
-            op: "slice_batch",
-            expected: 1,
-            actual: 0,
-        });
-    }
-    let b = batch.shape().dim(0);
-    if index >= b {
-        return Err(TensorError::IndexOutOfBounds {
-            index: vec![index],
-            shape: batch.shape().dims().to_vec(),
-        });
-    }
-    let rest: Vec<usize> = batch.shape().dims()[1..].to_vec();
-    let stride: usize = rest.iter().product();
-    let data = batch.data()[index * stride..(index + 1) * stride].to_vec();
-    Tensor::from_vec(data, &rest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{bits, relu_like, Awkward, OneOf};
+    use crate::{scalar, TensorRng};
     use proptest::prelude::*;
+
+    /// Draws one convolution case: geometry plus input and filter data,
+    /// with `Valid` geometries that do not fit skipped by the caller.
+    struct ConvCase {
+        input: Tensor,
+        filters: Tensor,
+        spec: ConvSpec,
+    }
+
+    impl ConvCase {
+        #[allow(clippy::too_many_arguments)]
+        fn new(
+            batch: usize,
+            h: usize,
+            w: usize,
+            c: usize,
+            f: usize,
+            y: usize,
+            stride: usize,
+            padding: Padding,
+            x: &[f32],
+            k: &[f32],
+        ) -> Option<Self> {
+            let spec = ConvSpec::new(f, stride, padding).unwrap();
+            if spec.output_dim(h).is_err() || spec.output_dim(w).is_err() {
+                return None;
+            }
+            let input =
+                Tensor::from_vec(x[..batch * h * w * c].to_vec(), &[batch, h, w, c]).unwrap();
+            let filters = Tensor::from_vec(k[..f * f * c * y].to_vec(), &[f, f, c, y]).unwrap();
+            Some(ConvCase {
+                input,
+                filters,
+                spec,
+            })
+        }
+
+        /// Asserts the fast `conv2d` and every `conv2d_at` location equal
+        /// the scalar reference bit for bit.
+        fn check(&self) {
+            let want = scalar::conv2d(&self.input, &self.filters, &self.spec).unwrap();
+            let got = conv2d(&self.input, &self.filters, &self.spec).unwrap();
+            assert_eq!(got.shape(), want.shape());
+            assert_eq!(bits(got.data()), bits(want.data()), "{:?}", self.spec);
+            let &[b, gh, gw, y] = want.shape().dims() else {
+                unreachable!()
+            };
+            for img in 0..b {
+                for i in 0..gh {
+                    for j in 0..gw {
+                        let at = conv2d_at(&self.input, &self.filters, &self.spec, [img, i, j]);
+                        let off = ((img * gh + i) * gw + j) * y;
+                        assert_eq!(bits(&at.unwrap()), bits(&want.data()[off..off + y]));
+                    }
+                }
+            }
+        }
+    }
+
+    const MAX_HW: usize = 9;
+    const MAX_C: usize = 3;
+    const MAX_F: usize = 3;
+    const MAX_Y: usize = 10;
+    const BATCHES: OneOf<usize> = OneOf(&[1, 8]);
+    const FILTER_COUNTS: OneOf<usize> = OneOf(&[1, 3, 8, 10]);
+    const PADDINGS: OneOf<Padding> = OneOf(&[Padding::Same, Padding::Valid]);
+    const X_LEN: usize = 8 * MAX_HW * MAX_HW * MAX_C;
+    const K_LEN: usize = MAX_F * MAX_F * MAX_C * MAX_Y;
 
     fn seq_tensor(dims: &[usize]) -> Tensor {
         let n: usize = dims.iter().product();
@@ -329,6 +508,38 @@ mod tests {
         // Filter bigger than input under valid padding fails.
         let big = ConvSpec::new(5, 1, Padding::Valid).unwrap();
         assert!(big.output_dim(4).is_err());
+    }
+
+    #[test]
+    fn output_dim_rejects_zero_length_input() {
+        for padding in [Padding::Same, Padding::Valid] {
+            let spec = ConvSpec::new(3, 2, padding).unwrap();
+            assert!(matches!(
+                spec.output_dim(0),
+                Err(TensorError::InvalidGeometry(_))
+            ));
+        }
+        // A zero-width input reaches conv2d as an error, not a panic.
+        let spec = ConvSpec::new(1, 1, Padding::Same).unwrap();
+        let input = Tensor::zeros(&[1, 0, 4, 1]);
+        assert!(conv2d(&input, &Tensor::ones(&[1, 1, 1, 1]), &spec).is_err());
+    }
+
+    #[test]
+    fn conv2d_at_rejects_out_of_range_locations() {
+        let input = Tensor::ones(&[2, 4, 4, 1]);
+        let filters = Tensor::ones(&[3, 3, 1, 2]);
+        let spec = ConvSpec::new(3, 1, Padding::Valid).unwrap();
+        assert_eq!(
+            conv2d_at(&input, &filters, &spec, [1, 1, 1]).unwrap(),
+            vec![9.0; 2]
+        );
+        for at in [[2, 0, 0], [0, 2, 0], [0, 0, 2]] {
+            assert!(matches!(
+                conv2d_at(&input, &filters, &spec, at),
+                Err(TensorError::IndexOutOfBounds { .. })
+            ));
+        }
     }
 
     #[test]
@@ -425,13 +636,81 @@ mod tests {
         assert!(back.approx_eq(&input, 1e-6, 1e-6));
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn conv2d_matches_reference_bits(
+            batch in BATCHES,
+            h in 1usize..MAX_HW + 1,
+            w in 1usize..MAX_HW + 1,
+            c in 1usize..MAX_C + 1,
+            f in 1usize..MAX_F + 1,
+            y in FILTER_COUNTS,
+            stride in 1usize..3,
+            padding in PADDINGS,
+            x in proptest::collection::vec(Awkward { non_finite: true }, X_LEN),
+            k in proptest::collection::vec(Awkward { non_finite: false }, K_LEN),
+        ) {
+            if let Some(case) = ConvCase::new(batch, h, w, c, f, y, stride, padding, &x, &k) {
+                case.check();
+            }
+        }
+
+        #[test]
+        fn conv2d_matches_reference_on_relu_like_inputs(
+            batch in BATCHES,
+            h in 1usize..MAX_HW + 1,
+            w in 1usize..MAX_HW + 1,
+            c in 1usize..MAX_C + 1,
+            f in 1usize..MAX_F + 1,
+            y in FILTER_COUNTS,
+            stride in 1usize..3,
+            padding in PADDINGS,
+            x in proptest::collection::vec(Awkward { non_finite: false }, X_LEN),
+            k in proptest::collection::vec(Awkward { non_finite: false }, K_LEN),
+        ) {
+            let x = relu_like(&x);
+            if let Some(case) = ConvCase::new(batch, h, w, c, f, y, stride, padding, &x, &k) {
+                case.check();
+            }
+        }
+
+        #[test]
+        fn conv2d_matches_reference_with_non_finite_filters(
+            batch in BATCHES,
+            h in 1usize..MAX_HW + 1,
+            w in 1usize..MAX_HW + 1,
+            c in 1usize..MAX_C + 1,
+            f in 1usize..MAX_F + 1,
+            y in FILTER_COUNTS,
+            stride in 1usize..3,
+            padding in PADDINGS,
+            x in proptest::collection::vec(Awkward { non_finite: true }, X_LEN),
+            k in proptest::collection::vec(Awkward { non_finite: true }, K_LEN),
+        ) {
+            if let Some(case) = ConvCase::new(batch, h, w, c, f, y, stride, padding, &x, &k) {
+                case.check();
+            }
+        }
+    }
+
     #[test]
-    fn slice_batch_extracts_images() {
-        let batch = seq_tensor(&[2, 2, 2, 1]);
-        let img1 = slice_batch(&batch, 1).unwrap();
-        assert_eq!(img1.shape().dims(), &[2, 2, 1]);
-        assert_eq!(img1.data(), &[4.0, 5.0, 6.0, 7.0]);
-        assert!(slice_batch(&batch, 2).is_err());
+    fn conv2d_matches_reference_at_model_scale() {
+        // The CIFAR-small shapes: batch 8, 16x16, Same 3x3, 3->8->8 and a
+        // stride-2 layer, seeded uniform data.
+        let mut rng = TensorRng::new(0x5EED);
+        for (c, y, stride) in [(3usize, 8usize, 1usize), (8, 8, 1), (8, 16, 2)] {
+            let input = rng.uniform_tensor(&[8, 16, 16, c]);
+            let filters = rng.uniform_tensor(&[3, 3, c, y]);
+            let spec = ConvSpec::new(3, stride, Padding::Same).unwrap();
+            ConvCase {
+                input,
+                filters,
+                spec,
+            }
+            .check();
+        }
     }
 
     proptest! {

@@ -32,13 +32,17 @@
 
 mod conv;
 mod error;
+mod gemm;
 mod ops;
 mod pool;
 mod prng;
+pub mod scalar;
 mod shape;
 mod tensor;
+#[cfg(test)]
+mod testutil;
 
-pub use conv::{col2im_accumulate, conv2d, im2col, ConvSpec, Padding};
+pub use conv::{col2im_accumulate, conv2d, conv2d_at, im2col, ConvSpec, Padding};
 pub use error::TensorError;
 pub use ops::{argmax, matmul};
 pub use pool::{avg_pool2d, max_pool2d, PoolSpec};

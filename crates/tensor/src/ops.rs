@@ -1,3 +1,4 @@
+use crate::gemm::Gemm;
 use crate::{Result, Tensor, TensorError};
 
 /// Matrix product of two rank-2 tensors: `(M,N) × (N,P) → (M,P)`.
@@ -7,7 +8,9 @@ use crate::{Result, Tensor, TensorError};
 /// in `f64` so that the forward pass MILR replays during detection and the
 /// init-time pass that produced the checkpoints agree bit-for-bit and are
 /// as close as possible to the algebraic value the recovery solver
-/// reconstructs.
+/// reconstructs. The register-tiled kernel keeps every output's
+/// `k = 0..N` summation order, so the result is bit-identical to
+/// [`scalar::matmul`](crate::scalar::matmul) (DESIGN.md §16).
 ///
 /// # Errors
 ///
@@ -24,6 +27,14 @@ use crate::{Result, Tensor, TensorError};
 /// # Ok::<(), milr_tensor::TensorError>(())
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    let (m, n, p) = matmul_dims(a, b)?;
+    let mut out = vec![0.0f32; m * p];
+    Gemm::for_weights(b.data()).run(a.data(), m, n, b.data(), p, &mut out);
+    Tensor::from_vec(out, &[m, p])
+}
+
+/// Validates `matmul` operands, returning `(M, N, P)`.
+pub(crate) fn matmul_dims(a: &Tensor, b: &Tensor) -> Result<(usize, usize, usize)> {
     if a.ndim() != 2 {
         return Err(TensorError::RankMismatch {
             op: "matmul",
@@ -47,30 +58,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             rhs: b.shape().dims().to_vec(),
         });
     }
-    let ad = a.data();
-    let bd = b.data();
-    let mut out = vec![0.0f32; m * p];
-    // Cache-friendly ikj loop with f64 accumulator rows.
-    let mut acc = vec![0.0f64; p];
-    for i in 0..m {
-        for x in acc.iter_mut() {
-            *x = 0.0;
-        }
-        for k in 0..n {
-            let aik = ad[i * n + k] as f64;
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = &bd[k * p..(k + 1) * p];
-            for (j, &bkj) in brow.iter().enumerate() {
-                acc[j] += aik * bkj as f64;
-            }
-        }
-        for j in 0..p {
-            out[i * p + j] = acc[j] as f32;
-        }
-    }
-    Tensor::from_vec(out, &[m, p])
+    Ok((m, n, p))
 }
 
 /// Index of the largest element in a flat slice; ties resolve to the
