@@ -13,14 +13,14 @@
 //! The run is deterministic under `--seed`: re-running prints the same
 //! digest and availability bit-for-bit.
 //!
-//! `--live` instead runs the real multi-threaded server twice under a
-//! wall-clock fault campaign — once on the legacy materialize-per-batch
-//! read path and once on the fused epoch-cached path — and reports the
-//! sustained-QPS speedup on identical hardware and seed.
+//! `--live` instead runs the real multi-threaded server under a
+//! wall-clock fault campaign and reports its sustained QPS.
 //!
-//! `--check-p99-against FILE` compares this run's p99 latency against a
-//! previously recorded summary and exits non-zero when it regressed
-//! more than 2x — the CI latency gate.
+//! `--check-report-against FILE` requires this run's `report` JSON to
+//! equal the `report` of a previously recorded summary byte for byte —
+//! the CI behaviour gate. The simulation is a pure function of its
+//! flags, so any change in scheduling, certification, quarantine, or
+//! accounting shows up as a diff.
 
 use milr_bench::json::{write_summary, JsonObject};
 use milr_bench::live::{run_live, LiveConfig};
@@ -28,7 +28,7 @@ use milr_bench::obs::ObsOutputs;
 use milr_bench::serve::run_measured_observed;
 use milr_core::MilrConfig;
 use milr_serve::sim::SimConfig;
-use milr_serve::{QuarantinePolicy, ReadPath};
+use milr_serve::QuarantinePolicy;
 use milr_substrate::SubstrateKind;
 use std::time::Duration;
 
@@ -39,7 +39,7 @@ struct Cli {
     live: bool,
     substrate: SubstrateKind,
     fault_every_ms: u64,
-    check_p99_against: Option<String>,
+    check_report_against: Option<String>,
     trace_out: Option<String>,
     metrics_out: Option<String>,
     spans_out: Option<String>,
@@ -55,7 +55,7 @@ fn parse_cli() -> Result<Cli, String> {
     let mut live = false;
     let mut substrate = SubstrateKind::XtsSecded;
     let mut fault_every_ms = 40u64;
-    let mut check_p99_against = None;
+    let mut check_report_against = None;
     let mut trace_out = None;
     let mut metrics_out = None;
     let mut spans_out = None;
@@ -130,7 +130,9 @@ fn parse_cli() -> Result<Cli, String> {
                     .parse()
                     .map_err(|e| format!("bad --fault-every-ms: {e}"))?
             }
-            "--check-p99-against" => check_p99_against = Some(value("--check-p99-against")?),
+            "--check-report-against" => {
+                check_report_against = Some(value("--check-report-against")?)
+            }
             "--trace-out" => trace_out = Some(value("--trace-out")?),
             "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
             "--spans-out" => spans_out = Some(value("--spans-out")?),
@@ -152,7 +154,7 @@ fn parse_cli() -> Result<Cli, String> {
         live,
         substrate,
         fault_every_ms,
-        check_p99_against,
+        check_report_against,
         trace_out,
         metrics_out,
         spans_out,
@@ -162,41 +164,49 @@ fn parse_cli() -> Result<Cli, String> {
     })
 }
 
-/// Pulls `"latency_p99_us":<float>` out of a previously written summary
-/// (our own serializer, so a string scan is exact) — the first
-/// occurrence, which belongs to the headline report.
-fn baseline_p99_us(path: &str) -> Result<f64, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let key = "\"latency_p99_us\":";
-    let at = text.find(key).ok_or(format!("{path}: no latency_p99_us"))?;
-    let rest = &text[at + key.len()..];
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse()
-        .map_err(|e| format!("{path}: bad latency_p99_us: {e}"))
-}
-
-/// The CI latency gate: fail when p99 regressed more than 2x over the
-/// recorded baseline. A sub-baseline p99 always passes.
-fn enforce_p99_gate(current_us: f64, baseline_path: &str) {
-    match baseline_p99_us(baseline_path) {
-        Ok(baseline_us) => {
-            println!("p99 gate: current {current_us:.1} us vs baseline {baseline_us:.1} us");
-            if baseline_us > 0.0 && current_us > 2.0 * baseline_us {
-                eprintln!(
-                    "error: p99 regressed more than 2x over the recorded baseline \
-                     ({current_us:.1} us > 2 * {baseline_us:.1} us)"
-                );
-                std::process::exit(1);
+/// The `"report"` object of a summary this binary wrote: the balanced
+/// `{…}` after the first `"report":` key (our own serializer, so a scan
+/// is exact — no string in it contains a brace).
+fn report_json(text: &str) -> Option<&str> {
+    let key = "\"report\":";
+    let start = text.find(key)? + key.len();
+    let mut depth = 0usize;
+    for (i, c) in text[start..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' => {
+                depth = depth.checked_sub(1)?;
+                if depth == 0 {
+                    return Some(&text[start..=start + i]);
+                }
             }
-        }
-        Err(msg) => {
-            eprintln!("error: p99 gate could not read the baseline: {msg}");
-            std::process::exit(1);
+            _ => {}
         }
     }
+    None
+}
+
+/// The CI behaviour gate: the run's report must equal the recorded
+/// baseline's byte for byte.
+fn enforce_report_gate(current: &str, baseline_path: &str) {
+    let text = match std::fs::read_to_string(baseline_path) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("error: report gate could not read {baseline_path}: {e}");
+            std::process::exit(1);
+        }
+    };
+    let Some(baseline) = report_json(&text) else {
+        eprintln!("error: {baseline_path} has no \"report\" object");
+        std::process::exit(1);
+    };
+    if current != baseline {
+        eprintln!(
+            "error: the report diverged from the recorded baseline\n  got:  {current}\n  want: {baseline}"
+        );
+        std::process::exit(1);
+    }
+    println!("report gate: byte-identical to {baseline_path}");
 }
 
 fn main() {
@@ -208,7 +218,7 @@ fn main() {
                 "usage: [--requests N] [--seed N] [--model-seed N] [--workers N] [--faults N] \
                  [--batch-max N] [--batch-wait-us N] [--scrub-interval-us N] \
                  [--policy drain|reject] [--live] [--substrate plain|secded|xts|xts-secded] \
-                 [--fault-every-ms N] [--check-p99-against FILE] [--trace-out FILE] \
+                 [--fault-every-ms N] [--check-report-against FILE] [--trace-out FILE] \
                  [--metrics-out FILE] [--spans-out FILE] [--slo-out FILE] \
                  [--live-http ADDR] [--live-http-hold-ms N] [--json FILE]"
             );
@@ -217,7 +227,13 @@ fn main() {
     };
     let net = milr_models::reduced_mnist(cli.model_seed);
     if cli.live {
-        run_live_comparison(&cli, &net.model);
+        if cli.check_report_against.is_some() {
+            eprintln!(
+                "error: --check-report-against gates the deterministic simulation, not --live"
+            );
+            std::process::exit(2);
+        }
+        run_live_once(&cli, &net.model);
         return;
     }
     let obs_out = ObsOutputs::from_flags(cli.trace_out.clone(), cli.metrics_out.clone())
@@ -287,14 +303,13 @@ fn main() {
         .raw("storage", &storage.to_json())
         .finish();
     write_summary(&json, cli.json.as_deref());
-    if let Some(baseline) = &cli.check_p99_against {
-        enforce_p99_gate(r.latency.p99_us, baseline);
+    if let Some(baseline) = &cli.check_report_against {
+        enforce_report_gate(&r.to_json(), baseline);
     }
 }
 
-/// The `--live` mode: one wall-clock campaign per read path, same seed
-/// and hardware, reporting the fused-over-legacy sustained-QPS speedup.
-fn run_live_comparison(cli: &Cli, model: &milr_nn::Sequential) {
+/// The `--live` mode: one wall-clock campaign through the real server.
+fn run_live_once(cli: &Cli, model: &milr_nn::Sequential) {
     // The live server keeps its own metrics registry (snapshotted at
     // shutdown), so only the trace and spans ride through ObsOutputs.
     let obs_out = ObsOutputs::from_flags(cli.trace_out.clone(), None)
@@ -311,6 +326,10 @@ fn run_live_comparison(cli: &Cli, model: &milr_nn::Sequential) {
         // Termination guarantee on starved machines: a fault-free tail
         // always exists, so certification cannot livelock.
         max_faults: Some(cli.sim.requests),
+        trace: obs_out.observer().trace,
+        spans: obs_out.span_handle(),
+        http_addr: cli.live_http.clone(),
+        http_hold: Duration::from_millis(cli.live_http_hold_ms),
         ..LiveConfig::default()
     };
     println!("# serve_load --live — real server under a fault campaign [reduced MNIST twin]");
@@ -324,63 +343,34 @@ fn run_live_comparison(cli: &Cli, model: &milr_nn::Sequential) {
         live_cfg.substrate,
         cli.fault_every_ms
     );
-    let legacy = run_live(
-        model,
-        MilrConfig::default(),
-        ReadPath::LegacyMaterialize,
-        &live_cfg,
-    )
-    .expect("live server cannot fail structurally");
-    // Only the fused (headline) run is observed: the comparison trace
-    // and spans would interleave two servers' wall clocks in one
-    // stream. It also hosts the live introspection endpoint.
-    let fused_cfg = LiveConfig {
-        trace: obs_out.observer().trace,
-        spans: obs_out.span_handle(),
-        http_addr: cli.live_http.clone(),
-        http_hold: Duration::from_millis(cli.live_http_hold_ms),
-        ..live_cfg
-    };
-    let fused = run_live(model, MilrConfig::default(), ReadPath::Fused, &fused_cfg)
+    let out = run_live(model, MilrConfig::default(), &live_cfg)
         .expect("live server cannot fail structurally");
-    for (name, out) in [("legacy", &legacy), ("fused", &fused)] {
+    println!(
+        "live: {:.1} qps ({} completed in {:.3} s), p50 {:.1} us, p99 {:.1} us, \
+         {} faults -> {} quarantines",
+        out.qps,
+        out.report.completed,
+        out.elapsed.as_secs_f64(),
+        out.report.latency.p50_us,
+        out.report.latency.p99_us,
+        out.faults_injected,
+        out.report.quarantines
+    );
+    if let Some(slo) = &out.report.slo {
         println!(
-            "{name:>7}: {:.1} qps ({} completed in {:.3} s), p50 {:.1} us, p99 {:.1} us, \
-             {} faults -> {} quarantines",
-            out.qps,
-            out.report.completed,
-            out.elapsed.as_secs_f64(),
-            out.report.latency.p50_us,
-            out.report.latency.p99_us,
-            out.faults_injected,
-            out.report.quarantines
-        );
-    }
-    let speedup = fused.qps / legacy.qps.max(f64::MIN_POSITIVE);
-    println!("speedup: fused is {speedup:.2}x legacy sustained QPS");
-    if let Some(slo) = &fused.report.slo {
-        println!(
-            "slo:      {} ({} alert(s) fired, fused run)",
+            "slo:      {} ({} alert(s) fired)",
             if slo.pass { "PASS" } else { "FAIL" },
             slo.alerts
         );
     }
     obs_out.flush();
-    obs_out.write_slo(fused.report.slo.as_ref());
+    obs_out.write_slo(out.report.slo.as_ref());
     if let Some(path) = &cli.metrics_out {
-        if let Err(e) = std::fs::write(path, fused.metrics.to_prometheus()) {
+        if let Err(e) = std::fs::write(path, out.metrics.to_prometheus()) {
             eprintln!("error: write {path}: {e}");
             std::process::exit(1);
         }
-        println!("metrics:  {path} (fused run)");
+        println!("metrics:  {path}");
     }
-    let json = JsonObject::new()
-        .raw("legacy", &legacy.to_json())
-        .raw("fused", &fused.to_json())
-        .raw("speedup", &format!("{speedup:.3}"))
-        .finish();
-    write_summary(&json, cli.json.as_deref());
-    if let Some(baseline) = &cli.check_p99_against {
-        enforce_p99_gate(fused.report.latency.p99_us, baseline);
-    }
+    write_summary(&out.to_json(), cli.json.as_deref());
 }

@@ -4,14 +4,11 @@
 //! Where [`crate::serve`] runs the deterministic virtual-clock twin,
 //! this module actually spins up the worker pool and scrubber daemon,
 //! pushes a seeded workload through it while a campaign thread keeps
-//! injecting weight faults, and reports end-to-end QPS. Running it once
-//! per [`ReadPath`] quantifies the fused decode-forward path against
-//! the legacy materialize-per-batch server on identical hardware, the
-//! same seed, and the same campaign cadence.
+//! injecting weight faults, and reports end-to-end QPS.
 
 use milr_core::MilrConfig;
 use milr_nn::Sequential;
-use milr_serve::{ReadPath, ServeError, ServeReport, Server, ServerConfig};
+use milr_serve::{ServeError, ServeReport, Server, ServerConfig};
 use milr_substrate::SubstrateKind;
 use milr_tensor::{Tensor, TensorRng};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -111,14 +108,15 @@ impl LiveOutcome {
     }
 }
 
-/// Runs the live server once with the given read path. The submitter
-/// retries on queue-full backpressure, so every request eventually
-/// resolves; the campaign thread keeps flipping one weight of the first
-/// parameterized layer until the workload drains.
+/// Runs the live server once. The submitter retries on queue-full
+/// backpressure, so every request eventually resolves; the campaign
+/// thread keeps flipping one weight of the first parameterized layer
+/// until the workload drains.
 ///
 /// # Errors
 ///
-/// Propagates MILR protection failures from server start-up.
+/// Propagates server start-up failures (MILR protection, the
+/// introspection bind).
 ///
 /// # Panics
 ///
@@ -127,9 +125,8 @@ impl LiveOutcome {
 pub fn run_live(
     model: &Sequential,
     milr_config: MilrConfig,
-    read_path: ReadPath,
     cfg: &LiveConfig,
-) -> milr_core::Result<LiveOutcome> {
+) -> Result<LiveOutcome, milr_store::StoreError> {
     let server = Server::start(
         model,
         milr_config,
@@ -139,7 +136,6 @@ pub fn run_live(
             batch_wait: cfg.batch_wait,
             scrub_interval: cfg.scrub_interval,
             substrate: cfg.substrate,
-            read_path,
             trace: cfg.trace.clone(),
             spans: cfg.spans.clone(),
             http_addr: cfg.http_addr.clone(),
@@ -241,7 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn live_run_completes_the_workload_on_both_read_paths() {
+    fn live_run_completes_the_workload() {
         let m = model();
         let cfg = LiveConfig {
             requests: 24,
@@ -254,13 +250,11 @@ mod tests {
             max_faults: Some(2),
             ..LiveConfig::default()
         };
-        for path in [ReadPath::Fused, ReadPath::LegacyMaterialize] {
-            let out = run_live(&m, MilrConfig::default(), path, &cfg).unwrap();
-            assert_eq!(out.report.completed, 24, "{path:?} lost requests");
-            assert!(out.qps > 0.0);
-            let json = out.to_json();
-            assert!(json.starts_with("{\"qps\":"));
-            assert!(json.contains("\"report\":{\"seed\":"));
-        }
+        let out = run_live(&m, MilrConfig::default(), &cfg).unwrap();
+        assert_eq!(out.report.completed, 24, "lost requests");
+        assert!(out.qps > 0.0);
+        let json = out.to_json();
+        assert!(json.starts_with("{\"qps\":"));
+        assert!(json.contains("\"report\":{\"seed\":"));
     }
 }

@@ -2,12 +2,20 @@
 //!
 //! One single-threaded discrete-event loop drives N full replicas —
 //! each a substrate-backed host paging against its own on-disk `.milr`
-//! store — behind the fleet [`Router`], on a virtual clock. Every
-//! source of nondeterminism is seeded (arrivals, inputs, the
-//! per-replica fault campaign) or fixed ([`VirtualCosts`], the
-//! peer-fetch cost), so a run is a pure function of
+//! store, each serving through its own [`ServeCore`] — behind one
+//! shared fleet queue and the fleet [`Router`], on a virtual clock. The
+//! cores own the serving policy (certification, quarantine, resume,
+//! accounting); this driver adds what only a fleet has: routing, the
+//! client-facing fleet view, and peer repair. Every source of
+//! nondeterminism is seeded (the shared [`Workload`], the per-replica
+//! fault campaign, the [`ChaosOverlay`]) or fixed ([`VirtualCosts`],
+//! the peer-fetch cost), so a run is a pure function of
 //! `(model, MilrConfig, FleetConfig)`: two runs with the same seed
 //! produce byte-identical [`FleetReport`]s, outcome for outcome.
+//!
+//! The fleet dispatches immediately: a replica's core runs with no
+//! `batch_wait`, so a free worker anywhere takes queued work the moment
+//! the router picks it.
 //!
 //! ## The failure ladder
 //!
@@ -28,28 +36,26 @@
 //! fleet queue where healthy peers absorb it: no request is lost during
 //! failover.
 
-use crate::repair::PageImage;
-use crate::repair::{apply_repair, fetch_certified};
+use crate::repair::{apply_repair, fetch_certified, PageImage};
 use crate::replica::{Replica, ReplicaState};
 use crate::report::{FleetReport, ReplicaReport};
 use crate::router::Router;
 use crate::FleetError;
 use milr_core::{Milr, MilrConfig, SolvingPlan};
-use milr_fault::{
-    milli, plan_burst, plan_stuck_at, ChaosSpec, FaultRng, SkewSpec, StuckAtPlan, StuckAtSpec,
-};
-use milr_integrity::{PipelineReport, RoundOutcome, StageHook};
-use milr_nn::{Layer, Sequential};
-use milr_obs::{EventKind, Observer, SloEngine, SloKind, SloSpec, FLEET_SRC};
-use milr_serve::sim::{EventQueue, VirtualCosts};
+use milr_fault::{ChaosSpec, FaultRng};
+use milr_integrity::{PipelineReport, RoundOutcome};
+use milr_nn::Sequential;
+use milr_obs::{Counter, EventKind, Observer, SloEngine, SloSpec, FLEET_SRC};
+use milr_serve::workload::{campaign_time, conv_layers, ChaosOverlay, EventQueue, Workload};
 use milr_serve::{
-    outcome_digest, CertificationLedger, ChaosStats, DowntimeLog, LatencyStats, QuarantinePolicy,
-    RejectReason, RequestOutcome, RequestStatus, ScrubCursor, ServeReport,
+    outcome_digest, ChaosStats, CoreConfig, Effect, QuarantinePolicy, RequestOutcome, RequestQueue,
+    RequestStatus, Resolution, ServeCore, ServeCounts, ServeObs, ServeReport, ServeTally, Timer,
+    VirtualCosts,
 };
 use milr_store::{Store, StoreOptions};
 use milr_substrate::SubstrateKind;
-use milr_tensor::{Tensor, TensorRng};
-use std::collections::{BTreeSet, VecDeque};
+use milr_tensor::Tensor;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -164,18 +170,16 @@ enum Event {
         replica: usize,
         worker: usize,
     },
-    ScrubTick {
+    Core {
         replica: usize,
-        epoch: u64,
+        timer: Timer,
     },
+    /// A whole-weight fault, or with no `weight` a heavy fault that
+    /// corrupts the whole layer.
     Fault {
         replica: usize,
         layer: usize,
-        weight: usize,
-    },
-    HeavyFault {
-        replica: usize,
-        layer: usize,
+        weight: Option<usize>,
     },
     RecoveryDone {
         replica: usize,
@@ -190,17 +194,145 @@ enum Event {
     },
 }
 
-struct Req {
-    input: Tensor,
-    arrival: u64,
-    resolved: Option<(u64, RequestStatus)>,
+/// One fleet member: the replica, the core serving from it, and its
+/// peer-repair state.
+struct Member {
+    replica: Replica,
+    core: ServeCore<()>,
+    /// Outputs of each worker's batch, computed at dispatch and handed
+    /// to the core at completion.
+    outputs: Vec<Option<Vec<Tensor>>>,
+    repair_attempts: u32,
+    /// Irrecoverable layers awaiting peer repair.
+    pending_repair: Vec<usize>,
+    /// Donors whose donation to *this* replica was corrupted by the
+    /// byzantine campaign and rejected — skipped on every later donor
+    /// pick, so a retry reaches an honest peer instead of refetching
+    /// the same poisoned pages forever.
+    distrusted: BTreeSet<usize>,
+    repairs: Repairs,
 }
 
-struct Batch {
-    reqs: Vec<usize>,
-    outputs: Vec<Tensor>,
-    epoch: u64,
+/// Peer-repair tallies of one replica, for its [`ReplicaReport`].
+#[derive(Debug, Default)]
+struct Repairs {
+    peer_repairs: usize,
+    repair_pages: usize,
+    repair_bytes: usize,
+    repairs_donated: usize,
+    rejected_donations: usize,
 }
+
+/// The run state the event loop mutates.
+struct Fleet<'a> {
+    cfg: &'a FleetConfig,
+    timeline: EventQueue<Event>,
+    work: Workload,
+    /// Which replica resolved each request (`None`: the fleet shed it
+    /// at admission).
+    resolved_by: Vec<Option<usize>>,
+    queue: RequestQueue<()>,
+    router: Router,
+    members: Vec<Member>,
+    /// The client-facing view: down only while no replica serves.
+    view: ServeTally,
+    chaos: Option<ChaosOverlay>,
+    failovers: Option<Arc<Counter>>,
+    repairs: Option<Arc<Counter>>,
+}
+
+impl Fleet<'_> {
+    /// Acts on replica `r`'s core output: a dispatched batch runs its
+    /// forward pass now and completes after its virtual cost, timers
+    /// are scheduled, and resolutions land in the workload and the
+    /// fleet view.
+    fn settle(&mut self, r: usize, now: u64) {
+        let m = &mut self.members[r];
+        for effect in m.core.take_effects() {
+            match effect {
+                Effect::Dispatched { worker } => {
+                    let batch = m.core.batch(worker).expect("dispatched batch");
+                    let n = batch.len();
+                    // Fused decode-forward: each shard decodes through
+                    // the host's epoch-tagged cache, so the expensive
+                    // whole-model decode happens only after a
+                    // simulator-visible data change bumps a shard's
+                    // epoch.
+                    let outputs = m
+                        .replica
+                        .host()
+                        .forward_batch(&self.work.inputs(batch))
+                        .expect("batch inputs validated at submission");
+                    m.outputs[worker] = Some(outputs);
+                    self.timeline.schedule(
+                        now + self.cfg.costs.batch_ns(n),
+                        Event::WorkerDone { replica: r, worker },
+                    );
+                }
+                Effect::Wake { at, timer } => self
+                    .timeline
+                    .schedule(at, Event::Core { replica: r, timer }),
+            }
+        }
+        for res in m.core.take_resolved() {
+            self.view.resolved(&res.status, res.request.arrival_ns, now);
+            let id = self.work.resolve(res);
+            self.resolved_by[id] = Some(r);
+        }
+    }
+
+    /// Routes queued work round-robin over the replicas that are
+    /// serving with a free worker — the failover hand-off: re-queued
+    /// work from a quarantined replica goes to its peers.
+    fn dispatch(&mut self, now: u64) {
+        while !self.queue.is_empty() {
+            let eligible: Vec<bool> = self.members.iter().map(|m| m.core.can_dispatch()).collect();
+            let Some(r) = self.router.route(&eligible) else {
+                break;
+            };
+            self.members[r].core.dispatch(&mut self.queue, now);
+            self.settle(r, now);
+        }
+    }
+
+    fn any_serving(&self) -> bool {
+        self.members.iter().any(|m| !m.core.is_quarantined())
+    }
+
+    /// Re-evaluates the fleet view after a replica changed state.
+    fn gate(&mut self, now: u64) {
+        let serving = self.any_serving();
+        self.view.set_serving(now, serving);
+    }
+
+    /// Replica `r` passed verification: back into rotation.
+    fn rejoin(&mut self, r: usize, now: u64) {
+        let m = &mut self.members[r];
+        // Chaos campaigns quarantine the same replica repeatedly
+        // (stuck cells, repeated bursts); each episode deserves a fresh
+        // heal-round budget. Legacy runs keep the cumulative budget.
+        if self.chaos.is_some() {
+            m.replica.reset_heal_budget();
+        }
+        m.replica.set_state(ReplicaState::Serving);
+        m.core.resume(now);
+        m.pending_repair.clear();
+        self.gate(now);
+        self.settle(r, now);
+        self.dispatch(now);
+    }
+
+    /// Folds torn writes that fired inside replica `r`'s last engine
+    /// call into its core.
+    fn fold_torn(&mut self, r: usize, now: u64) {
+        if let Some(c) = &mut self.chaos {
+            c.fold_torn(r, &mut self.members[r].core, now);
+        }
+    }
+}
+
+/// Distinguishes concurrently running simulations' temp directories.
+static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Removes the run's private temp directory on every exit path (the
 /// replica containers are multi-megabyte; error returns must not
@@ -219,49 +351,6 @@ impl Drop for DirCleanup {
     }
 }
 
-/// Per-replica simulation state around the [`Replica`] itself.
-struct Rep {
-    replica: Replica,
-    cursor: ScrubCursor,
-    ledger: CertificationLedger<Batch>,
-    workers: Vec<Option<Batch>>,
-    epoch: u64,
-    repair_attempts: u32,
-    /// Irrecoverable layers awaiting peer repair.
-    pending_repair: Vec<usize>,
-    /// Donors whose donation to *this* replica was corrupted by the
-    /// byzantine campaign and rejected — skipped on every later donor
-    /// pick, so a retry reaches an honest peer instead of refetching
-    /// the same poisoned pages forever.
-    distrusted: BTreeSet<usize>,
-    downtime: DowntimeLog,
-    last_fault_time: u64,
-    last_clean_cycle: Option<u64>,
-    // Counters (healing/scrub counters live in the replica's engine).
-    dispatched: usize,
-    completed: usize,
-    rejected: usize,
-    reexecuted: usize,
-    faults_injected: usize,
-    scrub_ticks: usize,
-    quarantines: usize,
-    batches: usize,
-    full_batches: usize,
-    batched_requests: usize,
-    peer_repairs: usize,
-    repair_pages: usize,
-    repair_bytes: usize,
-    repairs_donated: usize,
-    rejected_donations: usize,
-    /// Chaos injections (bursts, stuck re-asserts, torn writes) that
-    /// landed on this replica — they gate certification exactly like
-    /// campaign faults.
-    chaos_injected: usize,
-    /// Torn-write firings already folded into the chaos tallies.
-    torn_seen: u64,
-    latencies: Vec<u64>,
-}
-
 /// Flips one contiguous run of `flips` bits in a donated page image —
 /// the byzantine donor's in-flight corruption. A run (rather than
 /// scattered bits) guarantees some codeword takes a multi-bit error,
@@ -278,9 +367,6 @@ fn corrupt_image(img: &mut PageImage, flips: usize, rng: &mut FaultRng) {
         img.bytes[bit / 8] ^= 1 << (bit % 8);
     }
 }
-
-/// Distinguishes concurrently running simulations' temp directories.
-static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Runs one deterministic fleet simulation.
 ///
@@ -327,9 +413,6 @@ pub fn simulate_observed(
     obs: &Observer,
 ) -> Result<FleetSimResult, FleetError> {
     assert!(cfg.replicas > 0, "need at least one replica");
-    assert!(cfg.workers_per_replica > 0, "need at least one worker");
-    assert!(cfg.queue_capacity > 0, "need a non-empty queue");
-    assert!(cfg.batch_max > 0, "need a non-empty batch");
     assert!(cfg.requests > 0, "need a workload");
 
     // ---------------------------------------------------------- fleet
@@ -350,7 +433,7 @@ pub fn simulate_observed(
         enabled: private_dir,
     };
     let mut store_paths = Vec::with_capacity(cfg.replicas);
-    let mut reps: Vec<Rep> = Vec::with_capacity(cfg.replicas);
+    let mut replicas = Vec::with_capacity(cfg.replicas);
     for r in 0..cfg.replicas {
         let path = dir.join(format!("replica-{r}.milr"));
         Store::create_protected(
@@ -371,119 +454,92 @@ pub fn simulate_observed(
             replica.attach_spans(spans.clone());
         }
         store_paths.push(path);
-        reps.push(Rep {
+        replicas.push(replica);
+    }
+
+    // ------------------------------------------- workload and chaos
+    let spec = ChaosOverlay::active(cfg.chaos.as_ref());
+    let work = Workload::generate(
+        cfg.seed,
+        cfg.requests,
+        cfg.mean_arrival_ns,
+        golden.input_shape(),
+        spec.and_then(|c| c.skew.as_ref()),
+    );
+    let horizon = work.horizon();
+    let stores: Vec<_> = replicas.iter().map(|r| r.host().store().clone()).collect();
+    let chaos = ChaosOverlay::plan(spec, cfg.seed, horizon, &stores, true);
+    // Torn writes: every replica gets its own seeded hook with its own
+    // fire budget.
+    for (r, replica) in replicas.iter_mut().enumerate() {
+        if let Some(hook) = chaos
+            .as_ref()
+            .and_then(|c| c.torn_hook(r, stores[r].clone(), cfg.seed))
+        {
+            replica.attach_stage_hook(hook);
+        }
+    }
+    let byz = spec.and_then(|c| c.byzantine.clone());
+    let mut byz_rng = FaultRng::seed(cfg.seed ^ 0xB12A);
+
+    // ------------------------------------------------ serving cores
+    // Per-replica engines judge each replica's own serving view; the
+    // fleet view below records latency once per request.
+    let m = obs.metrics.as_deref();
+    let scrub_interval_ns = ChaosOverlay::scrub_interval(spec, cfg.scrub_interval_ns);
+    let core_cfg = CoreConfig {
+        workers: cfg.workers_per_replica,
+        batch_max: cfg.batch_max,
+        batch_wait_ns: 0,
+        scrub_interval_ns,
+        layers_per_tick: cfg.layers_per_tick,
+        policy: cfg.policy,
+    };
+    let members: Vec<Member> = replicas
+        .into_iter()
+        .enumerate()
+        .map(|(r, replica)| Member {
+            core: ServeCore::new(
+                core_cfg.clone(),
+                checkable.clone(),
+                SloEngine::serving_defaults(),
+                ServeObs {
+                    latency: None,
+                    ..ServeObs::new(obs.trace.clone(), r as u32, m)
+                },
+            ),
+            outputs: vec![None; cfg.workers_per_replica],
+            repairs: Repairs::default(),
             replica,
-            cursor: ScrubCursor::new(checkable.clone(), cfg.layers_per_tick),
-            ledger: CertificationLedger::default(),
-            workers: (0..cfg.workers_per_replica).map(|_| None).collect(),
-            epoch: 0,
             repair_attempts: 0,
             pending_repair: Vec::new(),
             distrusted: BTreeSet::new(),
-            downtime: DowntimeLog::default(),
-            last_fault_time: 0,
-            last_clean_cycle: None,
-            dispatched: 0,
-            completed: 0,
-            rejected: 0,
-            reexecuted: 0,
-            faults_injected: 0,
-            scrub_ticks: 0,
-            quarantines: 0,
-            batches: 0,
-            full_batches: 0,
-            batched_requests: 0,
-            peer_repairs: 0,
-            repair_pages: 0,
-            repair_bytes: 0,
-            repairs_donated: 0,
-            rejected_donations: 0,
-            chaos_injected: 0,
-            torn_seen: 0,
-            latencies: Vec::new(),
-        });
-    }
-
-    // -------------------------------------------------------- chaos
-    // A quiet spec is indistinguishable from no spec: every chaos
-    // branch below is gated on this binding, so legacy runs stay
-    // byte-identical.
-    let chaos = cfg.chaos.as_ref().filter(|c| !c.is_quiet());
-    let skew = chaos.and_then(|c| c.skew.clone());
-    let scrub_interval_ns = match &skew {
-        Some(sk) => SkewSpec::scale(cfg.scrub_interval_ns, sk.scrub_milli),
-        None => cfg.scrub_interval_ns,
-    };
-    let byz = chaos.and_then(|c| c.byzantine.clone());
-    let mut byz_rng = FaultRng::seed(cfg.seed ^ 0xB12A);
-
-    // Torn writes: every replica gets its own seeded hook with its own
-    // fire budget; the shared counters let the event loop fold firings
-    // into the chaos tallies with the virtual clock in hand.
-    let torn_fired: Vec<Arc<AtomicU64>> = (0..cfg.replicas)
-        .map(|_| Arc::new(AtomicU64::new(0)))
+        })
         .collect();
-    if let Some(tw) = chaos.and_then(|c| c.torn_write.clone()) {
-        for (r, rep) in reps.iter_mut().enumerate() {
-            let store = rep.replica.host().store().clone();
-            let fired = Arc::clone(&torn_fired[r]);
-            let mut torn_rng = FaultRng::seed(cfg.seed ^ 0x70A2 ^ r as u64);
-            let tw = tw.clone();
-            let mut remaining = tw.fires;
-            rep.replica.attach_stage_hook(StageHook::new(move |stage| {
-                if remaining > 0 && stage.eq_ignore_ascii_case(&tw.stage) {
-                    remaining -= 1;
-                    let raw = store.raw_bits();
-                    for _ in 0..tw.flips {
-                        store.flip_raw_bit(torn_rng.below(raw));
-                    }
-                    fired.fetch_add(1, Ordering::Relaxed);
-                }
-            }));
-        }
-    }
-
-    // ------------------------------------------------------- workload
-    let mut input_rng = TensorRng::new(cfg.seed ^ 0x1A7E57);
-    let mut arrival_rng = FaultRng::seed(cfg.seed ^ 0xA441);
-    let mut reqs: Vec<Req> = Vec::with_capacity(cfg.requests);
-    let mut t = 0u64;
-    for _ in 0..cfg.requests {
-        let gap = -arrival_rng.unit().max(f64::MIN_POSITIVE).ln() * cfg.mean_arrival_ns as f64;
-        let mut gap_ns = (gap as u64).max(1);
-        if let Some(sk) = &skew {
-            gap_ns = SkewSpec::scale(gap_ns, sk.arrival_milli);
-        }
-        t += gap_ns;
-        reqs.push(Req {
-            input: input_rng.uniform_tensor(golden.input_shape()),
-            arrival: t,
-            resolved: None,
-        });
-    }
-    let horizon = t;
+    let view_obs = ServeObs::new(obs.trace.clone(), FLEET_SRC, m);
+    let mut fleet = Fleet {
+        cfg,
+        timeline: EventQueue::new(),
+        resolved_by: vec![None; cfg.requests],
+        work,
+        queue: RequestQueue::shared(cfg.queue_capacity, view_obs.queue_depth.clone()),
+        router: Router::new(cfg.replicas),
+        members,
+        view: ServeTally::new(
+            match &cfg.slo_specs {
+                Some(specs) => SloEngine::new(specs.clone()),
+                None => SloEngine::fleet_defaults(),
+            },
+            view_obs,
+        ),
+        chaos,
+        failovers: m.map(|m| m.counter("fleet_failovers_total")),
+        repairs: m.map(|m| m.counter("fleet_peer_repairs_total")),
+    };
 
     // -------------------------------------------------- fault campaign
-    let full_layers: Vec<usize> = golden
-        .layers()
-        .iter()
-        .enumerate()
-        .filter(|(i, l)| {
-            matches!(l, Layer::Conv2D { .. })
-                && milr.plan().layers[*i].solving == Some(SolvingPlan::ConvFull)
-        })
-        .map(|(i, _)| i)
-        .collect();
-    let partial_layers: Vec<usize> = golden
-        .layers()
-        .iter()
-        .enumerate()
-        .filter(|(i, l)| {
-            matches!(l, Layer::Conv2D { .. })
-                && milr.plan().layers[*i].solving == Some(SolvingPlan::ConvPartial)
-        })
-        .map(|(i, _)| i)
-        .collect();
+    let full_layers = conv_layers(golden, &milr, SolvingPlan::ConvFull);
+    let partial_layers = conv_layers(golden, &milr, SolvingPlan::ConvPartial);
     assert!(
         cfg.faults == 0 || !full_layers.is_empty(),
         "no fully recoverable conv layer to fault"
@@ -493,554 +549,178 @@ pub fn simulate_observed(
         "no partial-recoverability conv layer for heavy faults"
     );
     let mut fault_rng = FaultRng::seed(cfg.seed ^ 0xFA117);
-    let mut timeline: EventQueue<Event> = EventQueue::new();
-    for (i, r) in reqs.iter().enumerate() {
-        timeline.schedule(r.arrival, Event::Arrival(i));
+    for i in 0..cfg.requests {
+        fleet
+            .timeline
+            .schedule(fleet.work.arrival(i), Event::Arrival(i));
     }
     for _ in 0..cfg.faults {
-        let time = horizon / 10 + (fault_rng.unit() * 0.8 * horizon as f64) as u64;
+        let time = campaign_time(&mut fault_rng, horizon);
         let replica = fault_rng.below(cfg.replicas);
         let layer = full_layers[fault_rng.below(full_layers.len())];
-        let weight = fault_rng.below(reps[replica].replica.host().layer_weight_count(layer));
-        timeline.schedule(
-            time,
-            Event::Fault {
-                replica,
-                layer,
-                weight,
-            },
-        );
+        let host = fleet.members[replica].replica.host();
+        let weight = fault_rng.below(host.layer_weight_count(layer));
+        let weight = Some(weight);
+        let fault = Event::Fault {
+            replica,
+            layer,
+            weight,
+        };
+        fleet.timeline.schedule(time, fault);
     }
     for _ in 0..cfg.heavy_faults {
-        let time = horizon / 10 + (fault_rng.unit() * 0.8 * horizon as f64) as u64;
+        let time = campaign_time(&mut fault_rng, horizon);
         let replica = fault_rng.below(cfg.replicas);
         let layer = partial_layers[fault_rng.below(partial_layers.len())];
-        timeline.schedule(time, Event::HeavyFault { replica, layer });
+        let fault = Event::Fault {
+            replica,
+            layer,
+            weight: None,
+        };
+        fleet.timeline.schedule(time, fault);
     }
     for r in 0..cfg.replicas {
-        timeline.schedule(
-            scrub_interval_ns,
-            Event::ScrubTick {
-                replica: r,
-                epoch: 0,
-            },
-        );
+        fleet.settle(r, 0); // each core's first scrub tick
     }
-
-    // Chaos planning rides its own RNG stream so enabling a regime
-    // never perturbs the fault/arrival draws above.
-    let mut chaos_rng = FaultRng::seed(cfg.seed ^ 0xC4A05);
-    let burst_spec = chaos.and_then(|c| c.bursts.clone());
-    if let Some(b) = &burst_spec {
-        let mut times: Vec<(u64, usize)> = (0..b.bursts)
-            .map(|_| {
-                let time = horizon / 10 + (chaos_rng.unit() * 0.8 * horizon as f64) as u64;
-                (time, chaos_rng.below(cfg.replicas))
-            })
-            .collect();
-        times.sort_unstable();
-        for (time, replica) in times {
-            timeline.schedule(time, Event::ChaosBurst { replica });
-        }
+    let bursts: Vec<(u64, usize)> = fleet
+        .chaos
+        .iter()
+        .flat_map(|c| c.bursts().to_vec())
+        .collect();
+    for (time, replica) in bursts {
+        fleet.timeline.schedule(time, Event::ChaosBurst { replica });
     }
-    let stuck: Option<(usize, StuckAtSpec, StuckAtPlan)> =
-        chaos.and_then(|c| c.stuck_at.clone()).map(|spec| {
-            let replica = chaos_rng.below(cfg.replicas);
-            let raw_bits = reps[replica].replica.host().store().raw_bits();
-            let plan = plan_stuck_at(raw_bits, spec.bits, &mut chaos_rng);
-            (replica, spec, plan)
-        });
-    let chaos_active = chaos.is_some();
-    let mut chaos_stats = ChaosStats::default();
 
     // ---------------------------------------------------- event loop
     let mut clock = 0u64;
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut router = Router::new(cfg.replicas);
-    let mut fleet_down = DowntimeLog::default();
-    let mut resolved = 0usize;
-    let mut resolved_by: Vec<Option<usize>> = vec![None; cfg.requests];
-    let mut fleet_rejected = 0usize;
-    let mut fleet_completed = 0usize;
-    let mut fleet_latencies: Vec<u64> = Vec::new();
-
-    // SLO engines run unconditionally over the deterministic run
-    // streams, so the embedded verdicts are identical with or without
-    // an observer; only `AlertFired` trace emission is observer-gated.
-    // One fleet-view engine (alerts sourced `FLEET_SRC`) plus one
-    // serving-view engine per replica (alerts sourced by index).
-    let mut fleet_slo = match &cfg.slo_specs {
-        Some(specs) => SloEngine::new(specs.clone()),
-        None => SloEngine::fleet_defaults(),
-    };
-    let mut rep_slo: Vec<SloEngine> = (0..cfg.replicas)
-        .map(|_| SloEngine::serving_defaults())
-        .collect();
-    let mut fleet_avail_mark = 0u64;
-    let mut fleet_serving = true;
-    let mut rep_avail_mark = vec![0u64; cfg.replicas];
-
-    // Pre-registered observability handles: recording below is atomic
-    // ops on these, never a registry lookup inside the event loop.
-    let m = obs.metrics.as_deref();
-    let lat_hist = m.map(|m| m.histogram("serve_latency_ns"));
-    let wait_hist = m.map(|m| m.histogram("serve_batch_wait_ns"));
-    let occ_hist = m.map(|m| m.histogram("serve_batch_occupancy"));
-    let queue_gauge = m.map(|m| m.gauge("serve_queue_depth"));
-    let faults_ctr = m.map(|m| m.counter("serve_faults_injected_total"));
-    let quarantine_ctr = m.map(|m| m.counter("serve_quarantines_total"));
-    let failover_ctr = m.map(|m| m.counter("fleet_failovers_total"));
-    let repair_ctr = m.map(|m| m.counter("fleet_peer_repairs_total"));
-
-    macro_rules! emit {
-        ($src:expr, $kind:expr) => {
-            if let Some(trace) = &obs.trace {
-                trace.emit(clock, $src, $kind);
-            }
-        };
-    }
-
-    macro_rules! slo_alerts {
-        ($src:expr, $alerts:expr) => {
-            for a in $alerts {
-                emit!(
-                    $src,
-                    EventKind::AlertFired {
-                        slo: a.spec,
-                        burn_milli: a.burn_milli,
-                    }
-                );
-            }
-        };
-    }
-
-    macro_rules! resolve {
-        ($idx:expr, $status:expr, $by:expr) => {{
-            let idx: usize = $idx;
-            debug_assert!(reqs[idx].resolved.is_none());
-            let status = $status;
-            let by: Option<usize> = $by;
-            match &status {
-                RequestStatus::Completed(_) => {
-                    fleet_completed += 1;
-                    let lat = clock.saturating_sub(reqs[idx].arrival);
-                    fleet_latencies.push(lat);
-                    if let Some(h) = &lat_hist {
-                        h.record(lat);
-                    }
-                    if let Some(r) = by {
-                        reps[r].completed += 1;
-                        reps[r].latencies.push(lat);
-                        slo_alerts!(r as u32, rep_slo[r].observe_latency(clock, lat));
-                    }
-                    slo_alerts!(FLEET_SRC, fleet_slo.observe_latency(clock, lat));
-                }
-                RequestStatus::Rejected(_) => {
-                    fleet_rejected += 1;
-                    if let Some(r) = by {
-                        reps[r].rejected += 1;
-                    }
-                }
-            }
-            resolved_by[idx] = by;
-            reqs[idx].resolved = Some((clock, status));
-            resolved += 1;
-        }};
-    }
-
-    macro_rules! try_dispatch {
-        () => {
-            while !queue.is_empty() {
-                let eligible: Vec<bool> = reps
-                    .iter()
-                    .map(|rep| {
-                        rep.replica.state().is_serving() && rep.workers.iter().any(Option::is_none)
-                    })
-                    .collect();
-                let Some(r) = router.route(&eligible) else {
-                    break;
-                };
-                let worker = reps[r]
-                    .workers
-                    .iter()
-                    .position(Option::is_none)
-                    .expect("eligibility implies a free worker");
-                let n = queue.len().min(cfg.batch_max);
-                let batch_reqs: Vec<usize> = queue.drain(..n).collect();
-                let inputs: Vec<Tensor> =
-                    batch_reqs.iter().map(|&i| reqs[i].input.clone()).collect();
-                // Fused decode-forward: each shard decodes through the
-                // host's epoch-tagged cache, so the expensive per-batch
-                // whole-model decode (an AES-XTS decrypt of every shard
-                // on the encrypted substrates) happens only after a
-                // simulator-visible data change — fault injection, scrub
-                // correction, heal write-back, or peer import — bumps
-                // the affected shard's epoch.
-                let outputs = reps[r]
-                    .replica
-                    .host()
-                    .forward_batch(&inputs)
-                    .expect("batch inputs validated at submission");
-                reps[r].dispatched += batch_reqs.len();
-                reps[r].batches += 1;
-                reps[r].batched_requests += n;
-                if n == cfg.batch_max {
-                    reps[r].full_batches += 1;
-                }
-                if let Some(h) = &occ_hist {
-                    h.record(n as u64);
-                }
-                if let Some(h) = &wait_hist {
-                    for &i in &batch_reqs {
-                        h.record(clock.saturating_sub(reqs[i].arrival));
-                    }
-                }
-                emit!(
-                    r as u32,
-                    EventKind::BatchDispatched {
-                        occupancy: n as u32
-                    }
-                );
-                if let Some(g) = &queue_gauge {
-                    g.set(queue.len() as i64);
-                }
-                reps[r].workers[worker] = Some(Batch {
-                    reqs: batch_reqs,
-                    outputs,
-                    epoch: reps[r].epoch,
-                });
-                let done = clock + cfg.costs.batch_ns(n);
-                timeline.schedule(done, Event::WorkerDone { replica: r, worker });
-            }
-        };
-    }
-
-    /// Requests going back to the head of the fleet queue after
-    /// invalidation, ahead of everything that arrived later — this is
-    /// the failover hand-off: peers pick them up on the next dispatch.
-    macro_rules! requeue {
-        ($r:expr, $ids:expr) => {{
-            let mut ids: Vec<usize> = $ids;
-            ids.sort_unstable();
-            reps[$r].reexecuted += ids.len();
-            for idx in ids.into_iter().rev() {
-                queue.push_front(idx);
-            }
-            if let Some(g) = &queue_gauge {
-                g.set(queue.len() as i64);
-            }
-        }};
-    }
-
-    macro_rules! update_fleet_gate {
-        () => {{
-            let any = reps.iter().any(|rep| rep.replica.state().is_serving());
-            if any {
-                fleet_down.close_at(clock);
-            } else {
-                fleet_down.open_at(clock);
-            }
-            // Each serving/down flip closes one fleet-availability
-            // segment and feeds it into the burn-rate windows.
-            if any != fleet_serving {
-                let seg = clock.saturating_sub(fleet_avail_mark);
-                fleet_avail_mark = clock;
-                let (good, bad) = if fleet_serving { (seg, 0) } else { (0, seg) };
-                slo_alerts!(
-                    FLEET_SRC,
-                    fleet_slo.observe(clock, SloKind::Availability, good, bad)
-                );
-                fleet_serving = any;
-            }
-        }};
-    }
-
-    /// Folds any torn-write firings on replica `$r` (they happen inside
-    /// `tick`/`try_heal`/`apply_repair` calls, where the virtual clock
-    /// is not in scope) into the chaos tallies and certification gate.
-    macro_rules! torn_sync {
-        ($r:expr) => {{
-            let r: usize = $r;
-            let fired = torn_fired[r].load(Ordering::Relaxed);
-            if fired > reps[r].torn_seen {
-                chaos_stats.torn_fires += fired - reps[r].torn_seen;
-                reps[r].torn_seen = fired;
-                reps[r].chaos_injected += 1;
-                reps[r].last_fault_time = clock;
-            }
-        }};
-    }
-
-    macro_rules! rejoin {
-        ($r:expr) => {{
-            let r: usize = $r;
-            // Chaos campaigns quarantine the same replica repeatedly
-            // (stuck cells, repeated bursts); each episode deserves a
-            // fresh heal-round budget. Legacy runs keep the cumulative
-            // budget untouched.
-            if chaos_active {
-                reps[r].replica.reset_heal_budget();
-            }
-            reps[r].replica.set_state(ReplicaState::Serving);
-            emit!(r as u32, EventKind::Quarantine { entered: false });
-            reps[r].downtime.close_at(clock);
-            let down = clock.saturating_sub(rep_avail_mark[r]);
-            rep_avail_mark[r] = clock;
-            slo_alerts!(
-                r as u32,
-                rep_slo[r].observe(clock, SloKind::Availability, 0, down)
-            );
-            update_fleet_gate!();
-            reps[r].cursor.reset();
-            reps[r].pending_repair.clear();
-            let epoch = reps[r].epoch;
-            timeline.schedule(
-                clock + scrub_interval_ns,
-                Event::ScrubTick { replica: r, epoch },
-            );
-            try_dispatch!();
-        }};
-    }
-
     let mut events = 0u64;
-    while let Some((time, event)) = timeline.pop() {
+    while let Some((time, event)) = fleet.timeline.pop() {
         events += 1;
         assert!(events < 50_000_000, "fleet event budget exhausted");
         debug_assert!(time >= clock, "virtual time must be monotone");
         clock = time;
         match event {
-            Event::Arrival(idx) => {
-                let any_serving = reps.iter().any(|rep| rep.replica.state().is_serving());
-                if cfg.policy == QuarantinePolicy::Reject && !any_serving {
-                    resolve!(
-                        idx,
-                        RequestStatus::Rejected(RejectReason::Quarantined),
-                        None
-                    );
-                } else if queue.len() >= cfg.queue_capacity {
-                    resolve!(idx, RequestStatus::Rejected(RejectReason::QueueFull), None);
-                } else {
-                    queue.push_back(idx);
-                    if let Some(g) = &queue_gauge {
-                        g.set(queue.len() as i64);
+            Event::Arrival(i) => {
+                // Arrivals are shed only under Reject while no replica
+                // serves at all.
+                let shed = cfg.policy == QuarantinePolicy::Reject && !fleet.any_serving();
+                match fleet.queue.admit(fleet.work.request(i), shed) {
+                    Ok(()) => fleet.dispatch(clock),
+                    Err((request, reason)) => {
+                        let status = RequestStatus::Rejected(reason);
+                        fleet.view.resolved(&status, request.arrival_ns, clock);
+                        fleet.work.resolve(Resolution {
+                            request,
+                            status,
+                            at_ns: clock,
+                        });
                     }
-                    try_dispatch!();
                 }
             }
             Event::WorkerDone { replica: r, worker } => {
-                let batch = reps[r].workers[worker].take().expect("worker was busy");
-                if batch.epoch != reps[r].epoch {
-                    // Dispatched before a quarantine: outputs suspect.
-                    match cfg.policy {
-                        QuarantinePolicy::Drain => requeue!(r, batch.reqs),
-                        QuarantinePolicy::Reject => {
-                            for idx in batch.reqs {
-                                resolve!(
-                                    idx,
-                                    RequestStatus::Rejected(RejectReason::Quarantined),
-                                    Some(r)
-                                );
-                            }
+                let m = &mut fleet.members[r];
+                let outputs = m.outputs[worker].take().expect("worker was busy");
+                m.core.worker_done(&mut fleet.queue, worker, outputs, clock);
+                fleet.settle(r, clock);
+                fleet.dispatch(clock);
+            }
+            Event::Core {
+                timer: Timer::BatchDeadline { .. },
+                ..
+            } => unreachable!("fleet cores dispatch immediately; no deadline is ever armed"),
+            Event::Core {
+                replica: r,
+                timer: Timer::ScrubTick { epoch },
+            } => {
+                if !fleet.members[r].core.scrub_due(epoch) {
+                    continue; // stale tick from before a quarantine
+                }
+                let m = &mut fleet.members[r];
+                if let Some(c) = &mut fleet.chaos {
+                    c.assert_stuck(r, &stores[r], &mut m.core, clock);
+                }
+                let chunk = m.core.begin_scrub(clock);
+                m.replica.set_now(clock);
+                let tick = m.replica.tick(&chunk)?;
+                fleet.fold_torn(r, clock);
+                let m = &mut fleet.members[r];
+                let flagged = !tick.detection.is_clean();
+                let quarantined = m.core.finish_scrub(&mut fleet.queue, flagged, clock);
+                fleet.settle(r, clock);
+                if quarantined {
+                    // Quarantine: fail traffic over to the peers and
+                    // schedule recovery.
+                    let m = &mut fleet.members[r];
+                    m.replica.set_state(ReplicaState::Quarantined);
+                    let epoch = m.core.epoch();
+                    fleet.gate(clock);
+                    if fleet.any_serving() {
+                        if let Some(c) = &fleet.failovers {
+                            c.inc();
                         }
                     }
-                } else {
-                    reps[r].ledger.record(clock, batch);
+                    fleet.timeline.schedule(
+                        clock + cfg.costs.quarantine_ns(checkable.len()),
+                        Event::RecoveryDone { replica: r, epoch },
+                    );
+                    fleet.dispatch(clock);
                 }
-                try_dispatch!();
             }
             Event::Fault {
                 replica: r,
                 layer,
                 weight,
             } => {
-                reps[r].replica.host().corrupt_weight(layer, weight);
-                reps[r].faults_injected += 1;
-                reps[r].last_fault_time = clock;
-                if let Some(c) = &faults_ctr {
-                    c.inc();
-                }
-                emit!(
-                    r as u32,
-                    EventKind::FaultInjected {
-                        layer: layer as u32,
-                        weight: weight as u64,
-                    }
-                );
-            }
-            Event::HeavyFault { replica: r, layer } => {
-                reps[r].replica.host().corrupt_layer(layer);
-                reps[r].faults_injected += 1;
-                reps[r].last_fault_time = clock;
-                if let Some(c) = &faults_ctr {
-                    c.inc();
+                let m = &mut fleet.members[r];
+                let host = m.replica.host();
+                match weight {
+                    Some(w) => host.corrupt_weight(layer, w),
+                    None => host.corrupt_layer(layer),
                 }
                 // A whole-layer corruption has no single weight index:
                 // `u64::MAX` marks the beyond-capacity campaign.
-                emit!(
-                    r as u32,
-                    EventKind::FaultInjected {
-                        layer: layer as u32,
-                        weight: u64::MAX,
-                    }
-                );
-            }
-            Event::ScrubTick { replica: r, epoch } => {
-                if epoch != reps[r].epoch || !reps[r].replica.state().is_serving() {
-                    continue; // stale tick from before a quarantine
-                }
-                // Stuck cells re-assert just before the scrubber looks:
-                // only cells the previous corrections flipped back are
-                // touched (a blind re-flip would heal them instead).
-                if let Some((sr, spec, plan)) = &stuck {
-                    if *sr == r && spec.active(clock, horizon) {
-                        let store = reps[r].replica.host().store().clone();
-                        let mut asserted = 0usize;
-                        for &(bit, value) in &plan.cells {
-                            if store.raw_bit(bit) != value {
-                                store.flip_raw_bit(bit);
-                                asserted += 1;
-                            }
-                        }
-                        if asserted > 0 {
-                            chaos_stats.stuck_asserts += asserted;
-                            reps[r].chaos_injected += 1;
-                            reps[r].last_fault_time = clock;
-                            if let Some(c) = &faults_ctr {
-                                c.inc();
-                            }
-                        }
-                    }
-                }
-                reps[r].scrub_ticks += 1;
-                let chunk = reps[r].cursor.begin_tick(clock);
-                reps[r].replica.set_now(clock);
-                let tick = reps[r].replica.tick(&chunk)?;
-                torn_sync!(r);
-                let flagged = !tick.detection.is_clean();
-                if let Some(cycle_start) = reps[r].cursor.finish_tick(flagged, clock) {
-                    reps[r].last_clean_cycle = Some(cycle_start);
-                    for batch in reps[r].ledger.certify_before(cycle_start) {
-                        for (idx, out) in batch.reqs.into_iter().zip(batch.outputs) {
-                            resolve!(idx, RequestStatus::Completed(out), Some(r));
-                        }
-                    }
-                }
-                if flagged {
-                    // Quarantine: void uncertified work, fail traffic
-                    // over to the peers, schedule recovery.
-                    reps[r].quarantines += 1;
-                    reps[r].replica.set_state(ReplicaState::Quarantined);
-                    reps[r].epoch += 1;
-                    reps[r].downtime.open_at(clock);
-                    let up = clock.saturating_sub(rep_avail_mark[r]);
-                    rep_avail_mark[r] = clock;
-                    slo_alerts!(
-                        r as u32,
-                        rep_slo[r].observe(clock, SloKind::Availability, up, 0)
-                    );
-                    update_fleet_gate!();
-                    if let Some(c) = &quarantine_ctr {
-                        c.inc();
-                    }
-                    emit!(r as u32, EventKind::Quarantine { entered: true });
-                    // Router failover: peers keep taking the traffic
-                    // this replica just dropped.
-                    if reps.iter().any(|rep| rep.replica.state().is_serving()) {
-                        if let Some(c) = &failover_ctr {
-                            c.inc();
-                        }
-                    }
-                    let voided = reps[r].ledger.invalidate();
-                    match cfg.policy {
-                        QuarantinePolicy::Drain => {
-                            requeue!(r, voided.into_iter().flat_map(|b| b.reqs).collect());
-                        }
-                        QuarantinePolicy::Reject => {
-                            for batch in voided {
-                                for idx in batch.reqs {
-                                    resolve!(
-                                        idx,
-                                        RequestStatus::Rejected(RejectReason::Quarantined),
-                                        Some(r)
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    let recovery_cost =
-                        cfg.costs.full_detect_ns(checkable.len()) + cfg.costs.recover_ns;
-                    let next_epoch = reps[r].epoch;
-                    timeline.schedule(
-                        clock + recovery_cost,
-                        Event::RecoveryDone {
-                            replica: r,
-                            epoch: next_epoch,
-                        },
-                    );
-                    try_dispatch!();
-                } else {
-                    timeline.schedule(
-                        clock + scrub_interval_ns,
-                        Event::ScrubTick { replica: r, epoch },
-                    );
-                }
+                let weight = weight.map_or(u64::MAX, |w| w as u64);
+                m.core.fault_landed(clock, layer as u32, weight);
             }
             Event::RecoveryDone { replica: r, epoch } => {
-                if epoch != reps[r].epoch || reps[r].replica.state() != ReplicaState::Quarantined {
+                let m = &mut fleet.members[r];
+                if epoch != m.core.epoch() || m.replica.state() != ReplicaState::Quarantined {
                     continue;
                 }
                 // One heal round of the replica's engine: exact heals
                 // are written back and journal-flushed, min-norm /
                 // failed layers escalate to peer repair, and a clean
                 // verify re-protects + re-anchors durably.
-                reps[r].replica.set_now(clock);
-                let heals_before = {
-                    let p = reps[r].replica.pipeline_report();
-                    (p.heals_exact, p.heals_approx)
-                };
-                let round = reps[r].replica.try_heal()?;
-                torn_sync!(r);
-                let (exact, approx) = {
-                    let p = reps[r].replica.pipeline_report();
-                    (
-                        (p.heals_exact - heals_before.0) as u64,
-                        (p.heals_approx - heals_before.1) as u64,
-                    )
-                };
-                if exact + approx > 0 {
-                    slo_alerts!(
-                        r as u32,
-                        rep_slo[r].observe(clock, SloKind::HealExactness, exact, approx)
-                    );
-                    slo_alerts!(
-                        FLEET_SRC,
-                        fleet_slo.observe(clock, SloKind::HealExactness, exact, approx)
-                    );
-                }
+                m.replica.set_now(clock);
+                let round = m.replica.try_heal()?;
+                fleet.fold_torn(r, clock);
+                let m = &mut fleet.members[r];
+                let (exact, approx) = m.core.observe_heals(clock, m.replica.pipeline_report());
+                fleet.view.heals(clock, exact, approx);
                 match round {
-                    RoundOutcome::Clean { .. } => rejoin!(r),
+                    RoundOutcome::Clean { .. } => fleet.rejoin(r, clock),
                     RoundOutcome::Escalate { escalated, .. } => {
                         // Beyond MILR's recoverable set: fetch the
                         // layers from a healthy peer instead of serving
                         // the min-norm approximation.
-                        reps[r].replica.set_state(ReplicaState::Repairing);
-                        reps[r].repair_attempts = 0;
+                        m.replica.set_state(ReplicaState::Repairing);
+                        m.repair_attempts = 0;
                         let pages: usize = escalated
                             .iter()
-                            .map(|&l| reps[r].replica.store().layer_page_count(l))
+                            .map(|&l| m.replica.store().layer_page_count(l))
                             .sum();
-                        reps[r].pending_repair = escalated;
-                        timeline.schedule(
+                        m.pending_repair = escalated;
+                        fleet.timeline.schedule(
                             clock + pages as u64 * cfg.peer_page_ns + cfg.costs.recover_ns,
                             Event::RepairDone { replica: r, epoch },
                         );
                     }
                     RoundOutcome::Retry { flagged } => {
                         assert!(
-                            !reps[r].replica.heal_budget_exhausted(),
+                            !m.replica.heal_budget_exhausted(),
                             "replica {r} recovery failed to converge: {flagged:?}"
                         );
-                        timeline.schedule(
+                        fleet.timeline.schedule(
                             clock + cfg.costs.recover_ns,
                             Event::RecoveryDone { replica: r, epoch },
                         );
@@ -1051,26 +731,22 @@ pub fn simulate_observed(
                 }
             }
             Event::RepairDone { replica: r, epoch } => {
-                if epoch != reps[r].epoch || reps[r].replica.state() != ReplicaState::Repairing {
+                let m = &fleet.members[r];
+                if epoch != m.core.epoch() || m.replica.state() != ReplicaState::Repairing {
                     continue;
                 }
                 // Deterministic donor choice: the lowest-index serving
                 // peer whose pages certify — skipping donors this
                 // replica already caught shipping corrupted pages.
-                let layers = reps[r].pending_repair.clone();
-                let mut fetched = None;
-                for (p, rep) in reps.iter().enumerate() {
-                    if p == r
-                        || !rep.replica.state().is_serving()
-                        || reps[r].distrusted.contains(&p)
-                    {
-                        continue;
-                    }
-                    if let Ok(images) = fetch_certified(rep.replica.store(), &layers) {
-                        fetched = Some((p, images));
-                        break;
-                    }
-                }
+                let layers = m.pending_repair.clone();
+                let fetched = fleet.members.iter().enumerate().find_map(|(p, peer)| {
+                    let eligible =
+                        p != r && peer.replica.state().is_serving() && !m.distrusted.contains(&p);
+                    eligible
+                        .then(|| fetch_certified(peer.replica.store(), &layers).ok())
+                        .flatten()
+                        .map(|images| (p, images))
+                });
                 let Some((donor, mut images)) = fetched else {
                     // No healthy donor right now (peers quarantined or
                     // their disks dirty): wait a scrub interval and
@@ -1078,13 +754,12 @@ pub fn simulate_observed(
                     // of a layer beyond repair exhausts the budget —
                     // replication cannot help then, and the run reports
                     // it rather than serving an approximation.
-                    reps[r].repair_attempts += 1;
-                    if reps[r].repair_attempts as usize
-                        >= reps[r].replica.budget().max_donor_retries
-                    {
+                    let m = &mut fleet.members[r];
+                    m.repair_attempts += 1;
+                    if m.repair_attempts as usize >= m.replica.budget().max_donor_retries {
                         return Err(FleetError::NoHealthyPeer { replica: r, layers });
                     }
-                    timeline.schedule(
+                    fleet.timeline.schedule(
                         clock + scrub_interval_ns,
                         Event::RepairDone { replica: r, epoch },
                     );
@@ -1107,26 +782,31 @@ pub fn simulate_observed(
                 // this episode's verification succeeds (a rejected
                 // import still moved — and applied — the donor's
                 // pages), so account it here.
-                reps[donor].repairs_donated += 1;
-                reps[r].repair_pages += images.len();
-                reps[r].repair_bytes += images.iter().map(|i| i.bytes.len()).sum::<usize>();
-                emit!(
-                    r as u32,
-                    EventKind::PeerRepair {
-                        donor: donor as u32
-                    }
-                );
-                reps[r].replica.set_now(clock);
-                let applied = apply_repair(&mut reps[r].replica, &images);
-                torn_sync!(r);
+                fleet.members[donor].repairs.repairs_donated += 1;
+                let m = &mut fleet.members[r];
+                m.repairs.repair_pages += images.len();
+                m.repairs.repair_bytes += images.iter().map(|i| i.bytes.len()).sum::<usize>();
+                if let Some(trace) = &obs.trace {
+                    trace.emit(
+                        clock,
+                        r as u32,
+                        EventKind::PeerRepair {
+                            donor: donor as u32,
+                        },
+                    );
+                }
+                m.replica.set_now(clock);
+                let applied = apply_repair(&mut m.replica, &images);
+                fleet.fold_torn(r, clock);
+                let m = &mut fleet.members[r];
                 match applied {
                     Ok(_stats) => {
-                        reps[r].peer_repairs += 1;
-                        if let Some(c) = &repair_ctr {
+                        m.repairs.peer_repairs += 1;
+                        if let Some(c) = &fleet.repairs {
                             c.inc();
                         }
                         // apply_repair already re-anchored durably.
-                        rejoin!(r);
+                        fleet.rejoin(r, clock);
                     }
                     Err(FleetError::RepairRejected { .. }) => {
                         // The post-import verification caught bad pages:
@@ -1137,13 +817,13 @@ pub fn simulate_observed(
                         // converge), and go back through the
                         // heal-classify-repair ladder with a fresh
                         // round budget.
-                        reps[r].rejected_donations += 1;
+                        m.repairs.rejected_donations += 1;
                         if byzantine_donation {
-                            reps[r].distrusted.insert(donor);
+                            m.distrusted.insert(donor);
                         }
-                        reps[r].replica.set_state(ReplicaState::Quarantined);
-                        reps[r].replica.reset_heal_budget();
-                        timeline.schedule(
+                        m.replica.set_state(ReplicaState::Quarantined);
+                        m.replica.reset_heal_budget();
+                        fleet.timeline.schedule(
                             clock + cfg.costs.recover_ns,
                             Event::RecoveryDone { replica: r, epoch },
                         );
@@ -1153,223 +833,101 @@ pub fn simulate_observed(
             }
             Event::ChaosBurst { replica: r } => {
                 // A correlated burst over the victim replica's raw
-                // image, planned on the fly so burst shapes depend on
-                // the chaos RNG stream alone. Bursts land regardless of
-                // health state — hammering a quarantined replica
-                // mid-heal is exactly the nasty case.
-                if let Some(spec) = &burst_spec {
-                    let store = reps[r].replica.host().store().clone();
-                    let bits = plan_burst(
-                        store.raw_geometry(),
-                        store.raw_bits(),
-                        spec.pattern,
-                        milli(spec.flip_prob_milli),
-                        &mut chaos_rng,
-                    );
-                    for &bit in &bits {
-                        store.flip_raw_bit(bit);
-                    }
-                    chaos_stats.bursts_fired += 1;
-                    chaos_stats.burst_bits += bits.len();
-                    if !bits.is_empty() {
-                        reps[r].chaos_injected += 1;
-                        reps[r].last_fault_time = clock;
-                        if let Some(c) = &faults_ctr {
-                            c.inc();
-                        }
-                        emit!(
-                            r as u32,
-                            EventKind::FaultInjected {
-                                layer: u32::MAX,
-                                weight: bits.len() as u64,
-                            }
-                        );
-                    }
-                }
+                // image. Bursts land regardless of health state —
+                // hammering a quarantined replica mid-heal is exactly
+                // the nasty case.
+                let c = fleet
+                    .chaos
+                    .as_mut()
+                    .expect("burst event without a campaign");
+                c.burst(&stores[r], &mut fleet.members[r].core, clock);
             }
         }
-        let all_serving = reps.iter().all(|rep| rep.replica.state().is_serving());
-        let all_certified = reps.iter().all(|rep| {
-            rep.faults_injected + rep.chaos_injected == 0
-                || rep
-                    .last_clean_cycle
-                    .map(|c| c > rep.last_fault_time)
-                    .unwrap_or(false)
-        });
-        if resolved == cfg.requests && all_serving && all_certified {
+        if fleet.work.drained()
+            && fleet
+                .members
+                .iter()
+                .all(|m| !m.core.is_quarantined() && m.core.certified_since_last_fault())
+        {
             break;
         }
     }
-    assert_eq!(resolved, cfg.requests, "workload did not drain");
+    assert!(fleet.work.drained(), "workload did not drain");
 
     // ---------------------------------------------------- reporting
-    let total_ns = clock;
-    let outcomes: Vec<RequestOutcome> = reqs
+    let Fleet {
+        work,
+        resolved_by,
+        members,
+        mut view,
+        chaos,
+        ..
+    } = fleet;
+    let outcomes = work.into_outcomes();
+    let counts: ServeCounts = members.iter().map(|m| m.core.counts()).sum();
+    let per_replica: Vec<ReplicaReport> = members
         .into_iter()
         .enumerate()
-        .map(|(i, r)| {
-            let (resolved_ns, status) = r.resolved.expect("all requests resolved");
-            RequestOutcome {
-                id: i as u64,
-                input: r.input,
-                status,
-                arrival_ns: r.arrival,
-                resolved_ns,
-            }
-        })
-        .collect();
-    // Close each replica's SLO windows: the trailing serving segment
-    // (the loop only exits with every replica serving) and the
-    // lifetime durability tally (anchors committed vs journal/commit
-    // failures).
-    for (r, rep) in reps.iter().enumerate() {
-        let tail = total_ns.saturating_sub(rep_avail_mark[r]);
-        rep_avail_mark[r] = total_ns;
-        let (good, bad) = if rep.replica.state().is_serving() {
-            (tail, 0)
-        } else {
-            (0, tail)
-        };
-        slo_alerts!(
-            r as u32,
-            rep_slo[r].observe(total_ns, SloKind::Availability, good, bad)
-        );
-        let p = rep.replica.pipeline_report();
-        slo_alerts!(
-            r as u32,
-            rep_slo[r].observe(
-                total_ns,
-                SloKind::Durability,
-                p.anchors as u64,
-                p.durability_errors as u64
-            )
-        );
-    }
-    let per_replica: Vec<ReplicaReport> = reps
-        .iter()
-        .enumerate()
-        .map(|(r, rep)| {
+        .map(|(r, mut m)| {
             let mine: Vec<RequestOutcome> = outcomes
                 .iter()
-                .enumerate()
-                .filter(|(i, _)| resolved_by[*i] == Some(r))
-                .map(|(_, o)| o.clone())
+                .zip(&resolved_by)
+                .filter(|(_, by)| **by == Some(r))
+                .map(|(o, _)| o.clone())
                 .collect();
-            let pipeline = rep.replica.pipeline_report().clone();
+            // A replica's submissions are the requests dispatched to it,
+            // re-executions included.
+            let submitted = m.core.counts().batched_requests;
+            let pipeline = m.replica.pipeline_report().clone();
+            let report = m
+                .core
+                .report(clock, cfg.seed, submitted, outcome_digest(&mine), pipeline);
             ReplicaReport {
                 replica: r,
-                peer_repairs: rep.peer_repairs,
-                repair_pages: rep.repair_pages,
-                repair_bytes: rep.repair_bytes,
-                repairs_donated: rep.repairs_donated,
-                rejected_donations: rep.rejected_donations,
-                report: ServeReport {
-                    seed: cfg.seed,
-                    policy: cfg.policy.name().to_string(),
-                    submitted: rep.dispatched,
-                    completed: rep.completed,
-                    rejected: rep.rejected,
-                    reexecuted: rep.reexecuted,
-                    faults_injected: rep.faults_injected + rep.chaos_injected,
-                    scrub_corrected: pipeline.scrub_corrected,
-                    scrub_ticks: rep.scrub_ticks,
-                    quarantines: rep.quarantines,
-                    layers_recovered: pipeline.layers_healed,
-                    durability_errors: pipeline.durability_errors,
-                    total_ns,
-                    downtime_ns: rep.downtime.total_ns(total_ns),
-                    availability: rep.downtime.availability(total_ns),
-                    latency: LatencyStats::from_ns(&rep.latencies),
-                    batches: rep.batches,
-                    full_batches: rep.full_batches,
-                    batch_occupancy: if rep.batches == 0 {
-                        0.0
-                    } else {
-                        rep.batched_requests as f64 / rep.batches as f64
-                    },
-                    digest: outcome_digest(&mine),
-                    pipeline,
-                    slo: Some(rep_slo[r].report(total_ns)),
-                },
+                peer_repairs: m.repairs.peer_repairs,
+                repair_pages: m.repairs.repair_pages,
+                repair_bytes: m.repairs.repair_bytes,
+                repairs_donated: m.repairs.repairs_donated,
+                rejected_donations: m.repairs.rejected_donations,
+                report,
             }
         })
         .collect();
-    let mut fleet_pipeline = PipelineReport::default();
+    let mut pipeline = PipelineReport::default();
     for rep in &per_replica {
-        fleet_pipeline.merge(&rep.report.pipeline);
+        pipeline.merge(&rep.report.pipeline);
     }
-    // Close the fleet-view windows the same way.
-    {
-        let tail = total_ns.saturating_sub(fleet_avail_mark);
-        let (good, bad) = if fleet_serving { (tail, 0) } else { (0, tail) };
-        slo_alerts!(
-            FLEET_SRC,
-            fleet_slo.observe(total_ns, SloKind::Availability, good, bad)
-        );
-        slo_alerts!(
-            FLEET_SRC,
-            fleet_slo.observe(
-                total_ns,
-                SloKind::Durability,
-                fleet_pipeline.anchors as u64,
-                fleet_pipeline.durability_errors as u64
-            )
-        );
-    }
-    let fleet = ServeReport {
-        seed: cfg.seed,
-        policy: cfg.policy.name().to_string(),
-        submitted: cfg.requests,
-        completed: fleet_completed,
-        rejected: fleet_rejected,
-        reexecuted: reps.iter().map(|r| r.reexecuted).sum(),
-        faults_injected: reps
-            .iter()
-            .map(|r| r.faults_injected + r.chaos_injected)
-            .sum(),
-        scrub_corrected: fleet_pipeline.scrub_corrected,
-        scrub_ticks: reps.iter().map(|r| r.scrub_ticks).sum(),
-        quarantines: reps.iter().map(|r| r.quarantines).sum(),
-        layers_recovered: fleet_pipeline.layers_healed,
-        durability_errors: fleet_pipeline.durability_errors,
-        total_ns,
-        downtime_ns: fleet_down.total_ns(total_ns),
-        availability: fleet_down.availability(total_ns),
-        latency: LatencyStats::from_ns(&fleet_latencies),
-        batches: reps.iter().map(|r| r.batches).sum(),
-        full_batches: reps.iter().map(|r| r.full_batches).sum(),
-        batch_occupancy: {
-            let batches: usize = reps.iter().map(|r| r.batches).sum();
-            let batched: usize = reps.iter().map(|r| r.batched_requests).sum();
-            if batches == 0 {
-                0.0
-            } else {
-                batched as f64 / batches as f64
-            }
-        },
-        digest: outcome_digest(&outcomes),
-        pipeline: fleet_pipeline,
-        slo: Some(fleet_slo.report(total_ns)),
+    // The fleet view resolves every request itself; the work counters
+    // are the replicas' sums.
+    view.counts = ServeCounts {
+        completed: view.counts.completed,
+        rejected: view.counts.rejected,
+        ..counts
     };
+    let fleet_report = view.report(
+        clock,
+        cfg.seed,
+        cfg.policy,
+        cfg.requests,
+        outcome_digest(&outcomes),
+        pipeline,
+    );
     let capacity = ServeReport::aggregate(
         &per_replica
             .iter()
             .map(|r| r.report.clone())
             .collect::<Vec<_>>(),
     );
-    let report = FleetReport {
-        replicas: cfg.replicas,
-        fleet,
-        capacity,
-        per_replica,
-    };
-    // `reps` (the stores' file handles) drops before `_cleanup`
-    // removes a private temp directory — reverse declaration order.
     Ok(FleetSimResult {
-        report,
+        report: FleetReport {
+            replicas: cfg.replicas,
+            fleet: fleet_report,
+            capacity,
+            per_replica,
+        },
         outcomes,
         store_paths,
-        chaos: chaos.map(|_| chaos_stats),
+        chaos: chaos.map(|c| c.stats),
     })
 }
 

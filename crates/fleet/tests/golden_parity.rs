@@ -215,3 +215,54 @@ fn fleet_sim_observed_run_is_byte_identical_to_unobserved() {
     assert!(span_jsonl.contains("\"name\":\"tick\""));
     assert!(span_jsonl.contains("\"name\":\"heal_round\""));
 }
+
+/// The fleet's fault counter and report agree under a chaos campaign —
+/// two row bursts and a torn write at the Heal seam on top of one
+/// whole-weight fault: every injection that lands counts once in both.
+#[test]
+fn fleet_sim_chaos_metrics_agree_with_the_report() {
+    use milr_fault::{BurstPattern, BurstSpec, ChaosSpec, TornWriteSpec};
+    use milr_obs::{MetricsRegistry, Observer};
+    use std::sync::Arc;
+
+    let model = milr_models::serving_probe(11);
+    let cfg = FleetConfig {
+        requests: 100,
+        faults: 1,
+        kind: SubstrateKind::Plain,
+        chaos: Some(ChaosSpec {
+            bursts: Some(BurstSpec {
+                pattern: BurstPattern::Row,
+                bursts: 2,
+                flip_prob_milli: 300,
+            }),
+            torn_write: Some(TornWriteSpec {
+                stage: "Heal".to_string(),
+                fires: 1,
+                flips: 8,
+            }),
+            ..ChaosSpec::default()
+        }),
+        ..FleetConfig::default()
+    };
+    let metrics = Arc::new(MetricsRegistry::new());
+    let obs = Observer::default().and_metrics(metrics.clone());
+    let result = milr_fleet::simulate_observed(&model, MilrConfig::default(), &cfg, &obs)
+        .expect("seeded fleet simulation is deterministic");
+    let fleet = &result.report.fleet;
+    let chaos = result.chaos.expect("campaign stats");
+    assert!(chaos.burst_bits > 0 && chaos.torn_fires > 0, "{chaos:?}");
+    assert!(
+        fleet.faults_injected > cfg.faults,
+        "chaos landings are faults"
+    );
+    let snap = metrics.snapshot();
+    assert_eq!(
+        snap.counter_value("serve_faults_injected_total"),
+        Some(fleet.faults_injected as u64)
+    );
+    assert_eq!(
+        snap.counter_value("serve_quarantines_total"),
+        Some(fleet.quarantines as u64)
+    );
+}

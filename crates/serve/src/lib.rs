@@ -46,11 +46,17 @@
 //!   availability** land in a [`ServeReport`], directly comparable to
 //!   the closed-form `milr_core::availability` model.
 //!
-//! Two drivers share this control plane: [`sim::simulate`] — a
-//! single-threaded discrete-event simulation on a **virtual clock**,
-//! bit-reproducible under a seed (the benchmark and test path) — and
-//! [`Server`] — real worker threads plus a scrubber daemon on the wall
-//! clock.
+//! One sans-IO [`ServeCore`] owns that policy — admission, batch
+//! formation, the epoch check, certification, quarantine and resume,
+//! downtime and SLO accounting, the report — and takes time as an
+//! argument. Three thin drivers run it: [`sim::simulate`] drives one
+//! core from a discrete-event queue on a **virtual clock**,
+//! bit-reproducible under a seed (the benchmark and test path); the
+//! fleet simulation in `milr-fleet` drives one core per replica behind
+//! a shared queue and a router; and [`Server`] runs one core under a
+//! mutex with real worker threads, a scrubber daemon, and the wall
+//! clock. The seeded workload and chaos overlay both simulations draw
+//! from live in [`workload`].
 
 #![deny(missing_docs)]
 
@@ -61,10 +67,12 @@ mod metrics;
 mod report;
 mod request;
 mod scrubber;
+mod serve_core;
 mod server;
 pub mod sim;
 #[cfg(test)]
 mod testutil;
+pub mod workload;
 
 pub use coldstart::{cold_start, cold_start_observed, ColdStartReport};
 pub use ledger::CertificationLedger;
@@ -78,5 +86,10 @@ pub use milr_integrity::{
 pub use report::{outcome_digest, ServeReport};
 pub use request::{QuarantinePolicy, RejectReason, RequestId, RequestOutcome, RequestStatus};
 pub use scrubber::ScrubCursor;
-pub use server::{ReadPath, ResponseHandle, ServeError, Server, ServerConfig};
-pub use sim::{simulate, simulate_observed, ChaosStats, SimConfig, SimResult, VirtualCosts};
+pub use serve_core::{
+    CoreConfig, Effect, Pending, RequestQueue, Resolution, ServeCore, ServeCounts, ServeObs,
+    ServeTally, Timer,
+};
+pub use server::{ResponseHandle, ServeError, Server, ServerConfig};
+pub use sim::{simulate, simulate_observed, SimConfig, SimResult, VirtualCosts};
+pub use workload::ChaosStats;

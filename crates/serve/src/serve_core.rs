@@ -1,0 +1,1225 @@
+//! The sans-IO serving core: one instance's serving policy as a state
+//! machine over injected time.
+//!
+//! [`ServeCore`] owns every decision that keeps the paper's contract —
+//! a released output is bit-equal to the fault-free model, or the fault
+//! is detected and reported — and nothing else:
+//!
+//! * **admission**: queue capacity, and shedding arrivals while a
+//!   reject-policy quarantine is in progress;
+//! * **batch formation**: full batches dispatch at once; a partial one
+//!   holds behind the `batch_wait` deadline ([`Timer::BatchDeadline`]);
+//! * **the epoch check on completion**: a batch dispatched before a
+//!   quarantine comes back suspect and is re-queued (Drain) or rejected
+//!   (Reject);
+//! * **certification**: finished batches wait in the
+//!   [`CertificationLedger`] until a clean [`ScrubCursor`] cycle that
+//!   started after they finished releases them;
+//! * **quarantine and resume**: a flagged scrub voids everything
+//!   uncertified, stops dispatch, and cancels a pending deadline;
+//! * **accounting**: downtime, the SLO streams (availability segments,
+//!   latency, heal exactness, durability), the serving counters, and
+//!   [`ServeReport`] assembly.
+//!
+//! The core never touches threads, clocks, the model host, or the
+//! integrity pipeline. Every call takes `now` as an argument; the
+//! core answers with [`Resolution`]s (requests reaching a terminal
+//! state) and [`Effect`]s (a batch to run, a timer to arm), which the
+//! driver drains in order after each call. Forward passes, scrub
+//! ticks, and heals happen in the driver between calls.
+
+use crate::ledger::CertificationLedger;
+use crate::metrics::{DowntimeLog, LatencyStats};
+use crate::report::ServeReport;
+use crate::request::{QuarantinePolicy, RejectReason, RequestStatus};
+use crate::scrubber::ScrubCursor;
+use milr_integrity::PipelineReport;
+use milr_obs::{
+    AtomicHistogram, Counter, EventKind, Gauge, MetricsRegistry, SloAlert, SloEngine, SloKind,
+    TraceHandle,
+};
+use milr_tensor::Tensor;
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+/// One admitted request as the core tracks it; `payload` is whatever
+/// the driver needs to answer the client (nothing for the simulators,
+/// the input and reply channel for the live server).
+#[derive(Debug)]
+pub struct Pending<P> {
+    /// Request id; re-queued work goes back in id order.
+    pub id: u64,
+    /// Arrival time on the driver's clock, nanoseconds.
+    pub arrival_ns: u64,
+    /// Driver data carried with the request.
+    pub payload: P,
+}
+
+/// A request that reached its terminal state.
+#[derive(Debug)]
+pub struct Resolution<P> {
+    /// The request.
+    pub request: Pending<P>,
+    /// Its certified output or the rejection reason.
+    pub status: RequestStatus,
+    /// When it resolved, on the driver's clock.
+    pub at_ns: u64,
+}
+
+/// A timer the core asks its driver to arm.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Timer {
+    /// A partial batch's admission deadline; hand it back through
+    /// [`ServeCore::batch_deadline`]. A quarantine cancels it (the
+    /// epoch no longer matches).
+    BatchDeadline {
+        /// Epoch the deadline was armed in.
+        epoch: u64,
+    },
+    /// The next scrub tick is due; [`ServeCore::scrub_due`] says
+    /// whether it is still live.
+    ScrubTick {
+        /// Epoch the tick was scheduled in.
+        epoch: u64,
+    },
+}
+
+/// Something the driver must do, in the order the core produced it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Effect {
+    /// A batch went to worker slot `worker`: run its forward pass
+    /// ([`ServeCore::batch`] lists the requests) and report back with
+    /// [`ServeCore::worker_done`].
+    Dispatched {
+        /// The worker slot.
+        worker: usize,
+    },
+    /// Arm `timer` to fire at `at`.
+    Wake {
+        /// Fire time on the driver's clock.
+        at: u64,
+        /// What fires.
+        timer: Timer,
+    },
+}
+
+/// The policy knobs of one serving instance.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CoreConfig {
+    /// Worker slots (batches in flight at once).
+    pub workers: usize,
+    /// Maximum requests coalesced into one batch.
+    pub batch_max: usize,
+    /// Partial-batch admission deadline, nanoseconds; `0` dispatches
+    /// whatever is queued the moment a worker is free.
+    pub batch_wait_ns: u64,
+    /// Scrub cadence, nanoseconds between ticks.
+    pub scrub_interval_ns: u64,
+    /// Checkable layers examined per scrub tick.
+    pub layers_per_tick: usize,
+    /// What happens to queued and in-flight work during quarantine.
+    pub policy: QuarantinePolicy,
+}
+
+/// The bounded FIFO an instance draws batches from. A single instance
+/// owns its queue; a fleet's replicas draw from one **shared** queue,
+/// which a replica's reject-policy quarantine leaves alone (its peers
+/// still serve it).
+#[derive(Debug)]
+pub struct RequestQueue<P> {
+    items: VecDeque<Pending<P>>,
+    capacity: usize,
+    shared: bool,
+    depth: Option<Arc<Gauge>>,
+}
+
+impl<P> RequestQueue<P> {
+    /// An instance's own queue, publishing its depth to `depth`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `capacity == 0`.
+    pub fn new(capacity: usize, depth: Option<Arc<Gauge>>) -> Self {
+        assert!(capacity > 0, "need a non-empty queue");
+        RequestQueue {
+            items: VecDeque::new(),
+            capacity,
+            shared: false,
+            depth,
+        }
+    }
+
+    /// A queue shared by several instances.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `capacity == 0`.
+    pub fn shared(capacity: usize, depth: Option<Arc<Gauge>>) -> Self {
+        RequestQueue {
+            shared: true,
+            ..RequestQueue::new(capacity, depth)
+        }
+    }
+
+    /// Queued requests.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// True when nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// Admission control: appends `req`, or hands it back with the
+    /// reason it was refused — `shed` (a reject-policy quarantine) wins
+    /// over a full queue.
+    ///
+    /// # Errors
+    ///
+    /// The refused request and [`RejectReason::Quarantined`] or
+    /// [`RejectReason::QueueFull`].
+    pub fn admit(&mut self, req: Pending<P>, shed: bool) -> Result<(), (Pending<P>, RejectReason)> {
+        if shed {
+            return Err((req, RejectReason::Quarantined));
+        }
+        if self.items.len() >= self.capacity {
+            return Err((req, RejectReason::QueueFull));
+        }
+        self.items.push_back(req);
+        self.publish();
+        Ok(())
+    }
+
+    /// Puts invalidated work back at the head, in id order, ahead of
+    /// everything that arrived later.
+    fn requeue(&mut self, mut reqs: Vec<Pending<P>>) {
+        reqs.sort_by_key(|r| r.id);
+        for req in reqs.into_iter().rev() {
+            self.items.push_front(req);
+        }
+        self.publish();
+    }
+
+    fn take(&mut self, n: usize) -> Vec<Pending<P>> {
+        let out = self.items.drain(..n).collect();
+        self.publish();
+        out
+    }
+
+    fn publish(&self) {
+        if let Some(g) = &self.depth {
+            g.set(self.items.len() as i64);
+        }
+    }
+}
+
+/// Observability handles of one instance, registered once up front so
+/// recording is lock-free atomics. Every handle is optional: a driver
+/// without a registry (or a fleet replica whose latency the fleet view
+/// records instead) leaves it `None`.
+#[derive(Clone, Default)]
+pub struct ServeObs {
+    /// Trace sink for the instance's events.
+    pub trace: Option<TraceHandle>,
+    /// Source index stamped on those events.
+    pub src: u32,
+    /// `serve_latency_ns`: arrival → certified release.
+    pub latency: Option<Arc<AtomicHistogram>>,
+    /// `serve_batch_wait_ns`: arrival → dispatch.
+    pub batch_wait: Option<Arc<AtomicHistogram>>,
+    /// `serve_batch_occupancy`: requests per dispatched batch.
+    pub occupancy: Option<Arc<AtomicHistogram>>,
+    /// `serve_ledger_hold_ns`: batch finish → certification.
+    pub ledger_hold: Option<Arc<AtomicHistogram>>,
+    /// `serve_queue_depth`, for the [`RequestQueue`].
+    pub queue_depth: Option<Arc<Gauge>>,
+    /// `serve_faults_injected_total`.
+    pub faults: Option<Arc<Counter>>,
+    /// `serve_quarantines_total`.
+    pub quarantines: Option<Arc<Counter>>,
+}
+
+impl ServeObs {
+    /// Registers the serving series on `metrics` (when given) and
+    /// stamps events with `src`.
+    pub fn new(trace: Option<TraceHandle>, src: u32, metrics: Option<&MetricsRegistry>) -> Self {
+        ServeObs {
+            trace,
+            src,
+            latency: metrics.map(|m| m.histogram("serve_latency_ns")),
+            batch_wait: metrics.map(|m| m.histogram("serve_batch_wait_ns")),
+            occupancy: metrics.map(|m| m.histogram("serve_batch_occupancy")),
+            ledger_hold: metrics.map(|m| m.histogram("serve_ledger_hold_ns")),
+            queue_depth: metrics.map(|m| m.gauge("serve_queue_depth")),
+            faults: metrics.map(|m| m.counter("serve_faults_injected_total")),
+            quarantines: metrics.map(|m| m.counter("serve_quarantines_total")),
+        }
+    }
+
+    fn emit(&self, now: u64, kind: EventKind) {
+        if let Some(trace) = &self.trace {
+            trace.emit(now, self.src, kind);
+        }
+    }
+}
+
+/// The serving counters behind one [`ServeReport`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServeCounts {
+    /// Requests released with certified outputs.
+    pub completed: usize,
+    /// Requests rejected.
+    pub rejected: usize,
+    /// Request executions voided and queued again.
+    pub reexecuted: usize,
+    /// Injections that landed on the weights.
+    pub faults_injected: usize,
+    /// Scrub ticks run.
+    pub scrub_ticks: usize,
+    /// Quarantine episodes.
+    pub quarantines: usize,
+    /// Batches dispatched.
+    pub batches: usize,
+    /// Batches dispatched at `batch_max`.
+    pub full_batches: usize,
+    /// Requests summed over dispatched batches.
+    pub batched_requests: usize,
+}
+
+impl std::iter::Sum for ServeCounts {
+    fn sum<I: Iterator<Item = ServeCounts>>(iter: I) -> Self {
+        iter.fold(ServeCounts::default(), |a, b| ServeCounts {
+            completed: a.completed + b.completed,
+            rejected: a.rejected + b.rejected,
+            reexecuted: a.reexecuted + b.reexecuted,
+            faults_injected: a.faults_injected + b.faults_injected,
+            scrub_ticks: a.scrub_ticks + b.scrub_ticks,
+            quarantines: a.quarantines + b.quarantines,
+            batches: a.batches + b.batches,
+            full_batches: a.full_batches + b.full_batches,
+            batched_requests: a.batched_requests + b.batched_requests,
+        })
+    }
+}
+
+/// Accounting of one service view: counters, latencies, downtime, and
+/// the SLO engine fed from them. Each [`ServeCore`] keeps one; a fleet
+/// keeps one more for the client-facing view over all replicas.
+pub struct ServeTally {
+    /// The counters so far.
+    pub counts: ServeCounts,
+    latencies: Vec<u64>,
+    downtime: DowntimeLog,
+    slo: SloEngine,
+    serving: bool,
+    /// Start of the current availability segment: the last instant the
+    /// serving state flipped (or the start of the run).
+    avail_mark: u64,
+    obs: ServeObs,
+}
+
+impl ServeTally {
+    /// A serving view starting at time 0, judged by `slo`.
+    pub fn new(slo: SloEngine, obs: ServeObs) -> Self {
+        ServeTally {
+            counts: ServeCounts::default(),
+            latencies: Vec::new(),
+            downtime: DowntimeLog::default(),
+            slo,
+            serving: true,
+            avail_mark: 0,
+            obs,
+        }
+    }
+
+    fn alerts(&self, alerts: Vec<SloAlert>) {
+        for a in alerts {
+            self.obs.emit(
+                a.ns,
+                EventKind::AlertFired {
+                    slo: a.spec,
+                    burn_milli: a.burn_milli,
+                },
+            );
+        }
+    }
+
+    /// Counts one resolution; completions feed the latency streams.
+    pub fn resolved(&mut self, status: &RequestStatus, arrival_ns: u64, now: u64) {
+        match status {
+            RequestStatus::Completed(_) => {
+                self.counts.completed += 1;
+                let latency = now.saturating_sub(arrival_ns);
+                if let Some(h) = &self.obs.latency {
+                    h.record(latency);
+                }
+                self.latencies.push(latency);
+                let alerts = self.slo.observe_latency(now, latency);
+                self.alerts(alerts);
+            }
+            RequestStatus::Rejected(_) => self.counts.rejected += 1,
+        }
+    }
+
+    /// Flips the view up or down at `now`: closes the elapsed
+    /// availability segment into the SLO windows and opens or closes a
+    /// downtime window. A no-op when the state does not change.
+    pub fn set_serving(&mut self, now: u64, serving: bool) {
+        if serving == self.serving {
+            return;
+        }
+        self.close_segment(now);
+        if serving {
+            self.downtime.close_at(now);
+        } else {
+            self.downtime.open_at(now);
+        }
+        self.serving = serving;
+    }
+
+    fn close_segment(&mut self, now: u64) {
+        let segment = now.saturating_sub(self.avail_mark);
+        self.avail_mark = now;
+        let (good, bad) = if self.serving {
+            (segment, 0)
+        } else {
+            (0, segment)
+        };
+        let alerts = self.slo.observe(now, SloKind::Availability, good, bad);
+        self.alerts(alerts);
+    }
+
+    /// Feeds one heal episode's exact/approximate layer heals.
+    pub fn heals(&mut self, now: u64, exact: usize, approx: usize) {
+        if exact + approx > 0 {
+            let alerts = self
+                .slo
+                .observe(now, SloKind::HealExactness, exact as u64, approx as u64);
+            self.alerts(alerts);
+        }
+    }
+
+    /// Closes the run at `now` — the trailing availability segment and
+    /// the lifetime durability tally go into the SLO windows — and
+    /// assembles the report. `submitted` and `digest` come from the
+    /// driver, which owns the requests; `pipeline` is the integrity
+    /// engine's report behind the view.
+    pub fn report(
+        &mut self,
+        now: u64,
+        seed: u64,
+        policy: QuarantinePolicy,
+        submitted: usize,
+        digest: u64,
+        pipeline: PipelineReport,
+    ) -> ServeReport {
+        self.close_segment(now);
+        let alerts = self.slo.observe(
+            now,
+            SloKind::Durability,
+            pipeline.anchors as u64,
+            pipeline.durability_errors as u64,
+        );
+        self.alerts(alerts);
+        let c = self.counts;
+        ServeReport {
+            seed,
+            policy: policy.name().to_string(),
+            submitted,
+            completed: c.completed,
+            rejected: c.rejected,
+            reexecuted: c.reexecuted,
+            faults_injected: c.faults_injected,
+            scrub_corrected: pipeline.scrub_corrected,
+            scrub_ticks: c.scrub_ticks,
+            quarantines: c.quarantines,
+            layers_recovered: pipeline.layers_healed,
+            durability_errors: pipeline.durability_errors,
+            total_ns: now,
+            downtime_ns: self.downtime.total_ns(now),
+            availability: self.downtime.availability(now),
+            latency: LatencyStats::from_ns(&self.latencies),
+            batches: c.batches,
+            full_batches: c.full_batches,
+            batch_occupancy: if c.batches == 0 {
+                0.0
+            } else {
+                c.batched_requests as f64 / c.batches as f64
+            },
+            digest,
+            pipeline,
+            slo: Some(self.slo.report(now)),
+        }
+    }
+}
+
+struct InFlight<P> {
+    reqs: Vec<Pending<P>>,
+    epoch: u64,
+}
+
+/// One serving instance's policy state machine. See the module docs.
+pub struct ServeCore<P> {
+    cfg: CoreConfig,
+    cursor: ScrubCursor,
+    /// Bumped by every quarantine; work stamped with an older epoch is
+    /// suspect.
+    epoch: u64,
+    quarantined: bool,
+    slots: Vec<Option<InFlight<P>>>,
+    ledger: CertificationLedger<(Vec<Pending<P>>, Vec<Tensor>)>,
+    /// Fire time of the armed batch deadline, if any.
+    deadline: Option<u64>,
+    last_fault_ns: u64,
+    last_clean_cycle: Option<u64>,
+    /// Heal tallies of the pipeline report already fed to the SLO.
+    heals_seen: (usize, usize),
+    tally: ServeTally,
+    resolved: Vec<Resolution<P>>,
+    effects: Vec<Effect>,
+}
+
+impl<P> ServeCore<P> {
+    /// A serving instance scrubbing `checkable` layers, judged by
+    /// `slo`, observed through `obs`. Its clock starts at 0 with the
+    /// first scrub tick armed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero workers or batch size, or an empty scrub set.
+    pub fn new(cfg: CoreConfig, checkable: Vec<usize>, slo: SloEngine, obs: ServeObs) -> Self {
+        assert!(cfg.workers > 0, "need at least one worker");
+        assert!(cfg.batch_max > 0, "need a non-empty batch");
+        let mut core = ServeCore {
+            cursor: ScrubCursor::new(checkable, cfg.layers_per_tick),
+            slots: (0..cfg.workers).map(|_| None).collect(),
+            cfg,
+            epoch: 0,
+            quarantined: false,
+            ledger: CertificationLedger::default(),
+            deadline: None,
+            last_fault_ns: 0,
+            last_clean_cycle: None,
+            heals_seen: (0, 0),
+            tally: ServeTally::new(slo, obs),
+            resolved: Vec::new(),
+            effects: Vec::new(),
+        };
+        core.arm_scrub(0);
+        core
+    }
+
+    /// The current epoch.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// True while a quarantine is in progress.
+    pub fn is_quarantined(&self) -> bool {
+        self.quarantined
+    }
+
+    /// The counters so far.
+    pub fn counts(&self) -> ServeCounts {
+        self.tally.counts
+    }
+
+    /// The instance's SLO engine (the live server's introspection
+    /// reads it).
+    pub fn slo(&mut self) -> &mut SloEngine {
+        &mut self.tally.slo
+    }
+
+    /// The requests in flight on worker slot `worker`.
+    pub fn batch(&self, worker: usize) -> Option<&[Pending<P>]> {
+        self.slots[worker].as_ref().map(|b| b.reqs.as_slice())
+    }
+
+    /// When the armed batch deadline fires, if one is armed.
+    pub fn pending_deadline(&self) -> Option<u64> {
+        self.deadline
+    }
+
+    /// True when the instance could take a batch right now: serving,
+    /// with a free worker slot (the fleet router's eligibility test).
+    pub fn can_dispatch(&self) -> bool {
+        !self.quarantined && self.free_worker().is_some()
+    }
+
+    /// True when no injection is outstanding: nothing landed, or a
+    /// clean scrub cycle started after the last one that did.
+    pub fn certified_since_last_fault(&self) -> bool {
+        self.tally.counts.faults_injected == 0
+            || self
+                .last_clean_cycle
+                .is_some_and(|c| c > self.last_fault_ns)
+    }
+
+    /// Drains the requests resolved since the last call, in order. The
+    /// outbox keeps its buffer: the live server drains it on every scrub
+    /// tick, and a fresh allocation per tick measurably fragments its
+    /// heap.
+    pub fn take_resolved(&mut self) -> std::vec::Drain<'_, Resolution<P>> {
+        self.resolved.drain(..)
+    }
+
+    /// Drains the effects produced since the last call, in order.
+    pub fn take_effects(&mut self) -> Vec<Effect> {
+        std::mem::take(&mut self.effects)
+    }
+
+    /// Drops the effects produced since the last call, keeping the
+    /// buffer (for a driver that acts on none of them).
+    pub fn discard_effects(&mut self) {
+        self.effects.clear();
+    }
+
+    fn free_worker(&self) -> Option<usize> {
+        self.slots.iter().position(Option::is_none)
+    }
+
+    fn resolve(&mut self, request: Pending<P>, status: RequestStatus, now: u64) {
+        self.tally.resolved(&status, request.arrival_ns, now);
+        self.resolved.push(Resolution {
+            request,
+            status,
+            at_ns: now,
+        });
+    }
+
+    fn arm_scrub(&mut self, now: u64) {
+        self.effects.push(Effect::Wake {
+            at: now + self.cfg.scrub_interval_ns,
+            timer: Timer::ScrubTick { epoch: self.epoch },
+        });
+    }
+
+    /// Admission control for one arrival into the instance's own
+    /// `queue`: a reject-policy quarantine sheds it, a full queue
+    /// refuses it. Dispatch is a separate step — [`ServeCore::admit`]
+    /// when the driver pushes work to free workers, [`ServeCore::poll`]
+    /// when workers pull.
+    ///
+    /// # Errors
+    ///
+    /// The rejection reason (the rejection is also resolved).
+    pub fn arrive(
+        &mut self,
+        queue: &mut RequestQueue<P>,
+        req: Pending<P>,
+        now: u64,
+    ) -> Result<(), RejectReason> {
+        let shed = self.quarantined && self.cfg.policy == QuarantinePolicy::Reject;
+        match queue.admit(req, shed) {
+            Ok(()) => Ok(()),
+            Err((req, reason)) => {
+                self.resolve(req, RequestStatus::Rejected(reason), now);
+                Err(reason)
+            }
+        }
+    }
+
+    /// Continuous-batching admission. With `batch_wait_ns == 0` every
+    /// free worker takes what is queued. Otherwise full batches go out
+    /// at once, and a partial one holds behind a deadline so later
+    /// arrivals can coalesce into it.
+    pub fn admit(&mut self, queue: &mut RequestQueue<P>, now: u64) {
+        if self.cfg.batch_wait_ns == 0 {
+            while self.dispatch(queue, now) {}
+            return;
+        }
+        while queue.len() >= self.cfg.batch_max && self.dispatch(queue, now) {}
+        if !queue.is_empty() && self.deadline.is_none() && self.can_dispatch() {
+            self.arm_deadline(now);
+        }
+    }
+
+    /// Dispatches one batch of up to `batch_max` queued requests into a
+    /// free worker slot, ignoring the batching deadline. Returns false
+    /// when quarantined, out of work, or out of workers.
+    pub fn dispatch(&mut self, queue: &mut RequestQueue<P>, now: u64) -> bool {
+        match self.free_worker() {
+            Some(worker) if !self.quarantined && !queue.is_empty() => {
+                self.dispatch_into(worker, queue, now);
+                self.effects.push(Effect::Dispatched { worker });
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Idle worker `worker` asks for work: the batching policy of
+    /// [`ServeCore::admit`], seen from one slot. A full batch — or any
+    /// batch with no `batch_wait` — dispatches into the slot at once; a
+    /// partial one arms the deadline, and the first poll after it lapses
+    /// fires it like [`ServeCore::batch_deadline`]. Returns true when
+    /// the slot got a batch (the caller is that worker, so no
+    /// [`Effect::Dispatched`] is produced).
+    pub fn poll(&mut self, worker: usize, queue: &mut RequestQueue<P>, now: u64) -> bool {
+        if self.quarantined || self.slots[worker].is_some() {
+            return false;
+        }
+        if self.deadline.is_some_and(|at| now >= at) {
+            self.deadline = None;
+        } else if self.cfg.batch_wait_ns > 0 && queue.len() < self.cfg.batch_max {
+            if self.deadline.is_none() && !queue.is_empty() {
+                self.arm_deadline(now);
+            }
+            return false;
+        }
+        if queue.is_empty() {
+            return false;
+        }
+        self.dispatch_into(worker, queue, now);
+        true
+    }
+
+    fn arm_deadline(&mut self, now: u64) {
+        let at = now + self.cfg.batch_wait_ns;
+        self.deadline = Some(at);
+        self.effects.push(Effect::Wake {
+            at,
+            timer: Timer::BatchDeadline { epoch: self.epoch },
+        });
+    }
+
+    fn dispatch_into(&mut self, worker: usize, queue: &mut RequestQueue<P>, now: u64) {
+        let n = queue.len().min(self.cfg.batch_max);
+        let reqs = queue.take(n);
+        let obs = &self.tally.obs;
+        obs.emit(
+            now,
+            EventKind::BatchDispatched {
+                occupancy: n as u32,
+            },
+        );
+        if let Some(h) = &obs.occupancy {
+            h.record(n as u64);
+        }
+        if let Some(h) = &obs.batch_wait {
+            for r in &reqs {
+                h.record(now.saturating_sub(r.arrival_ns));
+            }
+        }
+        let counts = &mut self.tally.counts;
+        counts.batches += 1;
+        counts.batched_requests += n;
+        if n == self.cfg.batch_max {
+            counts.full_batches += 1;
+        }
+        self.slots[worker] = Some(InFlight {
+            reqs,
+            epoch: self.epoch,
+        });
+    }
+
+    /// A batch deadline fired: dispatch everything queued, unless a
+    /// quarantine cancelled it.
+    pub fn batch_deadline(&mut self, epoch: u64, queue: &mut RequestQueue<P>, now: u64) {
+        if epoch != self.epoch {
+            return;
+        }
+        self.deadline = None;
+        while self.dispatch(queue, now) {}
+    }
+
+    /// Worker `worker` finished its batch with `outputs` at `now`. A
+    /// batch from before the current epoch ran on suspect weights and
+    /// is voided; otherwise it waits in the ledger for certification.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the worker slot is idle.
+    pub fn worker_done(
+        &mut self,
+        queue: &mut RequestQueue<P>,
+        worker: usize,
+        outputs: Vec<Tensor>,
+        now: u64,
+    ) {
+        let batch = self.slots[worker].take().expect("worker was busy");
+        if batch.epoch != self.epoch {
+            self.void(queue, batch.reqs, now);
+        } else {
+            self.ledger.record(now, (batch.reqs, outputs));
+        }
+    }
+
+    /// Suspect work: back onto the queue for re-execution (Drain) or
+    /// rejected (Reject).
+    fn void(&mut self, queue: &mut RequestQueue<P>, reqs: Vec<Pending<P>>, now: u64) {
+        match self.cfg.policy {
+            QuarantinePolicy::Drain => {
+                self.tally.counts.reexecuted += reqs.len();
+                queue.requeue(reqs);
+            }
+            QuarantinePolicy::Reject => {
+                for req in reqs {
+                    self.resolve(req, RequestStatus::Rejected(RejectReason::Quarantined), now);
+                }
+            }
+        }
+    }
+
+    /// True when a scrub tick armed in `epoch` is still live (no
+    /// quarantine since, and none in progress).
+    pub fn scrub_due(&self, epoch: u64) -> bool {
+        !self.quarantined && epoch == self.epoch
+    }
+
+    /// Starts a scrub tick at `now`: the layers the driver should scrub
+    /// and detect.
+    pub fn begin_scrub(&mut self, now: u64) -> Vec<usize> {
+        self.tally.counts.scrub_ticks += 1;
+        self.cursor.begin_tick(now)
+    }
+
+    /// Finishes the tick begun by [`ServeCore::begin_scrub`]. A cycle
+    /// that completes clean certifies every batch that finished before
+    /// it started. A flagged tick quarantines the instance: everything
+    /// uncertified is voided and dispatch stops until
+    /// [`ServeCore::resume`]; under Reject an instance's own queue is
+    /// shed too. Returns true when the tick quarantined; otherwise the
+    /// next tick is armed.
+    pub fn finish_scrub(&mut self, queue: &mut RequestQueue<P>, flagged: bool, now: u64) -> bool {
+        if let Some(cycle_start) = self.cursor.finish_tick(flagged, now) {
+            self.last_clean_cycle = Some(cycle_start);
+            for (finish, (reqs, outputs)) in self.ledger.certify_before_stamped(cycle_start) {
+                if let Some(h) = &self.tally.obs.ledger_hold {
+                    h.record(now.saturating_sub(finish));
+                }
+                for (req, out) in reqs.into_iter().zip(outputs) {
+                    self.resolve(req, RequestStatus::Completed(out), now);
+                }
+            }
+        }
+        if !flagged {
+            self.arm_scrub(now);
+            return false;
+        }
+        self.tally.counts.quarantines += 1;
+        self.quarantined = true;
+        self.epoch += 1;
+        self.deadline = None;
+        self.tally.set_serving(now, false);
+        self.tally
+            .obs
+            .emit(now, EventKind::Quarantine { entered: true });
+        if let Some(c) = &self.tally.obs.quarantines {
+            c.inc();
+        }
+        let voided: Vec<Pending<P>> = self
+            .ledger
+            .invalidate()
+            .into_iter()
+            .flat_map(|(reqs, _)| reqs)
+            .collect();
+        self.void(queue, voided, now);
+        if self.cfg.policy == QuarantinePolicy::Reject && !queue.shared {
+            for req in queue.take(queue.len()) {
+                self.resolve(req, RequestStatus::Rejected(RejectReason::Quarantined), now);
+            }
+        }
+        true
+    }
+
+    /// Feeds the heals `pipeline` counted since the last call into the
+    /// heal-exactness SLO and returns them as `(exact, approximate)`.
+    pub fn observe_heals(&mut self, now: u64, pipeline: &PipelineReport) -> (usize, usize) {
+        let seen = self.heals_seen;
+        self.heals_seen = (pipeline.heals_exact, pipeline.heals_approx);
+        let delta = (
+            pipeline.heals_exact - seen.0,
+            pipeline.heals_approx - seen.1,
+        );
+        self.tally.heals(now, delta.0, delta.1);
+        delta
+    }
+
+    /// Ends the quarantine: the instance serves again and restarts its
+    /// scrub sweep (the next tick is armed). Call [`ServeCore::admit`]
+    /// to dispatch what waited.
+    pub fn resume(&mut self, now: u64) {
+        self.quarantined = false;
+        self.tally.set_serving(now, true);
+        self.tally
+            .obs
+            .emit(now, EventKind::Quarantine { entered: false });
+        self.cursor.reset();
+        self.arm_scrub(now);
+    }
+
+    /// An injection landed on the weights at `now`: it counts as a
+    /// fault, and certification must now see a clean cycle that starts
+    /// after it. Chaos injections pass `layer = u32::MAX` and the raw
+    /// bits they flipped as `weight`.
+    pub fn fault_landed(&mut self, now: u64, layer: u32, weight: u64) {
+        self.tally.counts.faults_injected += 1;
+        self.last_fault_ns = now;
+        if let Some(c) = &self.tally.obs.faults {
+            c.inc();
+        }
+        self.tally
+            .obs
+            .emit(now, EventKind::FaultInjected { layer, weight });
+    }
+
+    /// [`ServeCore::fault_landed`] for a chaos injection that flipped
+    /// `bits` raw bits; nothing happens when it flipped none.
+    pub fn chaos_landed(&mut self, now: u64, bits: usize) {
+        if bits > 0 {
+            self.fault_landed(now, u32::MAX, bits as u64);
+        }
+    }
+
+    /// The shutdown flush: when a final detection pass at `now` came
+    /// back `clean`, every finished batch certifies; everything else —
+    /// uncertified, in flight, queued — is rejected with
+    /// [`RejectReason::Shutdown`].
+    pub fn shutdown(&mut self, queue: &mut RequestQueue<P>, clean: bool, now: u64) {
+        if clean {
+            for (reqs, outputs) in self.ledger.certify_before(now) {
+                for (req, out) in reqs.into_iter().zip(outputs) {
+                    self.resolve(req, RequestStatus::Completed(out), now);
+                }
+            }
+        }
+        let stranded: Vec<Pending<P>> = self
+            .ledger
+            .invalidate()
+            .into_iter()
+            .flat_map(|(reqs, _)| reqs)
+            .chain(
+                self.slots
+                    .iter_mut()
+                    .filter_map(Option::take)
+                    .flat_map(|b| b.reqs),
+            )
+            .chain(queue.take(queue.len()))
+            .collect();
+        for req in stranded {
+            self.resolve(req, RequestStatus::Rejected(RejectReason::Shutdown), now);
+        }
+    }
+
+    /// Closes the run at `now` and assembles the instance's report
+    /// (see [`ServeTally::report`]).
+    pub fn report(
+        &mut self,
+        now: u64,
+        seed: u64,
+        submitted: usize,
+        digest: u64,
+        pipeline: PipelineReport,
+    ) -> ServeReport {
+        let policy = self.cfg.policy;
+        self.tally
+            .report(now, seed, policy, submitted, digest, pipeline)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Scripted runs of the core alone: no model, no threads, time
+    //! passed in by hand.
+    use super::*;
+
+    /// One worker slot per `workers`, two checkable layers scrubbed one
+    /// per tick (a scrub cycle is two ticks), a 100 ns scrub cadence.
+    fn core(
+        policy: QuarantinePolicy,
+        workers: usize,
+        batch_max: usize,
+        batch_wait_ns: u64,
+    ) -> (ServeCore<()>, RequestQueue<()>) {
+        let cfg = CoreConfig {
+            workers,
+            batch_max,
+            batch_wait_ns,
+            scrub_interval_ns: 100,
+            layers_per_tick: 1,
+            policy,
+        };
+        let mut core = ServeCore::new(
+            cfg,
+            vec![0, 1],
+            SloEngine::serving_defaults(),
+            ServeObs::default(),
+        );
+        core.take_effects(); // the first scrub tick
+        (core, RequestQueue::new(16, None))
+    }
+
+    fn req(id: u64, at: u64) -> Pending<()> {
+        Pending {
+            id,
+            arrival_ns: at,
+            payload: (),
+        }
+    }
+
+    /// An arrival at `now` that is admitted and pushed to free workers.
+    fn push(c: &mut ServeCore<()>, q: &mut RequestQueue<()>, id: u64, now: u64) {
+        c.arrive(q, req(id, now), now).unwrap();
+        c.admit(q, now);
+    }
+
+    fn out() -> Vec<Tensor> {
+        vec![Tensor::zeros(&[1])]
+    }
+
+    /// One full clean scrub cycle: two ticks at `at` and `at + 1`.
+    fn clean_cycle(c: &mut ServeCore<()>, q: &mut RequestQueue<()>, at: u64) {
+        for now in [at, at + 1] {
+            c.begin_scrub(now);
+            assert!(!c.finish_scrub(q, false, now));
+        }
+    }
+
+    /// A flagged tick at `at`; returns true when it quarantined.
+    fn flag(c: &mut ServeCore<()>, q: &mut RequestQueue<()>, at: u64) -> bool {
+        c.begin_scrub(at);
+        c.finish_scrub(q, true, at)
+    }
+
+    /// `(id, status)` of everything resolved since the last call.
+    fn resolved(c: &mut ServeCore<()>) -> Vec<(u64, RequestStatus)> {
+        c.take_resolved()
+            .map(|r| (r.request.id, r.status))
+            .collect()
+    }
+
+    fn queued_ids(q: &RequestQueue<()>) -> Vec<u64> {
+        q.items.iter().map(|r| r.id).collect()
+    }
+
+    const QUARANTINED: RequestStatus = RequestStatus::Rejected(RejectReason::Quarantined);
+    const SHUTDOWN: RequestStatus = RequestStatus::Rejected(RejectReason::Shutdown);
+
+    #[test]
+    fn a_batch_finishing_after_a_quarantine_is_requeued_or_rejected() {
+        for policy in [QuarantinePolicy::Drain, QuarantinePolicy::Reject] {
+            let (mut c, mut q) = core(policy, 1, 4, 0);
+            push(&mut c, &mut q, 0, 0);
+            assert_eq!(c.take_effects(), vec![Effect::Dispatched { worker: 0 }]);
+            // The weights go bad while the batch is in flight.
+            assert!(flag(&mut c, &mut q, 1));
+            c.worker_done(&mut q, 0, out(), 2);
+            match policy {
+                QuarantinePolicy::Drain => {
+                    assert!(resolved(&mut c).is_empty());
+                    assert_eq!(queued_ids(&q), vec![0]);
+                    assert_eq!(c.counts().reexecuted, 1);
+                    // Not dispatched until the quarantine ends.
+                    c.admit(&mut q, 3);
+                    assert!(c.batch(0).is_none());
+                    c.resume(4);
+                    c.admit(&mut q, 4);
+                    assert_eq!(c.batch(0).map(<[_]>::len), Some(1));
+                }
+                QuarantinePolicy::Reject => {
+                    assert_eq!(resolved(&mut c), vec![(0, QUARANTINED)]);
+                    assert!(q.is_empty());
+                    assert_eq!(c.counts().reexecuted, 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quarantine_voids_uncertified_work_and_reject_sheds_the_queue() {
+        for policy in [QuarantinePolicy::Drain, QuarantinePolicy::Reject] {
+            let (mut c, mut q) = core(policy, 1, 1, 0);
+            for id in 0..3 {
+                push(&mut c, &mut q, id, id);
+            }
+            // Request 0 finishes and waits for certification; 1 and 2
+            // are still queued behind the single worker.
+            c.worker_done(&mut q, 0, out(), 5);
+            assert_eq!(queued_ids(&q), vec![1, 2]);
+            assert!(flag(&mut c, &mut q, 6));
+            assert!(c.is_quarantined());
+            assert_eq!(c.counts().quarantines, 1);
+            match policy {
+                QuarantinePolicy::Drain => {
+                    // The voided batch goes back ahead of later arrivals.
+                    assert!(resolved(&mut c).is_empty());
+                    assert_eq!(queued_ids(&q), vec![0, 1, 2]);
+                    assert_eq!(c.counts().reexecuted, 1);
+                    // Arrivals still queue during a drain quarantine.
+                    assert_eq!(c.arrive(&mut q, req(3, 7), 7), Ok(()));
+                    assert_eq!(q.len(), 4);
+                }
+                QuarantinePolicy::Reject => {
+                    assert_eq!(
+                        resolved(&mut c),
+                        vec![(0, QUARANTINED), (1, QUARANTINED), (2, QUARANTINED)]
+                    );
+                    assert!(q.is_empty());
+                    // And new arrivals are shed until the quarantine ends.
+                    assert_eq!(
+                        c.arrive(&mut q, req(3, 7), 7),
+                        Err(RejectReason::Quarantined)
+                    );
+                    assert_eq!(resolved(&mut c), vec![(3, QUARANTINED)]);
+                    c.resume(8);
+                    assert_eq!(c.arrive(&mut q, req(4, 9), 9), Ok(()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_shared_queue_survives_a_reject_quarantine() {
+        let (mut c, _) = core(QuarantinePolicy::Reject, 1, 1, 0);
+        let mut q = RequestQueue::shared(16, None);
+        for id in 0..2 {
+            q.admit(req(id, 0), false).unwrap();
+        }
+        assert!(c.dispatch(&mut q, 0));
+        assert!(flag(&mut c, &mut q, 1));
+        // Only the replica's own in-flight work fails; its peers still
+        // serve what is queued.
+        c.worker_done(&mut q, 0, out(), 2);
+        assert_eq!(resolved(&mut c), vec![(0, QUARANTINED)]);
+        assert_eq!(queued_ids(&q), vec![1]);
+    }
+
+    #[test]
+    fn release_waits_for_a_clean_cycle_that_starts_after_the_finish() {
+        let (mut c, mut q) = core(QuarantinePolicy::Drain, 1, 4, 0);
+        push(&mut c, &mut q, 0, 0);
+        // A cycle that started before the batch finished proves nothing.
+        c.begin_scrub(1);
+        assert!(!c.finish_scrub(&mut q, false, 1));
+        c.worker_done(&mut q, 0, out(), 2);
+        c.begin_scrub(3);
+        assert!(!c.finish_scrub(&mut q, false, 3));
+        assert!(resolved(&mut c).is_empty(), "cycle started at 1 < finish 2");
+        // A clean cycle starting after the finish releases it.
+        clean_cycle(&mut c, &mut q, 4);
+        let released: Vec<_> = c.take_resolved().collect();
+        assert_eq!(released.len(), 1);
+        assert_eq!(released[0].at_ns, 5);
+        assert_eq!(
+            released[0].status,
+            RequestStatus::Completed(Tensor::zeros(&[1]))
+        );
+        assert_eq!(c.counts().completed, 1);
+        assert!(c.certified_since_last_fault());
+    }
+
+    #[test]
+    fn an_injection_needs_a_later_clean_cycle() {
+        let (mut c, mut q) = core(QuarantinePolicy::Drain, 1, 4, 0);
+        assert!(c.certified_since_last_fault());
+        c.fault_landed(10, 0, 3);
+        clean_cycle(&mut c, &mut q, 5);
+        assert!(
+            !c.certified_since_last_fault(),
+            "cycle began before the fault"
+        );
+        clean_cycle(&mut c, &mut q, 11);
+        assert!(c.certified_since_last_fault());
+        // A chaos injection that flipped nothing did not land.
+        c.chaos_landed(20, 0);
+        assert!(c.certified_since_last_fault());
+        assert_eq!(c.counts().faults_injected, 1);
+    }
+
+    #[test]
+    fn a_quarantine_cancels_the_batch_deadline() {
+        let (mut c, mut q) = core(QuarantinePolicy::Drain, 1, 4, 10);
+        push(&mut c, &mut q, 0, 0);
+        // A partial batch holds behind the deadline.
+        let armed = Effect::Wake {
+            at: 10,
+            timer: Timer::BatchDeadline { epoch: 0 },
+        };
+        assert_eq!(c.take_effects(), vec![armed]);
+        assert_eq!(c.pending_deadline(), Some(10));
+        assert!(flag(&mut c, &mut q, 5));
+        assert_eq!(c.pending_deadline(), None);
+        // The stale deadline fires into nothing.
+        c.batch_deadline(0, &mut q, 10);
+        assert!(c.take_effects().is_empty());
+        assert!(c.batch(0).is_none());
+        // Resuming re-arms a fresh deadline in the new epoch.
+        c.resume(20);
+        c.admit(&mut q, 20);
+        let rearmed = Effect::Wake {
+            at: 30,
+            timer: Timer::BatchDeadline { epoch: 1 },
+        };
+        assert_eq!(c.take_effects()[1], rearmed);
+        c.batch_deadline(1, &mut q, 30);
+        assert_eq!(c.take_effects(), vec![Effect::Dispatched { worker: 0 }]);
+    }
+
+    #[test]
+    fn a_polling_worker_holds_a_partial_batch_until_the_deadline() {
+        let (mut c, mut q) = core(QuarantinePolicy::Drain, 2, 2, 10);
+        c.arrive(&mut q, req(0, 0), 0).unwrap();
+        // The first poll arms the deadline; polls before it lapse wait.
+        assert!(!c.poll(1, &mut q, 0));
+        assert_eq!(c.pending_deadline(), Some(10));
+        assert!(!c.poll(0, &mut q, 9));
+        assert!(c.poll(0, &mut q, 10));
+        assert_eq!(c.pending_deadline(), None);
+        assert_eq!(c.batch(0).map(<[_]>::len), Some(1));
+        // A full batch goes at once, and a busy slot takes nothing.
+        c.arrive(&mut q, req(1, 11), 11).unwrap();
+        c.arrive(&mut q, req(2, 11), 11).unwrap();
+        assert!(!c.poll(0, &mut q, 11));
+        assert!(c.poll(1, &mut q, 11));
+        assert_eq!(c.batch(1).map(<[_]>::len), Some(2));
+        // A deadline that lapses with nothing queued fires into nothing.
+        c.arrive(&mut q, req(3, 12), 12).unwrap();
+        c.worker_done(&mut q, 0, out(), 12);
+        assert!(!c.poll(0, &mut q, 12));
+        assert_eq!(c.pending_deadline(), Some(22));
+        // (A router-style dispatch empties the queue under the deadline.)
+        assert!(c.dispatch(&mut q, 13));
+        assert!(q.is_empty());
+        c.worker_done(&mut q, 1, vec![Tensor::zeros(&[1]); 2], 14);
+        assert!(!c.poll(1, &mut q, 30));
+        assert_eq!(c.pending_deadline(), None);
+    }
+
+    #[test]
+    fn a_full_batch_does_not_wait_for_the_deadline() {
+        let (mut c, mut q) = core(QuarantinePolicy::Drain, 1, 2, 10);
+        push(&mut c, &mut q, 0, 0);
+        push(&mut c, &mut q, 1, 1);
+        assert_eq!(c.batch(0).map(<[_]>::len), Some(2));
+        assert_eq!(c.counts().full_batches, 1);
+    }
+
+    #[test]
+    fn shutdown_certifies_finished_work_and_rejects_the_rest() {
+        for clean in [true, false] {
+            let (mut c, mut q) = core(QuarantinePolicy::Drain, 2, 1, 0);
+            for id in 0..3 {
+                push(&mut c, &mut q, id, 0);
+            }
+            // 0 finished, 1 is still in flight, 2 is queued.
+            c.worker_done(&mut q, 0, out(), 3);
+            c.shutdown(&mut q, clean, 10);
+            let finished = if clean {
+                RequestStatus::Completed(Tensor::zeros(&[1]))
+            } else {
+                SHUTDOWN
+            };
+            assert_eq!(
+                resolved(&mut c),
+                vec![(0, finished), (1, SHUTDOWN), (2, SHUTDOWN)]
+            );
+            assert!(q.is_empty());
+            assert!(c.batch(1).is_none());
+            let report = c.report(10, 0, 3, 0, PipelineReport::default());
+            assert_eq!(report.completed + report.rejected, 3);
+            assert_eq!(report.completed, usize::from(clean));
+        }
+    }
+}

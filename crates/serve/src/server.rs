@@ -1,53 +1,43 @@
-//! The live multi-threaded inference server: the same control plane as
-//! the deterministic simulation ([`crate::sim`]), run on real worker
-//! threads and the wall clock.
+//! The live multi-threaded inference server: the [`ServeCore`] under a
+//! mutex, driven by worker threads, a scrubber daemon, and the wall
+//! clock.
 //!
-//! A [`Server`] owns a [`ModelHost`] (weights in substrate shards), a
-//! bounded admission queue drained by a worker pool, and a **scrubber
-//! daemon** that each tick runs the substrate's own scrub plus an
-//! incremental MILR detection chunk. Outputs are released through the
-//! certification ledger exactly as in the simulation: only after a
-//! full clean scrub cycle brackets them. On a flagged layer the
-//! scrubber quarantines the service (drain or reject per policy), runs
-//! MILR recovery against the substrate, verifies, and resumes.
+//! A [`Server`] owns a [`ModelHost`] (weights in substrate shards), the
+//! integrity pipeline, and one core with its admission queue. Every
+//! serving decision — admission, batching, the epoch check,
+//! certification, quarantine, resume, accounting — is the core's, made
+//! under the `inner` lock with the wall clock passed in. The threads
+//! only do the work the core hands out, outside that lock:
+//!
+//! * a **worker** polls the core for a batch for its own slot, runs the
+//!   forward pass unlocked, and hands the outputs back;
+//! * the **scrubber** asks the core for the next chunk, runs the
+//!   pipeline's scrub + detect tick unlocked, reports the verdict, and
+//!   on a quarantine runs the heal episode unlocked before resuming.
+//!
+//! No thread holds `inner` together with `milr` or `pipeline`; among
+//! those the order is `milr` → `pipeline` → `store`.
 
-use crate::ledger::CertificationLedger;
-use crate::metrics::{DowntimeLog, LatencyStats};
 use crate::report::{outcome_digest, ServeReport};
-use crate::request::{QuarantinePolicy, RejectReason, RequestOutcome, RequestStatus};
-use crate::scrubber::ScrubCursor;
+use crate::request::{RejectReason, RequestOutcome, RequestStatus};
+use crate::serve_core::{CoreConfig, Pending, RequestQueue, ServeCore, ServeObs};
+use crate::QuarantinePolicy;
 use milr_core::{Milr, MilrConfig};
 use milr_integrity::{
     Budget, DurabilityPolicy, EscalationPolicy, IntegrityPipeline, Journaled, ModelHost,
     RoundOutcome, TickOutcome, Volatile,
 };
 use milr_nn::Sequential;
-use milr_obs::{
-    AtomicHistogram, Counter, EventKind, Gauge, MetricsRegistry, MetricsSnapshot, SloAlert,
-    SloEngine, SloKind, SpanHandle, SpanTree, TraceHandle,
-};
+use milr_obs::{MetricsRegistry, MetricsSnapshot, SloEngine, SpanHandle, SpanTree, TraceHandle};
+use milr_store::StoreError;
 use milr_substrate::{SubstrateKind, WeightSubstrate};
 use milr_tensor::Tensor;
-use std::collections::VecDeque;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Which decode path workers use to run a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadPath {
-    /// Fused decode-forward: each parameterized layer pulls its shard
-    /// through the host's epoch-tagged plaintext cache, so steady-state
-    /// batches never take a shard lock or decode the substrate.
-    #[default]
-    Fused,
-    /// Decode the whole model into a fresh [`Sequential`] per batch —
-    /// the pre-cache behavior, kept so benchmarks can measure the
-    /// fused path against it.
-    LegacyMaterialize,
-}
 
 /// Live-server configuration.
 #[derive(Debug, Clone)]
@@ -72,8 +62,6 @@ pub struct ServerConfig {
     pub policy: QuarantinePolicy,
     /// Substrate kind backing each layer shard.
     pub substrate: SubstrateKind,
-    /// Decode path used by workers.
-    pub read_path: ReadPath,
     /// Optional structured trace sink. Live-server events are stamped
     /// with wall time since server start (the sim stamps virtual time
     /// instead — same event schema, different clock domain).
@@ -102,7 +90,6 @@ impl Default for ServerConfig {
             layers_per_tick: 2,
             policy: QuarantinePolicy::Drain,
             substrate: SubstrateKind::Plain,
-            read_path: ReadPath::Fused,
             trace: None,
             spans: None,
             http_addr: None,
@@ -154,75 +141,45 @@ impl ResponseHandle {
     }
 }
 
-struct PendingRequest {
-    id: u64,
+/// What the server keeps with each request: the input for the forward
+/// pass and the client's reply channel.
+struct Client {
     input: Tensor,
-    arrival_ns: u64,
     tx: Sender<Result<Tensor, ServeError>>,
 }
 
-struct CompletedBatch {
-    requests: Vec<PendingRequest>,
-    outputs: Vec<Tensor>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Serving,
-    Quarantined,
-}
-
+/// The state under the `inner` lock.
 struct Inner {
-    queue: VecDeque<PendingRequest>,
-    status: Status,
-    /// Start of the current availability segment: the last instant the
-    /// serving/quarantined state flipped (or server start). Each flip
-    /// feeds the elapsed segment into the availability SLO window.
-    avail_mark: u64,
-    epoch: u64,
+    core: ServeCore<Client>,
+    queue: RequestQueue<Client>,
     next_id: u64,
-    in_flight: usize,
-    ledger: CertificationLedger<CompletedBatch>,
-    cursor: ScrubCursor,
-    downtime: DowntimeLog,
-    latencies: Vec<u64>,
     outcomes: Vec<RequestOutcome>,
-    submitted: usize,
-    completed: usize,
-    rejected: usize,
-    reexecuted: usize,
-    faults_injected: usize,
-    scrub_ticks: usize,
-    quarantines: usize,
-    batches: usize,
-    full_batches: usize,
-    batched_requests: usize,
 }
 
-/// Pre-registered metrics handles: all recording below is lock-free
-/// atomics on preallocated storage, so the fused clean path never
-/// takes a lock or allocates for observability.
-struct ServerObs {
-    latency: Arc<AtomicHistogram>,
-    batch_wait: Arc<AtomicHistogram>,
-    occupancy: Arc<AtomicHistogram>,
-    ledger_hold: Arc<AtomicHistogram>,
-    queue_depth: Arc<Gauge>,
-    faults: Arc<Counter>,
-    quarantines: Arc<Counter>,
-}
-
-impl ServerObs {
-    fn register(metrics: &MetricsRegistry) -> Self {
-        ServerObs {
-            latency: metrics.histogram("serve_latency_ns"),
-            batch_wait: metrics.histogram("serve_batch_wait_ns"),
-            occupancy: metrics.histogram("serve_batch_occupancy"),
-            ledger_hold: metrics.histogram("serve_ledger_hold_ns"),
-            queue_depth: metrics.gauge("serve_queue_depth"),
-            faults: metrics.counter("serve_faults_injected_total"),
-            quarantines: metrics.counter("serve_quarantines_total"),
+impl Inner {
+    /// Answers every client the core resolved. The core's effects need
+    /// no action here: workers pull their own batches and fire lapsed
+    /// deadlines while polling, and the scrubber keeps its own cadence.
+    fn settle(&mut self) {
+        for r in self.core.take_resolved() {
+            let Pending {
+                id,
+                arrival_ns,
+                payload: Client { input, tx },
+            } = r.request;
+            let _ = tx.send(match &r.status {
+                RequestStatus::Completed(out) => Ok(out.clone()),
+                RequestStatus::Rejected(reason) => Err(ServeError::Rejected(*reason)),
+            });
+            self.outcomes.push(RequestOutcome {
+                id,
+                input,
+                status: r.status,
+                arrival_ns,
+                resolved_ns: r.at_ns,
+            });
         }
+        self.core.discard_effects();
     }
 }
 
@@ -233,7 +190,7 @@ struct Shared {
     milr: Mutex<Milr>,
     /// The shared integrity engine (scrub/detect ticks and heal
     /// episodes); only the scrubber drives it, shutdown reads its
-    /// report. Lock order: `milr` before `pipeline` before `store`.
+    /// report.
     pipeline: Mutex<IntegrityPipeline>,
     /// Present for store-backed servers: heals are flushed through its
     /// journal and re-anchors committed atomically to its container.
@@ -244,12 +201,6 @@ struct Shared {
     work_cv: Condvar,
     stop: AtomicBool,
     metrics: Arc<MetricsRegistry>,
-    obs: ServerObs,
-    /// Burn-rate SLO evaluation over the live streams (availability
-    /// segments, per-request latencies, heal exactness, durability).
-    /// Leaf lock: taken while holding `inner`, `milr`, or `pipeline`,
-    /// and never the other way around.
-    slo: Mutex<SloEngine>,
 }
 
 impl Shared {
@@ -257,64 +208,57 @@ impl Shared {
         self.start.elapsed().as_nanos() as u64
     }
 
-    #[inline]
-    fn emit(&self, now: u64, kind: EventKind) {
-        if let Some(trace) = &self.config.trace {
-            trace.emit(now, 0, kind);
-        }
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("lock poisoned")
     }
 
-    /// Emits burn-rate alert rising edges on the trace (wall-stamped,
-    /// like every other live-server event).
-    fn fire_alerts(&self, alerts: Vec<SloAlert>) {
-        for a in alerts {
-            self.emit(
-                a.ns,
-                EventKind::AlertFired {
-                    slo: a.spec,
-                    burn_milli: a.burn_milli,
-                },
-            );
-        }
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
     }
 
-    /// Feeds one good/bad sample into the SLO engine.
-    fn slo_observe(&self, now: u64, kind: SloKind, good: u64, bad: u64) {
-        let alerts = self
-            .slo
-            .lock()
-            .expect("slo lock poisoned")
-            .observe(now, kind, good, bad);
-        self.fire_alerts(alerts);
+    /// Raises the stop flag under the state lock, so a worker either
+    /// sees it before parking or is parked when the wake-up comes.
+    fn signal_stop(&self) {
+        let _guard = self.inner.lock();
+        self.stop.store(true, Ordering::Release);
+        self.work_cv.notify_all();
     }
 
-    fn resolve(&self, inner: &mut Inner, now: u64, req: PendingRequest, status: RequestStatus) {
-        match &status {
-            RequestStatus::Completed(out) => {
-                inner.completed += 1;
-                let latency = now.saturating_sub(req.arrival_ns);
-                self.obs.latency.record(latency);
-                inner.latencies.push(latency);
-                let alerts = self
-                    .slo
-                    .lock()
-                    .expect("slo lock poisoned")
-                    .observe_latency(now, latency);
-                self.fire_alerts(alerts);
-                let _ = req.tx.send(Ok(out.clone()));
+    /// Parks an idle worker until the state changes, or until an armed
+    /// batch deadline lapses.
+    fn idle<'a>(&self, inner: MutexGuard<'a, Inner>) -> MutexGuard<'a, Inner> {
+        let Some(at) = inner.core.pending_deadline() else {
+            return self.work_cv.wait(inner).expect("lock poisoned");
+        };
+        let wait = Duration::from_nanos(at.saturating_sub(self.now_ns()));
+        self.work_cv
+            .wait_timeout(inner, wait)
+            .expect("lock poisoned")
+            .0
+    }
+
+    /// One batch's forward pass, outside the state lock. Parameterized
+    /// layers decode their shard through the host's epoch-tagged cache
+    /// (a clean steady-state batch takes no shard lock at all); shard
+    /// reads are per-shard atomic, and certification handles
+    /// cross-shard races.
+    fn forward(&self, inputs: &[Tensor]) -> Vec<Tensor> {
+        match &self.config.spans {
+            // One wall-clock span tree per batch (batch → decode →
+            // forward → layer×N) into the ring.
+            Some(spans) => {
+                let mut clock = || self.now_ns();
+                let mut tree = SpanTree::default();
+                tree.open(clock(), "batch", inputs.len() as u64);
+                let out = self
+                    .host
+                    .forward_batch_traced(inputs, &mut clock, &mut tree);
+                spans.push_all(tree.finish(self.now_ns()));
+                out
             }
-            RequestStatus::Rejected(reason) => {
-                inner.rejected += 1;
-                let _ = req.tx.send(Err(ServeError::Rejected(*reason)));
-            }
+            None => self.host.forward_batch(inputs),
         }
-        inner.outcomes.push(RequestOutcome {
-            id: req.id,
-            input: req.input,
-            status,
-            arrival_ns: req.arrival_ns,
-            resolved_ns: now,
-        });
+        .expect("inputs validated against the model shape at submission")
     }
 }
 
@@ -323,10 +267,8 @@ impl Shared {
 /// [`ServeError::Stopped`].
 pub struct Server {
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-    scrubber: Option<JoinHandle<()>>,
-    http: Option<JoinHandle<()>>,
-    http_addr: Option<std::net::SocketAddr>,
+    threads: Vec<JoinHandle<()>>,
+    http_addr: Option<SocketAddr>,
 }
 
 impl Server {
@@ -335,17 +277,18 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates MILR protection failures.
+    /// Propagates MILR protection failures, and the I/O error when the
+    /// introspection listener ([`ServerConfig::http_addr`]) cannot bind.
     pub fn start(
         golden: &Sequential,
         milr_config: MilrConfig,
         config: ServerConfig,
-    ) -> milr_core::Result<Self> {
+    ) -> Result<Self, StoreError> {
         let substrate = config.substrate;
         let build = move |c: &[f32]| -> Box<dyn WeightSubstrate> { substrate.store(c) };
         let milr = Milr::protect(golden, milr_config)?;
         let host = ModelHost::new(golden, &build);
-        Ok(Self::start_with(host, milr, None, config))
+        Self::start_with(host, milr, None, config)
     }
 
     /// Cold-starts from a persistent `.milr` container: opens the
@@ -359,30 +302,34 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates store open/commit and MILR failures; refuses to
-    /// serve a container whose faults cannot be healed.
+    /// Propagates store open/commit and MILR failures and introspection
+    /// bind failures; refuses to serve a container whose faults cannot
+    /// be healed.
     pub fn start_from_store(
         path: &std::path::Path,
         cache_pages: usize,
         config: ServerConfig,
-    ) -> Result<(Self, crate::ColdStartReport), milr_store::StoreError> {
+    ) -> Result<(Self, crate::ColdStartReport), StoreError> {
         let mut store = milr_store::Store::open(path)?;
         let (host, milr, report) = crate::cold_start(&mut store, cache_pages)?;
-        Ok((Self::start_with(host, milr, Some(store), config), report))
+        Ok((Self::start_with(host, milr, Some(store), config)?, report))
     }
 
-    /// Shared tail of both constructors: assembles the control plane
-    /// and spawns the worker pool plus the scrubber daemon.
+    /// Shared tail of both constructors: binds the introspection
+    /// listener (before any thread exists, so a bad address leaks
+    /// nothing), assembles the core, and spawns the threads.
     fn start_with(
         host: ModelHost,
         milr: Milr,
         store: Option<milr_store::Store>,
         config: ServerConfig,
-    ) -> Self {
-        assert!(config.workers > 0, "need at least one worker");
-        assert!(config.queue_capacity > 0, "need a non-empty queue");
-        assert!(config.batch_max > 0, "need a non-empty batch");
-        let cursor = ScrubCursor::new(milr.checkable_layers(), config.layers_per_tick);
+    ) -> Result<Self, StoreError> {
+        let listener = config
+            .http_addr
+            .as_deref()
+            .map(TcpListener::bind)
+            .transpose()?;
+        let http_addr = listener.as_ref().map(TcpListener::local_addr).transpose()?;
         // Give-up-and-resume on budget exhaustion (the next scrub
         // cycle re-quarantines); durability is best-effort per episode.
         // The Reprotect gate is mandatory here: faults can land
@@ -404,7 +351,23 @@ impl Server {
             store.journal().set_spans(spans.clone(), start);
         }
         let metrics = Arc::new(MetricsRegistry::new());
-        let obs = ServerObs::register(&metrics);
+        // Live events are stamped with wall time since server start.
+        let obs = ServeObs::new(config.trace.clone(), 0, Some(&metrics));
+        let queue = RequestQueue::new(config.queue_capacity, obs.queue_depth.clone());
+        let core_cfg = CoreConfig {
+            workers: config.workers,
+            batch_max: config.batch_max,
+            batch_wait_ns: config.batch_wait.as_nanos() as u64,
+            scrub_interval_ns: config.scrub_interval.as_nanos() as u64,
+            layers_per_tick: config.layers_per_tick,
+            policy: config.policy,
+        };
+        let core = ServeCore::new(
+            core_cfg,
+            milr.checkable_layers(),
+            SloEngine::serving_defaults(),
+            obs,
+        );
         let shared = Arc::new(Shared {
             host,
             milr: Mutex::new(milr),
@@ -413,78 +376,46 @@ impl Server {
             config,
             start,
             inner: Mutex::new(Inner {
-                queue: VecDeque::new(),
-                status: Status::Serving,
-                avail_mark: 0,
-                epoch: 0,
+                core,
+                queue,
                 next_id: 0,
-                in_flight: 0,
-                ledger: CertificationLedger::default(),
-                cursor,
-                downtime: DowntimeLog::default(),
-                latencies: Vec::new(),
                 outcomes: Vec::new(),
-                submitted: 0,
-                completed: 0,
-                rejected: 0,
-                reexecuted: 0,
-                faults_injected: 0,
-                scrub_ticks: 0,
-                quarantines: 0,
-                batches: 0,
-                full_batches: 0,
-                batched_requests: 0,
             }),
             work_cv: Condvar::new(),
             stop: AtomicBool::new(false),
             metrics,
-            obs,
-            slo: Mutex::new(SloEngine::serving_defaults()),
         });
-        let workers = (0..shared.config.workers)
-            .map(|_| {
+        let mut threads: Vec<JoinHandle<()>> = (0..shared.config.workers)
+            .map(|worker| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
+                std::thread::spawn(move || worker_loop(&shared, worker))
             })
             .collect();
-        let scrubber = {
+        let scrubber = Arc::clone(&shared);
+        threads.push(std::thread::spawn(move || scrubber_loop(&scrubber)));
+        if let Some(listener) = listener {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || scrubber_loop(&shared))
-        };
-        let (http, http_addr) = match &shared.config.http_addr {
-            Some(addr) => {
-                let listener = std::net::TcpListener::bind(addr)
-                    .expect("failed to bind the live introspection listener");
-                let bound = listener
-                    .local_addr()
-                    .expect("introspection listener has a local address");
-                let shared = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || {
-                    let stop = {
-                        let shared = Arc::clone(&shared);
-                        move || shared.stop.load(Ordering::Acquire)
-                    };
-                    crate::http::serve_until(listener, stop, move |method, path| {
-                        introspect(&shared, method, path)
-                    });
+            threads.push(std::thread::spawn(move || {
+                let stop = {
+                    let shared = Arc::clone(&shared);
+                    move || shared.stopping()
+                };
+                crate::http::serve_until(listener, stop, move |method, path| {
+                    introspect(&shared, method, path)
                 });
-                (Some(handle), Some(bound))
-            }
-            None => (None, None),
-        };
-        Server {
-            shared,
-            workers,
-            scrubber: Some(scrubber),
-            http,
-            http_addr,
+            }));
         }
+        Ok(Server {
+            shared,
+            threads,
+            http_addr,
+        })
     }
 
     /// The bound address of the live introspection listener, when
     /// [`ServerConfig::http_addr`] was set (port 0 requests resolve to
     /// the actual ephemeral port here).
-    pub fn http_addr(&self) -> Option<std::net::SocketAddr> {
+    pub fn http_addr(&self) -> Option<SocketAddr> {
         self.http_addr
     }
 
@@ -498,55 +429,24 @@ impl Server {
     /// reject-policy quarantine is shedding; [`ServeError::Stopped`]
     /// after shutdown.
     pub fn submit(&self, input: Tensor) -> Result<ResponseHandle, ServeError> {
-        if self.shared.stop.load(Ordering::Acquire) {
+        if self.shared.stopping() {
             return Err(ServeError::Stopped);
         }
         let now = self.shared.now_ns();
         let (tx, rx) = channel();
-        let mut inner = self.shared.inner.lock().expect("lock poisoned");
+        let mut inner = self.shared.lock();
         let id = inner.next_id;
         inner.next_id += 1;
-        inner.submitted += 1;
-        if inner.status == Status::Quarantined
-            && self.shared.config.policy == QuarantinePolicy::Reject
-        {
-            let req = PendingRequest {
-                id,
-                input,
-                arrival_ns: now,
-                tx,
-            };
-            self.shared.resolve(
-                &mut inner,
-                now,
-                req,
-                RequestStatus::Rejected(RejectReason::Quarantined),
-            );
-            return Err(ServeError::Rejected(RejectReason::Quarantined));
-        }
-        if inner.queue.len() >= self.shared.config.queue_capacity {
-            let req = PendingRequest {
-                id,
-                input,
-                arrival_ns: now,
-                tx,
-            };
-            self.shared.resolve(
-                &mut inner,
-                now,
-                req,
-                RequestStatus::Rejected(RejectReason::QueueFull),
-            );
-            return Err(ServeError::Rejected(RejectReason::QueueFull));
-        }
-        inner.queue.push_back(PendingRequest {
+        let req = Pending {
             id,
-            input,
             arrival_ns: now,
-            tx,
-        });
-        self.shared.obs.queue_depth.set(inner.queue.len() as i64);
+            payload: Client { input, tx },
+        };
+        let Inner { core, queue, .. } = &mut *inner;
+        let admitted = core.arrive(queue, req, now);
+        inner.settle();
         drop(inner);
+        admitted.map_err(ServeError::Rejected)?;
         self.shared.work_cv.notify_one();
         Ok(ResponseHandle { id, rx })
     }
@@ -560,19 +460,9 @@ impl Server {
     /// of range.
     pub fn inject_weight_fault(&self, layer: usize, weight: usize) {
         self.shared.host.corrupt_weight(layer, weight);
-        self.shared
-            .inner
-            .lock()
-            .expect("lock poisoned")
-            .faults_injected += 1;
-        self.shared.obs.faults.inc();
-        self.shared.emit(
-            self.shared.now_ns(),
-            EventKind::FaultInjected {
-                layer: layer as u32,
-                weight: weight as u64,
-            },
-        );
+        let mut inner = self.shared.lock();
+        let now = self.shared.now_ns();
+        inner.core.fault_landed(now, layer as u32, weight as u64);
     }
 
     /// A point-in-time snapshot of the server's metrics registry —
@@ -589,12 +479,20 @@ impl Server {
 
     /// True while a quarantine is in progress.
     pub fn is_quarantined(&self) -> bool {
-        self.shared.inner.lock().expect("lock poisoned").status == Status::Quarantined
+        self.shared.lock().core.is_quarantined()
     }
 
     /// Quarantine episodes so far.
     pub fn quarantines(&self) -> usize {
-        self.shared.inner.lock().expect("lock poisoned").quarantines
+        self.shared.lock().core.counts().quarantines
+    }
+
+    /// Stops every thread and waits for it.
+    fn stop_threads(&mut self) {
+        self.shared.signal_stop();
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
     }
 
     /// Stops accepting work, drains certification, joins all threads,
@@ -602,19 +500,8 @@ impl Server {
     /// final certification flush are rejected with
     /// [`RejectReason::Shutdown`].
     pub fn shutdown(mut self) -> ServeReport {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.work_cv.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(s) = self.scrubber.take() {
-            let _ = s.join();
-        }
-        if let Some(h) = self.http.take() {
-            let _ = h.join();
-        }
+        self.stop_threads();
         let now = self.shared.now_ns();
-        let mut inner = self.shared.inner.lock().expect("lock poisoned");
         // Final certification flush: one full detection pass at `now`
         // brackets everything that already finished.
         let live = self.shared.host.materialize();
@@ -626,33 +513,6 @@ impl Server {
             .detect(&live)
             .map(|r| r.is_clean())
             .unwrap_or(false);
-        if clean {
-            for batch in inner.ledger.certify_before(now) {
-                for (req, out) in batch.requests.into_iter().zip(batch.outputs) {
-                    self.shared
-                        .resolve(&mut inner, now, req, RequestStatus::Completed(out));
-                }
-            }
-        }
-        for batch in inner.ledger.invalidate() {
-            for req in batch.requests {
-                self.shared.resolve(
-                    &mut inner,
-                    now,
-                    req,
-                    RequestStatus::Rejected(RejectReason::Shutdown),
-                );
-            }
-        }
-        while let Some(req) = inner.queue.pop_front() {
-            self.shared.resolve(
-                &mut inner,
-                now,
-                req,
-                RequestStatus::Rejected(RejectReason::Shutdown),
-            );
-        }
-        inner.downtime.close_at(now);
         let pipeline = self
             .shared
             .pipeline
@@ -660,182 +520,43 @@ impl Server {
             .expect("pipeline lock poisoned")
             .report()
             .clone();
-        // Close the SLO windows: the trailing availability segment,
-        // then the lifetime durability tally (anchors committed vs
-        // best-effort failures).
-        let tail = now.saturating_sub(inner.avail_mark);
-        inner.avail_mark = now;
-        if inner.status == Status::Serving {
-            self.shared.slo_observe(now, SloKind::Availability, tail, 0);
-        } else {
-            self.shared.slo_observe(now, SloKind::Availability, 0, tail);
-        }
-        self.shared.slo_observe(
-            now,
-            SloKind::Durability,
-            pipeline.anchors as u64,
-            pipeline.durability_errors as u64,
-        );
-        let slo = self
-            .shared
-            .slo
-            .lock()
-            .expect("slo lock poisoned")
-            .report(now);
-        ServeReport {
-            seed: 0,
-            policy: self.shared.config.policy.name().to_string(),
-            submitted: inner.submitted,
-            completed: inner.completed,
-            rejected: inner.rejected,
-            reexecuted: inner.reexecuted,
-            faults_injected: inner.faults_injected,
-            scrub_corrected: pipeline.scrub_corrected,
-            scrub_ticks: inner.scrub_ticks,
-            quarantines: inner.quarantines,
-            layers_recovered: pipeline.layers_healed,
-            durability_errors: pipeline.durability_errors,
-            total_ns: now,
-            downtime_ns: inner.downtime.total_ns(now),
-            availability: inner.downtime.availability(now),
-            latency: LatencyStats::from_ns(&inner.latencies),
-            batches: inner.batches,
-            full_batches: inner.full_batches,
-            batch_occupancy: if inner.batches == 0 {
-                0.0
-            } else {
-                inner.batched_requests as f64 / inner.batches as f64
-            },
-            digest: outcome_digest(&inner.outcomes),
-            pipeline,
-            slo: Some(slo),
-        }
+        let mut inner = self.shared.lock();
+        let Inner { core, queue, .. } = &mut *inner;
+        core.shutdown(queue, clean, now);
+        inner.settle();
+        let submitted = inner.next_id as usize;
+        let digest = outcome_digest(&inner.outcomes);
+        inner.core.report(now, 0, submitted, digest, pipeline)
     }
 }
 
-fn worker_loop(shared: &Shared) {
+fn worker_loop(shared: &Shared, worker: usize) {
+    let mut inner = shared.lock();
     loop {
-        let mut inner = shared.inner.lock().expect("lock poisoned");
-        loop {
-            if shared.stop.load(Ordering::Acquire) {
-                return;
-            }
-            if inner.status == Status::Serving && !inner.queue.is_empty() {
-                break;
-            }
-            inner = shared.work_cv.wait(inner).expect("lock poisoned");
+        if shared.stopping() {
+            return;
         }
-        // Continuous-batching admission: hold a partial batch until the
-        // deadline lapses or the queue fills, so later arrivals coalesce
-        // into it instead of dispatching a fragment per wake-up.
-        let wait = shared.config.batch_wait;
-        if !wait.is_zero() && inner.queue.len() < shared.config.batch_max {
-            let deadline = Instant::now() + wait;
-            while inner.status == Status::Serving
-                && !inner.queue.is_empty()
-                && inner.queue.len() < shared.config.batch_max
-                && !shared.stop.load(Ordering::Acquire)
-            {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                inner = shared
-                    .work_cv
-                    .wait_timeout(inner, deadline - now)
-                    .expect("lock poisoned")
-                    .0;
-            }
-            if shared.stop.load(Ordering::Acquire) {
-                return;
-            }
-            if inner.status != Status::Serving || inner.queue.is_empty() {
-                continue; // quarantined or drained while waiting
-            }
+        // Continuous batching, pulled: the core hands this worker a
+        // batch when its policy allows (a partial batch waits for the
+        // deadline so later arrivals coalesce into it).
+        let now = shared.now_ns();
+        let Inner { core, queue, .. } = &mut *inner;
+        if !core.poll(worker, queue, now) {
+            inner = shared.idle(inner);
+            continue;
         }
-        let n = inner.queue.len().min(shared.config.batch_max);
-        let requests: Vec<PendingRequest> = inner.queue.drain(..n).collect();
-        let epoch = inner.epoch;
-        inner.in_flight += 1;
-        inner.batches += 1;
-        inner.batched_requests += n;
-        if n == shared.config.batch_max {
-            inner.full_batches += 1;
-        }
-        shared.obs.queue_depth.set(inner.queue.len() as i64);
+        let batch = inner.core.batch(worker).expect("polled batch");
+        let inputs: Vec<Tensor> = batch.iter().map(|r| r.payload.input.clone()).collect();
         drop(inner);
-        let dispatch_ns = shared.now_ns();
-        shared.obs.occupancy.record(n as u64);
-        for req in &requests {
-            shared
-                .obs
-                .batch_wait
-                .record(dispatch_ns.saturating_sub(req.arrival_ns));
-        }
-        shared.emit(
-            dispatch_ns,
-            EventKind::BatchDispatched {
-                occupancy: n as u32,
-            },
-        );
-
-        // Compute outside the state lock. The fused path decodes each
-        // layer's shard through the host's epoch-tagged cache (a clean
-        // steady-state batch takes no shard lock at all); shard reads
-        // are per-shard atomic either way, and certification handles
-        // cross-shard races.
-        let inputs: Vec<Tensor> = requests.iter().map(|r| r.input.clone()).collect();
-        let outputs = match shared.config.read_path {
-            ReadPath::Fused => match &shared.config.spans {
-                // Traced fused path: one wall-clock span tree per batch
-                // (batch → decode → forward → layer×N) into the ring.
-                Some(spans) => {
-                    let mut clock = || shared.now_ns();
-                    let mut tree = SpanTree::default();
-                    tree.open(clock(), "batch", n as u64);
-                    let out = shared
-                        .host
-                        .forward_batch_traced(&inputs, &mut clock, &mut tree);
-                    spans.push_all(tree.finish(shared.now_ns()));
-                    out
-                }
-                None => shared.host.forward_batch(&inputs),
-            },
-            ReadPath::LegacyMaterialize => shared.host.materialize().forward_batch(&inputs),
-        }
-        .expect("inputs validated against the model shape at submission");
-
-        let mut inner = shared.inner.lock().expect("lock poisoned");
+        let outputs = shared.forward(&inputs);
+        inner = shared.lock();
         // Stamp under the lock: acquisition order keeps ledger stamps
         // monotone across workers.
         let now = shared.now_ns();
-        inner.in_flight -= 1;
-        if inner.epoch != epoch {
-            // A quarantine started while we computed: outputs suspect.
-            match shared.config.policy {
-                QuarantinePolicy::Drain => {
-                    inner.reexecuted += requests.len();
-                    for req in requests.into_iter().rev() {
-                        inner.queue.push_front(req);
-                    }
-                }
-                QuarantinePolicy::Reject => {
-                    for req in requests {
-                        shared.resolve(
-                            &mut inner,
-                            now,
-                            req,
-                            RequestStatus::Rejected(RejectReason::Quarantined),
-                        );
-                    }
-                }
-            }
-        } else {
-            inner
-                .ledger
-                .record(now, CompletedBatch { requests, outputs });
-        }
-        drop(inner);
+        let Inner { core, queue, .. } = &mut *inner;
+        core.worker_done(queue, worker, outputs, now);
+        inner.settle();
+        // A voided batch may have gone back on the queue.
         shared.work_cv.notify_all();
     }
 }
@@ -864,11 +585,11 @@ fn with_durability<T>(shared: &Shared, f: impl FnOnce(&mut dyn DurabilityPolicy)
 }
 
 fn scrubber_loop(shared: &Shared) {
-    while !shared.stop.load(Ordering::Acquire) {
+    while !shared.stopping() {
         // Sleep in short slices so shutdown never waits a full tick.
         let mut slept = Duration::ZERO;
         while slept < shared.config.scrub_interval {
-            if shared.stop.load(Ordering::Acquire) {
+            if shared.stopping() {
                 return;
             }
             let step = (shared.config.scrub_interval - slept).min(Duration::from_millis(1));
@@ -876,11 +597,7 @@ fn scrubber_loop(shared: &Shared) {
             slept += step;
         }
         let now = shared.now_ns();
-        let chunk = {
-            let mut inner = shared.inner.lock().expect("lock poisoned");
-            inner.scrub_ticks += 1;
-            inner.cursor.begin_tick(now)
-        };
+        let chunk = shared.lock().core.begin_scrub(now);
         // Scrub + Detect stages of the shared engine: ECC corrections
         // are heals — journaled before anything certifies on top.
         let TickOutcome { detection, .. } = {
@@ -892,110 +609,40 @@ fn scrubber_loop(shared: &Shared) {
             })
             .expect("materialized model matches the protected structure")
         };
-        let flagged = !detection.is_clean();
-
-        let mut inner = shared.inner.lock().expect("lock poisoned");
-        if let Some(watermark) = inner.cursor.finish_tick(flagged, now) {
-            for (finish, batch) in inner.ledger.certify_before_stamped(watermark) {
-                shared.obs.ledger_hold.record(now.saturating_sub(finish));
-                for (req, out) in batch.requests.into_iter().zip(batch.outputs) {
-                    shared.resolve(&mut inner, now, req, RequestStatus::Completed(out));
-                }
-            }
-        }
-        if !flagged {
+        let mut inner = shared.lock();
+        let Inner { core, queue, .. } = &mut *inner;
+        let quarantined = core.finish_scrub(queue, !detection.is_clean(), now);
+        inner.settle();
+        if !quarantined {
             continue;
-        }
-
-        // Quarantine: void uncertified work and stop dispatch.
-        inner.status = Status::Quarantined;
-        inner.epoch += 1;
-        inner.quarantines += 1;
-        inner.downtime.open_at(now);
-        shared.obs.quarantines.inc();
-        shared.emit(now, EventKind::Quarantine { entered: true });
-        // The serving segment that just ended is availability-good.
-        let up = now.saturating_sub(inner.avail_mark);
-        inner.avail_mark = now;
-        shared.slo_observe(now, SloKind::Availability, up, 0);
-        let voided = inner.ledger.invalidate();
-        match shared.config.policy {
-            QuarantinePolicy::Drain => {
-                let mut reqs: Vec<PendingRequest> =
-                    voided.into_iter().flat_map(|b| b.requests).collect();
-                reqs.sort_by_key(|r| r.id);
-                inner.reexecuted += reqs.len();
-                for req in reqs.into_iter().rev() {
-                    inner.queue.push_front(req);
-                }
-            }
-            QuarantinePolicy::Reject => {
-                for batch in voided {
-                    for req in batch.requests {
-                        shared.resolve(
-                            &mut inner,
-                            now,
-                            req,
-                            RequestStatus::Rejected(RejectReason::Quarantined),
-                        );
-                    }
-                }
-                while let Some(req) = inner.queue.pop_front() {
-                    shared.resolve(
-                        &mut inner,
-                        now,
-                        req,
-                        RequestStatus::Rejected(RejectReason::Quarantined),
-                    );
-                }
-            }
         }
         drop(inner);
 
-        // Recover outside the state lock (workers are paused by
-        // status); the scrubber is the only milr user while serving.
-        // The engine runs heal rounds to completion: write-backs reach
-        // disk through the journal, a clean verify re-protects so an
-        // approximate heal cannot leave the stored CRC grids out of
-        // sync with storage, and the re-anchor commits atomically. On
-        // budget exhaustion it gives up (Quarantine policy) and the
-        // next tick re-quarantines.
-        {
+        // Recover outside the state lock (dispatch is stopped); the
+        // scrubber is the only milr user while serving. The engine runs
+        // heal rounds to completion: write-backs reach disk through the
+        // journal, a clean verify re-protects so an approximate heal
+        // cannot leave the stored CRC grids out of sync with storage,
+        // and the re-anchor commits atomically. On budget exhaustion it
+        // gives up (Quarantine policy) and the next tick re-quarantines.
+        let healed = {
             let mut milr = shared.milr.lock().expect("lock poisoned");
             let mut pipeline = shared.pipeline.lock().expect("pipeline lock poisoned");
             pipeline.set_now(shared.now_ns());
-            let heals_before = {
-                let r = pipeline.report();
-                (r.heals_exact, r.heals_approx)
-            };
             let outcome = with_durability(shared, |dur| pipeline.run(&shared.host, &mut milr, dur))
                 .expect("recovery propagates only solver errors");
             debug_assert!(matches!(
                 outcome,
                 RoundOutcome::Clean { .. } | RoundOutcome::GaveUp { .. }
             ));
-            let (exact, approx) = {
-                let r = pipeline.report();
-                (
-                    (r.heals_exact - heals_before.0) as u64,
-                    (r.heals_approx - heals_before.1) as u64,
-                )
-            };
-            if exact + approx > 0 {
-                shared.slo_observe(shared.now_ns(), SloKind::HealExactness, exact, approx);
-            }
-        }
+            pipeline.report().clone()
+        };
 
         let now = shared.now_ns();
-        let mut inner = shared.inner.lock().expect("lock poisoned");
-        inner.status = Status::Serving;
-        inner.downtime.close_at(now);
-        shared.emit(now, EventKind::Quarantine { entered: false });
-        // The quarantine window that just closed is availability-bad.
-        let down = now.saturating_sub(inner.avail_mark);
-        inner.avail_mark = now;
-        shared.slo_observe(now, SloKind::Availability, 0, down);
-        inner.cursor.reset();
+        let mut inner = shared.lock();
+        inner.core.observe_heals(now, &healed);
+        inner.core.resume(now);
+        inner.settle();
         drop(inner);
         shared.work_cv.notify_all();
     }
@@ -1024,17 +671,15 @@ fn introspect(shared: &Shared, method: &str, path: &str) -> crate::http::HttpRes
             )
         }
         "/health" => {
-            let (status, quarantines) = {
-                let inner = shared.inner.lock().expect("lock poisoned");
-                (inner.status, inner.quarantines)
+            let (serving, quarantines, pass) = {
+                let mut inner = shared.lock();
+                let core = &mut inner.core;
+                (
+                    !core.is_quarantined(),
+                    core.counts().quarantines,
+                    core.slo().report(now).pass,
+                )
             };
-            let pass = shared
-                .slo
-                .lock()
-                .expect("slo lock poisoned")
-                .report(now)
-                .pass;
-            let serving = status == Status::Serving;
             let body = format!(
                 "{{\"status\":\"{}\",\"slo_pass\":{},\"quarantines\":{},\"uptime_ns\":{}}}\n",
                 if serving { "serving" } else { "quarantined" },
@@ -1048,11 +693,12 @@ fn introspect(shared: &Shared, method: &str, path: &str) -> crate::http::HttpRes
             HttpResponse::new(if serving { 200 } else { 503 }, "application/json", body)
         }
         "/slo" => {
-            let mut slo = shared.slo.lock().expect("slo lock poisoned");
-            let report = slo.report(now);
-            let burns = slo.burn_rates(now);
-            let names: Vec<&'static str> = slo.specs().iter().map(|s| s.name).collect();
-            drop(slo);
+            let (report, burns, names) = {
+                let mut inner = shared.lock();
+                let slo = inner.core.slo();
+                let names: Vec<&'static str> = slo.specs().iter().map(|s| s.name).collect();
+                (slo.report(now), slo.burn_rates(now), names)
+            };
             let mut body = String::from("{\"report\":");
             body.push_str(&report.to_json());
             body.push_str(",\"burn_rates\":[");
@@ -1080,17 +726,7 @@ fn introspect(shared: &Shared, method: &str, path: &str) -> crate::http::HttpRes
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.work_cv.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(s) = self.scrubber.take() {
-            let _ = s.join();
-        }
-        if let Some(h) = self.http.take() {
-            let _ = h.join();
-        }
+        self.stop_threads();
     }
 }
 
@@ -1221,6 +857,92 @@ mod tests {
                 assert_eq!(report.rejected, 1)
             }
             other => panic!("unexpected resolution: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reject_policy_sheds_instead_of_reexecuting_and_stays_golden() {
+        let golden = serving_model(25);
+        let server = Server::start(
+            &golden,
+            MilrConfig::default(),
+            ServerConfig {
+                workers: 2,
+                scrub_interval: Duration::from_millis(1),
+                policy: QuarantinePolicy::Reject,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut rng = TensorRng::new(80);
+        let mut submitted = Vec::new();
+        let mut shed_at_submit = 0usize;
+        let mut submit = |server: &Server, rng: &mut TensorRng| {
+            let x = rng.uniform_tensor(&[10, 10, 1]);
+            match server.submit(x.clone()) {
+                Ok(h) => submitted.push((x, h)),
+                Err(ServeError::Rejected(RejectReason::Quarantined)) => shed_at_submit += 1,
+                Err(other) => panic!("unexpected refusal: {other:?}"),
+            }
+        };
+        for _ in 0..6 {
+            submit(&server, &mut rng);
+        }
+        server.inject_weight_fault(0, 11);
+        // Keep traffic flowing through the quarantine and the heal.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while server.quarantines() == 0 || server.is_quarantined() {
+            assert!(Instant::now() < deadline, "scrubber never healed the fault");
+            submit(&server, &mut rng);
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        for _ in 0..6 {
+            submit(&server, &mut rng);
+        }
+        let mut answered = 0usize;
+        for (input, handle) in submitted {
+            match handle.wait() {
+                Ok(out) => {
+                    answered += 1;
+                    let expect = &golden.forward_batch(std::slice::from_ref(&input)).unwrap()[0];
+                    assert_eq!(
+                        out.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        expect
+                            .data()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<_>>(),
+                        "served output diverged from the fault-free model"
+                    );
+                }
+                Err(e) => assert_eq!(e, ServeError::Rejected(RejectReason::Quarantined)),
+            }
+        }
+        let report = server.shutdown();
+        assert!(report.quarantines >= 1);
+        assert_eq!(report.reexecuted, 0, "reject never re-queues");
+        assert_eq!(report.completed, answered);
+        assert_eq!(report.completed + report.rejected, report.submitted);
+        assert!(report.rejected >= shed_at_submit);
+    }
+
+    #[test]
+    fn an_unbindable_introspection_address_is_an_error() {
+        let golden = serving_model(26);
+        let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = taken.local_addr().unwrap().to_string();
+        let started = Server::start(
+            &golden,
+            MilrConfig::default(),
+            ServerConfig {
+                http_addr: Some(addr),
+                ..ServerConfig::default()
+            },
+        );
+        match started {
+            Err(StoreError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::AddrInUse),
+            Err(other) => panic!("unexpected error: {other}"),
+            Ok(_) => panic!("bound an address that is already taken"),
         }
     }
 

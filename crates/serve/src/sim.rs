@@ -1,47 +1,34 @@
 //! Deterministic serving simulation on a virtual clock.
 //!
-//! The simulation drives the full serving control plane — bounded
-//! admission queue, worker pool, incremental scrubber, quarantine and
-//! recovery, certification — as a single-threaded discrete-event loop
-//! over virtual nanoseconds. Every source of nondeterminism is seeded
-//! (arrivals, fault times and locations) or fixed ([`VirtualCosts`]),
-//! so a run is a pure function of `(model, MilrConfig, SimConfig)`:
-//! two runs with the same seed produce bit-identical outcomes and the
-//! same [`ServeReport::digest`]. This is the path the end-to-end test
-//! and `serve_load`/`fig12 --measured` benchmarks use; the thread-pool
-//! server in [`crate::server`] runs the same control plane on the wall
-//! clock.
+//! The simulation is the [`ServeCore`] driven by a single-threaded
+//! discrete-event loop ([`EventQueue`]) over virtual nanoseconds. Every
+//! source of nondeterminism is seeded (the shared [`Workload`], fault
+//! schedule, and [`ChaosOverlay`]) or fixed ([`VirtualCosts`]), so a run
+//! is a pure function of `(model, MilrConfig, SimConfig)`: two runs with
+//! the same seed produce bit-identical outcomes and the same
+//! [`ServeReport::digest`](crate::ServeReport::digest). This is the path
+//! the end-to-end test and `serve_load`/`fig12 --measured` benchmarks
+//! use; the live [`Server`](crate::Server) runs the same core on worker
+//! threads and the wall clock.
 //!
-//! ## Correctness protocol (why completed outputs are trustworthy)
-//!
-//! Outputs are *certified before release*: a batch computed at time `t`
-//! is held in the [`CertificationLedger`] until a full scrub cycle
-//! that **started after** `t` checks every layer clean. Faults are
-//! monotone (corruption persists until recovery), so the clean cycle
-//! proves the weights were clean at `t`. A flagged scrub instead
-//! quarantines the service, voids everything uncertified (those
-//! requests re-execute after recovery), and reopens only after a full
-//! detection pass over the recovered weights comes back clean.
+//! The driver owns only what the core leaves out: the model host and
+//! the integrity pipeline, the virtual cost of each batch and heal, the
+//! fault campaign, and the cold redeploy a chaos campaign can force when
+//! a heal episode exceeds single-instance recovery capacity.
 
-use crate::ledger::CertificationLedger;
-use crate::metrics::{DowntimeLog, LatencyStats};
 use crate::report::{outcome_digest, ServeReport};
-use crate::request::{QuarantinePolicy, RejectReason, RequestOutcome, RequestStatus};
-use crate::scrubber::ScrubCursor;
+use crate::request::{QuarantinePolicy, RequestOutcome};
+use crate::serve_core::{CoreConfig, Effect, RequestQueue, ServeCore, ServeObs, Timer};
+use crate::workload::{campaign_time, conv_layers, ChaosOverlay, ChaosStats, EventQueue, Workload};
 use milr_core::{Milr, MilrConfig, SolvingPlan};
-use milr_fault::{
-    milli, plan_burst, plan_stuck_at, ChaosSpec, FaultRng, SkewSpec, StuckAtPlan, StuckAtSpec,
-};
+use milr_fault::{ChaosSpec, FaultRng};
 use milr_integrity::{
-    Budget, EscalationPolicy, IntegrityPipeline, ModelHost, RoundOutcome, StageHook, Volatile,
+    Budget, EscalationPolicy, IntegrityPipeline, ModelHost, RoundOutcome, Volatile,
 };
-use milr_nn::{Layer, Sequential};
-use milr_obs::{EventKind, Observer, SloEngine, SloKind, SloSpec, SpanTree};
-use milr_substrate::{SharedSubstrate, SubstrateKind};
-use milr_tensor::{Tensor, TensorRng};
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use milr_nn::Sequential;
+use milr_obs::{Observer, SloEngine, SloSpec, SpanHandle, SpanTree};
+use milr_substrate::SubstrateKind;
+use milr_tensor::Tensor;
 
 /// Virtual durations of the service's operations, in nanoseconds.
 ///
@@ -80,6 +67,12 @@ impl VirtualCosts {
     /// One full detection pass over `layers` checkable layers.
     pub fn full_detect_ns(&self, layers: usize) -> u64 {
         self.detect_layer_ns * layers as u64
+    }
+
+    /// From quarantine to the first heal round's verdict: a full
+    /// detection pass over `layers` checkable layers plus one recovery.
+    pub fn quarantine_ns(&self, layers: usize) -> u64 {
+        self.full_detect_ns(layers) + self.recover_ns
     }
 }
 
@@ -162,27 +155,6 @@ impl Default for SimConfig {
     }
 }
 
-/// What a chaos campaign actually injected over one run — the
-/// ground-truth side of a [`ChaosSpec`], for campaign reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ChaosStats {
-    /// Correlated bursts fired.
-    pub bursts_fired: usize,
-    /// Raw bits flipped by bursts.
-    pub burst_bits: usize,
-    /// Stuck-at cell re-assertions (flips that pinned a corrected
-    /// cell back to its stuck value).
-    pub stuck_asserts: usize,
-    /// Torn writes fired at pipeline stage seams.
-    pub torn_fires: u64,
-    /// Cold redeploys from the golden artifact: heal episodes whose
-    /// damage exceeded single-instance recovery capacity (correlated
-    /// bursts spanning adjacent layers defeat layer-local recovery),
-    /// answered the way an operator would — a full-model rewrite,
-    /// re-protect, and re-anchor, priced as extra downtime.
-    pub redeploys: usize,
-}
-
 /// Everything a simulated run produced.
 #[derive(Debug, Clone)]
 pub struct SimResult {
@@ -197,18 +169,8 @@ pub struct SimResult {
 #[derive(Debug)]
 enum Event {
     Arrival(usize),
-    WorkerDone {
-        worker: usize,
-    },
-    /// A partial batch's admission deadline lapsed: dispatch whatever
-    /// is queued. Stale (pre-quarantine) deadlines carry an old epoch
-    /// and are ignored.
-    BatchDeadline {
-        epoch: u64,
-    },
-    ScrubTick {
-        epoch: u64,
-    },
+    WorkerDone(usize),
+    Core(Timer),
     Fault {
         layer: usize,
         weight: usize,
@@ -218,92 +180,6 @@ enum Event {
     RecoveryDone {
         epoch: u64,
     },
-}
-
-/// A deterministic discrete-event queue over virtual time.
-///
-/// Events pop earliest-first; equal timestamps break ties by schedule
-/// order (a monotone sequence number), so the pop order is a pure
-/// function of the schedule history — the property every seeded
-/// simulation's bit-reproducibility contract rests on. Shared by this
-/// crate's single-instance simulation and `milr-fleet`'s multi-replica
-/// one.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    seq: u64,
-}
-
-#[derive(Debug)]
-struct Scheduled<E> {
-    time: u64,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first, with the
-        // schedule sequence as the deterministic tie-break.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedules `event` at virtual time `time`.
-    pub fn schedule(&mut self, time: u64, event: E) {
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            time,
-            seq: self.seq,
-            event,
-        });
-    }
-
-    /// Pops the earliest event (schedule order breaking ties).
-    pub fn pop(&mut self) -> Option<(u64, E)> {
-        self.heap.pop().map(|s| (s.time, s.event))
-    }
-}
-
-struct Req {
-    input: Tensor,
-    arrival: u64,
-    resolved: Option<(u64, RequestStatus)>,
-}
-
-struct Batch {
-    reqs: Vec<usize>,
-    outputs: Vec<Tensor>,
-    epoch: u64,
 }
 
 /// Runs one deterministic serving simulation.
@@ -325,6 +201,62 @@ pub fn simulate(
     simulate_observed(golden, milr_config, cfg, &Observer::default())
 }
 
+/// The run state the event loop mutates: the core, its queue, and the
+/// virtual worker pool's pending outputs.
+struct Sim<'a> {
+    cfg: &'a SimConfig,
+    host: &'a ModelHost,
+    spans: Option<&'a SpanHandle>,
+    timeline: EventQueue<Event>,
+    work: Workload,
+    core: ServeCore<()>,
+    queue: RequestQueue<()>,
+    /// Outputs of each worker's batch, computed at dispatch (the
+    /// weights as they were then) and handed to the core at completion.
+    outputs: Vec<Option<Vec<Tensor>>>,
+}
+
+impl Sim<'_> {
+    /// Acts on the core's effects in order — a dispatched batch runs its
+    /// forward pass now and completes after its virtual cost; a timer is
+    /// scheduled — and records its resolutions.
+    fn settle(&mut self, now: u64) {
+        for effect in self.core.take_effects() {
+            match effect {
+                Effect::Dispatched { worker } => {
+                    let batch = self.core.batch(worker).expect("dispatched batch");
+                    let n = batch.len();
+                    let outputs = self
+                        .host
+                        .forward_batch(&self.work.inputs(batch))
+                        .expect("batch inputs validated at submission");
+                    self.outputs[worker] = Some(outputs);
+                    let costs = &self.cfg.costs;
+                    if let Some(sp) = self.spans {
+                        // Span tree from the modeled costs: the virtual
+                        // clock does not advance inside the host call.
+                        let decode_done = now + costs.batch_base_ns;
+                        let span_done = now + costs.batch_ns(n);
+                        let mut tree = SpanTree::new();
+                        tree.open(now, "batch", n as u64);
+                        tree.open(now, "decode", n as u64);
+                        tree.close(decode_done);
+                        tree.open(decode_done, "forward", n as u64);
+                        tree.close(span_done);
+                        sp.push_all(tree.finish(span_done));
+                    }
+                    self.timeline
+                        .schedule(now + costs.batch_ns(n), Event::WorkerDone(worker));
+                }
+                Effect::Wake { at, timer } => self.timeline.schedule(at, Event::Core(timer)),
+            }
+        }
+        for r in self.core.take_resolved() {
+            self.work.resolve(r);
+        }
+    }
+}
+
 /// [`simulate`] with an observability context: trace events are
 /// stamped with the **virtual clock**, so a fixed seed reproduces the
 /// JSONL stream byte-for-byte, and metrics handles are registered once
@@ -344,24 +276,21 @@ pub fn simulate_observed(
     cfg: &SimConfig,
     obs: &Observer,
 ) -> milr_core::Result<SimResult> {
-    assert!(cfg.workers > 0, "need at least one worker");
-    assert!(cfg.queue_capacity > 0, "need a non-empty queue");
-    assert!(cfg.batch_max > 0, "need a non-empty batch");
     assert!(cfg.requests > 0, "need a workload");
-
     let mut milr = Milr::protect(golden, milr_config)?;
     let host = ModelHost::new(golden, &|c| cfg.kind.store(c));
     let checkable = milr.checkable_layers();
-    // Chaos campaign overlay. A quiet spec is the same as none: every
-    // branch below is skipped and the run stays byte-identical to the
-    // legacy simulation.
-    let chaos = cfg.chaos.as_ref().filter(|c| !c.is_quiet());
-    let skew = chaos.and_then(|c| c.skew.clone());
-    let scrub_interval_ns = match &skew {
-        Some(sk) => SkewSpec::scale(cfg.scrub_interval_ns, sk.scrub_milli),
-        None => cfg.scrub_interval_ns,
-    };
-    let mut cursor = ScrubCursor::new(checkable.clone(), cfg.layers_per_tick);
+    let spec = ChaosOverlay::active(cfg.chaos.as_ref());
+    let work = Workload::generate(
+        cfg.seed,
+        cfg.requests,
+        cfg.mean_arrival_ns,
+        golden.input_shape(),
+        spec.and_then(|c| c.skew.as_ref()),
+    );
+    let horizon = work.horizon();
+    let mut chaos = ChaosOverlay::plan(spec, cfg.seed, horizon, &[host.store().clone()], false);
+
     // The shared integrity engine, untimed (virtual clock) and
     // volatile: the simulation's weights live only in memory, and the
     // Quarantine policy matches the online server's give-up-and-resume
@@ -373,78 +302,34 @@ pub fn simulate_observed(
     if let Some(spans) = &obs.spans {
         pipeline.attach_spans(spans.clone());
     }
-    // Torn writes racing the heal: the stage hook owns a clone of the
-    // shared store and fires raw corruption the moment the pipeline
-    // enters the named seam — mid-heal, between Verify and Reprotect,
-    // wherever the campaign aims it — a bounded number of times.
-    let torn_fired = Arc::new(AtomicU64::new(0));
-    if let Some(tw) = chaos.and_then(|c| c.torn_write.clone()) {
-        let store: SharedSubstrate = host.store().clone();
-        let fired = Arc::clone(&torn_fired);
-        let mut torn_rng = FaultRng::seed(cfg.seed ^ 0x70A2);
-        let mut remaining = tw.fires;
-        pipeline.attach_stage_hook(StageHook::new(move |stage| {
-            if remaining > 0 && stage.eq_ignore_ascii_case(&tw.stage) {
-                remaining -= 1;
-                let raw = store.raw_bits();
-                for _ in 0..tw.flips {
-                    store.flip_raw_bit(torn_rng.below(raw));
-                }
-                fired.fetch_add(1, Ordering::Relaxed);
-            }
-        }));
+    if let Some(hook) = chaos
+        .as_ref()
+        .and_then(|c| c.torn_hook(0, host.store().clone(), cfg.seed))
+    {
+        pipeline.attach_stage_hook(hook);
     }
-    // The SLO engine runs unconditionally, fed from the run's own
-    // deterministic streams, so the report's budget verdict is part of
-    // the seeded contract: attaching (or omitting) observers cannot
-    // change a byte of it. Only the AlertFired trace emission below is
-    // observer-gated (`obs.emit` is a no-op without a recorder).
-    let mut slo = match &cfg.slo_specs {
+    // The SLO engine runs unconditionally inside the core, fed from the
+    // run's own deterministic streams, so the report's budget verdict
+    // is part of the seeded contract whether or not observers attach.
+    let serve_obs = ServeObs::new(obs.trace.clone(), 0, obs.metrics.as_deref());
+    let queue = RequestQueue::new(cfg.queue_capacity, serve_obs.queue_depth.clone());
+    let slo = match &cfg.slo_specs {
         Some(specs) => SloEngine::new(specs.clone()),
         None => SloEngine::serving_defaults(),
     };
-    let mut avail_mark = 0u64;
-    // Metrics handles, registered once: recording below is lock-free
-    // atomics on preallocated buckets.
-    let m = obs.metrics.as_deref();
-    let lat_hist = m.map(|m| m.histogram("serve_latency_ns"));
-    let wait_hist = m.map(|m| m.histogram("serve_batch_wait_ns"));
-    let occ_hist = m.map(|m| m.histogram("serve_batch_occupancy"));
-    let hold_hist = m.map(|m| m.histogram("serve_ledger_hold_ns"));
-    let queue_gauge = m.map(|m| m.gauge("serve_queue_depth"));
-    let faults_ctr = m.map(|m| m.counter("serve_faults_injected_total"));
-    let quarantine_ctr = m.map(|m| m.counter("serve_quarantines_total"));
-
-    // Seeded workload: inputs and exponential arrivals.
-    let mut input_rng = TensorRng::new(cfg.seed ^ 0x1A7E57);
-    let mut arrival_rng = FaultRng::seed(cfg.seed ^ 0xA441);
-    let mut reqs: Vec<Req> = Vec::with_capacity(cfg.requests);
-    let mut t = 0u64;
-    for _ in 0..cfg.requests {
-        let gap = -arrival_rng.unit().max(f64::MIN_POSITIVE).ln() * cfg.mean_arrival_ns as f64;
-        let mut gap_ns = (gap as u64).max(1);
-        if let Some(sk) = &skew {
-            gap_ns = SkewSpec::scale(gap_ns, sk.arrival_milli);
-        }
-        t += gap_ns;
-        reqs.push(Req {
-            input: input_rng.uniform_tensor(golden.input_shape()),
-            arrival: t,
-            resolved: None,
-        });
-    }
-    let horizon = t;
+    let core_cfg = CoreConfig {
+        workers: cfg.workers,
+        batch_max: cfg.batch_max,
+        batch_wait_ns: cfg.batch_wait_ns,
+        scrub_interval_ns: ChaosOverlay::scrub_interval(spec, cfg.scrub_interval_ns),
+        layers_per_tick: cfg.layers_per_tick,
+        policy: cfg.policy,
+    };
+    let core = ServeCore::new(core_cfg, checkable.clone(), slo, serve_obs);
 
     // Seeded fault schedule over the bulk of the workload window.
-    let fault_layers: Vec<usize> = if cfg.fault_layers.is_empty() {
-        host.param_layers()
-            .iter()
-            .copied()
-            .filter(|&i| {
-                matches!(golden.layers()[i], Layer::Conv2D { .. })
-                    && milr.plan().layers[i].solving == Some(SolvingPlan::ConvFull)
-            })
-            .collect()
+    let fault_layers = if cfg.fault_layers.is_empty() {
+        conv_layers(golden, &milr, SolvingPlan::ConvFull)
     } else {
         cfg.fault_layers.clone()
     };
@@ -453,418 +338,94 @@ pub fn simulate_observed(
         "no layers eligible for fault injection"
     );
     let mut fault_rng = FaultRng::seed(cfg.seed ^ 0xFA117);
-    let mut fault_sched: Vec<(u64, usize, usize)> = (0..cfg.faults)
+    let mut faults: Vec<(u64, usize, usize)> = (0..cfg.faults)
         .map(|_| {
-            let time = horizon / 10 + (fault_rng.unit() * 0.8 * horizon as f64) as u64;
+            let time = campaign_time(&mut fault_rng, horizon);
             let layer = fault_layers[fault_rng.below(fault_layers.len())];
             let weight = fault_rng.below(host.layer_weight_count(layer));
             (time, layer, weight)
         })
         .collect();
-    fault_sched.sort_unstable();
+    faults.sort_unstable();
 
-    // Chaos planning: a dedicated RNG stream (never drawn from without
-    // a campaign) schedules correlated bursts over the same window as
-    // the whole-weight faults and plants the stuck-at cells.
-    let mut chaos_rng = FaultRng::seed(cfg.seed ^ 0xC4A05);
-    let burst_spec = chaos.and_then(|c| c.bursts.clone());
-    let mut burst_times: Vec<u64> = Vec::new();
-    if let Some(b) = &burst_spec {
-        burst_times = (0..b.bursts)
-            .map(|_| horizon / 10 + (chaos_rng.unit() * 0.8 * horizon as f64) as u64)
-            .collect();
-        burst_times.sort_unstable();
+    let mut timeline = EventQueue::new();
+    for i in 0..cfg.requests {
+        timeline.schedule(work.arrival(i), Event::Arrival(i));
     }
-    let stuck: Option<(StuckAtSpec, StuckAtPlan)> =
-        chaos.and_then(|c| c.stuck_at.clone()).map(|spec| {
-            let plan = plan_stuck_at(host.store().raw_bits(), spec.bits, &mut chaos_rng);
-            (spec, plan)
-        });
-
-    // Event timeline.
-    let mut timeline: EventQueue<Event> = EventQueue::new();
-    for (i, r) in reqs.iter().enumerate() {
-        timeline.schedule(r.arrival, Event::Arrival(i));
-    }
-    for &(time, layer, weight) in &fault_sched {
+    for &(time, layer, weight) in &faults {
         timeline.schedule(time, Event::Fault { layer, weight });
     }
-    for &time in &burst_times {
+    for &(time, _) in chaos.iter().flat_map(|c| c.bursts()) {
         timeline.schedule(time, Event::ChaosBurst);
     }
-    timeline.schedule(scrub_interval_ns, Event::ScrubTick { epoch: 0 });
-
-    // Service state.
-    let mut clock = 0u64;
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut workers: Vec<Option<Batch>> = (0..cfg.workers).map(|_| None).collect();
-    let mut ledger: CertificationLedger<Batch> = CertificationLedger::default();
-    let mut quarantined = false;
-    let mut epoch = 0u64;
-    let mut downtime = DowntimeLog::default();
-    let mut resolved = 0usize;
-    let mut last_fault_time = 0u64;
-    let mut last_clean_cycle_start: Option<u64> = None;
-
-    // Counters (healing/scrub counters live in the pipeline's report).
-    let mut rejected = 0usize;
-    let mut completed = 0usize;
-    let mut reexecuted = 0usize;
-    let mut faults_injected = 0usize;
-    let mut scrub_ticks = 0usize;
-    let mut quarantines = 0usize;
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut batches = 0usize;
-    let mut full_batches = 0usize;
-    let mut batched_requests = 0usize;
-    let mut deadline_pending = false;
-    let mut chaos_stats = ChaosStats::default();
-    // Chaos injections feed the same drain condition as whole-weight
-    // faults: the run only exits after a clean scrub cycle that started
-    // after the last injection of *any* kind.
-    let mut chaos_injected = 0usize;
-
-    /// Folds stage-hook firings (which happen inside pipeline calls)
-    /// into the chaos tallies and the drain condition.
-    macro_rules! torn_sync {
-        () => {
-            let fired = torn_fired.load(Ordering::Relaxed);
-            if fired > chaos_stats.torn_fires {
-                chaos_stats.torn_fires = fired;
-                chaos_injected += 1;
-                last_fault_time = clock;
-            }
-        };
-    }
-
-    macro_rules! slo_alerts {
-        ($alerts:expr) => {
-            for a in $alerts {
-                obs.emit(
-                    a.ns,
-                    0,
-                    EventKind::AlertFired {
-                        slo: a.spec,
-                        burn_milli: a.burn_milli,
-                    },
-                );
-            }
-        };
-    }
-
-    macro_rules! resolve {
-        ($idx:expr, $status:expr) => {{
-            let idx: usize = $idx;
-            debug_assert!(reqs[idx].resolved.is_none());
-            let status = $status;
-            match &status {
-                RequestStatus::Completed(_) => {
-                    completed += 1;
-                    let latency = clock.saturating_sub(reqs[idx].arrival);
-                    if let Some(h) = &lat_hist {
-                        h.record(latency);
-                    }
-                    latencies.push(latency);
-                    slo_alerts!(slo.observe_latency(clock, latency));
-                }
-                RequestStatus::Rejected(_) => rejected += 1,
-            }
-            reqs[idx].resolved = Some((clock, status));
-            resolved += 1;
-        }};
-    }
-
-    macro_rules! dispatch_to {
-        ($worker:expr, $n:expr) => {{
-            let n: usize = $n;
-            let worker: usize = $worker;
-            let batch_reqs: Vec<usize> = queue.drain(..n).collect();
-            obs.emit(
-                clock,
-                0,
-                EventKind::BatchDispatched {
-                    occupancy: n as u32,
-                },
-            );
-            if let Some(h) = &occ_hist {
-                h.record(n as u64);
-            }
-            if let Some(h) = &wait_hist {
-                for &i in &batch_reqs {
-                    h.record(clock.saturating_sub(reqs[i].arrival));
-                }
-            }
-            let inputs: Vec<Tensor> = batch_reqs.iter().map(|&i| reqs[i].input.clone()).collect();
-            // Fused decode-forward: parameterized layers pull their
-            // shard through the host's epoch-tagged cache, so no
-            // whole-model materialization per batch.
-            let outputs = host
-                .forward_batch(&inputs)
-                .expect("batch inputs validated at submission");
-            if let Some(sp) = &obs.spans {
-                // Span tree from the modeled costs: the virtual clock
-                // does not advance inside the host call, so the batch's
-                // decode/forward split comes from `VirtualCosts` — the
-                // same quantities the completion event is scheduled by.
-                let decode_done = clock + cfg.costs.batch_base_ns;
-                let span_done = clock + cfg.costs.batch_ns(n);
-                let mut tree = SpanTree::new();
-                tree.open(clock, "batch", n as u64);
-                tree.open(clock, "decode", n as u64);
-                tree.close(decode_done);
-                tree.open(decode_done, "forward", n as u64);
-                tree.close(span_done);
-                sp.push_all(tree.finish(span_done));
-            }
-            batches += 1;
-            batched_requests += n;
-            if n == cfg.batch_max {
-                full_batches += 1;
-            }
-            workers[worker] = Some(Batch {
-                reqs: batch_reqs,
-                outputs,
-                epoch,
-            });
-            let done = clock + cfg.costs.batch_ns(n);
-            timeline.schedule(done, Event::WorkerDone { worker });
-        }};
-    }
-
-    macro_rules! try_dispatch {
-        () => {
-            while !quarantined && !queue.is_empty() {
-                let Some(worker) = workers.iter().position(Option::is_none) else {
-                    break;
-                };
-                let n = queue.len().min(cfg.batch_max);
-                dispatch_to!(worker, n);
-            }
-        };
-    }
-
-    /// Continuous-batching admission. With `batch_wait_ns == 0` this is
-    /// exactly the legacy immediate dispatch. Otherwise full batches go
-    /// out at once, and a partial batch holds behind a scheduled
-    /// deadline so later arrivals can coalesce into it.
-    macro_rules! admit {
-        () => {
-            if cfg.batch_wait_ns == 0 {
-                try_dispatch!();
-            } else {
-                while !quarantined && queue.len() >= cfg.batch_max {
-                    let Some(worker) = workers.iter().position(Option::is_none) else {
-                        break;
-                    };
-                    dispatch_to!(worker, cfg.batch_max);
-                }
-                if !quarantined
-                    && !queue.is_empty()
-                    && !deadline_pending
-                    && workers.iter().any(Option::is_none)
-                {
-                    deadline_pending = true;
-                    timeline.schedule(clock + cfg.batch_wait_ns, Event::BatchDeadline { epoch });
-                }
-            }
-        };
-    }
-
-    /// Requests going back to the head of the queue after invalidation,
-    /// ahead of everything that arrived later.
-    macro_rules! requeue {
-        ($ids:expr) => {{
-            let mut ids: Vec<usize> = $ids;
-            ids.sort_unstable();
-            reexecuted += ids.len();
-            for idx in ids.into_iter().rev() {
-                queue.push_front(idx);
-            }
-        }};
-    }
-
-    let mut events = 0u64;
-    let done = |resolved: usize,
-                quarantined: bool,
-                last_clean: Option<u64>,
-                last_fault: u64,
-                faults_injected: usize| {
-        resolved == cfg.requests
-            && !quarantined
-            && (faults_injected == 0 || last_clean.map(|c| c > last_fault).unwrap_or(false))
+    let mut sim = Sim {
+        cfg,
+        host: &host,
+        spans: obs.spans.as_ref(),
+        timeline,
+        work,
+        core,
+        queue,
+        outputs: vec![None; cfg.workers],
     };
+    sim.settle(0); // the core's first scrub tick
 
-    while let Some((time, event)) = timeline.pop() {
+    let mut clock = 0u64;
+    let mut events = 0u64;
+    while let Some((time, event)) = sim.timeline.pop() {
         events += 1;
         assert!(events < 50_000_000, "simulation event budget exhausted");
         debug_assert!(time >= clock, "virtual time must be monotone");
         clock = time;
         match event {
-            Event::Arrival(idx) => {
-                if quarantined && cfg.policy == QuarantinePolicy::Reject {
-                    resolve!(idx, RequestStatus::Rejected(RejectReason::Quarantined));
-                } else if queue.len() >= cfg.queue_capacity {
-                    resolve!(idx, RequestStatus::Rejected(RejectReason::QueueFull));
-                } else {
-                    queue.push_back(idx);
-                    admit!();
+            Event::Arrival(i) => {
+                let req = sim.work.request(i);
+                // A rejection is already resolved by the core.
+                if sim.core.arrive(&mut sim.queue, req, clock).is_ok() {
+                    sim.core.admit(&mut sim.queue, clock);
                 }
             }
-            Event::WorkerDone { worker } => {
-                let batch = workers[worker].take().expect("worker was busy");
-                if batch.epoch != epoch {
-                    // Dispatched before a quarantine: outputs suspect.
-                    match cfg.policy {
-                        QuarantinePolicy::Drain => requeue!(batch.reqs),
-                        QuarantinePolicy::Reject => {
-                            for idx in batch.reqs {
-                                resolve!(idx, RequestStatus::Rejected(RejectReason::Quarantined));
-                            }
-                        }
-                    }
-                } else {
-                    ledger.record(clock, batch);
-                }
-                admit!();
+            Event::WorkerDone(worker) => {
+                let outputs = sim.outputs[worker].take().expect("worker was busy");
+                sim.core.worker_done(&mut sim.queue, worker, outputs, clock);
+                sim.core.admit(&mut sim.queue, clock);
             }
-            Event::BatchDeadline { epoch: dl_epoch } => {
-                if dl_epoch != epoch {
-                    continue; // canceled by a quarantine
-                }
-                deadline_pending = false;
-                try_dispatch!();
+            Event::Core(Timer::BatchDeadline { epoch }) => {
+                sim.core.batch_deadline(epoch, &mut sim.queue, clock);
             }
-            Event::Fault { layer, weight } => {
-                host.corrupt_weight(layer, weight);
-                faults_injected += 1;
-                last_fault_time = clock;
-                obs.emit(
-                    clock,
-                    0,
-                    EventKind::FaultInjected {
-                        layer: layer as u32,
-                        weight: weight as u64,
-                    },
-                );
-                if let Some(c) = &faults_ctr {
-                    c.inc();
-                }
-            }
-            Event::ChaosBurst => {
-                let spec = burst_spec.as_ref().expect("burst event without a spec");
-                let store = host.store();
-                let bits = plan_burst(
-                    store.raw_geometry(),
-                    store.raw_bits(),
-                    spec.pattern,
-                    milli(spec.flip_prob_milli),
-                    &mut chaos_rng,
-                );
-                for &bit in &bits {
-                    store.flip_raw_bit(bit);
-                }
-                chaos_stats.bursts_fired += 1;
-                chaos_stats.burst_bits += bits.len();
-                if !bits.is_empty() {
-                    chaos_injected += 1;
-                    last_fault_time = clock;
-                }
-                if let Some(c) = &faults_ctr {
-                    c.inc();
-                }
-            }
-            Event::ScrubTick { epoch: tick_epoch } => {
-                if quarantined || tick_epoch != epoch {
+            Event::Core(Timer::ScrubTick { epoch }) => {
+                if !sim.core.scrub_due(epoch) {
                     continue; // stale tick from before a quarantine
                 }
-                // Stuck-at cells re-assert just before the scrubber
-                // looks: whatever a previous pass corrected is pinned
-                // back to its stuck value, so this tick observes the
-                // cells held — the pattern iid flips cannot produce.
-                if let Some((spec, plan)) = &stuck {
-                    if spec.active(clock, horizon) {
-                        let store = host.store();
-                        let mut asserted = 0usize;
-                        for &(bit, value) in &plan.cells {
-                            if store.raw_bit(bit) != value {
-                                store.flip_raw_bit(bit);
-                                asserted += 1;
-                            }
-                        }
-                        if asserted > 0 {
-                            chaos_stats.stuck_asserts += asserted;
-                            chaos_injected += 1;
-                            last_fault_time = clock;
-                        }
-                    }
+                if let Some(c) = &mut chaos {
+                    c.assert_stuck(0, host.store(), &mut sim.core, clock);
                 }
-                scrub_ticks += 1;
-                let chunk = cursor.begin_tick(clock);
+                let chunk = sim.core.begin_scrub(clock);
                 pipeline.set_now(clock);
                 let tick = pipeline
                     .tick(&host, &milr, &chunk, &mut Volatile)
                     .map_err(into_milr_err)?;
-                torn_sync!();
-                let flagged = !tick.detection.is_clean();
-                if let Some(cycle_start) = cursor.finish_tick(flagged, clock) {
-                    last_clean_cycle_start = Some(cycle_start);
-                    for (finish, batch) in ledger.certify_before_stamped(cycle_start) {
-                        if let Some(h) = &hold_hist {
-                            h.record(clock.saturating_sub(finish));
-                        }
-                        for (idx, out) in batch.reqs.into_iter().zip(batch.outputs) {
-                            resolve!(idx, RequestStatus::Completed(out));
-                        }
-                    }
+                if let Some(c) = &mut chaos {
+                    c.fold_torn(0, &mut sim.core, clock);
                 }
-                if flagged {
-                    // Quarantine: void uncertified work, stop dispatch,
-                    // schedule recovery.
-                    quarantines += 1;
-                    quarantined = true;
-                    epoch += 1;
-                    deadline_pending = false; // pending deadline now stale
-                    downtime.open_at(clock);
-                    // Close the up-window for the availability SLO.
-                    slo_alerts!(slo.observe(
-                        clock,
-                        SloKind::Availability,
-                        clock.saturating_sub(avail_mark),
-                        0
-                    ));
-                    avail_mark = clock;
-                    obs.emit(clock, 0, EventKind::Quarantine { entered: true });
-                    if let Some(c) = &quarantine_ctr {
-                        c.inc();
-                    }
-                    let voided = ledger.invalidate();
-                    match cfg.policy {
-                        QuarantinePolicy::Drain => {
-                            requeue!(voided.into_iter().flat_map(|b| b.reqs).collect());
-                        }
-                        QuarantinePolicy::Reject => {
-                            for batch in voided {
-                                for idx in batch.reqs {
-                                    resolve!(
-                                        idx,
-                                        RequestStatus::Rejected(RejectReason::Quarantined)
-                                    );
-                                }
-                            }
-                            for idx in queue.drain(..).collect::<Vec<_>>() {
-                                resolve!(idx, RequestStatus::Rejected(RejectReason::Quarantined));
-                            }
-                        }
-                    }
-                    let recovery_cost =
-                        cfg.costs.full_detect_ns(checkable.len()) + cfg.costs.recover_ns;
-                    timeline.schedule(clock + recovery_cost, Event::RecoveryDone { epoch });
-                } else {
-                    timeline.schedule(clock + scrub_interval_ns, Event::ScrubTick { epoch });
+                let flagged = !tick.detection.is_clean();
+                if sim.core.finish_scrub(&mut sim.queue, flagged, clock) {
+                    let epoch = sim.core.epoch();
+                    let cost = cfg.costs.quarantine_ns(checkable.len());
+                    sim.timeline
+                        .schedule(clock + cost, Event::RecoveryDone { epoch });
                 }
             }
-            Event::RecoveryDone { epoch: rec_epoch } => {
-                if rec_epoch != epoch {
+            Event::Fault { layer, weight } => {
+                host.corrupt_weight(layer, weight);
+                sim.core.fault_landed(clock, layer as u32, weight as u64);
+            }
+            Event::ChaosBurst => {
+                let c = chaos.as_mut().expect("burst event without a campaign");
+                c.burst(host.store(), &mut sim.core, clock);
+            }
+            Event::RecoveryDone { epoch } => {
+                if epoch != sim.core.epoch() {
                     continue;
                 }
                 // One heal round of the shared engine: detect → heal →
@@ -873,24 +434,13 @@ pub fn simulate_observed(
                 // recoverability geometry, §V-B) from leaving stored
                 // CRC grids out of sync with storage.
                 pipeline.set_now(clock);
-                let heals_before = (
-                    pipeline.report().heals_exact,
-                    pipeline.report().heals_approx,
-                );
                 let round = pipeline
                     .heal_round(&host, &mut milr, &mut Volatile)
                     .map_err(into_milr_err)?;
-                torn_sync!();
-                let exact = pipeline.report().heals_exact - heals_before.0;
-                let approx = pipeline.report().heals_approx - heals_before.1;
-                if exact + approx > 0 {
-                    slo_alerts!(slo.observe(
-                        clock,
-                        SloKind::HealExactness,
-                        exact as u64,
-                        approx as u64
-                    ));
+                if let Some(c) = &mut chaos {
+                    c.fold_torn(0, &mut sim.core, clock);
                 }
+                sim.core.observe_heals(clock, pipeline.report());
                 match round {
                     RoundOutcome::Clean { .. } => {
                         // Chaos campaigns run many quarantine episodes
@@ -900,28 +450,18 @@ pub fn simulate_observed(
                         if chaos.is_some() {
                             pipeline.reset_budget();
                         }
-                        // Resume serving.
-                        quarantined = false;
-                        // Close the down-window for the availability SLO.
-                        slo_alerts!(slo.observe(
-                            clock,
-                            SloKind::Availability,
-                            0,
-                            clock.saturating_sub(avail_mark)
-                        ));
-                        avail_mark = clock;
-                        obs.emit(clock, 0, EventKind::Quarantine { entered: false });
-                        downtime.close_at(clock);
-                        cursor.reset();
-                        timeline.schedule(clock + scrub_interval_ns, Event::ScrubTick { epoch });
-                        admit!();
+                        sim.core.resume(clock);
+                        sim.core.admit(&mut sim.queue, clock);
                     }
                     RoundOutcome::Retry { flagged } => {
+                        let mut cost = cfg.costs.recover_ns;
                         if pipeline.budget_exhausted() {
                             // Legacy workloads inject only recoverable
                             // faults: a non-converging heal there is a
                             // harness bug, not an outcome.
-                            assert!(chaos.is_some(), "recovery failed to converge: {flagged:?}");
+                            let Some(c) = &mut chaos else {
+                                panic!("recovery failed to converge: {flagged:?}");
+                            };
                             // A chaos campaign exceeded single-instance
                             // capacity. Model the operator's answer: a
                             // cold redeploy from the golden artifact —
@@ -933,19 +473,13 @@ pub fn simulate_observed(
                             pipeline
                                 .reprotect_and_anchor(&host, &mut milr, &mut Volatile)
                                 .map_err(into_milr_err)?;
-                            torn_sync!();
+                            c.fold_torn(0, &mut sim.core, clock);
                             pipeline.reset_budget();
-                            chaos_stats.redeploys += 1;
-                            timeline.schedule(
-                                clock + cfg.costs.recover_ns * checkable.len() as u64,
-                                Event::RecoveryDone { epoch },
-                            );
-                        } else {
-                            timeline.schedule(
-                                clock + cfg.costs.recover_ns,
-                                Event::RecoveryDone { epoch },
-                            );
+                            c.stats.redeploys += 1;
+                            cost *= checkable.len() as u64;
                         }
+                        sim.timeline
+                            .schedule(clock + cost, Event::RecoveryDone { epoch });
                     }
                     outcome => unreachable!(
                         "volatile quarantine serving neither escalates nor gives up before \
@@ -954,91 +488,31 @@ pub fn simulate_observed(
                 }
             }
         }
-        if let Some(g) = &queue_gauge {
-            g.set(queue.len() as i64);
-        }
-        if done(
-            resolved,
-            quarantined,
-            last_clean_cycle_start,
-            last_fault_time,
-            faults_injected + chaos_injected,
-        ) {
+        sim.settle(clock);
+        if sim.work.drained() && !sim.core.is_quarantined() && sim.core.certified_since_last_fault()
+        {
             break;
         }
     }
-    assert_eq!(resolved, cfg.requests, "workload did not drain");
-    if let Some(m) = m {
+    assert!(sim.work.drained(), "workload did not drain");
+    if let Some(m) = &obs.metrics {
         // Substrate-plane export: total raw-bit mutation epochs
         // (write-backs, fault injections, scrub corrections).
         m.gauge("substrate_epoch_total")
             .set(host.store().epoch_total() as i64);
     }
-
-    let total_ns = clock;
-    let outcomes: Vec<RequestOutcome> = reqs
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let (resolved_ns, status) = r.resolved.expect("all requests resolved");
-            RequestOutcome {
-                id: i as u64,
-                input: r.input,
-                status,
-                arrival_ns: r.arrival,
-                resolved_ns,
-            }
-        })
-        .collect();
-    let pipeline = pipeline.into_report();
-    // Final SLO feedings: the trailing up-window (the loop only exits
-    // un-quarantined) and the run's durability tally, then the budget
-    // verdict — always computed, so it is part of the seeded contract.
-    slo_alerts!(slo.observe(
+    let outcomes = sim.work.into_outcomes();
+    let report = sim.core.report(
         clock,
-        SloKind::Availability,
-        clock.saturating_sub(avail_mark),
-        0
-    ));
-    slo_alerts!(slo.observe(
-        clock,
-        SloKind::Durability,
-        pipeline.anchors as u64,
-        pipeline.durability_errors as u64
-    ));
-    let slo_report = slo.report(clock);
-    let report = ServeReport {
-        seed: cfg.seed,
-        policy: cfg.policy.name().to_string(),
-        submitted: cfg.requests,
-        completed,
-        rejected,
-        reexecuted,
-        faults_injected,
-        scrub_corrected: pipeline.scrub_corrected,
-        scrub_ticks,
-        quarantines,
-        layers_recovered: pipeline.layers_healed,
-        durability_errors: pipeline.durability_errors,
-        total_ns,
-        downtime_ns: downtime.total_ns(total_ns),
-        availability: downtime.availability(total_ns),
-        latency: LatencyStats::from_ns(&latencies),
-        batches,
-        full_batches,
-        batch_occupancy: if batches == 0 {
-            0.0
-        } else {
-            batched_requests as f64 / batches as f64
-        },
-        digest: outcome_digest(&outcomes),
-        pipeline,
-        slo: Some(slo_report),
-    };
+        cfg.seed,
+        cfg.requests,
+        outcome_digest(&outcomes),
+        pipeline.into_report(),
+    );
     Ok(SimResult {
         report,
         outcomes,
-        chaos: chaos.map(|_| chaos_stats),
+        chaos: chaos.map(|c| c.stats),
     })
 }
 
@@ -1055,7 +529,9 @@ fn into_milr_err(e: milr_integrity::IntegrityError) -> milr_core::MilrError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{RejectReason, RequestStatus};
     use crate::testutil::serving_model;
+    use milr_fault::{SkewSpec, StuckAtSpec};
 
     #[test]
     fn fault_free_run_completes_everything() {

@@ -71,6 +71,52 @@ fn serve_sim_observed_report_matches_unobserved() {
     assert_eq!(lat.count(), observed.report.completed as u64);
 }
 
+/// The same agreement under a chaos campaign — two row bursts and a
+/// torn write at the Heal seam on top of one whole-weight fault. Every
+/// injection that lands counts once, in the counter and the report
+/// alike.
+#[test]
+fn serve_sim_chaos_metrics_agree_with_the_report() {
+    use milr_fault::{BurstPattern, BurstSpec, ChaosSpec, TornWriteSpec};
+    let model = milr_models::serving_probe(11);
+    let cfg = SimConfig {
+        faults: 1,
+        chaos: Some(ChaosSpec {
+            bursts: Some(BurstSpec {
+                pattern: BurstPattern::Row,
+                bursts: 2,
+                flip_prob_milli: 300,
+            }),
+            torn_write: Some(TornWriteSpec {
+                stage: "Heal".to_string(),
+                fires: 1,
+                flips: 8,
+            }),
+            ..ChaosSpec::default()
+        }),
+        ..SimConfig::default()
+    };
+    let metrics = Arc::new(MetricsRegistry::new());
+    let obs = Observer::default().and_metrics(metrics.clone());
+    let result = simulate_observed(&model, MilrConfig::default(), &cfg, &obs).unwrap();
+    let report = &result.report;
+    let chaos = result.chaos.expect("campaign stats");
+    assert!(chaos.burst_bits > 0 && chaos.torn_fires > 0, "{chaos:?}");
+    assert!(
+        report.faults_injected > cfg.faults,
+        "chaos landings are faults"
+    );
+    let snap = metrics.snapshot();
+    assert_eq!(
+        snap.counter_value("serve_faults_injected_total"),
+        Some(report.faults_injected as u64)
+    );
+    assert_eq!(
+        snap.counter_value("serve_quarantines_total"),
+        Some(report.quarantines as u64)
+    );
+}
+
 fn span_run(cfg: &SimConfig) -> String {
     let model = milr_models::serving_probe(11);
     let ring = Arc::new(SpanRing::new(65_536));
