@@ -2,14 +2,14 @@
 //! against their scalar reference implementations — the proof that the
 //! chunked rewrites (slice-by-8 CRC32, table-driven CRC16/CRC8,
 //! word-parallel SECDED, T-table AES, single-pass CRC2D, register-tiled
-//! GEMM and patch-walker conv2d) actually buy throughput on the machine
-//! at hand, not just in theory.
+//! GEMM, patch-walker conv2d and row-major Householder QR) actually buy
+//! throughput on the machine at hand, not just in theory.
 //!
 //! Every optimized kernel is proptested bit-equivalent to its scalar
 //! twin in its home crate; this binary only measures. With `--check`
 //! it exits non-zero when any optimized kernel fails its speedup floor
-//! (1× for all, 3× for the SECDED scrub, 2× for the CRC2D full-grid
-//! encode and for conv2d) — the CI regression gate.
+//! (1× for all, 3× for the SECDED scrub and the QR factor, 2× for the
+//! CRC2D full-grid encode and for conv2d) — the CI regression gate.
 //!
 //! ```text
 //! cargo run --release -p milr-bench --bin kernel_bench -- \
@@ -18,6 +18,7 @@
 
 use milr_bench::json::{array, write_summary, JsonObject};
 use milr_ecc::{crc16, crc32, crc8, scalar, Crc2d, DecodeOutcome, Secded, SecdedMemory};
+use milr_linalg::{scalar as linalg_scalar, Mat, Qr};
 use milr_tensor::scalar as tensor_scalar;
 use milr_tensor::{conv2d, matmul, ConvSpec, Padding, Tensor};
 use milr_xts::Aes128;
@@ -32,6 +33,10 @@ const SECDED_WORDS: usize = 8 * 1024;
 const AES_BLOCKS: usize = 4 * 1024;
 /// Side of the square CRC2D grid (a large conv layer's z×y bank).
 const CRC2D_SIDE: usize = 256;
+/// Side of the QR system: `W_augᵀ` of CIFAR-small's dense layer 18
+/// (32 weight columns plus 352 dummy columns over 384 inputs), which
+/// every heal of its last conv layer inverts.
+const QR_SIDE: usize = 384;
 
 struct BenchArgs {
     trials: usize,
@@ -366,6 +371,38 @@ fn main() {
             black_box(conv2d(black_box(&input), &filters, &spec).expect("conv"));
         }),
         floor: 2.0,
+    });
+
+    // ---- Heal-path QR: the dense-layer inversion a conv heal crosses. ----
+    let real = deterministic_f32(32 * QR_SIDE);
+    let dummy = deterministic_f32(QR_SIDE * QR_SIDE);
+    let w_aug_t = Mat::from_fn(QR_SIDE, QR_SIDE, |r, i| {
+        if r < 32 {
+            real[i * 32 + r] as f64 * 0.1
+        } else {
+            dummy[(r - 32) * QR_SIDE + i] as f64
+        }
+    });
+    let rhs: Vec<f64> = deterministic_f32(QR_SIDE)
+        .iter()
+        .map(|&v| v as f64)
+        .collect();
+    let solve = |qr: Qr| qr.solve(&rhs).expect("solve");
+    assert_eq!(
+        solve(Qr::factor(&w_aug_t).expect("full rank")),
+        solve(linalg_scalar::qr_factor(&w_aug_t).expect("full rank")),
+        "row-major QR diverged from the reference"
+    );
+    kernels.push(Kernel {
+        name: "qr_factor_384",
+        items: (QR_SIDE * QR_SIDE) as u64,
+        scalar_ns: best_ns(trials, || {
+            black_box(linalg_scalar::qr_factor(black_box(&w_aug_t)).expect("factor"));
+        }),
+        optimized_ns: best_ns(trials, || {
+            black_box(Qr::factor(black_box(&w_aug_t)).expect("factor"));
+        }),
+        floor: 3.0,
     });
 
     // ---- Report. ----

@@ -106,8 +106,8 @@ fn invert_dense(
     index: usize,
     y: &Tensor,
 ) -> Result<Tensor> {
-    let n = weights.shape().dim(0);
-    let (w_aug, y_aug): (Tensor, Tensor) = match inversion {
+    let (n, p) = (weights.shape().dim(0), weights.shape().dim(1));
+    let (dummies, y_aug) = match inversion {
         InversionPlan::DummyData { extra } => {
             let cols = inversion_dummy_params(config, index, &[n, extra]);
             let stored = artifacts
@@ -116,16 +116,21 @@ fn invert_dense(
                 .ok_or_else(|| {
                     MilrError::CorruptArtifacts(format!("missing dense dummy outputs {index}"))
                 })?;
-            (
-                Tensor::hstack(&[weights, &cols])?,
-                Tensor::hstack(&[y, stored])?,
-            )
+            (cols, Tensor::hstack(&[y, stored])?)
         }
-        _ => (weights.clone(), y.clone()),
+        _ => (Tensor::zeros(&[n, 0]), y.clone()),
     };
-    // Solve W_augᵀ xᵀ = y_augᵀ; factor once, one solve per batch row.
-    let p_aug = w_aug.shape().dim(1);
-    let wt = Mat::from_vec(w_aug.transpose()?.to_f64_vec(), p_aug, n)?;
+    // Solve W_augᵀ xᵀ = y_augᵀ with W_aug = [W | dummy columns]; fill
+    // W_augᵀ straight from both banks, then factor once and solve once
+    // per batch row.
+    let (w, d, extra) = (weights.data(), dummies.data(), dummies.shape().dim(1));
+    let wt = Mat::from_fn(p + extra, n, |r, i| {
+        (if r < p {
+            w[i * p + r]
+        } else {
+            d[i * extra + r - p]
+        }) as f64
+    });
     let qr = Qr::factor(&wt)?;
     let b = y.shape().dim(0);
     let mut out = Vec::with_capacity(b * n);

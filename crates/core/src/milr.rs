@@ -8,7 +8,6 @@ use crate::storage::StorageReport;
 use crate::{MilrConfig, MilrError, Result};
 use milr_nn::{Layer, Sequential};
 use milr_tensor::Tensor;
-use rayon::prelude::*;
 use std::time::Duration;
 
 /// How one flagged layer fared during recovery.
@@ -347,22 +346,31 @@ impl Milr {
                 .unwrap_or(1);
             let lu_budget = (cores / work.len()).max(1);
             type SegmentResult = Result<Vec<(usize, RecoveryOutcome, Option<Tensor>)>>;
-            let results: Vec<SegmentResult> = work
-                .par_iter()
-                .map(|(seg_start, seg_end, in_segment)| {
-                    milr_linalg::with_thread_budget(lu_budget, || {
-                        let mut view = SegmentView::from_model(base, *seg_start, *seg_end);
-                        let outs = self
-                            .recover_segment(base, &mut view, *seg_start, *seg_end, in_segment)?;
-                        let indices: Vec<usize> = outs.iter().map(|(i, _)| *i).collect();
-                        Ok(outs
-                            .into_iter()
-                            .zip(view.extract_params(&indices))
-                            .map(|((i, outcome), (_, params))| (i, outcome, params))
-                            .collect())
-                    })
+            let heal = |(seg_start, seg_end, in_segment): &(usize, usize, Vec<usize>)| {
+                milr_linalg::with_thread_budget(lu_budget, || -> SegmentResult {
+                    let mut view = SegmentView::from_model(base, *seg_start, *seg_end);
+                    let outs =
+                        self.recover_segment(base, &mut view, *seg_start, *seg_end, in_segment)?;
+                    let indices: Vec<usize> = outs.iter().map(|(i, _)| *i).collect();
+                    Ok(outs
+                        .into_iter()
+                        .zip(view.extract_params(&indices))
+                        .map(|((i, outcome), (_, params))| (i, outcome, params))
+                        .collect())
                 })
-                .collect();
+            };
+            // One scoped worker per segment, joined in segment order; a
+            // worker's panic resumes on this thread.
+            let results: Vec<SegmentResult> = std::thread::scope(|scope| {
+                let workers: Vec<_> = work
+                    .iter()
+                    .map(|segment| scope.spawn(move || heal(segment)))
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
+            });
             for result in results {
                 for (i, outcome, params) in result? {
                     if let (Some(healed), Some(dst)) = (params, model.layers_mut()[i].params_mut())

@@ -120,7 +120,11 @@ pub(crate) fn solve_dense(
     // transposed into the (N, P) weight layout.
     let mut weights = vec![0.0f32; n * p];
     for col in 0..p {
-        let rhs: Vec<f64> = y_aug.col(col)?.iter().map(|&v| v as f64).collect();
+        let rhs: Vec<f64> = y_aug.data()[col..]
+            .iter()
+            .step_by(p)
+            .map(|&v| v as f64)
+            .collect();
         let w = qr.solve(&rhs)?;
         for (row, &v) in w.iter().enumerate() {
             weights[row * p + col] = config.weight_grid.snap(v as f32);

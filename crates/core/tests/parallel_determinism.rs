@@ -1,5 +1,6 @@
-//! Serial-vs-parallel determinism: the rayon-parallel recovery path
-//! must return **bit-identical** results to the serial reference path —
+//! Serial-vs-parallel determinism: the segment-parallel recovery path
+//! (one scoped thread per checkpoint segment) must return
+//! **bit-identical** results to the serial reference path —
 //! same outcomes, same healed parameter bits. Detection runs serially
 //! whatever `MilrConfig::parallel` says (DESIGN.md §16); its half of
 //! this suite pins that the flag still leaves flags and deviations

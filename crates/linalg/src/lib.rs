@@ -49,6 +49,7 @@ mod error;
 mod lu;
 mod matrix;
 mod qr;
+pub mod scalar;
 
 pub use budget::{effective_threads, with_thread_budget};
 pub use error::LinalgError;

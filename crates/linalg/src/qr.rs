@@ -9,15 +9,41 @@ use crate::{LinalgError, Mat, Result};
 /// degrades gracefully when upstream recovery introduced noise.
 #[derive(Debug, Clone)]
 pub struct Qr {
-    /// Householder vectors in the lower trapezoid; R in the upper
-    /// triangle.
-    qr: Mat,
-    /// Scaling factors `beta` for each reflector.
-    betas: Vec<f64>,
+    /// Householder vectors below the diagonal, R on and above it (so
+    /// each vector's leading element `v0` is kept in `betas`).
+    pub(crate) qr: Mat,
+    /// `(beta, v0)` of each reflector `H = I + beta·v·vᵀ`.
+    pub(crate) betas: Vec<(f64, f64)>,
+}
+
+/// Rows per sweep of the dot-product buffer.
+const DOT_ROWS: usize = 4;
+
+/// `dots[j] += v[r] * rows[r][j]` for `r = 0..R` in order: `R` rows of
+/// one reflector's dot pass per sweep of `dots`, each column's sum still
+/// taken one row at a time.
+#[inline(always)]
+fn accumulate<const R: usize>(dots: &mut [f64], rows: [&[f64]; R], v: [f64; R]) {
+    let rows = rows.map(|row| &row[..dots.len()]);
+    for (j, d) in dots.iter_mut().enumerate() {
+        let mut acc = *d;
+        for r in 0..R {
+            acc += v[r] * rows[r][j];
+        }
+        *d = acc;
+    }
 }
 
 impl Qr {
     /// Factors an `m × n` matrix, `m ≥ n`.
+    ///
+    /// Each reflector's trailing update sweeps the row-major matrix row
+    /// by row: first `vᵀ·A` into one buffer of per-column dot products
+    /// (`DOT_ROWS` rows per sweep of the buffer), then
+    /// `A += v·(beta·vᵀA)` one row at a time. Every column still sums
+    /// its terms in ascending row order from `+0`, multiply then add,
+    /// so the factor is bit-identical to the column sweep kept in
+    /// [`crate::scalar::qr_factor`] (DESIGN.md §18).
     ///
     /// # Errors
     ///
@@ -35,73 +61,63 @@ impl Qr {
         // a residual column whose norm falls below this is numerically
         // zero after the preceding reflections.
         let rank_tol = a.max_abs() * 1e-12 * (m as f64).max(1.0);
+        let data = qr.data_mut();
+        let mut dots = vec![0.0f64; n];
         for k in 0..n {
             // Build the Householder reflector annihilating column k below
             // the diagonal.
             let mut norm2 = 0.0f64;
             for i in k..m {
-                let v = qr.get(i, k);
+                let v = data[i * n + k];
                 norm2 += v * v;
             }
             let norm = norm2.sqrt();
             if norm <= rank_tol || !norm.is_finite() {
                 return Err(LinalgError::Singular { pivot: k });
             }
-            let akk = qr.get(k, k);
+            let akk = data[k * n + k];
             let alpha = if akk >= 0.0 { -norm } else { norm };
             let v0 = akk - alpha;
             // H = I + beta·v·vᵀ with beta = 1/(α·v0) (= −2/vᵀv, negative).
             let beta = 1.0 / (alpha * v0);
-            // Store v (with v[k] = v0) in the lower part, R diag in place.
-            qr.set(k, k, alpha);
-            let mut v = vec![0.0f64; m - k];
-            v[0] = v0;
-            for i in (k + 1)..m {
-                v[i - k] = qr.get(i, k);
+            // v = (v0, A[k+1.., k]): column k below the diagonal already
+            // holds it and the update never writes that column.
+            let rows = &mut data[k * n..];
+            let scales = &mut dots[k + 1..];
+            scales.fill(0.0);
+            let v = |i: usize, row: &[f64]| if i == 0 { v0 } else { row[k] };
+            let mut blocks = rows.chunks_exact(DOT_ROWS * n);
+            for (b, block) in blocks.by_ref().enumerate() {
+                let r: [&[f64]; DOT_ROWS] = std::array::from_fn(|t| &block[t * n..][..n]);
+                let vs = std::array::from_fn(|t| v(b * DOT_ROWS + t, r[t]));
+                accumulate(scales, r.map(|row| &row[k + 1..]), vs);
             }
-            // Apply reflector to the trailing columns.
-            for j in (k + 1)..n {
-                let mut dot = 0.0f64;
-                for i in k..m {
-                    let aij = qr.get(i, j);
-                    dot += v[i - k] * aij;
+            let done = (m - k) / DOT_ROWS * DOT_ROWS;
+            for (i, row) in blocks.remainder().chunks_exact(n).enumerate() {
+                accumulate(scales, [&row[k + 1..]], [v(done + i, row)]);
+            }
+            for d in scales.iter_mut() {
+                *d *= beta;
+            }
+            for (i, row) in rows.chunks_exact_mut(n).enumerate() {
+                let vi = v(i, row);
+                for (aij, &scale) in row[k + 1..].iter_mut().zip(scales.iter()) {
+                    *aij += scale * vi;
                 }
-                let scale = beta * dot;
-                for i in k..m {
-                    let aij = qr.get(i, j);
-                    qr.set(i, j, aij + scale * v[i - k]);
-                }
             }
-            // Persist v below the diagonal (v[0] kept in betas side
-            // storage via normalization: store v as-is, remembering v0).
-            for i in (k + 1)..m {
-                qr.set(i, k, v[i - k]);
-            }
+            // R's diagonal in place; v0 lives beside beta.
+            rows[k] = alpha;
             betas.push((beta, v0));
-            if !qr.get(k, k).is_finite() || qr.get(k, k).abs() <= rank_tol {
-                return Err(LinalgError::Singular { pivot: k });
-            }
         }
-        let betas_only = betas.iter().map(|&(b, _)| b).collect::<Vec<_>>();
-        // Keep v0 values in a parallel vector by folding into betas as
-        // pairs. To avoid a second struct field of tuples, store v0 in
-        // the factored matrix is impossible (diag holds R), so keep both.
-        Ok(Qr {
-            qr,
-            betas: betas_only
-                .into_iter()
-                .zip(betas.iter().map(|&(_, v0)| v0))
-                .flat_map(|(b, v0)| [b, v0])
-                .collect(),
-        })
+        Ok(Qr { qr, betas })
     }
 
     fn beta(&self, k: usize) -> f64 {
-        self.betas[2 * k]
+        self.betas[k].0
     }
 
     fn v0(&self, k: usize) -> f64 {
-        self.betas[2 * k + 1]
+        self.betas[k].1
     }
 
     /// Number of rows of the factored matrix.
@@ -180,7 +196,7 @@ impl Qr {
 
     /// Solves `Rᵀ·y = b` by forward substitution and returns `Q·[y; 0]`
     /// of length `rows()` — the core of the minimum-norm solver.
-    fn min_norm_apply(&self, b: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn min_norm_apply(&self, b: &[f64]) -> Result<Vec<f64>> {
         let (m, n) = (self.qr.rows(), self.qr.cols());
         if b.len() != n {
             return Err(LinalgError::ShapeMismatch {
