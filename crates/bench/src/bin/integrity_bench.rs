@@ -3,6 +3,8 @@
 //! (detect → heal → fast-path verify → re-protect) and the verification
 //! fast path's win: re-checking only the flagged layers via
 //! `Milr::detect_layers` versus the full re-detect the old loops ran.
+//! A second table times every substrate kind's encode, decode and
+//! inject+scrub over a 4096-weight buffer (the `substrates` array).
 //!
 //! ```text
 //! cargo run --release -p milr-bench --bin integrity_bench
@@ -11,12 +13,20 @@
 //! ```
 
 use milr_bench::json::{array, write_summary, JsonObject};
-use milr_bench::{prepare, Args};
+use milr_bench::{best_ns, prepare, Args};
+use milr_fault::{inject_rber, FaultRng};
 use milr_integrity::{
     Budget, EscalationPolicy, IntegrityPipeline, ModelHost, RoundOutcome, Volatile,
 };
 use milr_substrate::SubstrateKind;
+use std::hint::black_box;
 use std::time::Instant;
+
+/// Weights per substrate encode / decode / inject+scrub measurement.
+const SUBSTRATE_WEIGHTS: usize = 4096;
+/// Best-of samples per substrate row: the rows take microseconds, so
+/// they get more samples than the heal trials.
+const SUBSTRATE_SAMPLES: usize = 10;
 
 fn main() {
     let args = Args::from_env();
@@ -106,12 +116,58 @@ fn main() {
         );
     }
 
+    // Substrate matrix: raw encode / decode / scrub cost per kind. The
+    // quantized kinds ride along; their pages are 2–4× smaller, so they
+    // should track well under the f32 kinds.
+    println!();
+    println!(
+        "{:>12} {:>10} {:>10} {:>16}",
+        "substrate", "encode_us", "decode_us", "inject_scrub_us"
+    );
+    let weights: Vec<f32> = (0..SUBSTRATE_WEIGHTS).map(|i| i as f32 * 0.01).collect();
+    let mut substrates = Vec::new();
+    for kind in SubstrateKind::ALL
+        .into_iter()
+        .chain(SubstrateKind::QUANTIZED)
+    {
+        let encode_ns = best_ns(SUBSTRATE_SAMPLES, || {
+            black_box(kind.store(black_box(&weights)));
+        });
+        let mem = kind.store(&weights);
+        let decode_ns = best_ns(SUBSTRATE_SAMPLES, || {
+            black_box(mem.read_weights());
+        });
+        let scrub_ns = best_ns(SUBSTRATE_SAMPLES, || {
+            let mut mem = kind.store(&weights);
+            inject_rber(&mut *mem, 1e-4, &mut FaultRng::seed(7));
+            black_box(mem.scrub());
+        });
+        let us = |ns: u64| ns as f64 / 1e3;
+        println!(
+            "{:>12} {:>10.1} {:>10.1} {:>16.1}",
+            kind.name(),
+            us(encode_ns),
+            us(decode_ns),
+            us(scrub_ns)
+        );
+        substrates.push(
+            JsonObject::new()
+                .string("substrate", kind.name())
+                .float("encode_us", us(encode_ns), 2)
+                .float("decode_us", us(decode_ns), 2)
+                .float("inject_scrub_us", us(scrub_ns), 2)
+                .finish(),
+        );
+    }
+
     let json = JsonObject::new()
         .string("net", &prep.label)
         .uint("params", prep.model.param_count() as u64)
         .uint("checkable_layers", prep.milr.checkable_count() as u64)
         .uint("trials", trials as u64)
         .raw("arms", &array(arms))
+        .uint("substrate_weights", SUBSTRATE_WEIGHTS as u64)
+        .raw("substrates", &array(substrates))
         .finish();
     write_summary(&json, args.json.as_deref());
 }

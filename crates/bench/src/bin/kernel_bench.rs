@@ -16,6 +16,7 @@
 //!     --trials 5 --json BENCH_kernels.json --check
 //! ```
 
+use milr_bench::best_ns;
 use milr_bench::json::{array, write_summary, JsonObject};
 use milr_ecc::{crc16, crc32, crc8, scalar, Crc2d, DecodeOutcome, Secded, SecdedMemory};
 use milr_linalg::{scalar as linalg_scalar, Mat, Qr};
@@ -23,7 +24,6 @@ use milr_tensor::scalar as tensor_scalar;
 use milr_tensor::{conv2d, matmul, ConvSpec, Padding, Tensor};
 use milr_xts::Aes128;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Bytes hashed per CRC measurement.
 const CRC_BYTES: usize = 64 * 1024;
@@ -78,19 +78,6 @@ impl BenchArgs {
         out.trials = out.trials.max(1);
         out
     }
-}
-
-/// Best-of-`trials` wall time of `f`, in nanoseconds. Min over trials
-/// filters scheduler noise the way criterion's lower bound does, at a
-/// fraction of the runtime.
-fn best_ns(trials: usize, mut f: impl FnMut()) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..trials {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_nanos() as u64);
-    }
-    best
 }
 
 struct Kernel {

@@ -7,7 +7,7 @@
 //! with a handful of scalar fields. This module is the one place that
 //! glue lives: an order-preserving object builder plus the
 //! print-and-write tail every binary shares. (Hand-rolled because the
-//! workspace's serde stub has no serializer.)
+//! workspace has no serde.)
 
 /// An order-preserving JSON object builder.
 ///

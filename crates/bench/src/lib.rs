@@ -2,8 +2,7 @@
 //!
 //! Experiment harness regenerating every table and figure of the MILR
 //! paper's evaluation (§V). Each binary in `src/bin/` prints the rows or
-//! series of one artifact; `benches/` holds the criterion timing
-//! counterparts of Table X and Figure 11.
+//! series of one artifact.
 //!
 //! The harness runs **reduced-scale twins** of the paper networks by
 //! default (same layer-type sequence, smaller tensors) so a full sweep
@@ -32,4 +31,4 @@ pub use arms::{
     Recovery, SubstrateKind, TrialResult,
 };
 pub use nets::{prepare, NetChoice, PreparedNet, Scale};
-pub use stats::{normalized_accuracy, BoxStats};
+pub use stats::{best_ns, normalized_accuracy, BoxStats};

@@ -3,10 +3,24 @@
 //! the 25th and 75th percentile … whiskers extended 1.5× the
 //! interquartile range … outliers are marked by dots" (§V-B) — plus the
 //! shared accuracy-normalization helper every trial path reports
-//! through.
+//! through, and the best-of-N timer the micro-benchmark binaries share.
 
 use crate::nets::PreparedNet;
 use milr_nn::Sequential;
+use std::time::Instant;
+
+/// Best-of-`trials` wall time of `f`, in nanoseconds. The minimum is
+/// the run least disturbed by the scheduler, caches and frequency
+/// changes, so it is the steadiest estimate of the code's own cost.
+pub fn best_ns(trials: usize, mut f: impl FnMut()) -> u64 {
+    let mut best = u64::MAX;
+    for _ in 0..trials {
+        let start = Instant::now();
+        f();
+        best = best.min(start.elapsed().as_nanos() as u64);
+    }
+    best
+}
 
 /// Measures `model` on the prepared network's held-out test set and
 /// returns `(accuracy, normalized)` where `normalized` is relative to

@@ -1,10 +1,9 @@
 use crate::{MilrConfig, MilrError, Result};
 use milr_nn::{Layer, Sequential};
-use serde::{Deserialize, Serialize};
 
 /// How a layer's parameters will be solved during recovery (the paper's
 /// function `R(x, y) = p`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolvingPlan {
     /// Dense layer: factor the (dummy-padded) input, one solve per output
     /// column. `dummy_rows` PRNG rows are appended so the system has at
@@ -27,7 +26,7 @@ pub enum SolvingPlan {
 
 /// How backward passes (`f⁻¹`) will cross this layer when recovering
 /// layers that precede it in the same checkpoint segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InversionPlan {
     /// Invertible as-is (dense `P ≥ N`, conv `Y ≥ F²Z`, bias, flatten,
     /// padding, activations under MILR semantics).
@@ -50,7 +49,7 @@ pub enum InversionPlan {
 }
 
 /// Planning record for one layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerPlan {
     /// Layer index in the model.
     pub index: usize,
@@ -71,7 +70,7 @@ pub struct LayerPlan {
 /// output of layer `p − 1`); position `len` is the network output.
 /// Position 0 is never stored — the golden input is regenerated from its
 /// seed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtectionPlan {
     /// Per-layer plans, indexed by layer.
     pub layers: Vec<LayerPlan>,

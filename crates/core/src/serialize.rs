@@ -5,8 +5,8 @@
 //! substrate).
 //!
 //! The format is a versioned, hand-rolled little-endian codec (the
-//! workspace's serde stub has no serializer): fixed-width scalars,
-//! length-prefixed sequences, and bit-exact `f32`/`f64` payloads so a
+//! workspace has no serde): fixed-width scalars, length-prefixed
+//! sequences, and bit-exact `f32`/`f64` payloads so a
 //! round-tripped [`Milr`] detects and recovers exactly like the
 //! original. The reader is fully bounds-checked — corrupt or truncated
 //! input yields [`MilrError::CorruptArtifacts`], never a panic — which

@@ -7,10 +7,9 @@
 use crate::artifacts::Artifacts;
 use crate::plan::ProtectionPlan;
 use milr_nn::Sequential;
-use serde::{Deserialize, Serialize};
 
 /// Byte-level breakdown of one protection instance's storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StorageReport {
     /// A redundant copy of all weights (the "Backup Weights" column):
     /// `params × 4`.
@@ -98,7 +97,7 @@ impl StorageReport {
     /// Renders the report as a flat JSON object — the machine-readable
     /// twin of [`table_row`](StorageReport::table_row), emitted into
     /// the fig-binary JSON artifacts next to the availability numbers
-    /// (hand-rolled: the workspace's serde stub has no serializer).
+    /// (hand-rolled: the workspace has no serde).
     pub fn to_json(&self) -> String {
         format!(
             concat!(

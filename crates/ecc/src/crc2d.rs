@@ -1,5 +1,4 @@
 use crate::{crc32, Crc32Hasher};
-use serde::{Deserialize, Serialize};
 
 /// CRC-32 over the little-endian bytes of a run of cells, gathered
 /// through a stack buffer in pieces wide enough for the slice-by-8
@@ -27,7 +26,7 @@ fn crc_cells(cells: &[f32]) -> u32 {
 /// pinpoints candidate cells. MILR applies this to each of the `F²`
 /// `(Z, Y)` slices of a convolution filter tensor so that partial
 /// recovery can solve only for the flagged weights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Crc2d {
     rows: usize,
     cols: usize,
@@ -35,7 +34,7 @@ pub struct Crc2d {
 }
 
 /// Stored CRC codes for one grid, produced by [`Crc2d::encode`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Crc2dCodes {
     config: Crc2d,
     /// `rows × ceil(cols/group)` codes, row-major.

@@ -12,7 +12,7 @@
 //! the SLO objectives it must hold ([`SloDecl`]).
 //!
 //! Everything here is plain data with a deterministic `to_json`
-//! (the repo's serde stub has no serializer), so a campaign matrix run
+//! (the workspace has no serde), so a campaign matrix run
 //! under one seed serializes byte-identically forever — the property
 //! the `campaign_matrix` CI gate locks.
 

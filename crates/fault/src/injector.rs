@@ -44,7 +44,10 @@ fn walk_bits(total_bits: usize, rate: f64, rng: &mut FaultRng, mut visit: impl F
     let mut pos = rng.geometric_gap(rate);
     while pos < total_bits {
         visit(pos);
-        pos += 1 + rng.geometric_gap(rate);
+        // A saturated gap (rates below f64's resolution) ends the walk.
+        pos = pos
+            .saturating_add(1)
+            .saturating_add(rng.geometric_gap(rate));
     }
 }
 
@@ -118,7 +121,7 @@ pub fn inject_whole_weight<S: WeightSubstrate + ?Sized>(
         updates.push((idx, f32::from_bits(!weights[idx].to_bits())));
         report.flipped_bits += 32;
         report.affected_words += 1;
-        idx += 1 + rng.geometric_gap(q);
+        idx = idx.saturating_add(1).saturating_add(rng.geometric_gap(q));
     }
     if !updates.is_empty() {
         memory
@@ -283,6 +286,20 @@ mod tests {
         for (a, b) in w.iter().zip(orig.iter()) {
             assert_eq!(a.to_bits(), !b.to_bits());
         }
+    }
+
+    #[test]
+    fn rates_below_f64_resolution_flip_nothing() {
+        // At 1e-17, `1 - p` rounds to 1; the geometric gap must stay
+        // huge so almost nothing flips, not collapse to "every bit".
+        let mut w = [0.0f32; 1000];
+        let report = inject_rber(&mut w[..], 1e-17, &mut FaultRng::seed(11));
+        assert_eq!(report.flipped_bits, 0, "{report:?}");
+        assert!(w.iter().all(|x| x.to_bits() == 0));
+        let mut w = weights(1000);
+        let report = inject_whole_weight(&mut w, 1e-17, &mut FaultRng::seed(12));
+        assert_eq!(report, InjectionReport::default());
+        assert_eq!(w, weights(1000));
     }
 
     #[test]

@@ -99,8 +99,7 @@ impl FleetReport {
     }
 
     /// Renders the report as one JSON object (hand-rolled like
-    /// [`ServeReport::to_json`]; the workspace's serde stub has no
-    /// serializer).
+    /// [`ServeReport::to_json`]; the workspace has no serde).
     pub fn to_json(&self) -> String {
         let per_replica: Vec<String> = self.per_replica.iter().map(|r| r.to_json()).collect();
         format!(

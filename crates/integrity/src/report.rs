@@ -8,10 +8,8 @@
 //! ([`IntegrityPipeline::with_wall_timing`](crate::IntegrityPipeline::with_wall_timing));
 //! virtual-clock drivers leave them zero.
 
-use serde::Serialize;
-
 /// Cumulative wall nanoseconds per pipeline stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageNanos {
     /// Substrate scrub passes (ECC sweep).
     pub scrub: u64,
@@ -54,7 +52,7 @@ impl StageNanos {
 /// (ticks and heal episodes accumulate until the driver takes the
 /// report). Embedded in `ServeReport`, `FleetReport` (per replica and
 /// aggregated), and `ColdStartReport`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PipelineReport {
     /// Raw words the substrate's own scrub corrected in place.
     pub scrub_corrected: usize,
@@ -136,7 +134,7 @@ impl PipelineReport {
     }
 
     /// Renders the report as a flat JSON object (hand-rolled: the
-    /// workspace's serde stub has no serializer).
+    /// workspace has no serde).
     pub fn to_json(&self) -> String {
         format!(
             concat!(

@@ -1,6 +1,5 @@
 use crate::{NnError, Result};
 use milr_tensor::{avg_pool2d, conv2d, max_pool2d, ConvSpec, PoolSpec, Tensor, TensorRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Activation functions supported by the substrate.
@@ -9,7 +8,7 @@ use std::fmt;
 /// (implicitly) softmax at the head; the remaining variants exist because
 /// "other activation functions can be used throughout the network"
 /// (§IV-D) and exercise MILR's treat-as-identity recovery path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// Rectified linear unit, `max(0, x)`.
     Relu,
@@ -72,7 +71,7 @@ fn softmax_last_axis(input: &Tensor) -> Tensor {
 /// Fields are public: layers are passive compound data that `milr-core`
 /// introspects to build checkpoints, invert passes and re-solve
 /// parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Layer {
     /// 2-D convolution with filter tensor `(F, F, Z, Y)`.
     Conv2D {

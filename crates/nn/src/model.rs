@@ -1,6 +1,5 @@
 use crate::{Layer, NnError, Result};
 use milr_tensor::{argmax, Tensor};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A feed-forward stack of [`Layer`]s — the substrate's equivalent of a
@@ -11,7 +10,7 @@ use std::fmt;
 /// can always run forward. MILR walks [`layers`](Sequential::layers) to
 /// plan checkpoints and [`layers_mut`](Sequential::layers_mut) to heal
 /// parameters in place.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sequential {
     input_shape: Vec<usize>,
     /// Per-image input shape of each layer: `shapes[i]` feeds layer `i`;

@@ -192,8 +192,8 @@ impl ServeReport {
     }
 
     /// Renders the report as a flat JSON object (hand-rolled: the
-    /// workspace's serde stub has no serializer). The legacy fields
-    /// keep their exact order and formatting — the golden-seed parity
+    /// workspace has no serde). The legacy fields keep their exact
+    /// order and formatting — the golden-seed parity
     /// suite byte-compares this prefix across refactors — with the
     /// pipeline block and the newer fields (p99, batch-occupancy
     /// stats) appended after it.

@@ -1,11 +1,10 @@
 use crate::gemm::Gemm;
 use crate::{Result, Tensor, TensorError};
-use serde::{Deserialize, Serialize};
 
 /// Spatial padding policy for convolution and pooling, mirroring the two
 /// modes used by the paper's networks: *valid* (MNIST net, Table I) and
 /// *same* (both CIFAR-10 nets, Tables II-III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Padding {
     /// No padding; output shrinks by `F - 1` per spatial dimension.
     Valid,
@@ -18,7 +17,7 @@ pub enum Padding {
 ///
 /// The paper's output-size relation `G = (M − F + 2P)/S + 1` (§IV-B) is
 /// implemented by [`ConvSpec::output_dim`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConvSpec {
     /// Filter side length `F` (filters are `F × F × Z`).
     pub filter: usize,

@@ -1,12 +1,11 @@
 use crate::{Result, Tensor, TensorError};
-use serde::{Deserialize, Serialize};
 
 /// Pooling geometry: square window and stride.
 ///
 /// The paper's networks use non-overlapping 2×2 max pooling; the substrate
 /// supports arbitrary window/stride combinations with valid semantics
 /// (windows that fall entirely inside the input).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PoolSpec {
     /// Window side length.
     pub window: usize,

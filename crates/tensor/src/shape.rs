@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The dimensions of a [`Tensor`](crate::Tensor), row-major.
@@ -15,7 +14,7 @@ use std::fmt;
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// assert_eq!(s.flatten_index(&[1, 2, 3]), Some(23));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape(Vec<usize>);
 
 impl Shape {

@@ -1,5 +1,4 @@
 use crate::{Result, Shape, TensorError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major, owned `f32` tensor.
@@ -17,7 +16,7 @@ use std::fmt;
 /// assert_eq!(t.shape().dims(), &[2, 3]);
 /// # Ok::<(), milr_tensor::TensorError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

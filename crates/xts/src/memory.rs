@@ -1,5 +1,4 @@
 use crate::{XtsCipher, XtsError};
-use bytes::{BufMut, BytesMut};
 
 /// Bytes per AES block — the granularity at which a ciphertext error
 /// garbles plaintext.
@@ -20,7 +19,7 @@ pub const WEIGHTS_PER_BLOCK: usize = BLOCK_BYTES / 4;
 #[derive(Debug, Clone)]
 pub struct EncryptedMemory {
     cipher: XtsCipher,
-    ciphertext: BytesMut,
+    ciphertext: Vec<u8>,
     /// Number of valid weights (the final block may be partially
     /// padded).
     len: usize,
@@ -36,13 +35,12 @@ impl EncryptedMemory {
     /// padded length produced here, but kept in the signature for
     /// forward compatibility).
     pub fn encrypt(weights: &[f32], cipher: XtsCipher) -> Result<Self, XtsError> {
-        let mut buf = BytesMut::with_capacity(weights.len().div_ceil(WEIGHTS_PER_BLOCK) * 16);
+        let padded = weights.len().div_ceil(WEIGHTS_PER_BLOCK) * BLOCK_BYTES;
+        let mut buf = Vec::with_capacity(padded);
         for w in weights {
-            buf.put_slice(&w.to_le_bytes());
+            buf.extend_from_slice(&w.to_le_bytes());
         }
-        while !buf.len().is_multiple_of(BLOCK_BYTES) {
-            buf.put_u8(0);
-        }
+        buf.resize(padded, 0);
         for (unit, block) in buf.chunks_mut(BLOCK_BYTES).enumerate() {
             cipher.encrypt_unit(block, unit as u64)?;
         }
@@ -71,11 +69,9 @@ impl EncryptedMemory {
                 len: ciphertext.len(),
             });
         }
-        let mut buf = BytesMut::with_capacity(ciphertext.len());
-        buf.put_slice(&ciphertext);
         Ok(EncryptedMemory {
             cipher,
-            ciphertext: buf,
+            ciphertext,
             len,
         })
     }
