@@ -22,7 +22,7 @@
 //! flags, so any change in scheduling, certification, quarantine, or
 //! accounting shows up as a diff.
 
-use milr_bench::json::{write_summary, JsonObject};
+use milr_bench::json::{report_json, write_summary, JsonObject};
 use milr_bench::live::{run_live, LiveConfig};
 use milr_bench::obs::ObsOutputs;
 use milr_bench::serve::run_measured_observed;
@@ -162,28 +162,6 @@ fn parse_cli() -> Result<Cli, String> {
         live_http,
         live_http_hold_ms,
     })
-}
-
-/// The `"report"` object of a summary this binary wrote: the balanced
-/// `{…}` after the first `"report":` key (our own serializer, so a scan
-/// is exact — no string in it contains a brace).
-fn report_json(text: &str) -> Option<&str> {
-    let key = "\"report\":";
-    let start = text.find(key)? + key.len();
-    let mut depth = 0usize;
-    for (i, c) in text[start..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth = depth.checked_sub(1)?;
-                if depth == 0 {
-                    return Some(&text[start..=start + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 /// The CI behaviour gate: the run's report must equal the recorded

@@ -466,6 +466,58 @@ mod tests {
         assert!(a
             .to_json()
             .contains("\"campaign\":{\"name\":\"skewed-storm\""));
+
+        let serve = TargetVerdict {
+            target: "serve",
+            digest: 12_345,
+            completed: 50,
+            rejected: 10,
+            faults_injected: 4,
+            peer_repairs: 0,
+            rejected_donations: 0,
+            chaos: ChaosStats {
+                bursts_fired: 2,
+                burst_bits: 37,
+                stuck_asserts: 5,
+                torn_fires: 1,
+                redeploys: 0,
+            },
+            slo: SloReport {
+                pass: false,
+                alerts: 3,
+                budgets: Vec::new(),
+            },
+        };
+        let pinned = CampaignReport {
+            campaign: Campaign {
+                name: "pinned".into(),
+                seed: 9,
+                chaos: ChaosSpec::default(),
+                slos: vec![decl(SloDeclKind::Durability, 900)],
+            },
+            fleet: TargetVerdict {
+                target: "fleet",
+                peer_repairs: 2,
+                rejected_donations: 1,
+                ..serve.clone()
+            },
+            serve,
+        };
+        assert_eq!(
+            pinned.to_json(),
+            "{\"campaign\":{\"name\":\"pinned\",\"seed\":9,\"chaos\":{},\
+            \"slos\":[{\"kind\":\"durability\",\"objective_milli\":900,\
+            \"latency_threshold_ns\":0}]},\"serve\":{\"target\":\"serve\",\"digest\":12345,\
+            \"completed\":50,\"rejected\":10,\"faults_injected\":4,\"peer_repairs\":0,\
+            \"rejected_donations\":0,\"chaos\":{\"bursts_fired\":2,\"burst_bits\":37,\
+            \"stuck_asserts\":5,\"torn_fires\":1,\"redeploys\":0},\"slo\":{\"pass\":false,\
+            \"alerts\":3,\"budgets\":[]},\"pass\":false},\"fleet\":{\"target\":\"fleet\",\
+            \"digest\":12345,\"completed\":50,\"rejected\":10,\"faults_injected\":4,\
+            \"peer_repairs\":2,\"rejected_donations\":1,\"chaos\":{\"bursts_fired\":2,\
+            \"burst_bits\":37,\"stuck_asserts\":5,\"torn_fires\":1,\"redeploys\":0},\
+            \"slo\":{\"pass\":false,\"alerts\":3,\"budgets\":[]},\"pass\":false},\
+            \"byzantine_caught\":true,\"pass\":false}"
+        );
     }
 
     #[test]

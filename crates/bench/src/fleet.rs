@@ -170,9 +170,13 @@ mod tests {
         // Measured fleet availability dominates the capacity view: the
         // fleet is only down when every replica is.
         assert!(cmp.measured_fleet >= cmp.measured_capacity);
-        let json = cmp.to_json();
-        assert!(json.contains("fleet_modeled_eq6"));
-        assert_eq!(json.matches('{').count(), 1);
+        assert_eq!(
+            cmp.to_json(),
+            "{\"replicas\":2,\"td_s\":0.000900,\"tr_s\":0.010000,\"tbe_s\":0.048000,\
+            \"cycle_period_s\":0.008000,\"single_modeled_eq6\":0.000000000,\
+            \"fleet_modeled_eq6\":0.000000000,\"measured_capacity\":0.829687500,\
+            \"measured_fleet\":1.000000000}"
+        );
     }
 
     #[test]
@@ -189,6 +193,12 @@ mod tests {
         assert_eq!(result.report.fleet.availability, 1.0);
         assert_eq!(cmp.measured_fleet, 1.0);
         assert!(cmp.tbe_s.is_infinite());
-        assert!(cmp.to_json().contains("\"tbe_s\":-1.0"));
+        assert_eq!(
+            cmp.to_json(),
+            "{\"replicas\":2,\"td_s\":0.000900,\"tr_s\":0.010000,\"tbe_s\":-1.000000,\
+            \"cycle_period_s\":0.008000,\"single_modeled_eq6\":0.000000000,\
+            \"fleet_modeled_eq6\":0.000000000,\"measured_capacity\":1.000000000,\
+            \"measured_fleet\":1.000000000}"
+        );
     }
 }

@@ -101,6 +101,28 @@ pub fn write_summary(json: &str, path: Option<&str>) {
     }
 }
 
+/// The `"report"` object of a summary `serve_load` wrote: the balanced
+/// `{…}` after the first `"report":` key (our own serializer, so a scan
+/// is exact — no string in it contains a brace).
+pub fn report_json(text: &str) -> Option<&str> {
+    let key = "\"report\":";
+    let start = text.find(key)? + key.len();
+    let mut depth = 0usize;
+    for (i, c) in text[start..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' => {
+                depth = depth.checked_sub(1)?;
+                if depth == 0 {
+                    return Some(&text[start..=start + i]);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -157,6 +157,17 @@ mod tests {
         assert_eq!(s.hi, 5.0);
         assert!(s.outliers.is_empty());
         assert_eq!(s.mean, 3.0);
+        assert_eq!(
+            s.to_json(),
+            "{\"median\":3.000000,\"q1\":2.000000,\"q3\":4.000000,\"lo\":1.000000,\
+            \"hi\":5.000000,\"mean\":3.000000,\"outliers\":0}"
+        );
+        let skewed = BoxStats::compute(&[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -10.0]);
+        assert_eq!(
+            skewed.to_json(),
+            "{\"median\":1.000000,\"q1\":1.000000,\"q3\":1.000000,\"lo\":1.000000,\
+            \"hi\":1.000000,\"mean\":-0.375000,\"outliers\":1}"
+        );
     }
 
     #[test]

@@ -541,26 +541,32 @@ mod tests {
             name: "everything".to_string(),
             seed: 42,
             chaos,
-            slos: vec![SloDecl {
-                kind: SloDeclKind::Availability,
-                objective_milli: 700,
-                latency_threshold_ns: 0,
-            }],
+            slos: vec![
+                SloDecl {
+                    kind: SloDeclKind::Availability,
+                    objective_milli: 700,
+                    latency_threshold_ns: 0,
+                },
+                SloDecl {
+                    kind: SloDeclKind::LatencyP99,
+                    objective_milli: 990,
+                    latency_threshold_ns: 400_000_000,
+                },
+            ],
         };
         let json = campaign.to_json();
         assert_eq!(json, campaign.clone().to_json(), "unstable serialization");
-        for key in [
-            "\"name\":\"everything\"",
-            "\"seed\":42",
-            "\"pattern\":\"double_sided_row\"",
-            "\"stuck_at\"",
-            "\"stage\":\"heal\"",
-            "\"donors\":[0,2]",
-            "\"arrival_milli\":500",
-            "\"kind\":\"availability\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
+        assert_eq!(
+            json,
+            "{\"name\":\"everything\",\"seed\":42,\
+            \"chaos\":{\"bursts\":{\"pattern\":\"double_sided_row\",\"bursts\":3,\
+            \"flip_prob_milli\":450},\"stuck_at\":{\"bits\":8,\"from_milli\":100,\
+            \"until_milli\":700},\"torn_write\":{\"stage\":\"heal\",\"fires\":2,\"flips\":16},\
+            \"byzantine\":{\"donors\":[0,2],\"flips\":9},\"skew\":{\"arrival_milli\":500,\
+            \"scrub_milli\":1500}},\"slos\":[{\"kind\":\"availability\",\
+            \"objective_milli\":700,\"latency_threshold_ns\":0},{\"kind\":\"latency_p99\",\
+            \"objective_milli\":990,\"latency_threshold_ns\":400000000}]}"
+        );
         assert_eq!(ChaosSpec::default().to_json(), "{}");
     }
 

@@ -183,12 +183,22 @@ mod tests {
         assert_eq!(fleet.repair_pages(), 3);
         assert_eq!(fleet.repair_bytes(), 96);
         assert_eq!(fleet.rejected_donations(), 1);
-        let json = fleet.to_json();
-        assert!(json.contains("\"per_replica\":[{\"replica\":0"));
-        assert!(json.contains("\"repairs_donated\":1"));
-        assert!(json.contains("\"rejected_donations\":1"));
-        assert!(json.contains("\"fleet\":{"));
-        assert!(json.contains("\"capacity\":{"));
-        assert_eq!(json.matches("\"report\":{").count(), 2);
+        assert_eq!(
+            fleet.to_json(),
+            format!(
+                concat!(
+                    r#"{{"replicas":2,"peer_repairs":1,"repair_pages":3,"repair_bytes":96,"#,
+                    r#""rejected_donations":1,"fleet":{},"capacity":{},"per_replica":["#,
+                    r#"{{"replica":0,"peer_repairs":1,"repair_pages":3,"repair_bytes":96,"#,
+                    r#""repairs_donated":0,"rejected_donations":1,"report":{}}},"#,
+                    r#"{{"replica":1,"peer_repairs":0,"repair_pages":0,"repair_bytes":0,"#,
+                    r#""repairs_donated":1,"rejected_donations":0,"report":{}}}]}}"#
+                ),
+                fleet.fleet.to_json(),
+                fleet.capacity.to_json(),
+                report(1).to_json(),
+                report(2).to_json()
+            )
+        );
     }
 }

@@ -215,9 +215,26 @@ mod tests {
 
     #[test]
     fn json_is_flat_and_ordered() {
-        let json = PipelineReport::default().to_json();
-        assert!(json.starts_with("{\"scrub_corrected\":0"));
-        assert!(json.contains("\"stage_ns\":{\"scrub\":0"));
-        assert!(json.ends_with("}}"));
+        assert_eq!(
+            PipelineReport::default().to_json(),
+            "{\"scrub_corrected\":0,\"scrub_uncorrectable\":0,\"full_detects\":0,\
+            \"chunk_detects\":0,\"fast_verifies\":0,\"layers_checked\":0,\"layers_skipped\":0,\
+            \"heal_rounds\":0,\"layers_healed\":0,\"layers_escalated\":0,\"reprotects\":0,\
+            \"anchors\":0,\"durability_errors\":0,\"heals_exact\":0,\"heals_approx\":0,\
+            \"stage_ns\":{\"scrub\":0,\"detect\":0,\"heal\":0,\"verify\":0,\"reprotect\":0,\
+            \"anchor\":0}}"
+        );
+        let stages = StageNanos {
+            scrub: 1,
+            detect: 2,
+            heal: 3,
+            verify: 4,
+            reprotect: 5,
+            anchor: 6,
+        };
+        assert_eq!(
+            stages.to_json(),
+            r#"{"scrub":1,"detect":2,"heal":3,"verify":4,"reprotect":5,"anchor":6}"#
+        );
     }
 }

@@ -315,10 +315,12 @@ mod tests {
         let snap = reg.snapshot();
         // BTreeMap ordering: names are sorted.
         assert_eq!(snap.counters[0].0, "a_total");
-        let json = snap.to_json();
-        assert!(json.starts_with("{\"counters\":{\"a_total\":3,\"b_total\":7}"));
-        assert!(json.contains("\"depth\":-2"));
-        assert!(json.contains("\"lat\":{\"count\":2,\"sum\":110,\"max\":100"));
+        assert_eq!(
+            snap.to_json(),
+            "{\"counters\":{\"a_total\":3,\"b_total\":7},\"gauges\":{\"depth\":-2},\
+            \"histograms\":{\"lat\":{\"count\":2,\"sum\":110,\"max\":100,\"mean\":55.000,\
+            \"p50\":10,\"p95\":100,\"p99\":100}}}"
+        );
 
         let prom = snap.to_prometheus();
         assert!(prom.contains("# TYPE a_total counter\na_total 3\n"));

@@ -554,13 +554,17 @@ mod tests {
         let report = engine.report(200);
         assert!(report.pass);
         let json = report.to_json();
-        assert!(json.starts_with("{\"pass\":true,\"alerts\":0,\"budgets\":["));
-        assert!(json.contains(
-            "\"name\":\"availability\",\"kind\":\"availability\",\"objective\":0.900000"
-        ));
-        assert!(json.contains("\"good\":95,\"bad\":5,\"compliance\":0.950000000"));
-        assert!(json.ends_with("]}"));
         assert_eq!(json, engine.report(200).to_json(), "report is idempotent");
+        assert_eq!(
+            json,
+            "{\"pass\":true,\"alerts\":0,\"budgets\":[{\"name\":\"availability\",\
+            \"kind\":\"availability\",\"objective\":0.900000,\"good\":95,\"bad\":5,\
+            \"compliance\":0.950000000,\"budget_spent\":0.500000,\"fast_burn\":0.500000,\
+            \"slow_burn\":0.500000,\"alerts\":0,\"pass\":true},{\"name\":\"durability\",\
+            \"kind\":\"durability\",\"objective\":0.999000,\"good\":3,\"bad\":0,\
+            \"compliance\":1.000000000,\"budget_spent\":0.000000,\"fast_burn\":0.000000,\
+            \"slow_burn\":0.000000,\"alerts\":0,\"pass\":true}]}"
+        );
 
         // Blowing the availability budget flips both verdicts.
         engine.observe(300, SloKind::Availability, 0, 50);

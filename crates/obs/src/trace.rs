@@ -303,17 +303,6 @@ mod tests {
             ev.to_json(),
             "{\"ns\":12,\"src\":3,\"event\":\"HealOutcome\",\"layer\":1,\"exact\":true}"
         );
-        let fault = TraceEvent {
-            ns: 0,
-            src: 0,
-            kind: EventKind::FaultInjected {
-                layer: 2,
-                weight: u64::MAX,
-            },
-        };
-        assert!(fault
-            .to_json()
-            .ends_with("\"layer\":2,\"weight\":18446744073709551615}"));
         let alert = TraceEvent {
             ns: 99,
             src: 1,
@@ -325,6 +314,46 @@ mod tests {
         assert_eq!(
             alert.to_json(),
             "{\"ns\":99,\"src\":1,\"event\":\"AlertFired\",\"slo\":0,\"burn_milli\":2500}"
+        );
+        let ring = RingRecorder::new(16);
+        let every_kind = [
+            EventKind::FaultInjected {
+                layer: 2,
+                weight: u64::MAX,
+            },
+            EventKind::ScrubFlagged { layer: 4 },
+            EventKind::StageEntered { stage: "Heal" },
+            EventKind::HealOutcome {
+                layer: 1,
+                exact: false,
+            },
+            EventKind::Quarantine { entered: true },
+            EventKind::PeerRepair { donor: 3 },
+            EventKind::BatchDispatched { occupancy: 8 },
+            EventKind::Reanchor { durable: false },
+            EventKind::AlertFired {
+                slo: 2,
+                burn_milli: 14_400,
+            },
+        ];
+        for (ns, kind) in (0..).zip(every_kind) {
+            ring.record(TraceEvent {
+                ns,
+                src: FLEET_SRC,
+                kind,
+            });
+        }
+        assert_eq!(
+            ring.to_jsonl(),
+            "{\"ns\":0,\"src\":4294967295,\"event\":\"FaultInjected\",\"layer\":2,\"weight\":18446744073709551615}\n\
+            {\"ns\":1,\"src\":4294967295,\"event\":\"ScrubFlagged\",\"layer\":4}\n\
+            {\"ns\":2,\"src\":4294967295,\"event\":\"StageEntered\",\"stage\":\"Heal\"}\n\
+            {\"ns\":3,\"src\":4294967295,\"event\":\"HealOutcome\",\"layer\":1,\"exact\":false}\n\
+            {\"ns\":4,\"src\":4294967295,\"event\":\"Quarantine\",\"entered\":true}\n\
+            {\"ns\":5,\"src\":4294967295,\"event\":\"PeerRepair\",\"donor\":3}\n\
+            {\"ns\":6,\"src\":4294967295,\"event\":\"BatchDispatched\",\"occupancy\":8}\n\
+            {\"ns\":7,\"src\":4294967295,\"event\":\"Reanchor\",\"durable\":false}\n\
+            {\"ns\":8,\"src\":4294967295,\"event\":\"AlertFired\",\"slo\":2,\"burn_milli\":14400}\n"
         );
     }
 
