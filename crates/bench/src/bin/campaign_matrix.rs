@@ -18,8 +18,9 @@
 //! (`SLO_campaign_<name>.json`) per campaign.
 
 use milr_bench::campaigns::{builtin_campaigns, run_campaign_observed, MatrixTuning, CI_GATED};
-use milr_bench::json::{array, write_summary, JsonObject};
+use milr_bench::json::write_summary;
 use milr_bench::obs::ObsOutputs;
+use milr_obs::json::{array, JsonObject};
 
 struct Cli {
     tuning: MatrixTuning,
@@ -210,13 +211,10 @@ fn main() {
     );
 
     let json = JsonObject::new()
-        .uint("requests", cli.tuning.requests as u64)
-        .uint("replicas", cli.tuning.replicas as u64)
-        .raw(
-            "campaigns",
-            &array(reports.iter().map(|r| r.to_json()).collect::<Vec<_>>()),
-        )
-        .raw("pass", if all_pass { "true" } else { "false" })
+        .raw("requests", cli.tuning.requests)
+        .raw("replicas", cli.tuning.replicas)
+        .raw("campaigns", array(reports.iter().map(|r| r.to_json())))
+        .raw("pass", all_pass)
         .finish();
     write_summary(&json, cli.json.as_deref());
 

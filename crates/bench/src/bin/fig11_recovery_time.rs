@@ -7,9 +7,10 @@
 //! cargo run --release -p milr-bench --bin fig11_recovery_time [-- --net mnist]
 //! ```
 
-use milr_bench::json::{array, write_summary, JsonObject};
+use milr_bench::json::write_summary;
 use milr_bench::{prepare, Args, NetChoice};
 use milr_fault::{inject_whole_weight, FaultRng};
+use milr_obs::json::{array, JsonObject};
 use std::time::Instant;
 
 fn main() {
@@ -51,8 +52,8 @@ fn main() {
             );
             rows.push(
                 JsonObject::new()
-                    .uint("errors", injected as u64)
-                    .uint("flagged_layers", report.flagged.len() as u64)
+                    .raw("errors", injected)
+                    .raw("flagged_layers", report.flagged.len())
                     .float("recovery_s", secs, 6)
                     .finish(),
             );
@@ -60,14 +61,14 @@ fn main() {
         nets.push(
             JsonObject::new()
                 .string("net", &prep.label)
-                .uint("params", total_params as u64)
-                .raw("rows", &array(rows))
+                .raw("params", total_params)
+                .raw("rows", array(rows))
                 .finish(),
         );
     }
     let json = JsonObject::new()
         .string("figure", "fig11_recovery_time")
-        .raw("nets", &array(nets))
+        .raw("nets", array(nets))
         .finish();
     write_summary(&json, args.json.as_deref());
 }

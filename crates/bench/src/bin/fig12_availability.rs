@@ -19,11 +19,12 @@
 //! cargo run --release -p milr-bench --bin fig12_availability -- --measured
 //! ```
 
-use milr_bench::json::{array, write_summary, JsonObject};
+use milr_bench::json::write_summary;
 use milr_bench::serve::run_measured;
 use milr_bench::{prepare, Args, NetChoice};
 use milr_core::availability::AvailabilityModel;
 use milr_core::MilrConfig;
+use milr_obs::json::{array, JsonObject};
 use milr_serve::sim::SimConfig;
 use std::time::Instant;
 
@@ -100,7 +101,7 @@ fn main() {
             .float("tbe_s", model.time_between_errors, 3)
             .float("user_a_availability", user_a, 12)
             .float("user_b_min_accuracy", user_b, 6)
-            .raw("curve", &array(curve));
+            .raw("curve", array(curve));
 
         if args.measured {
             // Measured counterpart: serve the reduced twin live under
@@ -140,14 +141,14 @@ fn main() {
                 result.report.digest
             );
             net_json = net_json
-                .raw("measured", &cmp.to_json())
-                .raw("measured_report", &result.report.to_json());
+                .raw("measured", cmp.to_json())
+                .raw("measured_report", result.report.to_json());
         }
         nets.push(net_json.finish());
     }
     let json = JsonObject::new()
         .string("figure", "fig12_availability")
-        .raw("nets", &array(nets))
+        .raw("nets", array(nets))
         .finish();
     write_summary(&json, args.json.as_deref());
 }

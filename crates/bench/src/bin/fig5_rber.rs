@@ -11,8 +11,9 @@
 //! cargo run --release -p milr-bench --bin fig5_rber -- --arms all --json fig5.json
 //! ```
 
-use milr_bench::json::{array, write_summary, JsonObject};
+use milr_bench::json::write_summary;
 use milr_bench::{prepare, run_rber_trial, Args, BoxStats, NetChoice};
+use milr_obs::json::{array, JsonObject};
 
 fn rates(net: NetChoice) -> Vec<f64> {
     // Paper x-axes: MNIST sweeps to 1e-3; the CIFAR nets to 5e-4.
@@ -50,24 +51,24 @@ fn main() {
             println!("rber {rate:7.0e}  {}", stats.row());
             points.push(
                 JsonObject::new()
-                    .raw("rber", &format!("{rate:e}"))
-                    .raw("normalized_accuracy", &stats.to_json())
+                    .raw("rber", format!("{rate:e}"))
+                    .raw("normalized_accuracy", stats.to_json())
                     .finish(),
             );
         }
         panels.push(
             JsonObject::new()
                 .string("arm", &arm.to_string())
-                .raw("points", &array(points))
+                .raw("points", array(points))
                 .finish(),
         );
     }
     let json = JsonObject::new()
         .string("figure", "fig5_rber")
         .string("net", &prep.label)
-        .uint("trials", args.trials as u64)
+        .raw("trials", args.trials)
         .float("clean_accuracy", prep.clean_accuracy, 6)
-        .raw("panels", &array(panels))
+        .raw("panels", array(panels))
         .finish();
     write_summary(&json, args.json.as_deref());
 }

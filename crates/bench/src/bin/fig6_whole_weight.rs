@@ -11,8 +11,9 @@
 //! cargo run --release -p milr-bench --bin fig6_whole_weight -- --net mnist
 //! ```
 
-use milr_bench::json::{array, write_summary, JsonObject};
+use milr_bench::json::write_summary;
 use milr_bench::{prepare, run_whole_weight_trial, Args, Arm, BoxStats};
+use milr_obs::json::{array, JsonObject};
 
 const RATES: [f64; 10] = [1e-7, 5e-7, 1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3];
 
@@ -43,24 +44,24 @@ fn main() {
             println!("q {rate:7.0e}  {}", stats.row());
             points.push(
                 JsonObject::new()
-                    .raw("q", &format!("{rate:e}"))
-                    .raw("normalized_accuracy", &stats.to_json())
+                    .raw("q", format!("{rate:e}"))
+                    .raw("normalized_accuracy", stats.to_json())
                     .finish(),
             );
         }
         panels.push(
             JsonObject::new()
                 .string("arm", &arm.to_string())
-                .raw("points", &array(points))
+                .raw("points", array(points))
                 .finish(),
         );
     }
     let json = JsonObject::new()
         .string("figure", "fig6_whole_weight")
         .string("net", &prep.label)
-        .uint("trials", args.trials as u64)
+        .raw("trials", args.trials)
         .float("clean_accuracy", prep.clean_accuracy, 6)
-        .raw("panels", &array(panels))
+        .raw("panels", array(panels))
         .finish();
     write_summary(&json, args.json.as_deref());
 }

@@ -17,10 +17,11 @@
 //! digest and availability bit-for-bit.
 
 use milr_bench::fleet::run_fleet_measured_observed;
-use milr_bench::json::{write_summary, JsonObject};
+use milr_bench::json::write_summary;
 use milr_bench::obs::ObsOutputs;
 use milr_core::MilrConfig;
 use milr_fleet::FleetConfig;
+use milr_obs::json::JsonObject;
 use milr_serve::QuarantinePolicy;
 use milr_substrate::SubstrateKind;
 
@@ -227,9 +228,9 @@ fn main() {
     obs_out.flush();
     obs_out.write_slo(r.fleet.slo.as_ref());
     let json = JsonObject::new()
-        .raw("fleet", &r.to_json())
-        .raw("comparison", &cmp.to_json())
-        .raw("storage", &storage.to_json())
+        .raw("fleet", r.to_json())
+        .raw("comparison", cmp.to_json())
+        .raw("storage", storage.to_json())
         .finish();
     write_summary(&json, cli.json.as_deref());
 

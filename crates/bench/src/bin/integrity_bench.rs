@@ -12,12 +12,13 @@
 //!     --net mnist --trials 5 --json BENCH_integrity.json
 //! ```
 
-use milr_bench::json::{array, write_summary, JsonObject};
+use milr_bench::json::write_summary;
 use milr_bench::{best_ns, prepare, Args};
 use milr_fault::{inject_rber, FaultRng};
 use milr_integrity::{
     Budget, EscalationPolicy, IntegrityPipeline, ModelHost, RoundOutcome, Volatile,
 };
+use milr_obs::json::{array, JsonObject};
 use milr_substrate::SubstrateKind;
 use std::hint::black_box;
 use std::time::Instant;
@@ -162,12 +163,12 @@ fn main() {
 
     let json = JsonObject::new()
         .string("net", &prep.label)
-        .uint("params", prep.model.param_count() as u64)
-        .uint("checkable_layers", prep.milr.checkable_count() as u64)
-        .uint("trials", trials as u64)
-        .raw("arms", &array(arms))
-        .uint("substrate_weights", SUBSTRATE_WEIGHTS as u64)
-        .raw("substrates", &array(substrates))
+        .raw("params", prep.model.param_count())
+        .raw("checkable_layers", prep.milr.checkable_count())
+        .raw("trials", trials)
+        .raw("arms", array(arms))
+        .raw("substrate_weights", SUBSTRATE_WEIGHTS)
+        .raw("substrates", array(substrates))
         .finish();
     write_summary(&json, args.json.as_deref());
 }

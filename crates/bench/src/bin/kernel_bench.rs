@@ -17,9 +17,10 @@
 //! ```
 
 use milr_bench::best_ns;
-use milr_bench::json::{array, write_summary, JsonObject};
+use milr_bench::json::write_summary;
 use milr_ecc::{crc16, crc32, crc8, scalar, Crc2d, DecodeOutcome, Secded, SecdedMemory};
 use milr_linalg::{scalar as linalg_scalar, Mat, Qr};
+use milr_obs::json::{array, JsonObject};
 use milr_tensor::scalar as tensor_scalar;
 use milr_tensor::{conv2d, matmul, ConvSpec, Padding, Tensor};
 use milr_xts::Aes128;
@@ -423,9 +424,9 @@ fn main() {
         rows.push(
             JsonObject::new()
                 .string("name", k.name)
-                .uint("items", k.items)
-                .uint("scalar_ns", k.scalar_ns)
-                .uint("optimized_ns", k.optimized_ns)
+                .raw("items", k.items)
+                .raw("scalar_ns", k.scalar_ns)
+                .raw("optimized_ns", k.optimized_ns)
                 .float("speedup", k.speedup(), 2)
                 .float("ns_per_item", per_item, 4)
                 .float("required_speedup", k.floor, 1)
@@ -433,8 +434,8 @@ fn main() {
         );
     }
     let json = JsonObject::new()
-        .uint("trials", trials as u64)
-        .raw("kernels", &array(rows))
+        .raw("trials", trials)
+        .raw("kernels", array(rows))
         .finish();
     write_summary(&json, args.json.as_deref());
 

@@ -13,55 +13,40 @@
 //! The run is deterministic under `--seed`: re-running prints the same
 //! digest and availability bit-for-bit.
 //!
-//! `--live` instead runs the real multi-threaded server under a
-//! wall-clock fault campaign and reports its sustained QPS.
-//!
 //! `--check-report-against FILE` requires this run's `report` JSON to
 //! equal the `report` of a previously recorded summary byte for byte —
 //! the CI behaviour gate. The simulation is a pure function of its
 //! flags, so any change in scheduling, certification, quarantine, or
 //! accounting shows up as a diff.
 
-use milr_bench::json::{report_json, write_summary, JsonObject};
-use milr_bench::live::{run_live, LiveConfig};
+use milr_bench::json::{report_json, write_summary};
 use milr_bench::obs::ObsOutputs;
 use milr_bench::serve::run_measured_observed;
 use milr_core::MilrConfig;
+use milr_obs::json::JsonObject;
 use milr_serve::sim::SimConfig;
 use milr_serve::QuarantinePolicy;
-use milr_substrate::SubstrateKind;
-use std::time::Duration;
 
 struct Cli {
     sim: SimConfig,
     json: Option<String>,
     model_seed: u64,
-    live: bool,
-    substrate: SubstrateKind,
-    fault_every_ms: u64,
     check_report_against: Option<String>,
     trace_out: Option<String>,
     metrics_out: Option<String>,
     spans_out: Option<String>,
     slo_out: Option<String>,
-    live_http: Option<String>,
-    live_http_hold_ms: u64,
 }
 
 fn parse_cli() -> Result<Cli, String> {
     let mut sim = SimConfig::default();
     let mut json = None;
     let mut model_seed = 42u64;
-    let mut live = false;
-    let mut substrate = SubstrateKind::XtsSecded;
-    let mut fault_every_ms = 40u64;
     let mut check_report_against = None;
     let mut trace_out = None;
     let mut metrics_out = None;
     let mut spans_out = None;
     let mut slo_out = None;
-    let mut live_http = None;
-    let mut live_http_hold_ms = 0u64;
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
         let mut value = |name: &str| iter.next().ok_or(format!("{name} needs a value"));
@@ -115,21 +100,6 @@ fn parse_cli() -> Result<Cli, String> {
                     .map_err(|e| format!("bad --batch-wait-us: {e}"))?;
                 sim.batch_wait_ns = us * 1_000;
             }
-            "--live" => live = true,
-            "--substrate" => {
-                substrate = match value("--substrate")?.as_str() {
-                    "plain" => SubstrateKind::Plain,
-                    "secded" => SubstrateKind::Secded,
-                    "xts" => SubstrateKind::Xts,
-                    "xts-secded" => SubstrateKind::XtsSecded,
-                    other => return Err(format!("unknown substrate {other}")),
-                }
-            }
-            "--fault-every-ms" => {
-                fault_every_ms = value("--fault-every-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault-every-ms: {e}"))?
-            }
             "--check-report-against" => {
                 check_report_against = Some(value("--check-report-against")?)
             }
@@ -137,12 +107,6 @@ fn parse_cli() -> Result<Cli, String> {
             "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
             "--spans-out" => spans_out = Some(value("--spans-out")?),
             "--slo-out" => slo_out = Some(value("--slo-out")?),
-            "--live-http" => live_http = Some(value("--live-http")?),
-            "--live-http-hold-ms" => {
-                live_http_hold_ms = value("--live-http-hold-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --live-http-hold-ms: {e}"))?
-            }
             "--json" => json = Some(value("--json")?),
             other => return Err(format!("unknown flag {other}")),
         }
@@ -151,16 +115,11 @@ fn parse_cli() -> Result<Cli, String> {
         sim,
         json,
         model_seed,
-        live,
-        substrate,
-        fault_every_ms,
         check_report_against,
         trace_out,
         metrics_out,
         spans_out,
         slo_out,
-        live_http,
-        live_http_hold_ms,
     })
 }
 
@@ -195,25 +154,13 @@ fn main() {
             eprintln!(
                 "usage: [--requests N] [--seed N] [--model-seed N] [--workers N] [--faults N] \
                  [--batch-max N] [--batch-wait-us N] [--scrub-interval-us N] \
-                 [--policy drain|reject] [--live] [--substrate plain|secded|xts|xts-secded] \
-                 [--fault-every-ms N] [--check-report-against FILE] [--trace-out FILE] \
-                 [--metrics-out FILE] [--spans-out FILE] [--slo-out FILE] \
-                 [--live-http ADDR] [--live-http-hold-ms N] [--json FILE]"
+                 [--policy drain|reject] [--check-report-against FILE] [--trace-out FILE] \
+                 [--metrics-out FILE] [--spans-out FILE] [--slo-out FILE] [--json FILE]"
             );
             std::process::exit(2);
         }
     };
     let net = milr_models::reduced_mnist(cli.model_seed);
-    if cli.live {
-        if cli.check_report_against.is_some() {
-            eprintln!(
-                "error: --check-report-against gates the deterministic simulation, not --live"
-            );
-            std::process::exit(2);
-        }
-        run_live_once(&cli, &net.model);
-        return;
-    }
     let obs_out = ObsOutputs::from_flags(cli.trace_out.clone(), cli.metrics_out.clone())
         .with_spans(cli.spans_out.clone())
         .with_slo(cli.slo_out.clone());
@@ -276,79 +223,12 @@ fn main() {
     obs_out.flush();
     obs_out.write_slo(r.slo.as_ref());
     let json = JsonObject::new()
-        .raw("report", &r.to_json())
-        .raw("comparison", &cmp.to_json())
-        .raw("storage", &storage.to_json())
+        .raw("report", r.to_json())
+        .raw("comparison", cmp.to_json())
+        .raw("storage", storage.to_json())
         .finish();
     write_summary(&json, cli.json.as_deref());
     if let Some(baseline) = &cli.check_report_against {
         enforce_report_gate(&r.to_json(), baseline);
     }
-}
-
-/// The `--live` mode: one wall-clock campaign through the real server.
-fn run_live_once(cli: &Cli, model: &milr_nn::Sequential) {
-    // The live server keeps its own metrics registry (snapshotted at
-    // shutdown), so only the trace and spans ride through ObsOutputs.
-    let obs_out = ObsOutputs::from_flags(cli.trace_out.clone(), None)
-        .with_spans(cli.spans_out.clone())
-        .with_slo(cli.slo_out.clone());
-    let live_cfg = LiveConfig {
-        requests: cli.sim.requests,
-        seed: cli.sim.seed,
-        workers: cli.sim.workers,
-        batch_max: cli.sim.batch_max,
-        batch_wait: Duration::from_nanos(cli.sim.batch_wait_ns),
-        substrate: cli.substrate,
-        fault_every: (cli.fault_every_ms > 0).then(|| Duration::from_millis(cli.fault_every_ms)),
-        // Termination guarantee on starved machines: a fault-free tail
-        // always exists, so certification cannot livelock.
-        max_faults: Some(cli.sim.requests),
-        trace: obs_out.observer().trace,
-        spans: obs_out.span_handle(),
-        http_addr: cli.live_http.clone(),
-        http_hold: Duration::from_millis(cli.live_http_hold_ms),
-        ..LiveConfig::default()
-    };
-    println!("# serve_load --live — real server under a fault campaign [reduced MNIST twin]");
-    println!(
-        "workload: {} requests, {} workers, batch <= {} (wait {} us), {:?} substrate, \
-         fault every {} ms",
-        live_cfg.requests,
-        live_cfg.workers,
-        live_cfg.batch_max,
-        live_cfg.batch_wait.as_micros(),
-        live_cfg.substrate,
-        cli.fault_every_ms
-    );
-    let out = run_live(model, MilrConfig::default(), &live_cfg)
-        .expect("live server cannot fail structurally");
-    println!(
-        "live: {:.1} qps ({} completed in {:.3} s), p50 {:.1} us, p99 {:.1} us, \
-         {} faults -> {} quarantines",
-        out.qps,
-        out.report.completed,
-        out.elapsed.as_secs_f64(),
-        out.report.latency.p50_us,
-        out.report.latency.p99_us,
-        out.faults_injected,
-        out.report.quarantines
-    );
-    if let Some(slo) = &out.report.slo {
-        println!(
-            "slo:      {} ({} alert(s) fired)",
-            if slo.pass { "PASS" } else { "FAIL" },
-            slo.alerts
-        );
-    }
-    obs_out.flush();
-    obs_out.write_slo(out.report.slo.as_ref());
-    if let Some(path) = &cli.metrics_out {
-        if let Err(e) = std::fs::write(path, out.metrics.to_prometheus()) {
-            eprintln!("error: write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("metrics:  {path}");
-    }
-    write_summary(&out.to_json(), cli.json.as_deref());
 }

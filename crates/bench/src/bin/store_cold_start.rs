@@ -20,9 +20,10 @@
 //! * `scrub_mw_s` — clean scrub-on-load throughput in million
 //!   weights/second.
 
-use milr_bench::json::{array, write_summary, JsonObject};
+use milr_bench::json::write_summary;
 use milr_bench::obs::ObsOutputs;
 use milr_bench::{prepare, Args};
+use milr_obs::json::{array, JsonObject};
 use milr_serve::cold_start_observed;
 use milr_store::{ContainerFootprint, Store, StoreOptions};
 use milr_substrate::SubstrateKind;
@@ -125,14 +126,14 @@ fn main() {
         arms.push(
             JsonObject::new()
                 .string("substrate", kind.name())
-                .uint("weight_bytes", footprint.weight_bytes)
-                .uint("resistant_bytes", footprint.resistant_bytes)
+                .raw("weight_bytes", footprint.weight_bytes)
+                .raw("resistant_bytes", footprint.resistant_bytes)
                 .float("save_ms", save_ms, 3)
                 .float("open_ms", open_ms, 3)
                 .float("cold_clean_ms", cold_clean_ms, 3)
                 .float("cold_faulty_ms", cold_faulty_ms, 3)
                 .float("scrub_mw_s", scrub_mw_s, 3)
-                .raw("faulty_pipeline", &faulty_pipeline)
+                .raw("faulty_pipeline", faulty_pipeline)
                 .finish(),
         );
     }
@@ -141,9 +142,9 @@ fn main() {
     let storage = prep.milr.storage_report(&prep.model);
     let json = JsonObject::new()
         .string("net", &prep.label)
-        .uint("params", params as u64)
-        .raw("storage", &storage.to_json())
-        .raw("arms", &array(arms))
+        .raw("params", params)
+        .raw("storage", storage.to_json())
+        .raw("arms", array(arms))
         .finish();
     write_summary(&json, args.json.as_deref());
 }

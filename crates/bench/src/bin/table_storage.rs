@@ -5,8 +5,9 @@
 //! cargo run --release -p milr-bench --bin table_storage -- --net mnist --paper-scale
 //! ```
 
-use milr_bench::json::{write_summary, JsonObject};
+use milr_bench::json::write_summary;
 use milr_bench::{prepare, Args};
+use milr_obs::json::JsonObject;
 
 fn main() {
     let args = Args::from_env();
@@ -38,7 +39,7 @@ fn main() {
     // Machine-readable twin of the table row.
     let json = JsonObject::new()
         .string("net", &prep.label)
-        .raw("storage", &report.to_json())
+        .raw("storage", report.to_json())
         .finish();
     write_summary(&json, args.json.as_deref());
 }

@@ -19,6 +19,7 @@ use milr_fault::{
 };
 use milr_fleet::{FleetConfig, FleetError};
 use milr_nn::Sequential;
+use milr_obs::json::JsonObject;
 use milr_obs::{Observer, SloReport, SloSpec};
 use milr_serve::sim::SimConfig;
 use milr_serve::ChaosStats;
@@ -90,8 +91,8 @@ fn suite(avail_milli: u32, latency_milli: u32, heal_milli: Option<u32>) -> Vec<S
 }
 
 /// Maps a campaign's numeric SLO declarations onto the observability
-/// plane's [`SloSpec`] suite (`milr-fault` stays free of an obs
-/// dependency; this is the one place the two vocabularies meet).
+/// plane's [`SloSpec`] suite (the one place the two vocabularies
+/// meet).
 pub fn slo_suite(decls: &[SloDecl]) -> Vec<SloSpec> {
     decls
         .iter()
@@ -230,13 +231,13 @@ pub fn fleet_config(campaign: &Campaign, tuning: &MatrixTuning) -> FleetConfig {
 }
 
 fn chaos_json(c: &ChaosStats) -> String {
-    format!(
-        concat!(
-            "{{\"bursts_fired\":{},\"burst_bits\":{},\"stuck_asserts\":{},",
-            "\"torn_fires\":{},\"redeploys\":{}}}"
-        ),
-        c.bursts_fired, c.burst_bits, c.stuck_asserts, c.torn_fires, c.redeploys
-    )
+    JsonObject::new()
+        .raw("bursts_fired", c.bursts_fired)
+        .raw("burst_bits", c.burst_bits)
+        .raw("stuck_asserts", c.stuck_asserts)
+        .raw("torn_fires", c.torn_fires)
+        .raw("redeploys", c.redeploys)
+        .finish()
 }
 
 /// One simulation target's slice of a campaign run.
@@ -265,23 +266,18 @@ pub struct TargetVerdict {
 impl TargetVerdict {
     /// Deterministic JSON object (stable key order).
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"target\":\"{}\",\"digest\":{},\"completed\":{},\"rejected\":{},",
-                "\"faults_injected\":{},\"peer_repairs\":{},\"rejected_donations\":{},",
-                "\"chaos\":{},\"slo\":{},\"pass\":{}}}"
-            ),
-            self.target,
-            self.digest,
-            self.completed,
-            self.rejected,
-            self.faults_injected,
-            self.peer_repairs,
-            self.rejected_donations,
-            chaos_json(&self.chaos),
-            self.slo.to_json(),
-            self.slo.pass,
-        )
+        JsonObject::new()
+            .string("target", self.target)
+            .raw("digest", self.digest)
+            .raw("completed", self.completed)
+            .raw("rejected", self.rejected)
+            .raw("faults_injected", self.faults_injected)
+            .raw("peer_repairs", self.peer_repairs)
+            .raw("rejected_donations", self.rejected_donations)
+            .raw("chaos", chaos_json(&self.chaos))
+            .raw("slo", self.slo.to_json())
+            .raw("pass", self.slo.pass)
+            .finish()
     }
 }
 
@@ -313,14 +309,13 @@ impl CampaignReport {
 
     /// Deterministic JSON object: same seed in, same bytes out.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"campaign\":{},\"serve\":{},\"fleet\":{},\"byzantine_caught\":{},\"pass\":{}}}",
-            self.campaign.to_json(),
-            self.serve.to_json(),
-            self.fleet.to_json(),
-            self.byzantine_caught(),
-            self.pass(),
-        )
+        JsonObject::new()
+            .raw("campaign", self.campaign.to_json())
+            .raw("serve", self.serve.to_json())
+            .raw("fleet", self.fleet.to_json())
+            .raw("byzantine_caught", self.byzantine_caught())
+            .raw("pass", self.pass())
+            .finish()
     }
 }
 

@@ -16,10 +16,11 @@
 //! **capacity** availability (mean replica uptime, which tracks the
 //! single-instance `A₁`).
 
-use crate::json::JsonObject;
+use crate::serve::finite_or_minus_one;
 use milr_core::{Milr, MilrConfig, StorageReport};
 use milr_fleet::sim::{simulate_observed, FleetConfig, FleetSimResult};
 use milr_nn::Sequential;
+use milr_obs::json::JsonObject;
 use milr_obs::Observer;
 
 /// Modeled-vs-measured availability for one simulated fleet run.
@@ -51,18 +52,10 @@ impl FleetComparison {
     /// Renders the comparison as a flat JSON object.
     pub fn to_json(&self) -> String {
         JsonObject::new()
-            .uint("replicas", self.replicas as u64)
+            .raw("replicas", self.replicas)
             .float("td_s", self.td_s, 6)
             .float("tr_s", self.tr_s, 6)
-            .float(
-                "tbe_s",
-                if self.tbe_s.is_finite() {
-                    self.tbe_s
-                } else {
-                    -1.0
-                },
-                6,
-            )
+            .float("tbe_s", finite_or_minus_one(self.tbe_s), 6)
             .float("cycle_period_s", self.cycle_period_s, 6)
             .float("single_modeled_eq6", self.single_modeled_eq6, 9)
             .float("fleet_modeled_eq6", self.fleet_modeled_eq6, 9)

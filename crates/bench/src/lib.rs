@@ -19,7 +19,6 @@ pub mod arms;
 pub mod campaigns;
 pub mod fleet;
 pub mod json;
-pub mod live;
 pub mod nets;
 pub mod obs;
 pub mod serve;

@@ -85,12 +85,6 @@ impl ObsOutputs {
         self.metrics.as_ref()
     }
 
-    /// The span sink, when `--spans-out` was given (so the live bench
-    /// can hand it to a threaded [`ServerConfig`](milr_serve::ServerConfig)).
-    pub fn span_handle(&self) -> Option<SpanHandle> {
-        self.spans.clone().map(SpanHandle::new)
-    }
-
     /// Writes the requested files. Exits the process on I/O failure —
     /// a bench asked to produce an artifact must not silently not.
     pub fn flush(&self) {

@@ -15,6 +15,7 @@
 
 use milr_core::{Milr, MilrConfig, StorageReport};
 use milr_nn::Sequential;
+use milr_obs::json::JsonObject;
 use milr_obs::Observer;
 use milr_serve::sim::{simulate_observed, SimConfig, SimResult};
 
@@ -41,25 +42,29 @@ pub struct ServeComparison {
 impl ServeComparison {
     /// Renders the comparison as a flat JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"td_s\":{:.6},\"tr_s\":{:.6},\"tbe_s\":{:.6},",
-                "\"cycle_period_s\":{:.6},\"modeled_eq6_availability\":{:.9},",
-                "\"modeled_per_fault_availability\":{:.9},",
-                "\"measured_availability\":{:.9}}}"
-            ),
-            self.td_s,
-            self.tr_s,
-            if self.tbe_s.is_finite() {
-                self.tbe_s
-            } else {
-                -1.0
-            },
-            self.cycle_period_s,
-            self.modeled_eq6_availability,
-            self.modeled_per_fault_availability,
-            self.measured_availability,
-        )
+        JsonObject::new()
+            .float("td_s", self.td_s, 6)
+            .float("tr_s", self.tr_s, 6)
+            .float("tbe_s", finite_or_minus_one(self.tbe_s), 6)
+            .float("cycle_period_s", self.cycle_period_s, 6)
+            .float("modeled_eq6_availability", self.modeled_eq6_availability, 9)
+            .float(
+                "modeled_per_fault_availability",
+                self.modeled_per_fault_availability,
+                9,
+            )
+            .float("measured_availability", self.measured_availability, 9)
+            .finish()
+    }
+}
+
+/// JSON has no infinity: a fault-free run's infinite `T_be` renders
+/// as `-1`.
+pub(crate) fn finite_or_minus_one(seconds: f64) -> f64 {
+    if seconds.is_finite() {
+        seconds
+    } else {
+        -1.0
     }
 }
 

@@ -7,6 +7,7 @@
 
 use crate::nets::PreparedNet;
 use milr_nn::Sequential;
+use milr_obs::json::JsonObject;
 use std::time::Instant;
 
 /// Best-of-`trials` wall time of `f`, in nanoseconds. The minimum is
@@ -127,19 +128,15 @@ impl BoxStats {
     /// The summary as a flat JSON object — the figure binaries' `--json`
     /// artifacts carry full box-plot statistics per point.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"median\":{:.6},\"q1\":{:.6},\"q3\":{:.6},",
-                "\"lo\":{:.6},\"hi\":{:.6},\"mean\":{:.6},\"outliers\":{}}}"
-            ),
-            self.median,
-            self.q1,
-            self.q3,
-            self.lo,
-            self.hi,
-            self.mean,
-            self.outliers.len()
-        )
+        JsonObject::new()
+            .float("median", self.median, 6)
+            .float("q1", self.q1, 6)
+            .float("q3", self.q3, 6)
+            .float("lo", self.lo, 6)
+            .float("hi", self.hi, 6)
+            .float("mean", self.mean, 6)
+            .raw("outliers", self.outliers.len())
+            .finish()
     }
 }
 

@@ -7,6 +7,7 @@
 use crate::artifacts::Artifacts;
 use crate::plan::ProtectionPlan;
 use milr_nn::Sequential;
+use milr_obs::json::JsonObject;
 
 /// Byte-level breakdown of one protection instance's storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,28 +97,21 @@ impl StorageReport {
 
     /// Renders the report as a flat JSON object — the machine-readable
     /// twin of [`table_row`](StorageReport::table_row), emitted into
-    /// the fig-binary JSON artifacts next to the availability numbers
-    /// (hand-rolled: the workspace has no serde).
+    /// the fig-binary JSON artifacts next to the availability numbers.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"backup_bytes\":{},\"ecc_bytes\":{},\"full_checkpoint_bytes\":{},",
-                "\"partial_checkpoint_bytes\":{},\"dummy_output_bytes\":{},",
-                "\"crc_bytes\":{},\"bias_sum_bytes\":{},\"seed_bytes\":{},",
-                "\"milr_bytes\":{},\"ecc_and_milr_bytes\":{},\"fraction_of_backup\":{:.6}}}"
-            ),
-            self.backup_bytes,
-            self.ecc_bytes,
-            self.full_checkpoint_bytes,
-            self.partial_checkpoint_bytes,
-            self.dummy_output_bytes,
-            self.crc_bytes,
-            self.bias_sum_bytes,
-            self.seed_bytes,
-            self.milr_bytes(),
-            self.ecc_and_milr_bytes(),
-            self.fraction_of_backup(),
-        )
+        JsonObject::new()
+            .raw("backup_bytes", self.backup_bytes)
+            .raw("ecc_bytes", self.ecc_bytes)
+            .raw("full_checkpoint_bytes", self.full_checkpoint_bytes)
+            .raw("partial_checkpoint_bytes", self.partial_checkpoint_bytes)
+            .raw("dummy_output_bytes", self.dummy_output_bytes)
+            .raw("crc_bytes", self.crc_bytes)
+            .raw("bias_sum_bytes", self.bias_sum_bytes)
+            .raw("seed_bytes", self.seed_bytes)
+            .raw("milr_bytes", self.milr_bytes())
+            .raw("ecc_and_milr_bytes", self.ecc_and_milr_bytes())
+            .float("fraction_of_backup", self.fraction_of_backup(), 6)
+            .finish()
     }
 
     /// Formats the paper's storage-table row (values in MB).

@@ -12,11 +12,12 @@
 //! the SLO objectives it must hold ([`SloDecl`]).
 //!
 //! Everything here is plain data with a deterministic `to_json`
-//! (the workspace has no serde), so a campaign matrix run
-//! under one seed serializes byte-identically forever — the property
-//! the `campaign_matrix` CI gate locks.
+//! (through `milr_obs::json`), so a campaign matrix run under one seed
+//! serializes byte-identically forever — the property the
+//! `campaign_matrix` CI gate locks.
 
 use crate::{FaultRng, InjectionReport};
+use milr_obs::json::{array, JsonObject};
 use milr_substrate::{RawGeometry, WeightSubstrate};
 use std::collections::BTreeSet;
 
@@ -260,51 +261,51 @@ impl ChaosSpec {
         self == &ChaosSpec::default()
     }
 
-    /// Deterministic JSON object (stable key order).
+    /// Deterministic JSON object (stable key order); inactive regimes
+    /// are omitted.
     pub fn to_json(&self) -> String {
-        let mut parts = Vec::new();
+        let mut o = JsonObject::new();
         if let Some(b) = &self.bursts {
-            parts.push(format!(
-                "\"bursts\":{{\"pattern\":\"{}\",\"bursts\":{},\"flip_prob_milli\":{}}}",
-                b.pattern.name(),
-                b.bursts,
-                b.flip_prob_milli
-            ));
+            let burst = JsonObject::new()
+                .string("pattern", b.pattern.name())
+                .raw("bursts", b.bursts)
+                .raw("flip_prob_milli", b.flip_prob_milli);
+            o = o.raw("bursts", burst.finish());
         }
         if let Some(s) = &self.stuck_at {
-            parts.push(format!(
-                "\"stuck_at\":{{\"bits\":{},\"from_milli\":{},\"until_milli\":{}}}",
-                s.bits, s.from_milli, s.until_milli
-            ));
+            let stuck = JsonObject::new()
+                .raw("bits", s.bits)
+                .raw("from_milli", s.from_milli)
+                .raw("until_milli", s.until_milli);
+            o = o.raw("stuck_at", stuck.finish());
         }
         if let Some(t) = &self.torn_write {
-            parts.push(format!(
-                "\"torn_write\":{{\"stage\":\"{}\",\"fires\":{},\"flips\":{}}}",
-                t.stage, t.fires, t.flips
-            ));
+            let torn = JsonObject::new()
+                .string("stage", &t.stage)
+                .raw("fires", t.fires)
+                .raw("flips", t.flips);
+            o = o.raw("torn_write", torn.finish());
         }
         if let Some(b) = &self.byzantine {
-            let donors: Vec<String> = b.donors.iter().map(|d| d.to_string()).collect();
-            parts.push(format!(
-                "\"byzantine\":{{\"donors\":[{}],\"flips\":{}}}",
-                donors.join(","),
-                b.flips
-            ));
+            let byzantine = JsonObject::new()
+                .raw("donors", array(&b.donors))
+                .raw("flips", b.flips);
+            o = o.raw("byzantine", byzantine.finish());
         }
         if let Some(s) = &self.skew {
-            parts.push(format!(
-                "\"skew\":{{\"arrival_milli\":{},\"scrub_milli\":{}}}",
-                s.arrival_milli, s.scrub_milli
-            ));
+            let skew = JsonObject::new()
+                .raw("arrival_milli", s.arrival_milli)
+                .raw("scrub_milli", s.scrub_milli);
+            o = o.raw("skew", skew.finish());
         }
-        format!("{{{}}}", parts.join(","))
+        o.finish()
     }
 }
 
 /// The SLO dimensions a campaign can declare objectives on. The bench
-/// driver maps these onto `milr_obs::SloSpec` suites; keeping the
-/// declaration numeric here leaves `milr-fault` free of an obs
-/// dependency.
+/// driver maps these onto `milr_obs::SloSpec` suites. A declaration
+/// stays integer milli-units so a campaign compares with `Eq` and
+/// renders byte-stable JSON.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SloDeclKind {
     /// Fraction of requests answered.
@@ -344,12 +345,11 @@ pub struct SloDecl {
 impl SloDecl {
     /// Deterministic JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"kind\":\"{}\",\"objective_milli\":{},\"latency_threshold_ns\":{}}}",
-            self.kind.name(),
-            self.objective_milli,
-            self.latency_threshold_ns
-        )
+        JsonObject::new()
+            .string("kind", self.kind.name())
+            .raw("objective_milli", self.objective_milli)
+            .raw("latency_threshold_ns", self.latency_threshold_ns)
+            .finish()
     }
 }
 
@@ -369,14 +369,12 @@ pub struct Campaign {
 impl Campaign {
     /// Deterministic JSON object (stable key order).
     pub fn to_json(&self) -> String {
-        let slos: Vec<String> = self.slos.iter().map(SloDecl::to_json).collect();
-        format!(
-            "{{\"name\":\"{}\",\"seed\":{},\"chaos\":{},\"slos\":[{}]}}",
-            self.name,
-            self.seed,
-            self.chaos.to_json(),
-            slos.join(",")
-        )
+        JsonObject::new()
+            .string("name", &self.name)
+            .raw("seed", self.seed)
+            .raw("chaos", self.chaos.to_json())
+            .raw("slos", array(self.slos.iter().map(SloDecl::to_json)))
+            .finish()
     }
 }
 

@@ -1,6 +1,7 @@
 //! Fleet-level reporting: the client-facing aggregate, the capacity
 //! view, and one [`ServeReport`] per replica.
 
+use milr_obs::json::{array, JsonObject};
 use milr_serve::ServeReport;
 
 /// One replica's slice of a fleet run.
@@ -37,20 +38,15 @@ pub struct ReplicaReport {
 impl ReplicaReport {
     /// Renders the replica's slice as a JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"replica\":{},\"peer_repairs\":{},\"repair_pages\":{},",
-                "\"repair_bytes\":{},\"repairs_donated\":{},",
-                "\"rejected_donations\":{},\"report\":{}}}"
-            ),
-            self.replica,
-            self.peer_repairs,
-            self.repair_pages,
-            self.repair_bytes,
-            self.repairs_donated,
-            self.rejected_donations,
-            self.report.to_json()
-        )
+        JsonObject::new()
+            .raw("replica", self.replica)
+            .raw("peer_repairs", self.peer_repairs)
+            .raw("repair_pages", self.repair_pages)
+            .raw("repair_bytes", self.repair_bytes)
+            .raw("repairs_donated", self.repairs_donated)
+            .raw("rejected_donations", self.rejected_donations)
+            .raw("report", self.report.to_json())
+            .finish()
     }
 }
 
@@ -98,25 +94,21 @@ impl FleetReport {
         self.per_replica.iter().map(|r| r.rejected_donations).sum()
     }
 
-    /// Renders the report as one JSON object (hand-rolled like
-    /// [`ServeReport::to_json`]; the workspace has no serde).
+    /// Renders the report as one JSON object.
     pub fn to_json(&self) -> String {
-        let per_replica: Vec<String> = self.per_replica.iter().map(|r| r.to_json()).collect();
-        format!(
-            concat!(
-                "{{\"replicas\":{},\"peer_repairs\":{},\"repair_pages\":{},",
-                "\"repair_bytes\":{},\"rejected_donations\":{},",
-                "\"fleet\":{},\"capacity\":{},\"per_replica\":[{}]}}"
-            ),
-            self.replicas,
-            self.peer_repairs(),
-            self.repair_pages(),
-            self.repair_bytes(),
-            self.rejected_donations(),
-            self.fleet.to_json(),
-            self.capacity.to_json(),
-            per_replica.join(",")
-        )
+        JsonObject::new()
+            .raw("replicas", self.replicas)
+            .raw("peer_repairs", self.peer_repairs())
+            .raw("repair_pages", self.repair_pages())
+            .raw("repair_bytes", self.repair_bytes())
+            .raw("rejected_donations", self.rejected_donations())
+            .raw("fleet", self.fleet.to_json())
+            .raw("capacity", self.capacity.to_json())
+            .raw(
+                "per_replica",
+                array(self.per_replica.iter().map(ReplicaReport::to_json)),
+            )
+            .finish()
     }
 }
 

@@ -8,6 +8,8 @@
 //! ([`IntegrityPipeline::with_wall_timing`](crate::IntegrityPipeline::with_wall_timing));
 //! virtual-clock drivers leave them zero.
 
+use milr_obs::json::JsonObject;
+
 /// Cumulative wall nanoseconds per pipeline stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageNanos {
@@ -38,13 +40,14 @@ impl StageNanos {
 
     /// Renders the timings as a flat JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"scrub\":{},\"detect\":{},\"heal\":{},",
-                "\"verify\":{},\"reprotect\":{},\"anchor\":{}}}"
-            ),
-            self.scrub, self.detect, self.heal, self.verify, self.reprotect, self.anchor,
-        )
+        JsonObject::new()
+            .raw("scrub", self.scrub)
+            .raw("detect", self.detect)
+            .raw("heal", self.heal)
+            .raw("verify", self.verify)
+            .raw("reprotect", self.reprotect)
+            .raw("anchor", self.anchor)
+            .finish()
     }
 }
 
@@ -133,35 +136,26 @@ impl PipelineReport {
             && self.durability_errors == 0
     }
 
-    /// Renders the report as a flat JSON object (hand-rolled: the
-    /// workspace has no serde).
+    /// Renders the report as a flat JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"scrub_corrected\":{},\"scrub_uncorrectable\":{},",
-                "\"full_detects\":{},\"chunk_detects\":{},\"fast_verifies\":{},",
-                "\"layers_checked\":{},\"layers_skipped\":{},\"heal_rounds\":{},",
-                "\"layers_healed\":{},\"layers_escalated\":{},\"reprotects\":{},",
-                "\"anchors\":{},\"durability_errors\":{},",
-                "\"heals_exact\":{},\"heals_approx\":{},\"stage_ns\":{}}}"
-            ),
-            self.scrub_corrected,
-            self.scrub_uncorrectable,
-            self.full_detects,
-            self.chunk_detects,
-            self.fast_verifies,
-            self.layers_checked,
-            self.layers_skipped,
-            self.heal_rounds,
-            self.layers_healed,
-            self.layers_escalated,
-            self.reprotects,
-            self.anchors,
-            self.durability_errors,
-            self.heals_exact,
-            self.heals_approx,
-            self.stage_ns.to_json(),
-        )
+        JsonObject::new()
+            .raw("scrub_corrected", self.scrub_corrected)
+            .raw("scrub_uncorrectable", self.scrub_uncorrectable)
+            .raw("full_detects", self.full_detects)
+            .raw("chunk_detects", self.chunk_detects)
+            .raw("fast_verifies", self.fast_verifies)
+            .raw("layers_checked", self.layers_checked)
+            .raw("layers_skipped", self.layers_skipped)
+            .raw("heal_rounds", self.heal_rounds)
+            .raw("layers_healed", self.layers_healed)
+            .raw("layers_escalated", self.layers_escalated)
+            .raw("reprotects", self.reprotects)
+            .raw("anchors", self.anchors)
+            .raw("durability_errors", self.durability_errors)
+            .raw("heals_exact", self.heals_exact)
+            .raw("heals_approx", self.heals_approx)
+            .raw("stage_ns", self.stage_ns.to_json())
+            .finish()
     }
 }
 

@@ -21,11 +21,15 @@
 //! - [`slo`]: declarative [`SloSpec`]s evaluated by an [`SloEngine`]
 //!   with fast/slow multi-window burn-rate alerting, folded into an
 //!   [`SloReport`] budget verdict.
+//! - [`json`]: the workspace's one JSON writer
+//!   ([`JsonObject`](json::JsonObject)), which every report and export
+//!   above renders through.
 
 #![deny(missing_docs)]
 
 pub mod forensics;
 pub mod hist;
+pub mod json;
 pub mod metrics;
 pub mod slo;
 pub mod span;

@@ -9,6 +9,7 @@
 //! again.
 
 use crate::hist::{AtomicHistogram, Histogram};
+use crate::json::JsonObject;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -214,39 +215,33 @@ impl MetricsSnapshot {
     /// Renders the snapshot as a single JSON object. Histograms export
     /// their count, exact sum/max/mean, and the standard quantiles.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{v}"));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{v}"));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{name}\":{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{:.3},\
-                 \"p50\":{},\"p95\":{},\"p99\":{}}}",
-                h.count(),
-                h.sum(),
-                h.max(),
-                h.mean(),
-                h.quantile(0.50),
-                h.quantile(0.95),
-                h.quantile(0.99),
-            ));
-        }
-        out.push_str("}}");
-        out
+        let counters = self
+            .counters
+            .iter()
+            .fold(JsonObject::new(), |o, (name, v)| o.raw(name, v));
+        let gauges = self
+            .gauges
+            .iter()
+            .fold(JsonObject::new(), |o, (name, v)| o.raw(name, v));
+        let histograms = self
+            .histograms
+            .iter()
+            .fold(JsonObject::new(), |o, (name, h)| {
+                let hist = JsonObject::new()
+                    .raw("count", h.count())
+                    .raw("sum", h.sum())
+                    .raw("max", h.max())
+                    .float("mean", h.mean(), 3)
+                    .raw("p50", h.quantile(0.50))
+                    .raw("p95", h.quantile(0.95))
+                    .raw("p99", h.quantile(0.99));
+                o.raw(name, hist.finish())
+            });
+        JsonObject::new()
+            .raw("counters", counters.finish())
+            .raw("gauges", gauges.finish())
+            .raw("histograms", histograms.finish())
+            .finish()
     }
 
     /// Renders the snapshot in Prometheus text exposition format.

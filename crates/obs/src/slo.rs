@@ -24,6 +24,8 @@
 //! [`SloReport`] embed into the golden-parity-checked campaign
 //! reports.
 
+use crate::json::{array, JsonObject};
+
 /// What a spec measures. Determines which driver stream feeds it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SloKind {
@@ -418,24 +420,19 @@ pub struct SloBudget {
 impl SloBudget {
     /// Renders the budget as one deterministic JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"kind\":\"{}\",\"objective\":{:.6},\"good\":{},",
-                "\"bad\":{},\"compliance\":{:.9},\"budget_spent\":{:.6},",
-                "\"fast_burn\":{:.6},\"slow_burn\":{:.6},\"alerts\":{},\"pass\":{}}}"
-            ),
-            self.name,
-            self.kind.name(),
-            self.objective,
-            self.good,
-            self.bad,
-            self.compliance,
-            self.budget_spent,
-            self.fast_burn,
-            self.slow_burn,
-            self.alerts,
-            self.pass,
-        )
+        JsonObject::new()
+            .string("name", self.name)
+            .string("kind", self.kind.name())
+            .float("objective", self.objective, 6)
+            .raw("good", self.good)
+            .raw("bad", self.bad)
+            .float("compliance", self.compliance, 9)
+            .float("budget_spent", self.budget_spent, 6)
+            .float("fast_burn", self.fast_burn, 6)
+            .float("slow_burn", self.slow_burn, 6)
+            .raw("alerts", self.alerts)
+            .raw("pass", self.pass)
+            .finish()
     }
 }
 
@@ -458,18 +455,14 @@ impl SloReport {
 
     /// Renders the report as one deterministic JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"pass\":{},\"alerts\":{},\"budgets\":[",
-            self.pass, self.alerts
-        );
-        for (i, b) in self.budgets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&b.to_json());
-        }
-        out.push_str("]}");
-        out
+        JsonObject::new()
+            .raw("pass", self.pass)
+            .raw("alerts", self.alerts)
+            .raw(
+                "budgets",
+                array(self.budgets.iter().map(SloBudget::to_json)),
+            )
+            .finish()
     }
 }
 

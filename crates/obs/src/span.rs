@@ -16,6 +16,7 @@
 //! root self time dwarfs its children is telling you the span
 //! taxonomy is missing a child, not that the work was free.
 
+use crate::json::{array, JsonObject};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -62,27 +63,17 @@ impl SpanNode {
     /// (fixed field order; `self_ns` is materialized so consumers do
     /// not re-derive it).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
-    }
-
-    fn write_json(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"tag\":{},\"start_ns\":{},\"end_ns\":{},\"self_ns\":{},\"children\":[",
-            self.name,
-            self.tag,
-            self.start_ns,
-            self.end_ns,
-            self.self_ns()
-        ));
-        for (i, child) in self.children.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            child.write_json(out);
-        }
-        out.push_str("]}");
+        JsonObject::new()
+            .string("name", self.name)
+            .raw("tag", self.tag)
+            .raw("start_ns", self.start_ns)
+            .raw("end_ns", self.end_ns)
+            .raw("self_ns", self.self_ns())
+            .raw(
+                "children",
+                array(self.children.iter().map(SpanNode::to_json)),
+            )
+            .finish()
     }
 }
 

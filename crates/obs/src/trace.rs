@@ -7,6 +7,7 @@
 //! passes wall time since start. The recorder never reads a clock of
 //! its own.
 
+use crate::json::JsonObject;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -107,28 +108,27 @@ impl TraceEvent {
     /// newline). Field order is fixed, so identical event streams
     /// render to byte-identical JSONL.
     pub fn to_json(&self) -> String {
-        let TraceEvent { ns, src, kind } = self;
-        let head = format!("{{\"ns\":{ns},\"src\":{src},\"event\":\"{}\"", kind.name());
-        let tail = match kind {
+        let TraceEvent { ns, src, kind } = *self;
+        let head = JsonObject::new()
+            .raw("ns", ns)
+            .raw("src", src)
+            .string("event", kind.name());
+        match kind {
             EventKind::FaultInjected { layer, weight } => {
-                format!(",\"layer\":{layer},\"weight\":{weight}}}")
+                head.raw("layer", layer).raw("weight", weight)
             }
-            EventKind::ScrubFlagged { layer } => format!(",\"layer\":{layer}}}"),
-            EventKind::StageEntered { stage } => format!(",\"stage\":\"{stage}\"}}"),
-            EventKind::HealOutcome { layer, exact } => {
-                format!(",\"layer\":{layer},\"exact\":{exact}}}")
-            }
-            EventKind::Quarantine { entered } => format!(",\"entered\":{entered}}}"),
-            EventKind::PeerRepair { donor } => format!(",\"donor\":{donor}}}"),
-            EventKind::BatchDispatched { occupancy } => {
-                format!(",\"occupancy\":{occupancy}}}")
-            }
-            EventKind::Reanchor { durable } => format!(",\"durable\":{durable}}}"),
+            EventKind::ScrubFlagged { layer } => head.raw("layer", layer),
+            EventKind::StageEntered { stage } => head.string("stage", stage),
+            EventKind::HealOutcome { layer, exact } => head.raw("layer", layer).raw("exact", exact),
+            EventKind::Quarantine { entered } => head.raw("entered", entered),
+            EventKind::PeerRepair { donor } => head.raw("donor", donor),
+            EventKind::BatchDispatched { occupancy } => head.raw("occupancy", occupancy),
+            EventKind::Reanchor { durable } => head.raw("durable", durable),
             EventKind::AlertFired { slo, burn_milli } => {
-                format!(",\"slo\":{slo},\"burn_milli\":{burn_milli}}}")
+                head.raw("slo", slo).raw("burn_milli", burn_milli)
             }
-        };
-        head + &tail
+        }
+        .finish()
     }
 }
 

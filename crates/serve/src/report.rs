@@ -4,6 +4,7 @@
 use crate::metrics::LatencyStats;
 use crate::request::{RequestOutcome, RequestStatus};
 use milr_integrity::PipelineReport;
+use milr_obs::json::JsonObject;
 
 /// Summary of one serving run (simulated or live).
 #[derive(Debug, Clone, PartialEq)]
@@ -191,61 +192,43 @@ impl ServeReport {
         }
     }
 
-    /// Renders the report as a flat JSON object (hand-rolled: the
-    /// workspace has no serde). The legacy fields keep their exact
-    /// order and formatting — the golden-seed parity
-    /// suite byte-compares this prefix across refactors — with the
-    /// pipeline block and the newer fields (p99, batch-occupancy
-    /// stats) appended after it.
+    /// Renders the report as a flat JSON object. The legacy fields keep
+    /// their exact order and formatting — the golden-seed parity suite
+    /// byte-compares this prefix across refactors — with the pipeline
+    /// block and the newer fields (p99, batch-occupancy stats) after
+    /// it, and the SLO verdict, when present, last.
     pub fn to_json(&self) -> String {
-        let mut json = format!(
-            concat!(
-                "{{\"seed\":{},\"policy\":\"{}\",\"submitted\":{},\"completed\":{},",
-                "\"rejected\":{},\"reexecuted\":{},\"faults_injected\":{},",
-                "\"scrub_corrected\":{},\"scrub_ticks\":{},\"quarantines\":{},",
-                "\"layers_recovered\":{},\"durability_errors\":{},",
-                "\"total_ns\":{},\"downtime_ns\":{},",
-                "\"availability\":{:.9},\"latency_mean_us\":{:.3},\"latency_p50_us\":{:.3},",
-                "\"latency_p95_us\":{:.3},\"latency_max_us\":{:.3},\"digest\":{},",
-                "\"pipeline\":{},",
-                "\"latency_p99_us\":{:.3},\"batches\":{},\"full_batches\":{},",
-                "\"batch_occupancy\":{:.3}}}"
-            ),
-            self.seed,
-            self.policy,
-            self.submitted,
-            self.completed,
-            self.rejected,
-            self.reexecuted,
-            self.faults_injected,
-            self.scrub_corrected,
-            self.scrub_ticks,
-            self.quarantines,
-            self.layers_recovered,
-            self.durability_errors,
-            self.total_ns,
-            self.downtime_ns,
-            self.availability,
-            self.latency.mean_us,
-            self.latency.p50_us,
-            self.latency.p95_us,
-            self.latency.max_us,
-            self.digest,
-            self.pipeline.to_json(),
-            self.latency.p99_us,
-            self.batches,
-            self.full_batches,
-            self.batch_occupancy,
-        );
-        // The SLO block rides after the closing brace contract the
-        // parity suite pins: swap the final `}` for `,"slo":{...}}`.
-        if let Some(slo) = &self.slo {
-            json.pop();
-            json.push_str(",\"slo\":");
-            json.push_str(&slo.to_json());
-            json.push('}');
+        let json = JsonObject::new()
+            .raw("seed", self.seed)
+            .string("policy", &self.policy)
+            .raw("submitted", self.submitted)
+            .raw("completed", self.completed)
+            .raw("rejected", self.rejected)
+            .raw("reexecuted", self.reexecuted)
+            .raw("faults_injected", self.faults_injected)
+            .raw("scrub_corrected", self.scrub_corrected)
+            .raw("scrub_ticks", self.scrub_ticks)
+            .raw("quarantines", self.quarantines)
+            .raw("layers_recovered", self.layers_recovered)
+            .raw("durability_errors", self.durability_errors)
+            .raw("total_ns", self.total_ns)
+            .raw("downtime_ns", self.downtime_ns)
+            .float("availability", self.availability, 9)
+            .float("latency_mean_us", self.latency.mean_us, 3)
+            .float("latency_p50_us", self.latency.p50_us, 3)
+            .float("latency_p95_us", self.latency.p95_us, 3)
+            .float("latency_max_us", self.latency.max_us, 3)
+            .raw("digest", self.digest)
+            .raw("pipeline", self.pipeline.to_json())
+            .float("latency_p99_us", self.latency.p99_us, 3)
+            .raw("batches", self.batches)
+            .raw("full_batches", self.full_batches)
+            .float("batch_occupancy", self.batch_occupancy, 3);
+        match &self.slo {
+            Some(slo) => json.raw("slo", slo.to_json()),
+            None => json,
         }
-        json
+        .finish()
     }
 }
 

@@ -28,6 +28,7 @@ use milr_integrity::{
     RoundOutcome, TickOutcome, Volatile,
 };
 use milr_nn::Sequential;
+use milr_obs::json::{array, JsonObject};
 use milr_obs::{MetricsRegistry, MetricsSnapshot, SloEngine, SpanHandle, SpanTree, TraceHandle};
 use milr_store::StoreError;
 use milr_substrate::{SubstrateKind, WeightSubstrate};
@@ -214,6 +215,14 @@ impl Shared {
 
     fn stopping(&self) -> bool {
         self.stop.load(Ordering::Acquire)
+    }
+
+    /// Sets `substrate_epoch_total` from the store before a metrics
+    /// read: the epochs live in the substrate, not the registry.
+    fn refresh_epoch_gauge(&self) {
+        self.metrics
+            .gauge("substrate_epoch_total")
+            .set(self.host.store().epoch_total() as i64);
     }
 
     /// Raises the stop flag under the state lock, so a worker either
@@ -470,10 +479,7 @@ impl Server {
     /// quarantine counters. Exportable as JSON or Prometheus text via
     /// [`MetricsSnapshot`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.shared
-            .metrics
-            .gauge("substrate_epoch_total")
-            .set(self.shared.host.store().epoch_total() as i64);
+        self.shared.refresh_epoch_gauge();
         self.shared.metrics.snapshot()
     }
 
@@ -659,10 +665,7 @@ fn introspect(shared: &Shared, method: &str, path: &str) -> crate::http::HttpRes
     let now = shared.now_ns();
     match path {
         "/metrics" => {
-            shared
-                .metrics
-                .gauge("substrate_epoch_total")
-                .set(shared.host.store().epoch_total() as i64);
+            shared.refresh_epoch_gauge();
             shared.metrics.export_self_stats(None);
             HttpResponse::new(
                 200,
@@ -680,13 +683,13 @@ fn introspect(shared: &Shared, method: &str, path: &str) -> crate::http::HttpRes
                     core.slo().report(now).pass,
                 )
             };
-            let body = format!(
-                "{{\"status\":\"{}\",\"slo_pass\":{},\"quarantines\":{},\"uptime_ns\":{}}}\n",
-                if serving { "serving" } else { "quarantined" },
-                pass,
-                quarantines,
-                now,
-            );
+            let body = JsonObject::new()
+                .string("status", if serving { "serving" } else { "quarantined" })
+                .raw("slo_pass", pass)
+                .raw("quarantines", quarantines)
+                .raw("uptime_ns", now)
+                .finish()
+                + "\n";
             // Readiness: quarantined replicas answer 503 so a probe
             // can route around them; a blown budget alone stays 200
             // (still serving) but reports `slo_pass:false`.
@@ -699,18 +702,18 @@ fn introspect(shared: &Shared, method: &str, path: &str) -> crate::http::HttpRes
                 let names: Vec<&'static str> = slo.specs().iter().map(|s| s.name).collect();
                 (slo.report(now), slo.burn_rates(now), names)
             };
-            let mut body = String::from("{\"report\":");
-            body.push_str(&report.to_json());
-            body.push_str(",\"burn_rates\":[");
-            for (i, ((fast, slow), name)) in burns.iter().zip(&names).enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&format!(
-                    "{{\"slo\":\"{name}\",\"fast\":{fast:.6},\"slow\":{slow:.6}}}"
-                ));
-            }
-            body.push_str("]}\n");
+            let burn_rates = burns.iter().zip(&names).map(|((fast, slow), name)| {
+                JsonObject::new()
+                    .string("slo", name)
+                    .float("fast", *fast, 6)
+                    .float("slow", *slow, 6)
+                    .finish()
+            });
+            let body = JsonObject::new()
+                .raw("report", report.to_json())
+                .raw("burn_rates", array(burn_rates))
+                .finish()
+                + "\n";
             HttpResponse::new(200, "application/json", body)
         }
         "/spans" => {
