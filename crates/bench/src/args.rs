@@ -76,8 +76,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for unknown flags or malformed
-    /// values.
+    /// Returns a human-readable message for unknown flags, malformed
+    /// values, or `--trials 0`.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut out = Args::default();
         let mut iter = args.into_iter();
@@ -104,6 +104,9 @@ impl Args {
                 "--trials" => {
                     let v = iter.next().ok_or("--trials needs a value")?;
                     out.trials = v.parse().map_err(|e| format!("bad --trials: {e}"))?;
+                    if out.trials == 0 {
+                        return Err("--trials must be at least 1".into());
+                    }
                 }
                 "--seed" => {
                     let v = iter.next().ok_or("--seed needs a value")?;
@@ -215,6 +218,7 @@ mod tests {
         assert!(parse(&["--net", "alexnet"]).is_err());
         assert!(parse(&["--trials"]).is_err());
         assert!(parse(&["--trials", "many"]).is_err());
+        assert!(parse(&["--trials", "0"]).is_err());
         assert!(parse(&["--arms", "bogus"]).is_err());
     }
 }

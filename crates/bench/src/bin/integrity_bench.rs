@@ -32,7 +32,7 @@ const SUBSTRATE_SAMPLES: usize = 10;
 fn main() {
     let args = Args::from_env();
     let prep = prepare(args.net, args.scale, args.seed);
-    let trials = args.trials.max(1);
+    let trials = args.trials;
     println!(
         "# integrity_bench — unified integrity engine [{}]",
         prep.label

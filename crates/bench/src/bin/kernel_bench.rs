@@ -1,7 +1,6 @@
 //! `kernel_bench`: measures the optimized raw-space and forward kernels
 //! against their scalar reference implementations — the proof that the
-//! chunked rewrites (slice-by-8 CRC32, table-driven CRC16/CRC8,
-//! word-parallel SECDED, T-table AES, single-pass CRC2D, register-tiled
+//! chunked rewrites (slice-by-8 CRC32, word-parallel SECDED, T-table AES, single-pass CRC2D, register-tiled
 //! GEMM, patch-walker conv2d and row-major Householder QR) actually buy
 //! throughput on the machine at hand, not just in theory.
 //!
@@ -18,7 +17,7 @@
 
 use milr_bench::best_ns;
 use milr_bench::json::write_summary;
-use milr_ecc::{crc16, crc32, crc8, scalar, Crc2d, DecodeOutcome, Secded, SecdedMemory};
+use milr_ecc::{crc32, scalar, Crc2d, DecodeOutcome, Secded, SecdedMemory};
 use milr_linalg::{scalar as linalg_scalar, Mat, Qr};
 use milr_obs::json::{array, JsonObject};
 use milr_tensor::scalar as tensor_scalar;
@@ -130,7 +129,7 @@ fn main() {
     let trials = args.trials;
     let mut kernels = Vec::new();
 
-    // ---- CRC family: one buffer, three polynomials. ----
+    // ---- CRC-32 over one buffer. ----
     let buf = deterministic_bytes(CRC_BYTES);
     assert_eq!(crc32(&buf), scalar::crc32(&buf));
     kernels.push(Kernel {
@@ -141,30 +140,6 @@ fn main() {
         }),
         optimized_ns: best_ns(trials, || {
             black_box(crc32(black_box(&buf)));
-        }),
-        floor: 1.0,
-    });
-    assert_eq!(crc16(&buf), scalar::crc16(&buf));
-    kernels.push(Kernel {
-        name: "crc16",
-        items: CRC_BYTES as u64,
-        scalar_ns: best_ns(trials, || {
-            black_box(scalar::crc16(black_box(&buf)));
-        }),
-        optimized_ns: best_ns(trials, || {
-            black_box(crc16(black_box(&buf)));
-        }),
-        floor: 1.0,
-    });
-    assert_eq!(crc8(&buf), scalar::crc8(&buf));
-    kernels.push(Kernel {
-        name: "crc8",
-        items: CRC_BYTES as u64,
-        scalar_ns: best_ns(trials, || {
-            black_box(scalar::crc8(black_box(&buf)));
-        }),
-        optimized_ns: best_ns(trials, || {
-            black_box(crc8(black_box(&buf)));
         }),
         floor: 1.0,
     });

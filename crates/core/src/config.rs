@@ -119,14 +119,6 @@ pub struct MilrConfig {
     /// dense layer (`B = 1` by default) and removes the multi-error
     /// coupling for dense layers. Default `false` (paper-faithful).
     pub dense_self_recovery: bool,
-    /// Run per-segment recovery in parallel across checkpoint segments.
-    /// Segments are independent given their anchors, so the parallel
-    /// path returns **bit-identical** results to the serial one —
-    /// `false` only forces the serial reference path (used by the
-    /// determinism tests and single-core profiling). Detection always
-    /// runs serially: a probe-only check costs less than a thread
-    /// hand-off (DESIGN.md §16).
-    pub parallel: bool,
     /// The representable-value grid the protected weights live on. Set
     /// to [`WeightGrid::Int8`] / [`WeightGrid::Fp16`] when the model is
     /// stored in a quantized substrate: recovery then snaps solver
@@ -144,7 +136,6 @@ impl Default for MilrConfig {
             flow_batch: 1,
             crc_group: 4,
             dense_self_recovery: false,
-            parallel: true,
             weight_grid: WeightGrid::F32,
         }
     }

@@ -120,7 +120,8 @@ fn check_layer(
 ///
 /// Checks run serially in ascending layer order: a probe-only conv
 /// check costs a few microseconds, less than handing it to another
-/// thread, so `config.parallel` governs recovery segments only.
+/// thread. Only recovery spawns threads, one per flagged checkpoint
+/// segment.
 pub(crate) fn run_detection(
     model: &Sequential,
     artifacts: &Artifacts,

@@ -298,19 +298,18 @@ impl Milr {
     /// healing, e.g. the whole-layer-corruption experiment where the
     /// corrupted layer is known).
     ///
-    /// With `config.parallel`, independent checkpoint **segments** are
-    /// recovered concurrently: each worker clones only its segment's
-    /// `[seg_start, seg_end)` layer window (propagation never reads
-    /// outside that range, so the window sees exactly what the serial
-    /// pass would — transient memory is `O(largest segment)` per
-    /// worker, not `O(model)`) and the healed parameters are written
-    /// back in segment order. Nested LU fan-out inside each worker is
-    /// capped at `cores / active_segments` via
-    /// [`milr_linalg::with_thread_budget`], so segment parallelism
-    /// cannot oversubscribe the machine. Within a segment the solve
-    /// order stays serial, because same-segment layers propagate
-    /// through one another (§V-A). The resulting outcomes and
-    /// parameters are bit-identical to the serial path.
+    /// Independent checkpoint **segments** heal from their own anchors
+    /// (§V-A), so the flagged segments are the only parallelism:
+    /// one flagged segment heals inline on the calling thread, several
+    /// heal on one scoped thread each. Every segment works on a clone
+    /// of just its `[seg_start, seg_end)` layer window (propagation
+    /// never reads outside that range, so transient memory is
+    /// `O(largest segment)` per segment, not `O(model)`), and the
+    /// healed parameters are written back in segment order once all
+    /// segments are done. Within a segment the solve order stays
+    /// serial, because same-segment layers propagate through one
+    /// another. Outcomes and parameters are therefore bit-identical to
+    /// healing each segment with its own call.
     ///
     /// # Errors
     ///
@@ -338,30 +337,24 @@ impl Milr {
                 (!in_segment.is_empty()).then_some((seg_start, seg_end, in_segment))
             })
             .collect();
-        let mut outcomes = Vec::new();
-        if self.config.parallel && work.len() > 1 {
-            let base: &Sequential = model;
-            let cores = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1);
-            let lu_budget = (cores / work.len()).max(1);
-            type SegmentResult = Result<Vec<(usize, RecoveryOutcome, Option<Tensor>)>>;
-            let heal = |(seg_start, seg_end, in_segment): &(usize, usize, Vec<usize>)| {
-                milr_linalg::with_thread_budget(lu_budget, || -> SegmentResult {
-                    let mut view = SegmentView::from_model(base, *seg_start, *seg_end);
-                    let outs =
-                        self.recover_segment(base, &mut view, *seg_start, *seg_end, in_segment)?;
-                    let indices: Vec<usize> = outs.iter().map(|(i, _)| *i).collect();
-                    Ok(outs
-                        .into_iter()
-                        .zip(view.extract_params(&indices))
-                        .map(|((i, outcome), (_, params))| (i, outcome, params))
-                        .collect())
-                })
+        type SegmentResult = Result<Vec<(usize, RecoveryOutcome, Option<Tensor>)>>;
+        let base: &Sequential = model;
+        let heal =
+            |(seg_start, seg_end, in_segment): &(usize, usize, Vec<usize>)| -> SegmentResult {
+                let mut view = SegmentView::from_model(base, *seg_start, *seg_end);
+                let outs =
+                    self.recover_segment(base, &mut view, *seg_start, *seg_end, in_segment)?;
+                let indices: Vec<usize> = outs.iter().map(|(i, _)| *i).collect();
+                Ok(outs
+                    .into_iter()
+                    .zip(view.extract_params(&indices))
+                    .map(|((i, outcome), (_, params))| (i, outcome, params))
+                    .collect())
             };
-            // One scoped worker per segment, joined in segment order; a
-            // worker's panic resumes on this thread.
-            let results: Vec<SegmentResult> = std::thread::scope(|scope| {
+        let results: Vec<SegmentResult> = if work.len() > 1 {
+            // One scoped thread per segment, joined in segment order; a
+            // thread's panic resumes on this thread.
+            std::thread::scope(|scope| {
                 let workers: Vec<_> = work
                     .iter()
                     .map(|segment| scope.spawn(move || heal(segment)))
@@ -370,31 +363,17 @@ impl Milr {
                     .into_iter()
                     .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                     .collect()
-            });
-            for result in results {
-                for (i, outcome, params) in result? {
-                    if let (Some(healed), Some(dst)) = (params, model.layers_mut()[i].params_mut())
-                    {
-                        *dst = healed;
-                    }
-                    outcomes.push((i, outcome));
-                }
-            }
+            })
         } else {
-            for (seg_start, seg_end, in_segment) in &work {
-                let mut view = SegmentView::from_model(model, *seg_start, *seg_end);
-                let outs =
-                    self.recover_segment(model, &mut view, *seg_start, *seg_end, in_segment)?;
-                let indices: Vec<usize> = outs.iter().map(|(i, _)| *i).collect();
-                for ((i, outcome), (_, params)) in
-                    outs.into_iter().zip(view.extract_params(&indices))
-                {
-                    if let (Some(healed), Some(dst)) = (params, model.layers_mut()[i].params_mut())
-                    {
-                        *dst = healed;
-                    }
-                    outcomes.push((i, outcome));
+            work.iter().map(heal).collect()
+        };
+        let mut outcomes = Vec::new();
+        for result in results {
+            for (i, outcome, params) in result? {
+                if let (Some(healed), Some(dst)) = (params, model.layers_mut()[i].params_mut()) {
+                    *dst = healed;
                 }
+                outcomes.push((i, outcome));
             }
         }
         Ok(RecoveryReport {
@@ -404,9 +383,9 @@ impl Milr {
     }
 
     /// Heals every flagged layer of one checkpoint segment, in
-    /// ascending order, inside the segment's layer window. The shared
-    /// serial core of both recovery paths; `model` is only consulted
-    /// for the segment-start anchor (the golden input when the segment
+    /// ascending order, inside the segment's layer window. The serial
+    /// core of [`Milr::recover_layers`]; `model` is only consulted for
+    /// the segment-start anchor (the golden input when the segment
     /// opens the network).
     fn recover_segment(
         &self,

@@ -27,9 +27,9 @@ pub(crate) fn milr_forward(layer: &Layer, x: &Tensor) -> Result<Tensor> {
 /// recovery.
 ///
 /// Propagation during recovery never reads outside the segment's layer
-/// range, so a parallel segment worker that clones only this window
-/// (instead of the whole model) sees exactly what the serial pass
-/// would; memory per worker is bounded by the segment, not the model
+/// range, so a segment heal that clones only this window (instead of
+/// the whole model) sees exactly what a whole-model pass would; memory
+/// per segment is bounded by the segment, not the model
 /// (the first deferred trade-off of DESIGN.md §4). Indices stay
 /// *global*: `layer(i)` and `shape_at(i)` take the same indices the
 /// plan and artifacts use.

@@ -23,6 +23,11 @@ use std::collections::BTreeMap;
 /// weight-grid tag to the config record.
 const VERSION: u32 = 2;
 
+/// Config byte that once held the retired recovery-parallelism flag.
+/// Always written as `1` (the old default) so container bytes stay
+/// unchanged, and ignored on read.
+const RESERVED_CONFIG_BYTE: u8 = 1;
+
 // ---------------------------------------------------------------- writer
 
 struct Writer {
@@ -192,7 +197,7 @@ fn write_config(w: &mut Writer, c: &MilrConfig) {
     w.usize(c.flow_batch);
     w.usize(c.crc_group);
     w.u8(c.dense_self_recovery as u8);
-    w.u8(c.parallel as u8);
+    w.u8(RESERVED_CONFIG_BYTE);
     w.u8(match c.weight_grid {
         WeightGrid::F32 => 0,
         WeightGrid::Int8 => 1,
@@ -208,15 +213,17 @@ fn read_config(r: &mut Reader) -> Result<MilrConfig> {
         flow_batch: r.usize("config.flow_batch")?,
         crc_group: r.usize("config.crc_group")?,
         dense_self_recovery: r.u8("config.dense_self_recovery")? != 0,
-        parallel: r.u8("config.parallel")? != 0,
-        weight_grid: match r.u8("config.weight_grid")? {
-            0 => WeightGrid::F32,
-            1 => WeightGrid::Int8,
-            2 => WeightGrid::Fp16,
-            t => {
-                return Err(MilrError::CorruptArtifacts(format!(
-                    "unknown weight-grid tag {t}"
-                )))
+        weight_grid: {
+            r.u8("config.reserved")?;
+            match r.u8("config.weight_grid")? {
+                0 => WeightGrid::F32,
+                1 => WeightGrid::Int8,
+                2 => WeightGrid::Fp16,
+                t => {
+                    return Err(MilrError::CorruptArtifacts(format!(
+                        "unknown weight-grid tag {t}"
+                    )))
+                }
             }
         },
     })
@@ -507,6 +514,22 @@ mod tests {
         let a = m.layers()[0].params().unwrap();
         let b = golden.layers()[0].params().unwrap();
         assert!(a.approx_eq(b, 1e-4, 1e-5));
+    }
+
+    #[test]
+    fn reserved_config_byte_is_ignored_on_read() {
+        let milr = Milr::protect(&model(), MilrConfig::default()).unwrap();
+        let bytes = milr.to_bytes();
+        // version (4) + seed (8) + rtol (4) + atol (4) + flow_batch (8)
+        // + crc_group (8) + dense_self_recovery (1).
+        const OFFSET: usize = 37;
+        assert_eq!(bytes[OFFSET], RESERVED_CONFIG_BYTE);
+        // `0` is what a container written with the flag cleared held.
+        let mut legacy = bytes.clone();
+        legacy[OFFSET] = 0;
+        let restored = Milr::from_bytes(&legacy).unwrap();
+        assert_eq!(restored.config(), milr.config());
+        assert_eq!(restored.to_bytes(), bytes);
     }
 
     #[test]

@@ -1,19 +1,16 @@
-//! Serial-vs-parallel determinism: the segment-parallel recovery path
-//! (one scoped thread per checkpoint segment) must return
-//! **bit-identical** results to the serial reference path —
-//! same outcomes, same healed parameter bits. Detection runs serially
-//! whatever `MilrConfig::parallel` says (DESIGN.md §16); its half of
-//! this suite pins that the flag still leaves flags and deviations
-//! bit-identical, so reintroducing a detection fan-out stays safe.
+//! Segment fan-out determinism: `Milr::recover_layers` heals one flagged
+//! checkpoint segment inline and several on one scoped thread each
+//! (DESIGN.md §4). Healing many segments in one call must return
+//! **bit-identical** results to healing each segment with its own
+//! inline call — same outcomes, same healed parameter bits.
 
 use milr_core::{Milr, MilrConfig};
 use milr_fault::{corrupt_layer, inject_rber, inject_whole_weight, FaultRng};
 use milr_nn::{Activation, Layer, Sequential};
 use milr_tensor::{ConvSpec, Padding, PoolSpec, TensorRng};
+use std::collections::BTreeMap;
 
-/// A model with several checkpoint segments and every layer kind, so
-/// both parallel axes (layers for detect, segments for recover) are
-/// exercised.
+/// A model with several checkpoint segments and every layer kind.
 fn test_model(seed: u64) -> Sequential {
     let mut rng = TensorRng::new(seed);
     let mut m = Sequential::new(vec![14, 14, 1]);
@@ -36,18 +33,6 @@ fn test_model(seed: u64) -> Sequential {
     m
 }
 
-fn configs() -> (MilrConfig, MilrConfig) {
-    let parallel = MilrConfig {
-        parallel: true,
-        ..MilrConfig::default()
-    };
-    let serial = MilrConfig {
-        parallel: false,
-        ..MilrConfig::default()
-    };
-    (parallel, serial)
-}
-
 fn param_bits(model: &Sequential) -> Vec<Vec<u32>> {
     model
         .layers()
@@ -57,7 +42,7 @@ fn param_bits(model: &Sequential) -> Vec<Vec<u32>> {
         .collect()
 }
 
-fn corrupt(model: &mut Sequential, seed: u64) {
+fn corrupt_rber(model: &mut Sequential, seed: u64) {
     let mut rng = FaultRng::seed(seed);
     for layer in model.layers_mut() {
         if let Some(p) = layer.params_mut() {
@@ -66,110 +51,85 @@ fn corrupt(model: &mut Sequential, seed: u64) {
     }
 }
 
-#[test]
-fn detection_reports_are_bit_identical() {
-    for model_seed in [1u64, 7, 42] {
-        let golden = test_model(model_seed);
-        let (par_cfg, ser_cfg) = configs();
-        let par = Milr::protect(&golden, par_cfg).unwrap();
-        let ser = Milr::protect(&golden, ser_cfg).unwrap();
-        for fault_seed in 0u64..6 {
-            let mut m = golden.clone();
-            corrupt(&mut m, fault_seed);
-            let rp = par.detect(&m).unwrap();
-            let rs = ser.detect(&m).unwrap();
-            assert_eq!(rp.flagged, rs.flagged, "seed {fault_seed}");
-            // Compare checks field-by-field with bit-exact deviations
-            // (elapsed legitimately differs).
-            assert_eq!(rp.checks.len(), rs.checks.len());
-            for (a, b) in rp.checks.iter().zip(rs.checks.iter()) {
-                assert_eq!(a.layer, b.layer);
-                assert_eq!(a.kind, b.kind);
-                assert_eq!(a.flagged, b.flagged);
-                assert_eq!(
-                    a.max_deviation.to_bits(),
-                    b.max_deviation.to_bits(),
-                    "layer {} deviation differs",
-                    a.layer
-                );
-            }
-        }
+/// Heals `flagged` on two copies of `corrupted`: one `recover_layers`
+/// call over every flagged segment, and one inline call per segment.
+/// Asserts equal outcomes and healed bits; returns how many segments
+/// the single call spanned.
+fn assert_fan_out_matches_per_segment(
+    milr: &Milr,
+    corrupted: &Sequential,
+    flagged: &[usize],
+) -> usize {
+    let mut by_segment: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
+    for &i in flagged {
+        by_segment
+            .entry(milr.plan().segment_of(i))
+            .or_default()
+            .push(i);
     }
+
+    let mut joint = corrupted.clone();
+    let joint_outcomes = milr.recover_layers(&mut joint, flagged).unwrap().outcomes;
+
+    let mut split = corrupted.clone();
+    let mut split_outcomes = Vec::new();
+    for layers in by_segment.values() {
+        let report = milr.recover_layers(&mut split, layers).unwrap();
+        split_outcomes.extend(report.outcomes);
+    }
+
+    assert_eq!(joint_outcomes, split_outcomes, "flagged {flagged:?}");
+    assert_eq!(
+        param_bits(&joint),
+        param_bits(&split),
+        "healed parameters differ for flagged {flagged:?}"
+    );
+    by_segment.len()
 }
 
 #[test]
-fn recovery_is_bit_identical_across_segments() {
-    // Corrupt layers in *different* checkpoint segments so the parallel
-    // path actually fans out.
+fn multi_segment_recovery_matches_per_segment_calls() {
+    let mut widest = 0;
+
+    // Random bit errors in every parameterised layer, healed from the
+    // detection verdict.
     let golden = test_model(3);
-    let (par_cfg, ser_cfg) = configs();
-    let par = Milr::protect(&golden, par_cfg).unwrap();
-    let ser = Milr::protect(&golden, ser_cfg).unwrap();
+    let milr = Milr::protect(&golden, MilrConfig::default()).unwrap();
     for fault_seed in 0u64..6 {
-        let mut mp = golden.clone();
-        corrupt(&mut mp, fault_seed);
-        let mut ms = mp.clone();
-
-        let report_p = par.detect(&mp).unwrap();
-        let report_s = ser.detect(&ms).unwrap();
-        assert_eq!(report_p.flagged, report_s.flagged);
-
-        let rec_p = par.recover(&mut mp, &report_p).unwrap();
-        let rec_s = ser.recover(&mut ms, &report_s).unwrap();
-        let outcomes_p: Vec<_> = rec_p
-            .outcomes
-            .iter()
-            .map(|(i, o)| (*i, o.clone()))
-            .collect();
-        let outcomes_s: Vec<_> = rec_s
-            .outcomes
-            .iter()
-            .map(|(i, o)| (*i, o.clone()))
-            .collect();
-        assert_eq!(outcomes_p, outcomes_s, "seed {fault_seed}");
-        assert_eq!(
-            param_bits(&mp),
-            param_bits(&ms),
-            "healed parameters differ for seed {fault_seed}"
-        );
+        let mut m = golden.clone();
+        corrupt_rber(&mut m, fault_seed);
+        let flagged = milr.detect(&m).unwrap().flagged;
+        widest = widest.max(assert_fan_out_matches_per_segment(&milr, &m, &flagged));
     }
-}
 
-#[test]
-fn whole_weight_and_layer_corruption_recover_identically() {
+    // Whole-weight errors in every parameterised layer.
     let golden = test_model(9);
-    let (par_cfg, ser_cfg) = configs();
-    let par = Milr::protect(&golden, par_cfg).unwrap();
-    let ser = Milr::protect(&golden, ser_cfg).unwrap();
-
-    // Whole-weight errors across all layers.
-    let mut mp = golden.clone();
+    let milr = Milr::protect(&golden, MilrConfig::default()).unwrap();
+    let mut m = golden.clone();
     let mut rng = FaultRng::seed(5);
-    for layer in mp.layers_mut() {
+    for layer in m.layers_mut() {
         if let Some(p) = layer.params_mut() {
             inject_whole_weight(p.data_mut(), 5e-3, &mut rng);
         }
     }
-    let mut ms = mp.clone();
-    let report_p = par.detect(&mp).unwrap();
-    par.recover(&mut mp, &report_p).unwrap();
-    let report_s = ser.detect(&ms).unwrap();
-    ser.recover(&mut ms, &report_s).unwrap();
-    assert_eq!(param_bits(&mp), param_bits(&ms));
+    let flagged = milr.detect(&m).unwrap().flagged;
+    widest = widest.max(assert_fan_out_matches_per_segment(&milr, &m, &flagged));
 
-    // Explicit multi-segment target list (conv 0 and dense 8).
-    let mut mp = golden.clone();
+    // Whole-layer corruption of conv 0 and dense 8, an explicit target
+    // list in two different segments.
+    let mut m = golden.clone();
     corrupt_layer(
-        mp.layers_mut()[0].params_mut().unwrap().data_mut(),
+        m.layers_mut()[0].params_mut().unwrap().data_mut(),
         &mut FaultRng::seed(8),
     );
     corrupt_layer(
-        mp.layers_mut()[8].params_mut().unwrap().data_mut(),
+        m.layers_mut()[8].params_mut().unwrap().data_mut(),
         &mut FaultRng::seed(9),
     );
-    let mut ms = mp.clone();
-    let rp = par.recover_layers(&mut mp, &[0, 8]).unwrap();
-    let rs = ser.recover_layers(&mut ms, &[0, 8]).unwrap();
-    assert_eq!(rp.outcomes, rs.outcomes);
-    assert_eq!(param_bits(&mp), param_bits(&ms));
+    widest = widest.max(assert_fan_out_matches_per_segment(&milr, &m, &[0, 8]));
+
+    assert!(
+        widest >= 2,
+        "no case spanned two segments, so the fan-out never ran"
+    );
 }

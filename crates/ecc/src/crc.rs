@@ -1,20 +1,18 @@
 //! Table-driven cyclic redundancy checks.
 //!
 //! MILR's 2-D error coding (paper §IV-B-c) computes CRCs over sets of 4
-//! parameters. CRC-32 (IEEE, reflected 0xEDB88320) is the default used by
-//! [`Crc2d`](crate::Crc2d); CRC-16 and CRC-8 exist for the
-//! storage-overhead ablation — a smaller code shrinks MILR's metadata at
-//! the price of a higher silent-collision probability.
+//! parameters with CRC-32 (IEEE, reflected 0xEDB88320), the code used by
+//! [`Crc2d`](crate::Crc2d).
 //!
 //! # Kernels
 //!
-//! All three polynomials run slice-by-8: eight 256-entry tables consume
+//! CRC-32 runs slice-by-8: eight 256-entry tables consume
 //! 8 input bytes per iteration, turning the byte-serial table walk into
 //! eight independent lookups the CPU can overlap (the classic Intel
 //! "slicing-by-8" construction — CRC tables are GF(2)-linear, so
 //! `T[x ^ y] = T[x] ^ T[y]` and the per-byte dependency chain folds into
-//! one XOR tree per block). The original byte-/bit-serial
-//! implementations live in [`scalar`] and stay the bit-equivalence
+//! one XOR tree per block). The original byte-serial implementation
+//! lives in [`scalar`] and stay the bit-equivalence
 //! reference for tests and `kernel_bench`.
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`).
@@ -124,144 +122,10 @@ impl Default for Crc32Hasher {
     }
 }
 
-const fn build_crc16_table() -> [u16; 256] {
-    let mut table = [0u16; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = (i as u16) << 8;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 0x8000 != 0 {
-                (crc << 1) ^ 0x1021
-            } else {
-                crc << 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC16_TABLE: [u16; 256] = build_crc16_table();
-
-/// Slicing tables for the non-reflected CRC-16: `S[0]` is the classic
-/// byte table, `S[k][b]` advances `S[k-1][b]` by one zero byte
-/// (`(s << 8) ^ T[s >> 8]`).
-const fn build_crc16_slices() -> [[u16; 256]; 8] {
-    let t0 = build_crc16_table();
-    let mut slices = [[0u16; 256]; 8];
-    slices[0] = t0;
-    let mut k = 1;
-    while k < 8 {
-        let mut b = 0;
-        while b < 256 {
-            let prev = slices[k - 1][b];
-            slices[k][b] = (prev << 8) ^ t0[(prev >> 8) as usize];
-            b += 1;
-        }
-        k += 1;
-    }
-    slices
-}
-
-static CRC16_SLICES: [[u16; 256]; 8] = build_crc16_slices();
-
-/// CRC-16/CCITT-FALSE (polynomial `0x1021`, init `0xFFFF`).
-///
-/// Slice-by-8: the 16-bit state folds into the first two bytes of each
-/// 8-byte block, then the block is eight independent table lookups.
-pub fn crc16(data: &[u8]) -> u16 {
-    let s = &CRC16_SLICES;
-    let mut crc: u16 = 0xFFFF;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        crc = s[7][(chunk[0] ^ (crc >> 8) as u8) as usize]
-            ^ s[6][(chunk[1] ^ (crc & 0xFF) as u8) as usize]
-            ^ s[5][chunk[2] as usize]
-            ^ s[4][chunk[3] as usize]
-            ^ s[3][chunk[4] as usize]
-            ^ s[2][chunk[5] as usize]
-            ^ s[1][chunk[6] as usize]
-            ^ s[0][chunk[7] as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc << 8) ^ CRC16_TABLE[(((crc >> 8) as u8) ^ b) as usize];
-    }
-    crc
-}
-
-const fn build_crc8_table() -> [u8; 256] {
-    let mut table = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u8;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 0x80 != 0 {
-                (crc << 1) ^ 0x07
-            } else {
-                crc << 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC8_TABLE: [u8; 256] = build_crc8_table();
-
-/// Slicing tables for CRC-8: advancing an 8-bit state by one zero byte
-/// is just another table pass, so `S[k] = T` composed `k + 1` times.
-const fn build_crc8_slices() -> [[u8; 256]; 8] {
-    let t0 = build_crc8_table();
-    let mut slices = [[0u8; 256]; 8];
-    slices[0] = t0;
-    let mut k = 1;
-    while k < 8 {
-        let mut b = 0;
-        while b < 256 {
-            slices[k][b] = t0[slices[k - 1][b] as usize];
-            b += 1;
-        }
-        k += 1;
-    }
-    slices
-}
-
-static CRC8_SLICES: [[u8; 256]; 8] = build_crc8_slices();
-
-/// CRC-8 (polynomial `0x07`, init `0x00`).
-///
-/// Slice-by-8: the whole 8-bit state folds into the block's first byte,
-/// leaving eight independent lookups per 8-byte block.
-pub fn crc8(data: &[u8]) -> u8 {
-    let s = &CRC8_SLICES;
-    let mut crc: u8 = 0;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        crc = s[7][(chunk[0] ^ crc) as usize]
-            ^ s[6][chunk[1] as usize]
-            ^ s[5][chunk[2] as usize]
-            ^ s[4][chunk[3] as usize]
-            ^ s[3][chunk[4] as usize]
-            ^ s[2][chunk[5] as usize]
-            ^ s[1][chunk[6] as usize]
-            ^ s[0][chunk[7] as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = CRC8_TABLE[(crc ^ b) as usize];
-    }
-    crc
-}
-
 /// Scalar reference kernels.
 ///
-/// Bit-for-bit definitions of the CRC primitives, kept as the ground
-/// truth the optimized kernels are proptested against and as the
+/// Bit-for-bit definition of the CRC primitive, kept as the ground
+/// truth the optimized kernel is proptested against and as the
 /// baseline side of `kernel_bench`.
 pub mod scalar {
     static CRC32_TABLE: [u32; 256] = super::build_crc32_table();
@@ -273,38 +137,6 @@ pub mod scalar {
             crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
         }
         crc ^ 0xFFFF_FFFF
-    }
-
-    /// Bit-at-a-time CRC-16/CCITT-FALSE (reference).
-    pub fn crc16(data: &[u8]) -> u16 {
-        let mut crc: u16 = 0xFFFF;
-        for &b in data {
-            crc ^= (b as u16) << 8;
-            for _ in 0..8 {
-                crc = if crc & 0x8000 != 0 {
-                    (crc << 1) ^ 0x1021
-                } else {
-                    crc << 1
-                };
-            }
-        }
-        crc
-    }
-
-    /// Bit-at-a-time CRC-8 (reference).
-    pub fn crc8(data: &[u8]) -> u8 {
-        let mut crc: u8 = 0;
-        for &b in data {
-            crc ^= b;
-            for _ in 0..8 {
-                crc = if crc & 0x80 != 0 {
-                    (crc << 1) ^ 0x07
-                } else {
-                    crc << 1
-                };
-            }
-        }
-        crc
     }
 }
 
@@ -318,18 +150,6 @@ mod tests {
         // Standard check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc16_known_vector() {
-        // CRC-16/CCITT-FALSE check value.
-        assert_eq!(crc16(b"123456789"), 0x29B1);
-    }
-
-    #[test]
-    fn crc8_known_vector() {
-        // CRC-8 (SMBus) check value.
-        assert_eq!(crc8(b"123456789"), 0xF4);
     }
 
     #[test]
@@ -363,8 +183,6 @@ mod tests {
         #[test]
         fn crc_is_deterministic(data in proptest::collection::vec(proptest::num::u8::ANY, 0..64)) {
             prop_assert_eq!(crc32(&data), crc32(&data));
-            prop_assert_eq!(crc16(&data), crc16(&data));
-            prop_assert_eq!(crc8(&data), crc8(&data));
         }
 
         // Bit-equivalence: the slice-by-8 / table kernels must match the
@@ -375,8 +193,6 @@ mod tests {
             data in proptest::collection::vec(proptest::num::u8::ANY, 0..257),
         ) {
             prop_assert_eq!(crc32(&data), scalar::crc32(&data));
-            prop_assert_eq!(crc16(&data), scalar::crc16(&data));
-            prop_assert_eq!(crc8(&data), scalar::crc8(&data));
         }
 
         // Incremental updates with arbitrary split points must agree with

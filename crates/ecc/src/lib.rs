@@ -17,8 +17,7 @@
 //!   pinpointing *which* weights of a convolution filter tensor are
 //!   corrupted, so that partial recovery can shrink the unknown set of
 //!   its linear system. [`Crc2d`] implements the row/column CRC grid over
-//!   sets of 4 parameters; [`crc32`]/[`crc16`]/[`crc8`] are the
-//!   table-driven primitives.
+//!   sets of 4 parameters; [`crc32`] is the table-driven primitive.
 //!
 //! ```
 //! use milr_ecc::{DecodeOutcome, Secded};
@@ -39,7 +38,7 @@ mod memory;
 pub mod ring;
 mod secded;
 
-pub use crc::{crc16, crc32, crc8, Crc32Hasher};
+pub use crc::{crc32, Crc32Hasher};
 pub use crc2d::{Crc2d, Crc2dCodes};
 pub use memory::{ScrubReport, SecdedMemory};
 pub use secded::{DecodeOutcome, Secded};
@@ -50,6 +49,6 @@ pub use secded::{DecodeOutcome, Secded};
 /// is proptested against, re-exported in one namespace so `kernel_bench`
 /// can measure scalar-vs-optimized throughput at runtime.
 pub mod scalar {
-    pub use crate::crc::scalar::{crc16, crc32, crc8};
+    pub use crate::crc::scalar::crc32;
     pub use crate::secded::scalar::{decode as secded_decode, encode as secded_encode};
 }

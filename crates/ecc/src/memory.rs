@@ -104,10 +104,10 @@ impl SecdedMemory {
     /// Repairs every correctable error in place without decoding weights
     /// or allocating — the memory-controller sweep an ECC DIMM performs.
     ///
-    /// Processes [`Self::SCRUB_CHUNK`]-word blocks: each block is first
-    /// screened with the branch-free [`Secded::is_clean`] syndrome kernel
-    /// (the overwhelmingly common all-clean case does zero writes), and
-    /// only flagged words go through full decode + re-encode.
+    /// Processes 32-word blocks: each block is first screened with the
+    /// branch-free [`Secded::is_clean`] syndrome kernel (the
+    /// overwhelmingly common all-clean case does zero writes), and only
+    /// flagged words go through full decode + re-encode.
     pub fn scrub_in_place(&mut self) -> ScrubReport {
         let mut report = ScrubReport::default();
         for chunk in self.words.chunks_mut(Self::SCRUB_CHUNK) {

@@ -15,8 +15,8 @@
 /// five shift-and-mask moves exploiting the fact that the non-power-of-two
 /// positions form exactly five contiguous runs (`3`, `5..=7`, `9..=15`,
 /// `17..=31`, `33..=38`). No per-bit loops, no rebuilt position iterators.
-/// The original bit-serial implementation survives in [`scalar`] as the
-/// bit-equivalence reference.
+/// The original bit-serial implementation survives in
+/// [`scalar`](crate::scalar) as the bit-equivalence reference.
 ///
 /// The type is a namespace: both operations are stateless associated
 /// functions.

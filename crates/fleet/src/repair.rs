@@ -148,7 +148,7 @@ pub fn apply_repair(
 ///
 /// # Errors
 ///
-/// See [`fetch_certified`] and [`apply_repair`].
+/// See `fetch_certified` and `apply_repair`, the two halves it runs.
 pub fn peer_repair(
     replica: &mut Replica,
     peer: &dyn PeerRepair,

@@ -446,8 +446,8 @@ impl ModelHost {
     ///
     /// # Errors
     ///
-    /// Propagates the shard's [`SubstrateError`] (wrong image length,
-    /// backing-store failure).
+    /// Propagates the shard's [`milr_substrate::SubstrateError`] (wrong
+    /// image length, backing-store failure).
     ///
     /// # Panics
     ///

@@ -35,7 +35,7 @@
 //! outcome counters, embedded in the serving/fleet/cold-start reports
 //! — and the post-heal **fast path** re-verifies only the episode's
 //! suspect layers via [`milr_core::Milr::detect_layers`] instead of a
-//! full re-detect (see [`pipeline`] module docs).
+//! full re-detect (see the `pipeline` module docs).
 
 #![deny(missing_docs)]
 

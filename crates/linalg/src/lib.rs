@@ -5,7 +5,6 @@
 //! MILR (DSN 2021) recovers corrupted CNN parameters by solving the linear
 //! systems induced by each layer's algebra:
 //!
-//! * **dense backward pass** — `A = C·B⁻¹` needs a matrix inverse / solve;
 //! * **dense parameter solving** — factor the input once, solve one RHS per
 //!   output column;
 //! * **convolution parameter solving** — the `im2col` matrix is the
@@ -20,11 +19,6 @@
 //! well-conditioned `f64` solve rounds back to the exact original bits in
 //! the overwhelming majority of cases (the paper's *Limitations* paragraph
 //! discusses exactly this float-rounding concern).
-//!
-//! Large factorizations parallelize row updates with `std::thread`
-//! scoped threads; callers that are themselves parallel workers cap the
-//! fan-out with [`with_thread_budget`] so nested parallelism cannot
-//! oversubscribe the machine.
 //!
 //! ## Example
 //!
@@ -44,14 +38,12 @@
 // coordinates; iterator rewrites obscure the math.
 #![allow(clippy::needless_range_loop)]
 
-mod budget;
 mod error;
 mod lu;
 mod matrix;
 mod qr;
 pub mod scalar;
 
-pub use budget::{effective_threads, with_thread_budget};
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Mat;

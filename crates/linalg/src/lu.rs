@@ -1,15 +1,10 @@
 use crate::{LinalgError, Mat, Result};
 
-/// Minimum trailing-submatrix area before LU row updates are fanned out
-/// to worker threads. Below this, threading overhead dominates.
-const PAR_AREA_THRESHOLD: usize = 128 * 128;
-
 /// LU factorization with partial (row) pivoting: `P·A = L·U`.
 ///
-/// MILR's dense parameter solving factors the (possibly dummy-padded)
-/// layer input once and reuses the factorization for every output column
-/// (paper §IV-A-b) — that reuse is why `Lu` is a first-class type here
-/// rather than a private helper of [`Mat::solve`].
+/// LU backs only [`crate::ridge_solve`]'s normal equations (through
+/// [`Mat::solve`]), MILR's last-resort recovery solver. Dense and
+/// convolution parameter solving factor with [`crate::Qr`] instead.
 ///
 /// ```
 /// use milr_linalg::{Lu, Mat};
@@ -26,9 +21,6 @@ pub struct Lu {
     lu: Mat,
     /// Row permutation: `perm[i]` is the original row now at position `i`.
     perm: Vec<usize>,
-    /// Smallest and largest absolute pivots, kept as a cheap conditioning
-    /// signal.
-    pivot_extremes: (f64, f64),
 }
 
 impl Lu {
@@ -50,9 +42,6 @@ impl Lu {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut min_piv = f64::INFINITY;
-        let mut max_piv = 0.0f64;
-        let threads = crate::effective_threads();
         for k in 0..n {
             // Partial pivot: largest |a[i][k]| for i >= k.
             let mut best = k;
@@ -71,16 +60,12 @@ impl Lu {
                 swap_rows(lu.data_mut(), n, k, best);
                 perm.swap(k, best);
             }
-            min_piv = min_piv.min(best_abs);
-            max_piv = max_piv.max(best_abs);
 
-            let trailing_rows = n - k - 1;
-            let trailing_area = trailing_rows * (n - k);
             let data = lu.data_mut();
             let (head, tail) = data.split_at_mut((k + 1) * n);
             let pivot_row = &head[k * n..(k + 1) * n];
             let pivot = pivot_row[k];
-            let update = |row: &mut [f64]| {
+            for row in tail.chunks_mut(n) {
                 let m = row[k] / pivot;
                 row[k] = m;
                 if m != 0.0 {
@@ -88,50 +73,14 @@ impl Lu {
                         row[j] -= m * pivot_row[j];
                     }
                 }
-            };
-            if trailing_area >= PAR_AREA_THRESHOLD && threads > 1 {
-                let mut rows: Vec<&mut [f64]> = tail.chunks_mut(n).collect();
-                let chunk = rows.len().div_ceil(threads);
-                std::thread::scope(|s| {
-                    while !rows.is_empty() {
-                        let take = chunk.min(rows.len());
-                        let batch: Vec<&mut [f64]> = rows.drain(..take).collect();
-                        let update = &update;
-                        s.spawn(move || {
-                            for row in batch {
-                                update(row);
-                            }
-                        });
-                    }
-                });
-            } else {
-                for row in tail.chunks_mut(n) {
-                    update(row);
-                }
             }
         }
-        Ok(Lu {
-            lu,
-            perm,
-            pivot_extremes: (min_piv, max_piv),
-        })
+        Ok(Lu { lu, perm })
     }
 
     /// Matrix dimension.
     pub fn dim(&self) -> usize {
         self.lu.rows()
-    }
-
-    /// `min |pivot| / max |pivot|` — a cheap conditioning signal in
-    /// `(0, 1]`; values near zero indicate an ill-conditioned system whose
-    /// recovered weights may not round back to the original `f32` bits.
-    pub fn recip_pivot_ratio(&self) -> f64 {
-        let (min, max) = self.pivot_extremes;
-        if max == 0.0 {
-            0.0
-        } else {
-            min / max
-        }
     }
 
     /// Solves for a single right-hand side.
@@ -168,61 +117,6 @@ impl Lu {
             x[i] = sum / row[i];
         }
         Ok(x)
-    }
-
-    /// Solves for every column of `B`, in parallel for wide right-hand
-    /// sides.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when `B.rows() != dim()`.
-    pub fn solve_multi(&self, b: &Mat) -> Result<Mat> {
-        let n = self.dim();
-        if b.rows() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "lu solve_multi",
-                lhs: (n, n),
-                rhs: (b.rows(), b.cols()),
-            });
-        }
-        let p = b.cols();
-        let threads = crate::effective_threads();
-        let mut out = Mat::zeros(n, p);
-        if p >= 4 && threads > 1 && n * n * p >= PAR_AREA_THRESHOLD {
-            let cols: Vec<usize> = (0..p).collect();
-            let chunk = p.div_ceil(threads);
-            let results: Vec<(usize, Vec<f64>)> = std::thread::scope(|s| {
-                let handles: Vec<_> = cols
-                    .chunks(chunk)
-                    .map(|batch| {
-                        let batch = batch.to_vec();
-                        s.spawn(move || {
-                            batch
-                                .into_iter()
-                                .map(|j| (j, self.solve(&b.col(j)).expect("shape checked")))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("solver thread panicked"))
-                    .collect()
-            });
-            for (j, x) in results {
-                for (i, &v) in x.iter().enumerate() {
-                    out.set(i, j, v);
-                }
-            }
-        } else {
-            for j in 0..p {
-                let x = self.solve(&b.col(j))?;
-                for (i, &v) in x.iter().enumerate() {
-                    out.set(i, j, v);
-                }
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -265,44 +159,11 @@ mod tests {
     fn solve_validates_rhs_length() {
         let lu = Lu::factor(&Mat::eye(3)).unwrap();
         assert!(lu.solve(&[1.0, 2.0]).is_err());
-        assert!(lu.solve_multi(&Mat::zeros(2, 2)).is_err());
     }
 
     #[test]
-    fn solve_multi_matches_individual_solves() {
-        let a = Mat::from_rows(&[&[4.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 2.0]]).unwrap();
-        let lu = Lu::factor(&a).unwrap();
-        let b = Mat::from_fn(3, 5, |i, j| (i * 5 + j) as f64 - 7.0);
-        let x = lu.solve_multi(&b).unwrap();
-        for j in 0..5 {
-            let xj = lu.solve(&b.col(j)).unwrap();
-            for i in 0..3 {
-                assert!((x.get(i, j) - xj[i]).abs() < 1e-12);
-            }
-        }
-        // Residual check: A X ≈ B.
-        let back = a.matmul(&x).unwrap();
-        assert!(back.approx_eq(&b, 1e-10));
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        let a = Mat::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]).unwrap();
-        let inv = a.inverse().unwrap();
-        assert!(a.matmul(&inv).unwrap().approx_eq(&Mat::eye(2), 1e-12));
-    }
-
-    #[test]
-    fn pivot_ratio_reflects_conditioning() {
-        let well = Mat::eye(4);
-        assert!((Lu::factor(&well).unwrap().recip_pivot_ratio() - 1.0).abs() < 1e-12);
-        let ill = Mat::from_rows(&[&[1.0, 0.0], &[0.0, 1e-12]]).unwrap();
-        assert!(Lu::factor(&ill).unwrap().recip_pivot_ratio() < 1e-10);
-    }
-
-    #[test]
-    fn large_system_triggers_parallel_path_and_stays_accurate() {
-        // 200x200 diagonally dominant system: area 40_000 > threshold.
+    fn large_system_stays_accurate() {
+        // 200x200 diagonally dominant system.
         let n = 200;
         let a = Mat::from_fn(n, n, |i, j| {
             if i == j {
@@ -316,29 +177,6 @@ mod tests {
         let x = Lu::factor(&a).unwrap().solve(&b).unwrap();
         for (xi, ti) in x.iter().zip(x_true.iter()) {
             assert!((xi - ti).abs() < 1e-9, "{xi} vs {ti}");
-        }
-    }
-
-    #[test]
-    fn thread_budget_does_not_change_results() {
-        // Same 200x200 system as the parallel-path test, factored with
-        // the fan-out capped at one worker: identical bits out.
-        let n = 200;
-        let a = Mat::from_fn(n, n, |i, j| {
-            if i == j {
-                n as f64
-            } else {
-                ((i * 31 + j * 17) % 13) as f64 / 13.0
-            }
-        });
-        let b = Mat::from_fn(n, 3, |i, j| (i + j) as f64 / n as f64);
-        let free = Lu::factor(&a).unwrap().solve_multi(&b).unwrap();
-        let capped =
-            crate::with_thread_budget(1, || Lu::factor(&a).unwrap().solve_multi(&b).unwrap());
-        for i in 0..n {
-            for j in 0..3 {
-                assert_eq!(free.get(i, j).to_bits(), capped.get(i, j).to_bits());
-            }
         }
     }
 

@@ -215,27 +215,6 @@ impl Mat {
         lu.solve(b)
     }
 
-    /// Solves `self · X = B` for a multi-column right-hand side.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-square matrices, shape mismatches or
-    /// singular systems.
-    pub fn solve_multi(&self, b: &Mat) -> Result<Mat> {
-        let lu = crate::Lu::factor(self)?;
-        lu.solve_multi(b)
-    }
-
-    /// Matrix inverse via LU.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-square or singular matrices.
-    pub fn inverse(&self) -> Result<Mat> {
-        let lu = crate::Lu::factor(self)?;
-        lu.solve_multi(&Mat::eye(self.rows))
-    }
-
     /// Frobenius norm.
     pub fn frob_norm(&self) -> f64 {
         self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
@@ -320,12 +299,6 @@ mod tests {
         let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
         assert!(a.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn inverse_of_identity_is_identity() {
-        let inv = Mat::eye(4).inverse().unwrap();
-        assert!(inv.approx_eq(&Mat::eye(4), 1e-14));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * **checksummed error-resistant sections** — the architecture
 //!   skeleton, the serialized protection instance
 //!   ([`milr_core::Milr::to_bytes`]) and the [`milr_core::StorageReport`]
-//!   (see [`format`] for the layout). Damage here fails the load.
+//!   (see [`format`](mod@format) for the layout). Damage here fails the load.
 //!
 //! Two commit protocols keep every kill point loadable ([`journal`]):
 //! page write-backs (healed layers, scrub corrections) go through a

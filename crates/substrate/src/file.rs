@@ -203,7 +203,7 @@ struct PageCache {
 }
 
 /// A [`WeightSubstrate`] whose raw image lives in a paged region of a
-/// file. See the [module docs](self) for the design.
+/// file. See the `file` module docs for the design.
 pub struct FileSubstrate {
     kind: SubstrateKind,
     io: Arc<dyn PageFile>,

@@ -305,7 +305,7 @@ pub trait WeightSubstrate: Send + Sync {
     /// healthy peer's certified image, bit for bit, superseding
     /// whatever (possibly corrupt, possibly dirty-cached) state the
     /// substrate held. File-backed substrates commit the imported pages
-    /// through their [`PageCommitter`](crate::PageCommitter).
+    /// through their [`PageCommitter`].
     ///
     /// # Errors
     ///
@@ -317,7 +317,7 @@ pub trait WeightSubstrate: Send + Sync {
     /// Forces any buffered state down to the substrate's backing store.
     /// A no-op for purely in-memory substrates; the file-backed
     /// substrate commits its dirty pages through its
-    /// [`PageCommitter`](crate::PageCommitter).
+    /// [`PageCommitter`].
     ///
     /// # Errors
     ///

@@ -6,7 +6,7 @@
 //! lives in the `crates/` members:
 //!
 //! * [`milr_core`] — MILR itself (protection, detection, recovery,
-//!   storage accounting, availability model), with layer-parallel
+//!   storage accounting, availability model), with serial probe-only
 //!   detection and segment-parallel recovery;
 //! * [`milr_substrate`] — the unified [`WeightSubstrate`
 //!   ](milr_substrate::WeightSubstrate) abstraction over plain, SECDED,
