@@ -1,4 +1,4 @@
-use crate::{DecodeOutcome, Secded};
+use crate::Secded;
 
 /// A weight buffer stored under SECDED protection, one (39,32) code word
 /// per `f32` parameter — the ECC baseline configuration of the paper's
@@ -77,61 +77,35 @@ impl SecdedMemory {
 
     /// Decodes every word best-effort, without correcting storage.
     pub fn read_all(&self) -> Vec<f32> {
-        self.words
-            .iter()
-            .map(|&w| f32::from_bits(Secded::decode(w).data()))
-            .collect()
+        let mut out = vec![0.0; self.words.len()];
+        self.read_all_into(&mut out);
+        out
     }
 
     /// Decodes every word best-effort into a caller-provided buffer,
-    /// without correcting storage or allocating.
+    /// without correcting storage or allocating: [`Secded::decode_words`]
+    /// over stack-sized groups.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.len()`.
     pub fn read_all_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.words.len(), "output buffer length");
-        for (slot, &w) in out.iter_mut().zip(&self.words) {
-            *slot = f32::from_bits(Secded::decode(w).data());
+        let mut data = [0u32; 64];
+        for (words, slots) in self.words.chunks(64).zip(out.chunks_mut(64)) {
+            let data = &mut data[..words.len()];
+            Secded::decode_words(words, data);
+            for (slot, &d) in slots.iter_mut().zip(data.iter()) {
+                *slot = f32::from_bits(d);
+            }
         }
     }
 
-    /// Words per scrub chunk: the syndrome screen runs over a block of
-    /// code words at a time (pure mask+popcount reads the compiler can
-    /// unroll and vectorize) before any repair is attempted.
-    const SCRUB_CHUNK: usize = 32;
-
     /// Repairs every correctable error in place without decoding weights
-    /// or allocating — the memory-controller sweep an ECC DIMM performs.
-    ///
-    /// Processes 32-word blocks: each block is first screened with the
-    /// branch-free [`Secded::is_clean`] syndrome kernel (the
-    /// overwhelmingly common all-clean case does zero writes), and only
-    /// flagged words go through full decode + re-encode.
+    /// or allocating — the memory-controller sweep an ECC DIMM performs
+    /// ([`Secded::scrub_words`]).
     pub fn scrub_in_place(&mut self) -> ScrubReport {
-        let mut report = ScrubReport::default();
-        for chunk in self.words.chunks_mut(Self::SCRUB_CHUNK) {
-            // Screen pass: one dirty bit per lane, no branches per word.
-            let mut dirty = 0u64;
-            for (lane, &w) in chunk.iter().enumerate() {
-                dirty |= u64::from(!Secded::is_clean(w)) << lane;
-            }
-            report.clean += chunk.len() - dirty.count_ones() as usize;
-            // Repair pass: only the flagged lanes.
-            while dirty != 0 {
-                let lane = dirty.trailing_zeros() as usize;
-                dirty &= dirty - 1;
-                match Secded::decode(chunk[lane]) {
-                    DecodeOutcome::Clean { .. } => unreachable!("screened dirty"),
-                    DecodeOutcome::Corrected { data, .. } => {
-                        report.corrected += 1;
-                        chunk[lane] = Secded::encode(data);
-                    }
-                    DecodeOutcome::DoubleError { .. } => report.uncorrectable += 1,
-                }
-            }
-        }
-        report
+        Secded::scrub_words(&mut self.words)
     }
 
     /// Decodes every word, repairing correctable errors in place, and

@@ -1,3 +1,6 @@
+use crate::ScrubReport;
+use std::sync::OnceLock;
+
 /// Single-error-correcting, double-error-detecting Hamming code (39,32).
 ///
 /// The code word layout follows the classic extended Hamming
@@ -17,6 +20,13 @@
 /// `17..=31`, `33..=38`). No per-bit loops, no rebuilt position iterators.
 /// The original bit-serial implementation survives in
 /// [`scalar`](crate::scalar) as the bit-equivalence reference.
+///
+/// Whole memories go through the slice kernels
+/// [`Secded::decode_words`] and [`Secded::scrub_words`]. Each is one
+/// body compiled twice, portable and under
+/// `#[target_feature(enable = "popcnt")]`, chosen once per process with
+/// `is_x86_feature_detected!`: without the feature, `count_ones` is a
+/// bit-twiddling sequence of about a dozen instructions instead of one.
 ///
 /// The type is a namespace: both operations are stateless associated
 /// functions.
@@ -205,7 +215,7 @@ impl Secded {
 
     /// True when the code word would decode [`DecodeOutcome::Clean`] —
     /// the scrub fast path, skipping extraction and repair entirely.
-    #[inline]
+    #[inline(always)]
     pub fn is_clean(word: u64) -> bool {
         let word = word & CODE_MASK;
         let mut dirty = word.count_ones() & 1;
@@ -216,6 +226,137 @@ impl Secded {
         }
         dirty == 0
     }
+
+    /// Decodes every code word best-effort into `out`, as
+    /// `Secded::decode(words[i]).data()` would, without touching the
+    /// words (a read does not repair storage). Every word's data bits
+    /// are extracted as stored while the same syndrome screen as
+    /// [`Secded::scrub_words`] flags the words that are not clean; only
+    /// those are decoded again, with correction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != words.len()`.
+    pub fn decode_words(words: &[u64], out: &mut [u32]) {
+        assert_eq!(out.len(), words.len(), "output buffer length");
+        (kernels().decode)(words, out)
+    }
+
+    /// Repairs every correctable code word in place — the sweep an ECC
+    /// memory controller performs — and counts the outcomes. Words are
+    /// screened 32 at a time with the syndrome check; only the flagged
+    /// ones are decoded and re-encoded, so a clean memory is not
+    /// written.
+    pub fn scrub_words(words: &mut [u64]) -> ScrubReport {
+        (kernels().scrub)(words)
+    }
+}
+
+/// The slice kernels for this host.
+struct Kernels {
+    decode: fn(&[u64], &mut [u32]),
+    scrub: fn(&mut [u64]) -> ScrubReport,
+}
+
+/// Chooses the popcnt bodies when the host has the instruction,
+/// detected once per process.
+fn kernels() -> &'static Kernels {
+    static CHOSEN: OnceLock<Kernels> = OnceLock::new();
+    CHOSEN.get_or_init(|| {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if is_x86_feature_detected!("popcnt") {
+            return Kernels {
+                decode: decode_words_popcnt_checked,
+                scrub: scrub_words_popcnt_checked,
+            };
+        }
+        Kernels {
+            decode: decode_words_body,
+            scrub: scrub_words_body,
+        }
+    })
+}
+
+/// The decode body compiled with `popcnt` enabled.
+///
+/// # Safety
+///
+/// The host must support `popcnt`.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "popcnt")]
+unsafe fn decode_words_popcnt(words: &[u64], out: &mut [u32]) {
+    decode_words_body(words, out)
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+fn decode_words_popcnt_checked(words: &[u64], out: &mut [u32]) {
+    // SAFETY: `kernels` selects this entry only after detecting popcnt.
+    unsafe { decode_words_popcnt(words, out) }
+}
+
+/// The scrub body compiled with `popcnt` enabled.
+///
+/// # Safety
+///
+/// The host must support `popcnt`.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "popcnt")]
+unsafe fn scrub_words_popcnt(words: &mut [u64]) -> ScrubReport {
+    scrub_words_body(words)
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+fn scrub_words_popcnt_checked(words: &mut [u64]) -> ScrubReport {
+    // SAFETY: `kernels` selects this entry only after detecting popcnt.
+    unsafe { scrub_words_popcnt(words) }
+}
+
+/// Words per screen: one dirty bit per word in a `u64` mask.
+const SCREEN_CHUNK: usize = 32;
+
+#[inline(always)]
+fn decode_words_body(words: &[u64], out: &mut [u32]) {
+    for (words, out) in words.chunks(SCREEN_CHUNK).zip(out.chunks_mut(SCREEN_CHUNK)) {
+        // Extract every word as stored and screen it; only the flagged
+        // lanes are decoded again, with correction.
+        let mut dirty = 0u64;
+        for (lane, (slot, &w)) in out.iter_mut().zip(words).enumerate() {
+            *slot = Secded::extract(w);
+            dirty |= u64::from(!Secded::is_clean(w)) << lane;
+        }
+        while dirty != 0 {
+            let lane = dirty.trailing_zeros() as usize;
+            dirty &= dirty - 1;
+            out[lane] = Secded::decode(words[lane]).data();
+        }
+    }
+}
+
+#[inline(always)]
+fn scrub_words_body(words: &mut [u64]) -> ScrubReport {
+    let mut report = ScrubReport::default();
+    for chunk in words.chunks_mut(SCREEN_CHUNK) {
+        // Screen pass: one dirty bit per lane, no branches per word.
+        let mut dirty = 0u64;
+        for (lane, &w) in chunk.iter().enumerate() {
+            dirty |= u64::from(!Secded::is_clean(w)) << lane;
+        }
+        report.clean += chunk.len() - dirty.count_ones() as usize;
+        // Repair pass: only the flagged lanes.
+        while dirty != 0 {
+            let lane = dirty.trailing_zeros() as usize;
+            dirty &= dirty - 1;
+            match Secded::decode(chunk[lane]) {
+                DecodeOutcome::Clean { .. } => unreachable!("screened dirty"),
+                DecodeOutcome::Corrected { data, .. } => {
+                    report.corrected += 1;
+                    chunk[lane] = Secded::encode(data);
+                }
+                DecodeOutcome::DoubleError { .. } => report.uncorrectable += 1,
+            }
+        }
+    }
+    report
 }
 
 /// Scalar reference implementation.
@@ -398,7 +539,78 @@ mod tests {
         assert_ne!(outcome.data(), data);
     }
 
+    /// The code word of each datum with 0–3 of its 39 bits flipped, the
+    /// count and positions drawn from the paired random `u64`.
+    fn faulted_words(cases: &[(u32, u64)]) -> Vec<u64> {
+        cases
+            .iter()
+            .map(|&(data, r)| {
+                let mut word = Secded::encode(data);
+                for k in 0..(r % 4) {
+                    word ^= 1u64 << ((r >> (8 + 8 * k)) % 39);
+                }
+                word
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scrub_screens_in_32_word_chunks() {
+        // 70 words: two full screens and a 6-word tail, one fault each.
+        let mut words: Vec<u64> = (0..70u32).map(|d| Secded::encode(d * 7919)).collect();
+        words[31] ^= 1 << 5;
+        words[32] ^= (1 << 1) | (1 << 2);
+        words[69] ^= 1;
+        let report = Secded::scrub_words(&mut words);
+        assert_eq!(
+            report,
+            ScrubReport {
+                clean: 67,
+                corrected: 2,
+                uncorrectable: 1
+            }
+        );
+        assert_eq!(words[31], Secded::encode(31 * 7919));
+        assert_eq!(words[69], Secded::encode(69 * 7919));
+        assert_ne!(words[32], Secded::encode(32 * 7919));
+    }
+
     proptest! {
+        // The slice kernels against the bit-serial reference, word by
+        // word, on clean, correctable, double-error and aliasing
+        // triple-error words.
+        #[test]
+        fn slice_kernels_match_scalar(
+            cases in proptest::collection::vec((proptest::num::u32::ANY, proptest::num::u64::ANY), 1..100),
+        ) {
+            let words = faulted_words(&cases);
+            let mut data = vec![0u32; words.len()];
+            Secded::decode_words(&words, &mut data);
+            let mut portable = vec![0u32; words.len()];
+            decode_words_body(&words, &mut portable);
+            let mut want = ScrubReport::default();
+            let mut repaired = words.clone();
+            for (i, &w) in words.iter().enumerate() {
+                let outcome = scalar::decode(w);
+                prop_assert_eq!(data[i], outcome.data());
+                prop_assert_eq!(portable[i], outcome.data());
+                match outcome {
+                    DecodeOutcome::Clean { .. } => want.clean += 1,
+                    DecodeOutcome::Corrected { data, .. } => {
+                        want.corrected += 1;
+                        repaired[i] = scalar::encode(data);
+                    }
+                    DecodeOutcome::DoubleError { .. } => want.uncorrectable += 1,
+                }
+            }
+            let mut scrubbed = words.clone();
+            prop_assert_eq!(Secded::scrub_words(&mut scrubbed), want);
+            prop_assert_eq!(&scrubbed, &repaired);
+            let mut scrubbed = words.clone();
+            prop_assert_eq!(scrub_words_body(&mut scrubbed), want);
+            prop_assert_eq!(&scrubbed, &repaired);
+        }
+
         #[test]
         fn roundtrip_any_word(data in proptest::num::u32::ANY) {
             prop_assert_eq!(

@@ -466,11 +466,11 @@ mod tests {
     fn ciphertext_injection_garbles_blocks() {
         let w = weights(64);
         let cipher = XtsCipher::new(&[1; 16], &[2; 16]);
-        let mut mem = EncryptedMemory::encrypt(&w, cipher).unwrap();
+        let mut mem = EncryptedMemory::encrypt(&w, cipher);
         let (report, bits) = inject_ciphertext_rber(&mut mem, 5e-3, &mut FaultRng::seed(8));
         assert!(report.flipped_bits > 0);
         assert_eq!(report.flipped_bits, bits.len());
-        let seen = mem.decrypt_all().unwrap();
+        let seen = mem.decrypt_all();
         // Every flipped bit's blast radius contains changed weights.
         for &bit in &bits {
             let radius = mem.blast_radius(bit);
@@ -493,8 +493,8 @@ mod tests {
     fn ciphertext_wrapper_matches_generic_injector() {
         let w = weights(256);
         let cipher = XtsCipher::new(&[1; 16], &[2; 16]);
-        let mut a = EncryptedMemory::encrypt(&w, cipher.clone()).unwrap();
-        let mut b = EncryptedMemory::encrypt(&w, cipher).unwrap();
+        let mut a = EncryptedMemory::encrypt(&w, cipher.clone());
+        let mut b = EncryptedMemory::encrypt(&w, cipher);
         let (ra, _) = inject_ciphertext_rber(&mut a, 4e-3, &mut FaultRng::seed(30));
         let rb = inject_rber(&mut b, 4e-3, &mut FaultRng::seed(30));
         assert_eq!(ra, rb);

@@ -140,10 +140,7 @@ impl SubstrateKind {
         match self {
             SubstrateKind::Plain => Box::new(PlainMemory::store(weights)),
             SubstrateKind::Secded => Box::new(SecdedMemory::protect(weights)),
-            SubstrateKind::Xts => Box::new(
-                EncryptedMemory::encrypt(weights, Self::cipher())
-                    .expect("padded plaintext length is always block-aligned"),
-            ),
+            SubstrateKind::Xts => Box::new(EncryptedMemory::encrypt(weights, Self::cipher())),
             SubstrateKind::XtsSecded => Box::new(XtsSecdedMemory::protect(weights, Self::cipher())),
             SubstrateKind::Int8 => Box::new(QuantMemory::store(QuantFormat::Int8, weights)),
             SubstrateKind::Fp16 => Box::new(QuantMemory::store(QuantFormat::Fp16, weights)),

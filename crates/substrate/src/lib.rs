@@ -122,6 +122,15 @@ impl ScrubSummary {
     }
 }
 
+impl From<milr_ecc::ScrubReport> for ScrubSummary {
+    fn from(report: milr_ecc::ScrubReport) -> Self {
+        ScrubSummary {
+            corrected: report.corrected,
+            uncorrectable: report.uncorrectable,
+        }
+    }
+}
+
 /// The physical arrangement of a substrate's raw bit image, as a grid
 /// of rows of raw words — the coordinate system correlated-fault
 /// injectors (rowhammer-style row/column bursts) plan over.

@@ -19,7 +19,7 @@
 
 use crate::{RawGeometry, ScrubSummary, SubstrateError, WeightSubstrate};
 use milr_ecc::ring::{f16_bits_to_f32, f32_to_f16_bits, int8_quantize, int8_value};
-use milr_ecc::{DecodeOutcome, Secded};
+use milr_ecc::Secded;
 
 /// Bytes per 32-bit word of the SECDED-composed quantized substrates.
 const WORD_BYTES: usize = 4;
@@ -364,12 +364,13 @@ impl WeightSubstrate for QuantSecdedMemory {
         );
         let bpw = self.format.bytes_per_weight();
         let wpw = WORD_BYTES / bpw;
-        for (word_idx, &w) in self.words.iter().enumerate() {
-            let bytes = Secded::decode(w).data().to_le_bytes();
-            let base = word_idx * wpw;
-            for (i, chunk) in bytes.chunks_exact(bpw).enumerate() {
-                if base + i < self.len {
-                    out[base + i] = self.format.decode(chunk);
+        let mut data = [0u32; 64];
+        for (words, slots) in self.words.chunks(64).zip(out.chunks_mut(64 * wpw)) {
+            let data = &mut data[..words.len()];
+            Secded::decode_words(words, data);
+            for (slots, d) in slots.chunks_mut(wpw).zip(data.iter()) {
+                for (slot, bytes) in slots.iter_mut().zip(d.to_le_bytes().chunks_exact(bpw)) {
+                    *slot = self.format.decode(bytes);
                 }
             }
         }
@@ -410,21 +411,7 @@ impl WeightSubstrate for QuantSecdedMemory {
     }
 
     fn scrub(&mut self) -> ScrubSummary {
-        let mut summary = ScrubSummary::default();
-        for w in &mut self.words {
-            if Secded::is_clean(*w) {
-                continue;
-            }
-            match Secded::decode(*w) {
-                DecodeOutcome::Clean { .. } => unreachable!("screened dirty"),
-                DecodeOutcome::Corrected { data, .. } => {
-                    summary.corrected += 1;
-                    *w = Secded::encode(data);
-                }
-                DecodeOutcome::DoubleError { .. } => summary.uncorrectable += 1,
-            }
-        }
-        summary
+        Secded::scrub_words(&mut self.words).into()
     }
 
     fn export_raw(&self) -> Vec<u8> {

@@ -91,11 +91,7 @@ impl WeightSubstrate for SecdedMemory {
     fn scrub(&mut self) -> ScrubSummary {
         // The allocation-free controller sweep: decoded weights are not
         // needed here, only the repair statistics.
-        let report = self.scrub_in_place();
-        ScrubSummary {
-            corrected: report.corrected,
-            uncorrectable: report.uncorrectable,
-        }
+        self.scrub_in_place().into()
     }
 
     fn export_raw(&self) -> Vec<u8> {

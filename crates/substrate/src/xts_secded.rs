@@ -10,8 +10,8 @@
 //! damage under encryption; only a plaintext-space scheme (MILR) can.
 
 use crate::{RawGeometry, ScrubSummary, SubstrateError, WeightSubstrate};
-use milr_ecc::{DecodeOutcome, Secded};
-use milr_xts::{EncryptedMemory, XtsCipher, BLOCK_BYTES, WEIGHTS_PER_BLOCK};
+use milr_ecc::Secded;
+use milr_xts::{for_each_block_run, EncryptedMemory, XtsCipher, BLOCK_BYTES, WEIGHTS_PER_BLOCK};
 
 /// Words of ciphertext per 16-byte cipher block.
 const WORDS_PER_BLOCK: usize = BLOCK_BYTES / 4;
@@ -37,8 +37,7 @@ impl XtsSecdedMemory {
     /// Encrypts a weight buffer and puts every ciphertext word under
     /// SECDED protection.
     pub fn protect(weights: &[f32], cipher: XtsCipher) -> Self {
-        let mem = EncryptedMemory::encrypt(weights, cipher.clone())
-            .expect("padded plaintext length is always block-aligned");
+        let mem = EncryptedMemory::encrypt(weights, cipher.clone());
         let words = mem
             .ciphertext()
             .chunks_exact(4)
@@ -127,21 +126,23 @@ impl WeightSubstrate for XtsSecdedMemory {
             out.len(),
             self.len
         );
-        // Block-wise decode + decrypt through a stack buffer: no
-        // intermediate ciphertext Vec on the serving read path.
-        let mut bytes = [0u8; BLOCK_BYTES];
-        for (block, words) in self.words.chunks_exact(WORDS_PER_BLOCK).enumerate() {
-            for (chunk, &w) in bytes.chunks_exact_mut(4).zip(words) {
-                chunk.copy_from_slice(&Secded::decode(w).data().to_le_bytes());
+        // 8 blocks at a time through stack buffers: one slice decode and
+        // one batched decrypt per group, no ciphertext Vec on the serving
+        // read path.
+        const GROUP_WORDS: usize = 8 * WORDS_PER_BLOCK;
+        let mut data = [0u32; GROUP_WORDS];
+        let mut bytes = [0u8; GROUP_WORDS * 4];
+        for (group, words) in self.words.chunks(GROUP_WORDS).enumerate() {
+            let (data, bytes) = (&mut data[..words.len()], &mut bytes[..words.len() * 4]);
+            Secded::decode_words(words, data);
+            for (chunk, d) in bytes.chunks_exact_mut(4).zip(data.iter()) {
+                chunk.copy_from_slice(&d.to_le_bytes());
             }
             self.cipher
-                .decrypt_unit(&mut bytes, block as u64)
-                .expect("whole blocks by construction");
-            let base = block * WEIGHTS_PER_BLOCK;
-            for (i, chunk) in bytes.chunks_exact(4).enumerate() {
-                if base + i < self.len {
-                    out[base + i] = f32::from_le_bytes(chunk.try_into().expect("chunk of 4"));
-                }
+                .decrypt_blocks(bytes, (group * GROUP_WORDS / WORDS_PER_BLOCK) as u64);
+            let base = group * GROUP_WORDS;
+            for (slot, chunk) in out.iter_mut().skip(base).zip(bytes.chunks_exact(4)) {
+                *slot = f32::from_le_bytes(chunk.try_into().expect("chunk of 4"));
             }
         }
     }
@@ -169,56 +170,30 @@ impl WeightSubstrate for XtsSecdedMemory {
                 });
             }
         }
-        let mut blocks: Vec<usize> = updates
-            .iter()
-            .map(|&(idx, _)| idx / WEIGHTS_PER_BLOCK)
-            .collect();
-        blocks.sort_unstable();
-        blocks.dedup();
-        for block in blocks {
-            let words = &mut self.words[block * WORDS_PER_BLOCK..(block + 1) * WORDS_PER_BLOCK];
-            let mut bytes = [0u8; BLOCK_BYTES];
-            for (chunk, &w) in bytes.chunks_exact_mut(4).zip(words.iter()) {
-                chunk.copy_from_slice(&Secded::decode(w).data().to_le_bytes());
+        let (cipher, words) = (&self.cipher, &mut self.words);
+        let mut data = Vec::new();
+        let mut bytes = Vec::new();
+        for_each_block_run(updates, |blocks, run| {
+            let words = &mut words[blocks.start * WORDS_PER_BLOCK..blocks.end * WORDS_PER_BLOCK];
+            data.resize(words.len(), 0);
+            Secded::decode_words(words, &mut data);
+            bytes.clear();
+            bytes.extend(data.iter().flat_map(|d| d.to_le_bytes()));
+            cipher.decrypt_blocks(&mut bytes, blocks.start as u64);
+            for &(idx, value) in run {
+                let off = idx * 4 - blocks.start * BLOCK_BYTES;
+                bytes[off..off + 4].copy_from_slice(&value.to_le_bytes());
             }
-            self.cipher
-                .decrypt_unit(&mut bytes, block as u64)
-                .expect("whole blocks by construction");
-            for &(idx, value) in updates {
-                if idx / WEIGHTS_PER_BLOCK == block {
-                    let off = (idx % WEIGHTS_PER_BLOCK) * 4;
-                    bytes[off..off + 4].copy_from_slice(&value.to_le_bytes());
-                }
-            }
-            self.cipher
-                .encrypt_unit(&mut bytes, block as u64)
-                .expect("whole blocks by construction");
+            cipher.encrypt_blocks(&mut bytes, blocks.start as u64);
             for (w, chunk) in words.iter_mut().zip(bytes.chunks_exact(4)) {
                 *w = Secded::encode(u32::from_le_bytes(chunk.try_into().expect("chunk of 4")));
             }
-        }
+        });
         Ok(())
     }
 
     fn scrub(&mut self) -> ScrubSummary {
-        // Screen-then-repair, same shape as `SecdedMemory::scrub_in_place`:
-        // the branch-free syndrome check flags dirty words and only those
-        // go through full decode + re-encode. No allocation.
-        let mut summary = ScrubSummary::default();
-        for w in &mut self.words {
-            if Secded::is_clean(*w) {
-                continue;
-            }
-            match Secded::decode(*w) {
-                DecodeOutcome::Clean { .. } => unreachable!("screened dirty"),
-                DecodeOutcome::Corrected { data, .. } => {
-                    summary.corrected += 1;
-                    *w = Secded::encode(data);
-                }
-                DecodeOutcome::DoubleError { .. } => summary.uncorrectable += 1,
-            }
-        }
-        summary
+        Secded::scrub_words(&mut self.words).into()
     }
 
     fn export_raw(&self) -> Vec<u8> {

@@ -15,7 +15,9 @@
 //! * [`Aes128`] — the FIPS-197 block cipher (validated against the
 //!   specification's test vectors);
 //! * [`XtsCipher`] — IEEE 1619 XTS mode with per-block address tweaks
-//!   (validated against IEEE 1619 vectors);
+//!   (validated against IEEE 1619 vectors), with a batched
+//!   `encrypt_blocks`/`decrypt_blocks` API that runs on AES-NI where the
+//!   host has it;
 //! * [`EncryptedMemory`] — a weight buffer stored as ciphertext, with
 //!   bit-flip injection and blast-radius queries used by `milr-fault`'s
 //!   ciphertext-space experiments.
@@ -25,23 +27,21 @@
 //!
 //! let cipher = XtsCipher::new(&[1; 16], &[2; 16]);
 //! let weights = vec![0.5f32, -1.25, 3.0, 0.0];
-//! let mut mem = EncryptedMemory::encrypt(&weights, cipher)?;
+//! let mut mem = EncryptedMemory::encrypt(&weights, cipher);
 //! mem.flip_ciphertext_bit(9); // one DRAM soft error…
-//! let seen = mem.decrypt_all()?;
+//! let seen = mem.decrypt_all();
 //! // …garbles the whole 4-weight block in plaintext space.
 //! assert_ne!(seen, weights);
-//! # Ok::<(), milr_xts::XtsError>(())
 //! ```
 
 #![deny(missing_docs)]
 
 mod aes;
+#[cfg(target_arch = "x86_64")]
+mod aesni;
 mod memory;
 mod xts;
 
-/// Scalar reference AES cipher (bit-equivalence ground truth and the
-/// baseline side of `kernel_bench`).
-pub use aes::scalar;
 pub use aes::Aes128;
-pub use memory::{EncryptedMemory, BLOCK_BYTES, WEIGHTS_PER_BLOCK};
+pub use memory::{for_each_block_run, EncryptedMemory, BLOCK_BYTES, WEIGHTS_PER_BLOCK};
 pub use xts::{XtsCipher, XtsError};

@@ -1,4 +1,5 @@
 use crate::{XtsCipher, XtsError};
+use std::ops::Range;
 
 /// Bytes per AES block — the granularity at which a ciphertext error
 /// garbles plaintext.
@@ -28,27 +29,19 @@ pub struct EncryptedMemory {
 impl EncryptedMemory {
     /// Encrypts a weight buffer. The buffer is padded with zeros to a
     /// whole number of 16-byte blocks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`XtsError`] from the cipher (cannot occur for the
-    /// padded length produced here, but kept in the signature for
-    /// forward compatibility).
-    pub fn encrypt(weights: &[f32], cipher: XtsCipher) -> Result<Self, XtsError> {
+    pub fn encrypt(weights: &[f32], cipher: XtsCipher) -> Self {
         let padded = weights.len().div_ceil(WEIGHTS_PER_BLOCK) * BLOCK_BYTES;
         let mut buf = Vec::with_capacity(padded);
         for w in weights {
             buf.extend_from_slice(&w.to_le_bytes());
         }
         buf.resize(padded, 0);
-        for (unit, block) in buf.chunks_mut(BLOCK_BYTES).enumerate() {
-            cipher.encrypt_unit(block, unit as u64)?;
-        }
-        Ok(EncryptedMemory {
+        cipher.encrypt_blocks(&mut buf, 0);
+        EncryptedMemory {
             cipher,
             ciphertext: buf,
             len: weights.len(),
-        })
+        }
     }
 
     /// Reconstructs a memory from a raw ciphertext image (the
@@ -137,20 +130,13 @@ impl EncryptedMemory {
 
     /// Decrypts the entire buffer into plaintext weights, as an
     /// inference pass (or MILR's detection pass) would observe them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`XtsError`] from the cipher.
-    pub fn decrypt_all(&self) -> Result<Vec<f32>, XtsError> {
+    pub fn decrypt_all(&self) -> Vec<f32> {
         let mut buf = self.ciphertext.to_vec();
-        for (unit, block) in buf.chunks_mut(BLOCK_BYTES).enumerate() {
-            self.cipher.decrypt_unit(block, unit as u64)?;
-        }
-        Ok(buf
-            .chunks_exact(4)
+        self.cipher.decrypt_blocks(&mut buf, 0);
+        buf.chunks_exact(4)
             .take(self.len)
             .map(|b| f32::from_le_bytes(b.try_into().expect("chunk of 4")))
-            .collect())
+            .collect()
     }
 
     /// Re-encrypts a repaired weight buffer in place (MILR writing
@@ -158,50 +144,61 @@ impl EncryptedMemory {
     ///
     /// # Errors
     ///
-    /// Propagates [`XtsError`]; also returned if `weights.len()` differs
-    /// from the stored length.
+    /// Returns [`XtsError::BadLength`] if `weights.len()` differs from
+    /// the stored length.
     pub fn overwrite(&mut self, weights: &[f32]) -> Result<(), XtsError> {
         if weights.len() != self.len {
             return Err(XtsError::BadLength { len: weights.len() });
         }
-        *self = EncryptedMemory::encrypt(weights, self.cipher.clone())?;
+        *self = EncryptedMemory::encrypt(weights, self.cipher.clone());
         Ok(())
     }
 
     /// Re-encrypts only the blocks holding the given weights, leaving
     /// every untouched block's ciphertext — including any in-flight
-    /// error state — bit-for-bit intact. Each touched 16-byte block is
-    /// decrypted, patched in its 4-byte lanes, and re-encrypted once.
+    /// error state — bit-for-bit intact. Each run of consecutive touched
+    /// blocks is decrypted with one [`XtsCipher::decrypt_blocks`] call,
+    /// patched in its 4-byte lanes, and re-encrypted once; a weight
+    /// listed twice takes its last value.
     ///
     /// # Errors
     ///
-    /// Returns [`XtsError::BadLength`] when an index is out of range;
-    /// propagates [`XtsError`] from the cipher.
+    /// Returns [`XtsError::BadLength`] when an index is out of range.
     pub fn overwrite_sparse(&mut self, updates: &[(usize, f32)]) -> Result<(), XtsError> {
         for &(idx, _) in updates {
             if idx >= self.len {
                 return Err(XtsError::BadLength { len: idx + 1 });
             }
         }
-        let mut blocks: Vec<usize> = updates
-            .iter()
-            .map(|&(idx, _)| idx / WEIGHTS_PER_BLOCK)
-            .collect();
-        blocks.sort_unstable();
-        blocks.dedup();
-        let bytes: &mut [u8] = &mut self.ciphertext;
-        for block in blocks {
-            let buf = &mut bytes[block * BLOCK_BYTES..(block + 1) * BLOCK_BYTES];
-            self.cipher.decrypt_unit(buf, block as u64)?;
-            for &(idx, value) in updates {
-                if idx / WEIGHTS_PER_BLOCK == block {
-                    let off = (idx % WEIGHTS_PER_BLOCK) * 4;
-                    buf[off..off + 4].copy_from_slice(&value.to_le_bytes());
-                }
+        let (cipher, ciphertext) = (&self.cipher, &mut self.ciphertext);
+        for_each_block_run(updates, |blocks, run| {
+            let buf = &mut ciphertext[blocks.start * BLOCK_BYTES..blocks.end * BLOCK_BYTES];
+            cipher.decrypt_blocks(buf, blocks.start as u64);
+            for &(idx, value) in run {
+                let off = idx * 4 - blocks.start * BLOCK_BYTES;
+                buf[off..off + 4].copy_from_slice(&value.to_le_bytes());
             }
-            self.cipher.encrypt_unit(buf, block as u64)?;
-        }
+            cipher.encrypt_blocks(buf, blocks.start as u64);
+        });
         Ok(())
+    }
+}
+
+/// Groups sparse weight updates by cipher block, for writers that must
+/// re-encrypt whole blocks: sorts `updates` by index (stably, so a
+/// weight listed twice keeps its last value last) and calls
+/// `patch(blocks, run)` once per run of updates over consecutive blocks,
+/// `blocks` being the range of block indices the run touches.
+pub fn for_each_block_run(
+    updates: &[(usize, f32)],
+    mut patch: impl FnMut(Range<usize>, &[(usize, f32)]),
+) {
+    let mut sorted = updates.to_vec();
+    sorted.sort_by_key(|&(idx, _)| idx);
+    for run in sorted.chunk_by(|a, b| b.0 / WEIGHTS_PER_BLOCK <= a.0 / WEIGHTS_PER_BLOCK + 1) {
+        let first = run[0].0 / WEIGHTS_PER_BLOCK;
+        let last = run[run.len() - 1].0 / WEIGHTS_PER_BLOCK;
+        patch(first..last + 1, run);
     }
 }
 
@@ -221,16 +218,16 @@ mod tests {
     fn encrypt_decrypt_roundtrip() {
         for n in [1usize, 3, 4, 17, 64] {
             let w = weights(n);
-            let mem = EncryptedMemory::encrypt(&w, cipher()).unwrap();
+            let mem = EncryptedMemory::encrypt(&w, cipher());
             assert_eq!(mem.len(), n);
-            assert_eq!(mem.decrypt_all().unwrap(), w);
+            assert_eq!(mem.decrypt_all(), w);
         }
     }
 
     #[test]
     fn ciphertext_differs_from_plaintext() {
         let w = weights(8);
-        let mem = EncryptedMemory::encrypt(&w, cipher()).unwrap();
+        let mem = EncryptedMemory::encrypt(&w, cipher());
         let plain_bytes: Vec<u8> = w.iter().flat_map(|x| x.to_le_bytes()).collect();
         assert_ne!(mem.ciphertext(), &plain_bytes[..]);
     }
@@ -238,12 +235,12 @@ mod tests {
     #[test]
     fn one_ciphertext_bit_garbles_whole_block_of_weights() {
         let w = weights(12);
-        let mut mem = EncryptedMemory::encrypt(&w, cipher()).unwrap();
+        let mut mem = EncryptedMemory::encrypt(&w, cipher());
         // Flip a bit in block 1 (weights 4..8).
         let bit = 17 * 8 + 3;
         mem.flip_ciphertext_bit(bit);
         assert_eq!(mem.blast_radius(bit), 4..8);
-        let out = mem.decrypt_all().unwrap();
+        let out = mem.decrypt_all();
         // Outside the block: intact. Inside: garbled (whole-weight
         // errors).
         assert_eq!(&out[0..4], &w[0..4]);
@@ -259,7 +256,7 @@ mod tests {
     #[test]
     fn blast_radius_clamps_to_buffer_end() {
         let w = weights(5); // pads to 2 blocks, weights 4..8 mostly pad
-        let mem = EncryptedMemory::encrypt(&w, cipher()).unwrap();
+        let mem = EncryptedMemory::encrypt(&w, cipher());
         let last_bit = mem.ciphertext_bits() - 1;
         assert_eq!(mem.blast_radius(last_bit), 4..5);
     }
@@ -267,18 +264,61 @@ mod tests {
     #[test]
     fn overwrite_heals_corruption() {
         let w = weights(8);
-        let mut mem = EncryptedMemory::encrypt(&w, cipher()).unwrap();
+        let mut mem = EncryptedMemory::encrypt(&w, cipher());
         mem.flip_ciphertext_bit(0);
-        assert_ne!(mem.decrypt_all().unwrap(), w);
+        assert_ne!(mem.decrypt_all(), w);
         mem.overwrite(&w).unwrap();
-        assert_eq!(mem.decrypt_all().unwrap(), w);
+        assert_eq!(mem.decrypt_all(), w);
         assert!(mem.overwrite(&weights(9)).is_err());
+    }
+
+    #[test]
+    fn overwrite_sparse_rewrites_only_touched_blocks() {
+        let w = weights(40);
+        let mut mem = EncryptedMemory::encrypt(&w, cipher());
+        mem.flip_ciphertext_bit(9 * 128 + 5); // block 9 is never touched
+        let before = mem.ciphertext().to_vec();
+        // Blocks 3, 0, 1, 0, 5: runs 0..2, 3..4 and 5..6; weight 2 is
+        // listed twice and keeps its last value.
+        let updates = [(13, 1.5), (2, -3.0), (5, 0.25), (2, 7.0), (21, 9.0)];
+        mem.overwrite_sparse(&updates).unwrap();
+        let mut want = w.clone();
+        for &(i, v) in &updates {
+            want[i] = v;
+        }
+        let seen = mem.decrypt_all();
+        assert_eq!(&seen[..36], &want[..36]);
+        assert_ne!(&seen[36..], &want[36..]);
+        for b in [2, 4, 6, 7, 8, 9] {
+            let block = b * BLOCK_BYTES..(b + 1) * BLOCK_BYTES;
+            assert_eq!(mem.ciphertext()[block.clone()], before[block], "block {b}");
+        }
+        assert_eq!(
+            mem.overwrite_sparse(&[(40, 0.0)]),
+            Err(XtsError::BadLength { len: 41 })
+        );
+    }
+
+    #[test]
+    fn block_runs_group_consecutive_blocks() {
+        let mut runs = Vec::new();
+        for_each_block_run(
+            &[(9, 0.0), (0, 1.0), (30, 2.0), (4, 3.0), (0, 4.0)],
+            |b, run| runs.push((b, run.to_vec())),
+        );
+        assert_eq!(
+            runs,
+            vec![
+                (0..3, vec![(0, 1.0), (0, 4.0), (4, 3.0), (9, 0.0)]),
+                (7..8, vec![(30, 2.0)]),
+            ]
+        );
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn flip_bit_bounds_checked() {
-        let mut mem = EncryptedMemory::encrypt(&weights(4), cipher()).unwrap();
+        let mut mem = EncryptedMemory::encrypt(&weights(4), cipher());
         mem.flip_ciphertext_bit(mem.ciphertext_bits());
     }
 }

@@ -1,4 +1,6 @@
 use crate::aes::Aes128;
+#[cfg(target_arch = "x86_64")]
+use crate::aesni;
 use std::fmt;
 
 /// Errors from the XTS layer.
@@ -39,14 +41,22 @@ impl std::error::Error for XtsError {}
 pub struct XtsCipher {
     data_key: Aes128,
     tweak_key: Aes128,
+    /// The same keys in AES-NI registers, when the host has AES-NI.
+    #[cfg(target_arch = "x86_64")]
+    aesni: Option<aesni::Keys>,
 }
 
 impl XtsCipher {
     /// Creates a cipher from the two XTS keys.
     pub fn new(data_key: &[u8; 16], tweak_key: &[u8; 16]) -> Self {
+        let data_key = Aes128::new(data_key);
+        let tweak_key = Aes128::new(tweak_key);
         XtsCipher {
-            data_key: Aes128::new(data_key),
-            tweak_key: Aes128::new(tweak_key),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: built only after detecting AES-NI.
+            aesni: aesni::available().then(|| unsafe { aesni::Keys::new(&data_key, &tweak_key) }),
+            data_key,
+            tweak_key,
         }
     }
 
@@ -72,6 +82,10 @@ impl XtsCipher {
 
     /// Encrypts a data unit in place.
     ///
+    /// This is the IEEE 1619 multi-block path, run on the FIPS-197
+    /// per-byte cipher on every host; it is the reference the batched
+    /// [`XtsCipher::encrypt_blocks`] is tested against.
+    ///
     /// # Errors
     ///
     /// Returns [`XtsError::BadLength`] unless `data.len()` is a positive
@@ -95,6 +109,12 @@ impl XtsCipher {
         if data.is_empty() || !data.len().is_multiple_of(16) {
             return Err(XtsError::BadLength { len: data.len() });
         }
+        self.process_whole_blocks(data, unit, encrypt);
+        Ok(())
+    }
+
+    /// One data unit over `data`, a whole number of blocks.
+    fn process_whole_blocks(&self, data: &mut [u8], unit: u64, encrypt: bool) {
         let mut tweak = self.initial_tweak(unit);
         for block in data.chunks_mut(16) {
             let mut buf: [u8; 16] = block.try_into().expect("chunk is 16 bytes");
@@ -112,7 +132,52 @@ impl XtsCipher {
             block.copy_from_slice(&buf);
             Self::bump_tweak(&mut tweak);
         }
-        Ok(())
+    }
+
+    /// Encrypts whole 16-byte blocks in place, block `i` as its own data
+    /// unit `first_unit + i` (wrapping) — the layout of every weight
+    /// memory. Byte-identical to calling [`XtsCipher::encrypt_unit`] on
+    /// each block; on x86_64 hosts with AES-NI the rounds run in
+    /// hardware, eight blocks in flight.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `data.len()` is a multiple of 16 (empty is fine).
+    pub fn encrypt_blocks(&self, data: &mut [u8], first_unit: u64) {
+        self.blocks::<true>(data, first_unit);
+    }
+
+    /// Decrypts whole 16-byte blocks in place, block `i` as its own data
+    /// unit `first_unit + i` (wrapping); the inverse of
+    /// [`XtsCipher::encrypt_blocks`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `data.len()` is a multiple of 16 (empty is fine).
+    pub fn decrypt_blocks(&self, data: &mut [u8], first_unit: u64) {
+        self.blocks::<false>(data, first_unit);
+    }
+
+    fn blocks<const ENCRYPT: bool>(&self, data: &mut [u8], first_unit: u64) {
+        assert!(
+            data.len().is_multiple_of(16),
+            "data length {} is not a multiple of 16 bytes",
+            data.len()
+        );
+        #[cfg(target_arch = "x86_64")]
+        if let Some(keys) = &self.aesni {
+            // SAFETY: `aesni` is set only on hosts with AES-NI, and the
+            // length is checked above.
+            return unsafe { keys.blocks::<ENCRYPT>(data, first_unit) };
+        }
+        self.blocks_portable(data, first_unit, ENCRYPT);
+    }
+
+    /// The per-block path over the FIPS-197 cipher.
+    fn blocks_portable(&self, data: &mut [u8], first_unit: u64, encrypt: bool) {
+        for (i, block) in data.chunks_exact_mut(16).enumerate() {
+            self.process_whole_blocks(block, first_unit.wrapping_add(i as u64), encrypt);
+        }
     }
 }
 
@@ -199,7 +264,76 @@ mod tests {
         assert!(diff > 20, "plaintext garble too small: {diff} bits");
     }
 
+    #[test]
+    fn blocks_reject_partial_blocks_and_accept_empty() {
+        let cipher = XtsCipher::new(&[0u8; 16], &[1u8; 16]);
+        cipher.encrypt_blocks(&mut [], 3);
+        let partial = std::panic::catch_unwind(|| cipher.decrypt_blocks(&mut [0u8; 24], 0));
+        assert!(partial.is_err());
+    }
+
+    /// The portable and AES-NI bodies on the same buffers, called
+    /// directly: `encrypt_blocks` itself always dispatches to AES-NI on
+    /// a host that has it, so this is where the portable body is
+    /// compared against it there.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn portable_and_aesni_bodies_agree() {
+        if !aesni::available() {
+            eprintln!("host has no AES-NI; the dispatched path is the portable body");
+            return;
+        }
+        let cipher = XtsCipher::new(b"portable-vs-ni-1", b"portable-vs-ni-2");
+        let keys = cipher.aesni.expect("AES-NI keys on an AES-NI host");
+        for (blocks, first_unit) in [(1usize, 0u64), (7, 5), (8, 1 << 40), (19, u64::MAX - 3)] {
+            let plain: Vec<u8> = (0..blocks * 16).map(|i| (i * 73 + 11) as u8).collect();
+            let mut portable = plain.clone();
+            let mut ni = plain.clone();
+            cipher.blocks_portable(&mut portable, first_unit, true);
+            // SAFETY: AES-NI detected above; whole blocks.
+            unsafe { keys.blocks::<true>(&mut ni, first_unit) };
+            assert_eq!(portable, ni, "encrypt, {blocks} blocks");
+            cipher.blocks_portable(&mut portable, first_unit, false);
+            // SAFETY: as above.
+            unsafe { keys.blocks::<false>(&mut ni, first_unit) };
+            assert_eq!(portable, ni, "decrypt, {blocks} blocks");
+            assert_eq!(ni, plain);
+        }
+    }
+
     proptest! {
+        // The batched API against one `*_unit` call per block, over
+        // 1..=33 blocks so both the 8-block batches and the shorter tail
+        // run, with unit numbers that may wrap.
+        #[test]
+        fn blocks_match_per_block_units(
+            key1 in proptest::array::uniform16(proptest::num::u8::ANY),
+            key2 in proptest::array::uniform16(proptest::num::u8::ANY),
+            blocks in 1usize..34,
+            first_unit in proptest::num::u64::ANY,
+            seed in proptest::num::u8::ANY,
+        ) {
+            let cipher = XtsCipher::new(&key1, &key2);
+            let plain: Vec<u8> = (0..blocks * 16).map(|i| (i as u8).wrapping_mul(29).wrapping_add(seed)).collect();
+            let mut batched = plain.clone();
+            cipher.encrypt_blocks(&mut batched, first_unit);
+            let mut reference = plain.clone();
+            for (i, block) in reference.chunks_exact_mut(16).enumerate() {
+                cipher.encrypt_unit(block, first_unit.wrapping_add(i as u64)).unwrap();
+            }
+            prop_assert_eq!(&batched, &reference);
+            // Decrypt a ciphertext with a garbled block, as a read of
+            // faulted memory would.
+            batched[7] ^= 0x20;
+            reference[7] ^= 0x20;
+            cipher.decrypt_blocks(&mut batched, first_unit);
+            for (i, block) in reference.chunks_exact_mut(16).enumerate() {
+                cipher.decrypt_unit(block, first_unit.wrapping_add(i as u64)).unwrap();
+            }
+            prop_assert_eq!(&batched, &reference);
+            prop_assert_eq!(&batched[16..], &plain[16..]);
+        }
+
         #[test]
         fn roundtrip_any_unit(
             key1 in proptest::array::uniform16(proptest::num::u8::ANY),

@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut memories: Vec<(usize, EncryptedMemory)> = Vec::new();
     for (i, layer) in model.layers().iter().enumerate() {
         if let Some(p) = layer.params() {
-            memories.push((i, EncryptedMemory::encrypt(p.data(), cipher.clone())?));
+            memories.push((i, EncryptedMemory::encrypt(p.data(), cipher.clone())));
         }
     }
 
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The VM reads (decrypts) its weights: plaintext space is corrupted.
     for (i, mem) in &memories {
-        let plain = mem.decrypt_all()?;
+        let plain = mem.decrypt_all();
         model.layers_mut()[*i]
             .params_mut()
             .expect("param layer")

@@ -13,9 +13,9 @@ use milr_xts::{EncryptedMemory, XtsCipher, WEIGHTS_PER_BLOCK};
 fn ciphertext_bit_flip_becomes_whole_weight_plaintext_error() {
     let weights: Vec<f32> = (0..64).map(|i| i as f32 * 0.1 - 3.0).collect();
     let cipher = XtsCipher::new(&[1; 16], &[2; 16]);
-    let mut mem = EncryptedMemory::encrypt(&weights, cipher).unwrap();
+    let mut mem = EncryptedMemory::encrypt(&weights, cipher);
     mem.flip_ciphertext_bit(100);
-    let seen = mem.decrypt_all().unwrap();
+    let seen = mem.decrypt_all();
     let changed: Vec<usize> = (0..64).filter(|&i| seen[i] != weights[i]).collect();
     // All changes confined to one block of 4 weights, and (with
     // overwhelming probability for AES) every weight in it garbled.
@@ -51,10 +51,10 @@ fn secded_cannot_correct_plaintext_space_garble_but_milr_can() {
         .unwrap();
     let golden: Vec<f32> = model.layers()[dense].params().unwrap().data().to_vec();
     let cipher = XtsCipher::new(&[3; 16], &[4; 16]);
-    let mut mem = EncryptedMemory::encrypt(&golden, cipher).unwrap();
+    let mut mem = EncryptedMemory::encrypt(&golden, cipher);
     let (report, _) = inject_ciphertext_rber(&mut mem, 5e-5, &mut FaultRng::seed(17));
     assert!(report.flipped_bits > 0);
-    let plaintext = mem.decrypt_all().unwrap();
+    let plaintext = mem.decrypt_all();
 
     // SECDED protecting each *plaintext* word sees multi-bit garble it
     // cannot correct: decode-after-corruption differs from golden.
