@@ -1,16 +1,17 @@
 //! `kernel_bench`: measures the optimized raw-space and forward kernels
 //! against their scalar reference implementations — the proof that the
 //! rewrites (slice-by-8 CRC32, word-parallel SECDED slice kernels,
-//! batched AES-NI XTS, single-pass CRC2D, register-tiled GEMM,
-//! patch-walker conv2d and row-major Householder QR) actually buy
-//! throughput on the machine at hand, not just in theory.
+//! batched AES-NI XTS, single-pass CRC2D, register-tiled FMA GEMM,
+//! implicit-GEMM conv2d, single-pass max-pool and row-major Householder
+//! QR) actually buy throughput on the machine at hand, not just in
+//! theory.
 //!
 //! Every optimized kernel is proptested bit-equivalent to its scalar
 //! twin in its home crate; this binary only measures. With `--check`
 //! it exits non-zero when any optimized kernel fails its speedup floor
-//! (1× for all, 4× for the batched XTS decrypt, 3× for the SECDED scrub
-//! and the QR factor, 2× for the CRC2D full-grid encode and for conv2d)
-//! — the CI regression gate.
+//! (1× for all, 8× for conv2d, 4× for the batched XTS decrypt and for
+//! conv2d_conv1, 3× for the SECDED scrub and the QR factor, 2× for the
+//! CRC2D full-grid encode and for max_pool2d) — the CI regression gate.
 //!
 //! ```text
 //! cargo run --release -p milr-bench --bin kernel_bench -- \
@@ -23,7 +24,7 @@ use milr_ecc::{crc32, scalar, Crc2d, DecodeOutcome, Secded, SecdedMemory};
 use milr_linalg::{scalar as linalg_scalar, Mat, Qr};
 use milr_obs::json::{array, JsonObject};
 use milr_tensor::scalar as tensor_scalar;
-use milr_tensor::{conv2d, matmul, ConvSpec, Padding, Tensor};
+use milr_tensor::{conv2d, matmul, max_pool2d, ConvSpec, Padding, PoolSpec, Tensor};
 use milr_xts::XtsCipher;
 use std::hint::black_box;
 
@@ -294,7 +295,7 @@ fn main() {
         floor: 2.0,
     });
 
-    // ---- Forward kernels: register-tiled GEMM and conv2d. ----
+    // ---- Forward kernels: register-tiled GEMM, conv2d, max-pool. ----
     // Left operands are ReLU-like (about half exact zeros), as they are
     // in a served forward; the reference loop skips those terms.
     for (name, m, n, p) in [
@@ -320,22 +321,48 @@ fn main() {
             floor: 1.0,
         });
     }
-    let input = Tensor::from_vec(relu_f32(8 * 16 * 16 * 8), &[8, 16, 16, 8]).expect("shape");
-    let filters = Tensor::from_vec(deterministic_f32(3 * 3 * 8 * 8), &[3, 3, 8, 8]).expect("shape");
+    // conv2d: CIFAR-small's second layer (batch 8, 16×16×8 → 8);
+    // conv2d_conv1: its first (16×16×3 → 8), where the reference's
+    // im2col fill dominates.
     let spec = ConvSpec::new(3, 1, Padding::Same).expect("spec");
+    for (name, c, floor) in [("conv2d", 8usize, 8.0), ("conv2d_conv1", 3, 4.0)] {
+        let input = Tensor::from_vec(relu_f32(8 * 16 * 16 * c), &[8, 16, 16, c]).expect("shape");
+        let filters =
+            Tensor::from_vec(deterministic_f32(3 * 3 * c * 8), &[3, 3, c, 8]).expect("shape");
+        assert_eq!(
+            conv2d(&input, &filters, &spec).expect("conv"),
+            tensor_scalar::conv2d(&input, &filters, &spec).expect("conv"),
+            "{name} diverged from the reference"
+        );
+        kernels.push(Kernel {
+            name,
+            items: (8 * 16 * 16 * 8 * 3 * 3 * c) as u64,
+            scalar_ns: best_ns(trials, || {
+                black_box(tensor_scalar::conv2d(black_box(&input), &filters, &spec).expect("conv"));
+            }),
+            optimized_ns: best_ns(trials, || {
+                black_box(conv2d(black_box(&input), &filters, &spec).expect("conv"));
+            }),
+            floor,
+        });
+    }
+
+    // ---- 2×2 max-pool after CIFAR-small's second conv block. ----
+    let pooled = Tensor::from_vec(relu_f32(8 * 16 * 16 * 8), &[8, 16, 16, 8]).expect("shape");
+    let pool = PoolSpec::new(2, 2).expect("spec");
     assert_eq!(
-        conv2d(&input, &filters, &spec).expect("conv"),
-        tensor_scalar::conv2d(&input, &filters, &spec).expect("conv"),
-        "conv2d diverged from the reference"
+        max_pool2d(&pooled, &pool).expect("pool"),
+        tensor_scalar::max_pool2d(&pooled, &pool).expect("pool"),
+        "max_pool2d diverged from the reference"
     );
     kernels.push(Kernel {
-        name: "conv2d",
-        items: (8 * 16 * 16 * 8 * 3 * 3 * 8) as u64,
+        name: "max_pool2d",
+        items: pooled.numel() as u64,
         scalar_ns: best_ns(trials, || {
-            black_box(tensor_scalar::conv2d(black_box(&input), &filters, &spec).expect("conv"));
+            black_box(tensor_scalar::max_pool2d(black_box(&pooled), &pool).expect("pool"));
         }),
         optimized_ns: best_ns(trials, || {
-            black_box(conv2d(black_box(&input), &filters, &spec).expect("conv"));
+            black_box(max_pool2d(black_box(&pooled), &pool).expect("pool"));
         }),
         floor: 2.0,
     });

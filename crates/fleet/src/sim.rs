@@ -48,9 +48,9 @@ use milr_nn::Sequential;
 use milr_obs::{Counter, EventKind, Observer, SloEngine, SloSpec, FLEET_SRC};
 use milr_serve::workload::{campaign_time, conv_layers, ChaosOverlay, EventQueue, Workload};
 use milr_serve::{
-    outcome_digest, ChaosStats, CoreConfig, Effect, QuarantinePolicy, RequestOutcome, RequestQueue,
-    RequestStatus, Resolution, ServeCore, ServeCounts, ServeObs, ServeReport, ServeTally, Timer,
-    VirtualCosts,
+    outcome_digest, ChaosStats, CoreConfig, Effect, OutcomeDigest, QuarantinePolicy,
+    RequestOutcome, RequestQueue, RequestStatus, Resolution, ServeCore, ServeCounts, ServeObs,
+    ServeReport, ServeTally, Timer, VirtualCosts,
 };
 use milr_store::{Store, StoreOptions};
 use milr_substrate::SubstrateKind;
@@ -869,19 +869,21 @@ pub fn simulate_observed(
         .into_iter()
         .enumerate()
         .map(|(r, mut m)| {
-            let mine: Vec<RequestOutcome> = outcomes
+            let mut mine = OutcomeDigest::default();
+            for (o, _) in outcomes
                 .iter()
                 .zip(&resolved_by)
                 .filter(|(_, by)| **by == Some(r))
-                .map(|(o, _)| o.clone())
-                .collect();
+            {
+                mine.push(o.id, &o.status);
+            }
             // A replica's submissions are the requests dispatched to it,
             // re-executions included.
             let submitted = m.core.counts().batched_requests;
             let pipeline = m.replica.pipeline_report().clone();
             let report = m
                 .core
-                .report(clock, cfg.seed, submitted, outcome_digest(&mine), pipeline);
+                .report(clock, cfg.seed, submitted, mine.finish(), pipeline);
             ReplicaReport {
                 replica: r,
                 peer_repairs: m.repairs.peer_repairs,

@@ -386,12 +386,8 @@ pub(crate) fn add_bias(batch: &Tensor, bias: &Tensor) -> Result<Tensor> {
             reason: format!("last axis must equal bias length {}", bias.numel()),
         });
     }
-    let c = bias.numel();
-    let b = bias.data();
     let mut out = batch.data().to_vec();
-    for (i, o) in out.iter_mut().enumerate() {
-        *o += b[i % c];
-    }
+    add_rows(&mut out, bias.data());
     Ok(Tensor::from_vec(out, dims)?)
 }
 
@@ -405,12 +401,22 @@ pub(crate) fn add_bias_in_place(batch: &mut Tensor, bias: &Tensor) -> Result<()>
             reason: format!("last axis must equal bias length {}", bias.numel()),
         });
     }
-    let c = bias.numel();
-    let b = bias.data();
-    for (i, o) in batch.data_mut().iter_mut().enumerate() {
-        *o += b[i % c];
-    }
+    add_rows(batch.data_mut(), bias.data());
     Ok(())
+}
+
+/// `values[i] += bias[i % c]`, one last-axis row of `c = bias.len()`
+/// at a time: the same `+=` per element, without a division per
+/// element.
+fn add_rows(values: &mut [f32], bias: &[f32]) {
+    if bias.is_empty() {
+        return;
+    }
+    for row in values.chunks_exact_mut(bias.len()) {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            *v += b;
+        }
+    }
 }
 
 fn zero_pad(batch: &Tensor, pad: usize) -> Result<Tensor> {
@@ -614,6 +620,63 @@ mod tests {
         let conv = Layer::conv2d_random(3, 1, 2, spec, &mut rng()).unwrap();
         assert!(conv.to_string().contains("Conv2D"));
         assert!(Layer::Flatten.to_string().contains("Flatten"));
+    }
+
+    /// An `f32` from a bit pattern, with `±0`, NaN, `±inf` and
+    /// subnormals over-represented by `pick`.
+    fn awkward(pick: u32, raw: u32) -> f32 {
+        match pick {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::NAN,
+            3 => f32::INFINITY,
+            4 => f32::NEG_INFINITY,
+            5 => f32::from_bits(raw & 0x807F_FFFF),
+            _ => f32::from_bits(raw),
+        }
+    }
+
+    /// Bit patterns with every NaN made one canonical pattern: Rust
+    /// leaves an arithmetic NaN's sign and payload unspecified.
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values
+            .iter()
+            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    const MAX_ROWS: usize = 8;
+    const MAX_C: usize = 17;
+    /// Draws for a `MAX_ROWS × MAX_C` batch, then a bias of `MAX_C`.
+    const DRAWS: usize = (MAX_ROWS + 1) * MAX_C;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn bias_rows_match_the_modulo_loop(
+            rows in 0usize..MAX_ROWS + 1,
+            c in 1usize..MAX_C + 1,
+            picks in proptest::collection::vec(0u32..10, DRAWS),
+            raws in proptest::collection::vec(proptest::num::u32::ANY, DRAWS),
+        ) {
+            let draw = |i: usize| awkward(picks[i], raws[i]);
+            let values: Vec<f32> = (0..rows * c).map(draw).collect();
+            let bias: Vec<f32> = (0..c).map(|i| draw(MAX_ROWS * MAX_C + i)).collect();
+            // The loop `add_bias` ran before: one `i % c` per element.
+            let want: Vec<f32> = values
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| v + bias[i % c])
+                .collect();
+            let batch = Tensor::from_vec(values, &[rows, c]).unwrap();
+            let layer = Layer::Bias {
+                bias: Tensor::from_vec(bias, &[c]).unwrap(),
+            };
+            let copied = layer.forward(&batch).unwrap();
+            prop_assert_eq!(bits(copied.data()), bits(&want));
+            let in_place = layer.forward_owned(batch).unwrap();
+            prop_assert_eq!(bits(in_place.data()), bits(&want));
+        }
     }
 
     proptest! {

@@ -83,7 +83,7 @@ pub use metrics::{DowntimeLog, LatencyStats};
 pub use milr_integrity::{
     Budget, EscalationPolicy, IntegrityPipeline, ModelHost, PipelineReport, RoundOutcome,
 };
-pub use report::{outcome_digest, ServeReport};
+pub use report::{outcome_digest, OutcomeDigest, ServeReport};
 pub use request::{QuarantinePolicy, RejectReason, RequestId, RequestOutcome, RequestStatus};
 pub use scrubber::ScrubCursor;
 pub use serve_core::{

@@ -2,9 +2,10 @@
 //! latency distribution, and the modeled-vs-measured comparison hook.
 
 use crate::metrics::LatencyStats;
-use crate::request::{RequestOutcome, RequestStatus};
+use crate::request::{RequestId, RequestOutcome, RequestStatus};
 use milr_integrity::PipelineReport;
 use milr_obs::json::JsonObject;
+use std::collections::BTreeMap;
 
 /// Summary of one serving run (simulated or live).
 #[derive(Debug, Clone, PartialEq)]
@@ -71,35 +72,88 @@ pub struct ServeReport {
     pub slo: Option<milr_obs::SloReport>,
 }
 
-/// FNV-1a over the resolved outcomes, for cheap reproducibility
-/// assertions across runs.
+/// FNV-1a over the resolved outcomes in id order, for cheap
+/// reproducibility assertions across runs.
 pub fn outcome_digest(outcomes: &[RequestOutcome]) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
     let mut sorted: Vec<&RequestOutcome> = outcomes.iter().collect();
     sorted.sort_by_key(|o| o.id);
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut digest = OutcomeDigest::default();
     for o in sorted {
-        eat(o.id);
-        match &o.status {
-            RequestStatus::Completed(out) => {
-                eat(0);
-                for v in out.data() {
-                    eat(v.to_bits() as u64);
-                }
-            }
-            RequestStatus::Rejected(reason) => {
-                eat(1 + *reason as u64);
-            }
+        digest.fold(o.id, status_words(&o.status));
+    }
+    digest.finish()
+}
+
+/// The [`outcome_digest`] of outcomes that resolve one at a time, in any
+/// order, without keeping them.
+///
+/// Each outcome is folded as soon as every smaller id has been; one that
+/// resolves early waits in a reorder buffer as the few words it folds
+/// in, so the buffer holds at most the requests resolved ahead of the
+/// oldest one still in flight. Ids must be unique. [`finish`] folds
+/// whatever still waits in id order, so a set of ids with gaps digests
+/// as [`outcome_digest`] does too.
+///
+/// [`finish`]: OutcomeDigest::finish
+#[derive(Debug, Clone)]
+pub struct OutcomeDigest {
+    hash: u64,
+    next: RequestId,
+    early: BTreeMap<RequestId, Vec<u64>>,
+}
+
+impl Default for OutcomeDigest {
+    fn default() -> Self {
+        OutcomeDigest {
+            hash: 0xcbf29ce484222325,
+            next: 0,
+            early: BTreeMap::new(),
         }
     }
-    h
+}
+
+impl OutcomeDigest {
+    /// Adds request `id`'s terminal status.
+    pub fn push(&mut self, id: RequestId, status: &RequestStatus) {
+        if id != self.next {
+            self.early.insert(id, status_words(status).collect());
+            return;
+        }
+        self.fold(id, status_words(status));
+        while let Some(words) = self.early.remove(&self.next) {
+            self.fold(self.next, words.into_iter());
+        }
+    }
+
+    /// The digest of every outcome pushed, in id order.
+    pub fn finish(mut self) -> u64 {
+        for (id, words) in std::mem::take(&mut self.early) {
+            self.fold(id, words.into_iter());
+        }
+        self.hash
+    }
+
+    /// Folds outcome `id` in now and expects `id + 1` next.
+    fn fold(&mut self, id: RequestId, words: impl Iterator<Item = u64>) {
+        const PRIME: u64 = 0x100000001b3;
+        for v in std::iter::once(id).chain(words) {
+            for byte in v.to_le_bytes() {
+                self.hash ^= byte as u64;
+                self.hash = self.hash.wrapping_mul(PRIME);
+            }
+        }
+        self.next = id + 1;
+    }
+}
+
+/// The words an outcome folds in after its id: `0` and the output bits,
+/// or `1 +` the reject reason.
+fn status_words(status: &RequestStatus) -> impl Iterator<Item = u64> + '_ {
+    let (head, bits): (u64, &[f32]) = match status {
+        RequestStatus::Completed(out) => (0, out.data()),
+        RequestStatus::Rejected(reason) => (1 + *reason as u64, &[]),
+    };
+    std::iter::once(head).chain(bits.iter().map(|v| v.to_bits() as u64))
 }
 
 impl ServeReport {
@@ -237,6 +291,7 @@ mod tests {
     use super::*;
     use crate::request::RejectReason;
     use milr_tensor::Tensor;
+    use proptest::prelude::*;
 
     fn outcome(id: u64, status: RequestStatus) -> RequestOutcome {
         RequestOutcome {
@@ -257,6 +312,70 @@ mod tests {
         assert_eq!(fwd, rev);
         let changed = outcome(0, RequestStatus::Completed(Tensor::zeros(&[2])));
         assert_ne!(fwd, outcome_digest(&[changed, b]));
+    }
+
+    /// Outcome `id` drawn from `pick`: an output of 0–3 values (`±0`
+    /// and NaN among them) or one of the reject reasons.
+    fn drawn(id: u64, pick: u32, raw: u32) -> RequestOutcome {
+        let status = match pick % 6 {
+            0 => RequestStatus::Rejected(RejectReason::QueueFull),
+            1 => RequestStatus::Rejected(RejectReason::Quarantined),
+            2 => RequestStatus::Rejected(RejectReason::Shutdown),
+            n => {
+                let values = [f32::from_bits(raw), -0.0, f32::NAN];
+                let out = values[..(n - 3) as usize + 1].to_vec();
+                let len = out.len();
+                RequestStatus::Completed(Tensor::from_vec(out, &[len]).unwrap())
+            }
+        };
+        outcome(id, status)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn folder_matches_outcome_digest_in_any_resolution_order(
+            n in 0usize..40,
+            picks in proptest::collection::vec(0u32..6, 40),
+            raws in proptest::collection::vec(proptest::num::u32::ANY, 40),
+            swaps in proptest::collection::vec(0usize..40, 40),
+            keep in proptest::collection::vec(proptest::bool::ANY, 40),
+        ) {
+            let all: Vec<RequestOutcome> =
+                (0..n).map(|i| drawn(i as u64, picks[i], raws[i])).collect();
+            // A Fisher–Yates shuffle: the order requests resolve in.
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, swaps[i] % (i + 1));
+            }
+            let mut folder = OutcomeDigest::default();
+            for &i in &order {
+                folder.push(all[i].id, &all[i].status);
+            }
+            prop_assert_eq!(folder.finish(), outcome_digest(&all));
+            // A subset with gaps (one fleet replica's share) too.
+            let mine: Vec<RequestOutcome> =
+                all.iter().filter(|o| keep[o.id as usize]).cloned().collect();
+            let mut folder = OutcomeDigest::default();
+            for &i in order.iter().filter(|&&i| keep[i]) {
+                folder.push(all[i].id, &all[i].status);
+            }
+            prop_assert_eq!(folder.finish(), outcome_digest(&mine));
+        }
+    }
+
+    #[test]
+    fn folder_buffers_only_what_resolved_early() {
+        let mut folder = OutcomeDigest::default();
+        let done = RequestStatus::Completed(Tensor::ones(&[3]));
+        for id in [2, 1] {
+            folder.push(id, &done);
+        }
+        assert_eq!(folder.early.len(), 2);
+        folder.push(0, &done);
+        assert!(folder.early.is_empty());
+        assert_eq!(folder.next, 3);
     }
 
     #[test]

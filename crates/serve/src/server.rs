@@ -18,8 +18,8 @@
 //! No thread holds `inner` together with `milr` or `pipeline`; among
 //! those the order is `milr` → `pipeline` → `store`.
 
-use crate::report::{outcome_digest, ServeReport};
-use crate::request::{RejectReason, RequestOutcome, RequestStatus};
+use crate::report::{OutcomeDigest, ServeReport};
+use crate::request::{RejectReason, RequestStatus};
 use crate::serve_core::{CoreConfig, Pending, RequestQueue, ServeCore, ServeObs};
 use crate::QuarantinePolicy;
 use milr_core::{Milr, MilrConfig};
@@ -154,7 +154,9 @@ struct Inner {
     core: ServeCore<Client>,
     queue: RequestQueue<Client>,
     next_id: u64,
-    outcomes: Vec<RequestOutcome>,
+    /// The report's outcome digest, folded as requests resolve: no
+    /// input or output outlives its request.
+    digest: OutcomeDigest,
 }
 
 impl Inner {
@@ -165,19 +167,13 @@ impl Inner {
         for r in self.core.take_resolved() {
             let Pending {
                 id,
-                arrival_ns,
-                payload: Client { input, tx },
+                payload: Client { tx, .. },
+                ..
             } = r.request;
-            let _ = tx.send(match &r.status {
-                RequestStatus::Completed(out) => Ok(out.clone()),
-                RequestStatus::Rejected(reason) => Err(ServeError::Rejected(*reason)),
-            });
-            self.outcomes.push(RequestOutcome {
-                id,
-                input,
-                status: r.status,
-                arrival_ns,
-                resolved_ns: r.at_ns,
+            self.digest.push(id, &r.status);
+            let _ = tx.send(match r.status {
+                RequestStatus::Completed(out) => Ok(out),
+                RequestStatus::Rejected(reason) => Err(ServeError::Rejected(reason)),
             });
         }
         self.core.discard_effects();
@@ -388,7 +384,7 @@ impl Server {
                 core,
                 queue,
                 next_id: 0,
-                outcomes: Vec::new(),
+                digest: OutcomeDigest::default(),
             }),
             work_cv: Condvar::new(),
             stop: AtomicBool::new(false),
@@ -531,7 +527,7 @@ impl Server {
         core.shutdown(queue, clean, now);
         inner.settle();
         let submitted = inner.next_id as usize;
-        let digest = outcome_digest(&inner.outcomes);
+        let digest = std::mem::take(&mut inner.digest).finish();
         inner.core.report(now, 0, submitted, digest, pipeline)
     }
 }
@@ -774,6 +770,66 @@ mod tests {
         assert_eq!(report.completed, 20);
         assert_eq!(report.rejected, 0);
         assert_eq!(report.quarantines, 0);
+    }
+
+    #[test]
+    fn report_digest_folds_what_the_clients_saw() {
+        use crate::report::outcome_digest;
+        use crate::request::RequestOutcome;
+        let golden = serving_model(23);
+        let server = Server::start(
+            &golden,
+            MilrConfig::default(),
+            ServerConfig {
+                workers: 2,
+                queue_capacity: 4,
+                scrub_interval: Duration::from_millis(1),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut rng = TensorRng::new(79);
+        // One submitting thread, so the k-th submission is request k —
+        // also when admission turns it away without a handle.
+        let mut seen = Vec::new();
+        let mut handles = Vec::new();
+        for id in 0..40u64 {
+            let input = rng.uniform_tensor(&[10, 10, 1]);
+            match server.submit(input.clone()) {
+                Ok(handle) => {
+                    assert_eq!(handle.id(), id);
+                    handles.push((input, handle));
+                }
+                Err(ServeError::Rejected(reason)) => seen.push(RequestOutcome {
+                    id,
+                    input,
+                    status: RequestStatus::Rejected(reason),
+                    arrival_ns: 0,
+                    resolved_ns: 0,
+                }),
+                Err(ServeError::Stopped) => unreachable!("the server is running"),
+            }
+        }
+        for (input, handle) in handles {
+            let id = handle.id();
+            let status = match handle.wait() {
+                Ok(out) => RequestStatus::Completed(out),
+                Err(ServeError::Rejected(reason)) => RequestStatus::Rejected(reason),
+                Err(ServeError::Stopped) => unreachable!("the server is running"),
+            };
+            seen.push(RequestOutcome {
+                id,
+                input,
+                status,
+                arrival_ns: 0,
+                resolved_ns: 0,
+            });
+        }
+        let report = server.shutdown();
+        assert_eq!(report.submitted, 40);
+        assert_eq!(report.completed + report.rejected, 40);
+        assert!(report.completed > 0);
+        assert_eq!(report.digest, outcome_digest(&seen));
     }
 
     #[test]

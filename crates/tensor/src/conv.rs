@@ -1,4 +1,4 @@
-use crate::gemm::Gemm;
+use crate::gemm::{self, Lhs, Panels, Weights};
 use crate::{Result, Tensor, TensorError};
 
 /// Spatial padding policy for convolution and pooling, mirroring the two
@@ -117,6 +117,11 @@ pub fn im2col(input: &Tensor, spec: &ConvSpec) -> Result<Tensor> {
 /// Where each output location's receptive field lies in one `(H, W, C)`
 /// image: the geometry half of `im2col`, shared by [`im2col`],
 /// [`conv2d`] and [`conv2d_at`].
+///
+/// `im2col` and `conv2d_at` copy receptive fields out as patch rows;
+/// `conv2d` instead widens the image once into a zero-padded `f64`
+/// plane ([`PatchWalker::widen`]) and reads every receptive field in
+/// place ([`PatchWalker::lhs`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PatchWalker {
     h: usize,
@@ -194,6 +199,54 @@ impl PatchWalker {
             }
         }
     }
+
+    /// Rows and columns of the zero-padded plane: the leading pad, the
+    /// image, then enough trailing zeros for the last receptive field.
+    fn padded_dims(&self) -> (usize, usize) {
+        let hp = (self.pad_h + self.h).max((self.gh - 1) * self.s + self.f);
+        let wp = (self.pad_w + self.w).max((self.gw - 1) * self.s + self.f);
+        (hp, wp)
+    }
+
+    /// A zeroed plane for [`widen`](Self::widen).
+    fn padded_scratch(&self) -> Vec<f64> {
+        let (hp, wp) = self.padded_dims();
+        vec![0.0; hp * wp * self.c]
+    }
+
+    /// Writes `image` widened to `f64` into the interior of `plane`
+    /// (from [`padded_scratch`](Self::padded_scratch)). The border is
+    /// never written, so it stays zero across images.
+    fn widen(&self, image: &[f32], plane: &mut [f64]) {
+        let (_, wp) = self.padded_dims();
+        let row = self.w * self.c;
+        if row == 0 {
+            return;
+        }
+        for (y, src) in image.chunks_exact(row).enumerate() {
+            let dst = &mut plane[((y + self.pad_h) * wp + self.pad_w) * self.c..][..row];
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = v as f64;
+            }
+        }
+    }
+
+    /// The patch matrix of a widened `plane`, read in place: location
+    /// `(i, j)` is `F` runs of `F·C` values, one per filter row — the
+    /// `(f1, f2, z)` order of [`write_patch`](Self::write_patch), with
+    /// the overhang read as the plane's zero border.
+    fn lhs<'a>(&self, plane: &'a [f64]) -> Lhs<'a> {
+        let (_, wp) = self.padded_dims();
+        Lhs {
+            src: plane,
+            per_line: self.gw,
+            line_step: self.s * wp * self.c,
+            step: self.s * self.c,
+            segs: self.f,
+            seg_len: self.f * self.c,
+            seg_stride: wp * self.c,
+        }
+    }
 }
 
 /// Validated `conv2d` operands: batch size, patch geometry and filter
@@ -261,29 +314,48 @@ impl ConvOperands {
 /// 2-D convolution over a batch: input `(B, H, W, C)`, filters
 /// `(F, F, C, Y)`, output `(B, G_h, G_w, Y)`.
 ///
-/// Implements the paper's Equation 4 as patch matrix × filter bank per
-/// image: a patch walker fills one `im2col` scratch, reused across the
-/// batch, and the register-tiled GEMM writes straight into the output.
-/// A row-major `(F, F, C, Y)` filter tensor already is the `(F·F·C, Y)`
-/// matrix, so it is used in place. Bit-identical to
-/// [`scalar::conv2d`](crate::scalar::conv2d) (DESIGN.md §16).
+/// Implements the paper's Equation 4 as an implicit GEMM: the filter
+/// bank is packed once into `f64` column panels (a row-major
+/// `(F, F, C, Y)` tensor already is the `(F·F·C, Y)` matrix), each image
+/// is widened once into a zero-padded `f64` plane, and the
+/// register-tiled kernel reads every receptive field straight from that
+/// plane, writing into the output — no `im2col` matrix is built.
+/// Bit-identical to [`scalar::conv2d`](crate::scalar::conv2d), which
+/// also serves filter banks holding an infinite or NaN weight
+/// (DESIGN.md §16).
 ///
 /// # Errors
 ///
 /// Returns an error for rank/channel mismatches or impossible geometry.
 pub fn conv2d(input: &Tensor, filters: &Tensor, spec: &ConvSpec) -> Result<Tensor> {
     let ops = ConvOperands::check(input, filters, spec)?;
-    let (rows, cols) = (ops.walker.locations(), ops.walker.patch_len());
-    let gemm = Gemm::for_weights(filters.data());
-    let mut out = vec![0.0f32; ops.out_dims().iter().product()];
-    let mut patches = vec![0.0f32; rows * cols];
-    for img in 0..ops.batch {
-        let image = &input.data()[img * ops.image_len()..][..ops.image_len()];
-        ops.walker.fill(image, &mut patches);
-        let dst = &mut out[img * rows * ops.y..][..rows * ops.y];
-        gemm.run(&patches, rows, cols, filters.data(), ops.y, dst);
+    if !gemm::tiled_allowed(filters.data()) {
+        return crate::scalar::conv2d(input, filters, spec);
     }
+    let out = implicit_gemm(&ops, input.data(), filters.data(), gemm::run);
     Tensor::from_vec(out, &ops.out_dims())
+}
+
+/// The implicit-GEMM convolution of validated operands through the GEMM
+/// body `gemm`: filters packed once, each image widened once into the
+/// reused padded plane, every receptive field read in place.
+fn implicit_gemm(
+    ops: &ConvOperands,
+    input: &[f32],
+    filters: &[f32],
+    gemm: impl Fn(&Lhs, usize, Weights, &mut [f32]),
+) -> Vec<f32> {
+    let rows = ops.walker.locations();
+    let panels = Panels::pack(filters, ops.walker.patch_len(), ops.y);
+    let mut out = vec![0.0f32; ops.out_dims().iter().product()];
+    let mut plane = ops.walker.padded_scratch();
+    for img in 0..ops.batch {
+        let image = &input[img * ops.image_len()..][..ops.image_len()];
+        ops.walker.widen(image, &mut plane);
+        let dst = &mut out[img * rows * ops.y..][..rows * ops.y];
+        gemm(&ops.walker.lhs(&plane), rows, Weights::Packed(&panels), dst);
+    }
+    out
 }
 
 /// The `Y` outputs of [`conv2d`] at one location `[image, row, col]`,
@@ -331,7 +403,7 @@ pub fn conv2d_at(
     let mut patch = vec![0.0f32; ops.walker.patch_len()];
     ops.walker.write_patch(image, i, j, &mut patch);
     let mut out = vec![0.0f32; y];
-    Gemm::for_weights(filters.data()).run(&patch, 1, patch.len(), filters.data(), y, &mut out);
+    gemm::matmul(&patch, 1, patch.len(), filters.data(), y, &mut out);
     Ok(out)
 }
 
@@ -411,7 +483,7 @@ pub fn col2im_accumulate(
 mod tests {
     use super::*;
     use crate::testutil::{bits, relu_like, Awkward, OneOf};
-    use crate::{scalar, TensorRng};
+    use crate::{gemm, scalar, TensorRng};
     use proptest::prelude::*;
 
     /// Draws one convolution case: geometry plus input and filter data,
@@ -709,6 +781,54 @@ mod tests {
                 spec,
             }
             .check();
+        }
+    }
+
+    /// Implicit-conv geometry: every channel count up to 17, the model
+    /// filter counts and their tails, batches 1–3.
+    const WIDE_C: usize = 17;
+    const WIDE_YS: OneOf<usize> = OneOf(&[1, 3, 8, 10, 16, 24]);
+    const WIDE_X: usize = 3 * MAX_HW * MAX_HW * WIDE_C;
+    const WIDE_K: usize = MAX_F * MAX_F * WIDE_C * 24;
+
+    impl ConvCase {
+        /// Asserts every GEMM body this host can run, driven through the
+        /// implicit convolution, equals the scalar reference.
+        fn check_bodies(&self) {
+            let want = scalar::conv2d(&self.input, &self.filters, &self.spec).unwrap();
+            let ops = ConvOperands::check(&self.input, &self.filters, &self.spec).unwrap();
+            for (name, body) in gemm::bodies() {
+                let got = implicit_gemm(&ops, self.input.data(), self.filters.data(), body);
+                assert_eq!(
+                    bits(&got),
+                    bits(want.data()),
+                    "{name} body, {:?}",
+                    self.spec
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn implicit_conv_bodies_match_reference_bits(
+            batch in 1usize..4,
+            h in 1usize..MAX_HW + 1,
+            w in 1usize..MAX_HW + 1,
+            c in 1usize..WIDE_C + 1,
+            f in 1usize..MAX_F + 1,
+            y in WIDE_YS,
+            stride in 1usize..3,
+            padding in PADDINGS,
+            x in proptest::collection::vec(Awkward { non_finite: true }, WIDE_X),
+            k in proptest::collection::vec(Awkward { non_finite: false }, WIDE_K),
+        ) {
+            if let Some(case) = ConvCase::new(batch, h, w, c, f, y, stride, padding, &x, &k) {
+                case.check_bodies();
+                case.check();
+            }
         }
     }
 

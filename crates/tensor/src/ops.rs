@@ -1,4 +1,4 @@
-use crate::gemm::Gemm;
+use crate::gemm;
 use crate::{Result, Tensor, TensorError};
 
 /// Matrix product of two rank-2 tensors: `(M,N) × (N,P) → (M,P)`.
@@ -29,7 +29,7 @@ use crate::{Result, Tensor, TensorError};
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, n, p) = matmul_dims(a, b)?;
     let mut out = vec![0.0f32; m * p];
-    Gemm::for_weights(b.data()).run(a.data(), m, n, b.data(), p, &mut out);
+    gemm::matmul(a.data(), m, n, b.data(), p, &mut out);
     Tensor::from_vec(out, &[m, p])
 }
 

@@ -1,24 +1,28 @@
-//! Scalar reference kernels: the original `matmul` loop and the
-//! per-image `im2col` + `matmul` convolution, kept in-tree as the
-//! bit-identity reference the register-tiled kernels are proptested
-//! against (the `milr_ecc::scalar` pattern).
+//! Scalar reference kernels: the original `matmul` loop, the per-image
+//! `im2col` + `matmul` convolution and the per-window pooling
+//! reductions, kept in-tree as the bit-identity reference the
+//! optimized kernels are proptested against (the `milr_ecc::scalar`
+//! pattern).
 //!
-//! The scalar GEMM loop also serves production: weight tensors with a
-//! non-finite entry run through it, because its `a == 0` skip is
-//! observable there (`0 × inf` is NaN). See DESIGN.md §16.
+//! The scalar GEMM loop and convolution also serve production: weight
+//! tensors with a non-finite entry run through them, because the
+//! loop's `a == 0` skip is observable there (`0 × inf` is NaN). See
+//! DESIGN.md §16.
 
 use crate::conv::ConvOperands;
 use crate::ops::matmul_dims;
-use crate::{im2col, ConvSpec, Result, Tensor, TensorError};
+use crate::pool::pool_dims;
+use crate::{im2col, ConvSpec, PoolSpec, Result, Tensor, TensorError};
 use std::cell::Cell;
 
 thread_local! {
     static FORCED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Runs `f` with the GEMM behind every [`matmul`](crate::matmul),
+/// Runs `f` with every [`matmul`](crate::matmul),
 /// [`conv2d`](crate::conv2d) and [`conv2d_at`](crate::conv2d_at) on the
-/// calling thread switched to the scalar reference loop.
+/// calling thread switched to the scalar reference GEMM loop (for
+/// `conv2d`, to [`conv2d`]).
 ///
 /// Parity tests use it to build the same artifacts both ways and
 /// compare the bytes; the previous setting is restored on return, also
@@ -104,6 +108,62 @@ pub fn conv2d(input: &Tensor, filters: &Tensor, spec: &ConvSpec) -> Result<Tenso
         out.extend_from_slice(prod.data());
     }
     Tensor::from_vec(out, &ops.out_dims())
+}
+
+/// Reference max pooling: each window's values gathered per channel
+/// and folded with `f32::max` from `-inf`, in `(dy, dx)` order.
+///
+/// # Errors
+///
+/// As [`max_pool2d`](crate::max_pool2d).
+pub fn max_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<Tensor> {
+    pool2d(input, spec, |w| {
+        w.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x))
+    })
+}
+
+/// Reference average pooling: each window's values gathered per
+/// channel, summed in `f64` in `(dy, dx)` order and divided by the
+/// window size.
+///
+/// # Errors
+///
+/// As [`avg_pool2d`](crate::avg_pool2d).
+pub fn avg_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<Tensor> {
+    pool2d(input, spec, |w| {
+        (w.iter().map(|&x| x as f64).sum::<f64>() / w.len() as f64) as f32
+    })
+}
+
+/// Pools with `reduce` applied to each `(window, channel)`'s values.
+fn pool2d(
+    input: &Tensor,
+    spec: &PoolSpec,
+    mut reduce: impl FnMut(&[f32]) -> f32,
+) -> Result<Tensor> {
+    let [b, h, w, c, gh, gw] = pool_dims(input, spec)?;
+    let data = input.data();
+    let mut out = Vec::with_capacity(b * gh * gw * c);
+    let mut window = Vec::with_capacity(spec.window * spec.window);
+    for img in 0..b {
+        let base = img * h * w * c;
+        for i in 0..gh {
+            for j in 0..gw {
+                for z in 0..c {
+                    window.clear();
+                    for dy in 0..spec.window {
+                        for dx in 0..spec.window {
+                            let y = i * spec.stride + dy;
+                            let x = j * spec.stride + dx;
+                            window.push(data[base + (y * w + x) * c + z]);
+                        }
+                    }
+                    out.push(reduce(&window));
+                }
+            }
+        }
+    }
+    Tensor::from_vec(out, &[b, gh, gw, c])
 }
 
 /// Extracts image `index` from a batched `(B, …)` tensor as a rank-(n−1)
