@@ -109,9 +109,8 @@ impl std::fmt::Display for Arm {
             (SubstrateKind::Xts, Recovery::Milr) => "XTS + MILR",
             (SubstrateKind::XtsSecded, Recovery::None) => "XTS + ECC",
             (SubstrateKind::XtsSecded, Recovery::Milr) => "XTS + ECC + MILR",
-            // The experiment matrix never uses file-backed arms: the
-            // store benchmarks (`store_cold_start`) cover those.
-            _ => "file-backed",
+            (kind, Recovery::None) => return write!(f, "{kind}"),
+            (kind, Recovery::Milr) => return write!(f, "{kind} + MILR"),
         };
         f.write_str(label)
     }
@@ -260,7 +259,6 @@ mod tests {
     use super::*;
     use crate::nets::{prepare, NetChoice, Scale};
     use milr_ecc::SecdedMemory;
-    use milr_fault::inject_secded_rber;
     use milr_nn::Sequential;
 
     fn prep() -> PreparedNet {
@@ -334,7 +332,7 @@ mod tests {
                 for layer in model.layers_mut() {
                     if let Some(p) = layer.params_mut() {
                         let mut mem = SecdedMemory::protect(p.data());
-                        inject_secded_rber(&mut mem, rber, rng);
+                        inject_rber(&mut mem, rber, rng);
                         let (decoded, _report) = mem.scrub();
                         p.data_mut().copy_from_slice(&decoded);
                     }

@@ -14,13 +14,13 @@
 
 use milr_core::MilrConfig;
 use milr_fault::{
-    BurstPattern, BurstSpec, ByzantineSpec, Campaign, ChaosSpec, SkewSpec, SloDecl, SloDeclKind,
-    StuckAtSpec, TornWriteSpec,
+    BurstPattern, BurstSpec, ByzantineSpec, Campaign, ChaosSpec, SkewSpec, SloDecl, StuckAtSpec,
+    TornWriteSpec,
 };
 use milr_fleet::{FleetConfig, FleetError};
 use milr_nn::Sequential;
 use milr_obs::json::JsonObject;
-use milr_obs::{Observer, SloReport, SloSpec};
+use milr_obs::{Observer, SloKind, SloReport, SloSpec};
 use milr_serve::sim::SimConfig;
 use milr_serve::ChaosStats;
 use milr_substrate::SubstrateKind;
@@ -51,7 +51,7 @@ impl Default for MatrixTuning {
     }
 }
 
-fn decl(kind: SloDeclKind, objective_milli: u32) -> SloDecl {
+fn decl(kind: SloKind, objective_milli: u32) -> SloDecl {
     SloDecl {
         kind,
         objective_milli,
@@ -76,17 +76,17 @@ const LATENCY_BAR_NS: u64 = 400_000_000;
 /// without a heal ever being "exact").
 fn suite(avail_milli: u32, latency_milli: u32, heal_milli: Option<u32>) -> Vec<SloDecl> {
     let mut slos = vec![
-        decl(SloDeclKind::Availability, avail_milli),
+        decl(SloKind::Availability, avail_milli),
         SloDecl {
-            kind: SloDeclKind::LatencyP99,
+            kind: SloKind::LatencyP99,
             objective_milli: latency_milli,
             latency_threshold_ns: LATENCY_BAR_NS,
         },
     ];
     if let Some(heal) = heal_milli {
-        slos.push(decl(SloDeclKind::HealExactness, heal));
+        slos.push(decl(SloKind::HealExactness, heal));
     }
-    slos.push(decl(SloDeclKind::Durability, 900));
+    slos.push(decl(SloKind::Durability, 900));
     slos
 }
 
@@ -99,10 +99,10 @@ pub fn slo_suite(decls: &[SloDecl]) -> Vec<SloSpec> {
         .map(|d| {
             let objective = f64::from(d.objective_milli) / 1000.0;
             match d.kind {
-                SloDeclKind::Availability => SloSpec::availability(objective),
-                SloDeclKind::LatencyP99 => SloSpec::latency_p99(d.latency_threshold_ns, objective),
-                SloDeclKind::HealExactness => SloSpec::heal_exactness(objective),
-                SloDeclKind::Durability => SloSpec::durability(objective),
+                SloKind::Availability => SloSpec::availability(objective),
+                SloKind::LatencyP99 => SloSpec::latency_p99(d.latency_threshold_ns, objective),
+                SloKind::HealExactness => SloSpec::heal_exactness(objective),
+                SloKind::Durability => SloSpec::durability(objective),
             }
         })
         .collect()
@@ -488,7 +488,7 @@ mod tests {
                 name: "pinned".into(),
                 seed: 9,
                 chaos: ChaosSpec::default(),
-                slos: vec![decl(SloDeclKind::Durability, 900)],
+                slos: vec![decl(SloKind::Durability, 900)],
             },
             fleet: TargetVerdict {
                 target: "fleet",

@@ -116,13 +116,6 @@ impl SecdedMemory {
         // value, so reading after the sweep matches the old fused path.
         (self.read_all(), report)
     }
-
-    /// ECC storage overhead in bytes: 7 check bits per 32-bit word
-    /// (`params × 7 / 8`), the quantity reported in the paper's storage
-    /// tables.
-    pub fn overhead_bytes(&self) -> usize {
-        self.words.len() * Secded::CHECK_BITS as usize / 8
-    }
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@
 
 use crate::{FaultRng, InjectionReport};
 use milr_obs::json::{array, JsonObject};
+use milr_obs::SloKind;
 use milr_substrate::{RawGeometry, WeightSubstrate};
 use std::collections::BTreeSet;
 
@@ -302,42 +303,16 @@ impl ChaosSpec {
     }
 }
 
-/// The SLO dimensions a campaign can declare objectives on. The bench
-/// driver maps these onto `milr_obs::SloSpec` suites. A declaration
-/// stays integer milli-units so a campaign compares with `Eq` and
-/// renders byte-stable JSON.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SloDeclKind {
-    /// Fraction of requests answered.
-    Availability,
-    /// 99th-percentile end-to-end latency under a threshold.
-    LatencyP99,
-    /// Fraction of heal episodes ending bit-exact.
-    HealExactness,
-    /// Fraction of scrub passes finding storage certifiable.
-    Durability,
-}
-
-impl SloDeclKind {
-    /// Stable name used in campaign JSON.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SloDeclKind::Availability => "availability",
-            SloDeclKind::LatencyP99 => "latency_p99",
-            SloDeclKind::HealExactness => "heal_exactness",
-            SloDeclKind::Durability => "durability",
-        }
-    }
-}
-
-/// One declared SLO objective.
+/// One declared SLO objective. The bench driver maps declarations onto
+/// `milr_obs::SloSpec` suites. A declaration stays integer milli-units
+/// so a campaign compares with `Eq` and renders byte-stable JSON.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SloDecl {
     /// Dimension.
-    pub kind: SloDeclKind,
+    pub kind: SloKind,
     /// Objective in milli-units (995 = 0.995).
     pub objective_milli: u32,
-    /// Latency threshold for [`SloDeclKind::LatencyP99`]; ignored by
+    /// Latency threshold for [`SloKind::LatencyP99`]; ignored by
     /// the other kinds.
     pub latency_threshold_ns: u64,
 }
@@ -541,12 +516,12 @@ mod tests {
             chaos,
             slos: vec![
                 SloDecl {
-                    kind: SloDeclKind::Availability,
+                    kind: SloKind::Availability,
                     objective_milli: 700,
                     latency_threshold_ns: 0,
                 },
                 SloDecl {
-                    kind: SloDeclKind::LatencyP99,
+                    kind: SloKind::LatencyP99,
                     objective_milli: 990,
                     latency_threshold_ns: 400_000_000,
                 },

@@ -1,7 +1,5 @@
 use crate::FaultRng;
-use milr_ecc::SecdedMemory;
 use milr_substrate::WeightSubstrate;
-use milr_xts::EncryptedMemory;
 use std::collections::BTreeSet;
 
 /// Summary of one injection pass.
@@ -36,7 +34,7 @@ impl WordSet {
 /// Walks a Bernoulli(rate) process over `total_bits` positions using
 /// geometric skip-sampling, invoking `visit` for each selected bit.
 ///
-/// This is the single RNG-consuming loop every RBER injector shares, so
+/// This is the single RNG-consuming loop of RBER injection, so
 /// plaintext, SECDED, ciphertext, and composed substrates all draw the
 /// *same* flip sequence from a given seed — the invariant behind the
 /// seed-for-seed reproducibility of the benchmark arms.
@@ -191,68 +189,36 @@ pub fn corrupt_layer<S: WeightSubstrate + ?Sized>(
     report
 }
 
-/// Flips bits at rate `rber` across the 39-bit SECDED code words of an
-/// ECC-protected buffer — the ciphertext-side error process for the ECC
-/// and ECC+MILR arms of Figures 5/7/9.
-///
-/// Retained as a named entry point for the ECC arm; a thin wrapper over
-/// the substrate-generic [`inject_rber`], so the drawn flip sequence is
-/// identical.
-///
-/// # Panics
-///
-/// Panics unless `0 <= rber <= 1`.
-pub fn inject_secded_rber(
-    memory: &mut SecdedMemory,
-    rber: f64,
-    rng: &mut FaultRng,
-) -> InjectionReport {
-    inject_rber(memory, rber, rng)
-}
-
-/// Flips ciphertext bits at rate `rber` in an AES-XTS-encrypted weight
-/// buffer — the encrypted-VM scenario: each flipped ciphertext bit
-/// garbles a whole 16-byte block (4 weights) of plaintext.
-///
-/// Returns the report plus the indices of flipped ciphertext bits (so
-/// callers can compute blast radii). Draws the same flip sequence as
-/// the substrate-generic [`inject_rber`] over the same memory.
-///
-/// # Panics
-///
-/// Panics unless `0 <= rber <= 1`.
-pub fn inject_ciphertext_rber(
-    memory: &mut EncryptedMemory,
-    rber: f64,
-    rng: &mut FaultRng,
-) -> (InjectionReport, Vec<usize>) {
-    assert!((0.0..=1.0).contains(&rber), "rber {rber} out of range");
-    let mut report = InjectionReport::default();
-    let mut flipped = Vec::new();
-    if rber == 0.0 || memory.is_empty() {
-        return (report, flipped);
-    }
-    let mut blocks = WordSet::default();
-    let total_bits = memory.raw_bits();
-    walk_bits(total_bits, rber, rng, |pos| {
-        memory.flip_raw_bit(pos);
-        flipped.push(pos);
-        report.flipped_bits += 1;
-        blocks.insert(memory.raw_word_of_bit(pos));
-    });
-    report.affected_words = blocks.len();
-    (report, flipped)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use milr_ecc::Secded;
-    use milr_substrate::{SubstrateKind, XtsSecdedMemory};
+    use milr_substrate::{
+        DirectCommitter, EncryptedMemory, FileSubstrate, SecdedMemory, StdFile, SubstrateKind,
+        XtsSecdedMemory,
+    };
     use milr_xts::XtsCipher;
+    use std::sync::Arc;
 
     fn weights(n: usize) -> Vec<f32> {
         (0..n).map(|i| (i as f32) * 0.01 - 1.0).collect()
+    }
+
+    /// Encodes `weights` onto a one-page [`FileSubstrate`] over a fresh
+    /// temp file, unlinked at once (the open descriptor keeps it alive
+    /// until the substrate drops). One page keeps XTS tweaks, and hence
+    /// garbled plaintext, identical to the in-memory substrate's.
+    fn paged(kind: SubstrateKind, weights: &[f32]) -> FileSubstrate {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "milr-fault-test-{}-{}.raw",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let io = Arc::new(StdFile::create(&path).unwrap());
+        std::fs::remove_file(&path).unwrap();
+        let committer = Arc::new(DirectCommitter::new(Arc::clone(&io) as _));
+        FileSubstrate::create(kind, io, committer, 0, weights, weights.len(), 8).unwrap()
     }
 
     #[test]
@@ -416,7 +382,7 @@ mod tests {
         let mut mem = SecdedMemory::protect(&w);
         // Rate low enough that double errors in one 39-bit word are
         // unlikely.
-        let report = inject_secded_rber(&mut mem, 1e-4, &mut FaultRng::seed(6));
+        let report = inject_rber(&mut mem, 1e-4, &mut FaultRng::seed(6));
         assert!(report.flipped_bits > 0);
         let (decoded, scrub) = mem.scrub();
         assert_eq!(scrub.uncorrectable, 0);
@@ -427,22 +393,10 @@ mod tests {
     fn secded_injection_at_high_rate_defeats_ecc() {
         let w = weights(2000);
         let mut mem = SecdedMemory::protect(&w);
-        inject_secded_rber(&mut mem, 0.02, &mut FaultRng::seed(7));
+        inject_rber(&mut mem, 0.02, &mut FaultRng::seed(7));
         let (decoded, scrub) = mem.scrub();
         assert!(scrub.uncorrectable > 0, "{scrub:?}");
         assert_ne!(decoded, w);
-    }
-
-    #[test]
-    fn secded_wrapper_matches_generic_injector() {
-        let w = weights(1500);
-        let mut a = SecdedMemory::protect(&w);
-        let mut b = SecdedMemory::protect(&w);
-        let ra = inject_secded_rber(&mut a, 3e-3, &mut FaultRng::seed(21));
-        let rb = inject_rber(&mut b, 3e-3, &mut FaultRng::seed(21));
-        assert_eq!(ra, rb);
-        assert_eq!(a.words(), b.words());
-        let _ = Secded::CODE_BITS; // keep the constant linked to its role
     }
 
     #[test]
@@ -467,9 +421,18 @@ mod tests {
         let w = weights(64);
         let cipher = XtsCipher::new(&[1; 16], &[2; 16]);
         let mut mem = EncryptedMemory::encrypt(&w, cipher);
-        let (report, bits) = inject_ciphertext_rber(&mut mem, 5e-3, &mut FaultRng::seed(8));
+        let before = mem.ciphertext().to_vec();
+        let report = inject_rber(&mut mem, 5e-3, &mut FaultRng::seed(8));
+        // Walked positions strictly increase, so each flipped bit shows
+        // in the ciphertext diff.
+        let bits: Vec<usize> = (0..mem.ciphertext_bits())
+            .filter(|&b| (before[b / 8] ^ mem.ciphertext()[b / 8]) >> (b % 8) & 1 == 1)
+            .collect();
         assert!(report.flipped_bits > 0);
         assert_eq!(report.flipped_bits, bits.len());
+        let blocks: std::collections::HashSet<usize> =
+            bits.iter().map(|&b| mem.raw_word_of_bit(b)).collect();
+        assert_eq!(report.affected_words, blocks.len(), "garbled blocks");
         let seen = mem.decrypt_all();
         // Every flipped bit's blast radius contains changed weights.
         for &bit in &bits {
@@ -490,18 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn ciphertext_wrapper_matches_generic_injector() {
-        let w = weights(256);
-        let cipher = XtsCipher::new(&[1; 16], &[2; 16]);
-        let mut a = EncryptedMemory::encrypt(&w, cipher.clone());
-        let mut b = EncryptedMemory::encrypt(&w, cipher);
-        let (ra, _) = inject_ciphertext_rber(&mut a, 4e-3, &mut FaultRng::seed(30));
-        let rb = inject_rber(&mut b, 4e-3, &mut FaultRng::seed(30));
-        assert_eq!(ra, rb);
-        assert_eq!(a.ciphertext(), b.ciphertext());
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn rber_validates_probability() {
         inject_rber(&mut [0.0f32][..], 1.5, &mut FaultRng::seed(0));
@@ -514,19 +465,16 @@ mod tests {
         // in paged file storage — file-backed raw space is just
         // another fault surface.
         let w = weights(300);
-        for (mem_kind, file_kind) in SubstrateKind::ALL
-            .into_iter()
-            .zip(SubstrateKind::FILE_BACKED)
-        {
-            let mut mem = mem_kind.store(&w);
-            let mut file = file_kind.store(&w);
-            assert_eq!(mem.raw_bits(), file.raw_bits(), "{file_kind}");
+        for kind in SubstrateKind::ALL {
+            let mut mem = kind.store(&w);
+            let mut file = paged(kind, &w);
+            assert_eq!(mem.raw_bits(), file.raw_bits(), "{kind}");
             let a = inject_rber(&mut *mem, 3e-3, &mut FaultRng::seed(17));
-            let b = inject_rber(&mut *file, 3e-3, &mut FaultRng::seed(17));
-            assert_eq!(a, b, "{file_kind}");
+            let b = inject_rber(&mut file, 3e-3, &mut FaultRng::seed(17));
+            assert_eq!(a, b, "{kind}");
             let ma: Vec<u32> = mem.read_weights().iter().map(|x| x.to_bits()).collect();
             let fa: Vec<u32> = file.read_weights().iter().map(|x| x.to_bits()).collect();
-            assert_eq!(ma, fa, "{file_kind}: plaintext view diverged");
+            assert_eq!(ma, fa, "{kind}: plaintext view diverged");
         }
     }
 
@@ -633,9 +581,9 @@ mod tests {
     #[test]
     fn whole_weight_and_layer_corruption_reach_file_pages() {
         let w = weights(120);
-        for kind in SubstrateKind::FILE_BACKED {
-            let mut mem = kind.store(&w);
-            let report = inject_whole_weight(&mut *mem, 0.1, &mut FaultRng::seed(23));
+        for kind in SubstrateKind::ALL {
+            let mut mem = paged(kind, &w);
+            let report = inject_whole_weight(&mut mem, 0.1, &mut FaultRng::seed(23));
             assert!(report.affected_words > 0, "{kind}");
             let seen = mem.read_weights();
             let changed = seen
@@ -644,8 +592,8 @@ mod tests {
                 .filter(|(a, b)| a.to_bits() != b.to_bits())
                 .count();
             assert_eq!(changed, report.affected_words, "{kind}");
-            let mut mem = kind.store(&w);
-            corrupt_layer(&mut *mem, &mut FaultRng::seed(24));
+            let mut mem = paged(kind, &w);
+            corrupt_layer(&mut mem, &mut FaultRng::seed(24));
             for (a, b) in mem.read_weights().iter().zip(w.iter()) {
                 assert_ne!(a, b, "{kind}");
             }

@@ -7,8 +7,8 @@
 //!    bit of the substrate's *raw representation* flips independently
 //!    with probability `p` ([`inject_rber`]). Over a plain buffer that
 //!    is every bit of every `f32` "regardless of bit position and
-//!    role"; over [`milr_ecc::SecdedMemory`] the 39-bit code words;
-//!    over [`milr_xts::EncryptedMemory`] or
+//!    role"; over [`milr_substrate::SecdedMemory`] the 39-bit code
+//!    words; over [`milr_substrate::EncryptedMemory`] or
 //!    [`milr_substrate::XtsSecdedMemory`] the ciphertext.
 //! 2. **Whole-weight errors** with probability `q` — every bit of a
 //!    selected weight is flipped in plaintext space
@@ -21,9 +21,9 @@
 //! All injectors are generic over
 //! [`milr_substrate::WeightSubstrate`]; bare `&mut [f32]` / `&mut
 //! Vec<f32>` buffers implement the trait as plain memory, so existing
-//! call sites keep working unchanged. [`inject_secded_rber`] and
-//! [`inject_ciphertext_rber`] remain as named arm entry points and draw
-//! the same flip sequences as the generic path.
+//! call sites keep working unchanged. One RBER loop, [`inject_rber`],
+//! serves every arm: its report's `affected_words` counts the distinct
+//! raw words hit, which under XTS are the garbled 16-byte blocks.
 //!
 //! All injectors draw from a caller-provided seeded RNG, so every
 //! experiment run is reproducible.
@@ -47,11 +47,7 @@ mod rng;
 
 pub use campaign::{
     assert_stuck, inject_burst, milli, plan_burst, plan_stuck_at, BurstPattern, BurstSpec,
-    ByzantineSpec, Campaign, ChaosSpec, SkewSpec, SloDecl, SloDeclKind, StuckAtPlan, StuckAtSpec,
-    TornWriteSpec,
+    ByzantineSpec, Campaign, ChaosSpec, SkewSpec, SloDecl, StuckAtPlan, StuckAtSpec, TornWriteSpec,
 };
-pub use injector::{
-    corrupt_layer, inject_bits, inject_ciphertext_rber, inject_rber, inject_secded_rber,
-    inject_whole_weight, InjectionReport,
-};
+pub use injector::{corrupt_layer, inject_bits, inject_rber, inject_whole_weight, InjectionReport};
 pub use rng::FaultRng;

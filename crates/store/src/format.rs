@@ -277,7 +277,6 @@ fn kind_tag(kind: SubstrateKind) -> u8 {
         SubstrateKind::Fp16 => 5,
         SubstrateKind::Int8Secded => 6,
         SubstrateKind::Fp16Secded => 7,
-        file => kind_tag(file.base()),
     }
 }
 

@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// Creation-time knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreOptions {
-    /// Base substrate kind encoding the weight pages on disk.
+    /// Substrate kind encoding the weight pages on disk.
     pub kind: SubstrateKind,
     /// Weights per page (the write-back / streaming granularity).
     pub page_weights: usize,
@@ -157,7 +157,7 @@ impl Store {
         milr: &Milr,
         opts: StoreOptions,
     ) -> Result<Store, StoreError> {
-        let kind = opts.kind.base();
+        let kind = opts.kind;
         let report = milr.storage_report(model);
         let mut template = model.clone();
         for layer in template.layers_mut() {
@@ -292,7 +292,7 @@ impl Store {
         &self.meta.template
     }
 
-    /// Base substrate kind of the weight pages.
+    /// Substrate kind of the weight pages.
     pub fn kind(&self) -> SubstrateKind {
         self.meta.kind
     }

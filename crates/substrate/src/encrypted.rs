@@ -3,37 +3,16 @@
 //! ciphertext, so every raw-bit fault garbles a whole 16-byte block
 //! (four weights) of plaintext.
 
-use crate::{RawGeometry, ScrubSummary, SubstrateError, WeightSubstrate};
-use milr_xts::{EncryptedMemory, BLOCK_BYTES};
-
-/// One 128-bit cipher block per row: a ciphertext burst that stays
-/// inside a row garbles exactly one block of plaintext.
-const XTS_GEOMETRY: RawGeometry = RawGeometry {
-    word_bits: BLOCK_BYTES * 8,
-    words_per_row: 1,
-};
+use crate::{ScrubSummary, SubstrateError, SubstrateKind, WeightSubstrate};
+use milr_xts::EncryptedMemory;
 
 impl WeightSubstrate for EncryptedMemory {
-    fn label(&self) -> &'static str {
-        "AES-XTS DRAM"
+    fn kind(&self) -> SubstrateKind {
+        SubstrateKind::Xts
     }
 
     fn len(&self) -> usize {
         EncryptedMemory::len(self)
-    }
-
-    fn raw_bits(&self) -> usize {
-        self.ciphertext_bits()
-    }
-
-    fn raw_word_of_bit(&self, bit: usize) -> usize {
-        // The "word" a ciphertext fault touches is the 16-byte cipher
-        // block: that is the blast-radius granularity in plaintext.
-        bit / 8 / BLOCK_BYTES
-    }
-
-    fn raw_geometry(&self) -> RawGeometry {
-        XTS_GEOMETRY
     }
 
     fn raw_bit(&self, bit: usize) -> bool {
@@ -87,11 +66,6 @@ impl WeightSubstrate for EncryptedMemory {
         self.set_ciphertext(raw)
             .map_err(|e| SubstrateError::Backend(e.to_string()))
     }
-
-    fn storage_overhead(&self) -> usize {
-        // Padding to a whole number of cipher blocks.
-        self.ciphertext().len() - EncryptedMemory::len(self) * 4
-    }
 }
 
 #[cfg(test)]
@@ -108,12 +82,13 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_and_padding_overhead() {
+    fn roundtrip_pads_to_whole_blocks() {
         let w = weights(5); // pads to 2 blocks = 32 bytes
         let mem = EncryptedMemory::encrypt(&w, cipher());
         assert_eq!(WeightSubstrate::len(&mem), 5);
         assert_eq!(mem.read_weights(), w);
-        assert_eq!(WeightSubstrate::storage_overhead(&mem), 32 - 20);
+        assert_eq!(mem.raw_bits(), mem.ciphertext_bits());
+        assert_eq!(mem.export_raw().len(), 32);
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! seam where `milr-store` substitutes its crash-consistent journal for
 //! the default direct write.
 
-use crate::{RawGeometry, ScrubSummary, SubstrateError, SubstrateKind, WeightSubstrate};
+use crate::{ScrubSummary, SubstrateError, SubstrateKind, WeightSubstrate};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// Positioned I/O over some backing file, shareable across substrates.
@@ -92,20 +92,6 @@ impl StdFile {
     /// unlinked old one.
     pub fn replace(&self, file: File) {
         *self.file.lock().expect("file lock poisoned") = file;
-    }
-
-    /// Current file length in bytes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn byte_len(&self) -> std::io::Result<u64> {
-        Ok(self
-            .file
-            .lock()
-            .expect("file lock poisoned")
-            .metadata()?
-            .len())
     }
 }
 
@@ -217,9 +203,6 @@ pub struct FileSubstrate {
     /// Cache budget in pages (≥ 1).
     cache_pages: usize,
     cache: Mutex<PageCache>,
-    /// When set, the backing file is a private temp file removed on
-    /// drop (the `SubstrateKind::File*` convenience arms).
-    temp_path: Option<PathBuf>,
 }
 
 impl std::fmt::Debug for FileSubstrate {
@@ -268,11 +251,11 @@ impl FileSubstrate {
     /// weights occupies at `page_weights` weights per page — the
     /// store's layout formula.
     pub fn region_bytes(kind: SubstrateKind, len: usize, page_weights: usize) -> usize {
-        let (pages, _, _) = geometry(kind.base(), 0, len, page_weights);
+        let (pages, _, _) = geometry(kind, 0, len, page_weights);
         pages.iter().map(|p| p.raw_bytes).sum()
     }
 
-    /// Encodes `weights` of base kind `kind` into pages written at
+    /// Encodes `weights` of kind `kind` into pages written at
     /// `base_offset` of `io`, and returns the substrate over them. The
     /// pages are written directly (creation is not a commit — the
     /// caller makes the whole container durable).
@@ -283,7 +266,7 @@ impl FileSubstrate {
     ///
     /// # Panics
     ///
-    /// Panics when `kind` is file-backed or `page_weights == 0`.
+    /// Panics when `page_weights == 0`.
     #[allow(clippy::too_many_arguments)]
     pub fn create(
         kind: SubstrateKind,
@@ -294,7 +277,6 @@ impl FileSubstrate {
         page_weights: usize,
         cache_pages: usize,
     ) -> Result<Self, SubstrateError> {
-        assert!(!kind.is_file_backed(), "inner encoding must be in-memory");
         let sub = Self::open(
             kind,
             io,
@@ -323,7 +305,7 @@ impl FileSubstrate {
     ///
     /// # Panics
     ///
-    /// Panics when `kind` is file-backed or `page_weights == 0`.
+    /// Panics when `page_weights == 0`.
     pub fn open(
         kind: SubstrateKind,
         io: Arc<dyn PageFile>,
@@ -333,7 +315,6 @@ impl FileSubstrate {
         page_weights: usize,
         cache_pages: usize,
     ) -> Self {
-        assert!(!kind.is_file_backed(), "inner encoding must be in-memory");
         let (pages, weight_prefix, rawbit_prefix) = geometry(kind, base_offset, len, page_weights);
         FileSubstrate {
             kind,
@@ -348,19 +329,7 @@ impl FileSubstrate {
                 map: HashMap::new(),
                 lru: Vec::new(),
             }),
-            temp_path: None,
         }
-    }
-
-    /// Marks the backing file as a private temp file to remove on drop.
-    pub(crate) fn with_temp_path(mut self, path: PathBuf) -> Self {
-        self.temp_path = Some(path);
-        self
-    }
-
-    /// Number of pages.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
     }
 
     /// Runs `f` on the cached (loading if necessary) page `index`,
@@ -430,40 +399,19 @@ impl FileSubstrate {
 }
 
 impl WeightSubstrate for FileSubstrate {
-    fn label(&self) -> &'static str {
-        match self.kind {
-            SubstrateKind::Plain => "file-backed plain",
-            SubstrateKind::Secded => "file-backed SECDED",
-            SubstrateKind::Xts => "file-backed AES-XTS",
-            SubstrateKind::Int8 => "file-backed int8",
-            SubstrateKind::Fp16 => "file-backed fp16",
-            SubstrateKind::Int8Secded => "file-backed int8 + SECDED",
-            SubstrateKind::Fp16Secded => "file-backed fp16 + SECDED",
-            _ => "file-backed AES-XTS + SECDED",
-        }
+    fn kind(&self) -> SubstrateKind {
+        self.kind
     }
 
     fn len(&self) -> usize {
         self.len
     }
 
+    /// The sum of the pages' raw bits: each page pads its own tail, so
+    /// this exceeds `kind().raw_bits_for(len())` when a non-final page
+    /// ends mid-block or mid-word.
     fn raw_bits(&self) -> usize {
         *self.rawbit_prefix.last().unwrap()
-    }
-
-    fn raw_word_of_bit(&self, bit: usize) -> usize {
-        // Raw "words" are page-local; give them a global index by
-        // offsetting with the page's first word.
-        let page = self.page_of_raw_bit(bit);
-        let local = bit - self.rawbit_prefix[page];
-        let words_before: usize = (0..page)
-            .map(|p| self.kind.raw_words_for(self.pages[p].weights))
-            .sum();
-        words_before + self.with_page(page, false, |sub| sub.raw_word_of_bit(local))
-    }
-
-    fn raw_geometry(&self) -> RawGeometry {
-        self.kind.raw_geometry()
     }
 
     fn raw_bit(&self, bit: usize) -> bool {
@@ -604,24 +552,31 @@ impl WeightSubstrate for FileSubstrate {
         }
         Ok(())
     }
-
-    fn storage_overhead(&self) -> usize {
-        // Actual extra file bytes beyond 4 per weight.
-        self.pages.iter().map(|p| p.raw_bytes).sum::<usize>() - self.len * 4
-    }
 }
 
-impl Drop for FileSubstrate {
-    fn drop(&mut self) {
-        if let Some(path) = self.temp_path.take() {
-            let _ = std::fs::remove_file(path);
-        }
-    }
+/// Encodes `weights` into a [`FileSubstrate`] over a fresh temp file,
+/// 8 weights per page and 2 cached pages, so small buffers still span
+/// several pages. The file is unlinked at once; the open descriptor
+/// keeps it alive until the substrate drops.
+#[cfg(test)]
+pub(crate) fn temp_paged(kind: SubstrateKind, weights: &[f32]) -> Box<dyn WeightSubstrate> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "milr-substrate-test-{}-{}.raw",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let io = Arc::new(StdFile::create(&path).expect("creating temp page file"));
+    std::fs::remove_file(&path).expect("unlinking temp page file");
+    let committer = Arc::new(DirectCommitter::new(Arc::clone(&io) as _));
+    Box::new(FileSubstrate::create(kind, io, committer, 0, weights, 8, 2).expect("fresh temp file"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn weights(n: usize) -> Vec<f32> {
         (0..n).map(|i| i as f32 * 0.21 - 4.0).collect()
@@ -645,7 +600,6 @@ mod tests {
             let sub =
                 FileSubstrate::create(kind, io.clone(), committer.clone(), 0, &w, 16, 2).unwrap();
             assert_eq!(sub.len(), 37, "{kind}");
-            assert_eq!(sub.page_count(), 3, "{kind}");
             assert_eq!(sub.read_weights(), w, "{kind}");
             assert_eq!(
                 sub.raw_bits(),
@@ -768,15 +722,66 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
+    /// In-memory [`PageFile`] that counts page reads.
+    #[derive(Default)]
+    struct CountingFile {
+        bytes: Mutex<Vec<u8>>,
+        reads: std::sync::atomic::AtomicUsize,
+    }
+
+    impl PageFile for CountingFile {
+        fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+            self.reads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let bytes = self.bytes.lock().unwrap();
+            let at = offset as usize;
+            let src = bytes
+                .get(at..at + buf.len())
+                .ok_or(std::io::ErrorKind::UnexpectedEof)?;
+            buf.copy_from_slice(src);
+            Ok(())
+        }
+
+        fn write_all_at(&self, offset: u64, buf: &[u8]) -> std::io::Result<()> {
+            let mut bytes = self.bytes.lock().unwrap();
+            let (at, end) = (offset as usize, offset as usize + buf.len());
+            if bytes.len() < end {
+                bytes.resize(end, 0);
+            }
+            bytes[at..end].copy_from_slice(buf);
+            Ok(())
+        }
+
+        fn sync(&self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
-    fn temp_file_arms_clean_up() {
-        let sub = SubstrateKind::FileSecded.store(&weights(10));
-        assert_eq!(sub.len(), 10);
-        drop(sub);
-        // No assertion on the path (private), but the drop must not
-        // panic; creation of many arms must not collide.
-        let a = SubstrateKind::FilePlain.store(&weights(4));
-        let b = SubstrateKind::FilePlain.store(&weights(4));
-        assert_eq!(a.read_weights(), b.read_weights());
+    fn word_index_reads_no_page() {
+        // A word index is arithmetic on the raw format: answering it
+        // must not load (and possibly evict-and-commit) a page.
+        let w = weights(37); // ragged last page at 16/page
+        for kind in SubstrateKind::ALL
+            .into_iter()
+            .chain(SubstrateKind::QUANTIZED)
+        {
+            let file = Arc::new(CountingFile::default());
+            let committer = Arc::new(DirectCommitter::new(Arc::clone(&file) as _));
+            let sub = FileSubstrate::create(kind, file.clone(), committer, 0, &w, 16, 1).unwrap();
+            let word_bits = sub.raw_geometry().word_bits;
+            for bit in 0..sub.raw_bits() {
+                assert_eq!(
+                    sub.raw_word_of_bit(bit),
+                    bit / word_bits,
+                    "{kind} bit {bit}"
+                );
+            }
+            assert_eq!(
+                file.reads.load(std::sync::atomic::Ordering::Relaxed),
+                0,
+                "{kind}: page reads"
+            );
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! reproduction: one trait, [`WeightSubstrate`], over every way the
 //! paper stores CNN parameters in (error-prone) memory —
 //!
-//! * [`PlainMemory`] — raw `f32` words in DRAM, no protection;
+//! * `Vec<f32>` / `[f32]` — raw `f32` words in DRAM, no protection;
 //! * [`SecdedMemory`] — one (39,32) SECDED code word per parameter,
 //!   the ECC baseline (adapted from `milr_ecc::memory`);
 //! * [`EncryptedMemory`] — AES-XTS ciphertext, the encrypted-VM model
@@ -13,7 +13,14 @@
 //!   DRAM under a memory-encryption engine, the paper's "ECC cannot
 //!   fix decrypted garble" configuration (a single corrected ciphertext
 //!   bit is harmless, but any uncorrectable codeword decrypts to a
-//!   whole garbled 16-byte block of weights).
+//!   whole garbled 16-byte block of weights);
+//! * [`QuantMemory`] / [`QuantSecdedMemory`] — int8 and fp16 pages,
+//!   bare or under SECDED;
+//! * [`FileSubstrate`] — any of the above paged onto a file.
+//!
+//! Each encoding's raw format (raw bits per weight count, raw word
+//! size, row layout) is written down once, on [`SubstrateKind`]; every
+//! substrate names its kind and the trait derives the rest.
 //!
 //! Concurrent access — an inference plane reading weights while a
 //! scrubber daemon repairs them in place — goes through
@@ -61,7 +68,6 @@ pub use milr_ecc::SecdedMemory;
 /// AES-XTS ciphertext substrate, re-exported from `milr_xts` with its
 /// [`WeightSubstrate`] adaptation defined in this crate.
 pub use milr_xts::EncryptedMemory;
-pub use plain::PlainMemory;
 pub use quant::{QuantFormat, QuantMemory, QuantSecdedMemory};
 pub use shared::SharedSubstrate;
 pub use xts_secded::XtsSecdedMemory;
@@ -170,8 +176,9 @@ impl RawGeometry {
 /// Faults happen in raw space; protection and recovery reason about
 /// plaintext space. Implementations define the mapping.
 pub trait WeightSubstrate: Send + Sync {
-    /// Short human-readable substrate name (report headers).
-    fn label(&self) -> &'static str;
+    /// The encoding this substrate stores — the single source of its
+    /// raw format.
+    fn kind(&self) -> SubstrateKind;
 
     /// Number of weights stored.
     fn len(&self) -> usize;
@@ -183,20 +190,23 @@ pub trait WeightSubstrate: Send + Sync {
 
     /// Size in bits of the raw representation — the space over which
     /// RBER faults are drawn.
-    fn raw_bits(&self) -> usize;
+    fn raw_bits(&self) -> usize {
+        self.kind().raw_bits_for(self.len())
+    }
 
     /// Index of the raw word (data word, code word, or cipher block)
     /// containing the given raw bit, for affected-word accounting.
-    ///
-    /// # Panics
-    ///
-    /// May panic when `bit >= self.raw_bits()`.
-    fn raw_word_of_bit(&self, bit: usize) -> usize;
+    /// Every raw image is a whole number of raw words, so this is
+    /// plain division by the word size.
+    fn raw_word_of_bit(&self, bit: usize) -> usize {
+        bit / self.raw_geometry().word_bits
+    }
 
     /// The row/word layout of the raw image — the coordinate system
-    /// correlated-fault planners (row/column bursts) use. Constant for
-    /// a given substrate kind.
-    fn raw_geometry(&self) -> RawGeometry;
+    /// correlated-fault planners (row/column bursts) use.
+    fn raw_geometry(&self) -> RawGeometry {
+        self.kind().raw_geometry()
+    }
 
     /// Reads one bit of the raw representation, in the same indexing as
     /// [`flip_raw_bit`](WeightSubstrate::flip_raw_bit). Stuck-at fault
@@ -292,11 +302,6 @@ pub trait WeightSubstrate: Send + Sync {
     /// code layer can repair in place, and reports statistics. A no-op
     /// returning [`ScrubSummary::default`] for code-free substrates.
     fn scrub(&mut self) -> ScrubSummary;
-
-    /// Extra storage the substrate needs beyond the 4 bytes per weight
-    /// of the plaintext (check bits, padding) — the per-substrate
-    /// column of the paper's storage tables, in bytes.
-    fn storage_overhead(&self) -> usize;
 
     /// Serializes the substrate's **raw representation** to bytes — the
     /// persistence image. Raw state round-trips verbatim (including any

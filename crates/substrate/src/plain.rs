@@ -1,191 +1,35 @@
-//! Unprotected plaintext storage: the "no recovery" baseline substrate
-//! and the blanket [`WeightSubstrate`] impls for bare `f32` buffers that
-//! let the fault injectors run directly on model parameter slices.
+//! Unprotected plaintext storage: the "no recovery" baseline substrate.
+//! A bare `f32` buffer is itself the substrate, which also lets the
+//! fault injectors run directly on model parameter slices.
+//!
+//! The raw representation *is* the plaintext: 32 raw bits per weight,
+//! no code layer, scrub is a no-op.
 
-use crate::{RawGeometry, ScrubSummary, SubstrateError, WeightSubstrate};
+use crate::{ScrubSummary, SubstrateError, SubstrateKind, WeightSubstrate};
 
-/// Plain storage groups 4 data words (a 16-byte DRAM beat) per
-/// geometry row.
-const PLAIN_GEOMETRY: RawGeometry = RawGeometry {
-    word_bits: 32,
-    words_per_row: 4,
-};
-
-/// Weights stored as raw `f32` words in unprotected DRAM.
-///
-/// The raw representation *is* the plaintext: 32 raw bits per weight,
-/// no code layer, scrub is a no-op, zero storage overhead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlainMemory {
-    words: Vec<f32>,
-}
-
-impl PlainMemory {
-    /// Stores a copy of the weight buffer.
-    pub fn store(weights: &[f32]) -> Self {
-        PlainMemory {
-            words: weights.to_vec(),
-        }
-    }
-
-    /// Direct view of the stored words.
-    pub fn data(&self) -> &[f32] {
-        &self.words
-    }
-}
-
-/// Shared raw-image export for anything stored as bare `f32` words:
-/// the little-endian word bytes.
-fn export_f32_raw(words: &[f32]) -> Vec<u8> {
-    words.iter().flat_map(|w| w.to_le_bytes()).collect()
-}
-
-/// Shared raw-image decode for anything stored as bare `f32` words.
-fn import_f32_raw(expected: usize, raw: &[u8]) -> Result<Vec<f32>, SubstrateError> {
-    if raw.len() != expected * 4 {
-        return Err(SubstrateError::Backend(format!(
-            "raw image of {} bytes cannot hold {expected} plain weights",
-            raw.len()
-        )));
-    }
-    Ok(raw
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4")))
-        .collect())
-}
-
-/// Shared raw-bit flip for anything stored as bare `f32` words.
-fn flip_f32_bit(words: &mut [f32], bit: usize) {
-    let total = words.len() * 32;
-    assert!(bit < total, "raw bit {bit} out of range ({total} bits)");
-    let word = bit / 32;
-    words[word] = f32::from_bits(words[word].to_bits() ^ (1u32 << (bit % 32)));
-}
-
-/// Shared raw-bit read for anything stored as bare `f32` words.
-fn read_f32_bit(words: &[f32], bit: usize) -> bool {
-    let total = words.len() * 32;
-    assert!(bit < total, "raw bit {bit} out of range ({total} bits)");
-    (words[bit / 32].to_bits() >> (bit % 32)) & 1 == 1
-}
-
-/// Shared sparse write for anything stored as bare `f32` words: plain
-/// storage has no code layer, so a sparse write is a direct element
-/// store.
-fn write_f32_sparse(words: &mut [f32], updates: &[(usize, f32)]) -> Result<(), SubstrateError> {
-    for &(idx, value) in updates {
-        if idx >= words.len() {
-            return Err(SubstrateError::LengthMismatch {
-                expected: words.len(),
-                got: idx + 1,
-            });
-        }
-        words[idx] = value;
-    }
-    Ok(())
-}
-
-impl WeightSubstrate for PlainMemory {
-    fn label(&self) -> &'static str {
-        "plain DRAM"
-    }
-
-    fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    fn raw_bits(&self) -> usize {
-        self.words.len() * 32
-    }
-
-    fn raw_word_of_bit(&self, bit: usize) -> usize {
-        bit / 32
-    }
-
-    fn raw_geometry(&self) -> RawGeometry {
-        PLAIN_GEOMETRY
-    }
-
-    fn raw_bit(&self, bit: usize) -> bool {
-        read_f32_bit(&self.words, bit)
-    }
-
-    fn flip_raw_bit(&mut self, bit: usize) {
-        flip_f32_bit(&mut self.words, bit);
-    }
-
-    fn read_weights(&self) -> Vec<f32> {
-        self.words.clone()
-    }
-
-    fn read_weights_into(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.words.len(), "read_weights_into length");
-        out.copy_from_slice(&self.words);
-    }
-
-    fn write_weights(&mut self, weights: &[f32]) -> Result<(), SubstrateError> {
-        if weights.len() != self.words.len() {
-            return Err(SubstrateError::LengthMismatch {
-                expected: self.words.len(),
-                got: weights.len(),
-            });
-        }
-        self.words.copy_from_slice(weights);
-        Ok(())
-    }
-
-    fn write_weights_sparse(&mut self, updates: &[(usize, f32)]) -> Result<(), SubstrateError> {
-        write_f32_sparse(&mut self.words, updates)
-    }
-
-    fn scrub(&mut self) -> ScrubSummary {
-        ScrubSummary::default()
-    }
-
-    fn export_raw(&self) -> Vec<u8> {
-        export_f32_raw(self.read_weights().as_slice())
-    }
-
-    fn import_raw(&mut self, raw: &[u8]) -> Result<(), SubstrateError> {
-        self.words = import_f32_raw(self.words.len(), raw)?;
-        Ok(())
-    }
-
-    fn storage_overhead(&self) -> usize {
-        0
-    }
-}
-
-/// A bare weight slice is itself a plain substrate: this is what makes
-/// the substrate-generic injectors drop-in replacements for the old
+/// A bare weight slice is a plain substrate: this is what makes the
+/// substrate-generic injectors drop-in replacements for the old
 /// `&mut [f32]` signatures (`inject_rber(params.data_mut(), ..)`).
 impl WeightSubstrate for [f32] {
-    fn label(&self) -> &'static str {
-        "plain DRAM"
+    fn kind(&self) -> SubstrateKind {
+        SubstrateKind::Plain
     }
 
     fn len(&self) -> usize {
         <[f32]>::len(self)
     }
 
-    fn raw_bits(&self) -> usize {
-        <[f32]>::len(self) * 32
-    }
-
-    fn raw_word_of_bit(&self, bit: usize) -> usize {
-        bit / 32
-    }
-
-    fn raw_geometry(&self) -> RawGeometry {
-        PLAIN_GEOMETRY
-    }
-
     fn raw_bit(&self, bit: usize) -> bool {
-        read_f32_bit(self, bit)
+        let total = self.raw_bits();
+        assert!(bit < total, "raw bit {bit} out of range ({total} bits)");
+        (self[bit / 32].to_bits() >> (bit % 32)) & 1 == 1
     }
 
     fn flip_raw_bit(&mut self, bit: usize) {
-        flip_f32_bit(self, bit);
+        let total = self.raw_bits();
+        assert!(bit < total, "raw bit {bit} out of range ({total} bits)");
+        let word = bit / 32;
+        self[word] = f32::from_bits(self[word].to_bits() ^ (1u32 << (bit % 32)));
     }
 
     fn read_weights(&self) -> Vec<f32> {
@@ -208,62 +52,67 @@ impl WeightSubstrate for [f32] {
         Ok(())
     }
 
+    /// Plain storage has no code layer, so a sparse write is a direct
+    /// element store.
     fn write_weights_sparse(&mut self, updates: &[(usize, f32)]) -> Result<(), SubstrateError> {
-        write_f32_sparse(self, updates)
+        for &(idx, value) in updates {
+            if idx >= <[f32]>::len(self) {
+                return Err(SubstrateError::LengthMismatch {
+                    expected: <[f32]>::len(self),
+                    got: idx + 1,
+                });
+            }
+            self[idx] = value;
+        }
+        Ok(())
     }
 
     fn scrub(&mut self) -> ScrubSummary {
         ScrubSummary::default()
     }
 
+    /// The little-endian word bytes.
     fn export_raw(&self) -> Vec<u8> {
-        export_f32_raw(self.read_weights().as_slice())
+        self.iter().flat_map(|w| w.to_le_bytes()).collect()
     }
 
     fn import_raw(&mut self, raw: &[u8]) -> Result<(), SubstrateError> {
-        let words = import_f32_raw(<[f32]>::len(self), raw)?;
-        self.copy_from_slice(&words);
+        if raw.len() != <[f32]>::len(self) * 4 {
+            return Err(SubstrateError::Backend(format!(
+                "raw image of {} bytes cannot hold {} plain weights",
+                raw.len(),
+                <[f32]>::len(self)
+            )));
+        }
+        for (w, c) in self.iter_mut().zip(raw.chunks_exact(4)) {
+            *w = f32::from_le_bytes(c.try_into().expect("chunk of 4"));
+        }
         Ok(())
-    }
-
-    fn storage_overhead(&self) -> usize {
-        0
     }
 }
 
-/// Owned buffers delegate to the slice impl (keeps `&mut vec` call
-/// sites working with the generic injectors).
+/// Owned buffers delegate to the slice impl: `SubstrateKind::Plain`
+/// stores one, and `&mut vec` call sites work with the generic
+/// injectors.
 impl WeightSubstrate for Vec<f32> {
-    fn label(&self) -> &'static str {
-        "plain DRAM"
+    fn kind(&self) -> SubstrateKind {
+        SubstrateKind::Plain
     }
 
     fn len(&self) -> usize {
         <[f32]>::len(self)
     }
 
-    fn raw_bits(&self) -> usize {
-        <[f32]>::len(self) * 32
-    }
-
-    fn raw_word_of_bit(&self, bit: usize) -> usize {
-        bit / 32
-    }
-
-    fn raw_geometry(&self) -> RawGeometry {
-        PLAIN_GEOMETRY
-    }
-
     fn raw_bit(&self, bit: usize) -> bool {
-        read_f32_bit(self, bit)
+        self.as_slice().raw_bit(bit)
     }
 
     fn flip_raw_bit(&mut self, bit: usize) {
-        flip_f32_bit(self, bit);
+        self.as_mut_slice().flip_raw_bit(bit);
     }
 
     fn read_weights(&self) -> Vec<f32> {
-        self.clone()
+        self.as_slice().read_weights()
     }
 
     fn read_weights_into(&self, out: &mut [f32]) {
@@ -279,19 +128,15 @@ impl WeightSubstrate for Vec<f32> {
     }
 
     fn scrub(&mut self) -> ScrubSummary {
-        ScrubSummary::default()
+        self.as_mut_slice().scrub()
     }
 
     fn export_raw(&self) -> Vec<u8> {
-        export_f32_raw(self.read_weights().as_slice())
+        self.as_slice().export_raw()
     }
 
     fn import_raw(&mut self, raw: &[u8]) -> Result<(), SubstrateError> {
         self.as_mut_slice().import_raw(raw)
-    }
-
-    fn storage_overhead(&self) -> usize {
-        0
     }
 }
 
@@ -304,13 +149,12 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_and_overhead() {
+    fn roundtrip_and_noop_scrub() {
         let w = weights(7);
-        let mut mem = PlainMemory::store(&w);
+        let mut mem = SubstrateKind::Plain.store(&w);
         assert_eq!(mem.len(), 7);
         assert_eq!(mem.raw_bits(), 7 * 32);
         assert_eq!(mem.read_weights(), w);
-        assert_eq!(mem.storage_overhead(), 0);
         assert!(mem.scrub().is_clean());
         assert_eq!(mem.read_weights(), w, "scrub is a no-op");
     }
@@ -318,7 +162,7 @@ mod tests {
     #[test]
     fn flip_changes_exactly_one_word() {
         let w = weights(4);
-        let mut mem = PlainMemory::store(&w);
+        let mut mem = w.clone();
         mem.flip_raw_bit(32 + 5); // word 1, bit 5
         assert_eq!(mem.raw_word_of_bit(32 + 5), 1);
         let seen = mem.read_weights();
@@ -331,12 +175,12 @@ mod tests {
     #[test]
     fn write_back_heals() {
         let w = weights(3);
-        let mut mem = PlainMemory::store(&w);
+        let mut mem = w.clone();
         mem.flip_raw_bit(0);
-        mem.write_weights(&w).unwrap();
+        WeightSubstrate::write_weights(&mut mem, &w).unwrap();
         assert_eq!(mem.read_weights(), w);
         assert!(matches!(
-            mem.write_weights(&weights(4)),
+            WeightSubstrate::write_weights(&mut mem, &weights(4)),
             Err(SubstrateError::LengthMismatch {
                 expected: 3,
                 got: 4
@@ -345,19 +189,8 @@ mod tests {
     }
 
     #[test]
-    fn slice_impl_matches_plain_memory() {
-        let mut v = weights(5);
-        let mut mem = PlainMemory::store(&v);
-        let slice: &mut [f32] = &mut v;
-        slice.flip_raw_bit(77);
-        mem.flip_raw_bit(77);
-        assert_eq!(slice.read_weights(), mem.read_weights());
-        assert_eq!(slice.raw_bits(), mem.raw_bits());
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn flip_bounds_checked() {
-        PlainMemory::store(&weights(1)).flip_raw_bit(32);
+        weights(1).flip_raw_bit(32);
     }
 }

@@ -17,7 +17,7 @@
 //! DRAM over quantized pages. A double error garbles up to 4 (int8) or
 //! 2 (fp16) weights at once; MILR heals them in plaintext space.
 
-use crate::{RawGeometry, ScrubSummary, SubstrateError, WeightSubstrate};
+use crate::{ScrubSummary, SubstrateError, SubstrateKind, WeightSubstrate};
 use milr_ecc::ring::{f16_bits_to_f32, f32_to_f16_bits, int8_quantize, int8_value};
 use milr_ecc::Secded;
 
@@ -67,35 +67,6 @@ impl QuantFormat {
             QuantFormat::Fp16 => f16_bits_to_f32(f32_to_f16_bits(v)),
         }
     }
-
-    /// Raw geometry of the plain (un-coded) quantized substrate: word =
-    /// one weight, rows of a 16-byte DRAM beat.
-    fn plain_geometry(&self) -> RawGeometry {
-        match self {
-            QuantFormat::Int8 => RawGeometry {
-                word_bits: 8,
-                words_per_row: 16,
-            },
-            QuantFormat::Fp16 => RawGeometry {
-                word_bits: 16,
-                words_per_row: 8,
-            },
-        }
-    }
-
-    fn plain_label(&self) -> &'static str {
-        match self {
-            QuantFormat::Int8 => "int8 DRAM",
-            QuantFormat::Fp16 => "fp16 DRAM",
-        }
-    }
-
-    fn secded_label(&self) -> &'static str {
-        match self {
-            QuantFormat::Int8 => "int8 + SECDED DRAM",
-            QuantFormat::Fp16 => "fp16 + SECDED DRAM",
-        }
-    }
 }
 
 /// Quantized weights in unprotected DRAM: 1 (int8) or 2 (fp16) raw
@@ -132,32 +103,18 @@ impl QuantMemory {
         );
         QuantMemory { format, bytes }
     }
-
-    /// The page encoding.
-    pub fn format(&self) -> QuantFormat {
-        self.format
-    }
 }
 
 impl WeightSubstrate for QuantMemory {
-    fn label(&self) -> &'static str {
-        self.format.plain_label()
+    fn kind(&self) -> SubstrateKind {
+        match self.format {
+            QuantFormat::Int8 => SubstrateKind::Int8,
+            QuantFormat::Fp16 => SubstrateKind::Fp16,
+        }
     }
 
     fn len(&self) -> usize {
         self.bytes.len() / self.format.bytes_per_weight()
-    }
-
-    fn raw_bits(&self) -> usize {
-        self.bytes.len() * 8
-    }
-
-    fn raw_word_of_bit(&self, bit: usize) -> usize {
-        bit / (self.format.bytes_per_weight() * 8)
-    }
-
-    fn raw_geometry(&self) -> RawGeometry {
-        self.format.plain_geometry()
     }
 
     fn raw_bit(&self, bit: usize) -> bool {
@@ -238,12 +195,6 @@ impl WeightSubstrate for QuantMemory {
         self.bytes.copy_from_slice(raw);
         Ok(())
     }
-
-    fn storage_overhead(&self) -> usize {
-        // Quantized pages store *less* than the 4-byte-per-weight
-        // plaintext baseline; extra-cost accounting reports zero.
-        0
-    }
 }
 
 /// Quantized weights under SECDED protection: 4 quantized bytes (4 int8
@@ -282,20 +233,16 @@ impl QuantSecdedMemory {
     ///
     /// # Panics
     ///
-    /// Panics when the word count cannot hold `len` weights.
-    pub fn from_words(format: QuantFormat, words: Vec<u64>, len: usize) -> Self {
-        assert!(
-            words.len() * WORD_BYTES >= len * format.bytes_per_weight(),
-            "raw image of {} words cannot hold {len} {:?} weights",
+    /// Panics unless the word count is exactly the words `len`
+    /// weights occupy.
+    pub(crate) fn from_words(format: QuantFormat, words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(
             words.len(),
-            format
+            (len * format.bytes_per_weight()).div_ceil(WORD_BYTES),
+            "raw image of {} words for {len} {format:?} weights",
+            words.len()
         );
         QuantSecdedMemory { format, words, len }
-    }
-
-    /// The page encoding.
-    pub fn format(&self) -> QuantFormat {
-        self.format
     }
 
     /// Number of SECDED code words.
@@ -313,27 +260,15 @@ impl QuantSecdedMemory {
 }
 
 impl WeightSubstrate for QuantSecdedMemory {
-    fn label(&self) -> &'static str {
-        self.format.secded_label()
+    fn kind(&self) -> SubstrateKind {
+        match self.format {
+            QuantFormat::Int8 => SubstrateKind::Int8Secded,
+            QuantFormat::Fp16 => SubstrateKind::Fp16Secded,
+        }
     }
 
     fn len(&self) -> usize {
         self.len
-    }
-
-    fn raw_bits(&self) -> usize {
-        self.words.len() * Secded::CODE_BITS as usize
-    }
-
-    fn raw_word_of_bit(&self, bit: usize) -> usize {
-        bit / Secded::CODE_BITS as usize
-    }
-
-    fn raw_geometry(&self) -> RawGeometry {
-        RawGeometry {
-            word_bits: Secded::CODE_BITS as usize,
-            words_per_row: 4,
-        }
     }
 
     fn raw_bit(&self, bit: usize) -> bool {
@@ -432,13 +367,6 @@ impl WeightSubstrate for QuantSecdedMemory {
             .collect();
         Ok(())
     }
-
-    fn storage_overhead(&self) -> usize {
-        // Check bits per code word plus tail padding — still far below
-        // the 4-bytes-per-weight plaintext baseline.
-        let padding = self.words.len() * WORD_BYTES - self.len * self.format.bytes_per_weight();
-        self.words.len() * Secded::CHECK_BITS as usize / 8 + padding
-    }
 }
 
 #[cfg(test)]
@@ -463,7 +391,7 @@ mod tests {
             for mem in [&plain as &dyn WeightSubstrate, &coded] {
                 let got: Vec<u32> = mem.read_weights().iter().map(|v| v.to_bits()).collect();
                 let want: Vec<u32> = w.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want, "{}", mem.label());
+                assert_eq!(got, want, "{}", mem.kind());
             }
         }
     }
@@ -571,10 +499,10 @@ mod tests {
                 let before = mem.read_weights();
                 mem.flip_raw_bit(6);
                 mem.import_raw(&image).unwrap();
-                assert_eq!(mem.export_raw(), image, "{}", mem.label());
+                assert_eq!(mem.export_raw(), image, "{}", mem.kind());
                 let after: Vec<u32> = mem.read_weights().iter().map(|v| v.to_bits()).collect();
                 let want: Vec<u32> = before.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(after, want, "{}", mem.label());
+                assert_eq!(after, want, "{}", mem.kind());
                 assert!(mem.import_raw(&image[1..]).is_err());
             }
         }

@@ -3,35 +3,16 @@
 //! stored weight and a scrub that behaves like an ECC memory-controller
 //! sweep.
 
-use crate::{RawGeometry, ScrubSummary, SubstrateError, WeightSubstrate};
+use crate::{ScrubSummary, SubstrateError, SubstrateKind, WeightSubstrate};
 use milr_ecc::{Secded, SecdedMemory};
 
-/// SECDED rows group 4 code words, mirroring the 4-word DRAM beat of
-/// the plain substrate but at 39 raw bits per word.
-const SECDED_GEOMETRY: RawGeometry = RawGeometry {
-    word_bits: Secded::CODE_BITS as usize,
-    words_per_row: 4,
-};
-
 impl WeightSubstrate for SecdedMemory {
-    fn label(&self) -> &'static str {
-        "SECDED DRAM"
+    fn kind(&self) -> SubstrateKind {
+        SubstrateKind::Secded
     }
 
     fn len(&self) -> usize {
         SecdedMemory::len(self)
-    }
-
-    fn raw_bits(&self) -> usize {
-        SecdedMemory::len(self) * Secded::CODE_BITS as usize
-    }
-
-    fn raw_word_of_bit(&self, bit: usize) -> usize {
-        bit / Secded::CODE_BITS as usize
-    }
-
-    fn raw_geometry(&self) -> RawGeometry {
-        SECDED_GEOMETRY
     }
 
     fn raw_bit(&self, bit: usize) -> bool {
@@ -113,10 +94,6 @@ impl WeightSubstrate for SecdedMemory {
         *self = SecdedMemory::from_words(words);
         Ok(())
     }
-
-    fn storage_overhead(&self) -> usize {
-        self.overhead_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -160,11 +137,5 @@ mod tests {
         WeightSubstrate::write_weights(&mut mem, &w).unwrap();
         assert!(WeightSubstrate::scrub(&mut mem).is_clean());
         assert_eq!(mem.read_weights(), w);
-    }
-
-    #[test]
-    fn overhead_is_seven_bits_per_word() {
-        let mem = SecdedMemory::protect(&weights(64));
-        assert_eq!(WeightSubstrate::storage_overhead(&mem), 64 * 7 / 8);
     }
 }

@@ -24,8 +24,8 @@
 //! raw-image import, and any scrub pass that corrected words in place).
 //! The invariant is: *two reads of the same shard that observe the same
 //! epoch observed identical bits*. Readers use
-//! [`SharedSubstrate::read_shard_versioned`] to obtain a decode tagged
-//! with the exact epoch it was decoded at (the epoch is sampled while
+//! [`SharedSubstrate::read_shard_into_versioned`] to obtain a decode
+//! tagged with the exact epoch it was decoded at (the epoch is sampled while
 //! the shard read lock is held, so it cannot race a writer), cache the
 //! plaintext keyed by that epoch, and revalidate later with a single
 //! relaxed atomic load through [`SharedSubstrate::shard_epoch`] — no
@@ -136,16 +136,6 @@ impl SharedSubstrate {
         (self.raw_offsets[shard], self.raw_offsets[shard + 1])
     }
 
-    /// The shard holding global weight index `weight`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `weight >= len()`.
-    pub fn shard_of_weight(&self, weight: usize) -> usize {
-        assert!(weight < self.len(), "weight {weight} out of range");
-        self.weight_offsets.partition_point(|&o| o <= weight) - 1
-    }
-
     /// Current epoch of `shard`: a single relaxed-cost atomic load, no
     /// lock taken. Equal epochs across two observations guarantee the
     /// shard's raw bits were identical at both (writers bump under the
@@ -177,35 +167,12 @@ impl SharedSubstrate {
             .read_weights()
     }
 
-    /// Decodes one shard's plaintext weights together with the epoch
-    /// the decode observed. The epoch is sampled while the shard read
-    /// lock is held, so the pair is exact: the returned plaintext is
-    /// precisely the decode of the shard's bits at that epoch — never
-    /// torn, never tagged with a neighbouring version.
-    pub fn read_shard_versioned(&self, shard: usize) -> (Vec<f32>, u64) {
-        let guard = self.shards[shard].read().expect("lock poisoned");
-        let epoch = self.epochs[shard].load(Ordering::Acquire);
-        (guard.read_weights(), epoch)
-    }
-
-    /// Decodes one shard's plaintext weights directly into `out`,
-    /// avoiding the per-call `Vec` of
-    /// [`read_shard`](SharedSubstrate::read_shard) where the shard's
-    /// substrate supports it (plain storage is a straight copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len()` differs from the shard's weight count.
-    pub fn read_shard_into(&self, shard: usize, out: &mut [f32]) {
-        self.shards[shard]
-            .read()
-            .expect("lock poisoned")
-            .read_weights_into(out);
-    }
-
-    /// [`read_shard_into`](SharedSubstrate::read_shard_into), returning
-    /// the epoch the decode observed (sampled under the read lock, like
-    /// [`read_shard_versioned`](SharedSubstrate::read_shard_versioned)).
+    /// Decodes one shard's plaintext weights directly into `out`
+    /// (plain storage is a straight copy) and returns the epoch the
+    /// decode observed. The epoch is sampled while the shard read lock
+    /// is held, so the pair is exact: `out` holds precisely the decode
+    /// of the shard's bits at that epoch — never torn, never tagged
+    /// with a neighbouring version.
     ///
     /// # Panics
     ///
@@ -356,35 +323,18 @@ impl SharedSubstrate {
         result
     }
 
-    /// Flushes one shard's buffered state to its backing store (a
-    /// no-op for in-memory shards).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the shard's [`SubstrateError`].
-    pub fn flush_shard(&self, shard: usize) -> Result<(), SubstrateError> {
-        self.shards[shard].write().expect("lock poisoned").flush()
-    }
-
-    /// Flushes every shard (shard-by-shard, like
-    /// [`scrub`](SharedSubstrate::scrub)).
+    /// Flushes every shard's buffered state to its backing store
+    /// (shard-by-shard, like [`scrub`](SharedSubstrate::scrub); a no-op
+    /// for in-memory shards).
     ///
     /// # Errors
     ///
     /// Propagates the first failing shard's [`SubstrateError`].
     pub fn flush(&self) -> Result<(), SubstrateError> {
-        for i in 0..self.shards.len() {
-            self.flush_shard(i)?;
+        for shard in self.shards.iter() {
+            shard.write().expect("lock poisoned").flush()?;
         }
         Ok(())
-    }
-
-    /// Total storage overhead beyond 4 bytes per weight, in bytes.
-    pub fn storage_overhead(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("lock poisoned").storage_overhead())
-            .sum()
     }
 }
 
@@ -413,10 +363,9 @@ mod tests {
         let w = weights(10);
         let shared = SharedSubstrate::store_with(&w, 3, |c| SubstrateKind::Plain.store(c));
         // Chunks of ceil(10/3) = 4: [0..4), [4..8), [8..10).
-        assert_eq!(shared.shard_of_weight(0), 0);
-        assert_eq!(shared.shard_of_weight(3), 0);
-        assert_eq!(shared.shard_of_weight(4), 1);
-        assert_eq!(shared.shard_of_weight(9), 2);
+        assert_eq!(shared.shard_weight_range(0), (0, 4));
+        assert_eq!(shared.shard_weight_range(1), (4, 8));
+        assert_eq!(shared.shard_weight_range(2), (8, 10));
         assert_eq!(shared.read_shard(2), w[8..].to_vec());
     }
 
@@ -468,13 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn overhead_sums_shards() {
-        let w = weights(64);
-        let shared = SharedSubstrate::store_with(&w, 8, |c| SubstrateKind::Secded.store(c));
-        assert_eq!(shared.storage_overhead(), 64 * 7 / 8);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn flip_bounds_checked() {
         let shared = SharedSubstrate::store_with(&weights(2), 1, |c| SubstrateKind::Plain.store(c));
@@ -516,22 +458,16 @@ mod tests {
         let w = weights(12);
         for kind in SubstrateKind::ALL {
             let shared = SharedSubstrate::store_with(&w, 3, |c| kind.store(c));
-            let (seen, epoch) = shared.read_shard_versioned(1);
-            assert_eq!(epoch, 0, "{kind}");
-            assert_eq!(seen, shared.read_shard(1), "{kind}");
-
             let (lo, hi) = shared.shard_weight_range(1);
             let mut buf = vec![0.0f32; hi - lo];
             let epoch = shared.read_shard_into_versioned(1, &mut buf);
             assert_eq!(epoch, 0, "{kind}");
-            assert_eq!(buf, seen, "{kind}");
+            assert_eq!(buf, shared.read_shard(1), "{kind}");
 
             let (raw_lo, _) = shared.shard_raw_range(1);
             shared.flip_raw_bit(raw_lo);
-            let (_, epoch) = shared.read_shard_versioned(1);
+            let epoch = shared.read_shard_into_versioned(1, &mut buf);
             assert_eq!(epoch, 1, "{kind}");
-
-            shared.read_shard_into(1, &mut buf);
             assert_eq!(buf, shared.read_shard(1), "{kind}");
         }
     }

@@ -9,18 +9,12 @@
 //! in plaintext space. Per-word ECC therefore cannot bound plaintext
 //! damage under encryption; only a plaintext-space scheme (MILR) can.
 
-use crate::{RawGeometry, ScrubSummary, SubstrateError, WeightSubstrate};
+use crate::{ScrubSummary, SubstrateError, SubstrateKind, WeightSubstrate};
 use milr_ecc::Secded;
 use milr_xts::{for_each_block_run, EncryptedMemory, XtsCipher, BLOCK_BYTES, WEIGHTS_PER_BLOCK};
 
 /// Words of ciphertext per 16-byte cipher block.
 const WORDS_PER_BLOCK: usize = BLOCK_BYTES / 4;
-
-/// One cipher block (4 SECDED code words) per geometry row.
-const XTS_SECDED_GEOMETRY: RawGeometry = RawGeometry {
-    word_bits: Secded::CODE_BITS as usize,
-    words_per_row: WORDS_PER_BLOCK,
-};
 
 /// Weights stored as AES-XTS ciphertext with one (39,32) SECDED code
 /// word per 32-bit ciphertext word.
@@ -55,12 +49,13 @@ impl XtsSecdedMemory {
     ///
     /// # Panics
     ///
-    /// Panics when the word count is not a whole number of blocks or
-    /// cannot hold `len` weights.
-    pub fn from_words(words: Vec<u64>, len: usize, cipher: XtsCipher) -> Self {
-        assert!(
-            words.len().is_multiple_of(WORDS_PER_BLOCK) && words.len() * 4 >= len * 4,
-            "raw image of {} words cannot hold {len} weights",
+    /// Panics unless the word count is exactly the whole blocks `len`
+    /// weights occupy.
+    pub(crate) fn from_words(words: Vec<u64>, len: usize, cipher: XtsCipher) -> Self {
+        assert_eq!(
+            words.len(),
+            len.div_ceil(WEIGHTS_PER_BLOCK) * WORDS_PER_BLOCK,
+            "raw image of {} words for {len} weights",
             words.len()
         );
         XtsSecdedMemory { cipher, words, len }
@@ -80,24 +75,12 @@ impl XtsSecdedMemory {
 }
 
 impl WeightSubstrate for XtsSecdedMemory {
-    fn label(&self) -> &'static str {
-        "AES-XTS + SECDED DRAM"
+    fn kind(&self) -> SubstrateKind {
+        SubstrateKind::XtsSecded
     }
 
     fn len(&self) -> usize {
         self.len
-    }
-
-    fn raw_bits(&self) -> usize {
-        self.words.len() * Secded::CODE_BITS as usize
-    }
-
-    fn raw_word_of_bit(&self, bit: usize) -> usize {
-        bit / Secded::CODE_BITS as usize
-    }
-
-    fn raw_geometry(&self) -> RawGeometry {
-        XTS_SECDED_GEOMETRY
     }
 
     fn raw_bit(&self, bit: usize) -> bool {
@@ -214,12 +197,6 @@ impl WeightSubstrate for XtsSecdedMemory {
             .collect();
         Ok(())
     }
-
-    fn storage_overhead(&self) -> usize {
-        // Check bits over every ciphertext word, plus block padding.
-        let padding = self.words.len() * 4 - self.len * 4;
-        self.words.len() * Secded::CHECK_BITS as usize / 8 + padding
-    }
 }
 
 #[cfg(test)]
@@ -290,14 +267,6 @@ mod tests {
         assert!(mem.scrub().is_clean());
         assert_eq!(mem.read_weights(), w);
         assert!(mem.write_weights(&weights(9)).is_err());
-    }
-
-    #[test]
-    fn overhead_combines_check_bits_and_padding() {
-        let mem = XtsSecdedMemory::protect(&weights(5), cipher());
-        // 5 weights -> 2 blocks -> 8 ciphertext words: 8*7/8 check bytes
-        // + 12 padding bytes.
-        assert_eq!(mem.storage_overhead(), 7 + 12);
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl Lcg {
 }
 
 /// One writer per shard cycles through every epoch-bumping operation;
-/// readers sweep all shards with both versioned read entry points and
+/// readers sweep all shards with the versioned read and
 /// log `(shard, epoch) -> fingerprint` observations, merged and
 /// cross-checked at the end.
 fn torture(kind: SubstrateKind, seed: u64) {
@@ -108,13 +108,7 @@ fn torture(kind: SubstrateKind, seed: u64) {
                     let mut buf = vec![0.0f32; SHARD_WEIGHTS];
                     for _ in 0..READS_PER_READER {
                         let shard = rng.next() as usize % SHARDS;
-                        let (weights, epoch) = if rng.next().is_multiple_of(2) {
-                            let (w, e) = shared.read_shard_versioned(shard);
-                            (w, e)
-                        } else {
-                            let e = shared.read_shard_into_versioned(shard, &mut buf);
-                            (buf.clone(), e)
-                        };
+                        let epoch = shared.read_shard_into_versioned(shard, &mut buf);
                         assert!(
                             epoch >= floor[shard],
                             "{kind:?}: shard {shard} epoch went backwards \
@@ -123,7 +117,7 @@ fn torture(kind: SubstrateKind, seed: u64) {
                             floor[shard]
                         );
                         floor[shard] = epoch;
-                        seen.push((shard, epoch, fingerprint(&weights)));
+                        seen.push((shard, epoch, fingerprint(&buf)));
                     }
                     seen
                 })
@@ -152,10 +146,10 @@ fn torture(kind: SubstrateKind, seed: u64) {
     // Quiesced: every versioned read now reports the final epoch and
     // the exact bits a fresh decode returns.
     for shard in 0..SHARDS {
-        let (weights, epoch) = shared.read_shard_versioned(shard);
-        assert_eq!(epoch, shared.shard_epoch(shard));
+        let weights = shared.read_shard(shard);
         let mut buf = vec![0.0f32; weights.len()];
-        assert_eq!(shared.read_shard_into_versioned(shard, &mut buf), epoch);
+        let epoch = shared.read_shard_into_versioned(shard, &mut buf);
+        assert_eq!(epoch, shared.shard_epoch(shard));
         assert_eq!(fingerprint(&buf), fingerprint(&weights));
     }
 }

@@ -50,14 +50,14 @@ impl EncryptedMemory {
     ///
     /// # Errors
     ///
-    /// Returns [`XtsError::BadLength`] when the image is not a whole
-    /// number of blocks or cannot hold `len` weights.
+    /// Returns [`XtsError::BadLength`] unless the image is exactly the
+    /// whole blocks `len` weights occupy.
     pub fn from_ciphertext(
         ciphertext: Vec<u8>,
         len: usize,
         cipher: XtsCipher,
     ) -> Result<Self, XtsError> {
-        if !ciphertext.len().is_multiple_of(BLOCK_BYTES) || ciphertext.len() < len * 4 {
+        if ciphertext.len() != len.div_ceil(WEIGHTS_PER_BLOCK) * BLOCK_BYTES {
             return Err(XtsError::BadLength {
                 len: ciphertext.len(),
             });
@@ -259,6 +259,24 @@ mod tests {
         let mem = EncryptedMemory::encrypt(&w, cipher());
         let last_bit = mem.ciphertext_bits() - 1;
         assert_eq!(mem.blast_radius(last_bit), 4..5);
+    }
+
+    #[test]
+    fn from_ciphertext_takes_exactly_the_padded_blocks() {
+        let image = EncryptedMemory::encrypt(&weights(5), cipher())
+            .ciphertext()
+            .to_vec();
+        for len in [5, 8] {
+            let mem = EncryptedMemory::from_ciphertext(image.clone(), len, cipher()).unwrap();
+            assert_eq!(mem.ciphertext_bits(), 2 * BLOCK_BYTES * 8);
+        }
+        for len in [4, 9] {
+            assert_eq!(
+                EncryptedMemory::from_ciphertext(image.clone(), len, cipher()).err(),
+                Some(XtsError::BadLength { len: 32 }),
+                "{len} weights"
+            );
+        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! ```
 
 use milr_core::{Milr, MilrConfig};
-use milr_fault::{inject_ciphertext_rber, FaultRng};
+use milr_fault::{inject_rber, FaultRng};
 use milr_models::trained_reduced;
-use milr_xts::{EncryptedMemory, XtsCipher};
+use milr_xts::{EncryptedMemory, XtsCipher, WEIGHTS_PER_BLOCK};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (mut model, test) = trained_reduced("mnist", 21);
@@ -34,19 +34,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Soft errors strike the DRAM ciphertext.
+    // A raw word of encrypted memory is one 16-byte cipher block, so
+    // the report's affected words are the garbled blocks.
     let mut rng = FaultRng::seed(3);
     let mut total_bits = 0usize;
-    let mut garbled_weights = 0usize;
+    let mut garbled_blocks = 0usize;
     for (_, mem) in memories.iter_mut() {
-        let (report, bits) = inject_ciphertext_rber(mem, 2e-5, &mut rng);
+        let report = inject_rber(mem, 2e-5, &mut rng);
         total_bits += report.flipped_bits;
-        garbled_weights += bits
-            .iter()
-            .map(|&b| mem.blast_radius(b).len())
-            .sum::<usize>();
+        garbled_blocks += report.affected_words;
     }
     println!(
-        "{total_bits} ciphertext bit flips -> ~{garbled_weights} whole-weight plaintext errors"
+        "{total_bits} ciphertext bit flips -> {garbled_blocks} garbled blocks \
+         (~{} whole-weight plaintext errors)",
+        garbled_blocks * WEIGHTS_PER_BLOCK
     );
 
     // The VM reads (decrypts) its weights: plaintext space is corrupted.

@@ -5,7 +5,7 @@
 
 use milr_core::{Milr, MilrConfig};
 use milr_ecc::SecdedMemory;
-use milr_fault::{inject_ciphertext_rber, FaultRng};
+use milr_fault::{inject_rber, FaultRng};
 use milr_models::trained_reduced;
 use milr_xts::{EncryptedMemory, XtsCipher, WEIGHTS_PER_BLOCK};
 
@@ -52,7 +52,7 @@ fn secded_cannot_correct_plaintext_space_garble_but_milr_can() {
     let golden: Vec<f32> = model.layers()[dense].params().unwrap().data().to_vec();
     let cipher = XtsCipher::new(&[3; 16], &[4; 16]);
     let mut mem = EncryptedMemory::encrypt(&golden, cipher);
-    let (report, _) = inject_ciphertext_rber(&mut mem, 5e-5, &mut FaultRng::seed(17));
+    let report = inject_rber(&mut mem, 5e-5, &mut FaultRng::seed(17));
     assert!(report.flipped_bits > 0);
     let plaintext = mem.decrypt_all();
 
