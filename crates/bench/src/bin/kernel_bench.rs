@@ -4,14 +4,17 @@
 //! batched AES-NI XTS, single-pass CRC2D, register-tiled FMA GEMM,
 //! implicit-GEMM conv2d, single-pass max-pool and row-major Householder
 //! QR) actually buy throughput on the machine at hand, not just in
-//! theory.
+//! theory. One arm times a whole heal instead of a kernel: the last
+//! conv layer of CIFAR-small healed on a fresh instance against one
+//! whose backward-pass factors are cached.
 //!
 //! Every optimized kernel is proptested bit-equivalent to its scalar
 //! twin in its home crate; this binary only measures. With `--check`
 //! it exits non-zero when any optimized kernel fails its speedup floor
-//! (1× for all, 8× for conv2d, 4× for the batched XTS decrypt and for
-//! conv2d_conv1, 3× for the SECDED scrub and the QR factor, 2× for the
-//! CRC2D full-grid encode and for max_pool2d) — the CI regression gate.
+//! (1× for all, 8× for conv2d, 5× for the warm heal_conv_last, 4× for
+//! the batched XTS decrypt and for conv2d_conv1, 3× for the SECDED
+//! scrub and the QR factor, 2× for the CRC2D full-grid encode and for
+//! max_pool2d) — the CI regression gate.
 //!
 //! ```text
 //! cargo run --release -p milr-bench --bin kernel_bench -- \
@@ -20,13 +23,17 @@
 
 use milr_bench::best_ns;
 use milr_bench::json::write_summary;
+use milr_core::{Milr, MilrConfig};
 use milr_ecc::{crc32, scalar, Crc2d, DecodeOutcome, Secded, SecdedMemory};
 use milr_linalg::{scalar as linalg_scalar, Mat, Qr};
+use milr_models::reduced_cifar_small;
+use milr_nn::Sequential;
 use milr_obs::json::{array, JsonObject};
 use milr_tensor::scalar as tensor_scalar;
 use milr_tensor::{conv2d, matmul, max_pool2d, ConvSpec, Padding, PoolSpec, Tensor};
 use milr_xts::XtsCipher;
 use std::hint::black_box;
+use std::time::Instant;
 
 /// Bytes hashed per CRC measurement.
 const CRC_BYTES: usize = 64 * 1024;
@@ -40,6 +47,8 @@ const CRC2D_SIDE: usize = 256;
 /// (32 weight columns plus 352 dummy columns over 384 inputs), which
 /// every heal of its last conv layer inverts.
 const QR_SIDE: usize = 384;
+/// CIFAR-small's last conv layer, whose heals invert dense layer 18.
+const CONV_LAST: usize = 14;
 
 struct BenchArgs {
     trials: usize,
@@ -125,6 +134,30 @@ fn relu_f32(n: usize) -> Vec<f32> {
         .into_iter()
         .map(|x| x.max(0.0))
         .collect()
+}
+
+/// Best-of-`trials` time of one `recover_layers` heal of `layer` in a
+/// copy of `faulty`, on the instance `milr` returns for that sample.
+/// The instance and the copy are made outside the timer.
+fn best_heal_ns(
+    trials: usize,
+    faulty: &Sequential,
+    layer: usize,
+    mut milr: impl FnMut() -> Milr,
+) -> u64 {
+    (0..trials)
+        .map(|_| {
+            let milr = milr();
+            let mut model = faulty.clone();
+            let start = Instant::now();
+            black_box(
+                milr.recover_layers(&mut model, &[layer])
+                    .expect("heal runs"),
+            );
+            start.elapsed().as_nanos() as u64
+        })
+        .min()
+        .unwrap_or(u64::MAX)
 }
 
 fn main() {
@@ -397,6 +430,40 @@ fn main() {
             black_box(Qr::factor(black_box(&w_aug_t)).expect("factor"));
         }),
         floor: 3.0,
+    });
+
+    // ---- Heal of the last conv layer: fresh instance vs cached factors. ----
+    // Cold protects a new instance per sample, so every heal factors
+    // dense 18's W_augᵀ; warm reuses one instance whose factors a first
+    // heal cached, so only the solves run.
+    let golden = reduced_cifar_small(42).model;
+    let mut faulty = golden.clone();
+    let p = faulty.layers_mut()[CONV_LAST]
+        .params_mut()
+        .expect("conv has params");
+    p.data_mut()[0] = f32::from_bits(!p.data()[0].to_bits());
+    let protect = || Milr::protect(&golden, MilrConfig::default()).expect("golden protects");
+    let warm = protect();
+    let healed = |milr: &Milr| {
+        let mut m = faulty.clone();
+        milr.recover_layers(&mut m, &[CONV_LAST])
+            .expect("heal runs");
+        m.layers()[CONV_LAST]
+            .params()
+            .expect("conv has params")
+            .clone()
+    };
+    assert_eq!(
+        healed(&protect()),
+        healed(&warm),
+        "a warm heal diverged from a cold one"
+    );
+    kernels.push(Kernel {
+        name: "heal_conv_last",
+        items: 1,
+        scalar_ns: best_heal_ns(trials, &faulty, CONV_LAST, protect),
+        optimized_ns: best_heal_ns(trials, &faulty, CONV_LAST, || warm.clone()),
+        floor: 5.0,
     });
 
     // ---- Report. ----

@@ -5,10 +5,10 @@
 //! good) parameters, augmented with regenerated PRNG dummy parameters
 //! where the plan called for them.
 
-use crate::artifacts::{inversion_dummy_params, Artifacts};
-use crate::plan::{InversionPlan, ProtectionPlan};
+use crate::artifacts::inversion_dummy_params;
+use crate::plan::InversionPlan;
 use crate::semantics::SegmentView;
-use crate::{MilrConfig, MilrError, Result};
+use crate::{Milr, MilrError, Result};
 use milr_linalg::{Mat, Qr};
 use milr_nn::Layer;
 use milr_tensor::{col2im_accumulate, Tensor};
@@ -22,10 +22,8 @@ use milr_tensor::{col2im_accumulate, Tensor};
 /// never routes backward passes through them) and solver errors when the
 /// augmented system is singular.
 pub(crate) fn invert_layer(
+    milr: &Milr,
     view: &SegmentView,
-    plan: &ProtectionPlan,
-    artifacts: &Artifacts,
-    config: &MilrConfig,
     index: usize,
     y: &Tensor,
 ) -> Result<Tensor> {
@@ -53,24 +51,8 @@ pub(crate) fn invert_layer(
             let input = view.shape_at(index);
             crop(y, *pad, input)
         }
-        Layer::Dense { weights } => invert_dense(
-            weights,
-            plan.layers[index].inversion,
-            artifacts,
-            config,
-            index,
-            y,
-        ),
-        Layer::Conv2D { filters, spec } => invert_conv(
-            view,
-            filters,
-            spec,
-            plan.layers[index].inversion,
-            artifacts,
-            config,
-            index,
-            y,
-        ),
+        Layer::Dense { weights } => invert_dense(milr, weights, index, y),
+        Layer::Conv2D { filters, spec } => invert_conv(milr, view, filters, spec, index, y),
         Layer::MaxPool2D(_) | Layer::AvgPool2D(_) => Err(MilrError::NotInvertible {
             layer: index,
             kind: layer.kind_name().to_string(),
@@ -97,46 +79,51 @@ fn crop(y: &Tensor, pad: usize, input: &[usize]) -> Result<Tensor> {
 
 /// Dense backward pass: solve `x · W_aug = y_aug` row by row
 /// (§IV-A-a). `W_aug` appends regenerated dummy columns when the plan
-/// requires them; `y_aug` appends their stored golden outputs.
-fn invert_dense(
-    weights: &Tensor,
-    inversion: InversionPlan,
-    artifacts: &Artifacts,
-    config: &MilrConfig,
-    index: usize,
-    y: &Tensor,
-) -> Result<Tensor> {
+/// requires them; `y_aug` appends their stored golden outputs. The
+/// factor of `W_augᵀ` comes from the instance's factor cache, so only
+/// the first heal after a weight change builds and factors it.
+fn invert_dense(milr: &Milr, weights: &Tensor, index: usize, y: &Tensor) -> Result<Tensor> {
     let (n, p) = (weights.shape().dim(0), weights.shape().dim(1));
-    let (dummies, y_aug) = match inversion {
-        InversionPlan::DummyData { extra } => {
-            let cols = inversion_dummy_params(config, index, &[n, extra]);
-            let stored = artifacts
+    let inversion = milr.plan().layers[index].inversion;
+    let y_aug = match inversion {
+        InversionPlan::DummyData { .. } => {
+            let stored = milr
+                .artifacts()
                 .dense_dummy_col_outputs
                 .get(&index)
                 .ok_or_else(|| {
                     MilrError::CorruptArtifacts(format!("missing dense dummy outputs {index}"))
                 })?;
-            (cols, Tensor::hstack(&[y, stored])?)
+            Tensor::hstack(&[y, stored])?
         }
-        _ => (Tensor::zeros(&[n, 0]), y.clone()),
+        _ => y.clone(),
     };
-    // Solve W_augᵀ xᵀ = y_augᵀ with W_aug = [W | dummy columns]; fill
-    // W_augᵀ straight from both banks, then factor once and solve once
-    // per batch row.
-    let (w, d, extra) = (weights.data(), dummies.data(), dummies.shape().dim(1));
-    let wt = Mat::from_fn(p + extra, n, |r, i| {
-        (if r < p {
-            w[i * p + r]
-        } else {
-            d[i * extra + r - p]
-        }) as f64
-    });
-    let qr = Qr::factor(&wt)?;
+    let factor = milr
+        .inversion_factors()
+        .get(index, weights, inversion, || {
+            let dummies = match inversion {
+                InversionPlan::DummyData { extra } => {
+                    inversion_dummy_params(milr.config(), index, &[n, extra])
+                }
+                _ => Tensor::zeros(&[n, 0]),
+            };
+            // Solve W_augᵀ xᵀ = y_augᵀ with W_aug = [W | dummy
+            // columns]; fill W_augᵀ straight from both banks.
+            let (w, d, extra) = (weights.data(), dummies.data(), dummies.shape().dim(1));
+            let wt = Mat::from_fn(p + extra, n, |r, i| {
+                (if r < p {
+                    w[i * p + r]
+                } else {
+                    d[i * extra + r - p]
+                }) as f64
+            });
+            Ok(Qr::factor(&wt)?)
+        })?;
     let b = y.shape().dim(0);
     let mut out = Vec::with_capacity(b * n);
     for r in 0..b {
         let rhs: Vec<f64> = y_aug.row(r)?.iter().map(|&v| v as f64).collect();
-        let x = qr.solve(&rhs)?;
+        let x = factor.qr().solve(&rhs)?;
         out.extend(x.iter().map(|&v| v as f32));
     }
     Ok(Tensor::from_vec(out, &[b, n])?)
@@ -144,15 +131,14 @@ fn invert_dense(
 
 /// Convolution backward pass (§IV-B-a): every output location gives `Y`
 /// (+ dummy) equations over its `F²Z`-element receptive field; the patch
-/// solutions are merged by averaging overlaps.
-#[allow(clippy::too_many_arguments)]
+/// solutions are merged by averaging overlaps. The equation matrix's
+/// factor comes from the instance's factor cache, as in
+/// [`invert_dense`].
 fn invert_conv(
+    milr: &Milr,
     view: &SegmentView,
     filters: &Tensor,
     spec: &milr_tensor::ConvSpec,
-    inversion: InversionPlan,
-    artifacts: &Artifacts,
-    config: &MilrConfig,
     index: usize,
     y: &Tensor,
 ) -> Result<Tensor> {
@@ -161,29 +147,44 @@ fn invert_conv(
     let f = filters.shape().dim(0);
     let ny = filters.shape().dim(3);
     let unknowns = f * f * c;
-    // Stack real and dummy filter banks into the equation matrix
-    // (Y+extra, F²Z).
-    let (eqs, dummy_out): (Tensor, Option<&Tensor>) = match inversion {
+    let inversion = milr.plan().layers[index].inversion;
+    let (extra, dummy_out): (usize, Option<&Tensor>) = match inversion {
         InversionPlan::DummyData { extra } => {
-            let dummies = inversion_dummy_params(config, index, &[f, f, c, extra]);
-            let real = filters.reshape(&[unknowns, ny])?;
-            let dum = dummies.reshape(&[unknowns, extra])?;
-            let stored = artifacts.conv_dummy_outputs.get(&index).ok_or_else(|| {
-                MilrError::CorruptArtifacts(format!("missing conv dummy outputs {index}"))
-            })?;
-            (Tensor::hstack(&[&real, &dum])?.transpose()?, Some(stored))
+            let stored = milr
+                .artifacts()
+                .conv_dummy_outputs
+                .get(&index)
+                .ok_or_else(|| {
+                    MilrError::CorruptArtifacts(format!("missing conv dummy outputs {index}"))
+                })?;
+            (extra, Some(stored))
         }
-        _ => (filters.reshape(&[unknowns, ny])?.transpose()?, None),
+        _ => (0, None),
     };
-    let total_eqs = eqs.shape().dim(0);
+    let total_eqs = ny + extra;
     if total_eqs < unknowns {
         return Err(MilrError::NotInvertible {
             layer: index,
             kind: format!("Conv2D with {total_eqs} equations for {unknowns} unknowns"),
         });
     }
-    let a = Mat::from_vec(eqs.to_f64_vec(), total_eqs, unknowns)?;
-    let qr = Qr::factor(&a)?;
+    let factor = milr
+        .inversion_factors()
+        .get(index, filters, inversion, || {
+            // Stack real and dummy filter banks into the equation
+            // matrix (Y+extra, F²Z).
+            let real = filters.reshape(&[unknowns, ny])?;
+            let eqs = match inversion {
+                InversionPlan::DummyData { extra } => {
+                    let dummies = inversion_dummy_params(milr.config(), index, &[f, f, c, extra]);
+                    let dum = dummies.reshape(&[unknowns, extra])?;
+                    Tensor::hstack(&[&real, &dum])?.transpose()?
+                }
+                _ => real.transpose()?,
+            };
+            let a = Mat::from_vec(eqs.to_f64_vec(), total_eqs, unknowns)?;
+            Ok(Qr::factor(&a)?)
+        })?;
     let b = y.shape().dim(0);
     let (gh, gw) = (y.shape().dim(1), y.shape().dim(2));
     let mut images = Vec::with_capacity(b * h * w * c);
@@ -201,7 +202,7 @@ fn invert_conv(
                         rhs.push(d.at(&[img, i, j, k])? as f64);
                     }
                 }
-                let patch = qr.solve(&rhs)?;
+                let patch = factor.qr().solve(&rhs)?;
                 patches.extend(patch.iter().map(|&v| v as f32));
             }
         }
@@ -215,17 +216,15 @@ fn invert_conv(
 /// Backward-propagates `y` from checkpoint position `to` down to become
 /// the output of layer `target`, inverting layers `to-1 .. target+1`.
 pub(crate) fn backward_to(
+    milr: &Milr,
     view: &SegmentView,
-    plan: &ProtectionPlan,
-    artifacts: &Artifacts,
-    config: &MilrConfig,
     y: &Tensor,
     to: usize,
     target: usize,
 ) -> Result<Tensor> {
     let mut cur = y.clone();
     for j in ((target + 1)..to).rev() {
-        cur = invert_layer(view, plan, artifacts, config, j, &cur)?;
+        cur = invert_layer(milr, view, j, &cur)?;
     }
     Ok(cur)
 }
@@ -233,8 +232,9 @@ pub(crate) fn backward_to(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifacts::{golden_input, Artifacts};
+    use crate::artifacts::golden_input;
     use crate::semantics::{milr_forward, milr_forward_range};
+    use crate::MilrConfig;
     use milr_nn::{Activation, Sequential};
     use milr_tensor::{ConvSpec, Padding, TensorRng};
 
@@ -245,19 +245,17 @@ mod tests {
     fn protected(
         build: impl FnOnce(&mut Sequential, &mut TensorRng),
         input_shape: Vec<usize>,
-    ) -> (Sequential, ProtectionPlan, Artifacts, MilrConfig) {
+    ) -> (Sequential, Milr) {
         let mut rng = TensorRng::new(17);
         let mut m = Sequential::new(input_shape);
         build(&mut m, &mut rng);
-        let cfg = MilrConfig::default();
-        let plan = ProtectionPlan::build(&m, &cfg).unwrap();
-        let art = Artifacts::build(&m, &plan, &cfg).unwrap();
-        (m, plan, art, cfg)
+        let milr = Milr::protect(&m, MilrConfig::default()).unwrap();
+        (m, milr)
     }
 
     #[test]
     fn bias_and_shape_layers_invert_exactly() {
-        let (m, plan, art, cfg) = protected(
+        let (m, milr) = protected(
             |m, rng| {
                 m.push(
                     Layer::conv2d_random(
@@ -279,32 +277,32 @@ mod tests {
             },
             vec![3, 3, 1],
         );
-        let x0 = golden_input(&m, &cfg);
+        let x0 = golden_input(&m, milr.config());
         // Forward to the end, then invert back to the conv output.
         let out = milr_forward_range(&view(&m), &x0, 0, 4).unwrap();
-        let back = backward_to(&view(&m), &plan, &art, &cfg, &out, 4, 0).unwrap();
+        let back = backward_to(&milr, &view(&m), &out, 4, 0).unwrap();
         let conv_out = milr_forward(&m.layers()[0], &x0).unwrap();
         assert!(back.approx_eq(&conv_out, 1e-6, 1e-6));
     }
 
     #[test]
     fn wide_dense_inverts_natively() {
-        let (m, plan, art, cfg) = protected(
+        let (m, milr) = protected(
             |m, rng| {
                 m.push(Layer::dense_random(4, 6, rng).unwrap()).unwrap();
             },
             vec![4],
         );
-        let x0 = golden_input(&m, &cfg);
+        let x0 = golden_input(&m, milr.config());
         let y = milr_forward(&m.layers()[0], &x0).unwrap();
-        let back = invert_layer(&view(&m), &plan, &art, &cfg, 0, &y).unwrap();
+        let back = invert_layer(&milr, &view(&m), 0, &y).unwrap();
         assert!(back.approx_eq(&x0, 1e-5, 1e-6), "{back} vs {x0}");
     }
 
     #[test]
     fn narrow_dense_inverts_with_dummy_columns() {
         // Second dense is narrow (P < N) and needs dummy columns.
-        let (m, plan, art, cfg) = protected(
+        let (m, milr) = protected(
             |m, rng| {
                 m.push(Layer::dense_random(6, 6, rng).unwrap()).unwrap();
                 m.push(Layer::dense_random(6, 2, rng).unwrap()).unwrap();
@@ -312,20 +310,20 @@ mod tests {
             vec![6],
         );
         assert_eq!(
-            plan.layers[1].inversion,
+            milr.plan().layers[1].inversion,
             InversionPlan::DummyData { extra: 4 }
         );
-        let x0 = golden_input(&m, &cfg);
+        let x0 = golden_input(&m, milr.config());
         let mid = milr_forward(&m.layers()[0], &x0).unwrap();
         let y = milr_forward(&m.layers()[1], &mid).unwrap();
-        let back = invert_layer(&view(&m), &plan, &art, &cfg, 1, &y).unwrap();
+        let back = invert_layer(&milr, &view(&m), 1, &y).unwrap();
         assert!(back.approx_eq(&mid, 1e-4, 1e-5));
     }
 
     #[test]
     fn conv_with_enough_filters_inverts_natively() {
         // 1-channel 2x2 filters (F²Z = 4) with 6 filters: Y >= F²Z.
-        let (m, plan, art, cfg) = protected(
+        let (m, milr) = protected(
             |m, rng| {
                 m.push(
                     Layer::conv2d_random(
@@ -353,11 +351,11 @@ mod tests {
             vec![5, 5, 1],
         );
         // Layer 1 has 24 filters >= F²Z = 24: native.
-        assert_eq!(plan.layers[1].inversion, InversionPlan::Native);
-        let x0 = golden_input(&m, &cfg);
+        assert_eq!(milr.plan().layers[1].inversion, InversionPlan::Native);
+        let x0 = golden_input(&m, milr.config());
         let mid = milr_forward(&m.layers()[0], &x0).unwrap();
         let y = milr_forward(&m.layers()[1], &mid).unwrap();
-        let back = invert_layer(&view(&m), &plan, &art, &cfg, 1, &y).unwrap();
+        let back = invert_layer(&milr, &view(&m), 1, &y).unwrap();
         assert!(
             back.approx_eq(&mid, 1e-3, 1e-4),
             "max diff {:?}",
@@ -370,7 +368,7 @@ mod tests {
         // Second conv has 3 filters < F²Z = 2*2*4 = 16 -> dummy filters
         // (output 4x4x? -> dummy cost 16·13=208 vs ckpt 5·5·4=100 ->
         // checkpointed instead; force dummy by making input bigger).
-        let (m, plan, art, cfg) = protected(
+        let (m, milr) = protected(
             |m, rng| {
                 m.push(
                     Layer::conv2d_random(
@@ -399,13 +397,13 @@ mod tests {
         );
         // Layer 1: F²Z = 16 > Y = 14 -> extra 2; dummy cost 2·G²=8 < ckpt 36.
         assert_eq!(
-            plan.layers[1].inversion,
+            milr.plan().layers[1].inversion,
             InversionPlan::DummyData { extra: 2 }
         );
-        let x0 = golden_input(&m, &cfg);
+        let x0 = golden_input(&m, milr.config());
         let mid = milr_forward(&m.layers()[0], &x0).unwrap();
         let y = milr_forward(&m.layers()[1], &mid).unwrap();
-        let back = invert_layer(&view(&m), &plan, &art, &cfg, 1, &y).unwrap();
+        let back = invert_layer(&milr, &view(&m), 1, &y).unwrap();
         assert!(
             back.approx_eq(&mid, 1e-3, 1e-4),
             "max diff {:?}",
@@ -415,7 +413,7 @@ mod tests {
 
     #[test]
     fn pooling_refuses_inversion() {
-        let (m, plan, art, cfg) = protected(
+        let (m, milr) = protected(
             |m, rng| {
                 m.push(
                     Layer::conv2d_random(
@@ -434,13 +432,13 @@ mod tests {
             vec![4, 4, 1],
         );
         let y = Tensor::zeros(&[1, 2, 2, 1]);
-        let err = invert_layer(&view(&m), &plan, &art, &cfg, 1, &y).unwrap_err();
+        let err = invert_layer(&milr, &view(&m), 1, &y).unwrap_err();
         assert!(matches!(err, MilrError::NotInvertible { layer: 1, .. }));
     }
 
     #[test]
     fn zero_pad_inverts_by_cropping() {
-        let (m, plan, art, cfg) = protected(
+        let (m, milr) = protected(
             |m, rng| {
                 m.push(
                     Layer::conv2d_random(
@@ -457,10 +455,10 @@ mod tests {
             },
             vec![3, 3, 1],
         );
-        let x0 = golden_input(&m, &cfg);
+        let x0 = golden_input(&m, milr.config());
         let mid = milr_forward(&m.layers()[0], &x0).unwrap();
         let y = milr_forward(&m.layers()[1], &mid).unwrap();
-        let back = invert_layer(&view(&m), &plan, &art, &cfg, 1, &y).unwrap();
+        let back = invert_layer(&milr, &view(&m), 1, &y).unwrap();
         assert_eq!(back, mid);
     }
 }

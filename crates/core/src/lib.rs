@@ -77,6 +77,7 @@ pub mod availability;
 mod config;
 mod detect;
 mod error;
+mod factors;
 mod invert;
 mod milr;
 mod plan;
@@ -87,6 +88,7 @@ mod storage;
 pub use config::{MilrConfig, WeightGrid};
 pub use detect::{DetectionReport, LayerCheck};
 pub use error::MilrError;
+pub use factors::InversionFactorStats;
 pub use milr::{Milr, RecoveryOutcome, RecoveryReport};
 pub use plan::{InversionPlan, LayerPlan, ProtectionPlan, SolvingPlan};
 pub use solve::{reset_ulp_snap_searches, ulp_snap_searches};

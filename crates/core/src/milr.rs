@@ -1,5 +1,6 @@
 use crate::artifacts::{golden_input, Artifacts};
 use crate::detect::{run_detection, run_detection_subset, DetectionReport};
+use crate::factors::{InversionFactorStats, InversionFactors};
 use crate::invert::backward_to;
 use crate::plan::{ProtectionPlan, SolvingPlan};
 use crate::semantics::{milr_forward_range, SegmentView};
@@ -8,6 +9,7 @@ use crate::storage::StorageReport;
 use crate::{MilrConfig, MilrError, Result};
 use milr_nn::{Layer, Sequential};
 use milr_tensor::Tensor;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How one flagged layer fared during recovery.
@@ -109,6 +111,10 @@ pub struct Milr {
     /// Structural fingerprint of the protected model, used to reject
     /// detection/recovery against a different architecture.
     fingerprint: Vec<(String, usize)>,
+    /// Backward-pass factors, one per inverted layer and weight state.
+    /// Shared by clones and kept across [`Milr::reprotect`]; never
+    /// serialized.
+    factors: Arc<InversionFactors>,
 }
 
 impl Milr {
@@ -121,6 +127,29 @@ impl Milr {
     /// Returns [`MilrError::ModelMismatch`] for empty models and
     /// propagates tensor/geometry failures.
     pub fn protect(model: &Sequential, config: MilrConfig) -> Result<Self> {
+        Self::build(model, config, Arc::default())
+    }
+
+    /// Re-runs the initialization phase on `model` with this instance's
+    /// configuration, in place — the re-anchor after a heal. The
+    /// inversion-factor cache survives: its entries check their own
+    /// parameter bits, so factors of layers the heal did not touch are
+    /// reused and stale ones are rebuilt on their next use. On error
+    /// the instance is unchanged.
+    ///
+    /// # Errors
+    ///
+    /// See [`Milr::protect`].
+    pub fn reprotect(&mut self, model: &Sequential) -> Result<()> {
+        *self = Self::build(model, self.config, Arc::clone(&self.factors))?;
+        Ok(())
+    }
+
+    fn build(
+        model: &Sequential,
+        config: MilrConfig,
+        factors: Arc<InversionFactors>,
+    ) -> Result<Self> {
         let plan = ProtectionPlan::build(model, &config)?;
         let artifacts = Artifacts::build(model, &plan, &config)?;
         Ok(Milr {
@@ -128,6 +157,7 @@ impl Milr {
             plan,
             artifacts,
             fingerprint: fingerprint(model),
+            factors,
         })
     }
 
@@ -144,6 +174,7 @@ impl Milr {
             plan,
             artifacts,
             fingerprint,
+            factors: Arc::default(),
         }
     }
 
@@ -155,6 +186,20 @@ impl Milr {
     /// The structural fingerprint (serialization access).
     pub(crate) fn fingerprint_data(&self) -> &[(String, usize)] {
         &self.fingerprint
+    }
+
+    /// The backward-pass factor cache (inversion access).
+    pub(crate) fn inversion_factors(&self) -> &InversionFactors {
+        &self.factors
+    }
+
+    /// Hit and miss counts of the backward-pass factor cache, summed
+    /// over this instance and every clone sharing it. A heal that
+    /// inverts a dense or conv layer hits when that layer's parameter
+    /// bits equal those of an earlier inversion, and misses (and
+    /// factors) otherwise.
+    pub fn inversion_factor_stats(&self) -> InversionFactorStats {
+        self.factors.stats()
     }
 
     /// The protection plan.
@@ -445,15 +490,7 @@ impl Milr {
         // Golden input: forward from the segment-start anchor.
         let x = milr_forward_range(view, input_anchor, seg_start, index)?;
         // Golden output: inverse passes from the segment-end anchor.
-        let y = backward_to(
-            view,
-            &self.plan,
-            &self.artifacts,
-            &self.config,
-            output_anchor,
-            seg_end,
-            index,
-        )?;
+        let y = backward_to(self, view, output_anchor, seg_end, index)?;
         let solving = self.plan.layers[index].solving.ok_or_else(|| {
             MilrError::ModelMismatch(format!("layer {index} has no parameters to recover"))
         })?;

@@ -752,7 +752,7 @@ impl IntegrityPipeline {
     ) -> Result<bool, IntegrityError> {
         self.enter(Stage::Reprotect);
         let t = self.stamp();
-        *milr = Milr::protect(&live, *milr.config())?;
+        milr.reprotect(&live)?;
         self.lap(t, Stage::Reprotect);
         self.report.reprotects += 1;
         self.enter(Stage::Anchor);

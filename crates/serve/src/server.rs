@@ -213,12 +213,27 @@ impl Shared {
         self.stop.load(Ordering::Acquire)
     }
 
-    /// Sets `substrate_epoch_total` from the store before a metrics
-    /// read: the epochs live in the substrate, not the registry.
-    fn refresh_epoch_gauge(&self) {
+    /// Sets `substrate_epoch_total` from the store and the
+    /// `core_inversion_factor_{hits,misses}_total` pair from the
+    /// protection instance before a metrics read: those counts live in
+    /// the substrate and in `Milr`, not in the registry. The factor
+    /// counts tell a warm heal (cached backward-pass factors) from a
+    /// cold one that re-factored a layer.
+    fn refresh_gauges(&self) {
         self.metrics
             .gauge("substrate_epoch_total")
             .set(self.host.store().epoch_total() as i64);
+        let factors = self
+            .milr
+            .lock()
+            .expect("lock poisoned")
+            .inversion_factor_stats();
+        self.metrics
+            .gauge("core_inversion_factor_hits_total")
+            .set(factors.hits as i64);
+        self.metrics
+            .gauge("core_inversion_factor_misses_total")
+            .set(factors.misses as i64);
     }
 
     /// Raises the stop flag under the state lock, so a worker either
@@ -475,7 +490,7 @@ impl Server {
     /// quarantine counters. Exportable as JSON or Prometheus text via
     /// [`MetricsSnapshot`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.shared.refresh_epoch_gauge();
+        self.shared.refresh_gauges();
         self.shared.metrics.snapshot()
     }
 
@@ -661,7 +676,7 @@ fn introspect(shared: &Shared, method: &str, path: &str) -> crate::http::HttpRes
     let now = shared.now_ns();
     match path {
         "/metrics" => {
-            shared.refresh_epoch_gauge();
+            shared.refresh_gauges();
             shared.metrics.export_self_stats(None);
             HttpResponse::new(
                 200,
@@ -1051,6 +1066,14 @@ mod tests {
         assert!(metrics.starts_with("HTTP/1.1 200 OK\r\n"), "{metrics}");
         assert!(metrics.contains("serve_quarantines_total"), "{metrics}");
         assert!(metrics.contains("obs_series"), "{metrics}");
+        assert!(
+            metrics.contains("core_inversion_factor_hits_total"),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains("core_inversion_factor_misses_total"),
+            "{metrics}"
+        );
         let health = http_get(addr, "/health");
         assert!(health.starts_with("HTTP/1.1 200 OK\r\n"), "{health}");
         assert!(health.contains("\"status\":\"serving\""), "{health}");
