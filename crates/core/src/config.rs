@@ -5,15 +5,16 @@ use milr_ecc::ring::{f16_snap, int8_snap};
 /// Weights living in a quantized substrate occupy a discrete grid whose
 /// points are exactly representable in f32 (the int8 scale is a power
 /// of two; every binary16 value is an f32 value). Telling the recovery
-/// solvers about the grid turns the ±4096-ulp CRC snap search into an
-/// **exact integer-ring solve**: the f64 least-squares solution is
-/// snapped to the nearest grid point, which *is* the golden bit pattern
-/// whenever the layer's stored weights came off that grid — the ulp
-/// walk never runs.
+/// solvers about the grid makes their least-squares output exact: the
+/// f64 solution is snapped to the nearest grid point, which *is* the
+/// golden bit pattern whenever the layer's stored weights came off that
+/// grid. Conv weights the 2-D CRC pins are solved over GF(2) on every
+/// grid; the snap serves the dense and bias solves and the conv cells
+/// no single CRC chunk pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WeightGrid {
-    /// Full-precision f32 weights (the paper's model). Recovery snaps
-    /// solver output with the ±4096-ulp CRC bit walk.
+    /// Full-precision f32 weights (the paper's model). The snap is the
+    /// identity.
     #[default]
     F32,
     /// Weights on the int8 lattice `q · 2⁻⁶` (see `milr_ecc::ring`).
@@ -31,61 +32,6 @@ impl WeightGrid {
             WeightGrid::F32 => v,
             WeightGrid::Int8 => int8_snap(v),
             WeightGrid::Fp16 => f16_snap(v),
-        }
-    }
-
-    /// True when grid points are exactly f32-representable and recovery
-    /// can bypass the ulp search.
-    pub fn is_exact(&self) -> bool {
-        !matches!(self, WeightGrid::F32)
-    }
-
-    /// CRC-snap search radius in grid steps: ulps for f32, lattice /
-    /// bit-pattern steps for the quantized grids (whose snap already
-    /// lands on the golden point; the tiny radius only absorbs a
-    /// round-to-nearest tie at a grid midpoint).
-    pub(crate) fn snap_radius(&self) -> u32 {
-        match self {
-            WeightGrid::F32 => 4096,
-            WeightGrid::Int8 => 8,
-            WeightGrid::Fp16 => 16,
-        }
-    }
-
-    /// The `delta`-th grid step from `base` (descending when `neg`), or
-    /// `None` when the step leaves the grid's range.
-    pub(crate) fn candidate(&self, base: f32, delta: u32, neg: bool) -> Option<f32> {
-        match self {
-            WeightGrid::F32 => {
-                let bits = base.to_bits();
-                Some(f32::from_bits(if neg {
-                    bits.wrapping_sub(delta)
-                } else {
-                    bits.wrapping_add(delta)
-                }))
-            }
-            WeightGrid::Int8 => {
-                let q = i32::from(milr_ecc::ring::int8_quantize(base));
-                let q = if neg {
-                    q - delta as i32
-                } else {
-                    q + delta as i32
-                };
-                (-128..=127)
-                    .contains(&q)
-                    .then(|| milr_ecc::ring::int8_value(q as i8))
-            }
-            WeightGrid::Fp16 => {
-                let bits = i32::from(milr_ecc::ring::f32_to_f16_bits(base));
-                let bits = if neg {
-                    bits - delta as i32
-                } else {
-                    bits + delta as i32
-                };
-                (0..=0xFFFF)
-                    .contains(&bits)
-                    .then(|| milr_ecc::ring::f16_bits_to_f32(bits as u16))
-            }
         }
     }
 }
@@ -121,9 +67,10 @@ pub struct MilrConfig {
     pub dense_self_recovery: bool,
     /// The representable-value grid the protected weights live on. Set
     /// to [`WeightGrid::Int8`] / [`WeightGrid::Fp16`] when the model is
-    /// stored in a quantized substrate: recovery then snaps solver
-    /// output onto the grid exactly instead of walking the f32 ulp
-    /// neighbourhood. Default [`WeightGrid::F32`] (paper-faithful).
+    /// stored in a quantized substrate: recovery then snaps
+    /// least-squares output onto the grid, so dense and bias heals land
+    /// on the golden points exactly. Default [`WeightGrid::F32`]
+    /// (paper-faithful).
     pub weight_grid: WeightGrid,
 }
 
@@ -175,31 +122,10 @@ mod tests {
     }
 
     #[test]
-    fn f32_grid_is_identity_and_inexact() {
-        let g = WeightGrid::F32;
+    fn f32_grid_snap_is_identity() {
         for v in [0.1f32, -3.7, 1e-20, f32::MAX] {
-            assert_eq!(g.snap(v).to_bits(), v.to_bits());
+            assert_eq!(WeightGrid::F32.snap(v).to_bits(), v.to_bits());
         }
-        assert!(!g.is_exact());
-        assert_eq!(
-            g.candidate(1.0, 1, false),
-            Some(f32::from_bits(1.0f32.to_bits() + 1))
-        );
-    }
-
-    #[test]
-    fn quantized_grids_walk_their_lattices() {
-        let g = WeightGrid::Int8;
-        assert!(g.is_exact());
-        assert_eq!(g.candidate(0.0, 1, false), Some(0.015625));
-        assert_eq!(g.candidate(0.0, 1, true), Some(-0.015625));
-        assert_eq!(g.candidate(2.0, 1, false), None, "clamps at q = 127");
-        let h = WeightGrid::Fp16;
-        assert!(h.is_exact());
-        assert_eq!(h.candidate(0.0, 0, false), Some(0.0));
-        // One f16 step from 1.0 is 1.0 + 2^-10.
-        assert_eq!(h.candidate(1.0, 1, false), Some(1.0 + 2.0f32.powi(-10)));
-        assert_eq!(h.candidate(0.0, 1, true), None, "below bit pattern 0");
     }
 
     #[test]

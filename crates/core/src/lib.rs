@@ -91,7 +91,6 @@ pub use error::MilrError;
 pub use factors::InversionFactorStats;
 pub use milr::{Milr, RecoveryOutcome, RecoveryReport};
 pub use plan::{InversionPlan, LayerPlan, ProtectionPlan, SolvingPlan};
-pub use solve::{reset_ulp_snap_searches, ulp_snap_searches};
 pub use storage::StorageReport;
 
 /// Result alias for MILR operations.

@@ -4,7 +4,7 @@ use crate::factors::{InversionFactorStats, InversionFactors};
 use crate::invert::backward_to;
 use crate::plan::{ProtectionPlan, SolvingPlan};
 use crate::semantics::{milr_forward_range, SegmentView};
-use crate::solve::{solve_bias, solve_conv_partial, solve_dense, SolveOutcome};
+use crate::solve::{solve_bias, solve_conv_partial, solve_dense};
 use crate::storage::StorageReport;
 use crate::{MilrConfig, MilrError, Result};
 use milr_nn::{Layer, Sequential};
@@ -51,16 +51,6 @@ impl RecoveryOutcome {
             self,
             RecoveryOutcome::Full | RecoveryOutcome::Partial { .. }
         )
-    }
-}
-
-impl From<SolveOutcome> for RecoveryOutcome {
-    fn from(o: SolveOutcome) -> Self {
-        match o {
-            SolveOutcome::Full => RecoveryOutcome::Full,
-            SolveOutcome::Partial { solved } => RecoveryOutcome::Partial { solved },
-            SolveOutcome::MinNorm { unknowns } => RecoveryOutcome::MinNorm { unknowns },
-        }
     }
 }
 
@@ -454,7 +444,7 @@ impl Milr {
             outcomes.push((
                 f,
                 match outcome {
-                    Ok(o) => o.into(),
+                    Ok(o) => o,
                     Err(e) => RecoveryOutcome::Failed {
                         reason: e.to_string(),
                     },
@@ -486,7 +476,7 @@ impl Milr {
         seg_start: usize,
         output_anchor: &Tensor,
         seg_end: usize,
-    ) -> Result<SolveOutcome> {
+    ) -> Result<RecoveryOutcome> {
         // Golden input: forward from the segment-start anchor.
         let x = milr_forward_range(view, input_anchor, seg_start, index)?;
         // Golden output: inverse passes from the segment-end anchor.

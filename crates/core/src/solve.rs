@@ -9,26 +9,9 @@
 
 use crate::artifacts::{dense_dummy_rows, filter_zy_slice, Artifacts};
 use crate::plan::SolvingPlan;
-use crate::{MilrConfig, MilrError, Result, WeightGrid};
+use crate::{MilrConfig, MilrError, RecoveryOutcome, Result, WeightGrid};
 use milr_linalg::{min_norm_solve, ridge_solve, Mat, Qr};
 use milr_tensor::{im2col, ConvSpec, Tensor};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Number of f32 ulp-walk CRC snap searches entered since start-up (or
-/// the last [`reset_ulp_snap_searches`]). Quantized weight grids snap
-/// solver output exactly and never enter the walk, which this counter
-/// lets tests and benchmarks prove.
-static ULP_SNAP_SEARCHES: AtomicU64 = AtomicU64::new(0);
-
-/// Reads the global ulp-snap search counter.
-pub fn ulp_snap_searches() -> u64 {
-    ULP_SNAP_SEARCHES.load(Ordering::Relaxed)
-}
-
-/// Resets the global ulp-snap search counter to zero.
-pub fn reset_ulp_snap_searches() {
-    ULP_SNAP_SEARCHES.store(0, Ordering::Relaxed)
-}
 
 /// Relative Tikhonov strength of the last-resort solver.
 const RIDGE_LAMBDA: f64 = 1e-10;
@@ -51,26 +34,6 @@ fn robust_solve(a: &Mat, b: &[f64]) -> Result<(Vec<f64>, bool)> {
     Ok((ridge_solve(a, b, RIDGE_LAMBDA)?, true))
 }
 
-/// How a layer's parameters were recovered.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SolveOutcome {
-    /// Exactly-determined or over-determined system: full recovery.
-    Full,
-    /// CRC-guided partial recovery: only the flagged weights were
-    /// re-solved.
-    Partial {
-        /// Number of weights re-solved.
-        solved: usize,
-    },
-    /// Under-determined even after CRC reduction: minimum-norm
-    /// least-squares approximation (whole-layer corruption of a
-    /// partial-recoverability conv layer, §V-B).
-    MinNorm {
-        /// Number of unknowns in the approximate solve.
-        unknowns: usize,
-    },
-}
-
 /// Recovers a dense layer's weight matrix from golden input/output
 /// (§IV-A-b). `x` is `(B, N)`, `y` is `(B, P)`; PRNG dummy rows and
 /// their stored outputs complete the system when `B < N`.
@@ -86,7 +49,7 @@ pub(crate) fn solve_dense(
     index: usize,
     n: usize,
     p: usize,
-) -> Result<(Tensor, SolveOutcome)> {
+) -> Result<(Tensor, RecoveryOutcome)> {
     let SolvingPlan::DenseFull { dummy_rows } = plan else {
         return Err(MilrError::CorruptArtifacts(format!(
             "layer {index} solving plan is not dense"
@@ -130,7 +93,7 @@ pub(crate) fn solve_dense(
             weights[row * p + col] = config.weight_grid.snap(v as f32);
         }
     }
-    Ok((Tensor::from_vec(weights, &[n, p])?, SolveOutcome::Full))
+    Ok((Tensor::from_vec(weights, &[n, p])?, RecoveryOutcome::Full))
 }
 
 /// Builds the convolution recovery system: coefficient matrix
@@ -177,7 +140,7 @@ pub(crate) fn solve_conv_partial(
     artifacts: &Artifacts,
     config: &MilrConfig,
     index: usize,
-) -> Result<(Tensor, SolveOutcome)> {
+) -> Result<(Tensor, RecoveryOutcome)> {
     let grid = config.weight_grid;
     let dims = current.shape().dims().to_vec();
     let (f, z, ny) = (dims[0], dims[2], dims[3]);
@@ -204,17 +167,13 @@ pub(crate) fn solve_conv_partial(
         // Detection flagged the layer but every CRC matches: the
         // weights equal the golden fingerprint (up to a CRC collision),
         // so overwriting them could only do harm. Leave them be.
-        return Ok((current.clone(), SolveOutcome::Full));
+        return Ok((current.clone(), RecoveryOutcome::Full));
     }
     let (a, y_mat) = conv_system(x, y, spec, &dims)?;
     let rows = a.rows();
     let mut filters = current.clone();
     let mut solved = 0usize;
     let mut approximate = false;
-    // Which filters took an approximate (min-norm/ridge) route: their
-    // weights sit far from any ulp neighbourhood, so the CRC snap below
-    // skips them while still snapping exactly-solved filters.
-    let mut approx_filters = vec![false; ny];
     for (k, coords) in suspects.iter().enumerate() {
         if coords.is_empty() {
             continue;
@@ -246,32 +205,26 @@ pub(crate) fn solve_conv_partial(
         }
         let (solution, approx) = robust_solve(&sub, &rhs)?;
         approximate |= approx;
-        approx_filters[k] = approx;
         for (j, &pos) in coords.iter().enumerate() {
             filters.data_mut()[pos * ny + k] = grid.snap(solution[j] as f32);
         }
         solved += coords.len();
     }
-    // Snap each re-solved weight to the golden bits: a well-conditioned
-    // f64 solve rounds to within a few ulps of the original f32;
-    // walking the float neighbourhood outward until the stored 2-D CRC
-    // matches recovers the exact bit pattern. The search radius covers
-    // the rounding the checkpoint propagation can introduce (inverse
-    // passes re-round to f32 at every layer crossing).
+    // Pin each re-solved weight to its golden bits with the stored 2-D
+    // CRC. A cell whose row chunk holds no other unresolved cell takes
+    // the one value that chunk's code allows (`row_solution`, a 32×32
+    // GF(2) solve), and likewise for its column chunk; a cell alone on
+    // both axes must get the same bits from both codes. No nearby
+    // starting value is needed, so least-squares noise of any size,
+    // and min-norm filters, are corrected alike.
     //
-    // Several flagged cells can share one CRC chunk — a single garbled
-    // cipher block flags a whole row chunk — and then no cell can
-    // satisfy *both* its codes while its chunk-mates are still
-    // approximate. The snap therefore runs to a fixpoint, accepting a
-    // candidate on any axis whose chunk holds no other unresolved cell
-    // (one CRC-32 match is already a 2⁻³² certificate); each snapped
-    // cell unblocks its chunk-mates for the next round, and the final
-    // whole-grid verification below still checks every code.
+    // Several flagged cells can share one chunk (a garbled cipher block
+    // flags a whole row chunk), so this peels to a fixpoint: each
+    // resolved cell frees its chunk-mates for the next round. Cells
+    // that never free up keep their least-squares value, and the
+    // whole-grid verification below exposes them.
     let mut unresolved: Vec<(usize, usize, usize)> = Vec::new(); // (g, zz, k)
     for (k, coords) in suspects.iter().enumerate() {
-        if approx_filters[k] {
-            continue;
-        }
         for &pos in coords {
             unresolved.push((pos / z, pos % z, k));
         }
@@ -279,56 +232,29 @@ pub(crate) fn solve_conv_partial(
     let group = grids.first().map_or(4, |g| g.config().group());
     loop {
         let mut next = Vec::with_capacity(unresolved.len());
-        let mut progressed = false;
-        for idx in 0..unresolved.len() {
-            let (g, zz, k) = unresolved[idx];
+        for (idx, &(g, zz, k)) in unresolved.iter().enumerate() {
             let row_free = !unresolved.iter().enumerate().any(|(j, &(g2, z2, k2))| {
                 j != idx && g2 == g && z2 == zz && k2 / group == k / group
             });
             let col_free = !unresolved.iter().enumerate().any(|(j, &(g2, z2, k2))| {
                 j != idx && g2 == g && k2 == k && z2 / group == zz / group
             });
-            let consistent = |slice: &[f32]| match (row_free, col_free) {
-                (true, true) => grids[g].cell_consistent(slice, zz, k),
-                (true, false) => grids[g].row_consistent(slice, zz, k),
-                (false, true) => grids[g].col_consistent(slice, zz, k),
-                (false, false) => false,
-            };
-            if !row_free && !col_free {
-                next.push((g, zz, k));
-                continue;
-            }
-            let mut slice = filter_zy_slice(&filters, g / f, g % f);
-            if consistent(&slice) {
-                progressed = true;
-                continue;
-            }
-            let pos = g * z + zz;
-            let base = filters.data()[pos * ny + k];
-            let mut snapped = false;
-            if !grid.is_exact() {
-                // Only the f32 grid pays the ulp walk; quantized grids
-                // step their (tiny) lattice neighbourhood instead.
-                ULP_SNAP_SEARCHES.fetch_add(1, Ordering::Relaxed);
-            }
-            'search: for delta in 0..=grid.snap_radius() {
-                for neg in [false, true] {
-                    let Some(cand) = grid.candidate(base, delta, neg) else {
-                        continue;
-                    };
-                    slice[zz * ny + k] = cand;
-                    if consistent(&slice) {
-                        filters.data_mut()[pos * ny + k] = cand;
-                        snapped = true;
-                        break 'search;
-                    }
+            let slice = filter_zy_slice(&filters, g / f, g % f);
+            let solution = match (row_free, col_free) {
+                (true, true) => {
+                    let v = grids[g].row_solution(&slice, zz, k);
+                    (grids[g].col_solution(&slice, zz, k).to_bits() == v.to_bits()).then_some(v)
                 }
-            }
-            progressed |= snapped;
-            if !snapped {
-                next.push((g, zz, k));
+                (true, false) => Some(grids[g].row_solution(&slice, zz, k)),
+                (false, true) => Some(grids[g].col_solution(&slice, zz, k)),
+                (false, false) => None,
+            };
+            match solution {
+                Some(v) => filters.data_mut()[(g * z + zz) * ny + k] = v,
+                None => next.push((g, zz, k)),
             }
         }
+        let progressed = next.len() < unresolved.len();
         unresolved = next;
         if unresolved.is_empty() || !progressed {
             break;
@@ -346,18 +272,19 @@ pub(crate) fn solve_conv_partial(
         // Rank-deficient somewhere: the bank reproduces the golden flow
         // but individual weights are not identifiable (the paper's
         // whole-layer partial-recoverability limit).
-        SolveOutcome::MinNorm {
+        RecoveryOutcome::MinNorm {
             unknowns: total_flagged.min(unknowns * ny),
         }
     } else if verified && solved == unknowns * ny {
         // Every weight re-solved and the CRC fingerprint matches
         // bit-for-bit: certified full recovery.
-        SolveOutcome::Full
+        RecoveryOutcome::Full
     } else {
-        // Exact reduced solve; `verified` is false only when a solved
-        // weight is a few ulps off the golden bits (rounding through
-        // the f32 flow), which is immaterial to accuracy.
-        SolveOutcome::Partial { solved }
+        // Exact reduced solve; `verified` is false only when flagged
+        // cells share both a row and a column chunk with each other
+        // (e.g. a 2×2 square), so no CRC pins them and they keep their
+        // least-squares values.
+        RecoveryOutcome::Partial { solved }
     };
     Ok((filters, outcome))
 }
@@ -371,7 +298,7 @@ pub(crate) fn solve_bias(
     y: &Tensor,
     channels: usize,
     grid: WeightGrid,
-) -> Result<(Tensor, SolveOutcome)> {
+) -> Result<(Tensor, RecoveryOutcome)> {
     if x.shape() != y.shape() {
         return Err(MilrError::ModelMismatch(format!(
             "bias recovery shapes differ: {} vs {}",
@@ -389,7 +316,7 @@ pub(crate) fn solve_bias(
             bias[c] = grid.snap(yv - xv);
         }
     }
-    Ok((Tensor::from_vec(bias, &[channels])?, SolveOutcome::Full))
+    Ok((Tensor::from_vec(bias, &[channels])?, RecoveryOutcome::Full))
 }
 
 #[cfg(test)]
@@ -415,7 +342,7 @@ mod tests {
         let golden = m.layers()[0].params().unwrap().clone();
         let (recovered, outcome) =
             solve_dense(&x, &y, plan.layers[0].solving.unwrap(), &art, &cfg, 0, 8, 5).unwrap();
-        assert_eq!(outcome, SolveOutcome::Full);
+        assert_eq!(outcome, RecoveryOutcome::Full);
         assert!(
             recovered.approx_eq(&golden, 1e-5, 1e-6),
             "max diff {:?}",
@@ -446,7 +373,7 @@ mod tests {
         let (recovered, outcome) =
             solve_conv_partial(&x, &y, &corrupted, &spec, &art, &cfg, 0).unwrap();
         match outcome {
-            SolveOutcome::Partial { solved } => assert!(solved >= 4, "solved {solved}"),
+            RecoveryOutcome::Partial { solved } => assert!(solved >= 4, "solved {solved}"),
             other => panic!("expected partial, got {other:?}"),
         }
         assert!(
@@ -476,7 +403,7 @@ mod tests {
         }
         let (recovered, outcome) =
             solve_conv_partial(&x, &y, &corrupted, &spec, &art, &cfg, 0).unwrap();
-        assert!(matches!(outcome, SolveOutcome::MinNorm { .. }));
+        assert!(matches!(outcome, RecoveryOutcome::MinNorm { .. }));
         // Min-norm cannot be exact (under-determined) but must
         // reproduce the layer's golden outputs on the golden input.
         let mut healed_layer = m.layers()[0].clone();
@@ -496,7 +423,7 @@ mod tests {
         let layer = Layer::Bias { bias: bias.clone() };
         let y = layer.forward(&x).unwrap();
         let (recovered, outcome) = solve_bias(&x, &y, 4, WeightGrid::F32).unwrap();
-        assert_eq!(outcome, SolveOutcome::Full);
+        assert_eq!(outcome, RecoveryOutcome::Full);
         assert!(recovered.approx_eq(&bias, 1e-6, 1e-6));
     }
 

@@ -13,6 +13,9 @@ use std::collections::BTreeMap;
 /// CIFAR-small's last conv layer: every heal of it inverts dense 18.
 const CONV_LAST: usize = 14;
 const DENSE: usize = 18;
+/// Weights `(z, y)`, `(z, y + 1)`, `(z + 1, y)` and `(z + 1, y + 1)` of
+/// one `(Z, Y)` slice of layer 14 (24 output channels).
+const SQUARE: [usize; 4] = [0, 1, 24, 25];
 
 fn protect(model: &Sequential) -> Milr {
     Milr::protect(model, MilrConfig::default()).unwrap()
@@ -97,7 +100,12 @@ fn the_cache_never_reaches_the_serialized_bytes() {
 fn a_second_heal_hits_and_a_one_ulp_change_misses() {
     let golden = reduced_cifar_small(42).model;
     let milr = protect(&golden);
-    let faulty = flip_weight(&golden, CONV_LAST, 3);
+    // A 2×2 square of one `(Z, Y)` slice: every flagged cell shares its
+    // row chunk and its column chunk with another, so no CRC pins them
+    // and their bits come from the least-squares solve.
+    let faulty = SQUARE
+        .iter()
+        .fold(golden.clone(), |m, &w| flip_weight(&m, CONV_LAST, w));
     let first = heal(&milr, &faulty, &[CONV_LAST]);
     let after_first = milr.inversion_factor_stats();
     assert!(after_first.misses > 0, "{after_first:?}");
@@ -124,8 +132,8 @@ fn a_second_heal_hits_and_a_one_ulp_change_misses() {
     assert_eq!(after_nudge.entries, after_second.entries);
     assert_eq!(warm, heal(&protect(&golden), &nudged, &[CONV_LAST]));
 
-    // A sign flip of that weight moves layer 14's healed bits, so a
-    // stale factor would show in the heal itself, not only in the
+    // A sign flip of that weight moves the square's least-squares bits,
+    // so a stale factor would show in the heal itself, not only in the
     // counts.
     let mut flipped = faulty.clone();
     let p = flipped.layers_mut()[DENSE].params_mut().unwrap();

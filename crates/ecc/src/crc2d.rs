@@ -15,6 +15,45 @@ fn crc_cells(cells: &[f32]) -> u32 {
     h.finalize()
 }
 
+/// The one value of `cells[at]` that gives the run CRC-32 `code`.
+///
+/// CRC-32 is affine over GF(2): flipping bit `i` of a cell XORs a fixed
+/// syndrome `s_i` into the run's CRC, whatever the run holds. The map
+/// from any one 32-bit word of a run to its CRC has rank 32 (Stigge et
+/// al., "Reversing CRC – Theory and Practice", 2006), so the 32
+/// syndromes form a basis and exactly one value matches. One CRC of the
+/// run plus one per flipped bit gives the syndromes; a 32×32 GF(2)
+/// elimination then writes `code ^ crc(cells)` in that basis, and its
+/// coordinates are the bits to flip. `cells` is scratch: `cells[at]` is
+/// left changed.
+fn solve_cell(cells: &mut [f32], at: usize, code: u32) -> f32 {
+    let bits = cells[at].to_bits();
+    let crc = crc_cells(cells);
+    // basis[p] = (syndrome sum whose top bit is p, the flips that make it).
+    let mut basis = [(0u32, 0u32); 32];
+    for i in 0..32 {
+        cells[at] = f32::from_bits(bits ^ (1 << i));
+        let (mut syndrome, mut flips) = (crc_cells(cells) ^ crc, 1u32 << i);
+        while syndrome != 0 {
+            let top = 31 - syndrome.leading_zeros() as usize;
+            if basis[top].0 == 0 {
+                basis[top] = (syndrome, flips);
+                break;
+            }
+            syndrome ^= basis[top].0;
+            flips ^= basis[top].1;
+        }
+    }
+    let (mut rest, mut flips) = (code ^ crc, 0u32);
+    while rest != 0 {
+        let top = 31 - rest.leading_zeros() as usize;
+        assert_ne!(basis[top].0, 0, "CRC-32 has rank 32 in any one word");
+        rest ^= basis[top].0;
+        flips ^= basis[top].1;
+    }
+    f32::from_bits(bits ^ flips)
+}
+
 /// Configuration for two-dimensional CRC error coding over a 2-D grid of
 /// `f32` parameters.
 ///
@@ -23,7 +62,7 @@ fn crc_cells(cells: &[f32]) -> u32 {
 /// [`group`](Crc2d::group) parameters along each row and *vertically*
 /// over sets along each column. A corrupted weight invalidates exactly
 /// one row code and one column code; intersecting the mismatched codes
-/// pinpoints candidate cells. MILR applies this to each of the `F²`
+/// pinpoints the suspect cells. MILR applies this to each of the `F²`
 /// `(Z, Y)` slices of a convolution filter tensor so that partial
 /// recovery can solve only for the flagged weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,57 +281,44 @@ impl Crc2dCodes {
         self.config.encode(grid) == *self
     }
 
-    /// True when the **row** chunk containing `(r, c)` matches its
-    /// stored code. One matching axis is already a strong (CRC-32)
-    /// certificate for a candidate weight; MILR's snap uses a single
-    /// axis when the other axis's chunk still contains unresolved
-    /// cells (e.g. a garbled cipher block flags several cells of one
-    /// row chunk at once).
+    /// The one value of cell `(r, c)` that makes its **row** chunk
+    /// match the stored code, given the chunk's other cells as they are
+    /// in `grid`. CRC-32 is affine over GF(2) and has rank 32 in any one
+    /// word, so this value exists and is unique; a 32×32 GF(2)
+    /// elimination finds it. It is the golden value whenever the other
+    /// cells are golden, however far the cell itself is off.
     ///
     /// # Panics
     ///
     /// Panics if the grid or the coordinates are out of range.
-    pub fn row_consistent(&self, grid: &[f32], r: usize, c: usize) -> bool {
+    pub fn row_solution(&self, grid: &[f32], r: usize, c: usize) -> f32 {
         let cfg = &self.config;
         assert_eq!(grid.len(), cfg.rows * cfg.cols, "grid size mismatch");
         assert!(r < cfg.rows && c < cfg.cols, "cell out of range");
         let row_chunk = c / cfg.group;
         let start = row_chunk * cfg.group;
         let end = (start + cfg.group).min(cfg.cols);
-        let cells = &grid[r * cfg.cols + start..r * cfg.cols + end];
-        crc_cells(cells) == self.row_codes[r * cfg.row_chunks() + row_chunk]
+        let mut cells = grid[r * cfg.cols + start..r * cfg.cols + end].to_vec();
+        let code = self.row_codes[r * cfg.row_chunks() + row_chunk];
+        solve_cell(&mut cells, c - start, code)
     }
 
-    /// True when the **column** chunk containing `(r, c)` matches its
-    /// stored code (see [`row_consistent`](Crc2dCodes::row_consistent)).
+    /// The one value of cell `(r, c)` that makes its **column** chunk
+    /// match the stored code (see [`row_solution`](Crc2dCodes::row_solution)).
     ///
     /// # Panics
     ///
     /// Panics if the grid or the coordinates are out of range.
-    pub fn col_consistent(&self, grid: &[f32], r: usize, c: usize) -> bool {
+    pub fn col_solution(&self, grid: &[f32], r: usize, c: usize) -> f32 {
         let cfg = &self.config;
         assert_eq!(grid.len(), cfg.rows * cfg.cols, "grid size mismatch");
         assert!(r < cfg.rows && c < cfg.cols, "cell out of range");
         let col_chunk = r / cfg.group;
         let start = col_chunk * cfg.group;
         let end = (start + cfg.group).min(cfg.rows);
-        let mut h = Crc32Hasher::new();
-        for rr in start..end {
-            h.update(&grid[rr * cfg.cols + c].to_le_bytes());
-        }
-        h.finalize() == self.col_codes[c * cfg.col_chunks() + col_chunk]
-    }
-
-    /// True when the row chunk and column chunk containing `(r, c)` both
-    /// match their stored codes — used by MILR to snap re-solved weights
-    /// to the exact golden bits (a recovered value one ulp off flips
-    /// both codes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grid or the coordinates are out of range.
-    pub fn cell_consistent(&self, grid: &[f32], r: usize, c: usize) -> bool {
-        self.row_consistent(grid, r, c) && self.col_consistent(grid, r, c)
+        let mut cells: Vec<f32> = (start..end).map(|rr| grid[rr * cfg.cols + c]).collect();
+        let code = self.col_codes[c * cfg.col_chunks() + col_chunk];
+        solve_cell(&mut cells, r - start, code)
     }
 
     /// Returns the `(row, col)` cells suspected of corruption, by
@@ -451,6 +477,30 @@ mod tests {
             prop_assert_eq!(cfg.encode(&g), cfg.encode_scalar(&g));
         }
 
+        // A cell whose chunk-mates are intact comes back bit for bit from
+        // either axis, whatever replaced it (NaN payloads included) and
+        // wherever it sits in a ragged chunk.
+        #[test]
+        fn solutions_restore_the_original_bits(
+            rows in 1usize..12,
+            cols in 1usize..12,
+            group in 1usize..7,
+            cell in 0usize..144,
+            garbage in proptest::num::u32::ANY,
+            nan in proptest::bool::ANY,
+        ) {
+            let g = grid(rows, cols);
+            let codes = Crc2d::with_group(rows, cols, group).encode(&g);
+            let at = cell % (rows * cols);
+            let (r, c) = (at / cols, at % cols);
+            let mut bad = g.clone();
+            // Half the cases force an all-ones exponent and a nonzero
+            // payload: a NaN, signalling or quiet, of either sign.
+            bad[at] = f32::from_bits(if nan { garbage | 0x7F80_0001 } else { garbage });
+            prop_assert_eq!(codes.row_solution(&bad, r, c).to_bits(), g[at].to_bits());
+            prop_assert_eq!(codes.col_solution(&bad, r, c).to_bits(), g[at].to_bits());
+        }
+
         #[test]
         fn every_injected_error_is_flagged(
             rows in 2usize..10,
@@ -475,31 +525,5 @@ mod tests {
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod cell_tests {
-    use super::*;
-
-    #[test]
-    fn cell_consistent_tracks_corruption() {
-        let g: Vec<f32> = (0..64).map(|i| i as f32 * 0.3).collect();
-        let codes = Crc2d::new(8, 8).encode(&g);
-        assert!(codes.cell_consistent(&g, 3, 5));
-        let mut bad = g.clone();
-        bad[3 * 8 + 5] += 1.0;
-        assert!(!codes.cell_consistent(&bad, 3, 5));
-        // A cell sharing neither chunk is unaffected.
-        assert!(codes.cell_consistent(&bad, 0, 0));
-    }
-
-    #[test]
-    fn cell_consistent_detects_one_ulp() {
-        let g: Vec<f32> = (0..16).map(|i| i as f32 + 0.125).collect();
-        let codes = Crc2d::new(4, 4).encode(&g);
-        let mut bad = g.clone();
-        bad[5] = f32::from_bits(bad[5].to_bits() + 1);
-        assert!(!codes.cell_consistent(&bad, 1, 1));
     }
 }
