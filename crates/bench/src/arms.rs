@@ -11,8 +11,9 @@
 
 use crate::nets::PreparedNet;
 use crate::stats::normalized_accuracy;
-use milr_core::RecoveryOutcome;
+use milr_core::SolvingPlan;
 use milr_fault::{corrupt_layer, inject_rber, inject_whole_weight, FaultRng};
+use milr_nn::Sequential;
 pub use milr_substrate::SubstrateKind;
 
 /// Recovery scheme applied after injection and scrubbing.
@@ -152,26 +153,7 @@ pub struct TrialResult {
 /// (same RNG consumption order), so figure numbers are reproduced
 /// seed-for-seed.
 pub fn run_trial(prep: &PreparedNet, arm: Arm, injection: Injection, seed: u64) -> TrialResult {
-    let mut model = prep.model.clone();
-    let mut rng = FaultRng::seed(seed);
-    for layer in model.layers_mut() {
-        if let Some(p) = layer.params_mut() {
-            match injection {
-                Injection::Rber(rber) => {
-                    let mut mem = arm.substrate.store(p.data());
-                    inject_rber(&mut *mem, rber, &mut rng);
-                    mem.scrub();
-                    p.data_mut().copy_from_slice(&mem.read_weights());
-                }
-                Injection::WholeWeight(q) => {
-                    // Whole-weight errors are plaintext-space by
-                    // definition; the substrate's scrub cannot touch
-                    // them, so inject directly.
-                    inject_whole_weight(p.data_mut(), q, &mut rng);
-                }
-            }
-        }
-    }
+    let mut model = injected(prep, arm.substrate, injection, seed);
     let mut flagged_layers = 0usize;
     if arm.recovery == Recovery::Milr {
         if let Ok(report) = prep.milr.detect(&model) {
@@ -185,6 +167,37 @@ pub fn run_trial(prep: &PreparedNet, arm: Arm, injection: Injection, seed: u64) 
         normalized,
         flagged_layers,
     }
+}
+
+/// The model after one trial's injection and substrate scrub, before
+/// any plaintext-space recovery.
+fn injected(
+    prep: &PreparedNet,
+    substrate: SubstrateKind,
+    injection: Injection,
+    seed: u64,
+) -> Sequential {
+    let mut model = prep.model.clone();
+    let mut rng = FaultRng::seed(seed);
+    for layer in model.layers_mut() {
+        if let Some(p) = layer.params_mut() {
+            match injection {
+                Injection::Rber(rber) => {
+                    let mut mem = substrate.store(p.data());
+                    inject_rber(&mut *mem, rber, &mut rng);
+                    mem.scrub();
+                    p.data_mut().copy_from_slice(&mem.read_weights());
+                }
+                Injection::WholeWeight(q) => {
+                    // Whole-weight errors are plaintext-space by
+                    // definition; the substrate's scrub cannot touch
+                    // them, so inject directly.
+                    inject_whole_weight(p.data_mut(), q, &mut rng);
+                }
+            }
+        }
+    }
+    model
 }
 
 /// One random-bit-flip trial (experiment 1, Figures 5/7/9).
@@ -211,8 +224,10 @@ pub struct LayerCorruptionRow {
     pub none_normalized: f64,
     /// Normalized accuracy after MILR recovery.
     pub milr_normalized: f64,
-    /// True when recovery was the approximate least-squares path (the
-    /// paper's "N/A — convolution partial recoverable" marker).
+    /// True for a convolution on the partial-recoverability path
+    /// ([`SolvingPlan::ConvPartial`]), whose whole-layer corruption is
+    /// beyond exact recovery (the paper's "N/A — convolution partial
+    /// recoverable" marker, §V-B).
     pub partial_marker: bool,
 }
 
@@ -234,21 +249,16 @@ pub fn run_layer_corruption(prep: &PreparedNet, seed: u64) -> Vec<LayerCorruptio
             &mut rng,
         );
         let (_, none_normalized) = normalized_accuracy(prep, &model);
-        let rec = prep
-            .milr
+        prep.milr
             .recover_layers(&mut model, &[i])
             .expect("structure matches");
-        let partial_marker = rec
-            .outcomes
-            .iter()
-            .any(|(_, o)| matches!(o, RecoveryOutcome::MinNorm { .. }));
         let (_, milr_normalized) = normalized_accuracy(prep, &model);
         rows.push(LayerCorruptionRow {
             index: i,
             kind: layer.kind_name().to_string(),
             none_normalized,
             milr_normalized,
-            partial_marker,
+            partial_marker: prep.milr.plan().layers[i].solving == Some(SolvingPlan::ConvPartial),
         });
     }
     rows
@@ -414,19 +424,23 @@ mod tests {
             let clean = run_rber_trial(&p, arm, 0.0, 2);
             assert!((clean.normalized - 1.0).abs() < 1e-9, "{arm}: {clean:?}");
         }
-        // At a rate where plain ECC shrugs (single-bit errors), bare XTS
-        // collapses harder than plain no-recovery cannot distinguish —
-        // but XTS+MILR must beat bare XTS on average.
-        let mut xts_sum = 0.0;
-        let mut xts_milr_sum = 0.0;
-        for t in 0..5 {
-            xts_sum += run_rber_trial(&p, Arm::XTS, 2e-4, 100 + t).normalized;
-            xts_milr_sum += run_rber_trial(&p, Arm::XTS_MILR, 2e-4, 100 + t).normalized;
+        // At 2e-4 both XTS arms sit near chance: every trial corrupts
+        // both dense layers of one checkpoint segment, which MILR cannot
+        // heal (§V-A), so accuracy cannot rank the arms. What MILR must
+        // do is heal some flagged layers and break none: the layers
+        // flagged after recovery are a strict subset of those before.
+        for seed in 100..105 {
+            let mut model = injected(&p, Arm::XTS_MILR.substrate, Injection::Rber(2e-4), seed);
+            let before = p.milr.detect(&model).unwrap();
+            p.milr.recover(&mut model, &before).unwrap();
+            let after = p.milr.detect(&model).unwrap().flagged;
+            assert!(
+                after.len() < before.flagged.len()
+                    && after.iter().all(|l| before.flagged.contains(l)),
+                "seed {seed}: flagged {:?} before recovery, {after:?} after",
+                before.flagged
+            );
         }
-        assert!(
-            xts_milr_sum >= xts_sum,
-            "XTS+MILR {xts_milr_sum} not better than XTS {xts_sum}"
-        );
     }
 
     #[test]

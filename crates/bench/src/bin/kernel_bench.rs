@@ -4,9 +4,10 @@
 //! batched AES-NI XTS, single-pass CRC2D, register-tiled FMA GEMM,
 //! implicit-GEMM conv2d, single-pass max-pool and row-major Householder
 //! QR) actually buy throughput on the machine at hand, not just in
-//! theory. One arm times a whole heal instead of a kernel: the last
-//! conv layer of CIFAR-small healed on a fresh instance against one
-//! whose backward-pass factors are cached.
+//! theory. One arm times a whole heal instead of a kernel: a 2×2
+//! square fault in the last conv layer of CIFAR-small, which the CRC
+//! cannot pin, healed on a fresh instance against one whose
+//! backward-pass factors are cached.
 //!
 //! Every optimized kernel is proptested bit-equivalent to its scalar
 //! twin in its home crate; this binary only measures. With `--check`
@@ -45,10 +46,14 @@ const XTS_BLOCKS: usize = 4 * 1024;
 const CRC2D_SIDE: usize = 256;
 /// Side of the QR system: `W_augᵀ` of CIFAR-small's dense layer 18
 /// (32 weight columns plus 352 dummy columns over 384 inputs), which
-/// every heal of its last conv layer inverts.
+/// a heal of its last conv layer inverts whenever the CRC leaves cells.
 const QR_SIDE: usize = 384;
-/// CIFAR-small's last conv layer, whose heals invert dense layer 18.
+/// CIFAR-small's last conv layer; heals that propagate its golden
+/// output invert dense layer 18.
 const CONV_LAST: usize = 14;
+/// Weights `(z, y)`, `(z, y + 1)`, `(z + 1, y)` and `(z + 1, y + 1)` of
+/// one `(Z, Y)` slice of layer 14 (24 output channels).
+const SQUARE: [usize; 4] = [0, 1, 24, 25];
 
 struct BenchArgs {
     trials: usize,
@@ -433,15 +438,19 @@ fn main() {
     });
 
     // ---- Heal of the last conv layer: fresh instance vs cached factors. ----
-    // Cold protects a new instance per sample, so every heal factors
-    // dense 18's W_augᵀ; warm reuses one instance whose factors a first
-    // heal cached, so only the solves run.
+    // The fault is a 2×2 square of one (Z, Y) slice, which the CRC
+    // cannot pin, so the heal propagates the checkpoints. Cold protects
+    // a new instance per sample, so every heal factors dense 18's
+    // W_augᵀ; warm reuses one instance whose factors a first heal
+    // cached, so only the solves run.
     let golden = reduced_cifar_small(42).model;
     let mut faulty = golden.clone();
     let p = faulty.layers_mut()[CONV_LAST]
         .params_mut()
         .expect("conv has params");
-    p.data_mut()[0] = f32::from_bits(!p.data()[0].to_bits());
+    for w in SQUARE {
+        p.data_mut()[w] = f32::from_bits(!p.data()[w].to_bits());
+    }
     let protect = || Milr::protect(&golden, MilrConfig::default()).expect("golden protects");
     let warm = protect();
     let healed = |milr: &Milr| {

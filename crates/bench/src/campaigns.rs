@@ -515,6 +515,24 @@ mod tests {
         );
     }
 
+    /// Row bursts flag conv 7 and dense 11 of one checkpoint segment
+    /// together. The CRC pins conv 7's cells without propagating through
+    /// the corrupt dense layer, so every heal converges and the serve run
+    /// at the matrix defaults never falls back to a cold redeploy.
+    #[test]
+    fn row_burst_serve_run_needs_no_redeploy() {
+        let net = milr_models::reduced_mnist(42);
+        let campaign = builtin_campaigns()
+            .into_iter()
+            .find(|c| c.name == "row-burst")
+            .unwrap();
+        let config = serve_config(&campaign, &MatrixTuning::default());
+        let result = milr_serve::sim::simulate(&net.model, MilrConfig::default(), &config).unwrap();
+        let chaos = result.chaos.unwrap();
+        assert!(chaos.bursts_fired > 0, "{chaos:?}");
+        assert_eq!(chaos.redeploys, 0, "{chaos:?}");
+    }
+
     #[test]
     fn byzantine_campaign_catches_the_adversary() {
         let model = serving_probe(11);

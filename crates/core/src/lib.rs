@@ -32,11 +32,13 @@
 //! * **Error recovery** ([`Milr::recover`]) — propagates the nearest
 //!   checkpoints to each flagged layer (forward passes from the
 //!   preceding checkpoint, inverse passes from the succeeding one) and
-//!   solves the layer's linear system for its parameters; convolution
-//!   layers whose system would be under-determined use 2-D CRC to
-//!   pinpoint the corrupted weights (*partial recoverability*, §IV-B),
-//!   falling back to minimum-norm least squares for whole-layer
-//!   corruption.
+//!   solves the layer's linear system for its parameters. Convolution
+//!   layers go CRC-first: the stored 2-D CRC pinpoints the corrupted
+//!   weights (*partial recoverability*, §IV-B) and solves each one
+//!   alone in its row or column chunk over GF(2); only the weights it
+//!   cannot pin need the checkpoints and a least-squares solve
+//!   (minimum-norm for whole-layer corruption), and the CRC certifies
+//!   the result ([`RecoveryOutcome::is_exact`]).
 //!
 //! The [`availability`] module implements the paper's
 //! availability–accuracy trade-off model (Equation 6, Figure 12), and

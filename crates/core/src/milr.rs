@@ -15,19 +15,26 @@ use std::time::Duration;
 /// How one flagged layer fared during recovery.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecoveryOutcome {
-    /// Parameters fully re-solved (exact up to `f32` rounding).
+    /// Every parameter re-solved. A conv layer is `Full` only when its
+    /// stored 2-D CRC certifies the healed bank (every row and column
+    /// code matches) and the codes flagged every weight, or none. Dense
+    /// and bias layers carry no such code: their `Full` means the solve
+    /// ran, exact up to `f32` rounding but not certified.
     Full,
-    /// CRC-guided partial recovery: only the flagged weights were
-    /// re-solved.
+    /// CRC-certified partial recovery of a conv layer: only the flagged
+    /// weights were re-solved, and every row and column code of the
+    /// healed bank matches.
     Partial {
         /// Number of weights re-solved.
         solved: usize,
     },
-    /// Minimum-norm least-squares approximation — the under-determined
-    /// whole-layer case of partial-recoverability conv layers (the
-    /// paper's "N/A — convolution partial recoverable" rows).
-    MinNorm {
-        /// Number of approximated unknowns.
+    /// A conv heal the stored CRC does not certify: some flagged weights
+    /// could not be pinned by their row or column code and took
+    /// least-squares values (minimum-norm when under-determined, as in
+    /// the paper's "N/A — convolution partial recoverable" rows), and
+    /// the healed bank still mismatches its codes.
+    Approx {
+        /// Number of weights the CRC could not pin.
         unknowns: usize,
     },
     /// Recovery failed (propagation or solve error); parameters left
@@ -39,13 +46,14 @@ pub enum RecoveryOutcome {
 }
 
 impl RecoveryOutcome {
-    /// True when the heal re-solved the layer's parameters themselves —
-    /// fully or CRC-guided partially — rather than approximating them.
-    /// [`RecoveryOutcome::MinNorm`] and [`RecoveryOutcome::Failed`] are
-    /// *not* exact: the layer is beyond MILR's recoverable set (the
+    /// True for [`RecoveryOutcome::Full`] and
+    /// [`RecoveryOutcome::Partial`]: for a conv layer, the stored CRC
+    /// certified the healed bits. [`RecoveryOutcome::Approx`] and
+    /// [`RecoveryOutcome::Failed`] are *not* exact: the layer is beyond
+    /// what MILR can prove healed (for whole-layer conv corruption, the
     /// paper's partial-recoverability limit, §V-B), and a replicated
     /// deployment should restore it from a peer's certified store
-    /// instead of accepting the approximation.
+    /// instead. A dense `Full` counts as exact without a certificate.
     pub fn is_exact(&self) -> bool {
         matches!(
             self,
@@ -477,29 +485,35 @@ impl Milr {
         output_anchor: &Tensor,
         seg_end: usize,
     ) -> Result<RecoveryOutcome> {
-        // Golden input: forward from the segment-start anchor.
-        let x = milr_forward_range(view, input_anchor, seg_start, index)?;
-        // Golden output: inverse passes from the segment-end anchor.
-        let y = backward_to(self, view, output_anchor, seg_end, index)?;
         let solving = self.plan.layers[index].solving.ok_or_else(|| {
             MilrError::ModelMismatch(format!("layer {index} has no parameters to recover"))
         })?;
+        // Golden input (forward from the segment-start anchor) and
+        // output (inverse passes from the segment-end anchor).
+        let golden = || -> Result<(Tensor, Tensor)> {
+            Ok((
+                milr_forward_range(view, input_anchor, seg_start, index)?,
+                backward_to(self, view, output_anchor, seg_end, index)?,
+            ))
+        };
         let (recovered, outcome) = match (view.layer(index), solving) {
             (Layer::Dense { weights }, plan @ SolvingPlan::DenseFull { .. }) => {
+                let (x, y) = golden()?;
                 let n = weights.shape().dim(0);
                 let p = weights.shape().dim(1);
                 solve_dense(&x, &y, plan, &self.artifacts, &self.config, index, n, p)?
             }
-            // Both conv plans route through the CRC-guided solver: it
-            // degrades to a full solve when every weight is flagged, and
-            // the stored grids verify the healed bank bit-exactly. This
-            // matters even for `ConvFull` geometry — a conv fed by
-            // another conv has a rank-deficient im2col system, where a
-            // blind full solve returns consistent-but-wrong weights.
+            // Both conv plans route through the CRC-first solver: the
+            // stored grids pin what they can without propagation and
+            // certify the healed bank bit-exactly. This matters even
+            // for `ConvFull` geometry — a conv fed by another conv has
+            // a rank-deficient im2col system, where a blind full solve
+            // returns consistent-but-wrong weights.
             (Layer::Conv2D { filters, spec }, SolvingPlan::ConvFull | SolvingPlan::ConvPartial) => {
-                solve_conv_partial(&x, &y, filters, spec, &self.artifacts, &self.config, index)?
+                solve_conv_partial(golden, filters, spec, &self.artifacts, &self.config, index)?
             }
             (Layer::Bias { bias }, SolvingPlan::Bias) => {
+                let (x, y) = golden()?;
                 solve_bias(&x, &y, bias.numel(), self.config.weight_grid)?
             }
             (layer, plan) => {

@@ -19,19 +19,19 @@ const RIDGE_LAMBDA: f64 = 1e-10;
 /// Solves `A·x ≈ b` by the sturdiest route available: QR when the
 /// system is (numerically) full rank, minimum-norm for wide systems,
 /// Tikhonov-regularized normal equations when both report rank
-/// deficiency. Returns the solution and whether an approximate
-/// (non-identifying) path was taken.
-fn robust_solve(a: &Mat, b: &[f64]) -> Result<(Vec<f64>, bool)> {
+/// deficiency. Whether the result is exact is for the caller's
+/// certificate to tell.
+fn robust_solve(a: &Mat, b: &[f64]) -> Result<Vec<f64>> {
     if a.rows() >= a.cols() {
         if let Ok(qr) = Qr::factor(a) {
             if let Ok(x) = qr.solve(b) {
-                return Ok((x, false));
+                return Ok(x);
             }
         }
     } else if let Ok(x) = min_norm_solve(a, b) {
-        return Ok((x, true));
+        return Ok(x);
     }
-    Ok((ridge_solve(a, b, RIDGE_LAMBDA)?, true))
+    Ok(ridge_solve(a, b, RIDGE_LAMBDA)?)
 }
 
 /// Recovers a dense layer's weight matrix from golden input/output
@@ -125,112 +125,52 @@ fn conv_system(
     Ok((Mat::from_vec(a, rows, unknowns)?, y_mat))
 }
 
-/// CRC-guided partial recovery of a convolution layer (§IV-B-b/c).
+/// CRC-first recovery of a convolution layer (§IV-B-b/c): locate,
+/// correct over GF(2), least-squares what is left, certify.
 ///
-/// The stored 2-D CRC grids pinpoint which weights changed; only those
-/// become unknowns, shrinking each filter's system to (typically) far
-/// fewer than `B·G²` equations. When a filter's flagged set still
-/// exceeds the equation count — whole-layer corruption — the solver
-/// falls back to the minimum-norm least-squares solution.
+/// The stored 2-D CRC grids flag the changed weights. A flagged cell
+/// whose row chunk holds no other unresolved cell takes the one value
+/// that chunk's code allows (`row_solution`, a 32×32 GF(2) solve), and
+/// likewise for its column chunk; a cell alone on both axes must get
+/// the same bits from both codes. Several flagged cells can share one
+/// chunk (a garbled cipher block flags a whole row chunk), so this
+/// peels to a fixpoint: each pinned cell frees its chunk-mates for the
+/// next round.
+///
+/// The peel needs no golden data, so `golden` — the layer's golden
+/// input and output, propagated from the checkpoints — runs only when
+/// cells remain (e.g. a 2×2 square of one slice, or whole-layer
+/// corruption). Those cells alone become the unknowns of one
+/// least-squares system per filter, every other weight known; a system
+/// with more unknowns than equations takes the minimum-norm solution.
+///
+/// The outcome is the certificate: `Full`/`Partial` only when every
+/// row and column code of the healed bank matches, `Approx` otherwise.
 pub(crate) fn solve_conv_partial(
-    x: &Tensor,
-    y: &Tensor,
+    golden: impl FnOnce() -> Result<(Tensor, Tensor)>,
     current: &Tensor,
     spec: &ConvSpec,
     artifacts: &Artifacts,
     config: &MilrConfig,
     index: usize,
 ) -> Result<(Tensor, RecoveryOutcome)> {
-    let grid = config.weight_grid;
     let dims = current.shape().dims().to_vec();
     let (f, z, ny) = (dims[0], dims[2], dims[3]);
     let grids = artifacts.crc_grids.get(&index).ok_or_else(|| {
         MilrError::CorruptArtifacts(format!("missing CRC grids for layer {index}"))
     })?;
-    // Locate suspect weights with the 2-D CRC. Coordinates are flat
-    // (f1,f2,z) indices; the iteration order keeps each filter's list
+    // Locate: `(slice, z, y)` of every flagged cell, slice `f1·F + f2`.
+    // Per filter `y` the flat `(f1, f2, z)` coordinates come out
     // ascending, which the skip-merge below relies on.
-    let mut suspects: Vec<Vec<usize>> = vec![Vec::new(); ny];
-    for f1 in 0..f {
-        for f2 in 0..f {
-            let grid = &grids[f1 * f + f2];
-            let slice = filter_zy_slice(current, f1, f2);
-            for (zz, yy) in grid.locate_errors(&slice) {
-                let coord = (f1 * f + f2) * z + zz;
-                suspects[yy].push(coord);
-            }
-        }
+    let mut unresolved: Vec<(usize, usize, usize)> = Vec::new();
+    for (g, codes) in grids.iter().enumerate() {
+        let located = codes.locate_errors(&filter_zy_slice(current, g / f, g % f));
+        unresolved.extend(located.into_iter().map(|(zz, k)| (g, zz, k)));
     }
-    let total_flagged: usize = suspects.iter().map(Vec::len).sum();
-    let unknowns = f * f * z;
-    if total_flagged == 0 {
-        // Detection flagged the layer but every CRC matches: the
-        // weights equal the golden fingerprint (up to a CRC collision),
-        // so overwriting them could only do harm. Leave them be.
-        return Ok((current.clone(), RecoveryOutcome::Full));
-    }
-    let (a, y_mat) = conv_system(x, y, spec, &dims)?;
-    let rows = a.rows();
+    let flagged = unresolved.len();
     let mut filters = current.clone();
-    let mut solved = 0usize;
-    let mut approximate = false;
-    for (k, coords) in suspects.iter().enumerate() {
-        if coords.is_empty() {
-            continue;
-        }
-        // RHS: golden output minus the contribution of trusted weights.
-        let mut rhs = y_mat.col(k);
-        #[allow(clippy::needless_range_loop)] // r indexes rhs and `a` rows together
-        for r in 0..rows {
-            let mut acc = 0.0f64;
-            let arow = a.row(r);
-            let mut ci = 0usize;
-            for (pos, &av) in arow.iter().enumerate() {
-                // Skip flagged coordinates (they are the unknowns).
-                if ci < coords.len() && coords[ci] == pos {
-                    ci += 1;
-                    continue;
-                }
-                acc += av * filters.data()[pos * ny + k] as f64;
-            }
-            rhs[r] -= acc;
-        }
-        // Reduced coefficient matrix: only the flagged columns.
-        let mut sub = Mat::zeros(rows, coords.len());
-        for r in 0..rows {
-            let arow = a.row(r);
-            for (j, &pos) in coords.iter().enumerate() {
-                sub.set(r, j, arow[pos]);
-            }
-        }
-        let (solution, approx) = robust_solve(&sub, &rhs)?;
-        approximate |= approx;
-        for (j, &pos) in coords.iter().enumerate() {
-            filters.data_mut()[pos * ny + k] = grid.snap(solution[j] as f32);
-        }
-        solved += coords.len();
-    }
-    // Pin each re-solved weight to its golden bits with the stored 2-D
-    // CRC. A cell whose row chunk holds no other unresolved cell takes
-    // the one value that chunk's code allows (`row_solution`, a 32×32
-    // GF(2) solve), and likewise for its column chunk; a cell alone on
-    // both axes must get the same bits from both codes. No nearby
-    // starting value is needed, so least-squares noise of any size,
-    // and min-norm filters, are corrected alike.
-    //
-    // Several flagged cells can share one chunk (a garbled cipher block
-    // flags a whole row chunk), so this peels to a fixpoint: each
-    // resolved cell frees its chunk-mates for the next round. Cells
-    // that never free up keep their least-squares value, and the
-    // whole-grid verification below exposes them.
-    let mut unresolved: Vec<(usize, usize, usize)> = Vec::new(); // (g, zz, k)
-    for (k, coords) in suspects.iter().enumerate() {
-        for &pos in coords {
-            unresolved.push((pos / z, pos % z, k));
-        }
-    }
     let group = grids.first().map_or(4, |g| g.config().group());
-    loop {
+    while !unresolved.is_empty() {
         let mut next = Vec::with_capacity(unresolved.len());
         for (idx, &(g, zz, k)) in unresolved.iter().enumerate() {
             let row_free = !unresolved.iter().enumerate().any(|(j, &(g2, z2, k2))| {
@@ -254,37 +194,67 @@ pub(crate) fn solve_conv_partial(
                 None => next.push((g, zz, k)),
             }
         }
-        let progressed = next.len() < unresolved.len();
-        unresolved = next;
-        if unresolved.is_empty() || !progressed {
+        if next.len() == unresolved.len() {
             break;
         }
+        unresolved = next;
     }
-    // Verify the healed bank against the golden CRC fingerprint: an
-    // exact re-solve reproduces the original bits; a rank-deficient
-    // system (e.g. input produced by an upstream convolution) yields a
-    // consistent-but-different bank that the grids expose.
-    let verified = (0..f * f).all(|g| {
-        let slice = filter_zy_slice(&filters, g / f, g % f);
-        grids[g].is_clean(&slice)
-    });
-    let outcome = if approximate {
-        // Rank-deficient somewhere: the bank reproduces the golden flow
-        // but individual weights are not identifiable (the paper's
-        // whole-layer partial-recoverability limit).
-        RecoveryOutcome::MinNorm {
-            unknowns: total_flagged.min(unknowns * ny),
+    if !unresolved.is_empty() {
+        let (x, y) = golden()?;
+        let (a, y_mat) = conv_system(&x, &y, spec, &dims)?;
+        let rows = a.rows();
+        for k in 0..ny {
+            let coords: Vec<usize> = (unresolved.iter())
+                .filter(|&&(_, _, k2)| k2 == k)
+                .map(|&(g, zz, _)| g * z + zz)
+                .collect();
+            if coords.is_empty() {
+                continue;
+            }
+            // RHS: golden output minus the contribution of known weights.
+            let mut rhs = y_mat.col(k);
+            #[allow(clippy::needless_range_loop)] // r indexes rhs and `a` rows together
+            for r in 0..rows {
+                let mut acc = 0.0f64;
+                let mut ci = 0usize;
+                for (pos, &av) in a.row(r).iter().enumerate() {
+                    // Skip the unknowns.
+                    if ci < coords.len() && coords[ci] == pos {
+                        ci += 1;
+                        continue;
+                    }
+                    acc += av * filters.data()[pos * ny + k] as f64;
+                }
+                rhs[r] -= acc;
+            }
+            // Reduced coefficient matrix: only the unknowns' columns.
+            let mut sub = Mat::zeros(rows, coords.len());
+            for r in 0..rows {
+                let arow = a.row(r);
+                for (j, &pos) in coords.iter().enumerate() {
+                    sub.set(r, j, arow[pos]);
+                }
+            }
+            let solution = robust_solve(&sub, &rhs)?;
+            for (j, &pos) in coords.iter().enumerate() {
+                filters.data_mut()[pos * ny + k] = config.weight_grid.snap(solution[j] as f32);
+            }
         }
-    } else if verified && solved == unknowns * ny {
-        // Every weight re-solved and the CRC fingerprint matches
-        // bit-for-bit: certified full recovery.
+    }
+    // Certify against the golden CRC fingerprint. A least-squares value
+    // rarely lands on the golden bits: a rank-deficient system (whole-
+    // layer corruption, or input from an upstream convolution) yields
+    // a consistent-but-different bank, which the codes expose.
+    let certified = (grids.iter().enumerate())
+        .all(|(g, codes)| codes.is_clean(&filter_zy_slice(&filters, g / f, g % f)));
+    let outcome = if !certified {
+        RecoveryOutcome::Approx {
+            unknowns: unresolved.len(),
+        }
+    } else if flagged == 0 || flagged == filters.numel() {
         RecoveryOutcome::Full
     } else {
-        // Exact reduced solve; `verified` is false only when flagged
-        // cells share both a row and a column chunk with each other
-        // (e.g. a 2×2 square), so no CRC pins them and they keep their
-        // least-squares values.
-        RecoveryOutcome::Partial { solved }
+        RecoveryOutcome::Partial { solved: flagged }
     };
     Ok((filters, outcome))
 }
@@ -351,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn conv_partial_recovers_flagged_weights() {
+    fn conv_partial_pins_scattered_weights_without_golden_data() {
         let mut rng = TensorRng::new(7);
         let spec = ConvSpec::new(3, 1, Padding::Valid).unwrap();
         // 8 channels in: F²Z = 72 > G² = 36 -> partial recoverability.
@@ -362,29 +332,24 @@ mod tests {
         let plan = ProtectionPlan::build(&m, &cfg).unwrap();
         assert_eq!(plan.layers[0].solving, Some(SolvingPlan::ConvPartial));
         let art = Artifacts::build(&m, &plan, &cfg).unwrap();
-        let x = golden_input(&m, &cfg);
-        let y = milr_forward(&m.layers()[0], &x).unwrap();
         let golden = m.layers()[0].params().unwrap().clone();
-        // Corrupt a handful of weights.
+        // Corrupt a handful of weights, each in its own `(Z, Y)` slice:
+        // every one is alone in its row and column chunk, so the CRC
+        // pins it and the golden input/output is never asked for.
         let mut corrupted = golden.clone();
         for &i in &[3usize, 77, 150, 200] {
             corrupted.data_mut()[i] += 2.5;
         }
+        let no_golden = || Err(MilrError::ModelMismatch("golden data requested".into()));
         let (recovered, outcome) =
-            solve_conv_partial(&x, &y, &corrupted, &spec, &art, &cfg, 0).unwrap();
-        match outcome {
-            RecoveryOutcome::Partial { solved } => assert!(solved >= 4, "solved {solved}"),
-            other => panic!("expected partial, got {other:?}"),
-        }
-        assert!(
-            recovered.approx_eq(&golden, 1e-3, 1e-4),
-            "max diff {:?}",
-            recovered.max_abs_diff(&golden)
-        );
+            solve_conv_partial(no_golden, &corrupted, &spec, &art, &cfg, 0).unwrap();
+        assert_eq!(outcome, RecoveryOutcome::Partial { solved: 4 });
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&recovered), bits(&golden));
     }
 
     #[test]
-    fn conv_partial_whole_layer_falls_back_to_min_norm() {
+    fn conv_partial_whole_layer_heal_is_approx() {
         let mut rng = TensorRng::new(8);
         let spec = ConvSpec::new(3, 1, Padding::Valid).unwrap();
         let mut m = Sequential::new(vec![6, 6, 8]);
@@ -401,9 +366,10 @@ mod tests {
         for v in corrupted.data_mut() {
             *v += 1.0;
         }
+        let golden_io = || Ok((x.clone(), y.clone()));
         let (recovered, outcome) =
-            solve_conv_partial(&x, &y, &corrupted, &spec, &art, &cfg, 0).unwrap();
-        assert!(matches!(outcome, RecoveryOutcome::MinNorm { .. }));
+            solve_conv_partial(golden_io, &corrupted, &spec, &art, &cfg, 0).unwrap();
+        assert!(matches!(outcome, RecoveryOutcome::Approx { .. }));
         // Min-norm cannot be exact (under-determined) but must
         // reproduce the layer's golden outputs on the golden input.
         let mut healed_layer = m.layers()[0].clone();

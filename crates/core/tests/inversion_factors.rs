@@ -10,11 +10,15 @@ use milr_models::{reduced_cifar_small, reduced_mnist};
 use milr_nn::Sequential;
 use std::collections::BTreeMap;
 
-/// CIFAR-small's last conv layer: every heal of it inverts dense 18.
+/// CIFAR-small's last conv layer: every heal of it that needs golden
+/// data inverts dense 18.
 const CONV_LAST: usize = 14;
 const DENSE: usize = 18;
 /// Weights `(z, y)`, `(z, y + 1)`, `(z + 1, y)` and `(z + 1, y + 1)` of
-/// one `(Z, Y)` slice of layer 14 (24 output channels).
+/// one `(Z, Y)` slice of layer 14 (24 output channels). Every cell
+/// shares its row chunk and its column chunk with another, so no CRC
+/// pins them: their heal propagates the checkpoints and least-squares
+/// them, which a single-cell fault (pinned by the CRC alone) never does.
 const SQUARE: [usize; 4] = [0, 1, 24, 25];
 
 fn protect(model: &Sequential) -> Milr {
@@ -41,6 +45,13 @@ fn flip_weight(golden: &Sequential, layer: usize, weight: usize) -> Sequential {
     let p = m.layers_mut()[layer].params_mut().unwrap();
     p.data_mut()[weight] = f32::from_bits(!p.data()[weight].to_bits());
     m
+}
+
+/// `golden` with every bit of each [`SQUARE`] weight of layer 14 flipped.
+fn flip_square(golden: &Sequential) -> Sequential {
+    SQUARE
+        .iter()
+        .fold(golden.clone(), |m, &w| flip_weight(&m, CONV_LAST, w))
 }
 
 /// Heals `flagged` in a copy of `faulty`; returns the outcomes and the
@@ -83,13 +94,13 @@ fn the_cache_never_reaches_the_serialized_bytes() {
     let golden = reduced_cifar_small(42).model;
     let cold = protect(&golden);
     let warm = protect(&golden);
-    heal(&warm, &flip_weight(&golden, CONV_LAST, 0), &[CONV_LAST]);
+    let faulty = flip_square(&golden);
+    heal(&warm, &faulty, &[CONV_LAST]);
     assert!(warm.inversion_factor_stats().entries > 0);
     assert_eq!(warm.to_bytes(), cold.to_bytes());
     // A deserialized instance starts cold and heals the same bits.
     let restored = Milr::from_bytes(&warm.to_bytes()).unwrap();
     assert_eq!(restored.inversion_factor_stats().entries, 0);
-    let faulty = flip_weight(&golden, CONV_LAST, 7);
     assert_eq!(
         heal(&restored, &faulty, &[CONV_LAST]),
         heal(&warm, &faulty, &[CONV_LAST])
@@ -100,12 +111,8 @@ fn the_cache_never_reaches_the_serialized_bytes() {
 fn a_second_heal_hits_and_a_one_ulp_change_misses() {
     let golden = reduced_cifar_small(42).model;
     let milr = protect(&golden);
-    // A 2×2 square of one `(Z, Y)` slice: every flagged cell shares its
-    // row chunk and its column chunk with another, so no CRC pins them
-    // and their bits come from the least-squares solve.
-    let faulty = SQUARE
-        .iter()
-        .fold(golden.clone(), |m, &w| flip_weight(&m, CONV_LAST, w));
+    // The square's bits come from the least-squares solve.
+    let faulty = flip_square(&golden);
     let first = heal(&milr, &faulty, &[CONV_LAST]);
     let after_first = milr.inversion_factor_stats();
     assert!(after_first.misses > 0, "{after_first:?}");
@@ -149,9 +156,10 @@ fn clones_share_the_cache() {
     let golden = reduced_cifar_small(42).model;
     let milr = protect(&golden);
     let clone = milr.clone();
-    let faulty = flip_weight(&golden, CONV_LAST, 0);
+    let faulty = flip_square(&golden);
     let first = heal(&milr, &faulty, &[CONV_LAST]);
     let misses = milr.inversion_factor_stats().misses;
+    assert!(misses > 0);
     assert_eq!(heal(&clone, &faulty, &[CONV_LAST]), first);
     assert_eq!(clone.inversion_factor_stats().misses, misses);
     assert_eq!(

@@ -18,7 +18,7 @@
 //!                                              │ scrub flagged
 //!                                              ▼
 //!                                         MILR heal ── exact ──▶ re-anchor, rejoin
-//!                                              │ MinNorm / Failed
+//!                                              │ Approx / Failed
 //!                                              ▼       (irrecoverable)
 //!                                         [Repairing]
 //!                                              │ fetch certified pages
@@ -38,8 +38,10 @@
 //!   failover**.
 //! * Recovery first tries a MILR heal. When the recovery report marks a
 //!   layer irrecoverable ([`milr_core::RecoveryOutcome::is_exact`] is
-//!   false — the min-norm/failed outcomes), [`PeerRepair`] fetches the
-//!   affected weight pages from a healthy peer's certified store
+//!   false — the `Approx`/`Failed` outcomes: a conv heal the stored CRC
+//!   does not certify, such as an uncertified whole-layer heal, or a
+//!   failed solve), [`PeerRepair`] fetches the affected weight pages
+//!   from a healthy peer's certified store
 //!   ([`milr_store::Store::certified_layer_pages`]), imports them onto
 //!   the live substrate bit-for-bit, re-verifies by detection,
 //!   re-protects, re-anchors durably, and rejoins.

@@ -107,8 +107,8 @@ fn reprotect_rebaselines_the_crc_grid_after_an_approximate_heal() {
     assert_eq!(check.flagged, vec![4]);
     let rec = old_milr.recover_layers(&mut healed, &[4]).unwrap();
     assert!(
-        matches!(rec.outcomes[0].1, RecoveryOutcome::MinNorm { .. }),
-        "whole-layer corruption of a partial layer must be min-norm: {:?}",
+        matches!(rec.outcomes[0].1, RecoveryOutcome::Approx { .. }),
+        "whole-layer corruption of a partial layer must be approximate: {:?}",
         rec.outcomes
     );
     assert!(!rec.all_exact());
@@ -137,7 +137,7 @@ fn reprotect_rebaselines_the_crc_grid_after_an_approximate_heal() {
     let mut again = healed.clone();
     let rec_old = old_milr.recover_layers(&mut again, &[4]).unwrap();
     assert!(
-        matches!(rec_old.outcomes[0].1, RecoveryOutcome::MinNorm { .. }),
+        matches!(rec_old.outcomes[0].1, RecoveryOutcome::Approx { .. }),
         "stale grids must keep flagging the approximate heal: {:?}",
         rec_old.outcomes
     );
