@@ -12,10 +12,10 @@
 //! Every optimized kernel is proptested bit-equivalent to its scalar
 //! twin in its home crate; this binary only measures. With `--check`
 //! it exits non-zero when any optimized kernel fails its speedup floor
-//! (1× for all, 8× for conv2d, 5× for the warm heal_conv_last, 4× for
-//! the batched XTS decrypt and for conv2d_conv1, 3× for the SECDED
-//! scrub and the QR factor, 2× for the CRC2D full-grid encode and for
-//! max_pool2d) — the CI regression gate.
+//! (1× for all, 10× for reprotect_unchanged, 8× for conv2d, 5× for the
+//! warm heal_conv_last, 4× for the batched XTS decrypt and for
+//! conv2d_conv1, 3× for the SECDED scrub and the QR factor, 2× for the
+//! CRC2D full-grid encode and for max_pool2d) — the CI regression gate.
 //!
 //! ```text
 //! cargo run --release -p milr-bench --bin kernel_bench -- \
@@ -473,6 +473,31 @@ fn main() {
         scalar_ns: best_heal_ns(trials, &faulty, CONV_LAST, protect),
         optimized_ns: best_heal_ns(trials, &faulty, CONV_LAST, || warm.clone()),
         floor: 5.0,
+    });
+
+    // ---- Re-protect of an unchanged model: full rebuild vs skip. ----
+    // The re-anchor after a heal that restored the protected bits.
+    // Scalar runs the initialization phase again; optimized reprotects
+    // the same model on a warm instance, which compares the bits and
+    // keeps the artifacts.
+    let mut warm = protect();
+    warm.reprotect(&golden).expect("golden reprotects");
+    assert_eq!(
+        warm.to_bytes(),
+        protect().to_bytes(),
+        "a skipped reprotect diverged from a fresh protect"
+    );
+    kernels.push(Kernel {
+        name: "reprotect_unchanged",
+        items: 1,
+        scalar_ns: best_ns(trials, || {
+            black_box(protect());
+        }),
+        optimized_ns: best_ns(trials, || {
+            warm.reprotect(black_box(&golden))
+                .expect("golden reprotects");
+        }),
+        floor: 10.0,
     });
 
     // ---- Report. ----

@@ -91,7 +91,7 @@ pub use config::{MilrConfig, WeightGrid};
 pub use detect::{DetectionReport, LayerCheck};
 pub use error::MilrError;
 pub use factors::InversionFactorStats;
-pub use milr::{Milr, RecoveryOutcome, RecoveryReport};
+pub use milr::{Milr, RecoveryOutcome, RecoveryReport, ReprotectStats};
 pub use plan::{InversionPlan, LayerPlan, ProtectionPlan, SolvingPlan};
 pub use storage::StorageReport;
 

@@ -113,6 +113,24 @@ pub struct Milr {
     /// Shared by clones and kept across [`Milr::reprotect`]; never
     /// serialized.
     factors: Arc<InversionFactors>,
+    /// The model the artifacts were built from, down to its parameter
+    /// bits: the key [`Milr::reprotect`] compares to skip a rebuild.
+    /// `None` after deserialization. A cache key, never serialized and
+    /// never a recovery source.
+    protected: Option<Arc<Sequential>>,
+    /// How many [`Milr::reprotect`] calls rebuilt and how many skipped.
+    reprotects: ReprotectStats,
+}
+
+/// Counts of [`Milr::reprotect`] calls on one instance (a clone starts
+/// from a copy of its origin's counts).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReprotectStats {
+    /// Calls that ran the initialization phase again.
+    pub rebuilt: u64,
+    /// Calls that found the model bit-identical to the protected one
+    /// and kept the artifacts as they were.
+    pub skipped: u64,
 }
 
 impl Milr {
@@ -128,18 +146,42 @@ impl Milr {
         Self::build(model, config, Arc::default())
     }
 
-    /// Re-runs the initialization phase on `model` with this instance's
-    /// configuration, in place — the re-anchor after a heal. The
-    /// inversion-factor cache survives: its entries check their own
-    /// parameter bits, so factors of layers the heal did not touch are
-    /// reused and stale ones are rebuilt on their next use. On error
-    /// the instance is unchanged.
+    /// Brings the instance in line with `model` under this instance's
+    /// configuration, in place — the re-anchor after a heal. Afterwards
+    /// the instance serializes exactly as `Milr::protect(model, config)`
+    /// would.
+    ///
+    /// When `model` is the model the artifacts were built from — same
+    /// input shape, same layers, same parameter bits (so `-0`/`+0` and
+    /// NaN payloads count as changes) — every artifact is still valid
+    /// and the call changes nothing but [`Milr::reprotect_stats`]: a heal
+    /// that restored the protected bits costs one comparison. Otherwise
+    /// it re-runs the initialization phase in full. An instance from
+    /// [`Milr::from_bytes`] holds no model, so its first call rebuilds.
+    ///
+    /// The inversion-factor cache survives either way: its entries
+    /// check their own parameter bits, so factors of layers the heal
+    /// did not touch are reused and stale ones are rebuilt on their
+    /// next use. On error the instance is unchanged.
     ///
     /// # Errors
     ///
     /// See [`Milr::protect`].
     pub fn reprotect(&mut self, model: &Sequential) -> Result<()> {
-        *self = Self::build(model, self.config, Arc::clone(&self.factors))?;
+        if self
+            .protected
+            .as_deref()
+            .is_some_and(|p| bit_identical(p, model))
+        {
+            self.reprotects.skipped += 1;
+            return Ok(());
+        }
+        let mut rebuilt = Self::build(model, self.config, Arc::clone(&self.factors))?;
+        rebuilt.reprotects = ReprotectStats {
+            rebuilt: self.reprotects.rebuilt + 1,
+            ..self.reprotects
+        };
+        *self = rebuilt;
         Ok(())
     }
 
@@ -156,6 +198,8 @@ impl Milr {
             artifacts,
             fingerprint: fingerprint(model),
             factors,
+            protected: Some(Arc::new(model.clone())),
+            reprotects: ReprotectStats::default(),
         })
     }
 
@@ -173,6 +217,8 @@ impl Milr {
             artifacts,
             fingerprint,
             factors: Arc::default(),
+            protected: None,
+            reprotects: ReprotectStats::default(),
         }
     }
 
@@ -198,6 +244,12 @@ impl Milr {
     /// factors) otherwise.
     pub fn inversion_factor_stats(&self) -> InversionFactorStats {
         self.factors.stats()
+    }
+
+    /// How many [`Milr::reprotect`] calls on this instance rebuilt the
+    /// artifacts and how many skipped because the model was unchanged.
+    pub fn reprotect_stats(&self) -> ReprotectStats {
+        self.reprotects
     }
 
     /// The protection plan.
@@ -550,6 +602,37 @@ fn fingerprint(model: &Sequential) -> Vec<(String, usize)> {
         .iter()
         .map(|l| (l.kind_name().to_string(), l.param_count()))
         .collect()
+}
+
+/// True when `a` and `b` are the same model for everything
+/// [`Milr::protect`] reads: input shape, layer kinds and geometry, and
+/// every parameter bit.
+fn bit_identical(a: &Sequential, b: &Sequential) -> bool {
+    fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+        a.shape() == b.shape()
+            && a.data()
+                .iter()
+                .zip(b.data())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+    a.input_shape() == b.input_shape()
+        && a.len() == b.len()
+        && a.layers().iter().zip(b.layers()).all(|pair| match pair {
+            (
+                Layer::Conv2D {
+                    filters: x,
+                    spec: s,
+                },
+                Layer::Conv2D {
+                    filters: y,
+                    spec: t,
+                },
+            ) => s == t && same_bits(x, y),
+            (Layer::Dense { weights: x }, Layer::Dense { weights: y })
+            | (Layer::Bias { bias: x }, Layer::Bias { bias: y }) => same_bits(x, y),
+            // Parameterless layers, or two different kinds.
+            (x, y) => x == y,
+        })
 }
 
 #[cfg(test)]

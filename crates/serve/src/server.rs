@@ -213,27 +213,34 @@ impl Shared {
         self.stop.load(Ordering::Acquire)
     }
 
-    /// Sets `substrate_epoch_total` from the store and the
-    /// `core_inversion_factor_{hits,misses}_total` pair from the
-    /// protection instance before a metrics read: those counts live in
+    /// Sets `substrate_epoch_total` from the store, and the
+    /// `core_inversion_factor_{hits,misses}_total` and
+    /// `core_reprotect_{rebuilt,skipped}_total` pairs from the
+    /// protection instance, before a metrics read: those counts live in
     /// the substrate and in `Milr`, not in the registry. The factor
     /// counts tell a warm heal (cached backward-pass factors) from a
-    /// cold one that re-factored a layer.
+    /// cold one that re-factored a layer; the re-protect counts tell a
+    /// heal that restored the protected bits from one that moved them.
     fn refresh_gauges(&self) {
         self.metrics
             .gauge("substrate_epoch_total")
             .set(self.host.store().epoch_total() as i64);
-        let factors = self
-            .milr
-            .lock()
-            .expect("lock poisoned")
-            .inversion_factor_stats();
+        let (factors, reprotects) = {
+            let milr = self.milr.lock().expect("lock poisoned");
+            (milr.inversion_factor_stats(), milr.reprotect_stats())
+        };
         self.metrics
             .gauge("core_inversion_factor_hits_total")
             .set(factors.hits as i64);
         self.metrics
             .gauge("core_inversion_factor_misses_total")
             .set(factors.misses as i64);
+        self.metrics
+            .gauge("core_reprotect_rebuilt_total")
+            .set(reprotects.rebuilt as i64);
+        self.metrics
+            .gauge("core_reprotect_skipped_total")
+            .set(reprotects.skipped as i64);
     }
 
     /// Raises the stop flag under the state lock, so a worker either
@@ -1072,6 +1079,14 @@ mod tests {
         );
         assert!(
             metrics.contains("core_inversion_factor_misses_total"),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains("core_reprotect_rebuilt_total"),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains("core_reprotect_skipped_total"),
             "{metrics}"
         );
         let health = http_get(addr, "/health");
