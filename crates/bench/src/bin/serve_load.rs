@@ -94,12 +94,6 @@ fn parse_cli() -> Result<Cli, String> {
                     other => return Err(format!("unknown policy {other}")),
                 }
             }
-            "--batch-wait-us" => {
-                let us: u64 = value("--batch-wait-us")?
-                    .parse()
-                    .map_err(|e| format!("bad --batch-wait-us: {e}"))?;
-                sim.batch_wait_ns = us * 1_000;
-            }
             "--check-report-against" => {
                 check_report_against = Some(value("--check-report-against")?)
             }
@@ -153,9 +147,9 @@ fn main() {
             eprintln!("error: {msg}");
             eprintln!(
                 "usage: [--requests N] [--seed N] [--model-seed N] [--workers N] [--faults N] \
-                 [--batch-max N] [--batch-wait-us N] [--scrub-interval-us N] \
-                 [--policy drain|reject] [--check-report-against FILE] [--trace-out FILE] \
-                 [--metrics-out FILE] [--spans-out FILE] [--slo-out FILE] [--json FILE]"
+                 [--batch-max N] [--scrub-interval-us N] [--policy drain|reject] \
+                 [--check-report-against FILE] [--trace-out FILE] [--metrics-out FILE] \
+                 [--spans-out FILE] [--slo-out FILE] [--json FILE]"
             );
             std::process::exit(2);
         }

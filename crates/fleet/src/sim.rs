@@ -13,9 +13,9 @@
 //! `(model, MilrConfig, FleetConfig)`: two runs with the same seed
 //! produce byte-identical [`FleetReport`]s, outcome for outcome.
 //!
-//! The fleet dispatches immediately: a replica's core runs with no
-//! `batch_wait`, so a free worker anywhere takes queued work the moment
-//! the router picks it.
+//! The fleet dispatches immediately: the router hands queued work to a
+//! serving replica with a free worker slot the moment one exists, and
+//! that slot takes up to `batch_max` requests at once.
 //!
 //! ## The failure ladder
 //!
@@ -50,7 +50,7 @@ use milr_serve::workload::{campaign_time, conv_layers, ChaosOverlay, EventQueue,
 use milr_serve::{
     outcome_digest, ChaosStats, CoreConfig, Effect, OutcomeDigest, QuarantinePolicy,
     RequestOutcome, RequestQueue, RequestStatus, Resolution, ServeCore, ServeCounts, ServeObs,
-    ServeReport, ServeTally, Timer, VirtualCosts,
+    ServeReport, ServeTally, VirtualCosts,
 };
 use milr_store::{Store, StoreOptions};
 use milr_substrate::SubstrateKind;
@@ -59,6 +59,13 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Virtual cost of fetching and certifying one page from a peer.
+const PEER_PAGE_COST_NS: u64 = 2_000_000;
+/// Weights per on-disk page of every replica's store.
+const PAGE_WEIGHTS: usize = 64;
+/// Page-cache budget of each replica's file substrates.
+const CACHE_PAGES: usize = 16;
 
 /// Configuration of one simulated fleet run.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,12 +103,6 @@ pub struct FleetConfig {
     pub heavy_faults: usize,
     /// Virtual operation costs (shared with the single-instance sim).
     pub costs: VirtualCosts,
-    /// Virtual cost of fetching + certifying one page from a peer.
-    pub peer_page_ns: u64,
-    /// Weights per on-disk page of every replica's store.
-    pub page_weights: usize,
-    /// Page-cache budget of each replica's file substrates.
-    pub cache_pages: usize,
     /// Directory for the replica containers. `None` uses a private
     /// temp directory that is removed when the run finishes (the
     /// returned store paths then point at removed files); give a
@@ -137,9 +138,6 @@ impl Default for FleetConfig {
             faults: 2,
             heavy_faults: 0,
             costs: VirtualCosts::default(),
-            peer_page_ns: 2_000_000,
-            page_weights: 64,
-            cache_pages: 16,
             dir: None,
             chaos: None,
             slo_specs: None,
@@ -170,9 +168,10 @@ enum Event {
         replica: usize,
         worker: usize,
     },
-    Core {
+    /// A scrub tick of `replica`, armed in `epoch`.
+    ScrubTick {
         replica: usize,
-        timer: Timer,
+        epoch: u64,
     },
     /// A whole-weight fault, or with no `weight` a heavy fault that
     /// corrupts the whole layer.
@@ -243,8 +242,8 @@ struct Fleet<'a> {
 
 impl Fleet<'_> {
     /// Acts on replica `r`'s core output: a dispatched batch runs its
-    /// forward pass now and completes after its virtual cost, timers
-    /// are scheduled, and resolutions land in the workload and the
+    /// forward pass now and completes after its virtual cost, scrub
+    /// ticks are scheduled, and resolutions land in the workload and the
     /// fleet view.
     fn settle(&mut self, r: usize, now: u64) {
         let m = &mut self.members[r];
@@ -269,9 +268,9 @@ impl Fleet<'_> {
                         Event::WorkerDone { replica: r, worker },
                     );
                 }
-                Effect::Wake { at, timer } => self
+                Effect::ScrubDue { at, epoch } => self
                     .timeline
-                    .schedule(at, Event::Core { replica: r, timer }),
+                    .schedule(at, Event::ScrubTick { replica: r, epoch }),
             }
         }
         for res in m.core.take_resolved() {
@@ -442,11 +441,11 @@ pub fn simulate_observed(
             &milr,
             StoreOptions {
                 kind: cfg.kind,
-                page_weights: cfg.page_weights,
+                page_weights: PAGE_WEIGHTS,
             },
         )?;
         // Cold → Serving through the full scrub-on-load admission path.
-        let (mut replica, _) = Replica::cold_start(r, &path, cfg.cache_pages)?;
+        let (mut replica, _) = Replica::cold_start(r, &path, CACHE_PAGES)?;
         if let Some(trace) = &obs.trace {
             replica.attach_trace(trace.clone());
         }
@@ -490,7 +489,6 @@ pub fn simulate_observed(
     let core_cfg = CoreConfig {
         workers: cfg.workers_per_replica,
         batch_max: cfg.batch_max,
-        batch_wait_ns: 0,
         scrub_interval_ns,
         layers_per_tick: cfg.layers_per_tick,
         policy: cfg.policy,
@@ -624,14 +622,7 @@ pub fn simulate_observed(
                 fleet.settle(r, clock);
                 fleet.dispatch(clock);
             }
-            Event::Core {
-                timer: Timer::BatchDeadline { .. },
-                ..
-            } => unreachable!("fleet cores dispatch immediately; no deadline is ever armed"),
-            Event::Core {
-                replica: r,
-                timer: Timer::ScrubTick { epoch },
-            } => {
+            Event::ScrubTick { replica: r, epoch } => {
                 if !fleet.members[r].core.scrub_due(epoch) {
                     continue; // stale tick from before a quarantine
                 }
@@ -711,7 +702,7 @@ pub fn simulate_observed(
                             .sum();
                         m.pending_repair = escalated;
                         fleet.timeline.schedule(
-                            clock + pages as u64 * cfg.peer_page_ns + cfg.costs.recover_ns,
+                            clock + pages as u64 * PEER_PAGE_COST_NS + cfg.costs.recover_ns,
                             Event::RepairDone { replica: r, epoch },
                         );
                     }

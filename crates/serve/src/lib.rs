@@ -88,7 +88,7 @@ pub use request::{QuarantinePolicy, RejectReason, RequestId, RequestOutcome, Req
 pub use scrubber::ScrubCursor;
 pub use serve_core::{
     CoreConfig, Effect, Pending, RequestQueue, Resolution, ServeCore, ServeCounts, ServeObs,
-    ServeTally, Timer,
+    ServeTally,
 };
 pub use server::{ResponseHandle, ServeError, Server, ServerConfig};
 pub use sim::{simulate, simulate_observed, SimConfig, SimResult, VirtualCosts};

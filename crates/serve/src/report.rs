@@ -53,10 +53,9 @@ pub struct ServeReport {
     pub batches: usize,
     /// Batches dispatched at the full configured `batch_max`.
     pub full_batches: usize,
-    /// Mean requests per dispatched batch — the continuous-batching
-    /// occupancy (1.0 means no coalescing happened; `batch_max` means
-    /// every dispatch shared one decode + GEMM pass across a full
-    /// batch).
+    /// Mean requests per dispatched batch (1.0 means no coalescing
+    /// happened; `batch_max` means every dispatch shared one decode +
+    /// GEMM pass across a full batch).
     pub batch_occupancy: f64,
     /// Order-insensitive digest over `(id, status, output bits)` of
     /// every outcome — two runs with the same seed must agree on it.

@@ -7,8 +7,8 @@
 //!
 //! * **admission**: queue capacity, and shedding arrivals while a
 //!   reject-policy quarantine is in progress;
-//! * **batch formation**: full batches dispatch at once; a partial one
-//!   holds behind the `batch_wait` deadline ([`Timer::BatchDeadline`]);
+//! * **batch formation**: one rule — a free worker slot takes up to
+//!   `batch_max` queued requests at once;
 //! * **the epoch check on completion**: a batch dispatched before a
 //!   quarantine comes back suspect and is re-queued (Drain) or rejected
 //!   (Reject);
@@ -16,7 +16,7 @@
 //!   [`CertificationLedger`] until a clean [`ScrubCursor`] cycle that
 //!   started after they finished releases them;
 //! * **quarantine and resume**: a flagged scrub voids everything
-//!   uncertified, stops dispatch, and cancels a pending deadline;
+//!   uncertified and stops dispatch;
 //! * **accounting**: downtime, the SLO streams (availability segments,
 //!   latency, heal exactness, durability), the serving counters, and
 //!   [`ServeReport`] assembly.
@@ -24,8 +24,8 @@
 //! The core never touches threads, clocks, the model host, or the
 //! integrity pipeline. Every call takes `now` as an argument; the
 //! core answers with [`Resolution`]s (requests reaching a terminal
-//! state) and [`Effect`]s (a batch to run, a timer to arm), which the
-//! driver drains in order after each call. Forward passes, scrub
+//! state) and [`Effect`]s (a batch to run, a scrub tick to arm), which
+//! the driver drains in order after each call. Forward passes, scrub
 //! ticks, and heals happen in the driver between calls.
 
 use crate::ledger::CertificationLedger;
@@ -66,24 +66,6 @@ pub struct Resolution<P> {
     pub at_ns: u64,
 }
 
-/// A timer the core asks its driver to arm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Timer {
-    /// A partial batch's admission deadline; hand it back through
-    /// [`ServeCore::batch_deadline`]. A quarantine cancels it (the
-    /// epoch no longer matches).
-    BatchDeadline {
-        /// Epoch the deadline was armed in.
-        epoch: u64,
-    },
-    /// The next scrub tick is due; [`ServeCore::scrub_due`] says
-    /// whether it is still live.
-    ScrubTick {
-        /// Epoch the tick was scheduled in.
-        epoch: u64,
-    },
-}
-
 /// Something the driver must do, in the order the core produced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effect {
@@ -94,12 +76,13 @@ pub enum Effect {
         /// The worker slot.
         worker: usize,
     },
-    /// Arm `timer` to fire at `at`.
-    Wake {
+    /// The next scrub tick is due at `at`; when it fires,
+    /// [`ServeCore::scrub_due`] says whether it is still live.
+    ScrubDue {
         /// Fire time on the driver's clock.
         at: u64,
-        /// What fires.
-        timer: Timer,
+        /// Epoch the tick was scheduled in.
+        epoch: u64,
     },
 }
 
@@ -110,9 +93,6 @@ pub struct CoreConfig {
     pub workers: usize,
     /// Maximum requests coalesced into one batch.
     pub batch_max: usize,
-    /// Partial-batch admission deadline, nanoseconds; `0` dispatches
-    /// whatever is queued the moment a worker is free.
-    pub batch_wait_ns: u64,
     /// Scrub cadence, nanoseconds between ticks.
     pub scrub_interval_ns: u64,
     /// Checkable layers examined per scrub tick.
@@ -469,8 +449,6 @@ pub struct ServeCore<P> {
     quarantined: bool,
     slots: Vec<Option<InFlight<P>>>,
     ledger: CertificationLedger<(Vec<Pending<P>>, Vec<Tensor>)>,
-    /// Fire time of the armed batch deadline, if any.
-    deadline: Option<u64>,
     last_fault_ns: u64,
     last_clean_cycle: Option<u64>,
     /// Heal tallies of the pipeline report already fed to the SLO.
@@ -498,7 +476,6 @@ impl<P> ServeCore<P> {
             epoch: 0,
             quarantined: false,
             ledger: CertificationLedger::default(),
-            deadline: None,
             last_fault_ns: 0,
             last_clean_cycle: None,
             heals_seen: (0, 0),
@@ -534,11 +511,6 @@ impl<P> ServeCore<P> {
     /// The requests in flight on worker slot `worker`.
     pub fn batch(&self, worker: usize) -> Option<&[Pending<P>]> {
         self.slots[worker].as_ref().map(|b| b.reqs.as_slice())
-    }
-
-    /// When the armed batch deadline fires, if one is armed.
-    pub fn pending_deadline(&self) -> Option<u64> {
-        self.deadline
     }
 
     /// True when the instance could take a batch right now: serving,
@@ -589,17 +561,16 @@ impl<P> ServeCore<P> {
     }
 
     fn arm_scrub(&mut self, now: u64) {
-        self.effects.push(Effect::Wake {
+        self.effects.push(Effect::ScrubDue {
             at: now + self.cfg.scrub_interval_ns,
-            timer: Timer::ScrubTick { epoch: self.epoch },
+            epoch: self.epoch,
         });
     }
 
     /// Admission control for one arrival into the instance's own
     /// `queue`: a reject-policy quarantine sheds it, a full queue
-    /// refuses it. Dispatch is a separate step — [`ServeCore::admit`]
-    /// when the driver pushes work to free workers, [`ServeCore::poll`]
-    /// when workers pull.
+    /// refuses it. Dispatch is a separate step: [`ServeCore::admit`]
+    /// fills every free worker slot, [`ServeCore::dispatch`] one.
     ///
     /// # Errors
     ///
@@ -620,71 +591,20 @@ impl<P> ServeCore<P> {
         }
     }
 
-    /// Continuous-batching admission. With `batch_wait_ns == 0` every
-    /// free worker takes what is queued. Otherwise full batches go out
-    /// at once, and a partial one holds behind a deadline so later
-    /// arrivals can coalesce into it.
+    /// Fills every free worker slot from `queue`, one batch each (the
+    /// driver pushes work to free workers).
     pub fn admit(&mut self, queue: &mut RequestQueue<P>, now: u64) {
-        if self.cfg.batch_wait_ns == 0 {
-            while self.dispatch(queue, now) {}
-            return;
-        }
-        while queue.len() >= self.cfg.batch_max && self.dispatch(queue, now) {}
-        if !queue.is_empty() && self.deadline.is_none() && self.can_dispatch() {
-            self.arm_deadline(now);
-        }
+        while self.dispatch(queue, now).is_some() {}
     }
 
-    /// Dispatches one batch of up to `batch_max` queued requests into a
-    /// free worker slot, ignoring the batching deadline. Returns false
-    /// when quarantined, out of work, or out of workers.
-    pub fn dispatch(&mut self, queue: &mut RequestQueue<P>, now: u64) -> bool {
-        match self.free_worker() {
-            Some(worker) if !self.quarantined && !queue.is_empty() => {
-                self.dispatch_into(worker, queue, now);
-                self.effects.push(Effect::Dispatched { worker });
-                true
-            }
-            _ => false,
+    /// Dispatches one batch of up to `batch_max` queued requests into
+    /// the lowest free worker slot and returns that slot; `None` when
+    /// quarantined, out of work, or out of workers.
+    pub fn dispatch(&mut self, queue: &mut RequestQueue<P>, now: u64) -> Option<usize> {
+        if self.quarantined || queue.is_empty() {
+            return None;
         }
-    }
-
-    /// Idle worker `worker` asks for work: the batching policy of
-    /// [`ServeCore::admit`], seen from one slot. A full batch — or any
-    /// batch with no `batch_wait` — dispatches into the slot at once; a
-    /// partial one arms the deadline, and the first poll after it lapses
-    /// fires it like [`ServeCore::batch_deadline`]. Returns true when
-    /// the slot got a batch (the caller is that worker, so no
-    /// [`Effect::Dispatched`] is produced).
-    pub fn poll(&mut self, worker: usize, queue: &mut RequestQueue<P>, now: u64) -> bool {
-        if self.quarantined || self.slots[worker].is_some() {
-            return false;
-        }
-        if self.deadline.is_some_and(|at| now >= at) {
-            self.deadline = None;
-        } else if self.cfg.batch_wait_ns > 0 && queue.len() < self.cfg.batch_max {
-            if self.deadline.is_none() && !queue.is_empty() {
-                self.arm_deadline(now);
-            }
-            return false;
-        }
-        if queue.is_empty() {
-            return false;
-        }
-        self.dispatch_into(worker, queue, now);
-        true
-    }
-
-    fn arm_deadline(&mut self, now: u64) {
-        let at = now + self.cfg.batch_wait_ns;
-        self.deadline = Some(at);
-        self.effects.push(Effect::Wake {
-            at,
-            timer: Timer::BatchDeadline { epoch: self.epoch },
-        });
-    }
-
-    fn dispatch_into(&mut self, worker: usize, queue: &mut RequestQueue<P>, now: u64) {
+        let worker = self.free_worker()?;
         let n = queue.len().min(self.cfg.batch_max);
         let reqs = queue.take(n);
         let obs = &self.tally.obs;
@@ -712,16 +632,8 @@ impl<P> ServeCore<P> {
             reqs,
             epoch: self.epoch,
         });
-    }
-
-    /// A batch deadline fired: dispatch everything queued, unless a
-    /// quarantine cancelled it.
-    pub fn batch_deadline(&mut self, epoch: u64, queue: &mut RequestQueue<P>, now: u64) {
-        if epoch != self.epoch {
-            return;
-        }
-        self.deadline = None;
-        while self.dispatch(queue, now) {}
+        self.effects.push(Effect::Dispatched { worker });
+        Some(worker)
     }
 
     /// Worker `worker` finished its batch with `outputs` at `now`. A
@@ -801,7 +713,6 @@ impl<P> ServeCore<P> {
         self.tally.counts.quarantines += 1;
         self.quarantined = true;
         self.epoch += 1;
-        self.deadline = None;
         self.tally.set_serving(now, false);
         self.tally
             .obs
@@ -931,12 +842,10 @@ mod tests {
         policy: QuarantinePolicy,
         workers: usize,
         batch_max: usize,
-        batch_wait_ns: u64,
     ) -> (ServeCore<()>, RequestQueue<()>) {
         let cfg = CoreConfig {
             workers,
             batch_max,
-            batch_wait_ns,
             scrub_interval_ns: 100,
             layers_per_tick: 1,
             policy,
@@ -1000,7 +909,7 @@ mod tests {
     #[test]
     fn a_batch_finishing_after_a_quarantine_is_requeued_or_rejected() {
         for policy in [QuarantinePolicy::Drain, QuarantinePolicy::Reject] {
-            let (mut c, mut q) = core(policy, 1, 4, 0);
+            let (mut c, mut q) = core(policy, 1, 4);
             push(&mut c, &mut q, 0, 0);
             assert_eq!(c.take_effects(), vec![Effect::Dispatched { worker: 0 }]);
             // The weights go bad while the batch is in flight.
@@ -1030,7 +939,7 @@ mod tests {
     #[test]
     fn quarantine_voids_uncertified_work_and_reject_sheds_the_queue() {
         for policy in [QuarantinePolicy::Drain, QuarantinePolicy::Reject] {
-            let (mut c, mut q) = core(policy, 1, 1, 0);
+            let (mut c, mut q) = core(policy, 1, 1);
             for id in 0..3 {
                 push(&mut c, &mut q, id, id);
             }
@@ -1072,12 +981,12 @@ mod tests {
 
     #[test]
     fn a_shared_queue_survives_a_reject_quarantine() {
-        let (mut c, _) = core(QuarantinePolicy::Reject, 1, 1, 0);
+        let (mut c, _) = core(QuarantinePolicy::Reject, 1, 1);
         let mut q = RequestQueue::shared(16, None);
         for id in 0..2 {
             q.admit(req(id, 0), false).unwrap();
         }
-        assert!(c.dispatch(&mut q, 0));
+        assert_eq!(c.dispatch(&mut q, 0), Some(0));
         assert!(flag(&mut c, &mut q, 1));
         // Only the replica's own in-flight work fails; its peers still
         // serve what is queued.
@@ -1088,7 +997,7 @@ mod tests {
 
     #[test]
     fn release_waits_for_a_clean_cycle_that_starts_after_the_finish() {
-        let (mut c, mut q) = core(QuarantinePolicy::Drain, 1, 4, 0);
+        let (mut c, mut q) = core(QuarantinePolicy::Drain, 1, 4);
         push(&mut c, &mut q, 0, 0);
         // A cycle that started before the batch finished proves nothing.
         c.begin_scrub(1);
@@ -1112,7 +1021,7 @@ mod tests {
 
     #[test]
     fn an_injection_needs_a_later_clean_cycle() {
-        let (mut c, mut q) = core(QuarantinePolicy::Drain, 1, 4, 0);
+        let (mut c, mut q) = core(QuarantinePolicy::Drain, 1, 4);
         assert!(c.certified_since_last_fault());
         c.fault_landed(10, 0, 3);
         clean_cycle(&mut c, &mut q, 5);
@@ -1129,77 +1038,46 @@ mod tests {
     }
 
     #[test]
-    fn a_quarantine_cancels_the_batch_deadline() {
-        let (mut c, mut q) = core(QuarantinePolicy::Drain, 1, 4, 10);
-        push(&mut c, &mut q, 0, 0);
-        // A partial batch holds behind the deadline.
-        let armed = Effect::Wake {
-            at: 10,
-            timer: Timer::BatchDeadline { epoch: 0 },
-        };
-        assert_eq!(c.take_effects(), vec![armed]);
-        assert_eq!(c.pending_deadline(), Some(10));
-        assert!(flag(&mut c, &mut q, 5));
-        assert_eq!(c.pending_deadline(), None);
-        // The stale deadline fires into nothing.
-        c.batch_deadline(0, &mut q, 10);
-        assert!(c.take_effects().is_empty());
-        assert!(c.batch(0).is_none());
-        // Resuming re-arms a fresh deadline in the new epoch.
-        c.resume(20);
-        c.admit(&mut q, 20);
-        let rearmed = Effect::Wake {
-            at: 30,
-            timer: Timer::BatchDeadline { epoch: 1 },
-        };
-        assert_eq!(c.take_effects()[1], rearmed);
-        c.batch_deadline(1, &mut q, 30);
-        assert_eq!(c.take_effects(), vec![Effect::Dispatched { worker: 0 }]);
-    }
-
-    #[test]
-    fn a_polling_worker_holds_a_partial_batch_until_the_deadline() {
-        let (mut c, mut q) = core(QuarantinePolicy::Drain, 2, 2, 10);
+    fn a_full_batch_dispatches_at_once() {
+        let (mut c, mut q) = core(QuarantinePolicy::Drain, 1, 2);
         c.arrive(&mut q, req(0, 0), 0).unwrap();
-        // The first poll arms the deadline; polls before it lapse wait.
-        assert!(!c.poll(1, &mut q, 0));
-        assert_eq!(c.pending_deadline(), Some(10));
-        assert!(!c.poll(0, &mut q, 9));
-        assert!(c.poll(0, &mut q, 10));
-        assert_eq!(c.pending_deadline(), None);
-        assert_eq!(c.batch(0).map(<[_]>::len), Some(1));
-        // A full batch goes at once, and a busy slot takes nothing.
-        c.arrive(&mut q, req(1, 11), 11).unwrap();
-        c.arrive(&mut q, req(2, 11), 11).unwrap();
-        assert!(!c.poll(0, &mut q, 11));
-        assert!(c.poll(1, &mut q, 11));
-        assert_eq!(c.batch(1).map(<[_]>::len), Some(2));
-        // A deadline that lapses with nothing queued fires into nothing.
-        c.arrive(&mut q, req(3, 12), 12).unwrap();
-        c.worker_done(&mut q, 0, out(), 12);
-        assert!(!c.poll(0, &mut q, 12));
-        assert_eq!(c.pending_deadline(), Some(22));
-        // (A router-style dispatch empties the queue under the deadline.)
-        assert!(c.dispatch(&mut q, 13));
-        assert!(q.is_empty());
-        c.worker_done(&mut q, 1, vec![Tensor::zeros(&[1]); 2], 14);
-        assert!(!c.poll(1, &mut q, 30));
-        assert_eq!(c.pending_deadline(), None);
+        c.arrive(&mut q, req(1, 1), 1).unwrap();
+        c.admit(&mut q, 1);
+        assert_eq!(c.take_effects(), vec![Effect::Dispatched { worker: 0 }]);
+        assert_eq!(c.batch(0).map(<[_]>::len), Some(2));
+        assert_eq!(c.counts().batches, 1);
+        assert_eq!(c.counts().full_batches, 1);
     }
 
     #[test]
-    fn a_full_batch_does_not_wait_for_the_deadline() {
-        let (mut c, mut q) = core(QuarantinePolicy::Drain, 1, 2, 10);
-        push(&mut c, &mut q, 0, 0);
-        push(&mut c, &mut q, 1, 1);
-        assert_eq!(c.batch(0).map(<[_]>::len), Some(2));
-        assert_eq!(c.counts().full_batches, 1);
+    fn dispatch_fills_the_lowest_free_slot() {
+        let (mut c, mut q) = core(QuarantinePolicy::Drain, 2, 1);
+        // Out of work.
+        assert_eq!(c.dispatch(&mut q, 0), None);
+        for id in 0..4 {
+            c.arrive(&mut q, req(id, 0), 0).unwrap();
+        }
+        assert_eq!(c.dispatch(&mut q, 1), Some(0));
+        assert_eq!(c.dispatch(&mut q, 1), Some(1));
+        // Every slot is busy: the queued work stays put.
+        assert_eq!(c.dispatch(&mut q, 2), None);
+        assert_eq!(queued_ids(&q), vec![2, 3]);
+        // A freed slot is the lowest free one again.
+        c.worker_done(&mut q, 0, out(), 3);
+        assert_eq!(c.dispatch(&mut q, 3), Some(0));
+        assert_eq!(c.batch(0).map(|b| b[0].id), Some(2));
+        c.worker_done(&mut q, 1, out(), 4);
+        // Quarantined: a free slot and queued work, but no dispatch.
+        assert!(flag(&mut c, &mut q, 5));
+        assert_eq!(c.dispatch(&mut q, 6), None);
+        c.resume(7);
+        assert_eq!(c.dispatch(&mut q, 7), Some(1));
     }
 
     #[test]
     fn shutdown_certifies_finished_work_and_rejects_the_rest() {
         for clean in [true, false] {
-            let (mut c, mut q) = core(QuarantinePolicy::Drain, 2, 1, 0);
+            let (mut c, mut q) = core(QuarantinePolicy::Drain, 2, 1);
             for id in 0..3 {
                 push(&mut c, &mut q, id, 0);
             }

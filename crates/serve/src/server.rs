@@ -9,8 +9,9 @@
 //! under the `inner` lock with the wall clock passed in. The threads
 //! only do the work the core hands out, outside that lock:
 //!
-//! * a **worker** polls the core for a batch for its own slot, runs the
-//!   forward pass unlocked, and hands the outputs back;
+//! * a **worker** asks the core to dispatch a batch into a free slot,
+//!   runs the forward pass unlocked, and hands the outputs back for
+//!   that slot;
 //! * the **scrubber** asks the core for the next chunk, runs the
 //!   pipeline's scrub + detect tick unlocked, reports the verdict, and
 //!   on a quarantine runs the heal episode unlocked before resuming.
@@ -49,12 +50,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Maximum requests coalesced into one batch.
     pub batch_max: usize,
-    /// Continuous-batching admission deadline: a worker holds a partial
-    /// batch for up to this long waiting for more arrivals before
-    /// dispatching (full batches always go out at once). `ZERO`
-    /// disables coalescing — workers dispatch whatever is queued the
-    /// moment they wake, the legacy behavior.
-    pub batch_wait: Duration,
     /// Scrubber cadence.
     pub scrub_interval: Duration,
     /// Checkable layers examined per scrub tick.
@@ -86,7 +81,6 @@ impl Default for ServerConfig {
             workers: 2,
             queue_capacity: 256,
             batch_max: 8,
-            batch_wait: Duration::ZERO,
             scrub_interval: Duration::from_millis(2),
             layers_per_tick: 2,
             policy: QuarantinePolicy::Drain,
@@ -161,8 +155,8 @@ struct Inner {
 
 impl Inner {
     /// Answers every client the core resolved. The core's effects need
-    /// no action here: workers pull their own batches and fire lapsed
-    /// deadlines while polling, and the scrubber keeps its own cadence.
+    /// no action here: workers dispatch their own batches, and the
+    /// scrubber keeps its own cadence.
     fn settle(&mut self) {
         for r in self.core.take_resolved() {
             let Pending {
@@ -249,19 +243,6 @@ impl Shared {
         let _guard = self.inner.lock();
         self.stop.store(true, Ordering::Release);
         self.work_cv.notify_all();
-    }
-
-    /// Parks an idle worker until the state changes, or until an armed
-    /// batch deadline lapses.
-    fn idle<'a>(&self, inner: MutexGuard<'a, Inner>) -> MutexGuard<'a, Inner> {
-        let Some(at) = inner.core.pending_deadline() else {
-            return self.work_cv.wait(inner).expect("lock poisoned");
-        };
-        let wait = Duration::from_nanos(at.saturating_sub(self.now_ns()));
-        self.work_cv
-            .wait_timeout(inner, wait)
-            .expect("lock poisoned")
-            .0
     }
 
     /// One batch's forward pass, outside the state lock. Parameterized
@@ -384,7 +365,6 @@ impl Server {
         let core_cfg = CoreConfig {
             workers: config.workers,
             batch_max: config.batch_max,
-            batch_wait_ns: config.batch_wait.as_nanos() as u64,
             scrub_interval_ns: config.scrub_interval.as_nanos() as u64,
             layers_per_tick: config.layers_per_tick,
             policy: config.policy,
@@ -413,9 +393,9 @@ impl Server {
             metrics,
         });
         let mut threads: Vec<JoinHandle<()>> = (0..shared.config.workers)
-            .map(|worker| {
+            .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, worker))
+                std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
         let scrubber = Arc::clone(&shared);
@@ -554,22 +534,22 @@ impl Server {
     }
 }
 
-fn worker_loop(shared: &Shared, worker: usize) {
+fn worker_loop(shared: &Shared) {
     let mut inner = shared.lock();
     loop {
         if shared.stopping() {
             return;
         }
-        // Continuous batching, pulled: the core hands this worker a
-        // batch when its policy allows (a partial batch waits for the
-        // deadline so later arrivals coalesce into it).
+        // The core has one slot per worker thread and a thread holds at
+        // most one, so an idle thread always finds a free slot: it parks
+        // only when nothing is queued or the core is quarantined.
         let now = shared.now_ns();
         let Inner { core, queue, .. } = &mut *inner;
-        if !core.poll(worker, queue, now) {
-            inner = shared.idle(inner);
+        let Some(worker) = core.dispatch(queue, now) else {
+            inner = shared.work_cv.wait(inner).expect("lock poisoned");
             continue;
-        }
-        let batch = inner.core.batch(worker).expect("polled batch");
+        };
+        let batch = inner.core.batch(worker).expect("dispatched batch");
         let inputs: Vec<Tensor> = batch.iter().map(|r| r.payload.input.clone()).collect();
         drop(inner);
         let outputs = shared.forward(&inputs);

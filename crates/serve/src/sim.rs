@@ -18,7 +18,7 @@
 
 use crate::report::{outcome_digest, ServeReport};
 use crate::request::{QuarantinePolicy, RequestOutcome};
-use crate::serve_core::{CoreConfig, Effect, RequestQueue, ServeCore, ServeObs, Timer};
+use crate::serve_core::{CoreConfig, Effect, RequestQueue, ServeCore, ServeObs};
 use crate::workload::{campaign_time, conv_layers, ChaosOverlay, ChaosStats, EventQueue, Workload};
 use milr_core::{Milr, MilrConfig, SolvingPlan};
 use milr_fault::{ChaosSpec, FaultRng};
@@ -91,13 +91,6 @@ pub struct SimConfig {
     pub queue_capacity: usize,
     /// Maximum requests coalesced into one batch.
     pub batch_max: usize,
-    /// Continuous-batching admission deadline, nanoseconds: a partial
-    /// batch holds for up to this long waiting for more arrivals before
-    /// dispatching (full batches always dispatch immediately). `0`
-    /// disables coalescing — every dispatch takes whatever is queued
-    /// the moment a worker frees up, the legacy immediate-dispatch
-    /// behavior the golden-seed parity suite locks.
-    pub batch_wait_ns: u64,
     /// Scrubber cadence, nanoseconds between ticks.
     pub scrub_interval_ns: u64,
     /// Checkable layers examined per scrub tick.
@@ -118,16 +111,6 @@ pub struct SimConfig {
     /// SLO suite override for campaign runs; `None` uses
     /// [`SloEngine::serving_defaults`].
     pub slo_specs: Option<Vec<SloSpec>>,
-    /// Candidate layers for fault injection; empty means every
-    /// *fully recoverable* convolution layer (solving plan `ConvFull`),
-    /// whose CRC-certified recovery restores exact golden bits — the
-    /// regime where certified outputs stay bit-for-bit faithful to the
-    /// original model. Partial-recoverability layers may be listed
-    /// explicitly: they heal within detection tolerance and the healed
-    /// state becomes the new protected baseline (re-protection), but
-    /// outputs computed after such a heal can differ from the original
-    /// model by float rounding.
-    pub fault_layers: Vec<usize>,
     /// Virtual operation costs.
     pub costs: VirtualCosts,
 }
@@ -141,7 +124,6 @@ impl Default for SimConfig {
             workers: 4,
             queue_capacity: 256,
             batch_max: 8,
-            batch_wait_ns: 0,
             scrub_interval_ns: 4_000_000,
             layers_per_tick: 2,
             policy: QuarantinePolicy::Drain,
@@ -149,7 +131,6 @@ impl Default for SimConfig {
             kind: SubstrateKind::Plain,
             chaos: None,
             slo_specs: None,
-            fault_layers: Vec::new(),
             costs: VirtualCosts::default(),
         }
     }
@@ -170,7 +151,10 @@ pub struct SimResult {
 enum Event {
     Arrival(usize),
     WorkerDone(usize),
-    Core(Timer),
+    /// A scrub tick armed in `epoch`.
+    ScrubTick {
+        epoch: u64,
+    },
     Fault {
         layer: usize,
         weight: usize,
@@ -218,8 +202,8 @@ struct Sim<'a> {
 
 impl Sim<'_> {
     /// Acts on the core's effects in order — a dispatched batch runs its
-    /// forward pass now and completes after its virtual cost; a timer is
-    /// scheduled — and records its resolutions.
+    /// forward pass now and completes after its virtual cost; a scrub
+    /// tick is scheduled — and records its resolutions.
     fn settle(&mut self, now: u64) {
         for effect in self.core.take_effects() {
             match effect {
@@ -248,7 +232,9 @@ impl Sim<'_> {
                     self.timeline
                         .schedule(now + costs.batch_ns(n), Event::WorkerDone(worker));
                 }
-                Effect::Wake { at, timer } => self.timeline.schedule(at, Event::Core(timer)),
+                Effect::ScrubDue { at, epoch } => {
+                    self.timeline.schedule(at, Event::ScrubTick { epoch });
+                }
             }
         }
         for r in self.core.take_resolved() {
@@ -320,28 +306,26 @@ pub fn simulate_observed(
     let core_cfg = CoreConfig {
         workers: cfg.workers,
         batch_max: cfg.batch_max,
-        batch_wait_ns: cfg.batch_wait_ns,
         scrub_interval_ns: ChaosOverlay::scrub_interval(spec, cfg.scrub_interval_ns),
         layers_per_tick: cfg.layers_per_tick,
         policy: cfg.policy,
     };
     let core = ServeCore::new(core_cfg, checkable.clone(), slo, serve_obs);
 
-    // Seeded fault schedule over the bulk of the workload window.
-    let fault_layers = if cfg.fault_layers.is_empty() {
-        conv_layers(golden, &milr, SolvingPlan::ConvFull)
-    } else {
-        cfg.fault_layers.clone()
-    };
+    // Seeded fault schedule over the bulk of the workload window, on
+    // the fully recoverable conv layers: their CRC-certified heals
+    // restore the exact golden bits, so certified outputs stay
+    // bit-equal to the original model.
+    let targets = conv_layers(golden, &milr, SolvingPlan::ConvFull);
     assert!(
-        cfg.faults == 0 || !fault_layers.is_empty(),
+        cfg.faults == 0 || !targets.is_empty(),
         "no layers eligible for fault injection"
     );
     let mut fault_rng = FaultRng::seed(cfg.seed ^ 0xFA117);
     let mut faults: Vec<(u64, usize, usize)> = (0..cfg.faults)
         .map(|_| {
             let time = campaign_time(&mut fault_rng, horizon);
-            let layer = fault_layers[fault_rng.below(fault_layers.len())];
+            let layer = targets[fault_rng.below(targets.len())];
             let weight = fault_rng.below(host.layer_weight_count(layer));
             (time, layer, weight)
         })
@@ -390,10 +374,7 @@ pub fn simulate_observed(
                 sim.core.worker_done(&mut sim.queue, worker, outputs, clock);
                 sim.core.admit(&mut sim.queue, clock);
             }
-            Event::Core(Timer::BatchDeadline { epoch }) => {
-                sim.core.batch_deadline(epoch, &mut sim.queue, clock);
-            }
-            Event::Core(Timer::ScrubTick { epoch }) => {
+            Event::ScrubTick { epoch } => {
                 if !sim.core.scrub_due(epoch) {
                     continue; // stale tick from before a quarantine
                 }
