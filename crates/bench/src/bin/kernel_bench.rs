@@ -15,7 +15,9 @@
 //! (1× for all, 10× for reprotect_unchanged, 8× for conv2d, 5× for the
 //! warm heal_conv_last, 4× for the batched XTS decrypt and for
 //! conv2d_conv1, 3× for the SECDED scrub and the QR factor, 2× for the
-//! CRC2D full-grid encode and for max_pool2d) — the CI regression gate.
+//! CRC2D full-grid encode and for max_pool2d, 1.2× for the fused SECDED
+//! scrub-decode against its two separate passes) — the CI regression
+//! gate.
 //!
 //! ```text
 //! cargo run --release -p milr-bench --bin kernel_bench -- \
@@ -265,6 +267,34 @@ fn main() {
         }),
         floor: 3.0,
     });
+
+    // ---- Fused SECDED scrub + decode: the scrub tick's read. ----
+    // The same faulty memory; the reference is the two slice kernels the
+    // fused one replaces, each reading every word.
+    let mut twice = (faulty.clone(), vec![0u32; SECDED_WORDS]);
+    let mut fused = (faulty.clone(), vec![0u32; SECDED_WORDS]);
+    kernels.push(Kernel {
+        name: "secded_scrub_decode",
+        items: SECDED_WORDS as u64,
+        scalar_ns: best_ns(trials, || {
+            let (words, out) = &mut twice;
+            words.copy_from_slice(&faulty);
+            black_box(Secded::scrub_words(words));
+            Secded::decode_words(words, out);
+            black_box(out);
+        }),
+        optimized_ns: best_ns(trials, || {
+            let (words, out) = &mut fused;
+            words.copy_from_slice(&faulty);
+            black_box(Secded::scrub_decode_words(words, out));
+            black_box(out);
+        }),
+        floor: 1.2,
+    });
+    assert_eq!(
+        fused, twice,
+        "fused scrub-decode diverged from the two calls"
+    );
 
     // ---- XTS over per-block data units (every weight memory's layout). ----
     // Reference: one IEEE 1619 `*_unit` call per block on the FIPS-197

@@ -583,12 +583,20 @@ impl Milr {
         Ok(outcome)
     }
 
+    /// Rejects a model whose layer kinds or parameter counts differ
+    /// from the protected fingerprint, comparing in place: every
+    /// detection call runs this, so it allocates nothing.
     fn check_structure(&self, model: &Sequential) -> Result<()> {
-        let fp = fingerprint(model);
-        if fp != self.fingerprint {
+        let layers = model.layers();
+        let same = layers.len() == self.fingerprint.len()
+            && layers
+                .iter()
+                .zip(&self.fingerprint)
+                .all(|(l, (kind, params))| l.kind_name() == kind && l.param_count() == *params);
+        if !same {
             return Err(MilrError::ModelMismatch(format!(
                 "model structure changed since protection ({} vs {} layers)",
-                fp.len(),
+                layers.len(),
                 self.fingerprint.len()
             )));
         }
@@ -862,6 +870,32 @@ mod tests {
             milr.detect(&different),
             Err(MilrError::ModelMismatch(_))
         ));
+    }
+
+    #[test]
+    fn rejects_a_changed_kind_or_parameter_count_at_equal_depth() {
+        let m = test_model(8);
+        let milr = protect(&m);
+        let checkable = milr.checkable_layers();
+        // Layer 2 (ReLU) becomes a Flatten: same depth and parameter
+        // counts, one kind changed.
+        let mut kind = m.clone();
+        kind.layers_mut()[2] = Layer::Flatten;
+        // Layer 1's bias loses a channel: same kinds, one count changed.
+        let mut count = m.clone();
+        count.layers_mut()[1] = Layer::bias_zero(5);
+        for changed in [&kind, &count] {
+            assert_eq!(changed.len(), m.len());
+            assert!(matches!(
+                milr.detect(changed),
+                Err(MilrError::ModelMismatch(_))
+            ));
+            assert!(matches!(
+                milr.detect_layers(changed, &checkable),
+                Err(MilrError::ModelMismatch(_))
+            ));
+        }
+        assert!(milr.detect_layers(&m, &checkable).unwrap().is_clean());
     }
 
     #[test]

@@ -108,13 +108,38 @@ impl SecdedMemory {
         Secded::scrub_words(&mut self.words)
     }
 
+    /// Repairs every correctable error in place and decodes every word
+    /// into `out` in one pass ([`Secded::scrub_decode_words`] over
+    /// stack-sized groups): the same storage, weights and statistics as
+    /// [`scrub_in_place`](SecdedMemory::scrub_in_place) followed by
+    /// [`read_all_into`](SecdedMemory::read_all_into).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.len()`.
+    pub fn scrub_read_all_into(&mut self, out: &mut [f32]) -> ScrubReport {
+        assert_eq!(out.len(), self.words.len(), "output buffer length");
+        let mut report = ScrubReport::default();
+        let mut data = [0u32; 64];
+        for (words, slots) in self.words.chunks_mut(64).zip(out.chunks_mut(64)) {
+            let data = &mut data[..words.len()];
+            let part = Secded::scrub_decode_words(words, data);
+            report.clean += part.clean;
+            report.corrected += part.corrected;
+            report.uncorrectable += part.uncorrectable;
+            for (slot, &d) in slots.iter_mut().zip(data.iter()) {
+                *slot = f32::from_bits(d);
+            }
+        }
+        report
+    }
+
     /// Decodes every word, repairing correctable errors in place, and
     /// returns the decoded weights plus statistics.
     pub fn scrub(&mut self) -> (Vec<f32>, ScrubReport) {
-        let report = self.scrub_in_place();
-        // Post-repair, every correctable word decodes to its healed
-        // value, so reading after the sweep matches the old fused path.
-        (self.read_all(), report)
+        let mut out = vec![0.0; self.words.len()];
+        let report = self.scrub_read_all_into(&mut out);
+        (out, report)
     }
 }
 

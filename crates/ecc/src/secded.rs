@@ -22,8 +22,8 @@ use std::sync::OnceLock;
 /// [`scalar`](crate::scalar) as the bit-equivalence reference.
 ///
 /// Whole memories go through the slice kernels
-/// [`Secded::decode_words`] and [`Secded::scrub_words`]. Each is one
-/// body compiled twice, portable and under
+/// [`Secded::decode_words`], [`Secded::scrub_words`] and the fused
+/// [`Secded::scrub_decode_words`]. Each is one body compiled twice, portable and under
 /// `#[target_feature(enable = "popcnt")]`, chosen once per process with
 /// `is_x86_feature_detected!`: without the feature, `count_ones` is a
 /// bit-twiddling sequence of about a dozen instructions instead of one.
@@ -250,12 +250,29 @@ impl Secded {
     pub fn scrub_words(words: &mut [u64]) -> ScrubReport {
         (kernels().scrub)(words)
     }
+
+    /// [`Secded::scrub_words`] followed by [`Secded::decode_words`] in
+    /// one pass: each word is screened once, its data bits extracted
+    /// as stored, and only the flagged lanes are decoded again —
+    /// repaired in place when correctable — with their data taken from
+    /// that decode. `words`, `out` and the report end exactly as the
+    /// two calls would leave them, reading every word once instead of
+    /// twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != words.len()`.
+    pub fn scrub_decode_words(words: &mut [u64], out: &mut [u32]) -> ScrubReport {
+        assert_eq!(out.len(), words.len(), "output buffer length");
+        (kernels().scrub_decode)(words, out)
+    }
 }
 
 /// The slice kernels for this host.
 struct Kernels {
     decode: fn(&[u64], &mut [u32]),
     scrub: fn(&mut [u64]) -> ScrubReport,
+    scrub_decode: fn(&mut [u64], &mut [u32]) -> ScrubReport,
 }
 
 /// Chooses the popcnt bodies when the host has the instruction,
@@ -268,11 +285,13 @@ fn kernels() -> &'static Kernels {
             return Kernels {
                 decode: decode_words_popcnt_checked,
                 scrub: scrub_words_popcnt_checked,
+                scrub_decode: scrub_decode_words_popcnt_checked,
             };
         }
         Kernels {
             decode: decode_words_body,
             scrub: scrub_words_body,
+            scrub_decode: scrub_decode_words_body,
         }
     })
 }
@@ -309,6 +328,23 @@ unsafe fn scrub_words_popcnt(words: &mut [u64]) -> ScrubReport {
 fn scrub_words_popcnt_checked(words: &mut [u64]) -> ScrubReport {
     // SAFETY: `kernels` selects this entry only after detecting popcnt.
     unsafe { scrub_words_popcnt(words) }
+}
+
+/// The fused scrub-and-decode body compiled with `popcnt` enabled.
+///
+/// # Safety
+///
+/// The host must support `popcnt`.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "popcnt")]
+unsafe fn scrub_decode_words_popcnt(words: &mut [u64], out: &mut [u32]) -> ScrubReport {
+    scrub_decode_words_body(words, out)
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+fn scrub_decode_words_popcnt_checked(words: &mut [u64], out: &mut [u32]) -> ScrubReport {
+    // SAFETY: `kernels` selects this entry only after detecting popcnt.
+    unsafe { scrub_decode_words_popcnt(words, out) }
 }
 
 /// Words per screen: one dirty bit per word in a `u64` mask.
@@ -353,6 +389,43 @@ fn scrub_words_body(words: &mut [u64]) -> ScrubReport {
                     chunk[lane] = Secded::encode(data);
                 }
                 DecodeOutcome::DoubleError { .. } => report.uncorrectable += 1,
+            }
+        }
+    }
+    report
+}
+
+#[inline(always)]
+fn scrub_decode_words_body(words: &mut [u64], out: &mut [u32]) -> ScrubReport {
+    let mut report = ScrubReport::default();
+    for (chunk, out) in words
+        .chunks_mut(SCREEN_CHUNK)
+        .zip(out.chunks_mut(SCREEN_CHUNK))
+    {
+        // One screen per word: extract as stored, flag the dirty lanes.
+        let mut dirty = 0u64;
+        for (lane, (slot, &w)) in out.iter_mut().zip(chunk.iter()).enumerate() {
+            *slot = Secded::extract(w);
+            dirty |= u64::from(!Secded::is_clean(w)) << lane;
+        }
+        report.clean += chunk.len() - dirty.count_ones() as usize;
+        // Only the flagged lanes are decoded again: a correctable word is
+        // repaired in place, an uncorrectable one passes its best-effort
+        // data through untouched.
+        while dirty != 0 {
+            let lane = dirty.trailing_zeros() as usize;
+            dirty &= dirty - 1;
+            match Secded::decode(chunk[lane]) {
+                DecodeOutcome::Clean { .. } => unreachable!("screened dirty"),
+                DecodeOutcome::Corrected { data, .. } => {
+                    report.corrected += 1;
+                    chunk[lane] = Secded::encode(data);
+                    out[lane] = data;
+                }
+                DecodeOutcome::DoubleError { data } => {
+                    report.uncorrectable += 1;
+                    out[lane] = data;
+                }
             }
         }
     }
@@ -609,6 +682,34 @@ mod tests {
             let mut scrubbed = words.clone();
             prop_assert_eq!(scrub_words_body(&mut scrubbed), want);
             prop_assert_eq!(&scrubbed, &repaired);
+        }
+
+        // The fused kernel against the two calls it replaces, through the
+        // dispatcher and the portable body, at lengths that end mid-screen
+        // (never a multiple of 32) with 0–3 flipped bits per word.
+        #[test]
+        fn fused_scrub_decode_matches_scrub_then_decode(
+            cases in proptest::collection::vec((proptest::num::u32::ANY, proptest::num::u64::ANY), 1..200),
+        ) {
+            let mut words = faulted_words(&cases);
+            if words.len().is_multiple_of(SCREEN_CHUNK) {
+                words.pop();
+            }
+            let mut want_words = words.clone();
+            let want_report = Secded::scrub_words(&mut want_words);
+            let mut want_data = vec![0u32; words.len()];
+            Secded::decode_words(&want_words, &mut want_data);
+            type Fused = fn(&mut [u64], &mut [u32]) -> ScrubReport;
+            for fused in [Secded::scrub_decode_words as Fused, scrub_decode_words_body] {
+                let mut got_words = words.clone();
+                let mut got_data = vec![0u32; words.len()];
+                let report = fused(&mut got_words, &mut got_data);
+                prop_assert_eq!(report.clean, want_report.clean);
+                prop_assert_eq!(report.corrected, want_report.corrected);
+                prop_assert_eq!(report.uncorrectable, want_report.uncorrectable);
+                prop_assert_eq!(&got_words, &want_words);
+                prop_assert_eq!(&got_data, &want_data);
+            }
         }
 
         #[test]

@@ -25,13 +25,22 @@
 //! the epoch is what keeps the cache honest: a corrupted shard is
 //! re-decoded and served corrupted — as the paper's threat model
 //! demands — never served from a stale-clean copy.
+//!
+//! ## The scrub tick's skeleton
+//!
+//! A scrub tick scrubs and decodes its chunk's shards in one locked
+//! pass per shard ([`ModelHost::scrub_read_layers`]) into a second
+//! zeroed skeleton the host keeps for that purpose, built at the first
+//! tick. Detection then reads the chunk's layers from it, so a tick
+//! neither clones the architecture nor decodes a shard twice.
 
 use milr_nn::{Result as NnResult, Sequential};
 use milr_obs::SpanTree;
 use milr_substrate::{ScrubSummary, SharedSubstrate, WeightSubstrate};
 use milr_tensor::Tensor;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// One cached shard decode: plaintext parameters tagged with the shard
 /// epoch they were decoded at.
@@ -83,6 +92,38 @@ pub struct ModelHost {
     /// clean-path readers validate-and-clone without serializing.
     cache: Arc<Vec<RwLock<Option<LayerCache>>>>,
     counters: Arc<CacheCounters>,
+    /// The scrub tick's detection skeleton, lent out by
+    /// [`scrub_read_layers`](ModelHost::scrub_read_layers); `None`
+    /// until the first tick and while lent.
+    skeleton: Arc<Mutex<Option<Sequential>>>,
+}
+
+/// A scrub tick's chunk, decoded into the host's detection skeleton by
+/// [`ModelHost::scrub_read_layers`]. Only the chunk's layers carry
+/// this tick's weights: the others hold zeros or an earlier tick's
+/// decode, which detection of the chunk never reads. Dropping the view
+/// hands the skeleton back to its host for the next tick.
+#[derive(Debug)]
+pub struct ChunkView<'a> {
+    slot: &'a Mutex<Option<Sequential>>,
+    model: Option<Sequential>,
+}
+
+impl Deref for ChunkView<'_> {
+    type Target = Sequential;
+
+    fn deref(&self) -> &Sequential {
+        self.model.as_ref().expect("lent until drop")
+    }
+}
+
+impl Drop for ChunkView<'_> {
+    fn drop(&mut self) {
+        // A poisoned slot only means a panic while it was locked; the
+        // skeleton's contents are rewritten per tick, so keep using it.
+        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
+        *slot = self.model.take();
+    }
 }
 
 fn fresh_cache(shards: usize) -> Arc<Vec<RwLock<Option<LayerCache>>>> {
@@ -114,6 +155,7 @@ impl ModelHost {
             param_dims,
             cache,
             counters: Arc::new(CacheCounters::default()),
+            skeleton: Arc::default(),
         }
     }
 
@@ -168,6 +210,7 @@ impl ModelHost {
             param_dims,
             cache,
             counters: Arc::new(CacheCounters::default()),
+            skeleton: Arc::default(),
         }
     }
 
@@ -389,15 +432,34 @@ impl ModelHost {
     }
 
     /// Runs the substrate's own repair pass (e.g. SECDED correction)
-    /// over the given layers' shards.
-    pub fn scrub_layers(&self, layers: &[usize]) -> ScrubSummary {
+    /// over the given layers' shards and decodes them into the host's
+    /// detection skeleton — the scrub tick's one pass over storage
+    /// ([`SharedSubstrate::scrub_read_shard_into`], one shard write lock
+    /// each). The view holds exactly the repaired bits of each shard;
+    /// layers without a shard are ignored. A fresh skeleton is cloned
+    /// from the template at the first call (or when another view still
+    /// holds the host's); later calls reuse it.
+    pub fn scrub_read_layers(&self, layers: &[usize]) -> (ScrubSummary, ChunkView<'_>) {
+        let lent = self
+            .skeleton
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take();
+        let mut model = lent.unwrap_or_else(|| self.template.clone());
         let mut total = ScrubSummary::default();
         for &layer in layers {
             if let Ok(shard) = self.param_layers.binary_search(&layer) {
-                total.absorb(&self.store.scrub_shard(shard));
+                let params = model.layers_mut()[layer]
+                    .params_mut()
+                    .expect("param layer cannot lose its params");
+                total.absorb(&self.store.scrub_read_shard_into(shard, params.data_mut()));
             }
         }
-        total
+        let view = ChunkView {
+            slot: &self.skeleton,
+            model: Some(model),
+        };
+        (total, view)
     }
 
     /// Corrupts one stored weight by flipping its entire raw word
@@ -563,9 +625,42 @@ mod tests {
         // One raw bit in layer 3's shard: ECC corrects it in place.
         let (r_lo, _) = h.store().shard_raw_range(2);
         h.store().flip_raw_bit(r_lo + 11);
-        let summary = h.scrub_layers(&[3]);
+        let (summary, view) = h.scrub_read_layers(&[3]);
         assert_eq!(summary.corrected, 1);
+        assert!(milr.detect_layers(&view, &[3]).unwrap().is_clean());
+        drop(view);
         assert!(milr.detect(&h.materialize()).unwrap().is_clean());
+    }
+
+    #[test]
+    fn scrub_read_layers_reuses_one_skeleton_and_reads_real_storage() {
+        let golden = model();
+        let h = host(&golden);
+        let bits = |m: &Sequential, layer: usize| -> Vec<u32> {
+            let p = m.layers()[layer].params().unwrap();
+            p.data().iter().map(|v| v.to_bits()).collect()
+        };
+        let (_, view) = h.scrub_read_layers(&[0]);
+        assert_eq!(bits(&view, 0), bits(&golden, 0));
+        let first = view.layers()[0].params().unwrap().data().as_ptr();
+        drop(view);
+        // A fault after the last tick shows in the next one, decoded into
+        // the same skeleton.
+        h.corrupt_weight(0, 5);
+        let (_, view) = h.scrub_read_layers(&[0, 3]);
+        assert_eq!(view.layers()[0].params().unwrap().data().as_ptr(), first);
+        assert_eq!(bits(&view, 0), bits(&h.materialize(), 0));
+        assert_ne!(bits(&view, 0), bits(&golden, 0));
+        assert_eq!(bits(&view, 3), bits(&golden, 3));
+        // While one view is out, another call builds its own skeleton.
+        let (_, other) = h.scrub_read_layers(&[1]);
+        assert_eq!(bits(&other, 1), bits(&golden, 1));
+        assert!(other.layers()[0]
+            .params()
+            .unwrap()
+            .data()
+            .iter()
+            .all(|&v| v == 0.0));
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod pipeline;
 mod policy;
 mod report;
 
-pub use host::ModelHost;
+pub use host::{ChunkView, ModelHost};
 pub use pipeline::{IntegrityPipeline, RoundOutcome, Stage, StageHook, TickOutcome};
 pub use policy::{
     Anchored, Budget, DurabilityPolicy, EscalationPolicy, Flushed, Journaled, Volatile,

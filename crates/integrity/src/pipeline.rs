@@ -495,15 +495,18 @@ impl IntegrityPipeline {
         chunk: &[usize],
         durability: &mut dyn DurabilityPolicy,
     ) -> Result<TickOutcome, IntegrityError> {
+        // The Scrub stage repairs and decodes the chunk in one pass; the
+        // Detect stage checks that decode. A write landing after the
+        // pass (at the Detect seam) is seen by the next cycle.
         self.enter(Stage::Scrub);
         let t = self.stamp();
-        let scrub = host.scrub_layers(chunk);
+        let (scrub, live) = host.scrub_read_layers(chunk);
         self.lap(t, Stage::Scrub);
         self.note_scrub(&scrub, host, durability)?;
         self.enter(Stage::Detect);
         let t = self.stamp();
-        let live = host.materialize_layers(chunk);
         let detection = milr.detect_layers(&live, chunk)?;
+        drop(live);
         self.lap(t, Stage::Detect);
         self.report.chunk_detects += 1;
         self.report.layers_checked += detection.checks.len();

@@ -189,7 +189,11 @@ struct Shared {
     config: ServerConfig,
     start: Instant,
     inner: Mutex<Inner>,
+    /// Workers park here, paired with `inner`.
     work_cv: Condvar,
+    /// The scrubber waits out each tick's interval here, paired with
+    /// `inner`; only shutdown notifies it.
+    scrub_cv: Condvar,
     stop: AtomicBool,
     metrics: Arc<MetricsRegistry>,
 }
@@ -237,12 +241,14 @@ impl Shared {
             .set(reprotects.skipped as i64);
     }
 
-    /// Raises the stop flag under the state lock, so a worker either
-    /// sees it before parking or is parked when the wake-up comes.
+    /// Raises the stop flag under the state lock, so a worker or the
+    /// scrubber either sees it before waiting or is waiting when the
+    /// wake-up comes.
     fn signal_stop(&self) {
         let _guard = self.inner.lock();
         self.stop.store(true, Ordering::Release);
         self.work_cv.notify_all();
+        self.scrub_cv.notify_all();
     }
 
     /// One batch's forward pass, outside the state lock. Parameterized
@@ -389,6 +395,7 @@ impl Server {
                 digest: OutcomeDigest::default(),
             }),
             work_cv: Condvar::new(),
+            scrub_cv: Condvar::new(),
             stop: AtomicBool::new(false),
             metrics,
         });
@@ -560,8 +567,12 @@ fn worker_loop(shared: &Shared) {
         let Inner { core, queue, .. } = &mut *inner;
         core.worker_done(queue, worker, outputs, now);
         inner.settle();
-        // A voided batch may have gone back on the queue.
-        shared.work_cv.notify_all();
+        // Every submission wakes one parked worker, so siblings need a
+        // wake-up only for work still queued here (more than one batch's
+        // worth, or a voided batch gone back on the queue).
+        if !inner.queue.is_empty() {
+            shared.work_cv.notify_all();
+        }
     }
 }
 
@@ -589,19 +600,28 @@ fn with_durability<T>(shared: &Shared, f: impl FnOnce(&mut dyn DurabilityPolicy)
 }
 
 fn scrubber_loop(shared: &Shared) {
-    while !shared.stopping() {
-        // Sleep in short slices so shutdown never waits a full tick.
-        let mut slept = Duration::ZERO;
-        while slept < shared.config.scrub_interval {
+    let mut inner = shared.lock();
+    loop {
+        // One wait per tick for what is left of the interval; only
+        // shutdown notifies, and a spurious wake-up waits out the rest.
+        let due = Instant::now() + shared.config.scrub_interval;
+        loop {
             if shared.stopping() {
                 return;
             }
-            let step = (shared.config.scrub_interval - slept).min(Duration::from_millis(1));
-            std::thread::sleep(step);
-            slept += step;
+            let left = due.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            inner = shared
+                .scrub_cv
+                .wait_timeout(inner, left)
+                .expect("lock poisoned")
+                .0;
         }
         let now = shared.now_ns();
-        let chunk = shared.lock().core.begin_scrub(now);
+        let chunk = inner.core.begin_scrub(now);
+        drop(inner);
         // Scrub + Detect stages of the shared engine: ECC corrections
         // are heals — journaled before anything certifies on top.
         let TickOutcome { detection, .. } = {
@@ -613,7 +633,7 @@ fn scrubber_loop(shared: &Shared) {
             })
             .expect("materialized model matches the protected structure")
         };
-        let mut inner = shared.lock();
+        inner = shared.lock();
         let Inner { core, queue, .. } = &mut *inner;
         let quarantined = core.finish_scrub(queue, !detection.is_clean(), now);
         inner.settle();
@@ -643,11 +663,10 @@ fn scrubber_loop(shared: &Shared) {
         };
 
         let now = shared.now_ns();
-        let mut inner = shared.lock();
+        inner = shared.lock();
         inner.core.observe_heals(now, &healed);
         inner.core.resume(now);
         inner.settle();
-        drop(inner);
         shared.work_cv.notify_all();
     }
 }
@@ -985,6 +1004,31 @@ mod tests {
         assert_eq!(report.completed, answered);
         assert_eq!(report.completed + report.rejected, report.submitted);
         assert!(report.rejected >= shed_at_submit);
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_out_the_scrub_interval() {
+        let golden = serving_model(24);
+        let server = Server::start(
+            &golden,
+            MilrConfig::default(),
+            ServerConfig {
+                scrub_interval: Duration::from_secs(10),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let input = TensorRng::new(5).uniform_tensor(&[10, 10, 1]);
+        let handle = server.submit(input).unwrap();
+        // Let the scrubber settle into its wait for the first tick.
+        std::thread::sleep(Duration::from_millis(50));
+        let started = Instant::now();
+        let report = server.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+        // No tick came due; the final flush certified the request.
+        assert!(handle.wait().is_ok());
+        assert_eq!(report.completed, 1);
     }
 
     #[test]

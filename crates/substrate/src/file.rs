@@ -488,6 +488,28 @@ impl WeightSubstrate for FileSubstrate {
         total
     }
 
+    fn scrub_read_into(&mut self, out: &mut [f32]) -> ScrubSummary {
+        assert_eq!(
+            out.len(),
+            self.len,
+            "scrub_read_into buffer of {} cannot hold {} weights",
+            out.len(),
+            self.len
+        );
+        // Page by page through each page's own fused pass, dirtying only
+        // the pages it corrected, as `scrub` does.
+        let mut total = ScrubSummary::default();
+        for page in 0..self.pages.len() {
+            let slots = &mut out[self.weight_prefix[page]..self.weight_prefix[page + 1]];
+            let summary = self.with_page(page, false, |sub| sub.scrub_read_into(slots));
+            if summary.corrected > 0 {
+                self.with_page(page, true, |_| {});
+            }
+            total.absorb(&summary);
+        }
+        total
+    }
+
     fn export_raw(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.pages.iter().map(|p| p.raw_bytes).sum());
         for page in 0..self.pages.len() {

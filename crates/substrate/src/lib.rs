@@ -303,6 +303,23 @@ pub trait WeightSubstrate: Send + Sync {
     /// returning [`ScrubSummary::default`] for code-free substrates.
     fn scrub(&mut self) -> ScrubSummary;
 
+    /// Runs one scrub pass and decodes the repaired weights into `out`:
+    /// the same storage, weights and summary as
+    /// [`scrub`](WeightSubstrate::scrub) followed by
+    /// [`read_weights_into`](WeightSubstrate::read_weights_into), which
+    /// is what the default does. SECDED substrates override it with one
+    /// fused pass that reads every code word once.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out.len()` differs from
+    /// [`len`](WeightSubstrate::len).
+    fn scrub_read_into(&mut self, out: &mut [f32]) -> ScrubSummary {
+        let summary = self.scrub();
+        self.read_weights_into(out);
+        summary
+    }
+
     /// Serializes the substrate's **raw representation** to bytes — the
     /// persistence image. Raw state round-trips verbatim (including any
     /// in-flight error state), so a store can snapshot and restore a
@@ -354,6 +371,52 @@ mod trait_tests {
             uncorrectable: 0
         }
         .is_clean());
+    }
+
+    /// `scrub_read_into` against `scrub` then `read_weights_into` on
+    /// twin substrates carrying the same raw faults, over a length that ends mid-block, mid-group and mid-page. Two rounds:
+    /// the repairing pass, then a clean one.
+    #[test]
+    fn scrub_read_into_matches_scrub_then_read() {
+        let w: Vec<f32> = (0..45).map(|i| i as f32 * 0.37 - 8.0).collect();
+        let kinds = SubstrateKind::ALL
+            .into_iter()
+            .chain(SubstrateKind::QUANTIZED);
+        let twins = kinds.flat_map(|kind| {
+            let paged = || crate::file::temp_paged(kind, &w);
+            [
+                (kind, "memory", kind.store(&w), kind.store(&w)),
+                (kind, "paged", paged(), paged()),
+            ]
+        });
+        for (kind, home, mut a, mut b) in twins {
+            // Single flips over the first half; the double one in the last
+            // raw word.
+            let raw = a.raw_bits();
+            let flips = (5..raw / 2).step_by(173).chain([raw - 2, raw - 1]);
+            for bit in flips {
+                a.flip_raw_bit(bit);
+                b.flip_raw_bit(bit);
+            }
+            for round in 0..2 {
+                let want = a.scrub();
+                let mut want_out = vec![0.0f32; w.len()];
+                a.read_weights_into(&mut want_out);
+                let mut got_out = vec![1.0f32; w.len()];
+                let got = b.scrub_read_into(&mut got_out);
+                let at = format!("{kind} {home} round {round}");
+                assert_eq!(got, want, "{at}: summary");
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got_out), bits(&want_out), "{at}: weights");
+                assert_eq!(b.export_raw(), a.export_raw(), "{at}: raw image");
+                // The coded kinds really repair in the first round; the
+                // double flip stays uncorrectable in both.
+                if kind.name().ends_with("secded") {
+                    assert_eq!(got.corrected > 0, round == 0, "{at}");
+                    assert!(got.uncorrectable > 0, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -75,6 +75,17 @@ impl WeightSubstrate for SecdedMemory {
         self.scrub_in_place().into()
     }
 
+    fn scrub_read_into(&mut self, out: &mut [f32]) -> ScrubSummary {
+        assert_eq!(
+            out.len(),
+            SecdedMemory::len(self),
+            "scrub_read_into buffer of {} cannot hold {} weights",
+            out.len(),
+            SecdedMemory::len(self)
+        );
+        self.scrub_read_all_into(out).into()
+    }
+
     fn export_raw(&self) -> Vec<u8> {
         self.words().iter().flat_map(|w| w.to_le_bytes()).collect()
     }

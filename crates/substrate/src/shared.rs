@@ -245,6 +245,24 @@ impl SharedSubstrate {
         summary
     }
 
+    /// Scrubs one shard and decodes it into `out` in one pass under its
+    /// write lock ([`WeightSubstrate::scrub_read_into`]): `out` holds
+    /// exactly the repaired bits, with no writer landing between the
+    /// repair and the read. The epoch is bumped exactly when the pass
+    /// corrected words, as in [`scrub_shard`](SharedSubstrate::scrub_shard).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out.len()` differs from the shard's weight count.
+    pub fn scrub_read_shard_into(&self, shard: usize, out: &mut [f32]) -> ScrubSummary {
+        let mut guard = self.shards[shard].write().expect("lock poisoned");
+        let summary = guard.scrub_read_into(out);
+        if summary.corrected > 0 {
+            self.bump_epoch(shard);
+        }
+        summary
+    }
+
     /// Scrubs every shard (shard-by-shard, never blocking readers of
     /// other shards) and sums the statistics.
     pub fn scrub(&self) -> ScrubSummary {

@@ -16,6 +16,25 @@ use milr_xts::{for_each_block_run, EncryptedMemory, XtsCipher, BLOCK_BYTES, WEIG
 /// Words of ciphertext per 16-byte cipher block.
 const WORDS_PER_BLOCK: usize = BLOCK_BYTES / 4;
 
+/// Code words per read group: 8 cipher blocks through stack buffers.
+const GROUP_WORDS: usize = 8 * WORDS_PER_BLOCK;
+
+/// Decrypts read group `group`'s decoded ciphertext words `data` into
+/// its weights of `out` (the final group may be short, and its last
+/// block may carry padding past `out`).
+fn decrypt_group(cipher: &XtsCipher, group: usize, data: &[u32], out: &mut [f32]) {
+    let mut bytes = [0u8; GROUP_WORDS * 4];
+    let bytes = &mut bytes[..data.len() * 4];
+    for (chunk, d) in bytes.chunks_exact_mut(4).zip(data) {
+        chunk.copy_from_slice(&d.to_le_bytes());
+    }
+    cipher.decrypt_blocks(bytes, (group * GROUP_WORDS / WORDS_PER_BLOCK) as u64);
+    let base = group * GROUP_WORDS;
+    for (slot, chunk) in out.iter_mut().skip(base).zip(bytes.chunks_exact(4)) {
+        *slot = f32::from_le_bytes(chunk.try_into().expect("chunk of 4"));
+    }
+}
+
 /// Weights stored as AES-XTS ciphertext with one (39,32) SECDED code
 /// word per 32-bit ciphertext word.
 #[derive(Debug, Clone)]
@@ -112,21 +131,11 @@ impl WeightSubstrate for XtsSecdedMemory {
         // 8 blocks at a time through stack buffers: one slice decode and
         // one batched decrypt per group, no ciphertext Vec on the serving
         // read path.
-        const GROUP_WORDS: usize = 8 * WORDS_PER_BLOCK;
         let mut data = [0u32; GROUP_WORDS];
-        let mut bytes = [0u8; GROUP_WORDS * 4];
         for (group, words) in self.words.chunks(GROUP_WORDS).enumerate() {
-            let (data, bytes) = (&mut data[..words.len()], &mut bytes[..words.len() * 4]);
+            let data = &mut data[..words.len()];
             Secded::decode_words(words, data);
-            for (chunk, d) in bytes.chunks_exact_mut(4).zip(data.iter()) {
-                chunk.copy_from_slice(&d.to_le_bytes());
-            }
-            self.cipher
-                .decrypt_blocks(bytes, (group * GROUP_WORDS / WORDS_PER_BLOCK) as u64);
-            let base = group * GROUP_WORDS;
-            for (slot, chunk) in out.iter_mut().skip(base).zip(bytes.chunks_exact(4)) {
-                *slot = f32::from_le_bytes(chunk.try_into().expect("chunk of 4"));
-            }
+            decrypt_group(&self.cipher, group, data, out);
         }
     }
 
@@ -177,6 +186,26 @@ impl WeightSubstrate for XtsSecdedMemory {
 
     fn scrub(&mut self) -> ScrubSummary {
         Secded::scrub_words(&mut self.words).into()
+    }
+
+    fn scrub_read_into(&mut self, out: &mut [f32]) -> ScrubSummary {
+        assert_eq!(
+            out.len(),
+            self.len,
+            "scrub_read_into buffer of {} cannot hold {} weights",
+            out.len(),
+            self.len
+        );
+        // The read path's groups, each screened, repaired and decoded in
+        // one pass over its code words.
+        let mut summary = ScrubSummary::default();
+        let mut data = [0u32; GROUP_WORDS];
+        for (group, words) in self.words.chunks_mut(GROUP_WORDS).enumerate() {
+            let data = &mut data[..words.len()];
+            summary.absorb(&Secded::scrub_decode_words(words, data).into());
+            decrypt_group(&self.cipher, group, data, out);
+        }
+        summary
     }
 
     fn export_raw(&self) -> Vec<u8> {

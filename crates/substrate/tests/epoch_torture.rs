@@ -1,12 +1,13 @@
 //! Epoch-snapshot torture test: seeded writer threads hammer every
 //! data-changing operation — whole-shard writes, raw bit flips with
-//! scrub repair, raw image re-imports — while reader threads take
-//! versioned snapshots of the same shards. The epoch contract under
+//! scrub repair (alone or fused with a decode), raw image re-imports —
+//! while reader threads take versioned snapshots of the same shards. The epoch contract under
 //! test is the one the serving fast path leans on:
 //!
 //! * **No torn or stale-epoch decode**: two reads of the same shard
 //!   that observe the same epoch must observe bit-identical plaintext,
-//!   across *all* threads. An epoch-tagged cache entry is therefore
+//!   across *all* threads — a fused scrub-and-decode included, whose
+//!   decode must be the plaintext of the epoch it leaves behind. An epoch-tagged cache entry is therefore
 //!   always safe to serve while the shard's live epoch still matches.
 //! * **Monotonicity**: a single reader never sees a shard's epoch go
 //!   backwards.
@@ -56,7 +57,9 @@ impl Lcg {
 /// One writer per shard cycles through every epoch-bumping operation;
 /// readers sweep all shards with the versioned read and
 /// log `(shard, epoch) -> fingerprint` observations, merged and
-/// cross-checked at the end.
+/// cross-checked at the end. A writer logs its fused scrub-and-decode
+/// too: it is the shard's only writer, so the epoch after the call is
+/// the one the decode observed.
 fn torture(kind: SubstrateKind, seed: u64) {
     let golden: Vec<f32> = (0..SHARDS * SHARD_WEIGHTS)
         .map(|i| (i as f32) * 0.25 - 7.0)
@@ -65,39 +68,50 @@ fn torture(kind: SubstrateKind, seed: u64) {
     assert_eq!(shared.shard_count(), SHARDS);
 
     let observations: Vec<Vec<(usize, u64, u64)>> = std::thread::scope(|s| {
-        for shard in 0..SHARDS {
-            let shared = shared.clone();
-            let mut rng = Lcg::seeded(seed ^ (shard as u64) << 8);
-            s.spawn(move || {
-                let n = shared.read_shard(shard).len();
-                let (r_lo, r_hi) = shared.shard_raw_range(shard);
-                for g in 1..=GENERATIONS {
-                    match rng.next() % 3 {
-                        0 => {
-                            // Whole-shard write: a fresh generation.
-                            let pattern = g as f32 + shard as f32 * 1000.0;
-                            shared.write_shard(shard, &vec![pattern; n]).unwrap();
-                        }
-                        1 => {
-                            // Inject one raw fault, then scrub. Writers
-                            // are per-shard, so at most one bit is
-                            // outstanding per codeword — within every
-                            // kind's correction (or tolerated garbling)
-                            // envelope.
-                            let bit = r_lo + rng.next() as usize % (r_hi - r_lo);
-                            shared.flip_raw_bit(bit);
-                            shared.scrub_shard(shard);
-                        }
-                        _ => {
-                            // Re-import the current raw image — the
-                            // peer-repair write path.
-                            let image = shared.export_shard_raw(shard);
-                            shared.import_shard_raw(shard, &image).unwrap();
+        let writers: Vec<_> = (0..SHARDS)
+            .map(|shard| {
+                let shared = shared.clone();
+                let mut rng = Lcg::seeded(seed ^ (shard as u64) << 8);
+                s.spawn(move || {
+                    let mut seen: Vec<(usize, u64, u64)> = Vec::new();
+                    let n = shared.read_shard(shard).len();
+                    let mut buf = vec![0.0f32; n];
+                    let (r_lo, r_hi) = shared.shard_raw_range(shard);
+                    for g in 1..=GENERATIONS {
+                        match rng.next() % 3 {
+                            0 => {
+                                // Whole-shard write: a fresh generation.
+                                let pattern = g as f32 + shard as f32 * 1000.0;
+                                shared.write_shard(shard, &vec![pattern; n]).unwrap();
+                            }
+                            1 => {
+                                // Inject one raw fault, then scrub. Writers
+                                // are per-shard, so at most one bit is
+                                // outstanding per codeword — within every
+                                // kind's correction (or tolerated garbling)
+                                // envelope.
+                                let bit = r_lo + rng.next() as usize % (r_hi - r_lo);
+                                shared.flip_raw_bit(bit);
+                                if g % 2 == 0 {
+                                    shared.scrub_shard(shard);
+                                } else {
+                                    shared.scrub_read_shard_into(shard, &mut buf);
+                                    let epoch = shared.shard_epoch(shard);
+                                    seen.push((shard, epoch, fingerprint(&buf)));
+                                }
+                            }
+                            _ => {
+                                // Re-import the current raw image — the
+                                // peer-repair write path.
+                                let image = shared.export_shard_raw(shard);
+                                shared.import_shard_raw(shard, &image).unwrap();
+                            }
                         }
                     }
-                }
-            });
-        }
+                    seen
+                })
+            })
+            .collect();
         let readers: Vec<_> = (0..READERS)
             .map(|r| {
                 let shared = shared.clone();
@@ -123,9 +137,10 @@ fn torture(kind: SubstrateKind, seed: u64) {
                 })
             })
             .collect();
-        readers
+        writers
             .into_iter()
-            .map(|h| h.join().expect("reader panicked"))
+            .chain(readers)
+            .map(|h| h.join().expect("thread panicked"))
             .collect()
     });
 
