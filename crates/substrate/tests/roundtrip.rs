@@ -146,3 +146,106 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a 64 over a byte stream: a stable digest for the raw-format
+/// pins below.
+fn digest(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Digest of the decoded weights' f32 bits.
+fn weight_digest(w: &[f32]) -> u64 {
+    digest(w.iter().flat_map(|v| v.to_bits().to_le_bytes()))
+}
+
+/// `kind` over `w` paged onto a fresh unlinked temp file, 6 weights per
+/// page (so a page boundary splits a 16-byte XTS block) and 2 cached
+/// pages.
+fn paged(kind: SubstrateKind, w: &[f32]) -> Box<dyn WeightSubstrate> {
+    use milr_substrate::{DirectCommitter, FileSubstrate, StdFile};
+    use std::sync::Arc;
+    let path = std::env::temp_dir().join(format!(
+        "milr-roundtrip-pin-{}-{}.raw",
+        std::process::id(),
+        kind.name().replace('+', "-")
+    ));
+    let io = Arc::new(StdFile::create(&path).expect("creating temp page file"));
+    std::fs::remove_file(&path).expect("unlinking temp page file");
+    let committer = Arc::new(DirectCommitter::new(Arc::clone(&io) as _));
+    Box::new(FileSubstrate::create(kind, io, committer, 0, w, 6, 2).expect("fresh temp file"))
+}
+
+/// The raw format of every kind, pinned: 45 weights (ending mid cipher
+/// block and mid code word), three single raw flips in distinct raw
+/// words and one double flip inside one raw word, then a scrub. Each row
+/// holds digests of the raw image before and after the scrub, of the
+/// decoded f32 bits before and after, and the scrub's counts — in
+/// memory and paged.
+#[test]
+fn raw_format_pins() {
+    type Pin = (&'static str, &'static str, [u64; 4], (usize, usize));
+    #[rustfmt::skip]
+    const PINS: [Pin; 16] = [
+        ("plain", "memory", [0xa4d5137de384fe2f, 0xa4d5137de384fe2f, 0xa4d5137de384fe2f, 0xa4d5137de384fe2f], (0, 0)),
+        ("plain", "paged", [0xa4d5137de384fe2f, 0xa4d5137de384fe2f, 0xa4d5137de384fe2f, 0xa4d5137de384fe2f], (0, 0)),
+        ("secded", "memory", [0x76c39fc33eb5ced1, 0x0aa479d067d46287, 0x462b539b04bce4f7, 0x0aa479d067d46287], (3, 1)),
+        ("secded", "paged", [0x76c39fc33eb5ced1, 0x0aa479d067d46287, 0x462b539b04bce4f7, 0x0aa479d067d46287], (3, 1)),
+        ("xts", "memory", [0x6d72ba9baf0c53d7, 0xd6e5de4d51b40b90, 0x6d72ba9baf0c53d7, 0xd6e5de4d51b40b90], (0, 0)),
+        ("xts", "paged", [0xb1cc14f922f870e1, 0x2386880f6d5f1ee5, 0xb1cc14f922f870e1, 0x2386880f6d5f1ee5], (0, 0)),
+        ("xts+secded", "memory", [0x3121f7737c6bf7af, 0x05033d571f81a179, 0xb3b832968e1e85ed, 0x05033d571f81a179], (3, 1)),
+        ("xts+secded", "paged", [0x34afefa0d16135a0, 0xb61824b2fa00a88b, 0x6d636f7e30c24fe6, 0xb61824b2fa00a88b], (3, 1)),
+        ("int8", "memory", [0xcea805b3e5635367, 0x9e88ac245d7b9ff2, 0xcea805b3e5635367, 0x9e88ac245d7b9ff2], (0, 0)),
+        ("int8", "paged", [0xcea805b3e5635367, 0x9e88ac245d7b9ff2, 0xcea805b3e5635367, 0x9e88ac245d7b9ff2], (0, 0)),
+        ("fp16", "memory", [0xe2737a06b72a007e, 0x04fe99bf4f60151d, 0xe2737a06b72a007e, 0x04fe99bf4f60151d], (0, 0)),
+        ("fp16", "paged", [0xe2737a06b72a007e, 0x04fe99bf4f60151d, 0xe2737a06b72a007e, 0x04fe99bf4f60151d], (0, 0)),
+        ("int8+secded", "memory", [0xe1693bb164a94bc4, 0x2a4ae15a7e3bfc52, 0xffd254afe55abb96, 0x2a4ae15a7e3bfc52], (3, 1)),
+        ("int8+secded", "paged", [0xb30d551d5e102b38, 0x9188fb113f023cfc, 0x86f8b4dbc2c4ab36, 0x9188fb113f023cfc], (3, 1)),
+        ("fp16+secded", "memory", [0x98eb6fa8ce4ee3f6, 0xfcb39f9550d187e4, 0x88a7572c709091ec, 0xfcb39f9550d187e4], (3, 1)),
+        ("fp16+secded", "paged", [0x98eb6fa8ce4ee3f6, 0xfcb39f9550d187e4, 0x88a7572c709091ec, 0xfcb39f9550d187e4], (3, 1)),
+    ];
+    let w: Vec<f32> = (0..45).map(|i| i as f32 * 0.173 - 3.9).collect();
+    let kinds = SubstrateKind::ALL
+        .into_iter()
+        .chain(SubstrateKind::QUANTIZED);
+    let mut got = Vec::new();
+    for kind in kinds {
+        for (home, mut mem) in [("memory", kind.store(&w)), ("paged", paged(kind, &w))] {
+            let word_bits = mem.raw_geometry().word_bits;
+            let words = mem.raw_bits() / word_bits;
+            for (word, offset) in [(0, 3), (words / 3, 17), (2 * words / 3, 30)] {
+                mem.flip_raw_bit(word * word_bits + offset % word_bits);
+            }
+            let double = words / 2 * word_bits;
+            mem.flip_raw_bit(double + 1);
+            mem.flip_raw_bit(double + word_bits - 2);
+            let raw_before = digest(mem.export_raw());
+            let read_before = weight_digest(&mem.read_weights());
+            let summary = mem.scrub();
+            let raw_after = digest(mem.export_raw());
+            let read_after = weight_digest(&mem.read_weights());
+            got.push((
+                kind.name(),
+                home,
+                [raw_before, read_before, raw_after, read_after],
+                (summary.corrected, summary.uncorrectable),
+            ));
+        }
+    }
+    let table: Vec<String> = got
+        .iter()
+        .map(|(k, h, d, s)| {
+            format!(
+                "(\"{k}\", \"{h}\", [{:#018x}, {:#018x}, {:#018x}, {:#018x}], ({}, {})),",
+                d[0], d[1], d[2], d[3], s.0, s.1
+            )
+        })
+        .collect();
+    assert_eq!(
+        got,
+        PINS,
+        "raw format moved; measured:\n{}",
+        table.join("\n")
+    );
+}
