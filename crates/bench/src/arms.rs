@@ -268,7 +268,6 @@ pub fn run_layer_corruption(prep: &PreparedNet, seed: u64) -> Vec<LayerCorruptio
 mod tests {
     use super::*;
     use crate::nets::{prepare, NetChoice, Scale};
-    use milr_ecc::SecdedMemory;
     use milr_nn::Sequential;
 
     fn prep() -> PreparedNet {
@@ -341,10 +340,10 @@ mod tests {
             fn inject_through_ecc(model: &mut Sequential, rber: f64, rng: &mut FaultRng) {
                 for layer in model.layers_mut() {
                     if let Some(p) = layer.params_mut() {
-                        let mut mem = SecdedMemory::protect(p.data());
-                        inject_rber(&mut mem, rber, rng);
-                        let (decoded, _report) = mem.scrub();
-                        p.data_mut().copy_from_slice(&decoded);
+                        let mut mem = SubstrateKind::Secded.store(p.data());
+                        inject_rber(&mut *mem, rber, rng);
+                        mem.scrub();
+                        p.data_mut().copy_from_slice(&mem.read_weights());
                     }
                 }
             }

@@ -27,7 +27,7 @@
 use milr_bench::best_ns;
 use milr_bench::json::write_summary;
 use milr_core::{Milr, MilrConfig};
-use milr_ecc::{crc32, scalar, Crc2d, DecodeOutcome, Secded, SecdedMemory};
+use milr_ecc::{crc32, scalar, Crc2d, DecodeOutcome, Secded};
 use milr_linalg::{scalar as linalg_scalar, Mat, Qr};
 use milr_models::reduced_cifar_small;
 use milr_nn::Sequential;
@@ -234,22 +234,23 @@ fn main() {
     // Mostly-clean memory with a sprinkle of single-bit faults — the
     // realistic scrub profile (clean words dominate; the optimized path
     // screens them with fused popcounts before any decode).
-    let weights = deterministic_f32(SECDED_WORDS);
-    let mut template = SecdedMemory::protect(&weights);
+    let mut faulty: Vec<u64> = deterministic_f32(SECDED_WORDS)
+        .iter()
+        .map(|w| Secded::encode(w.to_bits()))
+        .collect();
     for i in (0..SECDED_WORDS).step_by(257) {
-        template.flip_bit(i, (i % 39) as u32);
+        faulty[i] ^= 1 << (i % 39);
     }
-    let faulty = template.words().to_vec();
-    let mut scratch = SecdedMemory::protect(&weights);
+    let mut scratch = faulty.clone();
     kernels.push(Kernel {
         name: "secded_scrub",
         items: SECDED_WORDS as u64,
         scalar_ns: best_ns(trials, || {
             // The pre-optimization scrub: scalar-decode every word,
             // re-encode the corrected ones.
-            scratch.words_mut().copy_from_slice(&faulty);
+            scratch.copy_from_slice(&faulty);
             let mut corrected = 0usize;
-            for w in scratch.words_mut() {
+            for w in scratch.iter_mut() {
                 match scalar::secded_decode(*w) {
                     DecodeOutcome::Clean { .. } => {}
                     DecodeOutcome::Corrected { data, .. } => {
@@ -262,8 +263,8 @@ fn main() {
             black_box(corrected);
         }),
         optimized_ns: best_ns(trials, || {
-            scratch.words_mut().copy_from_slice(&faulty);
-            black_box(Secded::scrub_words(scratch.words_mut()));
+            scratch.copy_from_slice(&faulty);
+            black_box(Secded::scrub_words(&mut scratch));
         }),
         floor: 3.0,
     });

@@ -10,8 +10,9 @@
 //!   error recovery for any parameter if a single bit of it is corrupted.
 //!   In the case of more than 1 bit error no correction occurs and
 //!   interrupts is not raised." [`Secded`] implements exactly that
-//!   contract, and [`SecdedMemory`] wraps a weight buffer the way
-//!   ECC DRAM would.
+//!   contract, with slice kernels ([`Secded::scrub_words`],
+//!   [`Secded::decode_words`]) that `milr-substrate`'s SECDED kinds run
+//!   over their code words the way an ECC DRAM controller would.
 //!
 //! * **2-D CRC error coding** (§IV-B-c, Fig. 4) — MILR's mechanism for
 //!   pinpointing *which* weights of a convolution filter tensor are
@@ -34,14 +35,12 @@
 
 mod crc;
 mod crc2d;
-mod memory;
 pub mod ring;
 mod secded;
 
 pub use crc::{crc32, Crc32Hasher};
 pub use crc2d::{Crc2d, Crc2dCodes};
-pub use memory::{ScrubReport, SecdedMemory};
-pub use secded::{DecodeOutcome, Secded};
+pub use secded::{DecodeOutcome, ScrubReport, Secded};
 
 /// Scalar reference kernels.
 ///

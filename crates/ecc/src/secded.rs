@@ -1,4 +1,3 @@
-use crate::ScrubReport;
 use std::sync::OnceLock;
 
 /// Single-error-correcting, double-error-detecting Hamming code (39,32).
@@ -32,6 +31,17 @@ use std::sync::OnceLock;
 /// functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Secded;
+
+/// Statistics from one scrub pass over code words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ScrubReport {
+    /// Words decoded without error.
+    pub clean: usize,
+    /// Words with a corrected single-bit error.
+    pub corrected: usize,
+    /// Words with a detected-but-uncorrectable (double) error.
+    pub uncorrectable: usize,
+}
 
 /// Outcome of decoding a 39-bit SECDED code word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -192,11 +192,7 @@ pub fn corrupt_layer<S: WeightSubstrate + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use milr_substrate::{
-        DirectCommitter, EncryptedMemory, FileSubstrate, SecdedMemory, StdFile, SubstrateKind,
-        XtsSecdedMemory,
-    };
-    use milr_xts::XtsCipher;
+    use milr_substrate::{DirectCommitter, FileSubstrate, StdFile, SubstrateKind};
     use std::sync::Arc;
 
     fn weights(n: usize) -> Vec<f32> {
@@ -379,24 +375,24 @@ mod tests {
     #[test]
     fn secded_injection_is_correctable_at_low_rate() {
         let w = weights(2000);
-        let mut mem = SecdedMemory::protect(&w);
+        let mut mem = SubstrateKind::Secded.store(&w);
         // Rate low enough that double errors in one 39-bit word are
         // unlikely.
-        let report = inject_rber(&mut mem, 1e-4, &mut FaultRng::seed(6));
+        let report = inject_rber(&mut *mem, 1e-4, &mut FaultRng::seed(6));
         assert!(report.flipped_bits > 0);
-        let (decoded, scrub) = mem.scrub();
+        let scrub = mem.scrub();
         assert_eq!(scrub.uncorrectable, 0);
-        assert_eq!(decoded, w);
+        assert_eq!(mem.read_weights(), w);
     }
 
     #[test]
     fn secded_injection_at_high_rate_defeats_ecc() {
         let w = weights(2000);
-        let mut mem = SecdedMemory::protect(&w);
-        inject_rber(&mut mem, 0.02, &mut FaultRng::seed(7));
-        let (decoded, scrub) = mem.scrub();
+        let mut mem = SubstrateKind::Secded.store(&w);
+        inject_rber(&mut *mem, 0.02, &mut FaultRng::seed(7));
+        let scrub = mem.scrub();
         assert!(scrub.uncorrectable > 0, "{scrub:?}");
-        assert_ne!(decoded, w);
+        assert_ne!(mem.read_weights(), w);
     }
 
     #[test]
@@ -405,8 +401,8 @@ mod tests {
         // ciphertext-space ECC corrects them and the plaintext decrypts
         // intact — the composed substrate's reason to exist.
         let w = weights(4000);
-        let mut mem = XtsSecdedMemory::protect(&w, SubstrateKind::cipher());
-        let report = inject_rber(&mut mem, 1e-4, &mut FaultRng::seed(13));
+        let mut mem = SubstrateKind::XtsSecded.store(&w);
+        let report = inject_rber(&mut *mem, 1e-4, &mut FaultRng::seed(13));
         assert!(report.flipped_bits > 0);
         let summary = mem.scrub();
         if summary.uncorrectable == 0 {
@@ -419,21 +415,21 @@ mod tests {
     #[test]
     fn ciphertext_injection_garbles_blocks() {
         let w = weights(64);
-        let cipher = XtsCipher::new(&[1; 16], &[2; 16]);
-        let mut mem = EncryptedMemory::encrypt(&w, cipher);
-        let before = mem.ciphertext().to_vec();
-        let report = inject_rber(&mut mem, 5e-3, &mut FaultRng::seed(8));
+        let mut mem = SubstrateKind::Xts.store(&w);
+        let before = mem.export_raw();
+        let report = inject_rber(&mut *mem, 5e-3, &mut FaultRng::seed(8));
         // Walked positions strictly increase, so each flipped bit shows
         // in the ciphertext diff.
-        let bits: Vec<usize> = (0..mem.ciphertext_bits())
-            .filter(|&b| (before[b / 8] ^ mem.ciphertext()[b / 8]) >> (b % 8) & 1 == 1)
+        let after = mem.export_raw();
+        let bits: Vec<usize> = (0..mem.raw_bits())
+            .filter(|&b| (before[b / 8] ^ after[b / 8]) >> (b % 8) & 1 == 1)
             .collect();
         assert!(report.flipped_bits > 0);
         assert_eq!(report.flipped_bits, bits.len());
         let blocks: std::collections::HashSet<usize> =
             bits.iter().map(|&b| mem.raw_word_of_bit(b)).collect();
         assert_eq!(report.affected_words, blocks.len(), "garbled blocks");
-        let seen = mem.decrypt_all();
+        let seen = mem.read_weights();
         // Every flipped bit's blast radius contains changed weights.
         for &bit in &bits {
             let radius = mem.blast_radius(bit);
@@ -530,16 +526,20 @@ mod tests {
         // scrub after the whole-weight pass — the old whole-buffer
         // write-back re-encoded word 0 and reported a clean scrub.
         let w = weights(400);
-        let mut mem = SecdedMemory::protect(&w);
-        WeightSubstrate::flip_raw_bit(&mut mem, 2);
-        WeightSubstrate::flip_raw_bit(&mut mem, 17); // word 0: uncorrectable
-        let word0_before = mem.words()[0];
-        let report = inject_whole_weight(&mut mem, 0.05, &mut FaultRng::seed(31));
+        let mut mem = SubstrateKind::Secded.store(&w);
+        mem.flip_raw_bit(2);
+        mem.flip_raw_bit(17); // word 0: uncorrectable
+        let word0_before = mem.export_raw()[..8].to_vec();
+        let report = inject_whole_weight(&mut *mem, 0.05, &mut FaultRng::seed(31));
         assert!(report.affected_words > 0);
         // Precondition for the assertion below: weight 0 was not among
         // the selected weights under this seed.
-        assert_eq!(mem.words()[0], word0_before, "seed 31 selected weight 0");
-        let (_, scrub) = mem.scrub();
+        assert_eq!(
+            mem.export_raw()[..8],
+            word0_before,
+            "seed 31 selected weight 0"
+        );
+        let scrub = mem.scrub();
         assert!(
             scrub.uncorrectable >= 1,
             "raw error state erased by whole-weight write-back: {scrub:?}"

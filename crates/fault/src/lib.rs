@@ -7,9 +7,10 @@
 //!    bit of the substrate's *raw representation* flips independently
 //!    with probability `p` ([`inject_rber`]). Over a plain buffer that
 //!    is every bit of every `f32` "regardless of bit position and
-//!    role"; over [`milr_substrate::SecdedMemory`] the 39-bit code
-//!    words; over [`milr_substrate::EncryptedMemory`] or
-//!    [`milr_substrate::XtsSecdedMemory`] the ciphertext.
+//!    role"; over a [`milr_substrate::SubstrateKind::Secded`] store the
+//!    39-bit code words; over [`milr_substrate::SubstrateKind::Xts`] the
+//!    ciphertext, and over [`milr_substrate::SubstrateKind::XtsSecded`]
+//!    the code words over it.
 //! 2. **Whole-weight errors** with probability `q` — every bit of a
 //!    selected weight is flipped in plaintext space
 //!    ([`inject_whole_weight`]), the plaintext signature of a

@@ -426,12 +426,27 @@ impl WeightSubstrate for FileSubstrate {
         self.with_page(page, true, |sub| sub.flip_raw_bit(local));
     }
 
-    fn read_weights(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.len);
+    fn blast_radius(&self, bit: usize) -> std::ops::Range<usize> {
+        let page = self.page_of_raw_bit(bit);
+        let local = self
+            .kind
+            .blast_radius(self.pages[page].weights, bit - self.rawbit_prefix[page]);
+        let base = self.weight_prefix[page];
+        base + local.start..base + local.end
+    }
+
+    fn read_weights_into(&self, out: &mut [f32]) {
+        assert_eq!(
+            out.len(),
+            self.len,
+            "read_weights_into buffer of {} cannot hold {} weights",
+            out.len(),
+            self.len
+        );
         for page in 0..self.pages.len() {
-            out.extend(self.with_page(page, false, |sub| sub.read_weights()));
+            let slots = &mut out[self.weight_prefix[page]..self.weight_prefix[page + 1]];
+            self.with_page(page, false, |sub| sub.read_weights_into(slots));
         }
-        out
     }
 
     fn write_weights(&mut self, weights: &[f32]) -> Result<(), SubstrateError> {

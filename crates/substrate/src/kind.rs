@@ -5,10 +5,10 @@
 //! maps each substrate's **raw image** to and from bytes so weight pages
 //! can live in a file.
 
-use crate::quant::{QuantFormat, QuantMemory, QuantSecdedMemory};
-use crate::{RawGeometry, SubstrateError, WeightSubstrate, XtsSecdedMemory};
-use milr_ecc::SecdedMemory;
-use milr_xts::{EncryptedMemory, XtsCipher, BLOCK_BYTES};
+use crate::memory::{Code, EncodedMemory, Payload};
+use crate::{RawGeometry, SubstrateError, WeightSubstrate};
+use milr_xts::XtsCipher;
+use std::ops::Range;
 
 /// Default XTS data key for experiment substrates. Experiments model a
 /// fixed memory-encryption engine; the key value itself is irrelevant
@@ -68,32 +68,46 @@ impl SubstrateKind {
         XtsCipher::new(&DATA_KEY, &TWEAK_KEY)
     }
 
-    /// The quantized page encoding of this kind, if any.
-    pub fn quant_format(&self) -> Option<QuantFormat> {
+    /// The kind as its two independent choices: how a weight sits in
+    /// memory, and whether SECDED covers it. Every raw-format formula
+    /// below derives from this pair.
+    pub(crate) fn layout(&self) -> (Payload, Code) {
         match self {
-            SubstrateKind::Int8 | SubstrateKind::Int8Secded => Some(QuantFormat::Int8),
-            SubstrateKind::Fp16 | SubstrateKind::Fp16Secded => Some(QuantFormat::Fp16),
-            _ => None,
+            SubstrateKind::Plain => (Payload::F32, Code::Bare),
+            SubstrateKind::Secded => (Payload::F32, Code::Secded),
+            SubstrateKind::Xts => (Payload::Xts, Code::Bare),
+            SubstrateKind::XtsSecded => (Payload::Xts, Code::Secded),
+            SubstrateKind::Int8 => (Payload::Int8, Code::Bare),
+            SubstrateKind::Fp16 => (Payload::Fp16, Code::Bare),
+            SubstrateKind::Int8Secded => (Payload::Int8, Code::Secded),
+            SubstrateKind::Fp16Secded => (Payload::Fp16, Code::Secded),
+        }
+    }
+
+    /// Raw words a substrate of this kind holding `len` weights stores.
+    pub(crate) fn raw_words(&self, len: usize) -> usize {
+        let (payload, code) = self.layout();
+        payload
+            .bytes_for(len)
+            .div_ceil(code.word_payload_bytes(payload))
+    }
+
+    /// An in-memory substrate of this kind for `len` weights, its raw
+    /// image all zeros.
+    fn blank(&self, len: usize) -> Box<dyn WeightSubstrate> {
+        match self {
+            SubstrateKind::Plain => Box::new(vec![0.0f32; len]),
+            _ => Box::new(EncodedMemory::blank(*self, len)),
         }
     }
 
     /// Encodes a weight buffer into a fresh in-memory substrate of this
     /// kind.
     pub fn store(&self, weights: &[f32]) -> Box<dyn WeightSubstrate> {
-        match self {
-            SubstrateKind::Plain => Box::new(weights.to_vec()),
-            SubstrateKind::Secded => Box::new(SecdedMemory::protect(weights)),
-            SubstrateKind::Xts => Box::new(EncryptedMemory::encrypt(weights, Self::cipher())),
-            SubstrateKind::XtsSecded => Box::new(XtsSecdedMemory::protect(weights, Self::cipher())),
-            SubstrateKind::Int8 => Box::new(QuantMemory::store(QuantFormat::Int8, weights)),
-            SubstrateKind::Fp16 => Box::new(QuantMemory::store(QuantFormat::Fp16, weights)),
-            SubstrateKind::Int8Secded => {
-                Box::new(QuantSecdedMemory::protect(QuantFormat::Int8, weights))
-            }
-            SubstrateKind::Fp16Secded => {
-                Box::new(QuantSecdedMemory::protect(QuantFormat::Fp16, weights))
-            }
-        }
+        let mut mem = self.blank(weights.len());
+        mem.write_weights(weights)
+            .expect("a blank substrate holds its own length");
+        mem
     }
 
     /// Reconstructs an in-memory substrate of this kind from its raw
@@ -109,71 +123,16 @@ impl SubstrateKind {
         raw: &[u8],
         len: usize,
     ) -> Result<Box<dyn WeightSubstrate>, SubstrateError> {
-        if raw.len() != self.raw_image_bytes(len) {
-            return Err(SubstrateError::Backend(format!(
-                "{self}: raw image of {} bytes cannot hold {len} weights (expected {})",
-                raw.len(),
-                self.raw_image_bytes(len)
-            )));
-        }
-        let words_u64 = || -> Vec<u64> {
-            raw.chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-                .collect()
-        };
-        Ok(match self {
-            SubstrateKind::Plain => Box::new(
-                raw.chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4")))
-                    .collect::<Vec<f32>>(),
-            ),
-            SubstrateKind::Secded => Box::new(SecdedMemory::from_words(words_u64())),
-            SubstrateKind::Xts => Box::new(
-                EncryptedMemory::from_ciphertext(raw.to_vec(), len, Self::cipher())
-                    .map_err(|e| SubstrateError::Backend(e.to_string()))?,
-            ),
-            SubstrateKind::XtsSecded => Box::new(XtsSecdedMemory::from_words(
-                words_u64(),
-                len,
-                Self::cipher(),
-            )),
-            SubstrateKind::Int8 => {
-                Box::new(QuantMemory::from_bytes(QuantFormat::Int8, raw.to_vec()))
-            }
-            SubstrateKind::Fp16 => {
-                Box::new(QuantMemory::from_bytes(QuantFormat::Fp16, raw.to_vec()))
-            }
-            SubstrateKind::Int8Secded => Box::new(QuantSecdedMemory::from_words(
-                QuantFormat::Int8,
-                words_u64(),
-                len,
-            )),
-            SubstrateKind::Fp16Secded => Box::new(QuantSecdedMemory::from_words(
-                QuantFormat::Fp16,
-                words_u64(),
-                len,
-            )),
-        })
+        let mut mem = self.blank(len);
+        mem.import_raw(raw)?;
+        Ok(mem)
     }
 
     /// Exact byte length of the raw image this kind produces for `len`
-    /// weights — the on-disk page-sizing formula. Each substrate writes
-    /// its own export; a test holds them to this length.
+    /// weights — the on-disk page-sizing formula.
     pub fn raw_image_bytes(&self, len: usize) -> usize {
-        match self {
-            SubstrateKind::Plain => len * 4,
-            // One u64-stored (39,32) code word per weight.
-            SubstrateKind::Secded => len * 8,
-            // Whole 16-byte cipher blocks.
-            SubstrateKind::Xts => len.div_ceil(4) * BLOCK_BYTES,
-            // One u64-stored code word per ciphertext word, 4 per block.
-            SubstrateKind::XtsSecded => len.div_ceil(4) * 4 * 8,
-            SubstrateKind::Int8 => len,
-            SubstrateKind::Fp16 => len * 2,
-            // One u64-stored code word per 4 quantized bytes.
-            SubstrateKind::Int8Secded => len.div_ceil(4) * 8,
-            SubstrateKind::Fp16Secded => (len * 2).div_ceil(4) * 8,
-        }
+        let (payload, code) = self.layout();
+        self.raw_words(len) * code.word_image_bytes(payload)
     }
 
     /// Raw (fault-surface) bits of a substrate of this kind holding
@@ -181,52 +140,41 @@ impl SubstrateKind {
     /// every in-memory substrate. Always a whole number of
     /// [`raw_geometry`](SubstrateKind::raw_geometry) words.
     pub fn raw_bits_for(&self, len: usize) -> usize {
-        match self {
-            SubstrateKind::Plain => len * 32,
-            SubstrateKind::Secded => len * 39,
-            SubstrateKind::Xts => len.div_ceil(4) * BLOCK_BYTES * 8,
-            SubstrateKind::XtsSecded => len.div_ceil(4) * 4 * 39,
-            SubstrateKind::Int8 => len * 8,
-            SubstrateKind::Fp16 => len * 16,
-            SubstrateKind::Int8Secded => len.div_ceil(4) * 39,
-            SubstrateKind::Fp16Secded => (len * 2).div_ceil(4) * 39,
+        self.raw_words(len) * self.raw_geometry().word_bits
+    }
+
+    /// Raw-space geometry of this kind — the raw word (a payload unit
+    /// when bare: data word, quantized weight or cipher block; a code
+    /// word under SECDED) and rows of 16 payload bytes, the grid over
+    /// which correlated burst campaigns are planned. A ciphertext burst
+    /// that stays inside a row garbles exactly one block of plaintext.
+    pub fn raw_geometry(&self) -> RawGeometry {
+        let (payload, code) = self.layout();
+        RawGeometry {
+            word_bits: code.word_bits(payload),
+            words_per_row: 16 / code.word_payload_bytes(payload),
         }
     }
 
-    /// Raw-space geometry of this kind — the raw word (data word, code
-    /// word, or cipher block) and the row/word grid over which
-    /// correlated burst campaigns are planned.
-    pub fn raw_geometry(&self) -> RawGeometry {
-        match self {
-            // 4 data words: a 16-byte DRAM beat.
-            SubstrateKind::Plain => RawGeometry {
-                word_bits: 32,
-                words_per_row: 4,
-            },
-            // 4 code words per row; over ciphertext, one cipher block.
-            SubstrateKind::Secded
-            | SubstrateKind::XtsSecded
-            | SubstrateKind::Int8Secded
-            | SubstrateKind::Fp16Secded => RawGeometry {
-                word_bits: 39,
-                words_per_row: 4,
-            },
-            // Word = one weight, rows of a 16-byte DRAM beat.
-            SubstrateKind::Int8 => RawGeometry {
-                word_bits: 8,
-                words_per_row: 16,
-            },
-            SubstrateKind::Fp16 => RawGeometry {
-                word_bits: 16,
-                words_per_row: 8,
-            },
-            // One 128-bit cipher block per row: a ciphertext burst that
-            // stays inside a row garbles exactly one block of plaintext.
-            SubstrateKind::Xts => RawGeometry {
-                word_bits: BLOCK_BYTES * 8,
-                words_per_row: 1,
-            },
-        }
+    /// The weights an uncorrectable error in raw bit `bit` of an
+    /// in-memory substrate of `len` weights can garble: every weight of
+    /// the payload units its raw word covers (a whole cipher block under
+    /// XTS), clamped to the stored weights.
+    pub(crate) fn blast_radius(&self, len: usize, bit: usize) -> Range<usize> {
+        let (payload, code) = self.layout();
+        let patch = self.patch_bytes();
+        let start =
+            bit / code.word_bits(payload) * code.word_payload_bytes(payload) / patch * patch;
+        let wb = payload.weight_bytes();
+        (start / wb).min(len)..((start + patch) / wb).min(len)
+    }
+
+    /// Payload bytes that decode and re-encode together: the raw words
+    /// covering one payload unit (a cipher block, a code word, or one
+    /// bare weight).
+    pub(crate) fn patch_bytes(&self) -> usize {
+        let (payload, code) = self.layout();
+        payload.unit_bytes().max(code.word_payload_bytes(payload))
     }
 
     /// Short name used in report headers and bench labels.
@@ -284,11 +232,44 @@ mod tests {
         assert_eq!(names, ["plain", "secded", "xts", "xts+secded"]);
     }
 
+    /// Every kind, f32 and quantized.
+    fn every_kind() -> impl Iterator<Item = SubstrateKind> {
+        SubstrateKind::ALL
+            .into_iter()
+            .chain(SubstrateKind::QUANTIZED)
+    }
+
     #[test]
     fn raw_image_formulas_match_substrates() {
-        for len in [1usize, 3, 4, 5, 37, 64] {
+        // Each kind's raw format written out on its own, so the derived
+        // formulas cannot drift with the code they derive from:
+        // (image bytes, raw bits, word bits, words per row).
+        let table = |kind: SubstrateKind, len: usize| match kind {
+            SubstrateKind::Plain => (len * 4, len * 32, 32, 4),
+            SubstrateKind::Secded => (len * 8, len * 39, 39, 4),
+            SubstrateKind::Xts => (len.div_ceil(4) * 16, len.div_ceil(4) * 128, 128, 1),
+            SubstrateKind::XtsSecded => (len.div_ceil(4) * 32, len.div_ceil(4) * 4 * 39, 39, 4),
+            SubstrateKind::Int8 => (len, len * 8, 8, 16),
+            SubstrateKind::Fp16 => (len * 2, len * 16, 16, 8),
+            SubstrateKind::Int8Secded => (len.div_ceil(4) * 8, len.div_ceil(4) * 39, 39, 4),
+            SubstrateKind::Fp16Secded => {
+                ((len * 2).div_ceil(4) * 8, (len * 2).div_ceil(4) * 39, 39, 4)
+            }
+        };
+        for len in [0usize, 1, 2, 3, 4, 5, 37, 64] {
             let w: Vec<f32> = (0..len).map(|i| i as f32 * 0.3 - 1.0).collect();
-            for kind in SubstrateKind::ALL {
+            for kind in every_kind() {
+                let geo = kind.raw_geometry();
+                assert_eq!(
+                    (
+                        kind.raw_image_bytes(len),
+                        kind.raw_bits_for(len),
+                        geo.word_bits,
+                        geo.words_per_row
+                    ),
+                    table(kind, len),
+                    "{kind} formulas for {len}"
+                );
                 assert_eq!(
                     kind.store(&w).export_raw().len(),
                     kind.raw_image_bytes(len),
@@ -301,7 +282,7 @@ mod tests {
     #[test]
     fn export_restore_roundtrips_error_state() {
         let w: Vec<f32> = (0..21).map(|i| i as f32 * 0.11 - 1.0).collect();
-        for kind in SubstrateKind::ALL {
+        for kind in every_kind() {
             let mut mem = kind.store(&w);
             // Leave raw-space error state in the image.
             mem.flip_raw_bit(7);
@@ -318,6 +299,7 @@ mod tests {
                 .collect();
             assert_eq!(a, b, "{kind}: restored plaintext diverged");
             assert_eq!(restored.export_raw(), image, "{kind}: image not stable");
+            assert!(kind.restore(&image[1..], w.len()).is_err(), "{kind}");
         }
     }
 
@@ -405,54 +387,20 @@ mod tests {
     fn quantized_kinds_snap_offgrid_weights() {
         let w = [0.1f32, -0.77, 1.43];
         for kind in SubstrateKind::QUANTIZED {
-            let format = kind.quant_format().unwrap();
+            let snap = match kind.layout().0 {
+                Payload::Int8 => milr_ecc::ring::int8_snap,
+                _ => milr_ecc::ring::f16_snap,
+            };
             let mem = kind.store(&w);
             for (got, v) in mem.read_weights().iter().zip(w) {
-                assert_eq!(got.to_bits(), format.snap(v).to_bits(), "{kind}: {v}");
+                assert_eq!(got.to_bits(), snap(v).to_bits(), "{kind}: {v}");
             }
-        }
-    }
-
-    #[test]
-    fn quantized_raw_image_formulas_match_substrates() {
-        for len in [1usize, 2, 3, 4, 5, 37, 64] {
-            let w: Vec<f32> = (0..len).map(|i| i as f32 * 0.015625 - 0.5).collect();
-            for kind in SubstrateKind::QUANTIZED {
-                let mem = kind.store(&w);
-                assert_eq!(
-                    mem.export_raw().len(),
-                    kind.raw_image_bytes(len),
-                    "{kind} image bytes for {len}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_export_restore_roundtrips_error_state() {
-        let w: Vec<f32> = (0..9).map(|i| i as f32 * 0.03125 - 0.125).collect();
-        for kind in SubstrateKind::QUANTIZED {
-            let mut mem = kind.store(&w);
-            mem.flip_raw_bit(2);
-            mem.flip_raw_bit(3);
-            let image = mem.export_raw();
-            let restored = kind.restore(&image, w.len()).unwrap();
-            assert_eq!(restored.len(), mem.len(), "{kind}");
-            let a: Vec<u32> = mem.read_weights().iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = restored
-                .read_weights()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(a, b, "{kind}: restored plaintext diverged");
-            assert_eq!(restored.export_raw(), image, "{kind}: image not stable");
-            assert!(kind.restore(&image[1..], w.len()).is_err(), "{kind}");
         }
     }
 
     #[test]
     fn restore_rejects_bad_lengths() {
-        for kind in SubstrateKind::ALL {
+        for kind in every_kind() {
             let image = kind.store(&[1.0, 2.0]).export_raw();
             // 9 weights need more blocks/words than 2 under every kind.
             assert!(kind.restore(&image, 9).is_err(), "{kind}");

@@ -2,25 +2,27 @@
 //!
 //! The unified **weight substrate** abstraction of the MILR
 //! reproduction: one trait, [`WeightSubstrate`], over every way the
-//! paper stores CNN parameters in (error-prone) memory —
+//! paper stores CNN parameters in (error-prone) memory. A
+//! [`SubstrateKind`] names an encoding as two independent choices:
 //!
-//! * `Vec<f32>` / `[f32]` — raw `f32` words in DRAM, no protection;
-//! * [`SecdedMemory`] — one (39,32) SECDED code word per parameter,
-//!   the ECC baseline (adapted from `milr_ecc::memory`);
-//! * [`EncryptedMemory`] — AES-XTS ciphertext, the encrypted-VM model
-//!   (adapted from `milr_xts::memory`);
-//! * [`XtsSecdedMemory`] — SECDED over the *ciphertext* words: ECC
-//!   DRAM under a memory-encryption engine, the paper's "ECC cannot
-//!   fix decrypted garble" configuration (a single corrected ciphertext
-//!   bit is harmless, but any uncorrectable codeword decrypts to a
-//!   whole garbled 16-byte block of weights);
-//! * [`QuantMemory`] / [`QuantSecdedMemory`] — int8 and fp16 pages,
-//!   bare or under SECDED;
-//! * [`FileSubstrate`] — any of the above paged onto a file.
+//! * a **payload codec** — how a weight sits in memory: plaintext
+//!   `f32`, AES-XTS ciphertext (the encrypted-VM model, each 16-byte
+//!   block its own data unit), or int8 / fp16 quantized bytes;
+//! * a **code layer** — bare, or ECC DRAM's (39,32) SECDED with one code
+//!   word per 4 payload bytes.
+//!
+//! `Vec<f32>` / `[f32]` are the plain kind (bare `f32`), so fault
+//! injectors run on parameter slices; every other kind is one in-memory
+//! type written once over the pair (`memory.rs`). Under SECDED over
+//! ciphertext a single raw flip is corrected before decryption, but any
+//! uncorrectable code word decrypts to a whole garbled 16-byte block of
+//! weights — the paper's "ECC cannot fix decrypted garble" case.
+//! [`FileSubstrate`] pages any kind onto a file.
 //!
 //! Each encoding's raw format (raw bits per weight count, raw word
-//! size, row layout) is written down once, on [`SubstrateKind`]; every
-//! substrate names its kind and the trait derives the rest.
+//! size, row layout, image bytes) is derived once, on
+//! [`SubstrateKind`], from its payload × code pair; every substrate
+//! names its kind and the trait derives the rest.
 //!
 //! Concurrent access — an inference plane reading weights while a
 //! scrubber daemon repairs them in place — goes through
@@ -51,26 +53,17 @@
 
 #![deny(missing_docs)]
 
-mod encrypted;
+use std::ops::Range;
+
 mod file;
 mod kind;
+mod memory;
 mod plain;
-mod quant;
-mod secded;
 mod shared;
-mod xts_secded;
 
 pub use file::{DirectCommitter, FileSubstrate, PageCommitter, PageFile, PagePatch, StdFile};
 pub use kind::SubstrateKind;
-/// SECDED-per-word substrate, re-exported from `milr_ecc` with its
-/// [`WeightSubstrate`] adaptation defined in this crate.
-pub use milr_ecc::SecdedMemory;
-/// AES-XTS ciphertext substrate, re-exported from `milr_xts` with its
-/// [`WeightSubstrate`] adaptation defined in this crate.
-pub use milr_xts::EncryptedMemory;
-pub use quant::{QuantFormat, QuantMemory, QuantSecdedMemory};
 pub use shared::SharedSubstrate;
-pub use xts_secded::XtsSecdedMemory;
 
 /// Error from a substrate write.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,12 +136,13 @@ impl From<milr_ecc::ScrubReport> for ScrubSummary {
 ///
 /// A **row** models one DRAM row / cache line / cipher block worth of
 /// adjacent raw words: the blast radius of a correlated disturbance.
-/// Plain and SECDED substrates group 4 data/code words per row (a
-/// 16-byte beat); the XTS substrates use one 128-bit cipher block per
-/// row, since that is the unit a disturbance garbles on decrypt.
+/// Every kind's row holds 16 payload bytes (a 16-byte beat, one cipher
+/// block): 4 plain or code words, 16 int8 or 8 fp16 weights, or one
+/// 128-bit block of bare ciphertext.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawGeometry {
-    /// Bits per raw word (32 plain, 39 SECDED, 128 XTS block).
+    /// Bits per raw word (32 plain, 8 int8, 16 fp16, 39 SECDED, 128
+    /// bare XTS block).
     pub word_bits: usize,
     /// Raw words per row.
     pub words_per_row: usize,
@@ -226,31 +220,36 @@ pub trait WeightSubstrate: Send + Sync {
     /// Panics when `bit >= self.raw_bits()`.
     fn flip_raw_bit(&mut self, bit: usize);
 
+    /// The weights an uncorrectable error in raw bit `bit` can garble:
+    /// every weight sharing the payload unit of its raw word (a whole
+    /// 16-byte block under XTS, a code word's weights under SECDED, the
+    /// one weight otherwise), clamped to the stored weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `bit >= self.raw_bits()`.
+    fn blast_radius(&self, bit: usize) -> Range<usize> {
+        assert!(bit < self.raw_bits(), "raw bit {bit} out of range");
+        self.kind().blast_radius(self.len(), bit)
+    }
+
     /// Decodes the buffer to plaintext weights, best-effort, exactly as
     /// an inference read would observe them. Does not modify storage.
-    fn read_weights(&self) -> Vec<f32>;
+    fn read_weights(&self) -> Vec<f32> {
+        let mut out = vec![0.0; self.len()];
+        self.read_weights_into(&mut out);
+        out
+    }
 
-    /// Decodes the buffer to plaintext weights directly into `out`,
-    /// avoiding the intermediate `Vec` of
-    /// [`read_weights`](WeightSubstrate::read_weights) where the
-    /// substrate can (plain storage is a straight `copy_from_slice`).
-    /// The default falls back to decoding into a fresh vector.
+    /// Decodes the buffer to plaintext weights directly into `out`, as
+    /// [`read_weights`](WeightSubstrate::read_weights) would return
+    /// them, without allocating. Does not modify storage.
     ///
     /// # Panics
     ///
     /// Panics when `out.len()` differs from
     /// [`len`](WeightSubstrate::len).
-    fn read_weights_into(&self, out: &mut [f32]) {
-        let decoded = self.read_weights();
-        assert_eq!(
-            out.len(),
-            decoded.len(),
-            "read_weights_into buffer of {} cannot hold {} weights",
-            out.len(),
-            decoded.len()
-        );
-        out.copy_from_slice(&decoded);
-    }
+    fn read_weights_into(&self, out: &mut [f32]);
 
     /// Replaces the stored weights (re-encoding / re-encrypting as the
     /// substrate requires) — the write-back path of MILR recovery.
@@ -268,35 +267,15 @@ pub trait WeightSubstrate: Send + Sync {
     /// the write verbatim. This is what lets composed raw+plaintext
     /// campaigns keep honest scrub statistics: a plaintext-space
     /// injection must not silently launder a neighboring word's raw
-    /// errors through a whole-buffer re-encode.
-    ///
-    /// The default falls back to a whole-buffer read-modify-write —
-    /// correct for plain storage, but it re-encodes everything on coded
-    /// substrates; every coded substrate in this crate overrides it
-    /// with a surgical path.
+    /// errors through a whole-buffer re-encode. A weight listed twice
+    /// takes its last value.
     ///
     /// # Errors
     ///
     /// [`SubstrateError::LengthMismatch`] when an index is out of
     /// range; backend errors as
     /// [`write_weights`](WeightSubstrate::write_weights).
-    fn write_weights_sparse(&mut self, updates: &[(usize, f32)]) -> Result<(), SubstrateError> {
-        if updates.is_empty() {
-            return Ok(());
-        }
-        let len = self.len();
-        let mut weights = self.read_weights();
-        for &(idx, value) in updates {
-            if idx >= len {
-                return Err(SubstrateError::LengthMismatch {
-                    expected: len,
-                    got: idx + 1,
-                });
-            }
-            weights[idx] = value;
-        }
-        self.write_weights(&weights)
-    }
+    fn write_weights_sparse(&mut self, updates: &[(usize, f32)]) -> Result<(), SubstrateError>;
 
     /// Runs one error-scrub pass, repairing whatever the substrate's
     /// code layer can repair in place, and reports statistics. A no-op
@@ -307,7 +286,7 @@ pub trait WeightSubstrate: Send + Sync {
     /// the same storage, weights and summary as
     /// [`scrub`](WeightSubstrate::scrub) followed by
     /// [`read_weights_into`](WeightSubstrate::read_weights_into), which
-    /// is what the default does. SECDED substrates override it with one
+    /// is what the default does. Coded substrates override it with one
     /// fused pass that reads every code word once.
     ///
     /// # Panics

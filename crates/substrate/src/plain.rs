@@ -32,10 +32,6 @@ impl WeightSubstrate for [f32] {
         self[word] = f32::from_bits(self[word].to_bits() ^ (1u32 << (bit % 32)));
     }
 
-    fn read_weights(&self) -> Vec<f32> {
-        self.to_vec()
-    }
-
     fn read_weights_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), <[f32]>::len(self), "read_weights_into length");
         out.copy_from_slice(self);
@@ -55,13 +51,14 @@ impl WeightSubstrate for [f32] {
     /// Plain storage has no code layer, so a sparse write is a direct
     /// element store.
     fn write_weights_sparse(&mut self, updates: &[(usize, f32)]) -> Result<(), SubstrateError> {
+        let len = <[f32]>::len(self);
+        if let Some(&(idx, _)) = updates.iter().find(|&&(idx, _)| idx >= len) {
+            return Err(SubstrateError::LengthMismatch {
+                expected: len,
+                got: idx + 1,
+            });
+        }
         for &(idx, value) in updates {
-            if idx >= <[f32]>::len(self) {
-                return Err(SubstrateError::LengthMismatch {
-                    expected: <[f32]>::len(self),
-                    got: idx + 1,
-                });
-            }
             self[idx] = value;
         }
         Ok(())
@@ -109,10 +106,6 @@ impl WeightSubstrate for Vec<f32> {
 
     fn flip_raw_bit(&mut self, bit: usize) {
         self.as_mut_slice().flip_raw_bit(bit);
-    }
-
-    fn read_weights(&self) -> Vec<f32> {
-        self.as_slice().read_weights()
     }
 
     fn read_weights_into(&self, out: &mut [f32]) {

@@ -5,8 +5,7 @@
 //! 16-byte block under XTS, and the composed substrate corrects single
 //! flips but garbles one block on double flips).
 
-use milr_substrate::{SubstrateKind, WeightSubstrate, XtsSecdedMemory};
-use milr_xts::WEIGHTS_PER_BLOCK;
+use milr_substrate::{SubstrateKind, WeightSubstrate};
 use proptest::prelude::*;
 
 fn weights(n: usize, seed: u64) -> Vec<f32> {
@@ -107,20 +106,22 @@ proptest! {
         let w = weights(n, seed);
         let mut mem = SubstrateKind::Xts.store(&w);
         let bit = flip % mem.raw_bits();
-        let block = mem.raw_word_of_bit(bit);
+        let radius = mem.blast_radius(bit);
         mem.flip_raw_bit(bit);
         let seen = mem.read_weights();
         for (i, (a, b)) in seen.iter().zip(w.iter()).enumerate() {
-            if i / WEIGHTS_PER_BLOCK != block {
-                prop_assert_eq!(a, b, "weight {} outside block {} changed", i, block);
+            if !radius.contains(&i) {
+                prop_assert_eq!(a, b, "weight {} outside radius {:?} changed", i, radius);
             }
         }
-        // AES diffusion: if any stored weight shares the block, at
-        // least one of them changes.
-        if block * WEIGHTS_PER_BLOCK < n {
+        // One 16-byte block of four weights, clamped to the stored ones;
+        // AES diffusion: if any stored weight shares the block, at least
+        // one of them changes.
+        let block = mem.raw_word_of_bit(bit);
+        prop_assert_eq!(radius.clone(), (block * 4).min(n)..(block * 4 + 4).min(n));
+        if !radius.is_empty() {
             prop_assert!(
-                (block * WEIGHTS_PER_BLOCK..((block + 1) * WEIGHTS_PER_BLOCK).min(n))
-                    .any(|i| seen[i] != w[i]),
+                radius.clone().any(|i| seen[i] != w[i]),
                 "block {} unchanged after ciphertext flip", block
             );
         }
@@ -131,8 +132,8 @@ proptest! {
     #[test]
     fn xts_secded_double_flip_blast_radius(n in 4usize..40, seed in 1u64..1000, word_sel in 0usize..256) {
         let w = weights(n, seed);
-        let mut mem = XtsSecdedMemory::protect(&w, SubstrateKind::cipher());
-        let word = word_sel % mem.code_words();
+        let mut mem = SubstrateKind::XtsSecded.store(&w);
+        let word = word_sel % (mem.raw_bits() / 39);
         let bit = word * 39;
         mem.flip_raw_bit(bit + 1);
         mem.flip_raw_bit(bit + 17);

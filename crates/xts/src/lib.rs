@@ -17,21 +17,25 @@
 //! * [`XtsCipher`] — IEEE 1619 XTS mode with per-block address tweaks
 //!   (validated against IEEE 1619 vectors), with a batched
 //!   `encrypt_blocks`/`decrypt_blocks` API that runs on AES-NI where the
-//!   host has it;
-//! * [`EncryptedMemory`] — a weight buffer stored as ciphertext, with
-//!   bit-flip injection and blast-radius queries used by `milr-fault`'s
-//!   ciphertext-space experiments.
+//!   host has it.
+//!
+//! `milr-substrate`'s XTS kinds store weights as ciphertext through
+//! these calls, each 16-byte block tweaked by its block index (standing
+//! in for the physical address tweak of MKTME).
 //!
 //! ```
-//! use milr_xts::{EncryptedMemory, XtsCipher};
+//! use milr_xts::{XtsCipher, BLOCK_BYTES};
 //!
 //! let cipher = XtsCipher::new(&[1; 16], &[2; 16]);
-//! let weights = vec![0.5f32, -1.25, 3.0, 0.0];
-//! let mut mem = EncryptedMemory::encrypt(&weights, cipher);
-//! mem.flip_ciphertext_bit(9); // one DRAM soft error…
-//! let seen = mem.decrypt_all();
-//! // …garbles the whole 4-weight block in plaintext space.
-//! assert_ne!(seen, weights);
+//! let weights = [0.5f32, -1.25, 3.0, 0.0, 7.5, -2.0, 1.0, 4.0];
+//! let plain: Vec<u8> = weights.iter().flat_map(|w| w.to_le_bytes()).collect();
+//! let mut memory = plain.clone();
+//! cipher.encrypt_blocks(&mut memory, 0);
+//! memory[9] ^= 1 << 3; // one DRAM soft error in block 0…
+//! cipher.decrypt_blocks(&mut memory, 0);
+//! // …garbles that whole 4-weight block in plaintext space, and only it.
+//! assert_ne!(memory[..BLOCK_BYTES], plain[..BLOCK_BYTES]);
+//! assert_eq!(memory[BLOCK_BYTES..], plain[BLOCK_BYTES..]);
 //! ```
 
 #![deny(missing_docs)]
@@ -39,9 +43,7 @@
 mod aes;
 #[cfg(target_arch = "x86_64")]
 mod aesni;
-mod memory;
 mod xts;
 
 pub use aes::Aes128;
-pub use memory::{for_each_block_run, EncryptedMemory, BLOCK_BYTES, WEIGHTS_PER_BLOCK};
-pub use xts::{XtsCipher, XtsError};
+pub use xts::{XtsCipher, XtsError, BLOCK_BYTES};

@@ -3,6 +3,10 @@ use crate::aes::Aes128;
 use crate::aesni;
 use std::fmt;
 
+/// Bytes per AES block — the granularity at which a ciphertext error
+/// garbles plaintext.
+pub const BLOCK_BYTES: usize = 16;
+
 /// Errors from the XTS layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XtsError {

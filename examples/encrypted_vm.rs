@@ -11,7 +11,7 @@
 use milr_core::{Milr, MilrConfig};
 use milr_fault::{inject_rber, FaultRng};
 use milr_models::trained_reduced;
-use milr_xts::{EncryptedMemory, XtsCipher, WEIGHTS_PER_BLOCK};
+use milr_substrate::{SubstrateKind, WeightSubstrate};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (mut model, test) = trained_reduced("mnist", 21);
@@ -25,11 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // Place every layer's weights into encrypted memory.
-    let cipher = XtsCipher::new(&[0x11; 16], &[0x22; 16]);
-    let mut memories: Vec<(usize, EncryptedMemory)> = Vec::new();
+    let mut memories: Vec<(usize, Box<dyn WeightSubstrate>)> = Vec::new();
     for (i, layer) in model.layers().iter().enumerate() {
         if let Some(p) = layer.params() {
-            memories.push((i, EncryptedMemory::encrypt(p.data(), cipher.clone())));
+            memories.push((i, SubstrateKind::Xts.store(p.data())));
         }
     }
 
@@ -40,19 +39,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut total_bits = 0usize;
     let mut garbled_blocks = 0usize;
     for (_, mem) in memories.iter_mut() {
-        let report = inject_rber(mem, 2e-5, &mut rng);
+        let report = inject_rber(&mut **mem, 2e-5, &mut rng);
         total_bits += report.flipped_bits;
         garbled_blocks += report.affected_words;
     }
     println!(
         "{total_bits} ciphertext bit flips -> {garbled_blocks} garbled blocks \
          (~{} whole-weight plaintext errors)",
-        garbled_blocks * WEIGHTS_PER_BLOCK
+        garbled_blocks * 4
     );
 
     // The VM reads (decrypts) its weights: plaintext space is corrupted.
     for (i, mem) in &memories {
-        let plain = mem.decrypt_all();
+        let plain = mem.read_weights();
         model.layers_mut()[*i]
             .params_mut()
             .expect("param layer")
@@ -75,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Write the healed weights back through the encryption engine.
     for (i, mem) in memories.iter_mut() {
-        mem.overwrite(model.layers()[*i].params().expect("params").data())?;
+        mem.write_weights(model.layers()[*i].params().expect("params").data())?;
     }
     println!("healed weights re-encrypted to DRAM");
     assert!(healed >= hurt, "healing must not hurt");

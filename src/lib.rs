@@ -9,12 +9,12 @@
 //!   storage accounting, availability model), with serial probe-only
 //!   detection and segment-parallel recovery;
 //! * [`milr_substrate`] — the unified [`WeightSubstrate`
-//!   ](milr_substrate::WeightSubstrate) abstraction over plain, SECDED,
-//!   AES-XTS, and SECDED-over-ciphertext weight storage;
+//!   ](milr_substrate::WeightSubstrate) abstraction over weight storage:
+//!   an f32, AES-XTS, int8 or fp16 payload, bare or under SECDED;
 //! * [`milr_nn`] — the CNN inference/training substrate;
 //! * [`milr_tensor`], [`milr_linalg`] — tensor and solver substrates;
 //! * [`milr_ecc`], [`milr_xts`] — SECDED/CRC codes and the AES-XTS
-//!   encrypted-memory model;
+//!   cipher of the encrypted-memory model;
 //! * [`milr_fault`] — seeded, substrate-generic fault injection;
 //! * [`milr_models`] — the paper's evaluation networks (Tables I–III);
 //! * [`milr_integrity`] — the unified integrity engine: the one

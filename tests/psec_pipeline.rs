@@ -4,27 +4,23 @@
 //! scenario, across milr-xts, milr-ecc, milr-fault, milr-core.
 
 use milr_core::{Milr, MilrConfig};
-use milr_ecc::SecdedMemory;
 use milr_fault::{inject_rber, FaultRng};
 use milr_models::trained_reduced;
-use milr_xts::{EncryptedMemory, XtsCipher, WEIGHTS_PER_BLOCK};
+use milr_substrate::SubstrateKind;
 
 #[test]
 fn ciphertext_bit_flip_becomes_whole_weight_plaintext_error() {
     let weights: Vec<f32> = (0..64).map(|i| i as f32 * 0.1 - 3.0).collect();
-    let cipher = XtsCipher::new(&[1; 16], &[2; 16]);
-    let mut mem = EncryptedMemory::encrypt(&weights, cipher);
-    mem.flip_ciphertext_bit(100);
-    let seen = mem.decrypt_all();
+    let mut mem = SubstrateKind::Xts.store(&weights);
+    mem.flip_raw_bit(100);
+    let seen = mem.read_weights();
     let changed: Vec<usize> = (0..64).filter(|&i| seen[i] != weights[i]).collect();
-    // All changes confined to one block of 4 weights, and (with
-    // overwhelming probability for AES) every weight in it garbled.
+    // All changes confined to the 16-byte block of 4 weights holding
+    // ciphertext bit 100 (byte 12, block 0), and at least one weight in
+    // it garbled.
+    assert_eq!(mem.blast_radius(100), 0..4);
     assert!(!changed.is_empty());
-    assert!(changed.len() <= WEIGHTS_PER_BLOCK);
-    let block = changed[0] / WEIGHTS_PER_BLOCK;
-    for &c in &changed {
-        assert_eq!(c / WEIGHTS_PER_BLOCK, block);
-    }
+    assert!(changed.iter().all(|c| (0..4).contains(c)), "{changed:?}");
 }
 
 #[test]
@@ -50,23 +46,25 @@ fn secded_cannot_correct_plaintext_space_garble_but_milr_can() {
         .map(|(i, _)| i)
         .unwrap();
     let golden: Vec<f32> = model.layers()[dense].params().unwrap().data().to_vec();
-    let cipher = XtsCipher::new(&[3; 16], &[4; 16]);
-    let mut mem = EncryptedMemory::encrypt(&golden, cipher);
-    let report = inject_rber(&mut mem, 5e-5, &mut FaultRng::seed(17));
+    let mut mem = SubstrateKind::Xts.store(&golden);
+    let report = inject_rber(&mut *mem, 5e-5, &mut FaultRng::seed(17));
     assert!(report.flipped_bits > 0);
-    let plaintext = mem.decrypt_all();
+    let plaintext = mem.read_weights();
 
     // SECDED protecting each *plaintext* word sees multi-bit garble it
     // cannot correct: decode-after-corruption differs from golden.
-    let protected = SecdedMemory::protect(&golden);
-    let mut attacked = protected.clone();
+    let mut attacked = SubstrateKind::Secded.store(&golden);
     // Model the plaintext-space damage: re-encode the garbled words.
-    for (i, (&g, &p)) in golden.iter().zip(plaintext.iter()).enumerate() {
-        if g != p {
-            attacked.words_mut()[i] = SecdedMemory::protect(&[p]).words()[0];
-        }
-    }
-    let (decoded, scrub) = attacked.scrub();
+    let garbled: Vec<(usize, f32)> = golden
+        .iter()
+        .zip(plaintext.iter())
+        .enumerate()
+        .filter(|(_, (g, p))| g != p)
+        .map(|(i, (_, &p))| (i, p))
+        .collect();
+    attacked.write_weights_sparse(&garbled).unwrap();
+    let scrub = attacked.scrub();
+    let decoded = attacked.read_weights();
     assert_eq!(scrub.uncorrectable, 0, "consistent words look clean");
     let still_wrong = decoded
         .iter()
