@@ -21,7 +21,9 @@ pub struct ScrubCursor {
 
 impl ScrubCursor {
     /// Creates a cursor over `layers` (ascending checkable indices),
-    /// checking `layers_per_tick` of them per tick.
+    /// checking `layers_per_tick` of them per tick. A chunk at least as
+    /// large as `layers` (up to `usize::MAX`) sweeps them all every
+    /// tick, so each clean tick is a whole cycle.
     ///
     /// # Panics
     ///
@@ -45,7 +47,7 @@ impl ScrubCursor {
             self.cycle_started_at = now;
             self.cycle_flagged = false;
         }
-        let end = (self.pos + self.chunk).min(self.layers.len());
+        let end = self.pos.saturating_add(self.chunk).min(self.layers.len());
         self.layers[self.pos..end].to_vec()
     }
 
@@ -55,7 +57,7 @@ impl ScrubCursor {
     /// `cycle_start`.
     pub fn finish_tick(&mut self, flagged: bool, _now: u64) -> Option<u64> {
         self.cycle_flagged |= flagged;
-        self.pos = (self.pos + self.chunk).min(self.layers.len());
+        self.pos = self.pos.saturating_add(self.chunk).min(self.layers.len());
         if self.pos >= self.layers.len() {
             self.pos = 0;
             if !self.cycle_flagged {
@@ -95,6 +97,27 @@ mod tests {
         assert_eq!(c.finish_tick(false, 31), Some(10));
         // Next sweep restamps.
         assert_eq!(c.begin_tick(40), vec![0, 1]);
+    }
+
+    #[test]
+    fn a_whole_sweep_chunk_certifies_every_clean_tick_at_its_start() {
+        for chunk in [5, 6, usize::MAX] {
+            let mut c = ScrubCursor::new(vec![0, 1, 4, 5, 8], chunk);
+            assert_eq!(c.ticks_per_cycle(), 1, "chunk {chunk}");
+            for start in [10, 20, 30] {
+                assert_eq!(c.begin_tick(start), vec![0, 1, 4, 5, 8], "chunk {chunk}");
+                assert_eq!(
+                    c.finish_tick(false, start + 5),
+                    Some(start),
+                    "chunk {chunk}"
+                );
+            }
+            // A flagged tick certifies nothing; the next clean one does.
+            c.begin_tick(40);
+            assert_eq!(c.finish_tick(true, 45), None, "chunk {chunk}");
+            c.begin_tick(50);
+            assert_eq!(c.finish_tick(false, 55), Some(50), "chunk {chunk}");
+        }
     }
 
     #[test]

@@ -9,12 +9,23 @@
 //! under the `inner` lock with the wall clock passed in. The threads
 //! only do the work the core hands out, outside that lock:
 //!
-//! * a **worker** asks the core to dispatch a batch into a free slot,
-//!   runs the forward pass unlocked, and hands the outputs back for
-//!   that slot;
-//! * the **scrubber** asks the core for the next chunk, runs the
-//!   pipeline's scrub + detect tick unlocked, reports the verdict, and
-//!   on a quarantine runs the heal episode unlocked before resuming.
+//! * the **scrubber** wakes once per `scrub_interval` and does two
+//!   things in order. It *drains*: it dispatches every request queued
+//!   at wake-up into the worker slots, at most `batch_max` per slot,
+//!   refilling slots as workers finish, and waits until those batches
+//!   are back in the ledger. It then *certifies*: it runs the
+//!   pipeline's scrub + detect tick unlocked over every checkable
+//!   layer (by default), so a clean verdict releases the whole drained
+//!   set at once. On a quarantine it runs the heal episode unlocked
+//!   before resuming;
+//! * a **worker** runs only the batch the scrubber put in its slot: the
+//!   forward pass unlocked, then the outputs back for that slot.
+//!
+//! An output is released only after a clean tick that started after it
+//! was computed, so a request gains nothing from running the moment it
+//! arrives. `submit` therefore wakes no thread; each tick costs at most
+//! one wake-up per worker plus the scrubber's own, and each batch
+//! carries about one interval's arrivals.
 //!
 //! No thread holds `inner` together with `milr` or `pipeline`; among
 //! those the order is `milr` → `pipeline` → `store`.
@@ -50,9 +61,12 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Maximum requests coalesced into one batch.
     pub batch_max: usize,
-    /// Scrubber cadence.
+    /// Scrubber cadence: the wait from the end of one tick to the next
+    /// wake-up, which drains the queue and then certifies it.
     pub scrub_interval: Duration,
-    /// Checkable layers examined per scrub tick.
+    /// Checkable layers examined per scrub tick. The default,
+    /// `usize::MAX`, sweeps the whole model every tick, so each clean
+    /// tick certifies everything drained before it.
     pub layers_per_tick: usize,
     /// Quarantine policy.
     pub policy: QuarantinePolicy,
@@ -81,8 +95,8 @@ impl Default for ServerConfig {
             workers: 2,
             queue_capacity: 256,
             batch_max: 8,
-            scrub_interval: Duration::from_millis(2),
-            layers_per_tick: 2,
+            scrub_interval: Duration::from_millis(12),
+            layers_per_tick: usize::MAX,
             policy: QuarantinePolicy::Drain,
             substrate: SubstrateKind::Plain,
             trace: None,
@@ -148,6 +162,11 @@ struct Inner {
     core: ServeCore<Client>,
     queue: RequestQueue<Client>,
     next_id: u64,
+    /// While the scrubber drains: how many of the requests queued at its
+    /// wake-up it has still to dispatch. A worker back from its batch
+    /// wakes the scrubber only when it has a slot to refill or when
+    /// every slot is idle.
+    drain: Option<usize>,
     /// The report's outcome digest, folded as requests resolve: no
     /// input or output outlives its request.
     digest: OutcomeDigest,
@@ -155,8 +174,8 @@ struct Inner {
 
 impl Inner {
     /// Answers every client the core resolved. The core's effects need
-    /// no action here: workers dispatch their own batches, and the
-    /// scrubber keeps its own cadence.
+    /// no action here: the scrubber wakes the worker of each slot it
+    /// fills, and keeps its own cadence.
     fn settle(&mut self) {
         for r in self.core.take_resolved() {
             let Pending {
@@ -189,10 +208,12 @@ struct Shared {
     config: ServerConfig,
     start: Instant,
     inner: Mutex<Inner>,
-    /// Workers park here, paired with `inner`.
-    work_cv: Condvar,
-    /// The scrubber waits out each tick's interval here, paired with
-    /// `inner`; only shutdown notifies it.
+    /// One per worker slot, paired with `inner`: worker `w` parks on
+    /// `work_cv[w]` until the scrubber fills slot `w`.
+    work_cv: Vec<Condvar>,
+    /// The scrubber waits out each tick's interval here, and then for
+    /// its drained batches, paired with `inner`. Workers notify it
+    /// during a drain, shutdown at any time.
     scrub_cv: Condvar,
     stop: AtomicBool,
     metrics: Arc<MetricsRegistry>,
@@ -209,6 +230,11 @@ impl Shared {
 
     fn stopping(&self) -> bool {
         self.stop.load(Ordering::Acquire)
+    }
+
+    /// True when no worker slot holds a batch.
+    fn slots_idle(&self, inner: &Inner) -> bool {
+        (0..self.config.workers).all(|w| inner.core.batch(w).is_none())
     }
 
     /// Sets `substrate_epoch_total` from the store, and the
@@ -247,7 +273,9 @@ impl Shared {
     fn signal_stop(&self) {
         let _guard = self.inner.lock();
         self.stop.store(true, Ordering::Release);
-        self.work_cv.notify_all();
+        for cv in &self.work_cv {
+            cv.notify_all();
+        }
         self.scrub_cv.notify_all();
     }
 
@@ -381,6 +409,7 @@ impl Server {
             SloEngine::serving_defaults(),
             obs,
         );
+        let work_cv = (0..config.workers).map(|_| Condvar::new()).collect();
         let shared = Arc::new(Shared {
             host,
             milr: Mutex::new(milr),
@@ -392,17 +421,18 @@ impl Server {
                 core,
                 queue,
                 next_id: 0,
+                drain: None,
                 digest: OutcomeDigest::default(),
             }),
-            work_cv: Condvar::new(),
+            work_cv,
             scrub_cv: Condvar::new(),
             stop: AtomicBool::new(false),
             metrics,
         });
         let mut threads: Vec<JoinHandle<()>> = (0..shared.config.workers)
-            .map(|_| {
+            .map(|slot| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
+                std::thread::spawn(move || worker_loop(&shared, slot))
             })
             .collect();
         let scrubber = Arc::clone(&shared);
@@ -434,8 +464,8 @@ impl Server {
     }
 
     /// Submits one request (input in the model's per-image shape).
-    /// Resolution is asynchronous: outputs are released only once
-    /// certified.
+    /// Resolution is asynchronous: the request waits in the queue for
+    /// the next scrubber wake, which runs it and certifies its output.
     ///
     /// # Errors
     ///
@@ -461,7 +491,6 @@ impl Server {
         inner.settle();
         drop(inner);
         admitted.map_err(ServeError::Rejected)?;
-        self.shared.work_cv.notify_one();
         Ok(ResponseHandle { id, rx })
     }
 
@@ -512,6 +541,19 @@ impl Server {
     /// [`RejectReason::Shutdown`].
     pub fn shutdown(mut self) -> ServeReport {
         self.stop_threads();
+        // What arrived since the last tick is still queued: forward it
+        // here, one batch at a time (the threads are gone, so every slot
+        // is free), so the final flush can certify it.
+        let mut inner = self.shared.lock();
+        loop {
+            let now = self.shared.now_ns();
+            let Inner { core, queue, .. } = &mut *inner;
+            let Some(slot) = core.dispatch(queue, now) else {
+                break;
+            };
+            inner = run_slot(&self.shared, inner, slot);
+        }
+        drop(inner);
         let now = self.shared.now_ns();
         // Final certification flush: one full detection pass at `now`
         // brackets everything that already finished.
@@ -541,39 +583,53 @@ impl Server {
     }
 }
 
-fn worker_loop(shared: &Shared) {
+/// Worker `slot`'s thread: runs each batch the scrubber puts in its
+/// slot. A filled slot runs even after stop is raised, so no dispatched
+/// batch is left in flight.
+fn worker_loop(shared: &Shared, slot: usize) {
     let mut inner = shared.lock();
     loop {
-        if shared.stopping() {
+        if inner.core.batch(slot).is_some() {
+            inner = run_slot(shared, inner, slot);
+            // A draining scrubber needs a wake-up only to refill a slot
+            // or once the last batch is back.
+            if let Some(left) = inner.drain {
+                if left > 0 || shared.slots_idle(&inner) {
+                    shared.scrub_cv.notify_one();
+                }
+            }
+        } else if shared.stopping() {
             return;
-        }
-        // The core has one slot per worker thread and a thread holds at
-        // most one, so an idle thread always finds a free slot: it parks
-        // only when nothing is queued or the core is quarantined.
-        let now = shared.now_ns();
-        let Inner { core, queue, .. } = &mut *inner;
-        let Some(worker) = core.dispatch(queue, now) else {
-            inner = shared.work_cv.wait(inner).expect("lock poisoned");
-            continue;
-        };
-        let batch = inner.core.batch(worker).expect("dispatched batch");
-        let inputs: Vec<Tensor> = batch.iter().map(|r| r.payload.input.clone()).collect();
-        drop(inner);
-        let outputs = shared.forward(&inputs);
-        inner = shared.lock();
-        // Stamp under the lock: acquisition order keeps ledger stamps
-        // monotone across workers.
-        let now = shared.now_ns();
-        let Inner { core, queue, .. } = &mut *inner;
-        core.worker_done(queue, worker, outputs, now);
-        inner.settle();
-        // Every submission wakes one parked worker, so siblings need a
-        // wake-up only for work still queued here (more than one batch's
-        // worth, or a voided batch gone back on the queue).
-        if !inner.queue.is_empty() {
-            shared.work_cv.notify_all();
+        } else {
+            inner = shared.work_cv[slot].wait(inner).expect("lock poisoned");
         }
     }
+}
+
+/// Runs the batch in `slot`: clones its inputs under the lock, drops the
+/// lock for the forward pass, and retakes it to hand the outputs back.
+/// The finish is stamped under the lock: acquisition order keeps ledger
+/// stamps monotone across workers.
+fn run_slot<'a>(
+    shared: &'a Shared,
+    inner: MutexGuard<'a, Inner>,
+    slot: usize,
+) -> MutexGuard<'a, Inner> {
+    let inputs: Vec<Tensor> = inner
+        .core
+        .batch(slot)
+        .expect("dispatched batch")
+        .iter()
+        .map(|r| r.payload.input.clone())
+        .collect();
+    drop(inner);
+    let outputs = shared.forward(&inputs);
+    let mut inner = shared.lock();
+    let now = shared.now_ns();
+    let Inner { core, queue, .. } = &mut *inner;
+    core.worker_done(queue, slot, outputs, now);
+    inner.settle();
+    inner
 }
 
 /// Runs one engine call with the server's durability policy: journaled
@@ -599,11 +655,49 @@ fn with_durability<T>(shared: &Shared, f: impl FnOnce(&mut dyn DurabilityPolicy)
     }
 }
 
+/// The drain half of a scrubber wake: dispatches the requests queued
+/// at wake-up into the worker slots, at most `batch_max` each, refills
+/// slots as workers finish, and waits on `scrub_cv` until every batch
+/// it dispatched is back in the ledger. Only the count queued at
+/// wake-up is owed, so arrivals during the drain wait for the next tick
+/// (the last batch may carry up to `batch_max − 1` of them). A
+/// quarantined core dispatches nothing, so nothing is waited on.
+/// Returns `None` when shutdown interrupts the wait.
+fn drain<'a>(
+    shared: &'a Shared,
+    mut inner: MutexGuard<'a, Inner>,
+) -> Option<MutexGuard<'a, Inner>> {
+    let mut left = inner.queue.len();
+    loop {
+        if shared.stopping() {
+            inner.drain = None;
+            return None;
+        }
+        let now = shared.now_ns();
+        while left > 0 {
+            let Inner { core, queue, .. } = &mut *inner;
+            let Some(slot) = core.dispatch(queue, now) else {
+                break;
+            };
+            left = left.saturating_sub(core.batch(slot).map_or(0, <[_]>::len));
+            shared.work_cv[slot].notify_one();
+        }
+        inner.settle();
+        if shared.slots_idle(&inner) {
+            inner.drain = None;
+            return Some(inner);
+        }
+        inner.drain = Some(left);
+        inner = shared.scrub_cv.wait(inner).expect("lock poisoned");
+    }
+}
+
 fn scrubber_loop(shared: &Shared) {
     let mut inner = shared.lock();
     loop {
-        // One wait per tick for what is left of the interval; only
-        // shutdown notifies, and a spurious wake-up waits out the rest.
+        // One wait per tick for what is left of the interval; workers
+        // notify only during a drain, shutdown at any time, and a
+        // spurious wake-up waits out the rest.
         let due = Instant::now() + shared.config.scrub_interval;
         loop {
             if shared.stopping() {
@@ -619,6 +713,12 @@ fn scrubber_loop(shared: &Shared) {
                 .expect("lock poisoned")
                 .0;
         }
+        inner = match drain(shared, inner) {
+            Some(inner) => inner,
+            None => return,
+        };
+        // Everything drained finished before this stamp, so a clean
+        // tick certifies all of it.
         let now = shared.now_ns();
         let chunk = inner.core.begin_scrub(now);
         drop(inner);
@@ -634,6 +734,10 @@ fn scrubber_loop(shared: &Shared) {
             .expect("materialized model matches the protected structure")
         };
         inner = shared.lock();
+        // The verdict is stamped after the tick, under the lock as
+        // `worker_done` stamps: released latencies and the quarantine
+        // edge include the tick's own scan time.
+        let now = shared.now_ns();
         let Inner { core, queue, .. } = &mut *inner;
         let quarantined = core.finish_scrub(queue, !detection.is_clean(), now);
         inner.settle();
@@ -667,7 +771,8 @@ fn scrubber_loop(shared: &Shared) {
         inner.core.observe_heals(now, &healed);
         inner.core.resume(now);
         inner.settle();
-        shared.work_cv.notify_all();
+        // The work the quarantine sent back to the queue drains at the
+        // next tick.
     }
 }
 
@@ -791,6 +896,78 @@ mod tests {
         assert_eq!(report.completed, 20);
         assert_eq!(report.rejected, 0);
         assert_eq!(report.quarantines, 0);
+    }
+
+    /// Asserts `out` is bit-equal to the fault-free model's output.
+    fn assert_golden(golden: &Sequential, input: &Tensor, out: &Tensor) {
+        let expect = &golden.forward_batch(std::slice::from_ref(input)).unwrap()[0];
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(out), bits(expect), "served output is off golden");
+    }
+
+    #[test]
+    fn one_tick_forwards_what_queued_as_one_batch() {
+        let golden = serving_model(27);
+        let k = 5;
+        let server = Server::start(
+            &golden,
+            MilrConfig::default(),
+            ServerConfig {
+                workers: 2,
+                batch_max: 8,
+                // Every submission queues well before the first wake.
+                scrub_interval: Duration::from_millis(500),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut rng = TensorRng::new(81);
+        let inputs: Vec<Tensor> = (0..k).map(|_| rng.uniform_tensor(&[10, 10, 1])).collect();
+        let handles: Vec<ResponseHandle> = inputs
+            .iter()
+            .map(|x| server.submit(x.clone()).unwrap())
+            .collect();
+        // Released by the tick, not by the shutdown flush.
+        for (input, handle) in inputs.iter().zip(handles) {
+            assert_golden(&golden, input, &handle.wait().unwrap());
+        }
+        let report = server.shutdown();
+        assert_eq!(report.completed, k);
+        assert_eq!(report.batches, 1);
+        assert_eq!(report.batch_occupancy, k as f64);
+    }
+
+    #[test]
+    fn a_flood_drains_through_refilled_slots_across_ticks() {
+        let golden = serving_model(28);
+        let server = Server::start(
+            &golden,
+            MilrConfig::default(),
+            ServerConfig {
+                workers: 1,
+                batch_max: 2,
+                scrub_interval: Duration::from_millis(1),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut rng = TensorRng::new(82);
+        let inputs: Vec<Tensor> = (0..40).map(|_| rng.uniform_tensor(&[10, 10, 1])).collect();
+        // Four bursts, so the flood spans ticks; each burst is more than
+        // one slot's batch, so a drain must refill the slot.
+        let mut handles = Vec::new();
+        for burst in inputs.chunks(10) {
+            handles.extend(burst.iter().map(|x| server.submit(x.clone()).unwrap()));
+            std::thread::sleep(Duration::from_millis(3));
+        }
+        for (input, handle) in inputs.iter().zip(handles) {
+            assert_golden(&golden, input, &handle.wait().unwrap());
+        }
+        let report = server.shutdown();
+        assert_eq!(report.completed, 40);
+        assert_eq!(report.rejected, 0);
+        assert!(report.batches >= 20, "{} batches", report.batches);
+        assert!(report.scrub_ticks >= 1);
     }
 
     #[test]

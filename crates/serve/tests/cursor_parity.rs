@@ -13,6 +13,13 @@ use milr_models::serving_probe as model;
 use milr_serve::{ModelHost, ScrubCursor};
 use milr_substrate::SubstrateKind;
 
+/// Every chunk size from one layer per tick to one past the whole
+/// set, plus `usize::MAX`: the live server's default sweeps the whole
+/// model per tick.
+fn chunk_sizes(layers: usize) -> impl Iterator<Item = usize> {
+    (1..=layers + 1).chain([usize::MAX])
+}
+
 /// Drives the cursor through exactly one full cycle, detecting each
 /// tick's chunk against the host's decoded weights, and returns the
 /// union of flags plus the certification watermark (if the cycle came
@@ -74,7 +81,7 @@ fn pipeline_tick_cycle_flags_exactly_the_full_detection_set_per_kind() {
     for kind in SubstrateKind::ALL {
         let host = ModelHost::new(&golden, &|c| kind.store(c));
         let mut pipeline = IntegrityPipeline::new(EscalationPolicy::Quarantine, Budget::default());
-        for chunk in 1..=checkable.len() {
+        for chunk in chunk_sizes(checkable.len()) {
             let mut cursor = ScrubCursor::new(checkable.clone(), chunk);
             let (flags, watermark) = tick_sweep_once(&host, &milr, &mut pipeline, &mut cursor, 100);
             assert!(flags.is_empty(), "{kind} chunk {chunk}: phantom flags");
@@ -91,7 +98,7 @@ fn pipeline_tick_cycle_flags_exactly_the_full_detection_set_per_kind() {
         tick_sweep_once(&host, &milr, &mut pipeline, &mut cursor, 150);
         let full = milr.detect(&host.materialize()).unwrap();
         assert!(!full.is_clean(), "{kind}: corruption must be visible");
-        for chunk in 1..=checkable.len() {
+        for chunk in chunk_sizes(checkable.len()) {
             let mut cursor = ScrubCursor::new(checkable.clone(), chunk);
             let (flags, watermark) = tick_sweep_once(&host, &milr, &mut pipeline, &mut cursor, 200);
             assert_eq!(
@@ -119,7 +126,7 @@ fn chunked_sweep_flags_exactly_the_full_detection_set_per_kind() {
     for kind in SubstrateKind::ALL {
         let host = ModelHost::new(&golden, &|c| kind.store(c));
         // Clean host: every chunking certifies with no flags.
-        for chunk in 1..=checkable.len() {
+        for chunk in chunk_sizes(checkable.len()) {
             let mut cursor = ScrubCursor::new(checkable.clone(), chunk);
             let (flags, watermark) = sweep_once(&host, &milr, &mut cursor, 100);
             assert!(flags.is_empty(), "{kind} chunk {chunk}: phantom flags");
@@ -131,7 +138,7 @@ fn chunked_sweep_flags_exactly_the_full_detection_set_per_kind() {
         host.corrupt_weight(5, 1);
         let full = milr.detect(&host.materialize()).unwrap();
         assert!(!full.is_clean(), "{kind}: corruption must be visible");
-        for chunk in 1..=checkable.len() {
+        for chunk in chunk_sizes(checkable.len()) {
             let mut cursor = ScrubCursor::new(checkable.clone(), chunk);
             let (flags, watermark) = sweep_once(&host, &milr, &mut cursor, 200);
             assert_eq!(

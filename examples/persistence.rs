@@ -25,7 +25,6 @@ use milr_serve::{Server, ServerConfig};
 use milr_store::{ContainerFootprint, Store, StoreOptions};
 use milr_substrate::SubstrateKind;
 use milr_tensor::TensorRng;
-use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let golden = reduced_mnist(42).model;
@@ -75,15 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let (server, cold) = Server::start_from_store(
-        &path,
-        64,
-        ServerConfig {
-            workers: 2,
-            scrub_interval: Duration::from_millis(2),
-            ..ServerConfig::default()
-        },
-    )?;
+    let (server, cold) = Server::start_from_store(&path, 64, ServerConfig::default())?;
     println!(
         "[cold-start] scrub corrected {} word(s); MILR flagged layers {:?}; {} heal round(s); re-anchored: {}",
         cold.scrub.corrected, cold.flagged, cold.heal_rounds, cold.reanchored

@@ -75,7 +75,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         MilrConfig::default(),
         ServerConfig {
             workers: 2,
-            scrub_interval: Duration::from_millis(2),
             policy: QuarantinePolicy::Drain,
             ..ServerConfig::default()
         },
