@@ -220,6 +220,12 @@ impl ModelHost {
         &self.store
     }
 
+    /// The per-example input shape the model takes
+    /// ([`Sequential::input_shape`]).
+    pub fn input_shape(&self) -> &[usize] {
+        self.template.input_shape()
+    }
+
     /// Layer indices backed by substrate shards, ascending (shard `k`
     /// holds layer `param_layers()[k]`).
     pub fn param_layers(&self) -> &[usize] {

@@ -9,9 +9,10 @@
 //! ## Architecture
 //!
 //! ```text
-//!  clients ──submit──▶ bounded queue ──batches──▶ worker pool
-//!                                                    │ forward on
-//!                                                    ▼ materialized weights
+//!  clients ──submit──▶ bounded queue ──each tick──▶ forward passes
+//!                                                    (scrubber + helpers)
+//!                                                    │ on decoded
+//!                                                    ▼ substrate weights
 //!  ┌──────────────────────────────┐        certification ledger
 //!  │ ModelHost                    │        (released after a clean
 //!  │  weights in SharedSubstrate  │         bracketing scrub cycle)
@@ -20,7 +21,7 @@
 //!        ▲            ▲
 //!   scrub/detect    recovery write-back
 //!        │            │
-//!   scrubber daemon ──┴── quarantine (drain | reject) on flagged layer
+//!   scrubber ─────────┴── quarantine (drain | reject) on flagged layer
 //! ```
 //!
 //! * [`ModelHost`] owns the weights inside a
@@ -28,10 +29,13 @@
 //!   parameterized layer, so scrubbing one layer never blocks reading
 //!   another. The in-memory skeleton is weightless; every forward pass
 //!   decodes the substrate.
-//! * The **scrubber daemon** sweeps the checkable layers in chunks
-//!   ([`ScrubCursor`]), each tick running the substrate's own scrub
-//!   (ECC) and an incremental MILR detection
-//!   ([`milr_core::Milr::detect_layers`]).
+//! * The **scrubber** checks the weights on a fixed clock, each tick
+//!   running the substrate's own scrub (ECC) and a MILR detection of
+//!   the layers its [`ScrubCursor`] picks
+//!   ([`milr_core::Milr::detect_layers`]). The simulators check a few
+//!   layers per tick; the live [`Server`] checks the whole model, and
+//!   its scrubber also forwards the requests queued since the last
+//!   tick, so one wake is drain → tick → (heal).
 //! * Outputs are **certified before release**
 //!   ([`CertificationLedger`]): a batch is held until a full clean
 //!   scrub cycle *starts after* it finished. Faults are monotone, so
@@ -54,7 +58,8 @@
 //! bit-reproducible under a seed (the benchmark and test path); the
 //! fleet simulation in `milr-fleet` drives one core per replica behind
 //! a shared queue and a router; and [`Server`] runs one core under a
-//! mutex with real worker threads, a scrubber daemon, and the wall
+//! mutex with one scrubber thread — which runs the forward passes too,
+//! with scoped helpers when more than one batch is owed — and the wall
 //! clock. The seeded workload and chaos overlay both simulations draw
 //! from live in [`workload`].
 

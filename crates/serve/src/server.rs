@@ -1,34 +1,31 @@
-//! The live multi-threaded inference server: the [`ServeCore`] under a
-//! mutex, driven by worker threads, a scrubber daemon, and the wall
-//! clock.
+//! The live inference server: the [`ServeCore`] under a mutex, driven
+//! by one scrubber thread and the wall clock.
 //!
 //! A [`Server`] owns a [`ModelHost`] (weights in substrate shards), the
-//! integrity pipeline, and one core with its admission queue. Every
+//! integrity engine, and one core with its admission queue. Every
 //! serving decision — admission, batching, the epoch check,
 //! certification, quarantine, resume, accounting — is the core's, made
-//! under the `inner` lock with the wall clock passed in. The threads
-//! only do the work the core hands out, outside that lock:
+//! under the `inner` lock with the wall clock passed in. The scrubber
+//! wakes once per `scrub_interval` and does the work the core hands
+//! out, outside that lock, in two steps:
 //!
-//! * the **scrubber** wakes once per `scrub_interval` and does two
-//!   things in order. It *drains*: it dispatches every request queued
-//!   at wake-up into the worker slots, at most `batch_max` per slot,
-//!   refilling slots as workers finish, and waits until those batches
-//!   are back in the ledger. It then *certifies*: it runs the
-//!   pipeline's scrub + detect tick unlocked over every checkable
-//!   layer (by default), so a clean verdict releases the whole drained
-//!   set at once. On a quarantine it runs the heal episode unlocked
-//!   before resuming;
-//! * a **worker** runs only the batch the scrubber put in its slot: the
-//!   forward pass unlocked, then the outputs back for that slot.
+//! * it *drains*: it forwards every request queued at wake-up, at most
+//!   `batch_max` per batch. Each batch is one turn of a pull loop:
+//!   dispatch under `inner`, the forward pass unlocked, the outputs back
+//!   under `inner`. The scrubber runs the loop itself; when more than
+//!   one batch is owed, scoped helper threads run it alongside, so up
+//!   to `workers` forward passes are in flight;
+//! * it *certifies*: it runs the engine's scrub + detect tick unlocked
+//!   over every checkable layer (by default), so a clean verdict
+//!   releases the whole drained set at once. On a quarantine it runs
+//!   the heal episode unlocked before resuming.
 //!
 //! An output is released only after a clean tick that started after it
 //! was computed, so a request gains nothing from running the moment it
-//! arrives. `submit` therefore wakes no thread; each tick costs at most
-//! one wake-up per worker plus the scrubber's own, and each batch
-//! carries about one interval's arrivals.
+//! arrives. `submit` therefore wakes no thread, and each batch carries
+//! about one interval's arrivals.
 //!
-//! No thread holds `inner` together with `milr` or `pipeline`; among
-//! those the order is `milr` → `pipeline` → `store`.
+//! No thread holds `inner` together with `engine`.
 
 use crate::report::{OutcomeDigest, ServeReport};
 use crate::request::{RejectReason, RequestStatus};
@@ -55,7 +52,7 @@ use std::time::{Duration, Instant};
 /// Live-server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker pool size.
+    /// Forward passes in flight at once while the scrubber drains.
     pub workers: usize,
     /// Bounded admission-queue capacity.
     pub queue_capacity: usize,
@@ -76,7 +73,7 @@ pub struct ServerConfig {
     /// with wall time since server start (the sim stamps virtual time
     /// instead — same event schema, different clock domain).
     pub trace: Option<TraceHandle>,
-    /// Optional span sink: worker batch trees (batch → decode →
+    /// Optional span sink: batch trees (batch → decode →
     /// forward → layer×N), engine stage trees from the scrubber, and —
     /// for store-backed servers — journal commit and re-anchor trees
     /// all land here, stamped with wall time since server start.
@@ -113,6 +110,14 @@ pub enum ServeError {
     Rejected(RejectReason),
     /// The server was already shut down at submission.
     Stopped,
+    /// The input's shape is not the model's per-example input shape;
+    /// the request was refused before it was queued.
+    BadShape {
+        /// The model's per-example input shape.
+        expected: Vec<usize>,
+        /// The submitted input's shape.
+        got: Vec<usize>,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -120,6 +125,9 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Rejected(reason) => write!(f, "request rejected: {}", reason.name()),
             ServeError::Stopped => write!(f, "server stopped"),
+            ServeError::BadShape { expected, got } => {
+                write!(f, "input shape {got:?} is not the model's {expected:?}")
+            }
         }
     }
 }
@@ -162,11 +170,6 @@ struct Inner {
     core: ServeCore<Client>,
     queue: RequestQueue<Client>,
     next_id: u64,
-    /// While the scrubber drains: how many of the requests queued at its
-    /// wake-up it has still to dispatch. A worker back from its batch
-    /// wakes the scrubber only when it has a slot to refill or when
-    /// every slot is idle.
-    drain: Option<usize>,
     /// The report's outcome digest, folded as requests resolve: no
     /// input or output outlives its request.
     digest: OutcomeDigest,
@@ -174,8 +177,8 @@ struct Inner {
 
 impl Inner {
     /// Answers every client the core resolved. The core's effects need
-    /// no action here: the scrubber wakes the worker of each slot it
-    /// fills, and keeps its own cadence.
+    /// no action here: the puller that dispatched a batch runs it, and
+    /// the scrubber keeps its own cadence.
     fn settle(&mut self) {
         for r in self.core.take_resolved() {
             let Pending {
@@ -193,27 +196,27 @@ impl Inner {
     }
 }
 
-struct Shared {
-    host: ModelHost,
+/// What the scrubber drives and shutdown reads, under one lock.
+struct Engine {
     /// The protection instance. Mutable because recovery re-anchors it
-    /// to the healed state; only the scrubber and shutdown touch it.
-    milr: Mutex<Milr>,
-    /// The shared integrity engine (scrub/detect ticks and heal
-    /// episodes); only the scrubber drives it, shutdown reads its
-    /// report.
-    pipeline: Mutex<IntegrityPipeline>,
+    /// to the healed state.
+    milr: Milr,
+    /// The shared integrity engine: scrub/detect ticks and heal
+    /// episodes.
+    pipeline: IntegrityPipeline,
     /// Present for store-backed servers: heals are flushed through its
     /// journal and re-anchors committed atomically to its container.
-    store: Option<Mutex<milr_store::Store>>,
+    store: Option<milr_store::Store>,
+}
+
+struct Shared {
+    host: ModelHost,
+    engine: Mutex<Engine>,
     config: ServerConfig,
     start: Instant,
     inner: Mutex<Inner>,
-    /// One per worker slot, paired with `inner`: worker `w` parks on
-    /// `work_cv[w]` until the scrubber fills slot `w`.
-    work_cv: Vec<Condvar>,
-    /// The scrubber waits out each tick's interval here, and then for
-    /// its drained batches, paired with `inner`. Workers notify it
-    /// during a drain, shutdown at any time.
+    /// The scrubber waits out each tick's interval here, paired with
+    /// `inner`; only shutdown notifies it.
     scrub_cv: Condvar,
     stop: AtomicBool,
     metrics: Arc<MetricsRegistry>,
@@ -228,13 +231,12 @@ impl Shared {
         self.inner.lock().expect("lock poisoned")
     }
 
-    fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+    fn engine(&self) -> MutexGuard<'_, Engine> {
+        self.engine.lock().expect("engine lock poisoned")
     }
 
-    /// True when no worker slot holds a batch.
-    fn slots_idle(&self, inner: &Inner) -> bool {
-        (0..self.config.workers).all(|w| inner.core.batch(w).is_none())
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
     }
 
     /// Sets `substrate_epoch_total` from the store, and the
@@ -250,8 +252,11 @@ impl Shared {
             .gauge("substrate_epoch_total")
             .set(self.host.store().epoch_total() as i64);
         let (factors, reprotects) = {
-            let milr = self.milr.lock().expect("lock poisoned");
-            (milr.inversion_factor_stats(), milr.reprotect_stats())
+            let engine = self.engine();
+            (
+                engine.milr.inversion_factor_stats(),
+                engine.milr.reprotect_stats(),
+            )
         };
         self.metrics
             .gauge("core_inversion_factor_hits_total")
@@ -267,15 +272,11 @@ impl Shared {
             .set(reprotects.skipped as i64);
     }
 
-    /// Raises the stop flag under the state lock, so a worker or the
-    /// scrubber either sees it before waiting or is waiting when the
-    /// wake-up comes.
+    /// Raises the stop flag under the state lock, so the scrubber either
+    /// sees it before waiting or is waiting when the wake-up comes.
     fn signal_stop(&self) {
         let _guard = self.inner.lock();
         self.stop.store(true, Ordering::Release);
-        for cv in &self.work_cv {
-            cv.notify_all();
-        }
         self.scrub_cv.notify_all();
     }
 
@@ -315,7 +316,7 @@ pub struct Server {
 
 impl Server {
     /// Protects `golden`, moves its weights into substrate shards, and
-    /// starts the worker pool plus the scrubber daemon.
+    /// starts the scrubber.
     ///
     /// # Errors
     ///
@@ -336,8 +337,8 @@ impl Server {
     /// Cold-starts from a persistent `.milr` container: opens the
     /// store (running its crash recovery), scrubs on load, heals any
     /// disk faults and durably re-anchors protection
-    /// ([`crate::cold_start`]) — only then starts the worker pool and
-    /// admits traffic. The scrubber daemon flushes subsequent heals
+    /// ([`crate::cold_start`]) — only then starts the scrubber and
+    /// admits traffic. The scrubber flushes subsequent heals
     /// through the store's journal and commits every re-anchor
     /// atomically. `config.substrate` is ignored — the substrate kind
     /// comes from the container.
@@ -359,7 +360,8 @@ impl Server {
 
     /// Shared tail of both constructors: binds the introspection
     /// listener (before any thread exists, so a bad address leaks
-    /// nothing), assembles the core, and spawns the threads.
+    /// nothing), assembles the core, and spawns the scrubber (plus the
+    /// listener's thread).
     fn start_with(
         host: ModelHost,
         milr: Milr,
@@ -409,34 +411,27 @@ impl Server {
             SloEngine::serving_defaults(),
             obs,
         );
-        let work_cv = (0..config.workers).map(|_| Condvar::new()).collect();
         let shared = Arc::new(Shared {
             host,
-            milr: Mutex::new(milr),
-            pipeline: Mutex::new(pipeline),
-            store: store.map(Mutex::new),
+            engine: Mutex::new(Engine {
+                milr,
+                pipeline,
+                store,
+            }),
             config,
             start,
             inner: Mutex::new(Inner {
                 core,
                 queue,
                 next_id: 0,
-                drain: None,
                 digest: OutcomeDigest::default(),
             }),
-            work_cv,
             scrub_cv: Condvar::new(),
             stop: AtomicBool::new(false),
             metrics,
         });
-        let mut threads: Vec<JoinHandle<()>> = (0..shared.config.workers)
-            .map(|slot| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, slot))
-            })
-            .collect();
         let scrubber = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || scrubber_loop(&scrubber)));
+        let mut threads = vec![std::thread::spawn(move || scrubber_loop(&scrubber))];
         if let Some(listener) = listener {
             let shared = Arc::clone(&shared);
             threads.push(std::thread::spawn(move || {
@@ -471,10 +466,18 @@ impl Server {
     ///
     /// [`ServeError::Rejected`] when the queue is full or a
     /// reject-policy quarantine is shedding; [`ServeError::Stopped`]
-    /// after shutdown.
+    /// after shutdown; [`ServeError::BadShape`] when `input` is not in
+    /// the model's input shape (checked before the request gets an id).
     pub fn submit(&self, input: Tensor) -> Result<ResponseHandle, ServeError> {
         if self.shared.stopping() {
             return Err(ServeError::Stopped);
+        }
+        let expected = self.shared.host.input_shape();
+        if input.shape().dims() != expected {
+            return Err(ServeError::BadShape {
+                expected: expected.to_vec(),
+                got: input.shape().dims().to_vec(),
+            });
         }
         let now = self.shared.now_ns();
         let (tx, rx) = channel();
@@ -542,37 +545,18 @@ impl Server {
     pub fn shutdown(mut self) -> ServeReport {
         self.stop_threads();
         // What arrived since the last tick is still queued: forward it
-        // here, one batch at a time (the threads are gone, so every slot
-        // is free), so the final flush can certify it.
-        let mut inner = self.shared.lock();
-        loop {
-            let now = self.shared.now_ns();
-            let Inner { core, queue, .. } = &mut *inner;
-            let Some(slot) = core.dispatch(queue, now) else {
-                break;
-            };
-            inner = run_slot(&self.shared, inner, slot);
-        }
-        drop(inner);
+        // through the scrubber's drain, so the final flush can certify
+        // it.
+        drain(&self.shared);
         let now = self.shared.now_ns();
         // Final certification flush: one full detection pass at `now`
         // brackets everything that already finished.
         let live = self.shared.host.materialize();
-        let clean = self
-            .shared
-            .milr
-            .lock()
-            .expect("lock poisoned")
-            .detect(&live)
-            .map(|r| r.is_clean())
-            .unwrap_or(false);
-        let pipeline = self
-            .shared
-            .pipeline
-            .lock()
-            .expect("pipeline lock poisoned")
-            .report()
-            .clone();
+        let (clean, pipeline) = {
+            let engine = self.shared.engine();
+            let clean = engine.milr.detect(&live).is_ok_and(|r| r.is_clean());
+            (clean, engine.pipeline.report().clone())
+        };
         let mut inner = self.shared.lock();
         let Inner { core, queue, .. } = &mut *inner;
         core.shutdown(queue, clean, now);
@@ -583,65 +567,22 @@ impl Server {
     }
 }
 
-/// Worker `slot`'s thread: runs each batch the scrubber puts in its
-/// slot. A filled slot runs even after stop is raised, so no dispatched
-/// batch is left in flight.
-fn worker_loop(shared: &Shared, slot: usize) {
-    let mut inner = shared.lock();
-    loop {
-        if inner.core.batch(slot).is_some() {
-            inner = run_slot(shared, inner, slot);
-            // A draining scrubber needs a wake-up only to refill a slot
-            // or once the last batch is back.
-            if let Some(left) = inner.drain {
-                if left > 0 || shared.slots_idle(&inner) {
-                    shared.scrub_cv.notify_one();
-                }
-            }
-        } else if shared.stopping() {
-            return;
-        } else {
-            inner = shared.work_cv[slot].wait(inner).expect("lock poisoned");
-        }
-    }
-}
-
-/// Runs the batch in `slot`: clones its inputs under the lock, drops the
-/// lock for the forward pass, and retakes it to hand the outputs back.
-/// The finish is stamped under the lock: acquisition order keeps ledger
-/// stamps monotone across workers.
-fn run_slot<'a>(
-    shared: &'a Shared,
-    inner: MutexGuard<'a, Inner>,
-    slot: usize,
-) -> MutexGuard<'a, Inner> {
-    let inputs: Vec<Tensor> = inner
-        .core
-        .batch(slot)
-        .expect("dispatched batch")
-        .iter()
-        .map(|r| r.payload.input.clone())
-        .collect();
-    drop(inner);
-    let outputs = shared.forward(&inputs);
-    let mut inner = shared.lock();
-    let now = shared.now_ns();
-    let Inner { core, queue, .. } = &mut *inner;
-    core.worker_done(queue, slot, outputs, now);
-    inner.settle();
-    inner
-}
-
 /// Runs one engine call with the server's durability policy: journaled
 /// best-effort when a store backs the host (failed flushes/commits are
 /// logged and counted, serving continues), volatile otherwise.
-/// Lock order: `milr` (held by the caller where needed) → `pipeline`
-/// (held by the caller) → `store` (taken here).
-fn with_durability<T>(shared: &Shared, f: impl FnOnce(&mut dyn DurabilityPolicy) -> T) -> T {
-    match &shared.store {
+fn with_durability<T>(
+    shared: &Shared,
+    engine: &mut Engine,
+    f: impl FnOnce(&mut Milr, &mut IntegrityPipeline, &mut dyn DurabilityPolicy) -> T,
+) -> T {
+    let Engine {
+        milr,
+        pipeline,
+        store,
+    } = engine;
+    match store {
         Some(store) => {
-            let mut store = store.lock().expect("store lock poisoned");
-            let mut policy = Journaled::best_effort(&mut store);
+            let mut policy = Journaled::best_effort(store);
             if let Some(spans) = &shared.config.spans {
                 let start = shared.start;
                 policy = policy.with_spans(
@@ -649,56 +590,72 @@ fn with_durability<T>(shared: &Shared, f: impl FnOnce(&mut dyn DurabilityPolicy)
                     Box::new(move || start.elapsed().as_nanos() as u64),
                 );
             }
-            f(&mut policy)
+            f(milr, pipeline, &mut policy)
         }
-        None => f(&mut Volatile),
+        None => f(milr, pipeline, &mut Volatile),
     }
 }
 
-/// The drain half of a scrubber wake: dispatches the requests queued
-/// at wake-up into the worker slots, at most `batch_max` each, refills
-/// slots as workers finish, and waits on `scrub_cv` until every batch
-/// it dispatched is back in the ledger. Only the count queued at
-/// wake-up is owed, so arrivals during the drain wait for the next tick
-/// (the last batch may carry up to `batch_max − 1` of them). A
-/// quarantined core dispatches nothing, so nothing is waited on.
-/// Returns `None` when shutdown interrupts the wait.
-fn drain<'a>(
-    shared: &'a Shared,
-    mut inner: MutexGuard<'a, Inner>,
-) -> Option<MutexGuard<'a, Inner>> {
-    let mut left = inner.queue.len();
-    loop {
-        if shared.stopping() {
-            inner.drain = None;
-            return None;
+/// The drain half of a scrubber wake (and of shutdown): forwards the
+/// requests queued now, at most `batch_max` per batch, and returns once
+/// every batch it dispatched is back in the ledger. The calling thread
+/// pulls batches itself; when more than one batch is owed,
+/// `min(workers, batches owed) − 1` scoped helpers pull alongside it.
+/// Only the count queued now is owed, so arrivals during the drain wait
+/// for the next tick (the last batch may carry up to `batch_max − 1` of
+/// them). A quarantined core dispatches nothing.
+fn drain(shared: &Shared) {
+    let (owed, target) = {
+        let inner = shared.lock();
+        let owed = inner.queue.len();
+        (owed, inner.core.counts().batched_requests + owed)
+    };
+    let batches = owed.div_ceil(shared.config.batch_max.max(1));
+    let helpers = shared.config.workers.min(batches).saturating_sub(1);
+    std::thread::scope(|s| {
+        for _ in 0..helpers {
+            s.spawn(|| pull(shared, target));
         }
+        pull(shared, target);
+    });
+}
+
+/// One puller of a drain: until the core has batched `target` requests
+/// in all, dispatches one batch under `inner`, runs its forward pass
+/// unlocked, and hands the outputs back under `inner`. The finish is
+/// stamped under the lock: acquisition order keeps ledger stamps
+/// monotone across pullers. Each puller holds at most one slot, and at
+/// most `workers` pull, so a dispatch always finds a free slot.
+fn pull(shared: &Shared, target: usize) {
+    let mut inner = shared.lock();
+    while inner.core.counts().batched_requests < target {
         let now = shared.now_ns();
-        while left > 0 {
-            let Inner { core, queue, .. } = &mut *inner;
-            let Some(slot) = core.dispatch(queue, now) else {
-                break;
-            };
-            left = left.saturating_sub(core.batch(slot).map_or(0, <[_]>::len));
-            shared.work_cv[slot].notify_one();
-        }
+        let Inner { core, queue, .. } = &mut *inner;
+        let Some(slot) = core.dispatch(queue, now) else {
+            return;
+        };
+        let inputs: Vec<Tensor> = core
+            .batch(slot)
+            .expect("dispatched batch")
+            .iter()
+            .map(|r| r.payload.input.clone())
+            .collect();
+        drop(inner);
+        let outputs = shared.forward(&inputs);
+        inner = shared.lock();
+        let now = shared.now_ns();
+        let Inner { core, queue, .. } = &mut *inner;
+        core.worker_done(queue, slot, outputs, now);
         inner.settle();
-        if shared.slots_idle(&inner) {
-            inner.drain = None;
-            return Some(inner);
-        }
-        inner.drain = Some(left);
-        inner = shared.scrub_cv.wait(inner).expect("lock poisoned");
     }
 }
 
 fn scrubber_loop(shared: &Shared) {
-    let mut inner = shared.lock();
     loop {
-        // One wait per tick for what is left of the interval; workers
-        // notify only during a drain, shutdown at any time, and a
-        // spurious wake-up waits out the rest.
+        // One wait per tick for what is left of the interval; only
+        // shutdown notifies, and a spurious wake-up waits out the rest.
         let due = Instant::now() + shared.config.scrub_interval;
+        let mut inner = shared.lock();
         loop {
             if shared.stopping() {
                 return;
@@ -713,27 +670,25 @@ fn scrubber_loop(shared: &Shared) {
                 .expect("lock poisoned")
                 .0;
         }
-        inner = match drain(shared, inner) {
-            Some(inner) => inner,
-            None => return,
-        };
+        drop(inner);
+        drain(shared);
         // Everything drained finished before this stamp, so a clean
         // tick certifies all of it.
+        let mut inner = shared.lock();
         let now = shared.now_ns();
         let chunk = inner.core.begin_scrub(now);
         drop(inner);
         // Scrub + Detect stages of the shared engine: ECC corrections
         // are heals — journaled before anything certifies on top.
         let TickOutcome { detection, .. } = {
-            let milr = shared.milr.lock().expect("lock poisoned");
-            let mut pipeline = shared.pipeline.lock().expect("pipeline lock poisoned");
-            pipeline.set_now(now);
-            with_durability(shared, |dur| {
-                pipeline.tick(&shared.host, &milr, &chunk, dur)
+            let mut engine = shared.engine();
+            engine.pipeline.set_now(now);
+            with_durability(shared, &mut engine, |milr, pipeline, dur| {
+                pipeline.tick(&shared.host, milr, &chunk, dur)
             })
             .expect("materialized model matches the protected structure")
         };
-        inner = shared.lock();
+        let mut inner = shared.lock();
         // The verdict is stamped after the tick, under the lock as
         // `worker_done` stamps: released latencies and the quarantine
         // edge include the tick's own scan time.
@@ -747,27 +702,28 @@ fn scrubber_loop(shared: &Shared) {
         drop(inner);
 
         // Recover outside the state lock (dispatch is stopped); the
-        // scrubber is the only milr user while serving. The engine runs
-        // heal rounds to completion: write-backs reach disk through the
-        // journal, a clean verify re-protects so an approximate heal
+        // scrubber is the only engine user while serving. The engine
+        // runs heal rounds to completion: write-backs reach disk through
+        // the journal, a clean verify re-protects so an approximate heal
         // cannot leave the stored CRC grids out of sync with storage,
         // and the re-anchor commits atomically. On budget exhaustion it
         // gives up (Quarantine policy) and the next tick re-quarantines.
         let healed = {
-            let mut milr = shared.milr.lock().expect("lock poisoned");
-            let mut pipeline = shared.pipeline.lock().expect("pipeline lock poisoned");
-            pipeline.set_now(shared.now_ns());
-            let outcome = with_durability(shared, |dur| pipeline.run(&shared.host, &mut milr, dur))
-                .expect("recovery propagates only solver errors");
+            let mut engine = shared.engine();
+            engine.pipeline.set_now(shared.now_ns());
+            let outcome = with_durability(shared, &mut engine, |milr, pipeline, dur| {
+                pipeline.run(&shared.host, milr, dur)
+            })
+            .expect("recovery propagates only solver errors");
             debug_assert!(matches!(
                 outcome,
                 RoundOutcome::Clean { .. } | RoundOutcome::GaveUp { .. }
             ));
-            pipeline.report().clone()
+            engine.pipeline.report().clone()
         };
 
         let now = shared.now_ns();
-        inner = shared.lock();
+        let mut inner = shared.lock();
         inner.core.observe_heals(now, &healed);
         inner.core.resume(now);
         inner.settle();
@@ -938,6 +894,74 @@ mod tests {
     }
 
     #[test]
+    fn helpers_pull_a_backlog_of_one_request_batches_in_one_tick() {
+        let golden = serving_model(29);
+        let k = 7;
+        let server = Server::start(
+            &golden,
+            MilrConfig::default(),
+            ServerConfig {
+                workers: 3,
+                batch_max: 1,
+                // Every submission queues well before the first wake.
+                scrub_interval: Duration::from_millis(500),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut rng = TensorRng::new(83);
+        let inputs: Vec<Tensor> = (0..k).map(|_| rng.uniform_tensor(&[10, 10, 1])).collect();
+        let handles: Vec<ResponseHandle> = inputs
+            .iter()
+            .map(|x| server.submit(x.clone()).unwrap())
+            .collect();
+        // Seven batches owed, three pullers: each pulls more than once.
+        // Released by the tick, not by the shutdown flush.
+        for (input, handle) in inputs.iter().zip(handles) {
+            assert_golden(&golden, input, &handle.wait().unwrap());
+        }
+        let report = server.shutdown();
+        assert_eq!(report.completed, k);
+        assert_eq!(report.batches, k);
+    }
+
+    #[test]
+    fn a_mis_shaped_submission_is_refused_and_certification_continues() {
+        let golden = serving_model(29);
+        let server = Server::start(
+            &golden,
+            MilrConfig::default(),
+            ServerConfig {
+                scrub_interval: Duration::from_millis(1),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let refused = server.submit(Tensor::zeros(&[3]));
+        assert_eq!(
+            refused.map(|h| h.id()),
+            Err(ServeError::BadShape {
+                expected: vec![10, 10, 1],
+                got: vec![3],
+            })
+        );
+        let input = TensorRng::new(84).uniform_tensor(&[10, 10, 1]);
+        let handle = server.submit(input.clone()).unwrap();
+        assert_eq!(handle.id(), 0, "the refused input took no id");
+        // Certified by a tick before shutdown, not by its flush.
+        let out = handle
+            .rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("certified within 10 s")
+            .unwrap();
+        assert_golden(&golden, &input, &out);
+        let report = server.shutdown();
+        assert_eq!(report.submitted, 1);
+        assert_eq!(report.completed, 1);
+        assert!(report.scrub_ticks >= 1);
+    }
+
+    #[test]
     fn a_flood_drains_through_refilled_slots_across_ticks() {
         let golden = serving_model(28);
         let server = Server::start(
@@ -1005,7 +1029,7 @@ mod tests {
                     arrival_ns: 0,
                     resolved_ns: 0,
                 }),
-                Err(ServeError::Stopped) => unreachable!("the server is running"),
+                Err(other) => unreachable!("the server is running: {other:?}"),
             }
         }
         for (input, handle) in handles {
@@ -1013,7 +1037,7 @@ mod tests {
             let status = match handle.wait() {
                 Ok(out) => RequestStatus::Completed(out),
                 Err(ServeError::Rejected(reason)) => RequestStatus::Rejected(reason),
-                Err(ServeError::Stopped) => unreachable!("the server is running"),
+                Err(other) => unreachable!("the server is running: {other:?}"),
             };
             seen.push(RequestOutcome {
                 id,
@@ -1103,7 +1127,7 @@ mod tests {
         .unwrap();
         let x = TensorRng::new(5).uniform_tensor(&[10, 10, 1]);
         let h = server.submit(x).unwrap();
-        // Give the worker a moment to compute the batch.
+        // Give the server a moment before shutting it down.
         std::thread::sleep(Duration::from_millis(50));
         let report = server.shutdown();
         // The final flush certifies it (weights are clean), or rejects
@@ -1316,8 +1340,8 @@ mod tests {
         let avail = slo.budget("availability").expect("availability budget");
         assert!(avail.good > 0, "availability window saw serving time");
         assert!(avail.bad > 0, "availability window saw the quarantine");
-        // The worker batch trees and the scrubber's engine trees both
-        // landed in the ring.
+        // The batch trees and the scrubber's engine trees both landed in
+        // the ring.
         let trees = spans.ring().trees();
         assert!(
             trees.iter().any(|t| t.name == "batch"),

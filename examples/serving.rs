@@ -12,9 +12,10 @@
 //! 1. **Deterministic simulation** (virtual clock): a seeded workload
 //!    with background fault injection, reproducible bit-for-bit —
 //!    the path the benchmarks and the end-to-end test use.
-//! 2. **Live threaded server** (wall clock): real worker threads and a
-//!    real scrubber daemon; we inject a fault mid-traffic and verify
-//!    every certified response against the golden model.
+//! 2. **Live threaded server** (wall clock): a real scrubber thread
+//!    that forwards each tick's queued requests and then checks the
+//!    weights; we inject a fault mid-traffic and verify every certified
+//!    response against the golden model.
 
 use milr_core::MilrConfig;
 use milr_models::reduced_mnist;
