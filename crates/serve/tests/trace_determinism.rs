@@ -154,6 +154,84 @@ fn serve_sim_span_jsonl_is_byte_identical_across_runs() {
     assert_ne!(spans_a, span_run(&other));
 }
 
+/// FNV-1a 64 over a byte stream.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// FNV-1a digests of one run's trace JSONL and span JSONL.
+fn stream_digests(cfg: &SimConfig) -> (u64, u64) {
+    let model = milr_models::serving_probe(11);
+    let recorder = Arc::new(RingRecorder::new(65_536));
+    let ring = Arc::new(SpanRing::new(65_536));
+    let obs = Observer::with_trace(recorder.clone()).and_spans(ring.clone());
+    simulate_observed(&model, MilrConfig::default(), cfg, &obs)
+        .expect("seeded simulation is deterministic");
+    assert_eq!(recorder.dropped(), 0);
+    assert_eq!(ring.dropped(), 0);
+    (
+        fnv1a(recorder.to_jsonl().as_bytes()),
+        fnv1a(ring.to_jsonl().as_bytes()),
+    )
+}
+
+/// A chaos campaign with every raw-image regime the sim drives:
+/// double-sided row bursts, stuck-at cells re-asserted before each
+/// tick, a torn write at the Verify seam, and skewed arrivals and
+/// scrub cadence (the `skewed-storm` builtin campaign's overlay).
+fn storm() -> SimConfig {
+    use milr_fault::{BurstPattern, BurstSpec, ChaosSpec, SkewSpec, StuckAtSpec, TornWriteSpec};
+    SimConfig {
+        seed: 0xCA11_0005,
+        requests: 120,
+        faults: 1,
+        kind: milr_substrate::SubstrateKind::Secded,
+        chaos: Some(ChaosSpec {
+            bursts: Some(BurstSpec {
+                pattern: BurstPattern::DoubleSidedRow,
+                bursts: 2,
+                flip_prob_milli: 400,
+            }),
+            stuck_at: Some(StuckAtSpec {
+                bits: 6,
+                from_milli: 100,
+                until_milli: 600,
+            }),
+            torn_write: Some(TornWriteSpec {
+                stage: "Verify".to_string(),
+                fires: 1,
+                flips: 4,
+            }),
+            skew: Some(SkewSpec {
+                arrival_milli: 900,
+                scrub_milli: 1200,
+            }),
+            ..ChaosSpec::default()
+        }),
+        ..SimConfig::default()
+    }
+}
+
+/// The event order itself, pinned across builds: two runs of one build
+/// can agree while a reordered tie in the event queue leaves the report
+/// intact, so the trace and span streams are digested against values
+/// captured before the serving core dropped its effect outbox.
+#[test]
+fn serve_sim_event_order_is_pinned() {
+    assert_eq!(
+        stream_digests(&SimConfig::default()),
+        (4066057147233527292, 17707425371672071496),
+        "default campaign"
+    );
+    assert_eq!(
+        stream_digests(&storm()),
+        (4937585230268463396, 3666910986309437742),
+        "chaos storm"
+    );
+}
+
 #[test]
 fn trace_events_are_well_formed_jsonl() {
     let model = milr_models::serving_probe(11);
