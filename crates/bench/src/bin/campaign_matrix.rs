@@ -13,11 +13,11 @@
 //! Every campaign run is seed-deterministic: the same roster on the
 //! same model prints byte-identical `CampaignReport` JSON. `--slo-gate`
 //! turns the aggregated verdict into the exit code (the CI regression
-//! gate over the nastiest campaigns); `--artifact-dir DIR` writes one
+//! gate over the whole roster); `--artifact-dir DIR` writes one
 //! fleet trace (`TRACE_campaign_<name>.jsonl`) and one SLO verdict
 //! (`SLO_campaign_<name>.json`) per campaign.
 
-use milr_bench::campaigns::{builtin_campaigns, run_campaign_observed, MatrixTuning, CI_GATED};
+use milr_bench::campaigns::{builtin_campaigns, run_campaign_observed, MatrixTuning, NASTIEST};
 use milr_bench::json::write_summary;
 use milr_bench::obs::ObsOutputs;
 use milr_obs::json::{array, JsonObject};
@@ -60,7 +60,7 @@ fn parse_cli() -> Result<Cli, String> {
                     .map_err(|e| format!("bad --model-seed: {e}"))?
             }
             "--campaign" => selected.push(value("--campaign")?),
-            "--nastiest" => selected.extend(CI_GATED.iter().map(|s| s.to_string())),
+            "--nastiest" => selected.extend(NASTIEST.iter().map(|s| s.to_string())),
             "--artifact-dir" => artifact_dir = Some(value("--artifact-dir")?),
             "--json" => json = Some(value("--json")?),
             "--slo-gate" => slo_gate = true,
@@ -100,8 +100,8 @@ fn main() {
                 c.name,
                 c.seed,
                 c.chaos.to_json(),
-                if CI_GATED.contains(&c.name.as_str()) {
-                    "  [ci-gated]"
+                if NASTIEST.contains(&c.name.as_str()) {
+                    "  [nastiest]"
                 } else {
                     ""
                 }

@@ -25,12 +25,11 @@ use milr_serve::sim::SimConfig;
 use milr_serve::ChaosStats;
 use milr_substrate::SubstrateKind;
 
-/// The campaigns CI locks in as `--slo-gate` regression scenarios —
-/// the two nastiest of the builtin roster: the byzantine-donor
-/// campaign (the certified-donor check must catch every corrupted
-/// donation) and the kitchen-sink storm (bursts + stuck-at + torn
-/// writes + schedule skew at once).
-pub const CI_GATED: [&str; 2] = ["byzantine-donors", "skewed-storm"];
+/// The two nastiest campaigns of the builtin roster (`--nastiest`):
+/// the byzantine-donor campaign (the certified-donor check must catch
+/// every corrupted donation) and the kitchen-sink storm (bursts +
+/// stuck-at + torn writes + schedule skew at once).
+pub const NASTIEST: [&str; 2] = ["byzantine-donors", "skewed-storm"];
 
 /// Workload knobs the matrix driver applies to every campaign (the
 /// campaign itself owns seed, chaos composition, and SLOs).
@@ -109,7 +108,7 @@ pub fn slo_suite(decls: &[SloDecl]) -> Vec<SloSpec> {
 }
 
 /// The builtin campaign roster: one campaign per correlated-fault
-/// regime, plus the two [`CI_GATED`] composites.
+/// regime, plus the two [`NASTIEST`] composites.
 pub fn builtin_campaigns() -> Vec<Campaign> {
     vec![
         Campaign {
@@ -415,8 +414,8 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "duplicate campaign names");
-        for gated in CI_GATED {
-            assert!(names.contains(&gated), "CI-gated {gated} not in roster");
+        for gated in NASTIEST {
+            assert!(names.contains(&gated), "nastiest {gated} not in roster");
         }
         // Every campaign declares a non-empty chaos overlay and SLOs.
         for c in &roster {

@@ -48,9 +48,9 @@ use milr_nn::Sequential;
 use milr_obs::{Counter, EventKind, Observer, SloEngine, SloSpec, FLEET_SRC};
 use milr_serve::workload::{campaign_time, conv_layers, ChaosOverlay, EventQueue, Workload};
 use milr_serve::{
-    outcome_digest, ChaosStats, CoreConfig, Effect, OutcomeDigest, QuarantinePolicy,
-    RequestOutcome, RequestQueue, RequestStatus, Resolution, ServeCore, ServeCounts, ServeObs,
-    ServeReport, ServeTally, VirtualCosts,
+    outcome_digest, ChaosStats, CoreConfig, OutcomeDigest, QuarantinePolicy, RequestOutcome,
+    RequestQueue, RequestStatus, Resolution, ServeCore, ServeCounts, ServeObs, ServeReport,
+    ServeTally, VirtualCosts,
 };
 use milr_store::{Store, StoreOptions};
 use milr_substrate::SubstrateKind;
@@ -168,10 +168,8 @@ enum Event {
         replica: usize,
         worker: usize,
     },
-    /// A scrub tick of `replica`, armed in `epoch`.
     ScrubTick {
         replica: usize,
-        epoch: u64,
     },
     /// A whole-weight fault, or with no `weight` a heavy fault that
     /// corrupts the whole layer.
@@ -182,11 +180,9 @@ enum Event {
     },
     RecoveryDone {
         replica: usize,
-        epoch: u64,
     },
     RepairDone {
         replica: usize,
-        epoch: u64,
     },
     ChaosBurst {
         replica: usize,
@@ -236,61 +232,65 @@ struct Fleet<'a> {
     /// The client-facing view: down only while no replica serves.
     view: ServeTally,
     chaos: Option<ChaosOverlay>,
+    /// Nanoseconds between a replica's scrub ticks, chaos skew applied.
+    scrub_interval_ns: u64,
     failovers: Option<Arc<Counter>>,
     repairs: Option<Arc<Counter>>,
 }
 
 impl Fleet<'_> {
-    /// Acts on replica `r`'s core output: a dispatched batch runs its
-    /// forward pass now and completes after its virtual cost, scrub
-    /// ticks are scheduled, and resolutions land in the workload and the
-    /// fleet view.
+    /// Hands replica `r`'s resolutions to the workload and the fleet
+    /// view.
     fn settle(&mut self, r: usize, now: u64) {
-        let m = &mut self.members[r];
-        for effect in m.core.take_effects() {
-            match effect {
-                Effect::Dispatched { worker } => {
-                    let batch = m.core.batch(worker).expect("dispatched batch");
-                    let n = batch.len();
-                    // Fused decode-forward: each shard decodes through
-                    // the host's epoch-tagged cache, so the expensive
-                    // whole-model decode happens only after a
-                    // simulator-visible data change bumps a shard's
-                    // epoch.
-                    let outputs = m
-                        .replica
-                        .host()
-                        .forward_batch(&self.work.inputs(batch))
-                        .expect("batch inputs validated at submission");
-                    m.outputs[worker] = Some(outputs);
-                    self.timeline.schedule(
-                        now + self.cfg.costs.batch_ns(n),
-                        Event::WorkerDone { replica: r, worker },
-                    );
-                }
-                Effect::ScrubDue { at, epoch } => self
-                    .timeline
-                    .schedule(at, Event::ScrubTick { replica: r, epoch }),
-            }
-        }
-        for res in m.core.take_resolved() {
+        for res in self.members[r].core.take_resolved() {
             self.view.resolved(&res.status, res.request.arrival_ns, now);
             let id = self.work.resolve(res);
             self.resolved_by[id] = Some(r);
         }
     }
 
+    /// Arms replica `r`'s next scrub tick, one interval after `now`.
+    /// Ticks are armed at start, after a clean tick, and on rejoin, so
+    /// each replica has at most one pending and none outlives a
+    /// quarantine.
+    fn arm_scrub(&mut self, r: usize, now: u64) {
+        self.timeline.schedule(
+            now + self.scrub_interval_ns,
+            Event::ScrubTick { replica: r },
+        );
+    }
+
     /// Routes queued work round-robin over the replicas that are
     /// serving with a free worker — the failover hand-off: re-queued
-    /// work from a quarantined replica goes to its peers.
+    /// work from a quarantined replica goes to its peers. Each batch
+    /// runs its forward pass now and completes after its virtual cost.
     fn dispatch(&mut self, now: u64) {
         while !self.queue.is_empty() {
             let eligible: Vec<bool> = self.members.iter().map(|m| m.core.can_dispatch()).collect();
             let Some(r) = self.router.route(&eligible) else {
                 break;
             };
-            self.members[r].core.dispatch(&mut self.queue, now);
-            self.settle(r, now);
+            let m = &mut self.members[r];
+            let worker = m
+                .core
+                .dispatch(&mut self.queue, now)
+                .expect("the router picks a replica that can dispatch");
+            let batch = m.core.batch(worker).expect("dispatched batch");
+            let n = batch.len();
+            // Fused decode-forward: each shard decodes through the
+            // host's epoch-tagged cache, so the expensive whole-model
+            // decode happens only after a simulator-visible data change
+            // bumps a shard's epoch.
+            let outputs = m
+                .replica
+                .host()
+                .forward_batch(&self.work.inputs(batch))
+                .expect("batch inputs validated at submission");
+            m.outputs[worker] = Some(outputs);
+            self.timeline.schedule(
+                now + self.cfg.costs.batch_ns(n),
+                Event::WorkerDone { replica: r, worker },
+            );
         }
     }
 
@@ -317,7 +317,7 @@ impl Fleet<'_> {
         m.core.resume(now);
         m.pending_repair.clear();
         self.gate(now);
-        self.settle(r, now);
+        self.arm_scrub(r, now);
         self.dispatch(now);
     }
 
@@ -489,7 +489,6 @@ pub fn simulate_observed(
     let core_cfg = CoreConfig {
         workers: cfg.workers_per_replica,
         batch_max: cfg.batch_max,
-        scrub_interval_ns,
         layers_per_tick: cfg.layers_per_tick,
         policy: cfg.policy,
     };
@@ -531,6 +530,7 @@ pub fn simulate_observed(
             view_obs,
         ),
         chaos,
+        scrub_interval_ns,
         failovers: m.map(|m| m.counter("fleet_failovers_total")),
         repairs: m.map(|m| m.counter("fleet_peer_repairs_total")),
     };
@@ -578,7 +578,7 @@ pub fn simulate_observed(
         fleet.timeline.schedule(time, fault);
     }
     for r in 0..cfg.replicas {
-        fleet.settle(r, 0); // each core's first scrub tick
+        fleet.arm_scrub(r, 0);
     }
     let bursts: Vec<(u64, usize)> = fleet
         .chaos
@@ -622,11 +622,9 @@ pub fn simulate_observed(
                 fleet.settle(r, clock);
                 fleet.dispatch(clock);
             }
-            Event::ScrubTick { replica: r, epoch } => {
-                if !fleet.members[r].core.scrub_due(epoch) {
-                    continue; // stale tick from before a quarantine
-                }
+            Event::ScrubTick { replica: r } => {
                 let m = &mut fleet.members[r];
+                debug_assert!(!m.core.is_quarantined(), "tick outlived a quarantine");
                 if let Some(c) = &mut fleet.chaos {
                     c.assert_stuck(r, &stores[r], &mut m.core, clock);
                 }
@@ -641,9 +639,9 @@ pub fn simulate_observed(
                 if quarantined {
                     // Quarantine: fail traffic over to the peers and
                     // schedule recovery.
-                    let m = &mut fleet.members[r];
-                    m.replica.set_state(ReplicaState::Quarantined);
-                    let epoch = m.core.epoch();
+                    fleet.members[r]
+                        .replica
+                        .set_state(ReplicaState::Quarantined);
                     fleet.gate(clock);
                     if fleet.any_serving() {
                         if let Some(c) = &fleet.failovers {
@@ -652,9 +650,11 @@ pub fn simulate_observed(
                     }
                     fleet.timeline.schedule(
                         clock + cfg.costs.quarantine_ns(checkable.len()),
-                        Event::RecoveryDone { replica: r, epoch },
+                        Event::RecoveryDone { replica: r },
                     );
                     fleet.dispatch(clock);
+                } else {
+                    fleet.arm_scrub(r, clock);
                 }
             }
             Event::Fault {
@@ -673,11 +673,9 @@ pub fn simulate_observed(
                 let weight = weight.map_or(u64::MAX, |w| w as u64);
                 m.core.fault_landed(clock, layer as u32, weight);
             }
-            Event::RecoveryDone { replica: r, epoch } => {
+            Event::RecoveryDone { replica: r } => {
                 let m = &mut fleet.members[r];
-                if epoch != m.core.epoch() || m.replica.state() != ReplicaState::Quarantined {
-                    continue;
-                }
+                debug_assert_eq!(m.replica.state(), ReplicaState::Quarantined);
                 // One heal round of the replica's engine: exact heals
                 // are written back and journal-flushed, min-norm /
                 // failed layers escalate to peer repair, and a clean
@@ -703,7 +701,7 @@ pub fn simulate_observed(
                         m.pending_repair = escalated;
                         fleet.timeline.schedule(
                             clock + pages as u64 * PEER_PAGE_COST_NS + cfg.costs.recover_ns,
-                            Event::RepairDone { replica: r, epoch },
+                            Event::RepairDone { replica: r },
                         );
                     }
                     RoundOutcome::Retry { flagged } => {
@@ -713,7 +711,7 @@ pub fn simulate_observed(
                         );
                         fleet.timeline.schedule(
                             clock + cfg.costs.recover_ns,
-                            Event::RecoveryDone { replica: r, epoch },
+                            Event::RecoveryDone { replica: r },
                         );
                     }
                     outcome @ RoundOutcome::GaveUp { .. } => {
@@ -721,11 +719,9 @@ pub fn simulate_observed(
                     }
                 }
             }
-            Event::RepairDone { replica: r, epoch } => {
+            Event::RepairDone { replica: r } => {
                 let m = &fleet.members[r];
-                if epoch != m.core.epoch() || m.replica.state() != ReplicaState::Repairing {
-                    continue;
-                }
+                debug_assert_eq!(m.replica.state(), ReplicaState::Repairing);
                 // Deterministic donor choice: the lowest-index serving
                 // peer whose pages certify — skipping donors this
                 // replica already caught shipping corrupted pages.
@@ -750,10 +746,9 @@ pub fn simulate_observed(
                     if m.repair_attempts as usize >= m.replica.budget().max_donor_retries {
                         return Err(FleetError::NoHealthyPeer { replica: r, layers });
                     }
-                    fleet.timeline.schedule(
-                        clock + scrub_interval_ns,
-                        Event::RepairDone { replica: r, epoch },
-                    );
+                    fleet
+                        .timeline
+                        .schedule(clock + scrub_interval_ns, Event::RepairDone { replica: r });
                     continue;
                 };
                 // Byzantine donors corrupt the pages in flight — after
@@ -816,7 +811,7 @@ pub fn simulate_observed(
                         m.replica.reset_heal_budget();
                         fleet.timeline.schedule(
                             clock + cfg.costs.recover_ns,
-                            Event::RecoveryDone { replica: r, epoch },
+                            Event::RecoveryDone { replica: r },
                         );
                     }
                     Err(other) => return Err(other),

@@ -38,18 +38,10 @@ impl<T> CertificationLedger<T> {
     }
 
     /// Releases every batch whose finish stamp is `<= watermark` (a
-    /// clean cycle started at `watermark` proves them).
-    pub fn certify_before(&mut self, watermark: u64) -> Vec<T> {
-        self.certify_before_stamped(watermark)
-            .into_iter()
-            .map(|(_, b)| b)
-            .collect()
-    }
-
-    /// [`certify_before`](CertificationLedger::certify_before), keeping
-    /// each batch's finish stamp — callers measuring certification
-    /// hold time (`now − finish`) read it off the pair.
-    pub fn certify_before_stamped(&mut self, watermark: u64) -> Vec<(u64, T)> {
+    /// clean cycle started at `watermark` proves them), each with its
+    /// finish stamp — callers measuring certification hold time
+    /// (`now − finish`) read it off the pair.
+    pub fn certify_before(&mut self, watermark: u64) -> Vec<(u64, T)> {
         let mut out = Vec::new();
         while let Some(&(finish, _)) = self.pending.front() {
             if finish > watermark {
@@ -86,10 +78,10 @@ mod tests {
         l.record(10, "a");
         l.record(20, "b");
         l.record(30, "c");
-        assert_eq!(l.certify_before(20), vec!["a", "b"]);
+        assert_eq!(l.certify_before(20), vec![(10, "a"), (20, "b")]);
         assert_eq!(l.len(), 1);
-        assert_eq!(l.certify_before(19), Vec::<&str>::new());
-        assert_eq!(l.certify_before(30), vec!["c"]);
+        assert_eq!(l.certify_before(19), Vec::<(u64, &str)>::new());
+        assert_eq!(l.certify_before(30), vec![(30, "c")]);
         assert!(l.is_empty());
     }
 

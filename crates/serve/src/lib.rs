@@ -53,7 +53,10 @@
 //! One sans-IO [`ServeCore`] owns that policy — admission, batch
 //! formation, the epoch check, certification, quarantine and resume,
 //! downtime and SLO accounting, the report — and takes time as an
-//! argument. Three thin drivers run it: [`sim::simulate`] drives one
+//! argument. It answers by return value ([`ServeCore::dispatch`] names
+//! the slot to run, [`ServeCore::finish_scrub`] whether the tick
+//! quarantined) and schedules nothing: each driver keeps its own scrub
+//! cadence. Three thin drivers run it: [`sim::simulate`] drives one
 //! core from a discrete-event queue on a **virtual clock**,
 //! bit-reproducible under a seed (the benchmark and test path); the
 //! fleet simulation in `milr-fleet` drives one core per replica behind
@@ -92,8 +95,7 @@ pub use report::{outcome_digest, OutcomeDigest, ServeReport};
 pub use request::{QuarantinePolicy, RejectReason, RequestId, RequestOutcome, RequestStatus};
 pub use scrubber::ScrubCursor;
 pub use serve_core::{
-    CoreConfig, Effect, Pending, RequestQueue, Resolution, ServeCore, ServeCounts, ServeObs,
-    ServeTally,
+    CoreConfig, Pending, RequestQueue, Resolution, ServeCore, ServeCounts, ServeObs, ServeTally,
 };
 pub use server::{ResponseHandle, ServeError, Server, ServerConfig};
 pub use sim::{simulate, simulate_observed, SimConfig, SimResult, VirtualCosts};

@@ -55,7 +55,7 @@ impl ScrubCursor {
     /// when this tick completed a full sweep with no layer flagged —
     /// the certification watermark for work finished before
     /// `cycle_start`.
-    pub fn finish_tick(&mut self, flagged: bool, _now: u64) -> Option<u64> {
+    pub fn finish_tick(&mut self, flagged: bool) -> Option<u64> {
         self.cycle_flagged |= flagged;
         self.pos = self.pos.saturating_add(self.chunk).min(self.layers.len());
         if self.pos >= self.layers.len() {
@@ -89,12 +89,12 @@ mod tests {
         let mut c = ScrubCursor::new(vec![0, 1, 4, 5, 8], 2);
         assert_eq!(c.ticks_per_cycle(), 3);
         assert_eq!(c.begin_tick(10), vec![0, 1]);
-        assert_eq!(c.finish_tick(false, 11), None);
+        assert_eq!(c.finish_tick(false), None);
         assert_eq!(c.begin_tick(20), vec![4, 5]);
-        assert_eq!(c.finish_tick(false, 21), None);
+        assert_eq!(c.finish_tick(false), None);
         assert_eq!(c.begin_tick(30), vec![8]);
         // Clean sweep completes: watermark is the cycle start.
-        assert_eq!(c.finish_tick(false, 31), Some(10));
+        assert_eq!(c.finish_tick(false), Some(10));
         // Next sweep restamps.
         assert_eq!(c.begin_tick(40), vec![0, 1]);
     }
@@ -106,17 +106,13 @@ mod tests {
             assert_eq!(c.ticks_per_cycle(), 1, "chunk {chunk}");
             for start in [10, 20, 30] {
                 assert_eq!(c.begin_tick(start), vec![0, 1, 4, 5, 8], "chunk {chunk}");
-                assert_eq!(
-                    c.finish_tick(false, start + 5),
-                    Some(start),
-                    "chunk {chunk}"
-                );
+                assert_eq!(c.finish_tick(false), Some(start), "chunk {chunk}");
             }
             // A flagged tick certifies nothing; the next clean one does.
             c.begin_tick(40);
-            assert_eq!(c.finish_tick(true, 45), None, "chunk {chunk}");
+            assert_eq!(c.finish_tick(true), None, "chunk {chunk}");
             c.begin_tick(50);
-            assert_eq!(c.finish_tick(false, 55), Some(50), "chunk {chunk}");
+            assert_eq!(c.finish_tick(false), Some(50), "chunk {chunk}");
         }
     }
 
@@ -124,27 +120,27 @@ mod tests {
     fn flagged_tick_poisons_the_cycle() {
         let mut c = ScrubCursor::new(vec![0, 1], 1);
         c.begin_tick(5);
-        assert_eq!(c.finish_tick(true, 6), None);
+        assert_eq!(c.finish_tick(true), None);
         c.begin_tick(7);
         // Sweep completes but was flagged: no watermark.
-        assert_eq!(c.finish_tick(false, 8), None);
+        assert_eq!(c.finish_tick(false), None);
         // A fully clean sweep afterwards certifies.
         c.begin_tick(9);
-        c.finish_tick(false, 10);
+        c.finish_tick(false);
         c.begin_tick(11);
-        assert_eq!(c.finish_tick(false, 12), Some(9));
+        assert_eq!(c.finish_tick(false), Some(9));
     }
 
     #[test]
     fn reset_restarts_the_sweep() {
         let mut c = ScrubCursor::new(vec![0, 1, 2], 2);
         c.begin_tick(1);
-        c.finish_tick(false, 2);
+        c.finish_tick(false);
         c.reset();
         assert_eq!(c.begin_tick(50), vec![0, 1]);
-        c.finish_tick(false, 51);
+        c.finish_tick(false);
         assert_eq!(c.begin_tick(60), vec![2]);
-        assert_eq!(c.finish_tick(false, 61), Some(50));
+        assert_eq!(c.finish_tick(false), Some(50));
     }
 
     #[test]

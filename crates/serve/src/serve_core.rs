@@ -22,11 +22,13 @@
 //!   [`ServeReport`] assembly.
 //!
 //! The core never touches threads, clocks, the model host, or the
-//! integrity pipeline. Every call takes `now` as an argument; the
-//! core answers with [`Resolution`]s (requests reaching a terminal
-//! state) and [`Effect`]s (a batch to run, a scrub tick to arm), which
-//! the driver drains in order after each call. Forward passes, scrub
-//! ticks, and heals happen in the driver between calls.
+//! integrity pipeline, and it schedules nothing. Every call takes `now`
+//! as an argument; the core answers by return value —
+//! [`ServeCore::dispatch`] names the worker slot whose batch to run,
+//! [`ServeCore::finish_scrub`] says whether the tick quarantined — and
+//! with [`Resolution`]s (requests reaching a terminal state), which the
+//! driver drains after each call. Forward passes, the scrub cadence,
+//! and heals belong to the driver.
 
 use crate::ledger::CertificationLedger;
 use crate::metrics::{DowntimeLog, LatencyStats};
@@ -66,26 +68,6 @@ pub struct Resolution<P> {
     pub at_ns: u64,
 }
 
-/// Something the driver must do, in the order the core produced it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Effect {
-    /// A batch went to worker slot `worker`: run its forward pass
-    /// ([`ServeCore::batch`] lists the requests) and report back with
-    /// [`ServeCore::worker_done`].
-    Dispatched {
-        /// The worker slot.
-        worker: usize,
-    },
-    /// The next scrub tick is due at `at`; when it fires,
-    /// [`ServeCore::scrub_due`] says whether it is still live.
-    ScrubDue {
-        /// Fire time on the driver's clock.
-        at: u64,
-        /// Epoch the tick was scheduled in.
-        epoch: u64,
-    },
-}
-
 /// The policy knobs of one serving instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
@@ -93,8 +75,6 @@ pub struct CoreConfig {
     pub workers: usize,
     /// Maximum requests coalesced into one batch.
     pub batch_max: usize,
-    /// Scrub cadence, nanoseconds between ticks.
-    pub scrub_interval_ns: u64,
     /// Checkable layers examined per scrub tick.
     pub layers_per_tick: usize,
     /// What happens to queued and in-flight work during quarantine.
@@ -455,13 +435,11 @@ pub struct ServeCore<P> {
     heals_seen: (usize, usize),
     tally: ServeTally,
     resolved: Vec<Resolution<P>>,
-    effects: Vec<Effect>,
 }
 
 impl<P> ServeCore<P> {
     /// A serving instance scrubbing `checkable` layers, judged by
-    /// `slo`, observed through `obs`. Its clock starts at 0 with the
-    /// first scrub tick armed.
+    /// `slo`, observed through `obs`. Its clock starts at 0.
     ///
     /// # Panics
     ///
@@ -469,7 +447,7 @@ impl<P> ServeCore<P> {
     pub fn new(cfg: CoreConfig, checkable: Vec<usize>, slo: SloEngine, obs: ServeObs) -> Self {
         assert!(cfg.workers > 0, "need at least one worker");
         assert!(cfg.batch_max > 0, "need a non-empty batch");
-        let mut core = ServeCore {
+        ServeCore {
             cursor: ScrubCursor::new(checkable, cfg.layers_per_tick),
             slots: (0..cfg.workers).map(|_| None).collect(),
             cfg,
@@ -481,15 +459,7 @@ impl<P> ServeCore<P> {
             heals_seen: (0, 0),
             tally: ServeTally::new(slo, obs),
             resolved: Vec::new(),
-            effects: Vec::new(),
-        };
-        core.arm_scrub(0);
-        core
-    }
-
-    /// The current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+        }
     }
 
     /// True while a quarantine is in progress.
@@ -536,17 +506,6 @@ impl<P> ServeCore<P> {
         self.resolved.drain(..)
     }
 
-    /// Drains the effects produced since the last call, in order.
-    pub fn take_effects(&mut self) -> Vec<Effect> {
-        std::mem::take(&mut self.effects)
-    }
-
-    /// Drops the effects produced since the last call, keeping the
-    /// buffer (for a driver that acts on none of them).
-    pub fn discard_effects(&mut self) {
-        self.effects.clear();
-    }
-
     fn free_worker(&self) -> Option<usize> {
         self.slots.iter().position(Option::is_none)
     }
@@ -560,17 +519,10 @@ impl<P> ServeCore<P> {
         });
     }
 
-    fn arm_scrub(&mut self, now: u64) {
-        self.effects.push(Effect::ScrubDue {
-            at: now + self.cfg.scrub_interval_ns,
-            epoch: self.epoch,
-        });
-    }
-
     /// Admission control for one arrival into the instance's own
     /// `queue`: a reject-policy quarantine sheds it, a full queue
-    /// refuses it. Dispatch is a separate step: [`ServeCore::admit`]
-    /// fills every free worker slot, [`ServeCore::dispatch`] one.
+    /// refuses it. Dispatch is a separate step
+    /// ([`ServeCore::dispatch`]).
     ///
     /// # Errors
     ///
@@ -591,15 +543,11 @@ impl<P> ServeCore<P> {
         }
     }
 
-    /// Fills every free worker slot from `queue`, one batch each (the
-    /// driver pushes work to free workers).
-    pub fn admit(&mut self, queue: &mut RequestQueue<P>, now: u64) {
-        while self.dispatch(queue, now).is_some() {}
-    }
-
     /// Dispatches one batch of up to `batch_max` queued requests into
     /// the lowest free worker slot and returns that slot; `None` when
-    /// quarantined, out of work, or out of workers.
+    /// quarantined, out of work, or out of workers. The driver runs the
+    /// slot's forward pass ([`ServeCore::batch`] lists the requests) and
+    /// reports back with [`ServeCore::worker_done`].
     pub fn dispatch(&mut self, queue: &mut RequestQueue<P>, now: u64) -> Option<usize> {
         if self.quarantined || queue.is_empty() {
             return None;
@@ -632,7 +580,6 @@ impl<P> ServeCore<P> {
             reqs,
             epoch: self.epoch,
         });
-        self.effects.push(Effect::Dispatched { worker });
         Some(worker)
     }
 
@@ -674,12 +621,6 @@ impl<P> ServeCore<P> {
         }
     }
 
-    /// True when a scrub tick armed in `epoch` is still live (no
-    /// quarantine since, and none in progress).
-    pub fn scrub_due(&self, epoch: u64) -> bool {
-        !self.quarantined && epoch == self.epoch
-    }
-
     /// Starts a scrub tick at `now`: the layers the driver should scrub
     /// and detect.
     pub fn begin_scrub(&mut self, now: u64) -> Vec<usize> {
@@ -692,12 +633,12 @@ impl<P> ServeCore<P> {
     /// it started. A flagged tick quarantines the instance: everything
     /// uncertified is voided and dispatch stops until
     /// [`ServeCore::resume`]; under Reject an instance's own queue is
-    /// shed too. Returns true when the tick quarantined; otherwise the
-    /// next tick is armed.
+    /// shed too. Returns true when the tick quarantined; a driver with
+    /// a scrub cadence arms its next tick only on false.
     pub fn finish_scrub(&mut self, queue: &mut RequestQueue<P>, flagged: bool, now: u64) -> bool {
-        if let Some(cycle_start) = self.cursor.finish_tick(flagged, now) {
+        if let Some(cycle_start) = self.cursor.finish_tick(flagged) {
             self.last_clean_cycle = Some(cycle_start);
-            for (finish, (reqs, outputs)) in self.ledger.certify_before_stamped(cycle_start) {
+            for (finish, (reqs, outputs)) in self.ledger.certify_before(cycle_start) {
                 if let Some(h) = &self.tally.obs.ledger_hold {
                     h.record(now.saturating_sub(finish));
                 }
@@ -707,7 +648,6 @@ impl<P> ServeCore<P> {
             }
         }
         if !flagged {
-            self.arm_scrub(now);
             return false;
         }
         self.tally.counts.quarantines += 1;
@@ -749,8 +689,8 @@ impl<P> ServeCore<P> {
     }
 
     /// Ends the quarantine: the instance serves again and restarts its
-    /// scrub sweep (the next tick is armed). Call [`ServeCore::admit`]
-    /// to dispatch what waited.
+    /// scrub sweep. A driver with a scrub cadence arms its next tick,
+    /// then calls [`ServeCore::dispatch`] for what waited.
     pub fn resume(&mut self, now: u64) {
         self.quarantined = false;
         self.tally.set_serving(now, true);
@@ -758,7 +698,6 @@ impl<P> ServeCore<P> {
             .obs
             .emit(now, EventKind::Quarantine { entered: false });
         self.cursor.reset();
-        self.arm_scrub(now);
     }
 
     /// An injection landed on the weights at `now`: it counts as a
@@ -790,7 +729,7 @@ impl<P> ServeCore<P> {
     /// [`RejectReason::Shutdown`].
     pub fn shutdown(&mut self, queue: &mut RequestQueue<P>, clean: bool, now: u64) {
         if clean {
-            for (reqs, outputs) in self.ledger.certify_before(now) {
+            for (_, (reqs, outputs)) in self.ledger.certify_before(now) {
                 for (req, out) in reqs.into_iter().zip(outputs) {
                     self.resolve(req, RequestStatus::Completed(out), now);
                 }
@@ -837,7 +776,7 @@ mod tests {
     use super::*;
 
     /// One worker slot per `workers`, two checkable layers scrubbed one
-    /// per tick (a scrub cycle is two ticks), a 100 ns scrub cadence.
+    /// per tick (a scrub cycle is two ticks).
     fn core(
         policy: QuarantinePolicy,
         workers: usize,
@@ -846,17 +785,15 @@ mod tests {
         let cfg = CoreConfig {
             workers,
             batch_max,
-            scrub_interval_ns: 100,
             layers_per_tick: 1,
             policy,
         };
-        let mut core = ServeCore::new(
+        let core = ServeCore::new(
             cfg,
             vec![0, 1],
             SloEngine::serving_defaults(),
             ServeObs::default(),
         );
-        core.take_effects(); // the first scrub tick
         (core, RequestQueue::new(16, None))
     }
 
@@ -868,10 +805,16 @@ mod tests {
         }
     }
 
-    /// An arrival at `now` that is admitted and pushed to free workers.
-    fn push(c: &mut ServeCore<()>, q: &mut RequestQueue<()>, id: u64, now: u64) {
+    /// Dispatches into every free worker slot; returns the slots filled.
+    fn fill(c: &mut ServeCore<()>, q: &mut RequestQueue<()>, now: u64) -> Vec<usize> {
+        std::iter::from_fn(|| c.dispatch(q, now)).collect()
+    }
+
+    /// An arrival at `now` that is admitted and pushed to free workers;
+    /// returns the slots filled.
+    fn push(c: &mut ServeCore<()>, q: &mut RequestQueue<()>, id: u64, now: u64) -> Vec<usize> {
         c.arrive(q, req(id, now), now).unwrap();
-        c.admit(q, now);
+        fill(c, q, now)
     }
 
     fn out() -> Vec<Tensor> {
@@ -910,8 +853,7 @@ mod tests {
     fn a_batch_finishing_after_a_quarantine_is_requeued_or_rejected() {
         for policy in [QuarantinePolicy::Drain, QuarantinePolicy::Reject] {
             let (mut c, mut q) = core(policy, 1, 4);
-            push(&mut c, &mut q, 0, 0);
-            assert_eq!(c.take_effects(), vec![Effect::Dispatched { worker: 0 }]);
+            assert_eq!(push(&mut c, &mut q, 0, 0), vec![0]);
             // The weights go bad while the batch is in flight.
             assert!(flag(&mut c, &mut q, 1));
             c.worker_done(&mut q, 0, out(), 2);
@@ -921,10 +863,10 @@ mod tests {
                     assert_eq!(queued_ids(&q), vec![0]);
                     assert_eq!(c.counts().reexecuted, 1);
                     // Not dispatched until the quarantine ends.
-                    c.admit(&mut q, 3);
+                    assert!(fill(&mut c, &mut q, 3).is_empty());
                     assert!(c.batch(0).is_none());
                     c.resume(4);
-                    c.admit(&mut q, 4);
+                    fill(&mut c, &mut q, 4);
                     assert_eq!(c.batch(0).map(<[_]>::len), Some(1));
                 }
                 QuarantinePolicy::Reject => {
@@ -1042,8 +984,7 @@ mod tests {
         let (mut c, mut q) = core(QuarantinePolicy::Drain, 1, 2);
         c.arrive(&mut q, req(0, 0), 0).unwrap();
         c.arrive(&mut q, req(1, 1), 1).unwrap();
-        c.admit(&mut q, 1);
-        assert_eq!(c.take_effects(), vec![Effect::Dispatched { worker: 0 }]);
+        assert_eq!(fill(&mut c, &mut q, 1), vec![0]);
         assert_eq!(c.batch(0).map(<[_]>::len), Some(2));
         assert_eq!(c.counts().batches, 1);
         assert_eq!(c.counts().full_batches, 1);

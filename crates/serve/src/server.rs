@@ -176,9 +176,7 @@ struct Inner {
 }
 
 impl Inner {
-    /// Answers every client the core resolved. The core's effects need
-    /// no action here: the puller that dispatched a batch runs it, and
-    /// the scrubber keeps its own cadence.
+    /// Answers every client the core resolved.
     fn settle(&mut self) {
         for r in self.core.take_resolved() {
             let Pending {
@@ -192,7 +190,6 @@ impl Inner {
                 RequestStatus::Rejected(reason) => Err(ServeError::Rejected(reason)),
             });
         }
-        self.core.discard_effects();
     }
 }
 
@@ -401,7 +398,6 @@ impl Server {
         let core_cfg = CoreConfig {
             workers: config.workers,
             batch_max: config.batch_max,
-            scrub_interval_ns: config.scrub_interval.as_nanos() as u64,
             layers_per_tick: config.layers_per_tick,
             policy: config.policy,
         };

@@ -8,17 +8,18 @@
 //! the same seed produce bit-identical outcomes and the same
 //! [`ServeReport::digest`](crate::ServeReport::digest). This is the path
 //! the end-to-end test and `serve_load`/`fig12 --measured` benchmarks
-//! use; the live [`Server`](crate::Server) runs the same core on worker
-//! threads and the wall clock.
+//! use; the live [`Server`](crate::Server) runs the same core from its
+//! scrubber thread on the wall clock.
 //!
 //! The driver owns only what the core leaves out: the model host and
-//! the integrity pipeline, the virtual cost of each batch and heal, the
-//! fault campaign, and the cold redeploy a chaos campaign can force when
-//! a heal episode exceeds single-instance recovery capacity.
+//! the integrity pipeline, the scrub cadence, the virtual cost of each
+//! batch and heal, the fault campaign, and the cold redeploy a chaos
+//! campaign can force when a heal episode exceeds single-instance
+//! recovery capacity.
 
 use crate::report::{outcome_digest, ServeReport};
 use crate::request::{QuarantinePolicy, RequestOutcome};
-use crate::serve_core::{CoreConfig, Effect, RequestQueue, ServeCore, ServeObs};
+use crate::serve_core::{CoreConfig, RequestQueue, ServeCore, ServeObs};
 use crate::workload::{campaign_time, conv_layers, ChaosOverlay, ChaosStats, EventQueue, Workload};
 use milr_core::{Milr, MilrConfig, SolvingPlan};
 use milr_fault::{ChaosSpec, FaultRng};
@@ -151,19 +152,14 @@ pub struct SimResult {
 enum Event {
     Arrival(usize),
     WorkerDone(usize),
-    /// A scrub tick armed in `epoch`.
-    ScrubTick {
-        epoch: u64,
-    },
+    ScrubTick,
     Fault {
         layer: usize,
         weight: usize,
     },
     /// One correlated chaos burst over the raw image.
     ChaosBurst,
-    RecoveryDone {
-        epoch: u64,
-    },
+    RecoveryDone,
 }
 
 /// Runs one deterministic serving simulation.
@@ -198,48 +194,47 @@ struct Sim<'a> {
     /// Outputs of each worker's batch, computed at dispatch (the
     /// weights as they were then) and handed to the core at completion.
     outputs: Vec<Option<Vec<Tensor>>>,
+    /// Nanoseconds between scrub ticks, chaos skew applied.
+    scrub_interval_ns: u64,
 }
 
 impl Sim<'_> {
-    /// Acts on the core's effects in order — a dispatched batch runs its
-    /// forward pass now and completes after its virtual cost; a scrub
-    /// tick is scheduled — and records its resolutions.
-    fn settle(&mut self, now: u64) {
-        for effect in self.core.take_effects() {
-            match effect {
-                Effect::Dispatched { worker } => {
-                    let batch = self.core.batch(worker).expect("dispatched batch");
-                    let n = batch.len();
-                    let outputs = self
-                        .host
-                        .forward_batch(&self.work.inputs(batch))
-                        .expect("batch inputs validated at submission");
-                    self.outputs[worker] = Some(outputs);
-                    let costs = &self.cfg.costs;
-                    if let Some(sp) = self.spans {
-                        // Span tree from the modeled costs: the virtual
-                        // clock does not advance inside the host call.
-                        let decode_done = now + costs.batch_base_ns;
-                        let span_done = now + costs.batch_ns(n);
-                        let mut tree = SpanTree::new();
-                        tree.open(now, "batch", n as u64);
-                        tree.open(now, "decode", n as u64);
-                        tree.close(decode_done);
-                        tree.open(decode_done, "forward", n as u64);
-                        tree.close(span_done);
-                        sp.push_all(tree.finish(span_done));
-                    }
-                    self.timeline
-                        .schedule(now + costs.batch_ns(n), Event::WorkerDone(worker));
-                }
-                Effect::ScrubDue { at, epoch } => {
-                    self.timeline.schedule(at, Event::ScrubTick { epoch });
-                }
+    /// Fills every free worker slot: each dispatched batch runs its
+    /// forward pass now and completes after its virtual cost.
+    fn dispatch(&mut self, now: u64) {
+        while let Some(worker) = self.core.dispatch(&mut self.queue, now) {
+            let batch = self.core.batch(worker).expect("dispatched batch");
+            let n = batch.len();
+            let outputs = self
+                .host
+                .forward_batch(&self.work.inputs(batch))
+                .expect("batch inputs validated at submission");
+            self.outputs[worker] = Some(outputs);
+            let costs = &self.cfg.costs;
+            if let Some(sp) = self.spans {
+                // Span tree from the modeled costs: the virtual clock
+                // does not advance inside the host call.
+                let decode_done = now + costs.batch_base_ns;
+                let span_done = now + costs.batch_ns(n);
+                let mut tree = SpanTree::new();
+                tree.open(now, "batch", n as u64);
+                tree.open(now, "decode", n as u64);
+                tree.close(decode_done);
+                tree.open(decode_done, "forward", n as u64);
+                tree.close(span_done);
+                sp.push_all(tree.finish(span_done));
             }
+            self.timeline
+                .schedule(now + costs.batch_ns(n), Event::WorkerDone(worker));
         }
-        for r in self.core.take_resolved() {
-            self.work.resolve(r);
-        }
+    }
+
+    /// Arms the next scrub tick, one interval after `now`. Ticks are
+    /// armed at start, after a clean tick, and on resume, so at most
+    /// one is ever pending and none outlives a quarantine.
+    fn arm_scrub(&mut self, now: u64) {
+        self.timeline
+            .schedule(now + self.scrub_interval_ns, Event::ScrubTick);
     }
 }
 
@@ -306,7 +301,6 @@ pub fn simulate_observed(
     let core_cfg = CoreConfig {
         workers: cfg.workers,
         batch_max: cfg.batch_max,
-        scrub_interval_ns: ChaosOverlay::scrub_interval(spec, cfg.scrub_interval_ns),
         layers_per_tick: cfg.layers_per_tick,
         policy: cfg.policy,
     };
@@ -351,8 +345,9 @@ pub fn simulate_observed(
         core,
         queue,
         outputs: vec![None; cfg.workers],
+        scrub_interval_ns: ChaosOverlay::scrub_interval(spec, cfg.scrub_interval_ns),
     };
-    sim.settle(0); // the core's first scrub tick
+    sim.arm_scrub(0);
 
     let mut clock = 0u64;
     let mut events = 0u64;
@@ -366,18 +361,16 @@ pub fn simulate_observed(
                 let req = sim.work.request(i);
                 // A rejection is already resolved by the core.
                 if sim.core.arrive(&mut sim.queue, req, clock).is_ok() {
-                    sim.core.admit(&mut sim.queue, clock);
+                    sim.dispatch(clock);
                 }
             }
             Event::WorkerDone(worker) => {
                 let outputs = sim.outputs[worker].take().expect("worker was busy");
                 sim.core.worker_done(&mut sim.queue, worker, outputs, clock);
-                sim.core.admit(&mut sim.queue, clock);
+                sim.dispatch(clock);
             }
-            Event::ScrubTick { epoch } => {
-                if !sim.core.scrub_due(epoch) {
-                    continue; // stale tick from before a quarantine
-                }
+            Event::ScrubTick => {
+                debug_assert!(!sim.core.is_quarantined(), "tick outlived a quarantine");
                 if let Some(c) = &mut chaos {
                     c.assert_stuck(0, host.store(), &mut sim.core, clock);
                 }
@@ -391,10 +384,10 @@ pub fn simulate_observed(
                 }
                 let flagged = !tick.detection.is_clean();
                 if sim.core.finish_scrub(&mut sim.queue, flagged, clock) {
-                    let epoch = sim.core.epoch();
                     let cost = cfg.costs.quarantine_ns(checkable.len());
-                    sim.timeline
-                        .schedule(clock + cost, Event::RecoveryDone { epoch });
+                    sim.timeline.schedule(clock + cost, Event::RecoveryDone);
+                } else {
+                    sim.arm_scrub(clock);
                 }
             }
             Event::Fault { layer, weight } => {
@@ -405,10 +398,8 @@ pub fn simulate_observed(
                 let c = chaos.as_mut().expect("burst event without a campaign");
                 c.burst(host.store(), &mut sim.core, clock);
             }
-            Event::RecoveryDone { epoch } => {
-                if epoch != sim.core.epoch() {
-                    continue;
-                }
+            Event::RecoveryDone => {
+                debug_assert!(sim.core.is_quarantined(), "recovery outside a quarantine");
                 // One heal round of the shared engine: detect → heal →
                 // fast-path verify, and — once clean — the re-protect
                 // that keeps an approximate heal (partial-
@@ -432,7 +423,8 @@ pub fn simulate_observed(
                             pipeline.reset_budget();
                         }
                         sim.core.resume(clock);
-                        sim.core.admit(&mut sim.queue, clock);
+                        sim.arm_scrub(clock);
+                        sim.dispatch(clock);
                     }
                     RoundOutcome::Retry { flagged } => {
                         let mut cost = cfg.costs.recover_ns;
@@ -459,8 +451,7 @@ pub fn simulate_observed(
                             c.stats.redeploys += 1;
                             cost *= checkable.len() as u64;
                         }
-                        sim.timeline
-                            .schedule(clock + cost, Event::RecoveryDone { epoch });
+                        sim.timeline.schedule(clock + cost, Event::RecoveryDone);
                     }
                     outcome => unreachable!(
                         "volatile quarantine serving neither escalates nor gives up before \
@@ -469,7 +460,9 @@ pub fn simulate_observed(
                 }
             }
         }
-        sim.settle(clock);
+        for r in sim.core.take_resolved() {
+            sim.work.resolve(r);
+        }
         if sim.work.drained() && !sim.core.is_quarantined() && sim.core.certified_since_last_fault()
         {
             break;

@@ -38,7 +38,7 @@ fn sweep_once(
         let live = host.materialize_layers(&chunk);
         let report = milr.detect_layers(&live, &chunk).unwrap();
         flagged.extend(report.flagged.iter().copied());
-        if let Some(cycle_start) = cursor.finish_tick(!report.is_clean(), now) {
+        if let Some(cycle_start) = cursor.finish_tick(!report.is_clean()) {
             watermark = Some(cycle_start);
         }
     }
@@ -64,7 +64,7 @@ fn tick_sweep_once(
         let chunk = cursor.begin_tick(now);
         let outcome = pipeline.tick(host, milr, &chunk, &mut Volatile).unwrap();
         flagged.extend(outcome.detection.flagged.iter().copied());
-        if let Some(cycle_start) = cursor.finish_tick(!outcome.detection.is_clean(), now) {
+        if let Some(cycle_start) = cursor.finish_tick(!outcome.detection.is_clean()) {
             watermark = Some(cycle_start);
         }
     }
@@ -169,7 +169,7 @@ fn parity_survives_mid_cycle_reset() {
         let chunk = cursor.begin_tick(10);
         let live = host.materialize_layers(&chunk);
         let _ = milr.detect_layers(&live, &chunk).unwrap();
-        cursor.finish_tick(false, 10);
+        cursor.finish_tick(false);
         cursor.reset();
         let (flags, _) = sweep_once(&host, &milr, &mut cursor, 20);
         assert_eq!(flags, full.flagged, "{kind}: reset broke sweep parity");
