@@ -313,6 +313,25 @@ mod tests {
         assert_ne!(fwd, outcome_digest(&[changed, b]));
     }
 
+    /// Pins the words each status folds in: a completion's output bits,
+    /// `QueueFull` as 1 and `Shutdown` as 3. Every committed digest
+    /// that holds a rejection depends on them.
+    #[test]
+    fn digest_words_are_pinned() {
+        let set = [
+            outcome(0, RequestStatus::Completed(Tensor::ones(&[2]))),
+            outcome(1, RequestStatus::Rejected(RejectReason::QueueFull)),
+            outcome(2, RequestStatus::Rejected(RejectReason::Shutdown)),
+        ];
+        const PINNED: u64 = 0x9a84a929ae3b7584;
+        assert_eq!(outcome_digest(&set), PINNED);
+        let mut folder = OutcomeDigest::default();
+        for o in set.iter().rev() {
+            folder.push(o.id, &o.status);
+        }
+        assert_eq!(folder.finish(), PINNED);
+    }
+
     /// Outcome `id` drawn from `pick`: an output of 0–3 values (`±0`
     /// and NaN among them) or one of the reject reasons.
     fn drawn(id: u64, pick: u32, raw: u32) -> RequestOutcome {
