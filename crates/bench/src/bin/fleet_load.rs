@@ -10,7 +10,7 @@
 //! cargo run --release -p milr-bench --bin fleet_load
 //! cargo run --release -p milr-bench --bin fleet_load -- \
 //!     --replicas 3 --requests 200 --faults 2 --heavy-faults 1 \
-//!     --policy drain --json BENCH_fleet.json
+//!     --json BENCH_fleet.json
 //! ```
 //!
 //! The run is deterministic under `--seed`: re-running prints the same
@@ -22,7 +22,6 @@ use milr_bench::obs::ObsOutputs;
 use milr_core::MilrConfig;
 use milr_fleet::FleetConfig;
 use milr_obs::json::JsonObject;
-use milr_serve::QuarantinePolicy;
 use milr_substrate::SubstrateKind;
 
 struct Cli {
@@ -98,13 +97,6 @@ fn parse_cli() -> Result<Cli, String> {
                     other => return Err(format!("unknown substrate {other}")),
                 }
             }
-            "--policy" => {
-                fleet.policy = match value("--policy")?.as_str() {
-                    "drain" => QuarantinePolicy::Drain,
-                    "reject" => QuarantinePolicy::Reject,
-                    other => return Err(format!("unknown policy {other}")),
-                }
-            }
             "--trace-out" => trace_out = Some(value("--trace-out")?),
             "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
             "--spans-out" => spans_out = Some(value("--spans-out")?),
@@ -134,7 +126,7 @@ fn main() {
             eprintln!(
                 "usage: [--replicas N] [--requests N] [--seed N] [--model-seed N] [--workers N] \
                  [--faults N] [--heavy-faults N] [--substrate plain|secded|xts|xts+secded] \
-                 [--policy drain|reject] [--trace-out FILE] [--metrics-out FILE] \
+                 [--trace-out FILE] [--metrics-out FILE] \
                  [--spans-out FILE] [--slo-out FILE] [--slo-gate] [--json FILE]"
             );
             std::process::exit(2);
@@ -155,11 +147,10 @@ fn main() {
 
     println!("# fleet_load — replicated serving with peer repair [reduced MNIST twin]");
     println!(
-        "fleet:    {} replicas × {} workers, {} substrate, policy {}, seed {:#x}",
+        "fleet:    {} replicas × {} workers, {} substrate, seed {:#x}",
         r.replicas,
         cli.fleet.workers_per_replica,
         cli.fleet.kind.name(),
-        r.fleet.policy,
         r.fleet.seed
     );
     println!(

@@ -7,7 +7,7 @@
 //! ```text
 //! cargo run --release -p milr-bench --bin serve_load
 //! cargo run --release -p milr-bench --bin serve_load -- \
-//!     --requests 400 --faults 3 --policy reject --json BENCH_serve.json
+//!     --requests 400 --faults 3 --json BENCH_serve.json
 //! ```
 //!
 //! The run is deterministic under `--seed`: re-running prints the same
@@ -25,7 +25,6 @@ use milr_bench::serve::run_measured_observed;
 use milr_core::MilrConfig;
 use milr_obs::json::JsonObject;
 use milr_serve::sim::SimConfig;
-use milr_serve::QuarantinePolicy;
 
 struct Cli {
     sim: SimConfig,
@@ -87,13 +86,6 @@ fn parse_cli() -> Result<Cli, String> {
                     .map_err(|e| format!("bad --scrub-interval-us: {e}"))?;
                 sim.scrub_interval_ns = us * 1_000;
             }
-            "--policy" => {
-                sim.policy = match value("--policy")?.as_str() {
-                    "drain" => QuarantinePolicy::Drain,
-                    "reject" => QuarantinePolicy::Reject,
-                    other => return Err(format!("unknown policy {other}")),
-                }
-            }
             "--check-report-against" => {
                 check_report_against = Some(value("--check-report-against")?)
             }
@@ -147,7 +139,7 @@ fn main() {
             eprintln!("error: {msg}");
             eprintln!(
                 "usage: [--requests N] [--seed N] [--model-seed N] [--workers N] [--faults N] \
-                 [--batch-max N] [--scrub-interval-us N] [--policy drain|reject] \
+                 [--batch-max N] [--scrub-interval-us N] \
                  [--check-report-against FILE] [--trace-out FILE] [--metrics-out FILE] \
                  [--spans-out FILE] [--slo-out FILE] [--json FILE]"
             );
@@ -169,8 +161,8 @@ fn main() {
 
     println!("# serve_load — online serving with live fault scrubbing [reduced MNIST twin]");
     println!(
-        "workload: {} requests, {} workers, batch ≤ {}, policy {}, seed {:#x}",
-        r.submitted, cli.sim.workers, cli.sim.batch_max, r.policy, r.seed
+        "workload: {} requests, {} workers, batch ≤ {}, seed {:#x}",
+        r.submitted, cli.sim.workers, cli.sim.batch_max, r.seed
     );
     println!(
         "outcome:  {} completed, {} rejected, {} re-executed after flagged scrubs",

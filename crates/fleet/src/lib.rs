@@ -32,10 +32,9 @@
 //!   chunked scrub cursor, and a certification ledger. Health is a
 //!   [`ReplicaState`]: `Serving` / `Quarantined` / `Repairing` / `Cold`.
 //! * The [`Router`] spreads batches round-robin over `Serving`
-//!   replicas; a quarantine fails traffic over — under the `Drain`
-//!   policy the quarantined replica's voided work re-queues onto the
-//!   fleet queue and peers absorb it, so **no request is lost during
-//!   failover**.
+//!   replicas; a quarantine fails traffic over — the quarantined
+//!   replica's voided work re-queues onto the fleet queue and peers
+//!   absorb it, so **no request is lost during failover**.
 //! * Recovery first tries a MILR heal. When the recovery report marks a
 //!   layer irrecoverable ([`milr_core::RecoveryOutcome::is_exact`] is
 //!   false — the `Approx`/`Failed` outcomes: a conv heal the stored CRC

@@ -120,7 +120,6 @@ mod tests {
     fn report(digest: u64) -> ServeReport {
         ServeReport {
             seed: 1,
-            policy: "drain".into(),
             submitted: 4,
             completed: 4,
             rejected: 0,

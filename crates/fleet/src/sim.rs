@@ -32,9 +32,9 @@
 //!   re-protects, re-anchors, and rejoins serving the **exact** golden
 //!   weights.
 //!
-//! Throughout both, the drain policy re-queues voided work onto the
-//! fleet queue where healthy peers absorb it: no request is lost during
-//! failover.
+//! Throughout both, a quarantined replica's voided work goes back onto
+//! the fleet queue where healthy peers absorb it: no request is lost
+//! during failover.
 
 use crate::repair::{apply_repair, fetch_certified, PageImage};
 use crate::replica::{Replica, ReplicaState};
@@ -48,7 +48,7 @@ use milr_nn::Sequential;
 use milr_obs::{Counter, EventKind, Observer, SloEngine, SloSpec, FLEET_SRC};
 use milr_serve::workload::{campaign_time, conv_layers, ChaosOverlay, EventQueue, Workload};
 use milr_serve::{
-    outcome_digest, ChaosStats, CoreConfig, OutcomeDigest, QuarantinePolicy, RequestOutcome,
+    outcome_digest, ChaosStats, CoreConfig, OutcomeDigest, RejectReason, RequestOutcome,
     RequestQueue, RequestStatus, Resolution, ServeCore, ServeCounts, ServeObs, ServeReport,
     ServeTally, VirtualCosts,
 };
@@ -90,11 +90,6 @@ pub struct FleetConfig {
     pub scrub_interval_ns: u64,
     /// Checkable layers examined per scrub tick.
     pub layers_per_tick: usize,
-    /// What happens to a quarantined replica's queued/in-flight work.
-    /// `Drain` re-queues it onto the fleet queue (peers absorb it);
-    /// `Reject` completes it with errors. Arrivals are only rejected
-    /// under `Reject` while **zero** replicas are serving.
-    pub policy: QuarantinePolicy,
     /// Recoverable whole-weight faults, spread over the replicas.
     pub faults: usize,
     /// Beyond-MILR-capacity faults: each corrupts **every** weight of
@@ -134,7 +129,6 @@ impl Default for FleetConfig {
             batch_max: 8,
             scrub_interval_ns: 4_000_000,
             layers_per_tick: 2,
-            policy: QuarantinePolicy::Drain,
             faults: 2,
             heavy_faults: 0,
             costs: VirtualCosts::default(),
@@ -223,8 +217,8 @@ struct Fleet<'a> {
     cfg: &'a FleetConfig,
     timeline: EventQueue<Event>,
     work: Workload,
-    /// Which replica resolved each request (`None`: the fleet shed it
-    /// at admission).
+    /// Which replica resolved each request (`None`: the full fleet
+    /// queue refused it at admission).
     resolved_by: Vec<Option<usize>>,
     queue: RequestQueue<()>,
     router: Router,
@@ -490,7 +484,6 @@ pub fn simulate_observed(
         workers: cfg.workers_per_replica,
         batch_max: cfg.batch_max,
         layers_per_tick: cfg.layers_per_tick,
-        policy: cfg.policy,
     };
     let members: Vec<Member> = replicas
         .into_iter()
@@ -519,7 +512,7 @@ pub fn simulate_observed(
         timeline: EventQueue::new(),
         resolved_by: vec![None; cfg.requests],
         work,
-        queue: RequestQueue::shared(cfg.queue_capacity, view_obs.queue_depth.clone()),
+        queue: RequestQueue::new(cfg.queue_capacity, view_obs.queue_depth.clone()),
         router: Router::new(cfg.replicas),
         members,
         view: ServeTally::new(
@@ -599,13 +592,12 @@ pub fn simulate_observed(
         clock = time;
         match event {
             Event::Arrival(i) => {
-                // Arrivals are shed only under Reject while no replica
-                // serves at all.
-                let shed = cfg.policy == QuarantinePolicy::Reject && !fleet.any_serving();
-                match fleet.queue.admit(fleet.work.request(i), shed) {
+                // Arrivals queue even while no replica serves; only a
+                // full fleet queue refuses one.
+                match fleet.queue.admit(fleet.work.request(i)) {
                     Ok(()) => fleet.dispatch(clock),
-                    Err((request, reason)) => {
-                        let status = RequestStatus::Rejected(reason);
+                    Err(request) => {
+                        let status = RequestStatus::Rejected(RejectReason::QueueFull);
                         fleet.view.resolved(&status, request.arrival_ns, clock);
                         fleet.work.resolve(Resolution {
                             request,
@@ -895,7 +887,6 @@ pub fn simulate_observed(
     let fleet_report = view.report(
         clock,
         cfg.seed,
-        cfg.policy,
         cfg.requests,
         outcome_digest(&outcomes),
         pipeline,
@@ -1134,33 +1125,5 @@ mod tests {
         let b = simulate(&model, MilrConfig::default(), &quiet).unwrap();
         assert_eq!(a.report.to_json(), b.report.to_json());
         assert!(b.chaos.is_none(), "quiet spec must report no chaos");
-    }
-
-    #[test]
-    fn reject_policy_sheds_only_the_quarantined_replicas_work() {
-        let model = fleet_model(6);
-        let cfg = FleetConfig {
-            requests: 120,
-            faults: 2,
-            policy: QuarantinePolicy::Reject,
-            kind: SubstrateKind::Plain,
-            ..FleetConfig::default()
-        };
-        let result = simulate(&model, MilrConfig::default(), &cfg).unwrap();
-        let r = &result.report;
-        assert!(r.fleet.quarantines >= 1);
-        assert_eq!(r.fleet.reexecuted, 0, "reject never re-queues");
-        assert_eq!(
-            r.fleet.completed + r.fleet.rejected,
-            r.fleet.submitted,
-            "every request resolves exactly once"
-        );
-        // Completed outputs still bit-exact golden.
-        for o in &result.outcomes {
-            if let RequestStatus::Completed(out) = &o.status {
-                let expect = &model.forward_batch(std::slice::from_ref(&o.input)).unwrap()[0];
-                assert_eq!(out.data(), expect.data());
-            }
-        }
     }
 }

@@ -10,9 +10,8 @@
 //!    stores (raw page equality, layer by layer);
 //! 2. every completed request's output is bit-identical to the
 //!    fault-free model's forward pass;
-//! 3. **no request is lost during failover**: under the drain policy
-//!    every request completes, and completed + rejected == submitted
-//!    always;
+//! 3. **no request is lost during failover**: every request completes,
+//!    and completed + rejected == submitted always;
 //! 4. the run is **deterministic**: the same seed yields a
 //!    byte-identical `ServeReport` aggregate (and full `FleetReport`)
 //!    twice in a row; a different seed diverges.
@@ -24,7 +23,7 @@ use milr_fleet::{simulate, FleetConfig};
 // corruption of it is beyond MILR's recoverable set and must take the
 // peer-repair path.
 use milr_models::serving_probe as fleet_model;
-use milr_serve::{QuarantinePolicy, RequestStatus};
+use milr_serve::RequestStatus;
 use milr_store::Store;
 use milr_substrate::SubstrateKind;
 use std::path::PathBuf;
@@ -37,7 +36,6 @@ fn campaign(seed: u64, kind: SubstrateKind, dir: Option<PathBuf>) -> FleetConfig
         requests: 120,
         faults: 2,
         heavy_faults: 1,
-        policy: QuarantinePolicy::Drain,
         dir,
         ..FleetConfig::default()
     }
@@ -117,35 +115,23 @@ fn beyond_capacity_damage_is_peer_repaired_bit_exactly_on_every_substrate() {
 #[test]
 fn same_seed_yields_byte_identical_fleet_aggregate() {
     let golden = fleet_model(0xD5D);
-    for policy in [QuarantinePolicy::Drain, QuarantinePolicy::Reject] {
-        let cfg = FleetConfig {
-            policy,
-            ..campaign(77, SubstrateKind::Secded, None)
-        };
-        let a = simulate(&golden, MilrConfig::default(), &cfg).unwrap();
-        let b = simulate(&golden, MilrConfig::default(), &cfg).unwrap();
-        // Byte-identical ServeReport aggregate (availability included)
-        // and full fleet report, twice in a row.
-        assert_eq!(
-            a.report.fleet.availability.to_bits(),
-            b.report.fleet.availability.to_bits(),
-            "{policy:?}"
-        );
-        assert_eq!(a.report.fleet, b.report.fleet, "{policy:?}");
-        assert_eq!(a.report, b.report, "{policy:?}");
-        assert_eq!(a.report.to_json(), b.report.to_json(), "{policy:?}");
-        assert_eq!(a.outcomes.len(), b.outcomes.len());
-        for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {
-            assert_eq!(x, y, "{policy:?}");
-        }
+    let cfg = campaign(77, SubstrateKind::Secded, None);
+    let a = simulate(&golden, MilrConfig::default(), &cfg).unwrap();
+    let b = simulate(&golden, MilrConfig::default(), &cfg).unwrap();
+    // Byte-identical ServeReport aggregate (availability included)
+    // and full fleet report, twice in a row.
+    assert_eq!(
+        a.report.fleet.availability.to_bits(),
+        b.report.fleet.availability.to_bits()
+    );
+    assert_eq!(a.report.fleet, b.report.fleet);
+    assert_eq!(a.report, b.report);
+    assert_eq!(a.report.to_json(), b.report.to_json());
+    assert_eq!(a.outcomes.len(), b.outcomes.len());
+    for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {
+        assert_eq!(x, y);
     }
     // A different seed steers the campaign elsewhere.
-    let a = simulate(
-        &golden,
-        MilrConfig::default(),
-        &campaign(77, SubstrateKind::Secded, None),
-    )
-    .unwrap();
     let c = simulate(
         &golden,
         MilrConfig::default(),
@@ -153,46 +139,4 @@ fn same_seed_yields_byte_identical_fleet_aggregate() {
     )
     .unwrap();
     assert_ne!(a.report.fleet.digest, c.report.fleet.digest);
-}
-
-#[test]
-fn whole_fleet_outage_under_reject_sheds_arrivals() {
-    // Concentrate the campaign so hard that all three replicas are
-    // down at once at some point: heavy faults on every replica.
-    let golden = fleet_model(0xBAD);
-    // Seed 2 is pinned because its campaign demonstrably overlaps all
-    // three replicas' outages (the downtime assertion below enforces
-    // that the overlap stays real).
-    let cfg = FleetConfig {
-        seed: 2,
-        replicas: 3,
-        kind: SubstrateKind::Plain,
-        requests: 150,
-        faults: 3,
-        heavy_faults: 2,
-        policy: QuarantinePolicy::Reject,
-        ..FleetConfig::default()
-    };
-    let result = simulate(&golden, MilrConfig::default(), &cfg).unwrap();
-    let r = &result.report;
-    assert_eq!(
-        r.fleet.completed + r.fleet.rejected,
-        r.fleet.submitted,
-        "every request resolves exactly once"
-    );
-    assert!(r.fleet.quarantines >= 2);
-    // The campaign really did take the whole fleet down at some point
-    // (otherwise the zero-serving arrival-shedding branch is untested)
-    // and arrivals were shed during the outage.
-    assert!(r.fleet.downtime_ns > 0, "no whole-fleet outage occurred");
-    assert!(r.fleet.rejected > 0, "reject policy must shed arrivals");
-    // Whatever completed is still bit-exact golden.
-    for o in &result.outcomes {
-        if let RequestStatus::Completed(out) = &o.status {
-            let expect = &golden
-                .forward_batch(std::slice::from_ref(&o.input))
-                .unwrap()[0];
-            assert_eq!(out.data(), expect.data(), "request {}", o.id);
-        }
-    }
 }

@@ -11,7 +11,7 @@
 use milr_core::MilrConfig;
 use milr_fleet::FleetConfig;
 use milr_serve::sim::SimConfig;
-use milr_serve::{QuarantinePolicy, ServeReport};
+use milr_serve::ServeReport;
 use milr_substrate::SubstrateKind;
 
 /// `serving_probe(11)`, `SimConfig::default()` — captured at PR 4.
@@ -21,15 +21,6 @@ const SERVE_DEFAULT: &str = "{\"seed\":6165246,\"policy\":\"drain\",\"submitted\
 \"durability_errors\":0,\"total_ns\":115000000,\"downtime_ns\":23000000,\
 \"availability\":0.800000000,\"latency_mean_us\":30162.986,\"latency_p50_us\":31513.914,\
 \"latency_p95_us\":48861.030,\"latency_max_us\":52346.619,\"digest\":12855914172184449660}";
-
-/// `serving_probe(11)`, seed `0xD00D`, 120 requests, 1 fault, reject
-/// policy — captured at PR 4.
-const SERVE_REJECT: &str = "{\"seed\":53261,\"policy\":\"reject\",\"submitted\":120,\
-\"completed\":67,\"rejected\":53,\"reexecuted\":0,\"faults_injected\":1,\
-\"scrub_corrected\":0,\"scrub_ticks\":16,\"quarantines\":1,\"layers_recovered\":1,\
-\"durability_errors\":0,\"total_ns\":75500000,\"downtime_ns\":11500000,\
-\"availability\":0.847682119,\"latency_mean_us\":15038.921,\"latency_p50_us\":14738.177,\
-\"latency_p95_us\":20425.638,\"latency_max_us\":21648.882,\"digest\":6611031403539652287}";
 
 /// The fleet view of `serving_probe(11)`, `FleetConfig::default()` with
 /// 100 requests, 2 faults + 1 heavy fault, plain substrate — captured
@@ -92,22 +83,6 @@ fn serve_sim_default_seed_is_byte_identical_to_pre_refactor() {
     assert_eq!(result.report.pipeline.fast_verifies, 2);
     assert!(result.report.pipeline.layers_skipped > 0);
     assert_eq!(result.report.pipeline.stage_ns.heal, 0, "virtual clock");
-}
-
-#[test]
-fn serve_sim_reject_seed_is_byte_identical_to_pre_refactor() {
-    let model = milr_models::serving_probe(11);
-    let cfg = SimConfig {
-        seed: 0xD00D,
-        requests: 120,
-        faults: 1,
-        policy: QuarantinePolicy::Reject,
-        ..SimConfig::default()
-    };
-    let result = milr_serve::simulate(&model, MilrConfig::default(), &cfg)
-        .expect("seeded simulation is deterministic");
-    assert_legacy_prefix(&result.report, SERVE_REJECT, "serve reject");
-    assert_eq!(result.report.digest, 6611031403539652287);
 }
 
 #[test]

@@ -55,6 +55,10 @@ fn status_text(status: u16) -> &'static str {
 /// Largest request head accepted before the connection is dropped.
 const MAX_HEAD_BYTES: usize = 8192;
 
+/// How long one read or write on a connection may block before the
+/// connection is dropped.
+const IO_TIMEOUT: Duration = Duration::from_millis(500);
+
 /// Reads one request head and returns `(method, path)` — the path
 /// with any query string stripped. `None` on malformed or timed-out
 /// input (the connection is simply dropped).
@@ -106,9 +110,10 @@ fn write_response(stream: &mut TcpStream, resp: &HttpResponse) -> std::io::Resul
 /// Accept loop: serves one request per connection through `route`
 /// until `stop` reports true. The listener is switched to
 /// non-blocking so the stop flag is polled every few milliseconds —
-/// shutdown never waits on an idle socket. Individual connection
-/// errors are swallowed (the client sees a dropped connection; the
-/// server keeps serving).
+/// shutdown never waits on an idle socket — and each connection's
+/// reads and writes time out after 500 ms, so it never waits long on a
+/// stalled client either. Individual connection errors are swallowed
+/// (the client sees a dropped connection; the server keeps serving).
 pub fn serve_until(
     listener: TcpListener,
     stop: impl Fn() -> bool,
@@ -119,7 +124,11 @@ pub fn serve_until(
         match listener.accept() {
             Ok((mut stream, _)) => {
                 let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+                // Both directions time out: a client that stops
+                // reading must not block the only connection thread,
+                // which shutdown joins.
+                let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+                let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
                 if let Some((method, path)) = read_request(&mut stream) {
                     let resp = route(&method, &path);
                     let _ = write_response(&mut stream, &resp);

@@ -40,9 +40,10 @@
 //!   ([`CertificationLedger`]): a batch is held until a full clean
 //!   scrub cycle *starts after* it finished. Faults are monotone, so
 //!   the clean cycle proves the batch ran on clean weights; a flagged
-//!   scrub quarantines the service ([`QuarantinePolicy`]), voids
-//!   everything uncertified, recovers with MILR, verifies, resumes,
-//!   and re-executes the voided work. Certified outputs therefore
+//!   scrub quarantines the service, voids everything uncertified back
+//!   onto the queue, recovers with MILR, verifies, resumes, and
+//!   re-executes the voided work. A quarantine costs clients latency,
+//!   never an error. Certified outputs therefore
 //!   match the fault-free model bit-for-bit whenever recovery is
 //!   bit-exact (CRC-verified convolution recovery is; see the
 //!   end-to-end test).
@@ -92,7 +93,7 @@ pub use milr_integrity::{
     Budget, EscalationPolicy, IntegrityPipeline, ModelHost, PipelineReport, RoundOutcome,
 };
 pub use report::{outcome_digest, OutcomeDigest, ServeReport};
-pub use request::{QuarantinePolicy, RejectReason, RequestId, RequestOutcome, RequestStatus};
+pub use request::{RejectReason, RequestId, RequestOutcome, RequestStatus};
 pub use scrubber::ScrubCursor;
 pub use serve_core::{
     CoreConfig, Pending, RequestQueue, Resolution, ServeCore, ServeCounts, ServeObs, ServeTally,

@@ -2,7 +2,7 @@
 //! latency distribution, and the modeled-vs-measured comparison hook.
 
 use crate::metrics::LatencyStats;
-use crate::request::{RequestId, RequestOutcome, RequestStatus};
+use crate::request::{RejectReason, RequestId, RequestOutcome, RequestStatus};
 use milr_integrity::PipelineReport;
 use milr_obs::json::JsonObject;
 use std::collections::BTreeMap;
@@ -12,13 +12,11 @@ use std::collections::BTreeMap;
 pub struct ServeReport {
     /// Seed the run was driven by (0 for live runs without one).
     pub seed: u64,
-    /// Quarantine policy name (`drain` / `reject`).
-    pub policy: String,
     /// Requests submitted.
     pub submitted: usize,
     /// Requests completed with certified outputs.
     pub completed: usize,
-    /// Requests rejected (queue-full, quarantine shedding, shutdown).
+    /// Requests rejected (queue full, shutdown).
     pub rejected: usize,
     /// Request executions discarded and re-run because a scrub flagged
     /// the weights they may have been computed on.
@@ -146,11 +144,14 @@ impl OutcomeDigest {
 }
 
 /// The words an outcome folds in after its id: `0` and the output bits,
-/// or `1 +` the reject reason.
+/// or a reject reason's word. The words are fixed here rather than taken
+/// from the enum's discriminants, so that committed digests holding a
+/// rejection stay valid whatever the enum's order; `2` is unused.
 fn status_words(status: &RequestStatus) -> impl Iterator<Item = u64> + '_ {
     let (head, bits): (u64, &[f32]) = match status {
         RequestStatus::Completed(out) => (0, out.data()),
-        RequestStatus::Rejected(reason) => (1 + *reason as u64, &[]),
+        RequestStatus::Rejected(RejectReason::QueueFull) => (1, &[]),
+        RequestStatus::Rejected(RejectReason::Shutdown) => (3, &[]),
     };
     std::iter::once(head).chain(bits.iter().map(|v| v.to_bits() as u64))
 }
@@ -213,7 +214,6 @@ impl ServeReport {
         }
         ServeReport {
             seed: reports[0].seed,
-            policy: reports[0].policy.clone(),
             submitted: reports.iter().map(|r| r.submitted).sum(),
             completed: reports.iter().map(|r| r.completed).sum(),
             rejected: reports.iter().map(|r| r.rejected).sum(),
@@ -250,10 +250,15 @@ impl ServeReport {
     /// byte-compares this prefix across refactors — with the pipeline
     /// block and the newer fields (p99, batch-occupancy stats) after
     /// it, and the SLO verdict, when present, last.
+    ///
+    /// `"policy":"drain"` is a constant: quarantined work is always
+    /// re-queued and re-executed, and the key stays only because the
+    /// committed goldens and the CI serve baseline pin it. It goes when
+    /// those are next re-recorded.
     pub fn to_json(&self) -> String {
         let json = JsonObject::new()
             .raw("seed", self.seed)
-            .string("policy", &self.policy)
+            .string("policy", "drain")
             .raw("submitted", self.submitted)
             .raw("completed", self.completed)
             .raw("rejected", self.rejected)
@@ -288,7 +293,6 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::RejectReason;
     use milr_tensor::Tensor;
     use proptest::prelude::*;
 
@@ -335,13 +339,12 @@ mod tests {
     /// Outcome `id` drawn from `pick`: an output of 0–3 values (`±0`
     /// and NaN among them) or one of the reject reasons.
     fn drawn(id: u64, pick: u32, raw: u32) -> RequestOutcome {
-        let status = match pick % 6 {
+        let status = match pick % 5 {
             0 => RequestStatus::Rejected(RejectReason::QueueFull),
-            1 => RequestStatus::Rejected(RejectReason::Quarantined),
-            2 => RequestStatus::Rejected(RejectReason::Shutdown),
+            1 => RequestStatus::Rejected(RejectReason::Shutdown),
             n => {
                 let values = [f32::from_bits(raw), -0.0, f32::NAN];
-                let out = values[..(n - 3) as usize + 1].to_vec();
+                let out = values[..(n - 2) as usize + 1].to_vec();
                 let len = out.len();
                 RequestStatus::Completed(Tensor::from_vec(out, &[len]).unwrap())
             }
@@ -355,7 +358,7 @@ mod tests {
         #[test]
         fn folder_matches_outcome_digest_in_any_resolution_order(
             n in 0usize..40,
-            picks in proptest::collection::vec(0u32..6, 40),
+            picks in proptest::collection::vec(0u32..5, 40),
             raws in proptest::collection::vec(proptest::num::u32::ANY, 40),
             swaps in proptest::collection::vec(0usize..40, 40),
             keep in proptest::collection::vec(proptest::bool::ANY, 40),
@@ -404,7 +407,6 @@ mod tests {
         let slow = LatencyStats::from_ns(&[4_000; 24]);
         let base = ServeReport {
             seed: 3,
-            policy: "drain".into(),
             submitted: 10,
             completed: 8,
             rejected: 2,
@@ -481,7 +483,6 @@ mod tests {
         let slow = LatencyStats::from_ns(&[100_000_000; 100]);
         let template = ServeReport {
             seed: 0,
-            policy: "drain".into(),
             submitted: 100,
             completed: 100,
             rejected: 0,
@@ -545,7 +546,6 @@ mod tests {
     fn json_is_well_formed_enough() {
         let r = ServeReport {
             seed: 7,
-            policy: "drain".into(),
             submitted: 10,
             completed: 9,
             rejected: 1,

@@ -5,38 +5,13 @@ use milr_tensor::Tensor;
 /// Monotone request identifier, assigned in submission order.
 pub type RequestId = u64;
 
-/// What the service does with queued and in-flight work when a flagged
-/// layer forces a quarantine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuarantinePolicy {
-    /// Hold everything: queued requests wait out the outage, in-flight
-    /// work finishes and is re-executed (its outputs are suspect), and
-    /// new arrivals keep queueing. Clients pay latency, never errors.
-    Drain,
-    /// Shed everything: queued, in-flight, and newly arriving requests
-    /// complete immediately with [`RejectReason::Quarantined`] until
-    /// recovery finishes. Clients pay errors (and retry), never
-    /// quarantine latency.
-    Reject,
-}
-
-impl QuarantinePolicy {
-    /// Stable lowercase name (reports, CLI flags).
-    pub fn name(&self) -> &'static str {
-        match self {
-            QuarantinePolicy::Drain => "drain",
-            QuarantinePolicy::Reject => "reject",
-        }
-    }
-}
-
-/// Why a request was completed without an output.
+/// Why a request was completed without an output. A quarantine is not
+/// a reason: work it voids goes back on the queue and runs again after
+/// the heal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// The bounded admission queue was full at arrival.
     QueueFull,
-    /// The service was quarantined under [`QuarantinePolicy::Reject`].
-    Quarantined,
     /// The service shut down before the request could be certified.
     Shutdown,
 }
@@ -46,7 +21,6 @@ impl RejectReason {
     pub fn name(&self) -> &'static str {
         match self {
             RejectReason::QueueFull => "queue-full",
-            RejectReason::Quarantined => "quarantined",
             RejectReason::Shutdown => "shutdown",
         }
     }
@@ -91,10 +65,7 @@ mod tests {
 
     #[test]
     fn names_are_stable() {
-        assert_eq!(QuarantinePolicy::Drain.name(), "drain");
-        assert_eq!(QuarantinePolicy::Reject.name(), "reject");
         assert_eq!(RejectReason::QueueFull.name(), "queue-full");
-        assert_eq!(RejectReason::Quarantined.name(), "quarantined");
         assert_eq!(RejectReason::Shutdown.name(), "shutdown");
     }
 

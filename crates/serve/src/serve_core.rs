@@ -5,18 +5,17 @@
 //! a released output is bit-equal to the fault-free model, or the fault
 //! is detected and reported — and nothing else:
 //!
-//! * **admission**: queue capacity, and shedding arrivals while a
-//!   reject-policy quarantine is in progress;
+//! * **admission**: queue capacity;
 //! * **batch formation**: one rule — a free worker slot takes up to
 //!   `batch_max` queued requests at once;
 //! * **the epoch check on completion**: a batch dispatched before a
-//!   quarantine comes back suspect and is re-queued (Drain) or rejected
-//!   (Reject);
+//!   quarantine comes back suspect and is re-queued for re-execution;
 //! * **certification**: finished batches wait in the
 //!   [`CertificationLedger`] until a clean [`ScrubCursor`] cycle that
 //!   started after they finished releases them;
 //! * **quarantine and resume**: a flagged scrub voids everything
-//!   uncertified and stops dispatch;
+//!   uncertified back onto the queue and stops dispatch until the heal
+//!   ends;
 //! * **accounting**: downtime, the SLO streams (availability segments,
 //!   latency, heal exactness, durability), the serving counters, and
 //!   [`ServeReport`] assembly.
@@ -33,7 +32,7 @@
 use crate::ledger::CertificationLedger;
 use crate::metrics::{DowntimeLog, LatencyStats};
 use crate::report::ServeReport;
-use crate::request::{QuarantinePolicy, RejectReason, RequestStatus};
+use crate::request::{RejectReason, RequestStatus};
 use crate::scrubber::ScrubCursor;
 use milr_integrity::PipelineReport;
 use milr_obs::{
@@ -77,24 +76,19 @@ pub struct CoreConfig {
     pub batch_max: usize,
     /// Checkable layers examined per scrub tick.
     pub layers_per_tick: usize,
-    /// What happens to queued and in-flight work during quarantine.
-    pub policy: QuarantinePolicy,
 }
 
-/// The bounded FIFO an instance draws batches from. A single instance
-/// owns its queue; a fleet's replicas draw from one **shared** queue,
-/// which a replica's reject-policy quarantine leaves alone (its peers
-/// still serve it).
+/// The bounded FIFO an instance draws batches from: a single instance
+/// owns one, a fleet's replicas draw from one between them.
 #[derive(Debug)]
 pub struct RequestQueue<P> {
     items: VecDeque<Pending<P>>,
     capacity: usize,
-    shared: bool,
     depth: Option<Arc<Gauge>>,
 }
 
 impl<P> RequestQueue<P> {
-    /// An instance's own queue, publishing its depth to `depth`.
+    /// An empty queue, publishing its depth to `depth`.
     ///
     /// # Panics
     ///
@@ -104,20 +98,7 @@ impl<P> RequestQueue<P> {
         RequestQueue {
             items: VecDeque::new(),
             capacity,
-            shared: false,
             depth,
-        }
-    }
-
-    /// A queue shared by several instances.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity == 0`.
-    pub fn shared(capacity: usize, depth: Option<Arc<Gauge>>) -> Self {
-        RequestQueue {
-            shared: true,
-            ..RequestQueue::new(capacity, depth)
         }
     }
 
@@ -131,20 +112,15 @@ impl<P> RequestQueue<P> {
         self.items.is_empty()
     }
 
-    /// Admission control: appends `req`, or hands it back with the
-    /// reason it was refused — `shed` (a reject-policy quarantine) wins
-    /// over a full queue.
+    /// Admission control: appends `req`, or hands it back when the
+    /// queue is full.
     ///
     /// # Errors
     ///
-    /// The refused request and [`RejectReason::Quarantined`] or
-    /// [`RejectReason::QueueFull`].
-    pub fn admit(&mut self, req: Pending<P>, shed: bool) -> Result<(), (Pending<P>, RejectReason)> {
-        if shed {
-            return Err((req, RejectReason::Quarantined));
-        }
+    /// The refused request.
+    pub fn admit(&mut self, req: Pending<P>) -> Result<(), Pending<P>> {
         if self.items.len() >= self.capacity {
-            return Err((req, RejectReason::QueueFull));
+            return Err(req);
         }
         self.items.push_back(req);
         self.publish();
@@ -369,7 +345,6 @@ impl ServeTally {
         &mut self,
         now: u64,
         seed: u64,
-        policy: QuarantinePolicy,
         submitted: usize,
         digest: u64,
         pipeline: PipelineReport,
@@ -385,7 +360,6 @@ impl ServeTally {
         let c = self.counts;
         ServeReport {
             seed,
-            policy: policy.name().to_string(),
             submitted,
             completed: c.completed,
             rejected: c.rejected,
@@ -520,27 +494,23 @@ impl<P> ServeCore<P> {
     }
 
     /// Admission control for one arrival into the instance's own
-    /// `queue`: a reject-policy quarantine sheds it, a full queue
-    /// refuses it. Dispatch is a separate step
-    /// ([`ServeCore::dispatch`]).
+    /// `queue`: a full queue refuses it, quarantined or not. Dispatch is
+    /// a separate step ([`ServeCore::dispatch`]).
     ///
     /// # Errors
     ///
-    /// The rejection reason (the rejection is also resolved).
+    /// [`RejectReason::QueueFull`] (the rejection is also resolved).
     pub fn arrive(
         &mut self,
         queue: &mut RequestQueue<P>,
         req: Pending<P>,
         now: u64,
     ) -> Result<(), RejectReason> {
-        let shed = self.quarantined && self.cfg.policy == QuarantinePolicy::Reject;
-        match queue.admit(req, shed) {
-            Ok(()) => Ok(()),
-            Err((req, reason)) => {
-                self.resolve(req, RequestStatus::Rejected(reason), now);
-                Err(reason)
-            }
-        }
+        queue.admit(req).map_err(|req| {
+            let reason = RejectReason::QueueFull;
+            self.resolve(req, RequestStatus::Rejected(reason), now);
+            reason
+        })
     }
 
     /// Dispatches one batch of up to `batch_max` queued requests into
@@ -585,7 +555,7 @@ impl<P> ServeCore<P> {
 
     /// Worker `worker` finished its batch with `outputs` at `now`. A
     /// batch from before the current epoch ran on suspect weights and
-    /// is voided; otherwise it waits in the ledger for certification.
+    /// is re-queued; otherwise it waits in the ledger for certification.
     ///
     /// # Panics
     ///
@@ -599,26 +569,16 @@ impl<P> ServeCore<P> {
     ) {
         let batch = self.slots[worker].take().expect("worker was busy");
         if batch.epoch != self.epoch {
-            self.void(queue, batch.reqs, now);
+            self.void(queue, batch.reqs);
         } else {
             self.ledger.record(now, (batch.reqs, outputs));
         }
     }
 
-    /// Suspect work: back onto the queue for re-execution (Drain) or
-    /// rejected (Reject).
-    fn void(&mut self, queue: &mut RequestQueue<P>, reqs: Vec<Pending<P>>, now: u64) {
-        match self.cfg.policy {
-            QuarantinePolicy::Drain => {
-                self.tally.counts.reexecuted += reqs.len();
-                queue.requeue(reqs);
-            }
-            QuarantinePolicy::Reject => {
-                for req in reqs {
-                    self.resolve(req, RequestStatus::Rejected(RejectReason::Quarantined), now);
-                }
-            }
-        }
+    /// Suspect work goes back onto the queue for re-execution.
+    fn void(&mut self, queue: &mut RequestQueue<P>, reqs: Vec<Pending<P>>) {
+        self.tally.counts.reexecuted += reqs.len();
+        queue.requeue(reqs);
     }
 
     /// Starts a scrub tick at `now`: the layers the driver should scrub
@@ -631,10 +591,9 @@ impl<P> ServeCore<P> {
     /// Finishes the tick begun by [`ServeCore::begin_scrub`]. A cycle
     /// that completes clean certifies every batch that finished before
     /// it started. A flagged tick quarantines the instance: everything
-    /// uncertified is voided and dispatch stops until
-    /// [`ServeCore::resume`]; under Reject an instance's own queue is
-    /// shed too. Returns true when the tick quarantined; a driver with
-    /// a scrub cadence arms its next tick only on false.
+    /// uncertified goes back onto the queue and dispatch stops until
+    /// [`ServeCore::resume`]. Returns true when the tick quarantined; a
+    /// driver with a scrub cadence arms its next tick only on false.
     pub fn finish_scrub(&mut self, queue: &mut RequestQueue<P>, flagged: bool, now: u64) -> bool {
         if let Some(cycle_start) = self.cursor.finish_tick(flagged) {
             self.last_clean_cycle = Some(cycle_start);
@@ -666,12 +625,7 @@ impl<P> ServeCore<P> {
             .into_iter()
             .flat_map(|(reqs, _)| reqs)
             .collect();
-        self.void(queue, voided, now);
-        if self.cfg.policy == QuarantinePolicy::Reject && !queue.shared {
-            for req in queue.take(queue.len()) {
-                self.resolve(req, RequestStatus::Rejected(RejectReason::Quarantined), now);
-            }
-        }
+        self.void(queue, voided);
         true
     }
 
@@ -763,9 +717,7 @@ impl<P> ServeCore<P> {
         digest: u64,
         pipeline: PipelineReport,
     ) -> ServeReport {
-        let policy = self.cfg.policy;
-        self.tally
-            .report(now, seed, policy, submitted, digest, pipeline)
+        self.tally.report(now, seed, submitted, digest, pipeline)
     }
 }
 
@@ -777,16 +729,11 @@ mod tests {
 
     /// One worker slot per `workers`, two checkable layers scrubbed one
     /// per tick (a scrub cycle is two ticks).
-    fn core(
-        policy: QuarantinePolicy,
-        workers: usize,
-        batch_max: usize,
-    ) -> (ServeCore<()>, RequestQueue<()>) {
+    fn core(workers: usize, batch_max: usize) -> (ServeCore<()>, RequestQueue<()>) {
         let cfg = CoreConfig {
             workers,
             batch_max,
             layers_per_tick: 1,
-            policy,
         };
         let core = ServeCore::new(
             cfg,
@@ -846,100 +793,51 @@ mod tests {
         q.items.iter().map(|r| r.id).collect()
     }
 
-    const QUARANTINED: RequestStatus = RequestStatus::Rejected(RejectReason::Quarantined);
     const SHUTDOWN: RequestStatus = RequestStatus::Rejected(RejectReason::Shutdown);
 
     #[test]
-    fn a_batch_finishing_after_a_quarantine_is_requeued_or_rejected() {
-        for policy in [QuarantinePolicy::Drain, QuarantinePolicy::Reject] {
-            let (mut c, mut q) = core(policy, 1, 4);
-            assert_eq!(push(&mut c, &mut q, 0, 0), vec![0]);
-            // The weights go bad while the batch is in flight.
-            assert!(flag(&mut c, &mut q, 1));
-            c.worker_done(&mut q, 0, out(), 2);
-            match policy {
-                QuarantinePolicy::Drain => {
-                    assert!(resolved(&mut c).is_empty());
-                    assert_eq!(queued_ids(&q), vec![0]);
-                    assert_eq!(c.counts().reexecuted, 1);
-                    // Not dispatched until the quarantine ends.
-                    assert!(fill(&mut c, &mut q, 3).is_empty());
-                    assert!(c.batch(0).is_none());
-                    c.resume(4);
-                    fill(&mut c, &mut q, 4);
-                    assert_eq!(c.batch(0).map(<[_]>::len), Some(1));
-                }
-                QuarantinePolicy::Reject => {
-                    assert_eq!(resolved(&mut c), vec![(0, QUARANTINED)]);
-                    assert!(q.is_empty());
-                    assert_eq!(c.counts().reexecuted, 0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quarantine_voids_uncertified_work_and_reject_sheds_the_queue() {
-        for policy in [QuarantinePolicy::Drain, QuarantinePolicy::Reject] {
-            let (mut c, mut q) = core(policy, 1, 1);
-            for id in 0..3 {
-                push(&mut c, &mut q, id, id);
-            }
-            // Request 0 finishes and waits for certification; 1 and 2
-            // are still queued behind the single worker.
-            c.worker_done(&mut q, 0, out(), 5);
-            assert_eq!(queued_ids(&q), vec![1, 2]);
-            assert!(flag(&mut c, &mut q, 6));
-            assert!(c.is_quarantined());
-            assert_eq!(c.counts().quarantines, 1);
-            match policy {
-                QuarantinePolicy::Drain => {
-                    // The voided batch goes back ahead of later arrivals.
-                    assert!(resolved(&mut c).is_empty());
-                    assert_eq!(queued_ids(&q), vec![0, 1, 2]);
-                    assert_eq!(c.counts().reexecuted, 1);
-                    // Arrivals still queue during a drain quarantine.
-                    assert_eq!(c.arrive(&mut q, req(3, 7), 7), Ok(()));
-                    assert_eq!(q.len(), 4);
-                }
-                QuarantinePolicy::Reject => {
-                    assert_eq!(
-                        resolved(&mut c),
-                        vec![(0, QUARANTINED), (1, QUARANTINED), (2, QUARANTINED)]
-                    );
-                    assert!(q.is_empty());
-                    // And new arrivals are shed until the quarantine ends.
-                    assert_eq!(
-                        c.arrive(&mut q, req(3, 7), 7),
-                        Err(RejectReason::Quarantined)
-                    );
-                    assert_eq!(resolved(&mut c), vec![(3, QUARANTINED)]);
-                    c.resume(8);
-                    assert_eq!(c.arrive(&mut q, req(4, 9), 9), Ok(()));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn a_shared_queue_survives_a_reject_quarantine() {
-        let (mut c, _) = core(QuarantinePolicy::Reject, 1, 1);
-        let mut q = RequestQueue::shared(16, None);
-        for id in 0..2 {
-            q.admit(req(id, 0), false).unwrap();
-        }
-        assert_eq!(c.dispatch(&mut q, 0), Some(0));
+    fn a_batch_finishing_after_a_quarantine_is_requeued() {
+        let (mut c, mut q) = core(1, 4);
+        assert_eq!(push(&mut c, &mut q, 0, 0), vec![0]);
+        // The weights go bad while the batch is in flight.
         assert!(flag(&mut c, &mut q, 1));
-        // Only the replica's own in-flight work fails; its peers still
-        // serve what is queued.
         c.worker_done(&mut q, 0, out(), 2);
-        assert_eq!(resolved(&mut c), vec![(0, QUARANTINED)]);
-        assert_eq!(queued_ids(&q), vec![1]);
+        assert!(resolved(&mut c).is_empty());
+        assert_eq!(queued_ids(&q), vec![0]);
+        assert_eq!(c.counts().reexecuted, 1);
+        // Not dispatched until the quarantine ends.
+        assert!(fill(&mut c, &mut q, 3).is_empty());
+        assert!(c.batch(0).is_none());
+        c.resume(4);
+        fill(&mut c, &mut q, 4);
+        assert_eq!(c.batch(0).map(<[_]>::len), Some(1));
+    }
+
+    #[test]
+    fn quarantine_requeues_uncertified_work_ahead_of_the_queue() {
+        let (mut c, mut q) = core(1, 1);
+        for id in 0..3 {
+            push(&mut c, &mut q, id, id);
+        }
+        // Request 0 finishes and waits for certification; 1 and 2 are
+        // still queued behind the single worker.
+        c.worker_done(&mut q, 0, out(), 5);
+        assert_eq!(queued_ids(&q), vec![1, 2]);
+        assert!(flag(&mut c, &mut q, 6));
+        assert!(c.is_quarantined());
+        assert_eq!(c.counts().quarantines, 1);
+        // The voided batch goes back ahead of later arrivals.
+        assert!(resolved(&mut c).is_empty());
+        assert_eq!(queued_ids(&q), vec![0, 1, 2]);
+        assert_eq!(c.counts().reexecuted, 1);
+        // Arrivals still queue during a quarantine.
+        assert_eq!(c.arrive(&mut q, req(3, 7), 7), Ok(()));
+        assert_eq!(q.len(), 4);
     }
 
     #[test]
     fn release_waits_for_a_clean_cycle_that_starts_after_the_finish() {
-        let (mut c, mut q) = core(QuarantinePolicy::Drain, 1, 4);
+        let (mut c, mut q) = core(1, 4);
         push(&mut c, &mut q, 0, 0);
         // A cycle that started before the batch finished proves nothing.
         c.begin_scrub(1);
@@ -963,7 +861,7 @@ mod tests {
 
     #[test]
     fn an_injection_needs_a_later_clean_cycle() {
-        let (mut c, mut q) = core(QuarantinePolicy::Drain, 1, 4);
+        let (mut c, mut q) = core(1, 4);
         assert!(c.certified_since_last_fault());
         c.fault_landed(10, 0, 3);
         clean_cycle(&mut c, &mut q, 5);
@@ -981,7 +879,7 @@ mod tests {
 
     #[test]
     fn a_full_batch_dispatches_at_once() {
-        let (mut c, mut q) = core(QuarantinePolicy::Drain, 1, 2);
+        let (mut c, mut q) = core(1, 2);
         c.arrive(&mut q, req(0, 0), 0).unwrap();
         c.arrive(&mut q, req(1, 1), 1).unwrap();
         assert_eq!(fill(&mut c, &mut q, 1), vec![0]);
@@ -992,7 +890,7 @@ mod tests {
 
     #[test]
     fn dispatch_fills_the_lowest_free_slot() {
-        let (mut c, mut q) = core(QuarantinePolicy::Drain, 2, 1);
+        let (mut c, mut q) = core(2, 1);
         // Out of work.
         assert_eq!(c.dispatch(&mut q, 0), None);
         for id in 0..4 {
@@ -1018,7 +916,7 @@ mod tests {
     #[test]
     fn shutdown_certifies_finished_work_and_rejects_the_rest() {
         for clean in [true, false] {
-            let (mut c, mut q) = core(QuarantinePolicy::Drain, 2, 1);
+            let (mut c, mut q) = core(2, 1);
             for id in 0..3 {
                 push(&mut c, &mut q, id, 0);
             }

@@ -30,7 +30,6 @@
 use crate::report::{OutcomeDigest, ServeReport};
 use crate::request::{RejectReason, RequestStatus};
 use crate::serve_core::{CoreConfig, Pending, RequestQueue, ServeCore, ServeObs};
-use crate::QuarantinePolicy;
 use milr_core::{Milr, MilrConfig};
 use milr_integrity::{
     Budget, DurabilityPolicy, EscalationPolicy, IntegrityPipeline, Journaled, ModelHost,
@@ -65,8 +64,6 @@ pub struct ServerConfig {
     /// `usize::MAX`, sweeps the whole model every tick, so each clean
     /// tick certifies everything drained before it.
     pub layers_per_tick: usize,
-    /// Quarantine policy.
-    pub policy: QuarantinePolicy,
     /// Substrate kind backing each layer shard.
     pub substrate: SubstrateKind,
     /// Optional structured trace sink. Live-server events are stamped
@@ -94,7 +91,6 @@ impl Default for ServerConfig {
             batch_max: 8,
             scrub_interval: Duration::from_millis(12),
             layers_per_tick: usize::MAX,
-            policy: QuarantinePolicy::Drain,
             substrate: SubstrateKind::Plain,
             trace: None,
             spans: None,
@@ -399,7 +395,6 @@ impl Server {
             workers: config.workers,
             batch_max: config.batch_max,
             layers_per_tick: config.layers_per_tick,
-            policy: config.policy,
         };
         let core = ServeCore::new(
             core_cfg,
@@ -460,9 +455,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Rejected`] when the queue is full or a
-    /// reject-policy quarantine is shedding; [`ServeError::Stopped`]
-    /// after shutdown; [`ServeError::BadShape`] when `input` is not in
+    /// [`ServeError::Rejected`] when the queue is full;
+    /// [`ServeError::Stopped`] after shutdown; [`ServeError::BadShape`] when `input` is not in
     /// the model's input shape (checked before the request gets an id).
     pub fn submit(&self, input: Tensor) -> Result<ResponseHandle, ServeError> {
         if self.shared.stopping() {
@@ -1059,7 +1053,6 @@ mod tests {
             ServerConfig {
                 workers: 2,
                 scrub_interval: Duration::from_millis(1),
-                policy: QuarantinePolicy::Drain,
                 ..ServerConfig::default()
             },
         )
@@ -1138,72 +1131,6 @@ mod tests {
     }
 
     #[test]
-    fn reject_policy_sheds_instead_of_reexecuting_and_stays_golden() {
-        let golden = serving_model(25);
-        let server = Server::start(
-            &golden,
-            MilrConfig::default(),
-            ServerConfig {
-                workers: 2,
-                scrub_interval: Duration::from_millis(1),
-                policy: QuarantinePolicy::Reject,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let mut rng = TensorRng::new(80);
-        let mut submitted = Vec::new();
-        let mut shed_at_submit = 0usize;
-        let mut submit = |server: &Server, rng: &mut TensorRng| {
-            let x = rng.uniform_tensor(&[10, 10, 1]);
-            match server.submit(x.clone()) {
-                Ok(h) => submitted.push((x, h)),
-                Err(ServeError::Rejected(RejectReason::Quarantined)) => shed_at_submit += 1,
-                Err(other) => panic!("unexpected refusal: {other:?}"),
-            }
-        };
-        for _ in 0..6 {
-            submit(&server, &mut rng);
-        }
-        server.inject_weight_fault(0, 11);
-        // Keep traffic flowing through the quarantine and the heal.
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while server.quarantines() == 0 || server.is_quarantined() {
-            assert!(Instant::now() < deadline, "scrubber never healed the fault");
-            submit(&server, &mut rng);
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        for _ in 0..6 {
-            submit(&server, &mut rng);
-        }
-        let mut answered = 0usize;
-        for (input, handle) in submitted {
-            match handle.wait() {
-                Ok(out) => {
-                    answered += 1;
-                    let expect = &golden.forward_batch(std::slice::from_ref(&input)).unwrap()[0];
-                    assert_eq!(
-                        out.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        expect
-                            .data()
-                            .iter()
-                            .map(|v| v.to_bits())
-                            .collect::<Vec<_>>(),
-                        "served output diverged from the fault-free model"
-                    );
-                }
-                Err(e) => assert_eq!(e, ServeError::Rejected(RejectReason::Quarantined)),
-            }
-        }
-        let report = server.shutdown();
-        assert!(report.quarantines >= 1);
-        assert_eq!(report.reexecuted, 0, "reject never re-queues");
-        assert_eq!(report.completed, answered);
-        assert_eq!(report.completed + report.rejected, report.submitted);
-        assert!(report.rejected >= shed_at_submit);
-    }
-
-    #[test]
     fn shutdown_does_not_wait_out_the_scrub_interval() {
         let golden = serving_model(24);
         let server = Server::start(
@@ -1269,7 +1196,6 @@ mod tests {
             ServerConfig {
                 workers: 2,
                 scrub_interval: Duration::from_millis(1),
-                policy: QuarantinePolicy::Drain,
                 spans: Some(spans.clone()),
                 http_addr: Some("127.0.0.1:0".to_string()),
                 ..ServerConfig::default()
@@ -1347,5 +1273,46 @@ mod tests {
             trees.iter().any(|t| t.name != "batch"),
             "no engine span: {trees:?}"
         );
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_spans_does_not_hang_shutdown() {
+        use std::io::{Read, Write};
+        // A full ring of batch-sized trees: a body of about 11 MB, far
+        // more than the loopback socket buffers hold.
+        let spans = SpanHandle::new(Arc::new(milr_obs::SpanRing::new(8192)));
+        let mut tree = SpanTree::new();
+        for i in 0..8192u64 {
+            tree.open(i, "batch", i);
+            for layer in 0..16 {
+                tree.open(i, "layer", layer);
+                tree.close(i + 1);
+            }
+            spans.push_all(tree.finish(i + 1));
+        }
+        let server = Server::start(
+            &serving_model(27),
+            MilrConfig::default(),
+            ServerConfig {
+                spans: Some(spans),
+                http_addr: Some("127.0.0.1:0".to_string()),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.http_addr().expect("listener bound");
+        let mut stalled = std::net::TcpStream::connect(addr).unwrap();
+        stalled
+            .write_all(b"GET /spans HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        // One byte of the response: the listener is now writing the
+        // body, and it fills the socket buffers long before the end.
+        stalled.read_exact(&mut [0u8; 1]).unwrap();
+        let (tx, rx) = channel();
+        let stopper = std::thread::spawn(move || tx.send(server.shutdown().submitted).unwrap());
+        let done = rx.recv_timeout(Duration::from_secs(10));
+        drop(stalled);
+        stopper.join().unwrap();
+        assert_eq!(done, Ok(0), "shutdown hung behind a stalled reader");
     }
 }

@@ -18,7 +18,7 @@
 //! recovery capacity.
 
 use crate::report::{outcome_digest, ServeReport};
-use crate::request::{QuarantinePolicy, RequestOutcome};
+use crate::request::RequestOutcome;
 use crate::serve_core::{CoreConfig, RequestQueue, ServeCore, ServeObs};
 use crate::workload::{campaign_time, conv_layers, ChaosOverlay, ChaosStats, EventQueue, Workload};
 use milr_core::{Milr, MilrConfig, SolvingPlan};
@@ -96,8 +96,6 @@ pub struct SimConfig {
     pub scrub_interval_ns: u64,
     /// Checkable layers examined per scrub tick.
     pub layers_per_tick: usize,
-    /// What happens to queued/in-flight work during quarantine.
-    pub policy: QuarantinePolicy,
     /// Whole-weight faults injected over the run.
     pub faults: usize,
     /// Substrate kind backing the model host. Chaos campaigns sweep
@@ -127,7 +125,6 @@ impl Default for SimConfig {
             batch_max: 8,
             scrub_interval_ns: 4_000_000,
             layers_per_tick: 2,
-            policy: QuarantinePolicy::Drain,
             faults: 2,
             kind: SubstrateKind::Plain,
             chaos: None,
@@ -302,7 +299,6 @@ pub fn simulate_observed(
         workers: cfg.workers,
         batch_max: cfg.batch_max,
         layers_per_tick: cfg.layers_per_tick,
-        policy: cfg.policy,
     };
     let core = ServeCore::new(core_cfg, checkable.clone(), slo, serve_obs);
 
@@ -534,28 +530,6 @@ mod tests {
                     .map(|v| v.to_bits())
                     .collect::<Vec<_>>()
             );
-        }
-    }
-
-    #[test]
-    fn reject_policy_sheds_load_during_quarantine() {
-        let model = serving_model(4);
-        let cfg = SimConfig {
-            requests: 150,
-            faults: 2,
-            policy: QuarantinePolicy::Reject,
-            ..SimConfig::default()
-        };
-        let result = simulate(&model, MilrConfig::default(), &cfg).unwrap();
-        assert!(result.report.quarantines >= 1);
-        assert!(result.report.rejected > 0, "reject policy must shed");
-        assert!(result.report.availability < 1.0);
-        // Whatever completed is still bit-exact golden.
-        for o in &result.outcomes {
-            if let RequestStatus::Completed(out) = &o.status {
-                let golden_out = &model.forward_batch(std::slice::from_ref(&o.input)).unwrap()[0];
-                assert_eq!(out.data(), golden_out.data());
-            }
         }
     }
 

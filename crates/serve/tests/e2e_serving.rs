@@ -17,14 +17,13 @@ use milr_core::MilrConfig;
 // outputs stay bit-faithful through fault/recovery episodes.
 use milr_models::serving_probe as serving_model;
 use milr_serve::sim::{simulate, SimConfig};
-use milr_serve::{QuarantinePolicy, RequestStatus};
+use milr_serve::RequestStatus;
 
-fn config(seed: u64, policy: QuarantinePolicy) -> SimConfig {
+fn config(seed: u64) -> SimConfig {
     SimConfig {
         seed,
         requests: 240,
         faults: 3,
-        policy,
         ..SimConfig::default()
     }
 }
@@ -36,7 +35,7 @@ fn bits(t: &milr_tensor::Tensor) -> Vec<u32> {
 #[test]
 fn faults_during_live_serving_never_reach_a_client() {
     let golden = serving_model(0xE2E);
-    let cfg = config(31, QuarantinePolicy::Drain);
+    let cfg = config(31);
     let result = simulate(&golden, MilrConfig::default(), &cfg).unwrap();
 
     // The scenario actually exercised the machinery.
@@ -51,12 +50,12 @@ fn faults_during_live_serving_never_reach_a_client() {
         result.report.availability
     );
 
-    // (1) Drain policy: every request completes, and every output is
+    // (1) Every request completes, and every output is
     // bit-identical to the fault-free model's forward pass.
     assert_eq!(result.report.completed, cfg.requests);
     for outcome in &result.outcomes {
         let RequestStatus::Completed(out) = &outcome.status else {
-            panic!("request {} was not completed under drain", outcome.id)
+            panic!("request {} was not completed", outcome.id)
         };
         let expect = &golden
             .forward_batch(std::slice::from_ref(&outcome.input))
@@ -73,7 +72,7 @@ fn faults_during_live_serving_never_reach_a_client() {
 #[test]
 fn scrubber_recovers_every_injected_corruption_bit_exactly() {
     let golden = serving_model(0xE2E);
-    let cfg = config(31, QuarantinePolicy::Drain);
+    let cfg = config(31);
     // Re-run the same scenario, then audit the substrate itself by
     // reprotecting the final weights: the run only ends after a full
     // clean scrub cycle past the last fault, so the decoded weights
@@ -97,59 +96,22 @@ fn scrubber_recovers_every_injected_corruption_bit_exactly() {
 #[test]
 fn measured_availability_is_reproducible_under_a_seed() {
     let golden = serving_model(0xE2E);
-    for policy in [QuarantinePolicy::Drain, QuarantinePolicy::Reject] {
-        let cfg = config(77, policy);
-        let a = simulate(&golden, MilrConfig::default(), &cfg).unwrap();
-        let b = simulate(&golden, MilrConfig::default(), &cfg).unwrap();
-        // Bit-identical reports (availability included) and outcome
-        // digests across two runs with the same seed.
-        assert_eq!(
-            a.report.availability.to_bits(),
-            b.report.availability.to_bits(),
-            "{policy:?}"
-        );
-        assert_eq!(a.report, b.report, "{policy:?}");
-        assert_eq!(a.report.digest, b.report.digest, "{policy:?}");
-        assert_eq!(a.outcomes.len(), b.outcomes.len());
-        for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {
-            assert_eq!(x, y, "{policy:?}");
-        }
+    let cfg = config(77);
+    let a = simulate(&golden, MilrConfig::default(), &cfg).unwrap();
+    let b = simulate(&golden, MilrConfig::default(), &cfg).unwrap();
+    // Bit-identical reports (availability included) and outcome
+    // digests across two runs with the same seed.
+    assert_eq!(
+        a.report.availability.to_bits(),
+        b.report.availability.to_bits()
+    );
+    assert_eq!(a.report, b.report);
+    assert_eq!(a.report.digest, b.report.digest);
+    assert_eq!(a.outcomes.len(), b.outcomes.len());
+    for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {
+        assert_eq!(x, y);
     }
     // A different seed must steer the run elsewhere.
-    let a = simulate(
-        &golden,
-        MilrConfig::default(),
-        &config(77, QuarantinePolicy::Drain),
-    )
-    .unwrap();
-    let c = simulate(
-        &golden,
-        MilrConfig::default(),
-        &config(78, QuarantinePolicy::Drain),
-    )
-    .unwrap();
+    let c = simulate(&golden, MilrConfig::default(), &config(78)).unwrap();
     assert_ne!(a.report.digest, c.report.digest);
-}
-
-#[test]
-fn reject_policy_trades_errors_for_availability() {
-    let golden = serving_model(0xE2E);
-    let drain = simulate(
-        &golden,
-        MilrConfig::default(),
-        &config(9, QuarantinePolicy::Drain),
-    )
-    .unwrap()
-    .report;
-    let reject = simulate(
-        &golden,
-        MilrConfig::default(),
-        &config(9, QuarantinePolicy::Reject),
-    )
-    .unwrap()
-    .report;
-    assert_eq!(drain.rejected, 0, "drain never sheds");
-    assert!(reject.rejected > 0, "reject must shed during quarantine");
-    // Shedding strictly reduces the work the pool replays.
-    assert!(reject.reexecuted <= drain.reexecuted);
 }

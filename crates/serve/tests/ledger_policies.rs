@@ -1,15 +1,12 @@
-//! `CertificationLedger` quarantine-policy semantics, observed through
-//! the seeded simulation, plus the re-protect rebaseline property the
+//! `CertificationLedger` quarantine semantics, observed through the
+//! seeded simulation, plus the re-protect rebaseline property the
 //! recovery path depends on.
 //!
-//! * **Drain**: a flagged scrub voids everything uncertified and
+//! * **Re-execution**: a flagged scrub voids everything uncertified and
 //!   re-queues it — clients eventually get certified outputs for every
 //!   request (`rejected == 0`, `reexecuted > 0`), and whatever is
 //!   released went through a bracketing clean scrub cycle, so it is
 //!   bit-identical to the fault-free model.
-//! * **Reject**: voided suspect work is completed with errors instead
-//!   of re-executed (`reexecuted == 0`, `rejected > 0` with the
-//!   quarantine reason), trading correctness-latency for fast failure.
 //! * **Re-protect rebaselines the CRC grid**: after an approximate
 //!   (min-norm) heal, the *old* artifacts' CRC grids disagree with the
 //!   healed weights forever — running recovery against them would
@@ -19,7 +16,7 @@
 use milr_core::{Milr, MilrConfig, RecoveryOutcome};
 use milr_models::serving_probe as model;
 use milr_serve::sim::{simulate, SimConfig};
-use milr_serve::{QuarantinePolicy, RejectReason, RequestStatus};
+use milr_serve::RequestStatus;
 use milr_tensor::TensorRng;
 
 #[test]
@@ -29,7 +26,6 @@ fn drain_reexecutes_voided_work_and_releases_only_certified_outputs() {
         seed: 41,
         requests: 200,
         faults: 2,
-        policy: QuarantinePolicy::Drain,
         ..SimConfig::default()
     };
     let result = simulate(&golden, MilrConfig::default(), &cfg).unwrap();
@@ -50,42 +46,6 @@ fn drain_reexecutes_voided_work_and_releases_only_certified_outputs() {
         let ob: Vec<u32> = out.data().iter().map(|v| v.to_bits()).collect();
         let eb: Vec<u32> = expect.data().iter().map(|v| v.to_bits()).collect();
         assert_eq!(ob, eb, "request {} released uncertified bits", o.id);
-    }
-}
-
-#[test]
-fn reject_voids_suspect_work_with_errors_instead_of_reexecuting() {
-    let golden = model(0x1ED6E);
-    let cfg = SimConfig {
-        seed: 41,
-        requests: 200,
-        faults: 2,
-        policy: QuarantinePolicy::Reject,
-        ..SimConfig::default()
-    };
-    let result = simulate(&golden, MilrConfig::default(), &cfg).unwrap();
-    let r = &result.report;
-    assert!(r.quarantines >= 1, "campaign must quarantine");
-    assert_eq!(r.reexecuted, 0, "reject never re-executes voided work");
-    assert!(r.rejected > 0, "reject must shed");
-    assert_eq!(r.completed + r.rejected, r.submitted);
-    let quarantine_rejects = result
-        .outcomes
-        .iter()
-        .filter(|o| matches!(o.status, RequestStatus::Rejected(RejectReason::Quarantined)))
-        .count();
-    assert!(
-        quarantine_rejects > 0,
-        "at least one rejection must carry the quarantine reason"
-    );
-    // Whatever completed is still certified-golden.
-    for o in &result.outcomes {
-        if let RequestStatus::Completed(out) = &o.status {
-            let expect = &golden
-                .forward_batch(std::slice::from_ref(&o.input))
-                .unwrap()[0];
-            assert_eq!(out.data(), expect.data(), "request {}", o.id);
-        }
     }
 }
 

@@ -6,7 +6,7 @@
 use milr_core::MilrConfig;
 use milr_obs::{EventKind, MetricsRegistry, Observer, RingRecorder, SpanRing, TraceSink};
 use milr_serve::sim::SimConfig;
-use milr_serve::{simulate, simulate_observed, QuarantinePolicy};
+use milr_serve::{simulate, simulate_observed};
 use std::sync::Arc;
 
 fn traced_run(cfg: &SimConfig) -> (String, String) {
@@ -45,7 +45,6 @@ fn serve_sim_observed_report_matches_unobserved() {
         seed: 0xD00D,
         requests: 120,
         faults: 1,
-        policy: QuarantinePolicy::Reject,
         ..SimConfig::default()
     };
     let plain = simulate(&model, MilrConfig::default(), &cfg).unwrap();

@@ -20,7 +20,7 @@
 use milr_core::MilrConfig;
 use milr_models::reduced_mnist;
 use milr_serve::sim::{simulate, SimConfig};
-use milr_serve::{QuarantinePolicy, RequestStatus, Server, ServerConfig};
+use milr_serve::{RequestStatus, Server, ServerConfig};
 use milr_tensor::TensorRng;
 use std::time::{Duration, Instant};
 
@@ -36,7 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 7,
         requests: 150,
         faults: 2,
-        policy: QuarantinePolicy::Drain,
         ..SimConfig::default()
     };
     let result = simulate(&golden, MilrConfig::default(), &sim_cfg)?;
@@ -76,7 +75,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         MilrConfig::default(),
         ServerConfig {
             workers: 2,
-            policy: QuarantinePolicy::Drain,
             ..ServerConfig::default()
         },
     )?;
