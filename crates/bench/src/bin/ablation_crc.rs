@@ -2,13 +2,17 @@
 //! positives) vs metadata storage. The paper fixes the group at 4
 //! parameters (§IV-B-c); this sweep shows why that is a sweet spot.
 //!
+//! `--json FILE` writes the rows as a machine-readable summary.
+//!
 //! ```text
 //! cargo run --release -p milr-bench --bin ablation_crc
 //! ```
 
+use milr_bench::json::write_summary;
 use milr_bench::Args;
 use milr_ecc::Crc2d;
 use milr_fault::FaultRng;
+use milr_obs::json::{array, JsonObject};
 
 fn main() {
     let args = Args::from_env();
@@ -19,6 +23,7 @@ fn main() {
         "{:>6} {:>10} {:>10} {:>12} {:>12}",
         "group", "codes(B)", "errors", "flagged", "false+"
     );
+    let mut table = Vec::new();
     for group in [2usize, 4, 8, 16] {
         let cfg = Crc2d::with_group(rows, cols, group);
         let codes = cfg.encode(&grid);
@@ -43,6 +48,23 @@ fn main() {
                 flagged.len(),
                 false_pos
             );
+            table.push(
+                JsonObject::new()
+                    .raw("group", group)
+                    .raw("code_bytes", codes.storage_bytes())
+                    .raw("errors", n_err)
+                    .raw("flagged", flagged.len())
+                    .raw("false_positives", false_pos)
+                    .finish(),
+            );
         }
     }
+    let json = JsonObject::new()
+        .string("table", "ablation_crc")
+        .raw("slice_rows", rows)
+        .raw("slice_cols", cols)
+        .raw("seed", args.seed)
+        .raw("rows", array(table))
+        .finish();
+    write_summary(&json, args.json.as_deref());
 }

@@ -2,15 +2,18 @@
 //! detection misses errors whose impact on the probe output is below
 //! the comparison tolerance (§V-B reports 78.6% of MNIST trials
 //! detecting all erroneous layers). This sweep measures detection rate
-//! vs `rtol` under single-bit corruption of random weights.
+//! vs `rtol` under single-bit corruption of random weights. `--json
+//! FILE` writes the rows as a machine-readable summary.
 //!
 //! ```text
 //! cargo run --release -p milr-bench --bin ablation_detection_threshold
 //! ```
 
+use milr_bench::json::write_summary;
 use milr_bench::{Args, NetChoice, Scale};
 use milr_core::{Milr, MilrConfig};
 use milr_fault::FaultRng;
+use milr_obs::json::{array, JsonObject};
 
 fn main() {
     let args = Args::from_env();
@@ -21,6 +24,7 @@ fn main() {
         "{:>10} {:>10} {:>12} {:>14}",
         "rtol", "trials", "detected", "detect-rate"
     );
+    let mut rows = Vec::new();
     for rtol in [1e-1f32, 1e-2, 1e-3, 1e-4, 1e-6] {
         let milr = Milr::protect(
             &prep.model,
@@ -56,12 +60,28 @@ fn main() {
                 detected += 1;
             }
         }
+        let rate = detected as f64 / trials as f64;
         println!(
             "{:>10.0e} {:>10} {:>12} {:>13.1}%",
             rtol,
             trials,
             detected,
-            100.0 * detected as f64 / trials as f64
+            100.0 * rate
+        );
+        rows.push(
+            JsonObject::new()
+                .raw("rtol", rtol)
+                .raw("trials", trials)
+                .raw("detected", detected)
+                .float("detect_rate", rate, 6)
+                .finish(),
         );
     }
+    let json = JsonObject::new()
+        .string("table", "ablation_detection_threshold")
+        .string("net", &prep.label)
+        .raw("seed", args.seed)
+        .raw("rows", array(rows))
+        .finish();
+    write_summary(&json, args.json.as_deref());
 }

@@ -1,10 +1,10 @@
 //! `kernel_bench`: measures the optimized raw-space and forward kernels
 //! against their scalar reference implementations — the proof that the
-//! rewrites (slice-by-8 CRC32, word-parallel SECDED slice kernels,
-//! batched AES-NI XTS, single-pass CRC2D, register-tiled FMA GEMM,
-//! implicit-GEMM conv2d, single-pass max-pool and row-major Householder
-//! QR) actually buy throughput on the machine at hand, not just in
-//! theory. One arm times a whole heal instead of a kernel: a 2×2
+//! rewrites (slice-by-8 CRC32, word-parallel SECDED slice kernels and
+//! their vector tiers, batched AES-NI and VAES XTS, single-pass CRC2D,
+//! register-tiled FMA GEMM, implicit-GEMM conv2d, single-pass max-pool
+//! and row-major Householder QR) actually buy throughput on the machine
+//! at hand, not just in theory. One arm times a whole heal instead of a kernel: a 2×2
 //! square fault in the last conv layer of CIFAR-small, which the CRC
 //! cannot pin, healed on a fresh instance against one whose
 //! backward-pass factors are cached.
@@ -16,8 +16,10 @@
 //! warm heal_conv_last, 4× for the batched XTS decrypt and for
 //! conv2d_conv1, 3× for the SECDED scrub and the QR factor, 2× for the
 //! CRC2D full-grid encode and for max_pool2d, 1.2× for the fused SECDED
-//! scrub-decode against its two separate passes) — the CI regression
-//! gate.
+//! scrub-decode against its two separate passes; 2× for the dispatched
+//! SECDED tier against the popcnt tier and for the dispatched XTS body
+//! against the 8-lane AES-NI body, but only on hosts where the AVX-512
+//! tier and the VAES body run, 1× elsewhere) — the CI regression gate.
 //!
 //! ```text
 //! cargo run --release -p milr-bench --bin kernel_bench -- \
@@ -27,14 +29,14 @@
 use milr_bench::best_ns;
 use milr_bench::json::write_summary;
 use milr_core::{Milr, MilrConfig};
-use milr_ecc::{crc32, scalar, Crc2d, DecodeOutcome, Secded};
+use milr_ecc::{crc32, scalar, Crc2d, DecodeOutcome, Secded, SecdedTier};
 use milr_linalg::{scalar as linalg_scalar, Mat, Qr};
 use milr_models::reduced_cifar_small;
 use milr_nn::Sequential;
 use milr_obs::json::{array, JsonObject};
 use milr_tensor::scalar as tensor_scalar;
 use milr_tensor::{conv2d, matmul, max_pool2d, ConvSpec, Padding, PoolSpec, Tensor};
-use milr_xts::XtsCipher;
+use milr_xts::{XtsBody, XtsCipher};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -192,6 +194,7 @@ fn main() {
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
         .collect();
+    let mut encoded = vec![0u64; SECDED_WORDS];
     kernels.push(Kernel {
         name: "secded_encode",
         items: SECDED_WORDS as u64,
@@ -203,15 +206,13 @@ fn main() {
             black_box(acc);
         }),
         optimized_ns: best_ns(trials, || {
-            let mut acc = 0u64;
-            for &d in &data {
-                acc ^= Secded::encode(black_box(d));
-            }
-            black_box(acc);
+            Secded::encode_words(black_box(&data), &mut encoded);
+            black_box(&encoded);
         }),
         floor: 1.0,
     });
     let words: Vec<u64> = data.iter().map(|&d| Secded::encode(d)).collect();
+    assert_eq!(encoded, words, "slice encode diverged from the word encode");
     let mut decoded = vec![0u32; SECDED_WORDS];
     kernels.push(Kernel {
         name: "secded_decode",
@@ -297,10 +298,48 @@ fn main() {
         "fused scrub-decode diverged from the two calls"
     );
 
+    // ---- The dispatched SECDED tier against the popcnt body. ----
+    // The scrub tick's read again; the reference is the one-word-at-a-
+    // time popcnt tier (the portable body on hosts without popcnt).
+    let secded_tier = SecdedTier::dispatched();
+    let reference_tier = [SecdedTier::Popcnt, SecdedTier::Portable]
+        .into_iter()
+        .find(|t| t.supported())
+        .expect("the portable tier runs anywhere");
+    let mut reference = (faulty.clone(), vec![0u32; SECDED_WORDS]);
+    kernels.push(Kernel {
+        name: "secded_scrub_decode_simd",
+        items: SECDED_WORDS as u64,
+        scalar_ns: best_ns(trials, || {
+            let (words, out) = &mut reference;
+            words.copy_from_slice(&faulty);
+            black_box(reference_tier.scrub_decode_words(words, out));
+            black_box(out);
+        }),
+        optimized_ns: best_ns(trials, || {
+            let (words, out) = &mut fused;
+            words.copy_from_slice(&faulty);
+            black_box(Secded::scrub_decode_words(words, out));
+            black_box(out);
+        }),
+        floor: if secded_tier == SecdedTier::Avx512 {
+            2.0
+        } else {
+            1.0
+        },
+    });
+    assert_eq!(
+        reference,
+        fused,
+        "the {} tier diverged from the {} tier",
+        secded_tier.name(),
+        reference_tier.name()
+    );
+
     // ---- XTS over per-block data units (every weight memory's layout). ----
     // Reference: one IEEE 1619 `*_unit` call per block on the FIPS-197
-    // per-byte cipher; optimized: the batched blocks API (AES-NI where
-    // the host has it).
+    // per-byte cipher; optimized: the batched blocks API (VAES or
+    // AES-NI where the host has them).
     let cipher = XtsCipher::new(b"kernel-bench-key", b"kernel-bench-twk");
     let blocks = deterministic_bytes(XTS_BLOCKS * 16);
     let mut buf_a = blocks.clone();
@@ -344,6 +383,35 @@ fn main() {
         "batched XTS diverged from the per-unit reference"
     );
     assert_eq!(buf_a, blocks, "decrypt did not invert encrypt");
+
+    // ---- The dispatched XTS body against the 8-lane AES-NI body. ----
+    // The reference is the portable body on hosts without AES-NI.
+    let xts_body = cipher.body();
+    let reference_body = if cipher.decrypt_blocks_on(XtsBody::AesNi, &mut [], 0) {
+        XtsBody::AesNi
+    } else {
+        XtsBody::Portable
+    };
+    kernels.push(Kernel {
+        name: "xts_decrypt_vaes",
+        items: XTS_BLOCKS as u64,
+        scalar_ns: best_ns(trials, || {
+            cipher.decrypt_blocks_on(reference_body, black_box(&mut buf_a), 0);
+            black_box(&buf_a);
+        }),
+        optimized_ns: best_ns(trials, || {
+            cipher.decrypt_blocks(black_box(&mut buf_b), 0);
+            black_box(&buf_b);
+        }),
+        floor: if xts_body == XtsBody::Vaes { 2.0 } else { 1.0 },
+    });
+    assert_eq!(
+        buf_a,
+        buf_b,
+        "the {} body diverged from the {} body",
+        xts_body.name(),
+        reference_body.name()
+    );
 
     // ---- CRC2D full-grid encode (protection-time fingerprinting). ----
     let grid = deterministic_f32(CRC2D_SIDE * CRC2D_SIDE);
@@ -535,6 +603,16 @@ fn main() {
     println!("# kernel_bench — optimized vs scalar raw-space and forward kernels");
     println!("trials: {trials} (best-of)");
     println!(
+        "secded tier: {} (secded_scrub_decode_simd reference: {})",
+        secded_tier.name(),
+        reference_tier.name()
+    );
+    println!(
+        "xts body: {} (xts_decrypt_vaes reference: {})",
+        xts_body.name(),
+        reference_body.name()
+    );
+    println!(
         "{:>14} {:>12} {:>12} {:>9} {:>12} {:>7}",
         "kernel", "scalar_ns", "opt_ns", "speedup", "ns_per_item", "floor"
     );
@@ -573,6 +651,10 @@ fn main() {
     }
     let json = JsonObject::new()
         .raw("trials", trials)
+        .string("secded_tier", secded_tier.name())
+        .string("secded_reference_tier", reference_tier.name())
+        .string("xts_body", xts_body.name())
+        .string("xts_reference_body", reference_body.name())
         .raw("kernels", array(rows))
         .finish();
     write_summary(&json, args.json.as_deref());

@@ -1,12 +1,15 @@
 //! Table X: MILR prediction and identification time in seconds —
 //! single prediction, per-image batch prediction, and error
-//! identification (detection pass).
+//! identification (detection pass). `--json FILE` writes the rows as a
+//! machine-readable summary.
 //!
 //! ```text
 //! cargo run --release -p milr-bench --bin table10_timing [-- --paper-scale]
 //! ```
 
+use milr_bench::json::write_summary;
 use milr_bench::{prepare, Args, NetChoice};
+use milr_obs::json::{array, JsonObject};
 use milr_tensor::TensorRng;
 use std::time::Instant;
 
@@ -27,6 +30,7 @@ fn main() {
         "{:<22} {:>12} {:>14} {:>14}",
         "Network", "Single", "Batch(/img)", "Identification"
     );
+    let mut rows = Vec::new();
     for net in [
         NetChoice::Mnist,
         NetChoice::CifarSmall,
@@ -63,5 +67,19 @@ fn main() {
             "{:<22} {:>12.6} {:>14.3e} {:>14.6}",
             prep.label, single, batch, ident
         );
+        rows.push(
+            JsonObject::new()
+                .string("net", &prep.label)
+                .float("single_s", single, 9)
+                .float("batch_per_image_s", batch, 9)
+                .float("identification_s", ident, 9)
+                .finish(),
+        );
     }
+    let json = JsonObject::new()
+        .string("table", "table10_timing")
+        .raw("seed", args.seed)
+        .raw("rows", array(rows))
+        .finish();
+    write_summary(&json, args.json.as_deref());
 }

@@ -40,7 +40,7 @@ mod secded;
 
 pub use crc::{crc32, Crc32Hasher};
 pub use crc2d::{Crc2d, Crc2dCodes};
-pub use secded::{DecodeOutcome, ScrubReport, Secded};
+pub use secded::{DecodeOutcome, ScrubReport, Secded, SecdedTier};
 
 /// Scalar reference kernels.
 ///

@@ -21,11 +21,14 @@ use std::sync::OnceLock;
 /// [`scalar`](crate::scalar) as the bit-equivalence reference.
 ///
 /// Whole memories go through the slice kernels
-/// [`Secded::decode_words`], [`Secded::scrub_words`] and the fused
-/// [`Secded::scrub_decode_words`]. Each is one body compiled twice, portable and under
-/// `#[target_feature(enable = "popcnt")]`, chosen once per process with
-/// `is_x86_feature_detected!`: without the feature, `count_ones` is a
-/// bit-twiddling sequence of about a dozen instructions instead of one.
+/// [`Secded::encode_words`], [`Secded::decode_words`],
+/// [`Secded::scrub_words`] and the fused [`Secded::scrub_decode_words`].
+/// Each screens 32 words branch-free: every lane writes its dirty flag
+/// into a byte array, and the `u64` lane mask is built after the loop,
+/// so the loop vectorizes. Each is one body compiled once per
+/// [`SecdedTier`] (portable, `popcnt`, AVX2, AVX-512 with `vpopcntq`),
+/// the fastest the host supports chosen once per process with
+/// `is_x86_feature_detected!`.
 ///
 /// The type is a namespace: both operations are stateless associated
 /// functions.
@@ -166,19 +169,23 @@ impl Secded {
     /// bits of a `u64`).
     #[inline]
     pub fn encode(data: u32) -> u64 {
-        let mut word = Self::scatter(data);
+        let scattered = Self::scatter(data);
         // Hamming parities: each mask excludes all power-of-two
         // positions except its own (position 2^j has only bit j set), so
-        // the six parities are independent of evaluation order.
+        // every parity is the parity of the scattered data alone, and no
+        // one waits on another.
+        let mut word = scattered;
+        let mut ones = scattered.count_ones();
         let mut j = 0;
         while j < 6 {
-            let parity = ((word & PARITY_MASKS[j]).count_ones() & 1) as u64;
-            word |= parity << (1u32 << j);
+            let covered = (scattered & PARITY_MASKS[j]).count_ones();
+            word |= u64::from(covered & 1) << (1u32 << j);
+            ones += covered;
             j += 1;
         }
-        // Overall parity at position 0 covers positions 1..=38; bit 0 is
-        // still clear, so it is the whole word's population parity.
-        word | (word.count_ones() & 1) as u64
+        // Overall parity at position 0 covers positions 1..=38: the data
+        // bits and the six parity bits, whose ones `ones` has counted.
+        word | u64::from(ones & 1)
     }
 
     /// Decodes a 39-bit code word, correcting a single-bit error and
@@ -237,6 +244,17 @@ impl Secded {
         dirty == 0
     }
 
+    /// Encodes every data word into `out`, as `Secded::encode(data[i])`
+    /// would: the whole-memory write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != data.len()`.
+    pub fn encode_words(data: &[u32], out: &mut [u64]) {
+        assert_eq!(out.len(), data.len(), "output buffer length");
+        (kernels().encode)(data, out)
+    }
+
     /// Decodes every code word best-effort into `out`, as
     /// `Secded::decode(words[i]).data()` would, without touching the
     /// words (a read does not repair storage). Every word's data bits
@@ -278,98 +296,228 @@ impl Secded {
     }
 }
 
-/// The slice kernels for this host.
+/// An instruction-set tier the slice kernels are compiled for. Every
+/// tier runs the same body and returns the same bits; they differ only
+/// in how many words one instruction screens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SecdedTier {
+    /// Any host: `count_ones` is a bit-twiddling sequence of about a
+    /// dozen instructions.
+    Portable,
+    /// One word at a time, one `popcnt` per parity.
+    Popcnt,
+    /// Four words per `ymm`; each vector popcount is a nibble lookup.
+    Avx2,
+    /// Eight words per `zmm`, one `vpopcntq` per parity.
+    Avx512,
+}
+
+impl SecdedTier {
+    /// Every tier, fastest first: the order [`SecdedTier::dispatched`]
+    /// tries them in.
+    const ALL: [SecdedTier; 4] = [
+        SecdedTier::Avx512,
+        SecdedTier::Avx2,
+        SecdedTier::Popcnt,
+        SecdedTier::Portable,
+    ];
+
+    /// The tier's name in reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            SecdedTier::Portable => "portable",
+            SecdedTier::Popcnt => "popcnt",
+            SecdedTier::Avx2 => "avx2",
+            SecdedTier::Avx512 => "avx512",
+        }
+    }
+
+    /// The tier every [`Secded`] slice kernel runs on in this process:
+    /// the fastest the host supports, detected once.
+    pub fn dispatched() -> SecdedTier {
+        kernels().tier
+    }
+
+    /// True when this host can run the tier.
+    pub fn supported(self) -> bool {
+        self.kernels().is_some()
+    }
+
+    /// [`Secded::scrub_decode_words`] on this tier rather than the
+    /// dispatched one, for measuring one tier against another; `None`,
+    /// with nothing touched, when the host cannot run it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != words.len()`.
+    pub fn scrub_decode_words(self, words: &mut [u64], out: &mut [u32]) -> Option<ScrubReport> {
+        assert_eq!(out.len(), words.len(), "output buffer length");
+        self.kernels().map(|k| (k.scrub_decode)(words, out))
+    }
+
+    /// The tier's kernels, when the host has its features.
+    fn kernels(self) -> Option<&'static Kernels> {
+        match self {
+            SecdedTier::Portable => Some(&PORTABLE),
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            SecdedTier::Popcnt => is_x86_feature_detected!("popcnt").then_some(&x86::POPCNT),
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            SecdedTier::Avx2 => (is_x86_feature_detected!("avx2")
+                && is_x86_feature_detected!("popcnt"))
+            .then_some(&x86::AVX2),
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            SecdedTier::Avx512 => (is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512bw")
+                && is_x86_feature_detected!("avx512vl")
+                && is_x86_feature_detected!("avx512vpopcntdq")
+                && is_x86_feature_detected!("popcnt"))
+            .then_some(&x86::AVX512),
+            #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+            _ => None,
+        }
+    }
+}
+
+/// The slice kernels of one tier.
 struct Kernels {
+    tier: SecdedTier,
+    encode: fn(&[u32], &mut [u64]),
     decode: fn(&[u64], &mut [u32]),
     scrub: fn(&mut [u64]) -> ScrubReport,
     scrub_decode: fn(&mut [u64], &mut [u32]) -> ScrubReport,
 }
 
-/// Chooses the popcnt bodies when the host has the instruction,
-/// detected once per process.
+/// The bodies as written, for any host.
+static PORTABLE: Kernels = Kernels {
+    tier: SecdedTier::Portable,
+    encode: encode_words_body,
+    decode: decode_words_body,
+    scrub: scrub_words_body,
+    scrub_decode: scrub_decode_words_body,
+};
+
+/// The kernels of the fastest tier the host supports, chosen once per
+/// process.
 fn kernels() -> &'static Kernels {
-    static CHOSEN: OnceLock<Kernels> = OnceLock::new();
+    static CHOSEN: OnceLock<&'static Kernels> = OnceLock::new();
     CHOSEN.get_or_init(|| {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if is_x86_feature_detected!("popcnt") {
-            return Kernels {
-                decode: decode_words_popcnt_checked,
-                scrub: scrub_words_popcnt_checked,
-                scrub_decode: scrub_decode_words_popcnt_checked,
-            };
-        }
-        Kernels {
-            decode: decode_words_body,
-            scrub: scrub_words_body,
-            scrub_decode: scrub_decode_words_body,
-        }
+        SecdedTier::ALL
+            .iter()
+            .find_map(|tier| tier.kernels())
+            .expect("the portable tier runs anywhere")
     })
 }
 
-/// The decode body compiled with `popcnt` enabled.
-///
-/// # Safety
-///
-/// The host must support `popcnt`.
+/// The same bodies compiled once per x86 tier.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "popcnt")]
-unsafe fn decode_words_popcnt(words: &[u64], out: &mut [u32]) {
-    decode_words_body(words, out)
-}
+mod x86 {
+    use super::*;
 
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-fn decode_words_popcnt_checked(words: &[u64], out: &mut [u32]) {
-    // SAFETY: `kernels` selects this entry only after detecting popcnt.
-    unsafe { decode_words_popcnt(words, out) }
-}
+    /// A [`Kernels`] table of the four bodies compiled under
+    /// `$features`.
+    macro_rules! tier {
+        ($tier:expr, $features:literal) => {{
+            /// # Safety
+            ///
+            /// The host must support the tier's features.
+            #[target_feature(enable = $features)]
+            unsafe fn encode(data: &[u32], out: &mut [u64]) {
+                encode_words_body(data, out)
+            }
+            /// # Safety
+            ///
+            /// The host must support the tier's features.
+            #[target_feature(enable = $features)]
+            unsafe fn decode(words: &[u64], out: &mut [u32]) {
+                decode_words_body(words, out)
+            }
+            /// # Safety
+            ///
+            /// The host must support the tier's features.
+            #[target_feature(enable = $features)]
+            unsafe fn scrub(words: &mut [u64]) -> ScrubReport {
+                scrub_words_body(words)
+            }
+            /// # Safety
+            ///
+            /// The host must support the tier's features.
+            #[target_feature(enable = $features)]
+            unsafe fn scrub_decode(words: &mut [u64], out: &mut [u32]) -> ScrubReport {
+                scrub_decode_words_body(words, out)
+            }
+            // SAFETY (each entry): `SecdedTier::kernels` hands this
+            // table out only after detecting every one of `$features`.
+            Kernels {
+                tier: $tier,
+                encode: |data, out| unsafe { encode(data, out) },
+                decode: |words, out| unsafe { decode(words, out) },
+                scrub: |words| unsafe { scrub(words) },
+                scrub_decode: |words, out| unsafe { scrub_decode(words, out) },
+            }
+        }};
+    }
 
-/// The scrub body compiled with `popcnt` enabled.
-///
-/// # Safety
-///
-/// The host must support `popcnt`.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "popcnt")]
-unsafe fn scrub_words_popcnt(words: &mut [u64]) -> ScrubReport {
-    scrub_words_body(words)
-}
-
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-fn scrub_words_popcnt_checked(words: &mut [u64]) -> ScrubReport {
-    // SAFETY: `kernels` selects this entry only after detecting popcnt.
-    unsafe { scrub_words_popcnt(words) }
-}
-
-/// The fused scrub-and-decode body compiled with `popcnt` enabled.
-///
-/// # Safety
-///
-/// The host must support `popcnt`.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "popcnt")]
-unsafe fn scrub_decode_words_popcnt(words: &mut [u64], out: &mut [u32]) -> ScrubReport {
-    scrub_decode_words_body(words, out)
-}
-
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-fn scrub_decode_words_popcnt_checked(words: &mut [u64], out: &mut [u32]) -> ScrubReport {
-    // SAFETY: `kernels` selects this entry only after detecting popcnt.
-    unsafe { scrub_decode_words_popcnt(words, out) }
+    pub(super) static POPCNT: Kernels = tier!(SecdedTier::Popcnt, "popcnt");
+    pub(super) static AVX2: Kernels = tier!(SecdedTier::Avx2, "avx2,popcnt");
+    pub(super) static AVX512: Kernels = tier!(
+        SecdedTier::Avx512,
+        "avx512f,avx512bw,avx512vl,avx512vpopcntdq,popcnt"
+    );
 }
 
 /// Words per screen: one dirty bit per word in a `u64` mask.
 const SCREEN_CHUNK: usize = 32;
+
+/// The lane mask of a screen's dirty flags: bit `i` is `flags[i]`,
+/// each flag 0 or 1. The multiply gathers the low bits of eight bytes
+/// into the top byte (byte `i` shifted by `56 - 7i`); no two partial
+/// products meet, so nothing carries.
+#[inline(always)]
+fn lane_mask(flags: &[u8; SCREEN_CHUNK]) -> u64 {
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let mut mask = 0u64;
+    for (i, eight) in flags.chunks_exact(8).enumerate() {
+        let bytes = u64::from_le_bytes(eight.try_into().expect("chunk of 8"));
+        mask |= (bytes.wrapping_mul(GATHER) >> 56) << (8 * i);
+    }
+    mask
+}
+
+/// Screens up to [`SCREEN_CHUNK`] words branch-free: the lane mask of
+/// the words that are not clean.
+#[inline(always)]
+fn screen(words: &[u64]) -> u64 {
+    let mut flags = [0u8; SCREEN_CHUNK];
+    for (flag, &w) in flags.iter_mut().zip(words) {
+        *flag = u8::from(!Secded::is_clean(w));
+    }
+    lane_mask(&flags)
+}
+
+/// [`screen`] that also extracts every word's data bits as stored.
+#[inline(always)]
+fn screen_extract(words: &[u64], out: &mut [u32]) -> u64 {
+    let mut flags = [0u8; SCREEN_CHUNK];
+    for ((flag, slot), &w) in flags.iter_mut().zip(out.iter_mut()).zip(words) {
+        *slot = Secded::extract(w);
+        *flag = u8::from(!Secded::is_clean(w));
+    }
+    lane_mask(&flags)
+}
+
+#[inline(always)]
+fn encode_words_body(data: &[u32], out: &mut [u64]) {
+    for (slot, &d) in out.iter_mut().zip(data) {
+        *slot = Secded::encode(d);
+    }
+}
 
 #[inline(always)]
 fn decode_words_body(words: &[u64], out: &mut [u32]) {
     for (words, out) in words.chunks(SCREEN_CHUNK).zip(out.chunks_mut(SCREEN_CHUNK)) {
         // Extract every word as stored and screen it; only the flagged
         // lanes are decoded again, with correction.
-        let mut dirty = 0u64;
-        for (lane, (slot, &w)) in out.iter_mut().zip(words).enumerate() {
-            *slot = Secded::extract(w);
-            dirty |= u64::from(!Secded::is_clean(w)) << lane;
-        }
+        let mut dirty = screen_extract(words, out);
         while dirty != 0 {
             let lane = dirty.trailing_zeros() as usize;
             dirty &= dirty - 1;
@@ -382,11 +530,7 @@ fn decode_words_body(words: &[u64], out: &mut [u32]) {
 fn scrub_words_body(words: &mut [u64]) -> ScrubReport {
     let mut report = ScrubReport::default();
     for chunk in words.chunks_mut(SCREEN_CHUNK) {
-        // Screen pass: one dirty bit per lane, no branches per word.
-        let mut dirty = 0u64;
-        for (lane, &w) in chunk.iter().enumerate() {
-            dirty |= u64::from(!Secded::is_clean(w)) << lane;
-        }
+        let mut dirty = screen(chunk);
         report.clean += chunk.len() - dirty.count_ones() as usize;
         // Repair pass: only the flagged lanes.
         while dirty != 0 {
@@ -413,11 +557,7 @@ fn scrub_decode_words_body(words: &mut [u64], out: &mut [u32]) -> ScrubReport {
         .zip(out.chunks_mut(SCREEN_CHUNK))
     {
         // One screen per word: extract as stored, flag the dirty lanes.
-        let mut dirty = 0u64;
-        for (lane, (slot, &w)) in out.iter_mut().zip(chunk.iter()).enumerate() {
-            *slot = Secded::extract(w);
-            dirty |= u64::from(!Secded::is_clean(w)) << lane;
-        }
+        let mut dirty = screen_extract(chunk, out);
         report.clean += chunk.len() - dirty.count_ones() as usize;
         // Only the flagged lanes are decoded again: a correctable word is
         // repaired in place, an uncorrectable one passes its best-effort
@@ -658,7 +798,90 @@ mod tests {
         assert_ne!(words[32], Secded::encode(32 * 7919));
     }
 
+    #[test]
+    fn lane_mask_sets_one_bit_per_flag() {
+        for lane in 0..SCREEN_CHUNK {
+            let mut flags = [0u8; SCREEN_CHUNK];
+            flags[lane] = 1;
+            assert_eq!(lane_mask(&flags), 1 << lane, "lane {lane}");
+        }
+        assert_eq!(lane_mask(&[1; SCREEN_CHUNK]), u32::MAX as u64);
+    }
+
+    /// Every tier's four bodies, called directly rather than through
+    /// the dispatcher, against the bit-serial reference: lengths 0..=70
+    /// end mid-vector and mid-screen, with 0–3 flipped bits per word.
+    #[test]
+    fn every_tier_matches_scalar() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state
+        };
+        for tier in SecdedTier::ALL {
+            let Some(k) = tier.kernels() else {
+                eprintln!("host lacks the {} tier's features; not run", tier.name());
+                continue;
+            };
+            assert_eq!(k.tier, tier);
+            for len in 0..=70usize {
+                let cases: Vec<(u32, u64)> = (0..len).map(|_| (next() as u32, next())).collect();
+                let data: Vec<u32> = cases.iter().map(|&(d, _)| d).collect();
+                let mut encoded = vec![0u64; len];
+                (k.encode)(&data, &mut encoded);
+                let want: Vec<u64> = data.iter().map(|&d| scalar::encode(d)).collect();
+                assert_eq!(encoded, want, "{} encode, {len} words", tier.name());
+
+                let words = faulted_words(&cases);
+                let mut want_report = ScrubReport::default();
+                let mut want_words = words.clone();
+                let mut want_read = vec![0u32; len];
+                let mut want_scrubbed = vec![0u32; len];
+                for (i, &w) in words.iter().enumerate() {
+                    let outcome = scalar::decode(w);
+                    want_read[i] = outcome.data();
+                    want_scrubbed[i] = outcome.data();
+                    match outcome {
+                        DecodeOutcome::Clean { .. } => want_report.clean += 1,
+                        DecodeOutcome::Corrected { data, .. } => {
+                            want_report.corrected += 1;
+                            want_words[i] = scalar::encode(data);
+                        }
+                        DecodeOutcome::DoubleError { .. } => want_report.uncorrectable += 1,
+                    }
+                }
+                let at = format!("{}, {len} words", tier.name());
+                let mut read = vec![0u32; len];
+                (k.decode)(&words, &mut read);
+                assert_eq!(read, want_read, "{at}: decode");
+                let mut scrubbed = words.clone();
+                assert_eq!((k.scrub)(&mut scrubbed), want_report, "{at}: scrub");
+                assert_eq!(scrubbed, want_words, "{at}: scrub words");
+                let mut fused = words.clone();
+                let mut fused_data = vec![0u32; len];
+                assert_eq!(
+                    (k.scrub_decode)(&mut fused, &mut fused_data),
+                    want_report,
+                    "{at}: scrub_decode"
+                );
+                assert_eq!(fused, want_words, "{at}: scrub_decode words");
+                assert_eq!(fused_data, want_scrubbed, "{at}: scrub_decode data");
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn encode_words_matches_scalar(data in proptest::collection::vec(proptest::num::u32::ANY, 0..100)) {
+            let mut words = vec![0u64; data.len()];
+            Secded::encode_words(&data, &mut words);
+            for (&w, &d) in words.iter().zip(&data) {
+                prop_assert_eq!(w, scalar::encode(d));
+            }
+        }
+
         // The slice kernels against the bit-serial reference, word by
         // word, on clean, correctable, double-error and aliasing
         // triple-error words.

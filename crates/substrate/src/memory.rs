@@ -174,11 +174,16 @@ impl Raw {
         match self {
             Raw::Bare(raw) => raw[bytes].copy_from_slice(buf),
             Raw::Secded(words) => {
-                for (w, d) in words[bytes.start / 4..bytes.end / 4]
-                    .iter_mut()
-                    .zip(buf.chunks_exact(4))
+                let mut data = [0u32; GROUP_BYTES / 4];
+                for (words, buf) in words[bytes.start / 4..bytes.end / 4]
+                    .chunks_mut(GROUP_BYTES / 4)
+                    .zip(buf.chunks(GROUP_BYTES))
                 {
-                    *w = Secded::encode(u32::from_le_bytes(d.try_into().expect("chunk of 4")));
+                    let data = &mut data[..words.len()];
+                    for (d, bytes) in data.iter_mut().zip(buf.chunks_exact(4)) {
+                        *d = u32::from_le_bytes(bytes.try_into().expect("chunk of 4"));
+                    }
+                    Secded::encode_words(data, words);
                 }
             }
         }

@@ -17,9 +17,9 @@
 //! portable path and the reference. The fast path is not here: on
 //! x86_64 hosts with AES-NI, [`XtsCipher`](crate::XtsCipher)'s
 //! `encrypt_blocks`/`decrypt_blocks` run the rounds in hardware, eight
-//! blocks in flight, from the round keys this type expands (DESIGN.md
-//! §15), and are proptested byte-equal to the per-block path over this
-//! cipher.
+//! blocks in flight, or sixteen with VAES, from the round keys this
+//! type expands (DESIGN.md §15), and are proptested byte-equal to the
+//! per-block path over this cipher.
 
 /// AES S-box.
 static SBOX: [u8; 256] = [

@@ -16,8 +16,8 @@
 //!   specification's test vectors);
 //! * [`XtsCipher`] — IEEE 1619 XTS mode with per-block address tweaks
 //!   (validated against IEEE 1619 vectors), with a batched
-//!   `encrypt_blocks`/`decrypt_blocks` API that runs on AES-NI where the
-//!   host has it.
+//!   `encrypt_blocks`/`decrypt_blocks` API that runs on VAES or AES-NI
+//!   where the host has them.
 //!
 //! `milr-substrate`'s XTS kinds store weights as ciphertext through
 //! these calls, each 16-byte block tweaked by its block index (standing
@@ -46,4 +46,4 @@ mod aesni;
 mod xts;
 
 pub use aes::Aes128;
-pub use xts::{XtsCipher, XtsError, BLOCK_BYTES};
+pub use xts::{XtsBody, XtsCipher, XtsError, BLOCK_BYTES};

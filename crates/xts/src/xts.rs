@@ -30,6 +30,30 @@ impl fmt::Display for XtsError {
 
 impl std::error::Error for XtsError {}
 
+/// A body [`XtsCipher::encrypt_blocks`] and [`XtsCipher::decrypt_blocks`]
+/// can run on. Every body returns the same bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum XtsBody {
+    /// One data unit at a time on the per-byte FIPS-197 cipher.
+    Portable,
+    /// AES-NI, eight blocks in flight.
+    AesNi,
+    /// VAES over AVX-512, sixteen blocks in flight in four `zmm`
+    /// registers; the AES-NI body takes the tail of a call.
+    Vaes,
+}
+
+impl XtsBody {
+    /// The body's name in reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            XtsBody::Portable => "portable",
+            XtsBody::AesNi => "aes-ni",
+            XtsBody::Vaes => "vaes",
+        }
+    }
+}
+
 /// XTS-AES-128 tweakable block cipher (IEEE 1619), the mode used by
 /// Intel MKTME and AMD SEV memory encryption (paper Fig. 1).
 ///
@@ -62,6 +86,21 @@ impl XtsCipher {
             data_key,
             tweak_key,
         }
+    }
+
+    /// The body [`XtsCipher::encrypt_blocks`] and
+    /// [`XtsCipher::decrypt_blocks`] run on: the fastest the host
+    /// supports, detected once per process.
+    pub fn body(&self) -> XtsBody {
+        #[cfg(target_arch = "x86_64")]
+        if self.aesni.is_some() {
+            return if aesni::vaes_available() {
+                XtsBody::Vaes
+            } else {
+                XtsBody::AesNi
+            };
+        }
+        XtsBody::Portable
     }
 
     fn initial_tweak(&self, unit: u64) -> [u8; 16] {
@@ -142,7 +181,8 @@ impl XtsCipher {
     /// unit `first_unit + i` (wrapping) — the layout of every weight
     /// memory. Byte-identical to calling [`XtsCipher::encrypt_unit`] on
     /// each block; on x86_64 hosts with AES-NI the rounds run in
-    /// hardware, eight blocks in flight.
+    /// hardware, eight blocks in flight, or sixteen with VAES (see
+    /// [`XtsBody`]).
     ///
     /// # Panics
     ///
@@ -162,19 +202,56 @@ impl XtsCipher {
         self.blocks::<false>(data, first_unit);
     }
 
+    /// [`XtsCipher::decrypt_blocks`] on `body` rather than the
+    /// dispatched one, for measuring one body against another. Returns
+    /// false, with nothing touched, when the host cannot run `body`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `data.len()` is a multiple of 16 (empty is fine).
+    pub fn decrypt_blocks_on(&self, body: XtsBody, data: &mut [u8], first_unit: u64) -> bool {
+        self.blocks_on::<false>(body, data, first_unit)
+    }
+
     fn blocks<const ENCRYPT: bool>(&self, data: &mut [u8], first_unit: u64) {
+        let ran = self.blocks_on::<ENCRYPT>(self.body(), data, first_unit);
+        debug_assert!(ran, "the dispatched body runs on this host");
+    }
+
+    fn blocks_on<const ENCRYPT: bool>(
+        &self,
+        body: XtsBody,
+        data: &mut [u8],
+        first_unit: u64,
+    ) -> bool {
         assert!(
             data.len().is_multiple_of(16),
             "data length {} is not a multiple of 16 bytes",
             data.len()
         );
-        #[cfg(target_arch = "x86_64")]
-        if let Some(keys) = &self.aesni {
-            // SAFETY: `aesni` is set only on hosts with AES-NI, and the
-            // length is checked above.
-            return unsafe { keys.blocks::<ENCRYPT>(data, first_unit) };
+        match body {
+            XtsBody::Portable => self.blocks_portable(data, first_unit, ENCRYPT),
+            #[cfg(target_arch = "x86_64")]
+            XtsBody::AesNi => match &self.aesni {
+                // SAFETY: `aesni` is set only on hosts with AES-NI, and
+                // the length is checked above.
+                Some(keys) => unsafe { keys.blocks::<ENCRYPT>(data, first_unit) },
+                None => return false,
+            },
+            #[cfg(target_arch = "x86_64")]
+            XtsBody::Vaes => match &self.aesni {
+                // SAFETY: `aesni` is set only on hosts with AES-NI, VAES
+                // and AVX-512F are detected here, and the length is
+                // checked above.
+                Some(keys) if aesni::vaes_available() => unsafe {
+                    keys.blocks_vaes::<ENCRYPT>(data, first_unit)
+                },
+                _ => return false,
+            },
+            #[cfg(not(target_arch = "x86_64"))]
+            XtsBody::AesNi | XtsBody::Vaes => return false,
         }
-        self.blocks_portable(data, first_unit, ENCRYPT);
+        true
     }
 
     /// The per-block path over the FIPS-197 cipher.
@@ -305,10 +382,73 @@ mod tests {
         }
     }
 
+    /// The VAES body called directly against one `*_unit` call per
+    /// block, over 0–40 blocks so whole 16-block runs and both tails
+    /// (the 8-lane batch and single blocks) run, with unit numbers that
+    /// wrap past `u64::MAX`.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vaes_body_matches_per_block_units() {
+        if !aesni::vaes_available() {
+            eprintln!("host lacks VAES or AVX-512F; the VAES body is not run");
+            return;
+        }
+        let cipher = XtsCipher::new(b"vaes-vs-units--1", b"vaes-vs-units--2");
+        assert_eq!(cipher.body(), XtsBody::Vaes);
+        let keys = cipher.aesni.expect("AES-NI keys on a VAES host");
+        for blocks in 0..=40usize {
+            for first_unit in [0u64, 1 << 33, u64::MAX - 20, u64::MAX] {
+                let plain: Vec<u8> = (0..blocks * 16).map(|i| (i * 37 + blocks) as u8).collect();
+                let mut reference = plain.clone();
+                for (i, block) in reference.chunks_exact_mut(16).enumerate() {
+                    let unit = first_unit.wrapping_add(i as u64);
+                    cipher.encrypt_unit(block, unit).unwrap();
+                }
+                let mut vaes = plain.clone();
+                // SAFETY: VAES, AVX-512F and AES-NI detected above; whole
+                // blocks.
+                unsafe { keys.blocks_vaes::<true>(&mut vaes, first_unit) };
+                assert_eq!(
+                    vaes, reference,
+                    "encrypt, {blocks} blocks from {first_unit}"
+                );
+                for (i, block) in reference.chunks_exact_mut(16).enumerate() {
+                    let unit = first_unit.wrapping_add(i as u64);
+                    cipher.decrypt_unit(block, unit).unwrap();
+                }
+                // SAFETY: as above.
+                unsafe { keys.blocks_vaes::<false>(&mut vaes, first_unit) };
+                assert_eq!(
+                    vaes, reference,
+                    "decrypt, {blocks} blocks from {first_unit}"
+                );
+                assert_eq!(vaes, plain);
+            }
+        }
+    }
+
+    #[test]
+    fn every_body_decrypts_alike() {
+        let cipher = XtsCipher::new(b"bodies-agree---1", b"bodies-agree---2");
+        let plain: Vec<u8> = (0..37 * 16).map(|i| (i * 11) as u8).collect();
+        let mut sealed = plain.clone();
+        cipher.encrypt_blocks(&mut sealed, u64::MAX - 5);
+        for body in [XtsBody::Portable, XtsBody::AesNi, XtsBody::Vaes] {
+            let mut data = sealed.clone();
+            if cipher.decrypt_blocks_on(body, &mut data, u64::MAX - 5) {
+                assert_eq!(data, plain, "{}", body.name());
+            } else {
+                assert_eq!(data, sealed, "{}: untouched when not run", body.name());
+                eprintln!("host cannot run the {} body; not compared", body.name());
+            }
+        }
+    }
+
     proptest! {
         // The batched API against one `*_unit` call per block, over
-        // 1..=33 blocks so both the 8-block batches and the shorter tail
-        // run, with unit numbers that may wrap.
+        // 1..=33 blocks so the dispatched body's batches (16-block VAES
+        // runs, 8-block AES-NI batches) and its shorter tails run, with
+        // unit numbers that may wrap.
         #[test]
         fn blocks_match_per_block_units(
             key1 in proptest::array::uniform16(proptest::num::u8::ANY),
