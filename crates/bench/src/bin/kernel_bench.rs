@@ -4,10 +4,12 @@
 //! their vector tiers, batched AES-NI and VAES XTS, single-pass CRC2D,
 //! register-tiled FMA GEMM, implicit-GEMM conv2d, single-pass max-pool
 //! and row-major Householder QR) actually buy throughput on the machine
-//! at hand, not just in theory. One arm times a whole heal instead of a kernel: a 2×2
-//! square fault in the last conv layer of CIFAR-small, which the CRC
-//! cannot pin, healed on a fresh instance against one whose
-//! backward-pass factors are cached.
+//! at hand, not just in theory. Two arms time whole heals instead of
+//! kernels: a 2×2 square fault in the last conv layer of CIFAR-small,
+//! which the CRC cannot pin, healed on a fresh instance against one
+//! whose backward-pass factors are cached; and a live quarantine's heal
+//! of a conv whole-weight fault on XTS+SECDED, run from a fresh decode
+//! and detection against one run from the flagging tick's.
 //!
 //! Every optimized kernel is proptested bit-equivalent to its scalar
 //! twin in its home crate; this binary only measures. With `--check`
@@ -16,7 +18,8 @@
 //! warm heal_conv_last, 4× for the batched XTS decrypt and for
 //! conv2d_conv1, 3× for the SECDED scrub and the QR factor, 2× for the
 //! CRC2D full-grid encode and for max_pool2d, 1.2× for the fused SECDED
-//! scrub-decode against its two separate passes; 2× for the dispatched
+//! scrub-decode against its two separate passes and for heal_from_tick;
+//! 2× for the dispatched
 //! SECDED tier against the popcnt tier and for the dispatched XTS body
 //! against the 8-lane AES-NI body, but only on hosts where the AVX-512
 //! tier and the VAES body run, 1× elsewhere) — the CI regression gate.
@@ -30,10 +33,14 @@ use milr_bench::best_ns;
 use milr_bench::json::write_summary;
 use milr_core::{Milr, MilrConfig};
 use milr_ecc::{crc32, scalar, Crc2d, DecodeOutcome, Secded, SecdedTier};
+use milr_integrity::{
+    Budget, EscalationPolicy, IntegrityPipeline, ModelHost, RoundOutcome, Volatile,
+};
 use milr_linalg::{scalar as linalg_scalar, Mat, Qr};
 use milr_models::reduced_cifar_small;
 use milr_nn::Sequential;
 use milr_obs::json::{array, JsonObject};
+use milr_substrate::SubstrateKind;
 use milr_tensor::scalar as tensor_scalar;
 use milr_tensor::{conv2d, matmul, max_pool2d, ConvSpec, Padding, PoolSpec, Tensor};
 use milr_xts::{XtsBody, XtsCipher};
@@ -58,6 +65,11 @@ const CONV_LAST: usize = 14;
 /// Weights `(z, y)`, `(z, y + 1)`, `(z + 1, y)` and `(z + 1, y + 1)` of
 /// one `(Z, Y)` slice of layer 14 (24 output channels).
 const SQUARE: [usize; 4] = [0, 1, 24, 25];
+/// CIFAR-small's second conv layer, the heal_from_tick fault's layer.
+const CONV2: usize = 3;
+/// Smallest golden magnitude the heal_from_tick fault may garble:
+/// smaller conv weights heal only approximately.
+const MIN_TARGET_MAGNITUDE: f32 = 0.01;
 
 struct BenchArgs {
     trials: usize,
@@ -167,6 +179,63 @@ fn best_heal_ns(
         })
         .min()
         .unwrap_or(u64::MAX)
+}
+
+/// The first weight of `layer` whose whole-weight fault on `kind`
+/// garbles only weights of magnitude at least [`MIN_TARGET_MAGNITUDE`]
+/// (under XTS a fault garbles its whole cipher block).
+fn exact_heal_target(golden: &Sequential, kind: SubstrateKind, layer: usize) -> usize {
+    let host = ModelHost::new(golden, &|c| kind.store(c));
+    let params = golden.layers()[layer].params().expect("conv has params");
+    (0..params.numel())
+        .find(|&weight| {
+            host.corrupt_weight(layer, weight);
+            let read = host.materialize_layers(&[layer]);
+            host.corrupt_weight(layer, weight);
+            let read = read.layers()[layer].params().expect("conv has params");
+            read.data()
+                .iter()
+                .zip(params.data())
+                .all(|(a, b)| a.to_bits() == b.to_bits() || b.abs() >= MIN_TARGET_MAGNITUDE)
+        })
+        .expect("some weight heals exactly")
+}
+
+/// One live quarantine's heal on a fresh XTS+SECDED host: a gated
+/// pipeline (the threaded server's) ticks over the whole model and
+/// flags the whole-weight fault at `(layer, weight)`; then the timed
+/// call heals it — [`IntegrityPipeline::heal_tick`] from the tick's
+/// decode and flags, or [`IntegrityPipeline::run`] from a fresh decode
+/// and detection. Returns the heal's time and the healed host.
+fn quarantine_heal(
+    golden: &Sequential,
+    protected: &Milr,
+    (layer, weight): (usize, usize),
+    from_tick: bool,
+) -> (u64, ModelHost) {
+    let host = ModelHost::new(golden, &|c| SubstrateKind::XtsSecded.store(c));
+    host.corrupt_weight(layer, weight);
+    let mut milr = protected.clone();
+    let mut pipeline = IntegrityPipeline::new(EscalationPolicy::Quarantine, Budget::default())
+        .with_reprotect_gate();
+    let tick = pipeline
+        .tick(&host, &milr, &milr.checkable_layers(), &mut Volatile)
+        .expect("tick runs");
+    assert_eq!(
+        tick.detection.flagged,
+        vec![layer],
+        "the tick flags the fault"
+    );
+    let tick = from_tick.then_some(tick);
+    let start = Instant::now();
+    let outcome = match tick {
+        Some(tick) => pipeline.heal_tick(&host, &mut milr, tick, &mut Volatile),
+        None => pipeline.run(&host, &mut milr, &mut Volatile),
+    }
+    .expect("heal runs");
+    let ns = start.elapsed().as_nanos() as u64;
+    assert_eq!(outcome, RoundOutcome::Clean { reanchored: false });
+    (ns, host)
 }
 
 fn main() {
@@ -597,6 +666,45 @@ fn main() {
                 .expect("golden reprotects");
         }),
         floor: 10.0,
+    });
+
+    // ---- A live quarantine's heal: fresh decode vs the tick's. ----
+    // The fault garbles only weights large enough to heal exactly, so
+    // both arms must end on golden bits. Host, protection clone and
+    // tick are built outside the timer.
+    let target = (
+        CONV2,
+        exact_heal_target(&golden, SubstrateKind::XtsSecded, CONV2),
+    );
+    let protected = protect();
+    let param_bits = |model: &Sequential| -> Vec<u32> {
+        model
+            .layers()
+            .iter()
+            .filter_map(|l| l.params())
+            .flat_map(|p| p.data().iter().map(|v| v.to_bits()))
+            .collect()
+    };
+    let golden_bits = param_bits(&golden);
+    let best_quarantine_ns = |from_tick: bool| {
+        (0..trials)
+            .map(|_| {
+                let (ns, host) = quarantine_heal(&golden, &protected, target, from_tick);
+                assert!(
+                    param_bits(&host.materialize()) == golden_bits,
+                    "heal_from_tick left a weight off golden"
+                );
+                ns
+            })
+            .min()
+            .unwrap_or(u64::MAX)
+    };
+    kernels.push(Kernel {
+        name: "heal_from_tick",
+        items: 1,
+        scalar_ns: best_quarantine_ns(false),
+        optimized_ns: best_quarantine_ns(true),
+        floor: 1.2,
     });
 
     // ---- Report. ----

@@ -32,7 +32,10 @@
 //! pass per shard ([`ModelHost::scrub_read_layers`]) into a second
 //! zeroed skeleton the host keeps for that purpose, built at the first
 //! tick. Detection then reads the chunk's layers from it, so a tick
-//! neither clones the architecture nor decodes a shard twice.
+//! neither clones the architecture nor decodes a shard twice. A flagged
+//! tick whose chunk covered every shard keeps that skeleton as the heal
+//! episode's snapshot ([`ChunkView::into_model`]); the next tick clones
+//! a fresh one.
 
 use milr_nn::{Result as NnResult, Sequential};
 use milr_obs::SpanTree;
@@ -102,11 +105,21 @@ pub struct ModelHost {
 /// [`ModelHost::scrub_read_layers`]. Only the chunk's layers carry
 /// this tick's weights: the others hold zeros or an earlier tick's
 /// decode, which detection of the chunk never reads. Dropping the view
-/// hands the skeleton back to its host for the next tick.
+/// hands the skeleton back to its host for the next tick;
+/// [`into_model`](ChunkView::into_model) keeps it instead.
 #[derive(Debug)]
 pub struct ChunkView<'a> {
     slot: &'a Mutex<Option<Sequential>>,
     model: Option<Sequential>,
+}
+
+impl ChunkView<'_> {
+    /// Takes the decoded skeleton out of the view — when the chunk
+    /// covered every shard it is a whole-model decode. The host clones
+    /// a fresh skeleton from its template at the next tick.
+    pub fn into_model(mut self) -> Sequential {
+        self.model.take().expect("lent until drop")
+    }
 }
 
 impl Deref for ChunkView<'_> {
@@ -121,8 +134,9 @@ impl Drop for ChunkView<'_> {
     fn drop(&mut self) {
         // A poisoned slot only means a panic while it was locked; the
         // skeleton's contents are rewritten per tick, so keep using it.
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = self.model.take();
+        if let Some(model) = self.model.take() {
+            *self.slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(model);
+        }
     }
 }
 
@@ -249,12 +263,11 @@ impl ModelHost {
         let mut model = self.template.clone();
         for &layer in layers {
             if let Ok(shard) = self.param_layers.binary_search(&layer) {
-                let data = self.store.read_shard(shard);
-                let tensor = Tensor::from_vec(data, &self.param_dims[shard])
-                    .expect("shard length fixed at construction");
-                *model.layers_mut()[layer]
+                let params = model.layers_mut()[layer]
                     .params_mut()
-                    .expect("param layer cannot lose its params") = tensor;
+                    .expect("param layer cannot lose its params");
+                self.store
+                    .read_shard_into_versioned(shard, params.data_mut());
             }
         }
         model

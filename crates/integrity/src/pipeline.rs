@@ -10,7 +10,9 @@
 //! once verification comes back clean. Drivers that own the clock
 //! (the discrete-event simulators) call `heal_round` once per
 //! scheduled event; wall-clock drivers loop with
-//! [`IntegrityPipeline::run`].
+//! [`IntegrityPipeline::run`], or — when the tick that flagged decoded
+//! every shard — with [`IntegrityPipeline::heal_tick`], which heals
+//! from that tick's decode and detection instead of repeating both.
 //!
 //! ## The steady-state fast path
 //!
@@ -31,16 +33,19 @@
 //! into the new CRC baseline where no future scrub could ever see it.
 //! Such drivers construct the pipeline
 //! [`with_reprotect_gate`](IntegrityPipeline::with_reprotect_gate):
-//! before re-protecting, the engine re-detects the **whole** snapshot
-//! it is about to protect and loops back into healing if anything new
-//! is flagged — restoring the old loops' protect-only-a-fully-verified-
-//! snapshot contract while intermediate rounds keep the fast path.
+//! after every write-back the engine decodes and detects the **whole**
+//! model, loops back into healing from that snapshot if anything is
+//! flagged, and otherwise re-protects exactly that snapshot — the old
+//! loops' protect-only-a-fully-verified-snapshot contract. On a gated
+//! pipeline that gate *is* the Verify stage: a suspect-only fast verify
+//! in front of it would re-check a subset of what the gate checks next.
 
 use crate::host::ModelHost;
 use crate::policy::{Anchored, Budget, DurabilityPolicy, EscalationPolicy, Flushed};
 use crate::report::PipelineReport;
 use crate::IntegrityError;
 use milr_core::{DetectionReport, Milr};
+use milr_nn::Sequential;
 use milr_obs::{EventKind, SpanHandle, SpanTree, TraceHandle};
 use milr_substrate::ScrubSummary;
 use std::sync::{Arc, Mutex};
@@ -88,7 +93,8 @@ pub enum Stage {
     Classify,
     /// Hand irrecoverable layers to the escalation policy.
     Escalate,
-    /// Fast-path re-check of the suspect layers.
+    /// Re-check after a write-back: the suspect layers (fast path), or
+    /// the whole model on gated pipelines (the Reprotect gate).
     Verify,
     /// Re-protect against the healed state.
     Reprotect,
@@ -120,6 +126,13 @@ pub struct TickOutcome {
     pub scrub: ScrubSummary,
     /// Detection over the chunk.
     pub detection: DetectionReport,
+    /// The chunk's decode, kept when detection flagged and the chunk
+    /// covered every shard: then the decode is a whole model and the
+    /// detection is a full one, so
+    /// [`heal_tick`](IntegrityPipeline::heal_tick) heals from them
+    /// without decoding or detecting again. `None` on a clean tick or
+    /// a partial chunk.
+    pub snapshot: Option<Sequential>,
 }
 
 /// How one heal round ended.
@@ -470,7 +483,11 @@ impl IntegrityPipeline {
     /// One recurring tick: the Scrub and Detect stages over a cursor
     /// chunk. A flagged [`TickOutcome::detection`] is the driver's cue
     /// to quarantine and start calling
-    /// [`heal_round`](IntegrityPipeline::heal_round).
+    /// [`heal_round`](IntegrityPipeline::heal_round), or to hand the
+    /// outcome to [`heal_tick`](IntegrityPipeline::heal_tick): a flagged
+    /// tick whose chunk covered every shard keeps its decode as
+    /// [`TickOutcome::snapshot`] (the host clones a fresh skeleton at
+    /// the next tick).
     ///
     /// # Errors
     ///
@@ -506,7 +523,8 @@ impl IntegrityPipeline {
         self.enter(Stage::Detect);
         let t = self.stamp();
         let detection = milr.detect_layers(&live, chunk)?;
-        drop(live);
+        let whole = host.param_layers().iter().all(|l| chunk.contains(l));
+        let snapshot = (whole && !detection.is_clean()).then(|| live.into_model());
         self.lap(t, Stage::Detect);
         self.report.chunk_detects += 1;
         self.report.layers_checked += detection.checks.len();
@@ -516,7 +534,11 @@ impl IntegrityPipeline {
                 layer: layer as u32,
             });
         }
-        Ok(TickOutcome { scrub, detection })
+        Ok(TickOutcome {
+            scrub,
+            detection,
+            snapshot,
+        })
     }
 
     /// One heal round: a full Detect pass, then Heal → Classify →
@@ -570,13 +592,13 @@ impl IntegrityPipeline {
     }
 
     /// The round body past Detect: `flagged` is this round's flag set,
-    /// `live` the snapshot it was observed on (when available — the
-    /// fast path inside [`run`](IntegrityPipeline::run) carries a
-    /// verify's flags without re-materializing).
+    /// `live` the snapshot it was observed on (when available — a tick's
+    /// carried decode, or the Reprotect gate's; a failed fast verify
+    /// inside [`run`](IntegrityPipeline::run) carries only its flags).
     fn round_with(
         &mut self,
         flagged: Vec<usize>,
-        live: Option<milr_nn::Sequential>,
+        live: Option<Sequential>,
         host: &ModelHost,
         milr: &mut Milr,
         durability: &mut dyn DurabilityPolicy,
@@ -646,10 +668,13 @@ impl IntegrityPipeline {
             _ => (flagged.clone(), Vec::new()),
         };
         if !accepted.is_empty() {
+            let t = self.stamp();
             host.write_back(&live, &accepted);
             self.healed = true;
             self.report.layers_healed += accepted.len();
-            if durability.flush(host)? == Flushed::Failed {
+            let flushed = durability.flush(host);
+            self.lap(t, Stage::Heal);
+            if flushed? == Flushed::Failed {
                 self.report.durability_errors += 1;
             }
         }
@@ -665,8 +690,13 @@ impl IntegrityPipeline {
             });
         }
 
-        // ---- Verify (fast path) ----------------------------------
+        // ---- Verify ----------------------------------------------
         self.suspect = union(&self.suspect, &flagged);
+        if self.gated {
+            // The Reprotect gate's full detection is this round's
+            // verification.
+            return self.gate(host, milr, durability);
+        }
         self.enter(Stage::Verify);
         let t = self.stamp();
         let live = host.materialize_layers(&self.suspect);
@@ -685,13 +715,13 @@ impl IntegrityPipeline {
     }
 
     /// Runs heal rounds back to back until the episode resolves — the
-    /// wall-clock drivers' loop (cold start, the online server's
-    /// recovery thread). Never returns [`RoundOutcome::Retry`]. Inside
-    /// the loop a failed verify's flags feed the next round directly
-    /// (no redundant re-detect); the rounds are back to back, so
-    /// nothing the opening detect certified can have changed meanwhile
-    /// that the closing verification (or, on gated pipelines, the
-    /// Reprotect gate) would not catch.
+    /// wall-clock drivers' loop (cold start, benches). Never returns
+    /// [`RoundOutcome::Retry`]. The episode opens with a full Detect
+    /// pass; inside the loop a failed verify's flags feed the next
+    /// round directly (no redundant re-detect); the rounds are back to
+    /// back, so nothing the opening detect certified can have changed
+    /// meanwhile that the closing verification (or, on gated
+    /// pipelines, the Reprotect gate) would not catch.
     ///
     /// # Errors
     ///
@@ -702,19 +732,62 @@ impl IntegrityPipeline {
         milr: &mut Milr,
         durability: &mut dyn DurabilityPolicy,
     ) -> Result<RoundOutcome, IntegrityError> {
-        let mut carried: Option<Vec<usize>> = None;
+        self.heal_loop(None, host, milr, durability)
+    }
+
+    /// [`run`](IntegrityPipeline::run) for the episode a tick just
+    /// flagged — the threaded server's recovery entry. When the tick
+    /// carried a [`TickOutcome::snapshot`], the first round heals from
+    /// that decode with the tick's flags: no opening decode, no opening
+    /// detect. Without one (a clean tick, or a partial chunk whose flags
+    /// are not a full detection) this is exactly `run`.
+    ///
+    /// Sound on concurrent hosts only with the Reprotect gate: a fault
+    /// landing between the tick and this call outside the tick's flags
+    /// is caught by the gate's full detection after the write-back.
+    ///
+    /// # Errors
+    ///
+    /// See [`heal_round`](IntegrityPipeline::heal_round).
+    pub fn heal_tick(
+        &mut self,
+        host: &ModelHost,
+        milr: &mut Milr,
+        tick: TickOutcome,
+        durability: &mut dyn DurabilityPolicy,
+    ) -> Result<RoundOutcome, IntegrityError> {
+        let opening = tick.snapshot.map(|live| {
+            if self.rounds == 0 {
+                self.last_flagged = tick.detection.flagged.clone();
+            }
+            (tick.detection.flagged, Some(live))
+        });
+        self.heal_loop(opening, host, milr, durability)
+    }
+
+    /// The loop behind [`run`](IntegrityPipeline::run) and
+    /// [`heal_tick`](IntegrityPipeline::heal_tick): `carried` is the
+    /// next round's flags, with the decode they were observed on when
+    /// there is one; without it the round detects for itself.
+    fn heal_loop(
+        &mut self,
+        mut carried: Option<(Vec<usize>, Option<Sequential>)>,
+        host: &ModelHost,
+        milr: &mut Milr,
+        durability: &mut dyn DurabilityPolicy,
+    ) -> Result<RoundOutcome, IntegrityError> {
         loop {
             let outcome = match carried.take() {
-                Some(flagged) => {
+                Some((flagged, live)) => {
                     self.span_root("heal_round", self.rounds as u64);
-                    let outcome = self.round_with(flagged, None, host, milr, durability);
+                    let outcome = self.round_with(flagged, live, host, milr, durability);
                     self.span_seal();
                     outcome?
                 }
                 None => self.heal_round(host, milr, durability)?,
             };
             match outcome {
-                RoundOutcome::Retry { flagged } => carried = Some(flagged),
+                RoundOutcome::Retry { flagged } => carried = Some((flagged, None)),
                 outcome => return Ok(outcome),
             }
         }
@@ -738,7 +811,7 @@ impl IntegrityPipeline {
         durability: &mut dyn DurabilityPolicy,
     ) -> Result<bool, IntegrityError> {
         self.span_root("reanchor", 0);
-        let live = host.materialize();
+        let live = self.decode_for_reprotect(host);
         let anchored = self.reprotect_snapshot(live, host, milr, durability);
         self.span_seal();
         anchored
@@ -748,7 +821,7 @@ impl IntegrityPipeline {
     /// caller has verified. Ends the episode.
     fn reprotect_snapshot(
         &mut self,
-        live: milr_nn::Sequential,
+        live: Sequential,
         host: &ModelHost,
         milr: &mut Milr,
         durability: &mut dyn DurabilityPolicy,
@@ -789,24 +862,47 @@ impl IntegrityPipeline {
             self.end_episode();
             return Ok(RoundOutcome::Clean { reanchored: false });
         }
-        let live = host.materialize();
         if self.gated {
-            // Reprotect gate (concurrent hosts): only a snapshot that
-            // passed a *full* detection may become the new baseline —
-            // a fault that landed outside the suspect set during this
-            // episode must heal now, not get certified forever.
-            self.enter(Stage::Verify);
-            let t = self.stamp();
-            let detection = milr.detect(&live)?;
-            self.lap(t, Stage::Verify);
-            self.report.full_detects += 1;
-            self.report.layers_checked += detection.checks.len();
-            if !detection.is_clean() {
-                return self.round_with(detection.flagged, Some(live), host, milr, durability);
-            }
+            return self.gate(host, milr, durability);
+        }
+        let live = self.decode_for_reprotect(host);
+        let reanchored = self.reprotect_snapshot(live, host, milr, durability)?;
+        Ok(RoundOutcome::Clean { reanchored })
+    }
+
+    /// The Reprotect gate (concurrent hosts), run as the Verify stage:
+    /// only a snapshot that passed a *full* detection may become the
+    /// new baseline — a fault that landed outside the suspect set
+    /// during this episode must heal now, not get certified forever.
+    /// A flagged gate heals from its own snapshot; a clean one
+    /// re-protects exactly that snapshot.
+    fn gate(
+        &mut self,
+        host: &ModelHost,
+        milr: &mut Milr,
+        durability: &mut dyn DurabilityPolicy,
+    ) -> Result<RoundOutcome, IntegrityError> {
+        self.enter(Stage::Verify);
+        let t = self.stamp();
+        let live = host.materialize();
+        let detection = milr.detect(&live)?;
+        self.lap(t, Stage::Verify);
+        self.report.full_detects += 1;
+        self.report.layers_checked += detection.checks.len();
+        if !detection.is_clean() {
+            return self.round_with(detection.flagged, Some(live), host, milr, durability);
         }
         let reanchored = self.reprotect_snapshot(live, host, milr, durability)?;
         Ok(RoundOutcome::Clean { reanchored })
+    }
+
+    /// The whole-model decode an ungated re-protect runs on, timed
+    /// into Reprotect.
+    fn decode_for_reprotect(&mut self, host: &ModelHost) -> Sequential {
+        let t = self.stamp();
+        let live = host.materialize();
+        self.lap(t, Stage::Reprotect);
+        live
     }
 
     fn end_episode(&mut self) {

@@ -17,11 +17,13 @@ pub struct StageNanos {
     pub scrub: u64,
     /// Detection passes (full and incremental chunks).
     pub detect: u64,
-    /// MILR recovery solves.
+    /// MILR recovery solves, with their write-back and its flush.
     pub heal: u64,
-    /// Post-heal verification (fast-path subset re-checks).
+    /// Post-heal verification with its decode: fast-path subset
+    /// re-checks, or the full Reprotect gate on gated pipelines.
     pub verify: u64,
-    /// Re-protection against the healed state.
+    /// Re-protection against the healed state (with its decode on
+    /// ungated pipelines).
     pub reprotect: u64,
     /// Durable re-anchor commits.
     pub anchor: u64,

@@ -1,13 +1,15 @@
 //! Pipeline contract tests: the strict no-op on clean hosts (across
 //! every substrate kind, volatile and store-backed), the heal ladder's
-//! fast-path verification, escalation classification, and the budget
-//! policies.
+//! fast-path verification, escalation classification, the budget
+//! policies, and healing from a tick's carried decode.
 
+use milr_core::DetectionReport;
 use milr_core::{Milr, MilrConfig};
 use milr_integrity::{
     Budget, EscalationPolicy, IntegrityError, IntegrityPipeline, Journaled, ModelHost,
     RoundOutcome, Volatile,
 };
+use milr_nn::Sequential;
 use milr_store::{Store, StoreOptions};
 use milr_substrate::SubstrateKind;
 use std::path::PathBuf;
@@ -245,7 +247,8 @@ fn reprotect_gate_runs_a_full_detect_before_rebaselining() {
         report.full_detects, 2,
         "opening detect + the closing Reprotect gate"
     );
-    assert_eq!(report.fast_verifies, 1);
+    // The gate is the Verify stage: no suspect-only verify before it.
+    assert_eq!(report.fast_verifies, 0);
     assert_eq!(report.reprotects, 1);
     assert!(milr.detect(&host.materialize()).unwrap().is_clean());
     // An ungated clean no-op stays a single detect either way.
@@ -290,4 +293,224 @@ fn exhausted_budget_fails_or_gives_up_by_policy() {
             }
         }
     }
+}
+
+fn param_bits(model: &Sequential) -> Vec<Vec<u32>> {
+    model
+        .layers()
+        .iter()
+        .filter_map(|l| l.params())
+        .map(|p| p.data().iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+fn layer_bits(model: &Sequential, layer: usize) -> Vec<u32> {
+    let params = model.layers()[layer].params().unwrap();
+    params.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Per-layer checks, with deviations compared bit for bit (a wrecked
+/// weight can make one NaN). A report's flags are its flagged checks.
+fn check_bits(report: &DetectionReport) -> Vec<(usize, String, bool, u32)> {
+    report
+        .checks
+        .iter()
+        .map(|c| {
+            (
+                c.layer,
+                c.kind.clone(),
+                c.flagged,
+                c.max_deviation.to_bits(),
+            )
+        })
+        .collect()
+}
+
+fn pipeline(gated: bool) -> IntegrityPipeline {
+    let p = IntegrityPipeline::new(EscalationPolicy::Quarantine, Budget::default());
+    if gated {
+        p.with_reprotect_gate()
+    } else {
+        p
+    }
+}
+
+const TICK_KINDS: [SubstrateKind; 2] = [SubstrateKind::Plain, SubstrateKind::XtsSecded];
+
+#[test]
+fn detect_layers_over_every_checkable_layer_is_detect() {
+    let golden = model();
+    for kind in TICK_KINDS {
+        let host = ModelHost::new(&golden, &|c| kind.store(c));
+        let milr = Milr::protect(&golden, MilrConfig::default()).unwrap();
+        let all = milr.checkable_layers();
+        let clean = host.materialize();
+        assert_eq!(
+            check_bits(&milr.detect_layers(&clean, &all).unwrap()),
+            check_bits(&milr.detect(&clean).unwrap()),
+            "{kind}: clean"
+        );
+        host.corrupt_weight(0, 5);
+        host.corrupt_weight(7, 2);
+        let faulted = host.materialize();
+        let full = milr.detect(&faulted).unwrap();
+        assert_eq!(full.flagged, vec![0, 7], "{kind}");
+        assert_eq!(
+            check_bits(&milr.detect_layers(&faulted, &all).unwrap()),
+            check_bits(&full),
+            "{kind}: faulted"
+        );
+    }
+}
+
+#[test]
+fn heal_tick_matches_run_for_a_fault_on_each_checkable_layer() {
+    let golden = model();
+    for kind in TICK_KINDS {
+        for gated in [false, true] {
+            let probe = Milr::protect(&golden, MilrConfig::default()).unwrap();
+            for layer in probe.checkable_layers() {
+                let ticked = ModelHost::new(&golden, &|c| kind.store(c));
+                let twin = ModelHost::new(&golden, &|c| kind.store(c));
+                ticked.corrupt_weight(layer, 1);
+                twin.corrupt_weight(layer, 1);
+                let mut milr_tick = Milr::protect(&golden, MilrConfig::default()).unwrap();
+                let mut milr_run = milr_tick.clone();
+                let all = milr_tick.checkable_layers();
+
+                let mut by_tick = pipeline(gated);
+                let tick = by_tick
+                    .tick(&ticked, &milr_tick, &all, &mut Volatile)
+                    .unwrap();
+                assert_eq!(tick.detection.flagged, vec![layer], "{kind} layer {layer}");
+                assert!(
+                    tick.snapshot.is_some(),
+                    "a whole-model tick keeps its decode"
+                );
+                let healed = by_tick
+                    .heal_tick(&ticked, &mut milr_tick, tick, &mut Volatile)
+                    .unwrap();
+
+                let mut by_run = pipeline(gated);
+                by_run.tick(&twin, &milr_run, &all, &mut Volatile).unwrap();
+                let ran = by_run.run(&twin, &mut milr_run, &mut Volatile).unwrap();
+
+                let what = format!("{kind} gated={gated} layer {layer}");
+                assert_eq!(healed, ran, "{what}");
+                assert_eq!(by_tick.last_flagged(), by_run.last_flagged(), "{what}");
+                let (a, b) = (by_tick.report(), by_run.report());
+                assert_eq!(a.heals_exact, b.heals_exact, "{what}");
+                assert_eq!(a.heals_approx, b.heals_approx, "{what}");
+                assert_eq!(a.heal_rounds, b.heal_rounds, "{what}");
+                // The carried tick replaced exactly the opening detect.
+                assert_eq!(a.full_detects + 1, b.full_detects, "{what}");
+                assert_eq!(
+                    param_bits(&ticked.materialize()),
+                    param_bits(&twin.materialize()),
+                    "{what}"
+                );
+                assert_eq!(milr_tick.to_bytes(), milr_run.to_bytes(), "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn the_gate_catches_a_fault_landing_between_the_tick_and_its_heal() {
+    let golden = model();
+    for kind in TICK_KINDS {
+        let host = ModelHost::new(&golden, &|c| kind.store(c));
+        let mut milr = Milr::protect(&golden, MilrConfig::default()).unwrap();
+        let all = milr.checkable_layers();
+        let mut pipeline = pipeline(true);
+        host.corrupt_weight(0, 13);
+        let tick = pipeline.tick(&host, &milr, &all, &mut Volatile).unwrap();
+        assert_eq!(tick.detection.flagged, vec![0], "{kind}");
+        // Lands after the tick decoded: the carried snapshot never saw it.
+        host.corrupt_weight(4, 3);
+        let outcome = pipeline
+            .heal_tick(&host, &mut milr, tick, &mut Volatile)
+            .unwrap();
+        assert_eq!(outcome, RoundOutcome::Clean { reanchored: false }, "{kind}");
+        assert_eq!(pipeline.last_flagged(), &[0], "{kind}");
+        let report = pipeline.report();
+        assert_eq!(report.heal_rounds, 2, "{kind}: one heal per layer");
+        assert_eq!(
+            report.full_detects, 2,
+            "{kind}: two gates, no opening detect"
+        );
+        assert_eq!(report.fast_verifies, 0, "{kind}");
+        assert_eq!(report.reprotects, 1, "{kind}");
+        let live = host.materialize();
+        for layer in [0, 4] {
+            assert_eq!(
+                layer_bits(&live, layer),
+                layer_bits(&golden, layer),
+                "{kind} {layer}"
+            );
+        }
+        assert!(milr.detect(&live).unwrap().is_clean(), "{kind}");
+    }
+}
+
+#[test]
+fn only_a_flagged_whole_model_tick_carries_its_decode() {
+    let golden = model();
+    for kind in TICK_KINDS {
+        let host = ModelHost::new(&golden, &|c| kind.store(c));
+        let milr = Milr::protect(&golden, MilrConfig::default()).unwrap();
+        let all = milr.checkable_layers();
+        let mut pipeline = pipeline(true);
+        let clean = pipeline.tick(&host, &milr, &all, &mut Volatile).unwrap();
+        assert!(clean.detection.is_clean(), "{kind}");
+        assert!(
+            clean.snapshot.is_none(),
+            "{kind}: a clean tick carries nothing"
+        );
+        host.corrupt_weight(0, 13);
+        let partial = pipeline.tick(&host, &milr, &[0, 1], &mut Volatile).unwrap();
+        assert_eq!(partial.detection.flagged, vec![0], "{kind}");
+        assert!(
+            partial.snapshot.is_none(),
+            "{kind}: a partial chunk carries nothing"
+        );
+        let whole = pipeline.tick(&host, &milr, &all, &mut Volatile).unwrap();
+        let snapshot = whole.snapshot.expect("flagged whole-model tick");
+        assert_eq!(
+            param_bits(&snapshot),
+            param_bits(&host.materialize()),
+            "{kind}: the carried decode is the stored model"
+        );
+    }
+}
+
+#[test]
+fn ticks_after_a_carried_decode_still_scrub_and_detect() {
+    let golden = model();
+    let kind = SubstrateKind::XtsSecded;
+    let host = ModelHost::new(&golden, &|c| kind.store(c));
+    let mut milr = Milr::protect(&golden, MilrConfig::default()).unwrap();
+    let all = milr.checkable_layers();
+    let mut pipeline = pipeline(true);
+    host.corrupt_weight(0, 13);
+    let tick = pipeline.tick(&host, &milr, &all, &mut Volatile).unwrap();
+    pipeline
+        .heal_tick(&host, &mut milr, tick, &mut Volatile)
+        .unwrap();
+    // The host lent its skeleton out with the snapshot; the next tick
+    // builds a fresh one and reads real storage into it.
+    let tick = pipeline.tick(&host, &milr, &all, &mut Volatile).unwrap();
+    assert!(tick.detection.is_clean());
+    assert!(tick.scrub.is_clean());
+    // One raw bit in layer 4's shard: the tick's scrub corrects it.
+    let (r_lo, _) = host.store().shard_raw_range(2);
+    host.store().flip_raw_bit(r_lo + 9);
+    let tick = pipeline.tick(&host, &milr, &all, &mut Volatile).unwrap();
+    assert_eq!(tick.scrub.corrected, 1);
+    assert!(tick.detection.is_clean());
+    // A whole-weight fault shows in the next tick.
+    host.corrupt_weight(7, 4);
+    let tick = pipeline.tick(&host, &milr, &all, &mut Volatile).unwrap();
+    assert_eq!(tick.detection.flagged, vec![7]);
+    assert!(tick.snapshot.is_some());
 }

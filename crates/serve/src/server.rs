@@ -33,7 +33,7 @@ use crate::serve_core::{CoreConfig, Pending, RequestQueue, ServeCore, ServeObs};
 use milr_core::{Milr, MilrConfig};
 use milr_integrity::{
     Budget, DurabilityPolicy, EscalationPolicy, IntegrityPipeline, Journaled, ModelHost,
-    RoundOutcome, TickOutcome, Volatile,
+    RoundOutcome, Volatile,
 };
 use milr_nn::Sequential;
 use milr_obs::json::{array, JsonObject};
@@ -640,6 +640,16 @@ fn pull(shared: &Shared, target: usize) {
     }
 }
 
+/// The scrubber thread. Each wake drains the queue, then ticks the
+/// engine over the cursor chunk (the whole model by default). A clean
+/// tick certifies what the drain finished; a flagged one quarantines,
+/// and the episode heals from the [`TickOutcome`] itself
+/// ([`IntegrityPipeline::heal_tick`]): the tick's decode and flags are
+/// the first round's input, so a quarantine decodes and fully detects
+/// the model once — in the Reprotect gate after the write-back —
+/// besides the tick.
+///
+/// [`TickOutcome`]: milr_integrity::TickOutcome
 fn scrubber_loop(shared: &Shared) {
     loop {
         // One wait per tick for what is left of the interval; only
@@ -670,7 +680,7 @@ fn scrubber_loop(shared: &Shared) {
         drop(inner);
         // Scrub + Detect stages of the shared engine: ECC corrections
         // are heals — journaled before anything certifies on top.
-        let TickOutcome { detection, .. } = {
+        let tick = {
             let mut engine = shared.engine();
             engine.pipeline.set_now(now);
             with_durability(shared, &mut engine, |milr, pipeline, dur| {
@@ -684,7 +694,7 @@ fn scrubber_loop(shared: &Shared) {
         // edge include the tick's own scan time.
         let now = shared.now_ns();
         let Inner { core, queue, .. } = &mut *inner;
-        let quarantined = core.finish_scrub(queue, !detection.is_clean(), now);
+        let quarantined = core.finish_scrub(queue, !tick.detection.is_clean(), now);
         inner.settle();
         if !quarantined {
             continue;
@@ -693,16 +703,20 @@ fn scrubber_loop(shared: &Shared) {
 
         // Recover outside the state lock (dispatch is stopped); the
         // scrubber is the only engine user while serving. The engine
-        // runs heal rounds to completion: write-backs reach disk through
-        // the journal, a clean verify re-protects so an approximate heal
-        // cannot leave the stored CRC grids out of sync with storage,
-        // and the re-anchor commits atomically. On budget exhaustion it
-        // gives up (Quarantine policy) and the next tick re-quarantines.
+        // heals from the tick's own decode and flags (the tick covered
+        // every shard; a partial chunk detects afresh) and runs heal
+        // rounds to completion: write-backs reach disk through the
+        // journal, and after each one the Reprotect gate decodes and
+        // detects the whole model — a flag heals again from that
+        // snapshot, a clean one is re-protected (so an approximate heal
+        // cannot leave the stored CRC grids out of sync with storage)
+        // and re-anchored atomically. On budget exhaustion it gives up
+        // (Quarantine policy) and the next tick re-quarantines.
         let healed = {
             let mut engine = shared.engine();
             engine.pipeline.set_now(shared.now_ns());
             let outcome = with_durability(shared, &mut engine, |milr, pipeline, dur| {
-                pipeline.run(&shared.host, milr, dur)
+                pipeline.heal_tick(&shared.host, milr, tick, dur)
             })
             .expect("recovery propagates only solver errors");
             debug_assert!(matches!(
